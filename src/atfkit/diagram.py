@@ -34,9 +34,7 @@ from .plane import (
     unipotent_fixing,
 )
 from .polygon import ConstructionParams, Polygon, build_blowup_polygon
-from .scalars import QField, qf
-
-ScalarLike = QField | int | str
+from .scalars import QField, ScalarLike, qf
 
 
 @dataclass(frozen=True)

@@ -17,9 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .scalars import QField, qf
-
-ScalarLike = QField | int | str
+from .scalars import QField, ScalarLike, qf
 
 
 @dataclass(frozen=True)

@@ -20,9 +20,7 @@ from dataclasses import dataclass
 from . import scalars
 from .plane import Point
 from .polygon import ConstructionParams, Polygon
-from .scalars import QField, qf
-
-ScalarLike = QField | int | str
+from .scalars import QField, ScalarLike, qf
 
 
 @dataclass(frozen=True)

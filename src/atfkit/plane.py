@@ -13,9 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .scalars import QField, Rational, qf
-
-ScalarLike = QField | Rational | str
+from .scalars import QField, ScalarLike, qf
 
 
 @dataclass(frozen=True)

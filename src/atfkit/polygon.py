@@ -37,9 +37,7 @@ from .plane import (
     move,
     orient,
 )
-from .scalars import QField, qf
-
-ScalarLike = QField | int | str
+from .scalars import QField, ScalarLike, qf
 
 
 @dataclass(frozen=True)

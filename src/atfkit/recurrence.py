@@ -21,9 +21,7 @@ from dataclasses import dataclass, replace
 from .diagram import BaseDiagram
 from .plane import LatticeVector, Point, UnimodularAffineMap, dot
 from .polygon import ConstructionParams, Polygon, build_blowup_polygon
-from .scalars import QField, qf
-
-ScalarLike = QField | int | str
+from .scalars import QField, ScalarLike, qf
 
 
 class VerificationError(ValueError):

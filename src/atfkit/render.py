@@ -17,9 +17,8 @@ from .diagram import BaseDiagram
 from .plane import Point, move
 from .polygon import clip_halfplane
 from .recurrence import StripShear
-from .scalars import QField, qf
+from .scalars import QField, ScalarLike, qf
 
-ScalarLike = QField | int | str
 
 _TEN20 = 10**20
 

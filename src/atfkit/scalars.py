@@ -2,11 +2,17 @@
 
 Every coordinate, length, and rotation amount in this library is a
 :class:`QField` value ``a + b*sqrt(d)`` with rational ``a``, ``b`` and a
-square-free integer radicand ``d > 1``.  Values are normalised eagerly:
-whenever the sqrt-coefficient is zero the radicand is dropped, so a value
-is irrational exactly when ``is_rational`` is false.  No floating point is
-used anywhere; signs, comparisons, and floors are decided by integer
-arithmetic alone.
+square-free integer radicand ``1 < d < 2**32``.  A value is stored as
+integers in the normal form ``(A + B*sqrt(d)) / D`` with ``D > 0`` and
+``gcd(A, B, D) = 1``, so two values are equal exactly when their normal
+forms are.  The radicand is dropped whenever ``B`` is zero, so a value is
+irrational exactly when ``is_rational`` is false.  No floating point is
+used anywhere; sums, products, quotients, signs, comparisons and floors
+are decided by integer arithmetic on the normal form alone.
+
+Radicands are capped below ``RADICAND_BOUND = 2**32`` so that the
+square-freeness test (trial division up to ``sqrt(d)``) stays within a few
+milliseconds on any input; a larger radicand is a ``ValueError``.
 
 The canonical text form is ``p/q`` for rationals and ``p/q+r/s*sqrt(d)``
 (or ``p/q-r/s*sqrt(d)``) otherwise, with both fractions in lowest terms
@@ -18,61 +24,131 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from fractions import Fraction
+from functools import lru_cache
+from math import gcd, isqrt
 from typing import Union
 
 Rational = Union[int, Fraction]
+
+RADICAND_BOUND = 2**32
+
+_HASH_MODULUS = sys.hash_info.modulus
+_HASH_INF = sys.hash_info.inf
 
 _SCALAR_RE = re.compile(
     r"^(?P<rat>[+-]?\d+(?:/\d+)?)?"
     r"(?:(?P<sgn>[+-])?(?P<coef>\d+(?:/\d+)?)\*sqrt\((?P<rad>\d+)\))?$"
 )
 
-_SQUAREFREE: dict[int, bool] = {}
 
-
+@lru_cache(maxsize=1024)
 def _is_squarefree(d: int) -> bool:
-    cached = _SQUAREFREE.get(d)
-    if cached is not None:
-        return cached
-    ok = True
     n, p = d, 2
     while p * p <= n:
         if n % (p * p) == 0:
-            ok = False
-            break
+            return False
         if n % p == 0:
             n //= p
         p += 1 if p == 2 else 2
-    _SQUAREFREE[d] = ok
-    return ok
+    return True
+
+
+def _check_radicand(d: object) -> None:
+    if d is None:
+        raise ValueError("irrational part requires a radicand d")
+    if not isinstance(d, int) or d <= 1:
+        raise ValueError(f"radicand must be an integer > 1, got {d!r}")
+    if d >= RADICAND_BOUND:
+        raise ValueError(f"radicand must be below 2**32, got {d}")
+    if not _is_squarefree(d):
+        raise ValueError(f"radicand must be square-free, got {d}")
+
+
+def _ratio(x: Rational) -> tuple[int, int]:
+    """Numerator and positive denominator of ``x`` in lowest terms."""
+    if type(x) is int:
+        return x, 1
+    if not isinstance(x, Fraction):
+        x = Fraction(x)
+    return x.numerator, x.denominator
+
+
+def _normal(n1: int, d1: int, n2: int, d2: int, d: object) -> tuple:
+    """Normal form of ``n1/d1 + n2/d2*sqrt(d)``, both fractions in lowest terms."""
+    if not n2:
+        return n1, 0, d1, None
+    _check_radicand(d)
+    if d1 == d2:
+        return n1, n2, d1, d
+    # over D = lcm(d1, d2) no prime divides all of A, B, D: it would divide
+    # the larger of the two denominators and its numerator too
+    D = d1 // gcd(d1, d2) * d2
+    return n1 * (D // d1), n2 * (D // d2), D, d
+
+
+def _merge_radicand(d1: int | None, d2: int | None) -> int | None:
+    if d1 is None:
+        return d2
+    if d2 is None or d2 == d1:
+        return d1
+    raise ValueError(f"mixed radicands sqrt({d1}) and sqrt({d2})")
+
+
+def _sign(a: int, b: int, d: int | None) -> int:
+    """Exact sign of ``a + b*sqrt(d)`` for integers ``a``, ``b``."""
+    if not b:
+        return (a > 0) - (a < 0)
+    sb = 1 if b > 0 else -1
+    if not a:
+        return sb
+    sa = 1 if a > 0 else -1
+    if sa == sb:
+        return sa
+    # opposite signs: the larger of a^2 and b^2 d wins
+    lhs = a * a
+    rhs = b * b * d
+    if lhs == rhs:  # impossible for square-free d
+        raise ArithmeticError("square-free radicand produced a square")
+    return sa if lhs > rhs else sb
+
+
+def _hash_ratio(n: int, d: int) -> int:
+    """``hash(Fraction(n, d))`` for ``d > 0``, by the algorithm of ``Fraction.__hash__``."""
+    if d == 1:
+        return hash(n)
+    try:
+        dinv = pow(d, -1, _HASH_MODULUS)
+    except ValueError:
+        # d is a multiple of the modulus; Fraction hashes n/d in lowest terms
+        g = gcd(n, d)
+        if g != 1:
+            return _hash_ratio(n // g, d // g)
+        h = _HASH_INF
+    else:
+        h = hash(hash(abs(n)) * dinv)
+    h = h if n >= 0 else -h
+    return -2 if h == -1 else h
 
 
 class QField:
-    """An exact scalar ``a + b*sqrt(d)``.
+    """An exact scalar ``a + b*sqrt(d)``, stored as ``(A + B*sqrt(d)) / D``.
 
-    ``a`` and ``b`` are :class:`fractions.Fraction`; ``d`` is ``None`` for
-    rational values and a square-free integer ``> 1`` otherwise.  Values
-    with different radicands cannot be mixed in one expression.
+    The integers satisfy ``D > 0`` and ``gcd(A, B, D) = 1``; ``d`` is
+    ``None`` exactly when ``B == 0`` and a square-free integer
+    ``1 < d < 2**32`` otherwise.  ``a = A/D`` and ``b = B/D`` are exposed
+    as :class:`fractions.Fraction` properties.  Values are immutable, and
+    values with different radicands cannot be mixed in one expression.
     """
 
-    __slots__ = ("_a", "_b", "_d")
+    __slots__ = ("_v",)
 
-    def __init__(self, a: Rational = 0, b: Rational = 0, d: int | None = None):
-        a = Fraction(a)
-        b = Fraction(b)
-        if b == 0:
-            d = None
-        else:
-            if d is None:
-                raise ValueError("irrational part requires a radicand d")
-            if not isinstance(d, int) or d <= 1:
-                raise ValueError(f"radicand must be an integer > 1, got {d!r}")
-            if not _is_squarefree(d):
-                raise ValueError(f"radicand must be square-free, got {d}")
-        object.__setattr__(self, "_a", a)
-        object.__setattr__(self, "_b", b)
-        object.__setattr__(self, "_d", d)
+    def __new__(cls, a: Rational = 0, b: Rational = 0, d: int | None = None) -> "QField":
+        # built in __new__, so calling __init__ again cannot rewrite a value
+        self = _new(cls)
+        _set(self, _normal(*_ratio(a), *_ratio(b), d))
+        return self
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("QField values are immutable")
@@ -86,155 +162,210 @@ class QField:
 
     @property
     def a(self) -> Fraction:
-        return self._a
+        A, _, D, _ = self._v
+        return Fraction(A, D)
 
     @property
     def b(self) -> Fraction:
-        return self._b
+        _, B, D, _ = self._v
+        return Fraction(B, D)
 
     @property
     def d(self) -> int | None:
-        return self._d
+        return self._v[3]
 
     @property
     def p(self) -> int:
-        return self._a.numerator
+        A, _, D, _ = self._v
+        return A // gcd(A, D)
 
     @property
     def q(self) -> int:
-        return self._a.denominator
+        A, _, D, _ = self._v
+        return D // gcd(A, D)
 
     @property
     def r(self) -> int:
-        return self._b.numerator
+        _, B, D, _ = self._v
+        return B // gcd(B, D)
 
     @property
     def s(self) -> int:
-        return self._b.denominator
+        _, B, D, _ = self._v
+        return D // gcd(B, D)
 
     def is_rational(self) -> bool:
-        """True when the value lies in Q (certified: normal form has b = 0)."""
-        return self._b == 0
+        """True when the value lies in Q (certified: normal form has B = 0)."""
+        return not self._v[1]
 
     def as_fraction(self) -> Fraction:
-        if self._b != 0:
+        A, B, D, _ = self._v
+        if B:
             raise ValueError(f"{self} is irrational")
-        return self._a
+        return Fraction(A, D)
 
     def conjugate(self) -> "QField":
-        return QField(self._a, -self._b, self._d)
+        A, B, D, d = self._v
+        return _raw(A, -B, D, d)
 
     # -- arithmetic ------------------------------------------------------
-
-    def _merge_radicand(self, other: "QField") -> int | None:
-        if self._d is None:
-            return other._d
-        if other._d is None or other._d == self._d:
-            return self._d
-        raise ValueError(f"mixed radicands sqrt({self._d}) and sqrt({other._d})")
-
-    @staticmethod
-    def _coerce(value: object) -> "QField | None":
-        if isinstance(value, QField):
-            return value
-        if isinstance(value, (int, Fraction)):
-            return QField(value)
-        return None
+    #
+    # Each operator dispatches on ``type(other) is QField``, then on
+    # ``type(other) is int``, and only then falls back to ``_coerce``.
 
     def __add__(self, other: object) -> "QField":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        d = self._merge_radicand(o)
-        return QField(self._a + o._a, self._b + o._b, d)
+        A1, B1, D1, d1 = self._v
+        if type(other) is QField:
+            A2, B2, D2, d2 = other._v
+        elif type(other) is int:
+            return _raw(A1 + other * D1, B1, D1, d1)
+        else:
+            o = _coerce(other)
+            if o is None:
+                return NotImplemented
+            A2, B2, D2, d2 = o._v
+        if d1 != d2:
+            d1 = _merge_radicand(d1, d2)
+        if D1 == D2:
+            return _reduced(A1 + A2, B1 + B2, D1, d1)
+        return _reduced(A1 * D2 + A2 * D1, B1 * D2 + B2 * D1, D1 * D2, d1)
 
     __radd__ = __add__
 
     def __sub__(self, other: object) -> "QField":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        d = self._merge_radicand(o)
-        return QField(self._a - o._a, self._b - o._b, d)
+        A1, B1, D1, d1 = self._v
+        if type(other) is QField:
+            A2, B2, D2, d2 = other._v
+        elif type(other) is int:
+            return _raw(A1 - other * D1, B1, D1, d1)
+        else:
+            o = _coerce(other)
+            if o is None:
+                return NotImplemented
+            A2, B2, D2, d2 = o._v
+        if d1 != d2:
+            d1 = _merge_radicand(d1, d2)
+        if D1 == D2:
+            return _reduced(A1 - A2, B1 - B2, D1, d1)
+        return _reduced(A1 * D2 - A2 * D1, B1 * D2 - B2 * D1, D1 * D2, d1)
 
     def __rsub__(self, other: object) -> "QField":
-        o = self._coerce(other)
+        A, B, D, d = self._v
+        if type(other) is int:
+            return _raw(other * D - A, -B, D, d)
+        o = _coerce(other)
         if o is None:
             return NotImplemented
         return o.__sub__(self)
 
     def __mul__(self, other: object) -> "QField":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        d = self._merge_radicand(o)
-        if self._b == 0 and o._b == 0:
-            return QField(self._a * o._a)
-        a = self._a * o._a + self._b * o._b * d
-        b = self._a * o._b + self._b * o._a
-        return QField(a, b, d)
+        A1, B1, D1, d1 = self._v
+        if type(other) is QField:
+            A2, B2, D2, d2 = other._v
+        elif type(other) is int:
+            # cancel against D only: gcd(A, B, D) = 1 already
+            g = gcd(other, D1)
+            if g != 1:
+                other //= g
+                D1 //= g
+            B = B1 * other
+            return _raw(A1 * other, B, D1, d1 if B else None)
+        else:
+            o = _coerce(other)
+            if o is None:
+                return NotImplemented
+            A2, B2, D2, d2 = o._v
+        if not B2:
+            return _reduced(A1 * A2, B1 * A2, D1 * D2, d1)
+        if not B1:
+            return _reduced(A1 * A2, A1 * B2, D1 * D2, d2)
+        if d1 != d2:
+            d1 = _merge_radicand(d1, d2)
+        return _reduced(A1 * A2 + B1 * B2 * d1, A1 * B2 + B1 * A2, D1 * D2, d1)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: object) -> "QField":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        d = self._merge_radicand(o)
-        if o._a == 0 and o._b == 0:
-            raise ZeroDivisionError("division by zero scalar")
-        if o._b == 0:
-            return QField(self._a / o._a, self._b / o._a, d)
-        # multiply by the conjugate; the norm a^2 - b^2 d is nonzero because
-        # d is square-free, hence never a square of a rational.
-        norm = o._a * o._a - o._b * o._b * d
-        a = (self._a * o._a - self._b * o._b * d) / norm
-        b = (self._b * o._a - self._a * o._b) / norm
-        return QField(a, b, d)
+        A1, B1, D1, d1 = self._v
+        if type(other) is QField:
+            A2, B2, D2, d2 = other._v
+        elif type(other) is int:
+            if not other:
+                raise ZeroDivisionError("division by zero scalar")
+            # a prime dividing A, B and D*other divides other, not D
+            g = gcd(A1, B1, other)
+            if other < 0:
+                g = -g
+            if g != 1:
+                A1 //= g
+                B1 //= g
+                other //= g
+            return _raw(A1, B1, D1 * other, d1)
+        else:
+            o = _coerce(other)
+            if o is None:
+                return NotImplemented
+            A2, B2, D2, d2 = o._v
+        if not B2:
+            if not A2:
+                raise ZeroDivisionError("division by zero scalar")
+            A, B, D, d = A1 * D2, B1 * D2, D1 * A2, d1
+        else:
+            d = _merge_radicand(d1, d2)
+            # multiply by the conjugate; the norm A2^2 - B2^2 d is nonzero
+            # because d is square-free, hence never a square of a rational.
+            A = (A1 * A2 - B1 * B2 * d) * D2
+            B = (B1 * A2 - A1 * B2) * D2
+            D = D1 * (A2 * A2 - B2 * B2 * d)
+        if D < 0:
+            A, B, D = -A, -B, -D
+        return _reduced(A, B, D, d)
 
     def __rtruediv__(self, other: object) -> "QField":
-        o = self._coerce(other)
+        o = _raw(other, 0, 1, None) if type(other) is int else _coerce(other)
         if o is None:
             return NotImplemented
         return o.__truediv__(self)
 
     def __neg__(self) -> "QField":
-        return QField(-self._a, -self._b, self._d)
+        A, B, D, d = self._v
+        return _raw(-A, -B, D, d)
 
     def __pos__(self) -> "QField":
         return self
 
     def __abs__(self) -> "QField":
-        return -self if self.sign() < 0 else self
+        A, B, D, d = self._v
+        return _raw(-A, -B, D, d) if _sign(A, B, d) < 0 else self
 
     def __bool__(self) -> bool:
-        return self._a != 0 or self._b != 0
+        A, B, _, _ = self._v
+        return bool(A or B)
 
     # -- order -----------------------------------------------------------
 
     def sign(self) -> int:
         """Exact sign in {-1, 0, +1}, decided by integer comparisons."""
-        if self._b == 0:
-            a = self._a
-            return (a > 0) - (a < 0)
-        if self._a == 0:
-            return 1 if self._b > 0 else -1
-        sa = 1 if self._a > 0 else -1
-        sb = 1 if self._b > 0 else -1
-        if sa == sb:
-            return sa
-        # opposite signs: compare a^2 with b^2 d via cross-multiplied integers
-        lhs = self._a.numerator ** 2 * self._b.denominator ** 2
-        rhs = self._b.numerator ** 2 * self._a.denominator ** 2 * self._d
-        if lhs == rhs:  # impossible for square-free d
-            raise ArithmeticError("square-free radicand produced a square")
-        return sa if lhs > rhs else sb
+        A, B, _, d = self._v
+        return _sign(A, B, d)
 
     def _cmp(self, other: object) -> int | None:
-        o = self._coerce(other)
-        if o is None:
-            return None
-        return (self - o).sign()
+        """Sign of ``self - other`` from cross-multiplied integers."""
+        A1, B1, D1, d1 = self._v
+        if type(other) is QField:
+            A2, B2, D2, d2 = other._v
+        elif type(other) is int:
+            return _sign(A1 - other * D1, B1, d1)
+        else:
+            o = _coerce(other)
+            if o is None:
+                return None
+            A2, B2, D2, d2 = o._v
+        if d1 != d2:
+            d1 = _merge_radicand(d1, d2)
+        if D1 == D2:
+            return _sign(A1 - A2, B1 - B2, d1)
+        return _sign(A1 * D2 - A2 * D1, B1 * D2 - B2 * D1, d1)
 
     def __lt__(self, other: object) -> bool:
         c = self._cmp(other)
@@ -261,22 +392,32 @@ class QField:
         return c >= 0
 
     def __eq__(self, other: object) -> bool:
-        o = self._coerce(other)
+        # normal forms are unique, so equal values have equal integers
+        if type(other) is QField:
+            return self._v == other._v
+        if type(other) is int:
+            A, B, D, _ = self._v
+            return A == other and D == 1 and not B
+        o = _coerce(other)
         if o is None:
             return NotImplemented
-        return self._a == o._a and self._b == o._b and self._d == o._d
+        return self._v == o._v
 
     def __hash__(self) -> int:
-        if self._b == 0:
-            return hash(self._a)
-        return hash((self._a, self._b, self._d))
+        # a rational hashes like the equal Fraction or int; an irrational
+        # like the tuple (a, b, d) of Fractions
+        A, B, D, d = self._v
+        if not B:
+            return _hash_ratio(A, D)
+        return hash((_hash_ratio(A, D), _hash_ratio(B, D), d))
 
     # -- conversions -----------------------------------------------------
 
     def __float__(self) -> float:
-        if self._b == 0:
-            return float(self._a)
-        return float(self._a) + float(self._b) * math.sqrt(self._d)
+        A, B, D, d = self._v
+        if not B:
+            return A / D
+        return A / D + B / D * math.sqrt(d)
 
     def __str__(self) -> str:
         return format_scalar(self)
@@ -285,13 +426,54 @@ class QField:
         return f"QField({format_scalar(self)!r})"
 
 
+_new = object.__new__
+_set = QField._v.__set__
+
+
+def _raw(A: int, B: int, D: int, d: int | None) -> QField:
+    """A QField from integers already in normal form."""
+    v = _new(QField)
+    _set(v, (A, B, D, d))
+    return v
+
+
+def _reduced(A: int, B: int, D: int, d: int | None) -> QField:
+    """A QField from integers with ``D > 0``, reduced by one gcd."""
+    g = gcd(A, B, D)
+    if g != 1:
+        A //= g
+        B //= g
+        D //= g
+    v = _new(QField)
+    _set(v, (A, B, D, d if B else None))
+    return v
+
+
+def _coerce(value: object) -> QField | None:
+    """The slow path of operand dispatch: subclasses and Fractions."""
+    if isinstance(value, QField):
+        return value
+    if isinstance(value, int):
+        return _raw(int(value), 0, 1, None)
+    if isinstance(value, Fraction):
+        return _raw(value.numerator, 0, value.denominator, None)
+    return None
+
+
 def qf(value: "QField | Rational | str") -> QField:
     """Coerce an int, Fraction, canonical string, or QField to QField."""
+    if type(value) is QField:
+        return value
+    if type(value) is int:
+        return _raw(value, 0, 1, None)
     if isinstance(value, QField):
         return value
     if isinstance(value, str):
         return parse_scalar(value)
     return QField(value)
+
+
+ScalarLike = QField | Rational | str
 
 
 def sign(x: "QField | Rational") -> int:
@@ -303,22 +485,23 @@ def is_rational(x: "QField | Rational") -> bool:
 
 
 def floor(x: "QField | Rational") -> int:
-    """Exact floor, via integer square-root bracketing of the sqrt term."""
-    v = qf(x)
-    if v.b == 0:
-        return v.a.numerator // v.a.denominator
-    # v = (A + B*sqrt(d)) / D with integers A, B and D > 0
-    A = v.a.numerator * v.b.denominator
-    B = v.b.numerator * v.a.denominator
-    D = v.a.denominator * v.b.denominator
-    t = math.isqrt(B * B * v.d)  # |B|*sqrt(d) lies in [t, t+1)
-    m = (A + t) // D if B > 0 else (A - t - 1) // D
-    # the bracket is one unit wide, so at most a couple of adjustments remain
-    while (v - m).sign() < 0:
-        m -= 1
-    while (v - (m + 1)).sign() >= 0:
-        m += 1
-    return m
+    """Exact floor, via the integer square root of the sqrt term."""
+    A, B, D, d = qf(x)._v
+    if not B:
+        return A // D
+    # |B|*sqrt(d) is irrational, so it lies strictly inside (t, t+1), and
+    # floor((A + B*sqrt(d)) / D) = floor(floor(A + B*sqrt(d)) / D)
+    t = isqrt(B * B * d)
+    return (A + t) // D if B > 0 else (A - t - 1) // D
+
+
+def _parse_ratio(text: str) -> tuple[int, int]:
+    num, _, den = text.partition("/")
+    n, m = int(num), int(den) if den else 1
+    if not m:
+        raise ValueError(f"zero denominator in scalar {text!r}")
+    g = gcd(n, m)
+    return n // g, m // g
 
 
 def parse_scalar(text: str) -> QField:
@@ -333,21 +516,25 @@ def parse_scalar(text: str) -> QField:
     rat, sgn, coef, rad = match.group("rat", "sgn", "coef", "rad")
     if rat is None and coef is None:
         raise ValueError(f"malformed scalar {text!r}")
-    a = Fraction(rat) if rat is not None else Fraction(0)
+    n1, d1 = _parse_ratio(rat) if rat is not None else (0, 1)
     if coef is None:
-        return QField(a)
-    b = Fraction(coef)
+        return _raw(n1, 0, d1, None)
+    n2, d2 = _parse_ratio(coef)
     if sgn == "-":
-        b = -b
-    return QField(a, b, int(rad))
+        n2 = -n2
+    v = _new(QField)
+    _set(v, _normal(n1, d1, n2, d2, int(rad)))
+    return v
 
 
 def format_scalar(x: "QField | Rational") -> str:
     """Canonical text form; inverse of parse_scalar on its output."""
-    v = qf(x)
-    out = f"{v.p}/{v.q}"
-    if v.r != 0:
-        out += f"{'+' if v.r > 0 else '-'}{abs(v.r)}/{v.s}*sqrt({v.d})"
+    A, B, D, d = qf(x)._v
+    g = gcd(A, D)
+    out = f"{A // g}/{D // g}"
+    if B:
+        g = gcd(B, D)
+        out += f"{'+' if B > 0 else '-'}{abs(B) // g}/{D // g}*sqrt({d})"
     return out
 
 

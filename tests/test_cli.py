@@ -1,6 +1,9 @@
 """End-to-end runs of the command line entry point, in process."""
 
 import json
+import time
+
+import pytest
 
 from atfkit.cli import main
 from atfkit.diagram import BaseDiagram, build_pi0
@@ -75,6 +78,22 @@ def test_orbit_requires_the_level_flag(capsys):
     code = main(["orbit"])
     capsys.readouterr()
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "level",
+    [
+        "0/1+1/1000000000000*sqrt(1000000000000000003)",  # radicand above the 2**32 cap
+        "1/0",
+    ],
+)
+def test_orbit_rejects_hostile_levels_fast(capsys, level):
+    start = time.perf_counter()
+    code = main(["orbit", "--h", level])
+    elapsed = time.perf_counter() - start
+    capsys.readouterr()
+    assert code == 2
+    assert elapsed < 1.0
 
 
 def test_orbit_dump_csv(tmp_path, capsys):

@@ -60,12 +60,16 @@ def test_radicand_validation():
         QField(0, 1, None)  # irrational part without a radicand
     with pytest.raises(ValueError):
         QField(0, 1, Fraction(5))  # not an int
+    with pytest.raises(ValueError, match=r"2\*\*32"):
+        QField(0, 1, 2**32 + 15)  # square-free, but above the radicand cap
 
 
 def test_values_are_immutable():
     v = qf("1/2")
     with pytest.raises(AttributeError):
         v._a = Fraction(1)
+    v.__init__(7)  # re-running the initialiser must not rewrite the value
+    assert v == qf("1/2")
 
 
 def test_normal_form_accessors():
@@ -147,6 +151,16 @@ def test_mixed_radicands_rejected():
         QField.sqrt(2) + QField.sqrt(3)
     with pytest.raises(ValueError):
         QField.sqrt(2) * QField.sqrt(3)
+    x, y = QField(1, 2, 3), QField(Fraction(1, 2), -1, 5)
+    for op in (
+        lambda: x - y,
+        lambda: x / y,
+        lambda: x < y,
+        lambda: x >= y,
+    ):
+        with pytest.raises(ValueError):
+            op()
+    assert x != y
     # a rational value mixes with anything
     assert qf(2) + QField.sqrt(3) == QField(2, 1, 3)
 
@@ -156,6 +170,13 @@ def test_division_by_zero():
         ONE / ZERO
     with pytest.raises(ZeroDivisionError):
         QField.sqrt(2) / QField(0)
+    for zero in (0, Fraction(0), QField(0, 0, 2)):
+        for num in (ONE, QField.sqrt(2)):
+            with pytest.raises(ZeroDivisionError):
+                num / zero
+    for num in (1, Fraction(1, 2)):
+        with pytest.raises(ZeroDivisionError):
+            num / ZERO
 
 
 def test_int_and_fraction_operands():
@@ -288,7 +309,18 @@ def test_parse_shorthand():
 
 @pytest.mark.parametrize(
     "text",
-    ["", "abc", "1.5", "sqrt(2)", "1/2+sqrt(2)", "1/2+1/3*sqrt(4)", "1//2", "1/2 + 1/3*sqrt(2)"],
+    [
+        "",
+        "abc",
+        "1.5",
+        "sqrt(2)",
+        "1/2+sqrt(2)",
+        "1/2+1/3*sqrt(4)",
+        "1//2",
+        "1/2 + 1/3*sqrt(2)",
+        "1/0",
+        "1/2+1/0*sqrt(2)",
+    ],
 )
 def test_parse_rejects_malformed(text):
     with pytest.raises(ValueError):
@@ -312,3 +344,111 @@ def test_str_and_repr():
 def test_float_conversion_is_close():
     x = QField(Fraction(1, 3), Fraction(2, 7), 5)
     assert math.isclose(float(x), 1 / 3 + 2 / 7 * math.sqrt(5))
+
+
+# -- differential check against a Fraction-pair model ------------------------
+#
+# The model keeps a + b*sqrt(RADICAND) as a pair of Fractions and uses the
+# textbook formulas; it shares no code with the integer kernel.
+
+RADICAND = 7
+
+
+def model_of(x) -> tuple[Fraction, Fraction]:
+    if isinstance(x, QField):
+        return x.a, x.b
+    return Fraction(x), Fraction(0)
+
+
+def model_add(x, y):
+    return x[0] + y[0], x[1] + y[1]
+
+
+def model_sub(x, y):
+    return x[0] - y[0], x[1] - y[1]
+
+
+def model_mul(x, y):
+    return x[0] * y[0] + x[1] * y[1] * RADICAND, x[0] * y[1] + x[1] * y[0]
+
+
+def model_div(x, y):
+    norm = y[0] * y[0] - y[1] * y[1] * RADICAND
+    return model_mul(x, (y[0] / norm, -y[1] / norm))
+
+
+def model_sign(x) -> int:
+    a, b = x
+    if b == 0:
+        return (a > 0) - (a < 0)
+    if a == 0 or (a > 0) == (b > 0):
+        return 1 if (b > 0) else -1
+    bigger_a = a * a > b * b * RADICAND
+    return (1 if a > 0 else -1) if bigger_a else (1 if b > 0 else -1)
+
+
+def model_floor(x) -> int:
+    m = math.floor(float(x[0]) + float(x[1]) * math.sqrt(RADICAND))
+    while model_sign(model_sub(x, (Fraction(m), 0))) < 0:
+        m -= 1
+    while model_sign(model_sub(x, (Fraction(m + 1), 0))) >= 0:
+        m += 1
+    return m
+
+
+def assert_matches(got: QField, want: tuple[Fraction, Fraction]) -> None:
+    assert type(got) is QField
+    assert (got.a, got.b) == want
+    assert got.d == (RADICAND if want[1] != 0 else None)
+    # equal values must compare equal however they were reached
+    assert got == QField(want[0], want[1], RADICAND)
+
+
+def random_fraction(rng: random.Random) -> Fraction:
+    if rng.random() < 0.15:
+        return Fraction(0)
+    return Fraction(rng.randint(-10**6, 10**6), rng.choice([1, rng.randint(1, 10**4)]))
+
+
+def random_operand(rng: random.Random):
+    """A QField (irrational or rational), an int or a Fraction."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return QField(random_fraction(rng), random_fraction(rng), RADICAND)
+    if kind == 1:
+        return QField(random_fraction(rng))
+    if kind == 2:
+        return rng.choice([0, 1, -1, rng.randint(-10**6, 10**6)])
+    return random_fraction(rng)
+
+
+def test_kernel_agrees_with_fraction_pair_model():
+    rng = random.Random(2024)
+    ops = [
+        (lambda u, v: u + v, model_add),
+        (lambda u, v: u - v, model_sub),
+        (lambda u, v: u * v, model_mul),
+        (lambda u, v: u / v, model_div),
+    ]
+    for _ in range(2000):
+        x = QField(random_fraction(rng), random_fraction(rng), RADICAND)
+        # one operand in four equals x, so equality is exercised both ways
+        y = QField(x.a, x.b, RADICAND) if rng.random() < 0.25 else random_operand(rng)
+        mx, my = model_of(x), model_of(y)
+        s = model_sign(model_sub(mx, my))
+        for left, right, ml, mr in ((x, y, mx, my), (y, x, my, mx)):
+            for op, model in ops:
+                if model is model_div and mr == (0, 0):
+                    with pytest.raises(ZeroDivisionError):
+                        op(left, right)
+                else:
+                    assert_matches(op(left, right), model(ml, mr))
+            assert (left < right, left <= right, left == right) == (s < 0, s <= 0, s == 0)
+            assert (left > right, left >= right, left != right) == (s > 0, s >= 0, s != 0)
+            s = -s
+        assert x.sign() == model_sign(mx)
+        assert floor(x) == model_floor(mx)
+        assert parse_scalar(format_scalar(x)) == x
+        if x.is_rational():
+            assert hash(x) == hash(mx[0])
+
