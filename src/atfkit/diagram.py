@@ -124,14 +124,14 @@ class BaseDiagram:
         nodes = tuple(
             Node(
                 Point(qf(n["position"][0]), qf(n["position"][1])),
-                LatticeVector(int(n["eigen_dir"][0]), int(n["eigen_dir"][1])),
-                int(n.get("multiplicity", 1)),
+                _json_vector(n["eigen_dir"], "eigen_dir"),
+                _json_int(n.get("multiplicity", 1), "multiplicity"),
             )
             for n in obj.get("nodes", ())
         )
         cuts = tuple(
             BranchCut(
-                int(c["node"]),
+                _json_int(c["node"], "node"),
                 tuple(Point(qf(x), qf(y)) for x, y in c["path"]),
             )
             for c in obj.get("cuts", ())
@@ -184,6 +184,19 @@ class PiecewiseMap:
         return self.region_map == UnimodularAffineMap.identity()
 
 
+def _json_int(value: object, field: str) -> int:
+    """A JSON integer field; floats and bools are rejected, never truncated."""
+    if type(value) is not int:
+        raise ValueError(f"diagram field {field!r} needs a JSON integer, got {value!r}")
+    return value
+
+
+def _json_vector(value: object, field: str) -> LatticeVector:
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise ValueError(f"diagram field {field!r} needs two JSON integers, got {value!r}")
+    return LatticeVector(_json_int(value[0], field), _json_int(value[1], field))
+
+
 def _prov_to_json(entry: tuple) -> list:
     def encode(value):
         if isinstance(value, QField):
@@ -210,7 +223,7 @@ def _prov_from_json(entry: list) -> tuple:
             if "point" in value:
                 return Point(qf(value["point"][0]), qf(value["point"][1]))
             if "vec" in value:
-                return LatticeVector(int(value["vec"][0]), int(value["vec"][1]))
+                return _json_vector(value["vec"], "vec")
         if isinstance(value, list):
             return tuple(decode(v) for v in value)
         return value

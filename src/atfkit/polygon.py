@@ -10,8 +10,14 @@ The central quantity is the lattice distance to the boundary
     F(x) = min_i (<n_i, x> + k_i),
 
 a concave piecewise-affine function whose level sets are the inner
-parallel polygons obtained by sliding every edge inward by h.  The module
-also builds the family of corner-chopped rectangles that drives the
+parallel polygons obtained by sliding every edge inward by h.  They have a
+closed form: each vertex of ``{F >= h}`` is where the shifted lines
+``<n, x> + k = h`` of two neighbouring surviving edges meet, a 2x2 solve
+with an integer determinant.  An edge whose shifted segment has
+non-positive length is dead at that level; it is dropped and the
+neighbours are intersected again.  Each polygon memoises its level sets
+by h, keeping the newest ``LEVEL_MEMO_SIZE`` of them.  The module also
+builds the family of corner-chopped rectangles that drives the
 recurrence construction, plus a small catalog of named polygons.
 """
 
@@ -20,7 +26,6 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 from . import scalars
@@ -35,9 +40,11 @@ from .plane import (
     dot,
     lex_less,
     move,
-    orient,
 )
 from .scalars import QField, ScalarLike, qf
+
+# level sets memoised per polygon; the oldest is evicted beyond this
+LEVEL_MEMO_SIZE = 64
 
 
 @dataclass(frozen=True)
@@ -53,19 +60,13 @@ class Edge:
 class Polygon:
     """A strictly convex rational polygon with counterclockwise vertices."""
 
-    __slots__ = ("vertices", "edges", "_hash", "_max", "_base", "_prefix")
+    __slots__ = ("vertices", "edges", "_hash", "_max", "_levels", "_base", "_prefix")
 
     def __init__(self, vertices: Iterable[Point | tuple]):
         verts = tuple(as_point(v) for v in vertices)
         if len(verts) < 3:
             raise ValueError("a polygon needs at least three vertices")
         n = len(verts)
-        for i in range(n):
-            turn = orient(verts[i - 1], verts[i], verts[(i + 1) % n])
-            if turn <= 0:
-                raise ValueError(
-                    "vertices must be strictly convex in counterclockwise order"
-                )
         edges = []
         for i in range(n):
             a, b = verts[i], verts[(i + 1) % n]
@@ -73,10 +74,25 @@ class Polygon:
             normal = direction.perp()  # left of travel points inward for ccw
             offset = -dot(normal, a)
             edges.append(Edge(normal, offset, direction, length))
+        # strictly convex and counterclockwise: every corner turns left and
+        # the edge directions wind exactly once, passing the +x axis once
+        wraps = 0
+        for i in range(n):
+            prev, cur = edges[i - 1].direction, edges[i].direction
+            if cross(prev, cur) <= 0:
+                raise ValueError(
+                    "vertices must be strictly convex in counterclockwise order"
+                )
+            wraps += _lower_half(prev) and not _lower_half(cur)
+        if wraps != 1:
+            raise ValueError(
+                f"vertices wind {wraps} times around the polygon, not once"
+            )
         object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "edges", tuple(edges))
         object.__setattr__(self, "_hash", None)
         object.__setattr__(self, "_max", None)
+        object.__setattr__(self, "_levels", {})
         base = 0
         for i in range(1, n):
             if lex_less(verts[i], verts[base]):
@@ -89,6 +105,10 @@ class Polygon:
 
     def __setattr__(self, name, value):
         raise AttributeError("Polygon is immutable")
+
+    def __reduce__(self):
+        # rebuilt from the vertices, so the memos are never serialized
+        return (Polygon, (self.vertices,))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Polygon):
@@ -236,7 +256,14 @@ class Polygon:
             return self
         if h >= self.max_distance()[0]:
             raise ValueError(f"level {h} is not below the maximum distance")
-        return _level_set_cached(self, h)
+        levels = self._levels
+        level = levels.get(h)
+        if level is None:
+            level = Polygon(_level_vertices(self.edges, h))
+            if len(levels) >= LEVEL_MEMO_SIZE:
+                del levels[next(iter(levels))]
+            levels[h] = level
+        return level
 
     def level_perimeter(self, h: ScalarLike) -> QField:
         return self.level_set(h).perimeter()
@@ -367,38 +394,34 @@ def clip_halfplane(
     return out
 
 
-def _clean_loop(points: list[Point]) -> list[Point]:
-    """Drop duplicate and collinear vertices from a ccw loop."""
-    pts = list(points)
-    changed = True
-    while changed and len(pts) >= 3:
-        changed = False
-        for i in range(len(pts)):
-            if pts[i] == pts[(i + 1) % len(pts)]:
-                pts.pop(i)
-                changed = True
-                break
-        if changed:
-            continue
-        for i in range(len(pts)):
-            if orient(pts[i - 1], pts[i], pts[(i + 1) % len(pts)]) == 0:
-                pts.pop(i)
-                changed = True
-                break
-    return pts
+def _lower_half(w: LatticeVector) -> bool:
+    """True when w points into the half-turn of angles [pi, 2 pi)."""
+    return w.v < 0 or (w.v == 0 and w.u < 0)
 
 
-@lru_cache(maxsize=512)
-def _level_set_cached(poly: Polygon, h: QField) -> Polygon:
-    pts = list(poly.vertices)
-    for edge in poly.edges:
-        pts = clip_halfplane(pts, edge.normal, edge.offset - h)
-        if len(pts) < 3:
-            raise ValueError(f"level {h} produced a degenerate set")
-    cleaned = _clean_loop(pts)
-    if len(cleaned) < 3:
-        raise ValueError(f"level {h} produced a degenerate set")
-    return Polygon(cleaned)
+def _level_vertices(edges: Sequence[Edge], h: QField) -> list[Point]:
+    """Vertices of {F >= h} where neighbouring shifted edge lines meet.
+
+    Edges whose shifted segment has non-positive length are dropped and the
+    pass repeats.  A surviving edge always keeps a positive length, so the
+    dropped ones are exactly the edges that vanish at level h.
+    """
+    while len(edges) >= 3:
+        points = []
+        for e0, e1 in zip(edges[-1:] + edges[:-1], edges):
+            n0, n1 = e0.normal, e1.normal
+            r0, r1 = h - e0.offset, h - e1.offset
+            det = cross(n0, n1)
+            points.append(Point((r0 * n1.v - r1 * n0.v) / det, (r1 * n0.u - r0 * n1.u) / det))
+        alive = [
+            e
+            for e, p, q in zip(edges, points, points[1:] + points[:1])
+            if (q.x1 - p.x1) * e.direction.u + (q.x2 - p.x2) * e.direction.v > 0
+        ]
+        if len(alive) == len(edges):
+            return points
+        edges = alive
+    raise ValueError(f"level {h} produced a degenerate set")
 
 
 @dataclass(frozen=True)

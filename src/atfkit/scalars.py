@@ -67,12 +67,18 @@ def _check_radicand(d: object) -> None:
 
 
 def _ratio(x: Rational) -> tuple[int, int]:
-    """Numerator and positive denominator of ``x`` in lowest terms."""
+    """Numerator and positive denominator of ``x`` in lowest terms.
+
+    Only ints and Fractions are exact; a float, a bool or a decimal string
+    is a ``ValueError`` rather than a silently rounded value.
+    """
     if type(x) is int:
         return x, 1
-    if not isinstance(x, Fraction):
-        x = Fraction(x)
-    return x.numerator, x.denominator
+    if isinstance(x, Fraction):
+        return x.numerator, x.denominator
+    if isinstance(x, int) and not isinstance(x, bool):
+        return int(x), 1
+    raise ValueError(f"expected an exact int or Fraction, got {x!r}")
 
 
 def _normal(n1: int, d1: int, n2: int, d2: int, d: object) -> tuple:
@@ -152,6 +158,10 @@ class QField:
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("QField values are immutable")
+
+    def __reduce__(self):
+        # copies and unpickled values go back through the validating parser
+        return (parse_scalar, (format_scalar(self),))
 
     @classmethod
     def sqrt(cls, d: int) -> "QField":
@@ -461,7 +471,10 @@ def _coerce(value: object) -> QField | None:
 
 
 def qf(value: "QField | Rational | str") -> QField:
-    """Coerce an int, Fraction, canonical string, or QField to QField."""
+    """Coerce an int, Fraction, canonical string, or QField to QField.
+
+    Anything else, floats and bools included, is a ``ValueError``.
+    """
     if type(value) is QField:
         return value
     if type(value) is int:

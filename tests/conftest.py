@@ -2,6 +2,9 @@
 
 Everything is seeded and exact: random inputs are built from Fractions so
 oracles can be evaluated independently of the library's scalar type.
+Random parameters, interior points and unimodular maps come from
+``atfkit.verify``, so the tests and the ``verify`` battery share one set
+of generators.
 """
 
 import random
@@ -19,40 +22,6 @@ def random_triple(rng: random.Random) -> tuple[Fraction, Fraction, Fraction]:
     a = b + Fraction(rng.randint(0, 9), rng.randint(1, 3))
     c = b * Fraction(rng.randint(1, 9), 20)
     return a, b, c
-
-
-def random_construction(rng: random.Random) -> ConstructionParams:
-    a, b, c = random_triple(rng)
-    eps = min(c, b / 2 - c) * Fraction(rng.randint(1, 9), 10)
-    return ConstructionParams(a, b, c, eps)
-
-
-def rational_point_inside(rng: random.Random, a, b, c) -> tuple[Fraction, Fraction]:
-    """Rejection-sample a rational point strictly inside the chopped rectangle."""
-    den = 64
-    while True:
-        x1 = Fraction(rng.randint(int(-a * den) + 1, int(a * den) - 1), 2 * den)
-        x2 = Fraction(rng.randint(int(-b * den) + 1, int(b * den) - 1), 2 * den)
-        if abs(x1) < a / 2 and abs(x2) < b / 2 and x2 - x1 + (a + b) / 2 - c > 0:
-            return x1, x2
-
-
-def interior_point(rng: random.Random, poly: Polygon) -> Point:
-    """A random strictly interior point: positive combination of the vertices."""
-    weights = [rng.randint(1, 9) for _ in poly.vertices]
-    total = sum(weights)
-    x1 = sum((v.x1 * w for v, w in zip(poly.vertices, weights)), qf(0)) / total
-    x2 = sum((v.x2 * w for v, w in zip(poly.vertices, weights)), qf(0)) / total
-    return Point(x1, x2)
-
-
-def boundary_point(rng: random.Random, poly: Polygon) -> Point:
-    """A random point on the boundary, uniform over edge picks."""
-    i = rng.randrange(len(poly.edges))
-    edge = poly.edges[i]
-    lam = edge.length * Fraction(rng.randint(0, 15), 16)
-    v = poly.vertices[i]
-    return Point(v.x1 + lam * edge.direction.u, v.x2 + lam * edge.direction.v)
 
 
 def edge_samples(poly: Polygon, per_edge: int) -> list[Point]:

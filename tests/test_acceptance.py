@@ -12,7 +12,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
-from conftest import edge_samples, interior_point, random_construction
+from conftest import edge_samples
 
 from atfkit.classify import check_applicable
 from atfkit.diagram import BaseDiagram, BranchCut, build_pi0, cut_transfer, nodal_trade
@@ -29,6 +29,7 @@ from atfkit.polygon import ConstructionParams, Polygon, build_blowup_polygon, ca
 from atfkit.recurrence import apply_phi, apply_rounds, build_recurrence_map
 from atfkit.render import RenderStyle, render_svg
 from atfkit.scalars import QField, qf
+from atfkit.verify import random_interior_point, random_params
 
 BASE_PARAMS = ConstructionParams(4, 2, qf("1/2"), qf("1/8"))
 WIDE_TAPER = ConstructionParams(4, 2, qf("1/2"), qf("1/4"))
@@ -55,11 +56,11 @@ def test_criterion_01_closed_form_distance():
     rng = random.Random(2026_01)
     with criterion(1, "closed-form boundary distance", budget=1.0):
         for _ in range(20):
-            params = random_construction(rng)
+            params = random_params(rng)
             poly = build_blowup_polygon(params)
             a, b, c = params.a, params.b, params.c
             for _ in range(50):
-                p = interior_point(rng, poly)
+                p = random_interior_point(rng, poly)
                 expected = min(
                     a / 2 - abs(p.x1),
                     b / 2 - abs(p.x2),
@@ -72,7 +73,7 @@ def test_criterion_02_max_distance():
     rng = random.Random(2026_02)
     with criterion(2, "maximum distance equals half the short side"):
         for _ in range(20):
-            params = random_construction(rng)
+            params = random_params(rng)
             value, at = build_blowup_polygon(params).max_distance()
             assert value == params.b / 2
 
@@ -81,7 +82,7 @@ def test_criterion_03_level_perimeter():
     rng = random.Random(2026_03)
     with criterion(3, "level perimeter formula"):
         for _ in range(200):
-            params = random_construction(rng)
+            params = random_params(rng)
             poly = build_blowup_polygon(params)
             a, b, c = params.a, params.b, params.c
             h = c * rng.randrange(200) / 200
@@ -90,7 +91,7 @@ def test_criterion_03_level_perimeter():
 
 def test_criterion_04_four_round_advance():
     rng = random.Random(2026_04)
-    parameter_sets = [WIDE_TAPER] + [random_construction(rng) for _ in range(10)]
+    parameter_sets = [WIDE_TAPER] + [random_params(rng) for _ in range(10)]
     with criterion(4, "four rounds advance arcs by exactly c - h", budget=5.0):
         for params in parameter_sets:
             rm = build_recurrence_map(build_pi0(params))
@@ -162,7 +163,7 @@ def test_criterion_07_irrational_orbit():
 def test_criterion_08_rotation_number_decreasing():
     rng = random.Random(2026_08)
     with criterion(8, "rotation number strictly decreasing in the level"):
-        for params in [BASE_PARAMS] + [random_construction(rng) for _ in range(10)]:
+        for params in [BASE_PARAMS] + [random_params(rng) for _ in range(10)]:
             assert (params.a + params.b - 4 * params.c).sign() > 0
             assert rho_monotone_check(params, 100)
 
@@ -181,7 +182,7 @@ def test_criterion_09_twist_class_enumeration():
         )
         assert brute == [x.as_tuple() for x in found]
         for _ in range(20):
-            params = random_construction(rng)
+            params = random_params(rng)
             a, b = params.a, params.b
             areas = {omega_eval(x, a, b, params.c) for x in found}
             assert areas == {a - b, b - a}
@@ -224,7 +225,7 @@ def test_criterion_11_diagram_moves():
         round_trip = pull.compose(push)
         assert round_trip.is_identity()
         for _ in range(20):
-            p = interior_point(rng, square)
+            p = random_interior_point(rng, square)
             assert round_trip.apply(p) == p
 
         # the slide records exactly the swept distance band

@@ -157,6 +157,14 @@ def test_classify_unknown_name(capsys):
     assert stderr.startswith("error:")
 
 
+def test_classify_rejects_self_intersecting_polygon(tmp_path, capsys):
+    path = tmp_path / "pentagram.json"
+    path.write_text(json.dumps({"vertices": [[0, 0], [5, 3], [-1, 3], [4, 0], [2, 5]]}))
+    code, stdout, stderr = run(capsys, "classify", str(path))
+    assert code == 2 and stdout == ""
+    assert stderr.startswith("error:")
+
+
 def test_classify_missing_file(tmp_path, capsys):
     code, _, stderr = run(capsys, "classify", str(tmp_path / "absent.json"))
     assert code == 2
@@ -225,6 +233,18 @@ def test_render_rejects_broken_json(tmp_path, capsys):
     path.write_text('{"polygon": []}')
     code, _, stderr = run(capsys, "render", str(path))
     assert code == 2
+    assert stderr.startswith("error:")
+
+
+@pytest.mark.parametrize("field, value", [("eigen_dir", [1.9, 1.2]), ("position", [0.1, 0])])
+def test_render_rejects_float_fields(tmp_path, capsys, field, value):
+    write_pi0(tmp_path)
+    obj = json.loads((tmp_path / "pi0.json").read_text())
+    obj["nodes"][0][field] = value
+    path = tmp_path / "floats.json"
+    path.write_text(json.dumps(obj))
+    code, stdout, stderr = run(capsys, "render", str(path))
+    assert code == 2 and stdout == ""
     assert stderr.startswith("error:")
 
 

@@ -1,11 +1,11 @@
 """Base diagrams and the three moves: trade, slide, cut transfer."""
 
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from conftest import interior_point
 
 from atfkit.diagram import (
     BaseDiagram,
@@ -20,6 +20,7 @@ from atfkit.diagram import (
 from atfkit.plane import LatticeVector, Point, UnimodularAffineMap, pt
 from atfkit.polygon import ConstructionParams, Polygon, build_blowup_polygon
 from atfkit.scalars import qf
+from atfkit.verify import random_interior_point
 
 SQUARE = Polygon([(0, 0), (4, 0), (4, 4), (0, 4)])
 
@@ -247,7 +248,7 @@ def test_transfer_round_trip_is_identity():
     assert round_trip.is_identity()
     rng = random.Random(31)
     for _ in range(25):
-        p = interior_point(rng, SQUARE)
+        p = random_interior_point(rng, SQUARE)
         assert round_trip.apply(p) == p
 
 
@@ -374,6 +375,28 @@ def test_diagram_json_round_trip():
     assert again.same_geometry(diagram)
     assert again.params == params
     assert again.provenance == diagram.provenance
+
+
+def test_json_rejects_self_intersecting_polygon():
+    obj = BaseDiagram(polygon=SQUARE).to_json_obj()
+    obj["polygon"]["vertices"] = [[0, 0], [5, 3], [-1, 3], [4, 0], [2, 5]]
+    with pytest.raises(ValueError):
+        BaseDiagram.from_json(json.dumps(obj))
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("eigen_dir", [1.9, 1.2]), ("eigen_dir", [True, 0]), ("eigen_dir", [1, 0, 0]),
+     ("multiplicity", 1.7),
+     ("multiplicity", True), ("node", 0.0), ("position", [0.5, 1])],
+)
+def test_json_rejects_inexact_numbers(field, value):
+    # int() used to truncate: [1.9, 1.2] became (1, 1) and 1.7 became 1
+    obj = traded_square().to_json_obj()
+    BaseDiagram.from_json(json.dumps(obj))
+    (obj["cuts"] if field == "node" else obj["nodes"])[0][field] = value
+    with pytest.raises(ValueError):
+        BaseDiagram.from_json(json.dumps(obj))
 
 
 def test_json_round_trip_after_transfer():

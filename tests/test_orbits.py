@@ -5,7 +5,6 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_construction
 
 from atfkit.orbits import (
     LevelCoordinate,
@@ -22,6 +21,7 @@ from atfkit.orbits import (
 from atfkit.plane import pt
 from atfkit.polygon import ConstructionParams, build_blowup_polygon
 from atfkit.scalars import QField, qf
+from atfkit.verify import random_params
 
 PARAMS = ConstructionParams(4, 2, qf("1/2"), qf("1/8"))
 SQRT2_OVER_8 = QField(0, Fraction(1, 8), 2)
@@ -33,7 +33,7 @@ SQRT2_OVER_8 = QField(0, Fraction(1, 8), 2)
 def test_perimeter_value_matches_level_set():
     rng = random.Random(51)
     for _ in range(8):
-        params = random_construction(rng)
+        params = random_params(rng)
         poly = build_blowup_polygon(params)
         for k in range(4):
             h = params.c * Fraction(k, 5)
@@ -186,7 +186,7 @@ def test_rho_monotone_on_random_parameters():
     rng = random.Random(52)
     assert rho_monotone_check(PARAMS, 100)
     for _ in range(6):
-        params = random_construction(rng)
+        params = random_params(rng)
         assert (params.a + params.b - 4 * params.c).sign() > 0
         assert rho_monotone_check(params, 25)
 

@@ -24,22 +24,7 @@ from atfkit.plane import (
     unipotent_fixing,
 )
 from atfkit.scalars import QField, qf
-
-
-def random_map(rng: random.Random, det: int = 1) -> UnimodularAffineMap:
-    m = UnimodularAffineMap.identity()
-    for _ in range(3):
-        k = rng.randint(-3, 3)
-        if rng.random() < 0.5:
-            m = m.compose(UnimodularAffineMap.linear(1, k, 0, 1))
-        else:
-            m = m.compose(UnimodularAffineMap.linear(1, 0, k, 1))
-    if det == -1:
-        m = m.compose(UnimodularAffineMap.linear(0, 1, 1, 0))
-    shift = UnimodularAffineMap.translation(
-        Fraction(rng.randint(-12, 12), 4), Fraction(rng.randint(-12, 12), 4)
-    )
-    return shift.compose(m)
+from atfkit.verify import random_unimodular
 
 
 def random_point(rng: random.Random) -> Point:
@@ -117,7 +102,7 @@ def test_affine_length_is_unimodular_invariant():
     rng = random.Random(12)
     for _ in range(40):
         a, b = random_point(rng), random_point(rng)
-        m = random_map(rng, det=rng.choice([1, -1]))
+        m = random_unimodular(rng, det=rng.choice([1, -1]))
         assert affine_length(m.apply(a), m.apply(b)) == affine_length(a, b)
 
 
@@ -177,7 +162,7 @@ def test_map_translation_coerces():
 def test_compose_follows_application_order():
     rng = random.Random(13)
     for _ in range(40):
-        f, g = random_map(rng), random_map(rng)
+        f, g = random_unimodular(rng), random_unimodular(rng)
         p = random_point(rng)
         assert f.compose(g).apply(p) == f.apply(g.apply(p))
 
@@ -186,7 +171,7 @@ def test_inverse():
     rng = random.Random(14)
     identity = UnimodularAffineMap.identity()
     for _ in range(40):
-        m = random_map(rng, det=rng.choice([1, -1]))
+        m = random_unimodular(rng, det=rng.choice([1, -1]))
         assert m.compose(m.inverse()) == identity
         assert m.inverse().compose(m) == identity
 
@@ -194,7 +179,7 @@ def test_inverse():
 def test_apply_vector_is_the_linear_part():
     rng = random.Random(15)
     for _ in range(20):
-        m = random_map(rng)
+        m = random_unimodular(rng)
         v = LatticeVector(rng.randint(-5, 5), rng.randint(-5, 5))
         p = random_point(rng)
         q = Point(p.x1 + v.u, p.x2 + v.v)

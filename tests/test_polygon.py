@@ -1,14 +1,18 @@
 """Convex polygons: boundary distance, level sets, chops, and the catalog."""
 
+import copy
+import json
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
 
-from conftest import interior_point, random_construction, random_triple
+from conftest import random_triple
 
-from atfkit.plane import LatticeVector, Point, pt
+from atfkit.plane import LatticeVector, Point, orient, pt
 from atfkit.polygon import (
+    LEVEL_MEMO_SIZE,
     ConstructionParams,
     Polygon,
     build_blowup_polygon,
@@ -18,24 +22,11 @@ from atfkit.polygon import (
     clip_halfplane,
     solve_equidistant_triple,
 )
-from atfkit.scalars import qf
+from atfkit.scalars import QField, qf
+from atfkit.verify import random_interior_point, random_params, random_unimodular
 
 UNIT_SQUARE = Polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
-
-
-def random_unimodular(rng: random.Random, det: int = 1):
-    from atfkit.plane import UnimodularAffineMap
-
-    m = UnimodularAffineMap.identity()
-    for _ in range(3):
-        k = rng.randint(-2, 2)
-        if rng.random() < 0.5:
-            m = m.compose(UnimodularAffineMap.linear(1, k, 0, 1))
-        else:
-            m = m.compose(UnimodularAffineMap.linear(1, 0, k, 1))
-    if det == -1:
-        m = m.compose(UnimodularAffineMap.linear(0, 1, 1, 0))
-    return UnimodularAffineMap.translation(rng.randint(-4, 4), rng.randint(-4, 4)).compose(m)
+PENTAGRAM = [(0, 0), (5, 3), (-1, 3), (4, 0), (2, 5)]
 
 
 # -- construction -------------------------------------------------------------
@@ -50,6 +41,18 @@ def test_rejects_degenerate_input():
         Polygon([(0, 0), (1, 0), (2, 0), (0, 1)])  # collinear triple
     with pytest.raises(ValueError):
         Polygon([(0, 0), (1, 0), (1, 0), (0, 1)])  # repeated vertex
+
+
+@pytest.mark.parametrize(
+    "loop", [PENTAGRAM, [(0, 0), (1, 0), (1, 1), (0, 1)] * 2], ids=["pentagram", "square-twice"]
+)
+def test_rejects_loops_winding_more_than_once(loop):
+    # every corner turns left, but the boundary goes round twice
+    with pytest.raises(ValueError, match="wind 2 times"):
+        Polygon(loop)
+    text = json.dumps({"vertices": [[str(x), str(y)] for x, y in loop]})
+    with pytest.raises(ValueError):
+        Polygon.from_json(text)
 
 
 def test_edges_point_inward():
@@ -120,7 +123,7 @@ def test_distance_matches_closed_form():
         params = ConstructionParams(a, b, c, min(c, b / 2 - c) / 2)
         poly = build_blowup_polygon(params)
         for _ in range(25):
-            p = interior_point(rng, poly)
+            p = random_interior_point(rng, poly)
             x1, x2 = p.x1, p.x2
             expected = min(
                 qf(a) / 2 - abs(x1),
@@ -211,12 +214,12 @@ def test_max_distance_frozen():
 def test_max_distance_dominates_grid():
     rng = random.Random(22)
     for _ in range(6):
-        params = random_construction(rng)
+        params = random_params(rng)
         poly = build_blowup_polygon(params)
         value, point = poly.max_distance()
         assert poly.distance_to_boundary(point) == value
         for _ in range(40):
-            q = interior_point(rng, poly)
+            q = random_interior_point(rng, poly)
             assert poly.distance_to_boundary(q) <= value
 
 
@@ -282,6 +285,107 @@ def test_level_distance_consistency():
         assert poly.distance_to_boundary(v) == h
 
 
+def clip_and_clean_level(poly: Polygon, h) -> tuple[Point, ...]:
+    """Reference level set: clip by every shifted edge, then drop repeated
+    and collinear points, one at a time and repeated points first."""
+    pts = list(poly.vertices)
+    for edge in poly.edges:
+        pts = clip_halfplane(pts, edge.normal, edge.offset - h)
+    while len(pts) >= 3:
+        n = len(pts)
+        doomed = next((i for i in range(n) if pts[i] == pts[(i + 1) % n]), None)
+        if doomed is None:
+            doomed = next(
+                (i for i in range(n) if orient(pts[i - 1], pts[i], pts[(i + 1) % n]) == 0),
+                None,
+            )
+        if doomed is None:
+            break
+        pts.pop(doomed)
+    return tuple(pts)
+
+
+CATALOG_SAMPLES = [
+    "CP2(3)",
+    "S2xS2(4,2)",
+    "HirzebruchF1(4,1)",
+    "Bl1CP2",
+    "Bl2CP2",
+    "Bl3CP2",
+    "Blowup_S2xS2(4,2,1/2)",
+    "Blowup2_S2xS2(4,2)",
+]
+NON_DELZANT = [
+    Polygon([(0, 0), (2, 0), (0, 1)]),
+    Polygon([(0, 0), (3, 0), (4, 1), (2, 3), (0, 2)]),
+]
+
+
+def rotations(poly: Polygon) -> list[Polygon]:
+    verts = poly.vertices
+    return [Polygon(verts[k:] + verts[:k]) for k in range(len(verts))]
+
+
+def oracle_cases() -> list[tuple[Polygon, list]]:
+    """(polygon, extra levels): every vertex rotation of the catalog and of
+    the non-Delzant polygons, det +-1 images, and chopped rectangles with
+    their slant-edge death level h = c."""
+    rng = random.Random(26)
+    cases = []
+    for poly in [catalog(name) for name in CATALOG_SAMPLES] + NON_DELZANT:
+        cases += [(rotated, []) for rotated in rotations(poly)]
+        cases += [(poly.transform(random_unimodular(rng, det)), []) for det in (1, -1)]
+    for _ in range(8):
+        a, b, c = random_triple(rng)
+        poly = build_blowup_polygon(ConstructionParams(a, b, c, min(c, b / 2 - c) / 2))
+        cases.append((poly, [qf(c)]))
+    return cases
+
+
+def oracle_levels(poly: Polygon, extra: list) -> list:
+    top = poly.max_distance()[0]
+    return [top * k / 17 for k in range(1, 17)] + [top * QField.sqrt(2) / 3] + extra
+
+
+def test_level_set_matches_clip_and_clean_oracle():
+    count = 0
+    for poly, extra in oracle_cases():
+        for h in oracle_levels(poly, extra):
+            assert poly.level_set(h).vertices == clip_and_clean_level(poly, h), (poly, h)
+            count += 1
+    assert count > 1000
+
+
+def test_delzant_level_edges_shrink_by_self_intersection():
+    # while no edge has vanished, edge i of {F >= h} has length l_i - (2 + s_i) h
+    for poly, extra in oracle_cases():
+        if not poly.is_delzant():
+            continue
+        shrink = {
+            e.normal: (e.length, 2 + poly.self_intersection(i)) for i, e in enumerate(poly.edges)
+        }
+        first_death = min(length / rate for length, rate in shrink.values() if rate > 0)
+        for h in oracle_levels(poly, extra) + [first_death]:
+            if h > first_death or h >= poly.max_distance()[0]:
+                continue
+            predicted = {n: length - rate * h for n, (length, rate) in shrink.items()}
+            got = {e.normal: e.length for e in poly.level_set(h).edges}
+            assert got == {n: length for n, length in predicted.items() if length.sign() > 0}
+
+
+def test_level_memo_is_bounded_and_reused():
+    poly = build_blowup_polygon(ConstructionParams(4, 2, qf("1/2"), qf("1/8")))
+    first = poly.level_set(Fraction(1, 200))
+    assert poly.level_set(qf("1/200")) is first
+    for k in range(2, 2 * LEVEL_MEMO_SIZE):
+        level = poly.level_set(Fraction(k, 200))
+        assert poly.level_set(Fraction(k, 200)) is level
+        assert len(poly._levels) <= LEVEL_MEMO_SIZE
+    assert len(poly._levels) == LEVEL_MEMO_SIZE
+    again = poly.level_set(Fraction(1, 200))  # the oldest entry was evicted
+    assert again == first and again is not first
+
+
 # -- arc coordinates -------------------------------------------------------------
 
 
@@ -294,7 +398,7 @@ def test_base_vertex_is_lex_min():
 
 def test_arc_round_trip():
     rng = random.Random(24)
-    params = random_construction(rng)
+    params = random_params(rng)
     poly = build_blowup_polygon(params)
     per = poly.perimeter()
     for _ in range(60):
@@ -338,7 +442,7 @@ def test_transform_preserves_lattice_geometry():
         assert image.is_delzant()
         assert image.perimeter() == poly.perimeter()
         assert image.area() == poly.area()
-        p = interior_point(rng, poly)
+        p = random_interior_point(rng, poly)
         assert image.distance_to_boundary(m.apply(p)) == poly.distance_to_boundary(p)
 
 
@@ -349,6 +453,20 @@ def test_json_round_trip():
     assert again == poly
     with pytest.raises(ValueError):
         Polygon.from_json("{}")
+    for inexact in ([[0, 0], [1.5, 0], [0, 1]], [[0, 0], [1, 0], [0, True]]):
+        with pytest.raises(ValueError):
+            Polygon.from_json(json.dumps({"vertices": inexact}))
+
+
+def test_copy_and_pickle_round_trip():
+    poly = build_blowup_polygon(ConstructionParams(4, 2, qf("1/2"), qf("1/8")))
+    size = len(pickle.dumps(poly))
+    level = poly.level_set(qf("1/4"))
+    assert len(pickle.dumps(poly)) == size  # the memo is never serialized
+    for again in (copy.deepcopy(poly), pickle.loads(pickle.dumps(poly))):
+        assert again == poly and again.edges == poly.edges
+        assert again.perimeter() == poly.perimeter()
+        assert again.level_set(qf("1/4")) == level
 
 
 # -- solvers and helpers -----------------------------------------------------------

@@ -1,12 +1,14 @@
 """Strip shears, the four-round composite, and the smoothed step."""
 
+import copy
+import pickle
 import random
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from conftest import edge_samples, random_construction
+from conftest import edge_samples
 
 from atfkit.diagram import BaseDiagram, build_pi0
 from atfkit.plane import LatticeVector, Point, pt
@@ -22,6 +24,7 @@ from atfkit.recurrence import (
     rotation_amount,
 )
 from atfkit.scalars import qf
+from atfkit.verify import random_params
 
 
 def default_map():
@@ -155,6 +158,15 @@ def test_build_records_source_and_target():
     assert len(rm.rounds) == 4
 
 
+def test_copy_and_pickle_round_trip():
+    rm = default_map()
+    for value in (rm.source_diagram, rm):
+        assert copy.deepcopy(value) == value
+        assert pickle.loads(pickle.dumps(value)) == value
+    p = pt("1/3", "-1/5")
+    assert apply_phi(pickle.loads(pickle.dumps(rm)), p) == apply_phi(rm, p)
+
+
 def test_round_normals_cycle_the_sides():
     rm = default_map()
     assert [s.normal for s in rm.rounds] == [
@@ -173,7 +185,7 @@ def test_round_normals_cycle_the_sides():
 def test_composite_rotates_levels_below_c():
     rng = random.Random(42)
     for _ in range(3):
-        params = random_construction(rng)
+        params = random_params(rng)
         rm = build_recurrence_map(build_pi0(params), verify=False)
         poly = rm.polygon
         c, eps = params.c, params.eps

@@ -4,7 +4,9 @@ mpmath at 60 digits serves as the independent sign and floor oracle for
 values mixing a rational and a sqrt term.
 """
 
+import copy
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -92,6 +94,27 @@ def test_qf_coercions():
     assert qf("5/8") == QField(Fraction(5, 8))
     existing = QField(1, 1, 2)
     assert qf(existing) is existing
+
+
+@pytest.mark.parametrize("value", [0.1, 1.0, True, None, [1, 2], "0.5"])
+def test_inexact_inputs_rejected(value):
+    # a float would be silently rounded (qf(0.1) was 3602879701896397/2**55)
+    with pytest.raises(ValueError):
+        qf(value)
+    if not isinstance(value, str):
+        with pytest.raises(ValueError):
+            QField(value)
+        with pytest.raises(ValueError):
+            QField(1, value, 2)
+
+
+@pytest.mark.parametrize("text", ["-7/3", "0/1", "1/2-1/3*sqrt(7)", "5/1+1/9*sqrt(4294967291)"])
+def test_copy_and_pickle_round_trip(text):
+    x = parse_scalar(text)
+    for again in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+        assert type(again) is QField
+        assert again == x and hash(again) == hash(x)
+        assert format_scalar(again) == text
 
 
 # -- field arithmetic --------------------------------------------------------
