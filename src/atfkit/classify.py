@@ -9,11 +9,10 @@ matched against the known exceptional families and labelled accordingly.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 
-from .polygon import Polygon, solve_equidistant_triple
+from .polygon import Polygon
 from .scalars import QField
 
 
@@ -52,22 +51,14 @@ class ApplicabilityReport:
 def monotone_test(poly: Polygon) -> bool:
     """True when some interior point is equidistant from every edge line.
 
-    Solved exactly: the first independent edge triple pins the candidate
-    center via ``<n_i, x> + k_i = t``; the polygon is monotone when every
-    remaining edge agrees and t > 0.
+    The inward normals of a polygon positively span the plane, so such a
+    point is the unique maximizer of F: it suffices to test whether the
+    maximizer from ``max_distance`` is equidistant from every edge.
     """
     if not poly.is_delzant():
         raise ValueError("monotone test expects a Delzant polygon")
-    edges = poly.edges
-    for i, j, k in itertools.combinations(range(len(edges)), 3):
-        solved = solve_equidistant_triple(edges[i], edges[j], edges[k])
-        if solved is None:
-            continue
-        point, t = solved
-        if t.sign() <= 0:
-            return False
-        return all((v - t).sign() == 0 for v in poly.support_values(point))
-    return False
+    value, point = poly.max_distance()
+    return all(v == value for v in poly.support_values(point))
 
 
 def check_applicable(poly: Polygon) -> ApplicabilityReport:

@@ -48,8 +48,8 @@ class Node:
     def __post_init__(self):
         if not self.eigen_dir.is_primitive():
             raise ValueError("node eigendirection must be primitive")
-        if self.multiplicity < 1:
-            raise ValueError("node multiplicity must be at least 1")
+        if type(self.multiplicity) is not int or self.multiplicity < 1:
+            raise ValueError(f"node multiplicity must be an integer >= 1: {self.multiplicity!r}")
 
 
 @dataclass(frozen=True)
@@ -58,6 +58,10 @@ class BranchCut:
 
     node_index: int
     path: tuple[Point, ...]
+
+    def __post_init__(self):
+        if type(self.node_index) is not int:
+            raise ValueError(f"branch cut node index must be an integer, got {self.node_index!r}")
 
     def segments(self) -> list[tuple[Point, Point]]:
         return list(zip(self.path[:-1], self.path[1:]))
@@ -125,13 +129,13 @@ class BaseDiagram:
             Node(
                 Point(qf(n["position"][0]), qf(n["position"][1])),
                 _json_vector(n["eigen_dir"], "eigen_dir"),
-                _json_int(n.get("multiplicity", 1), "multiplicity"),
+                n.get("multiplicity", 1),
             )
             for n in obj.get("nodes", ())
         )
         cuts = tuple(
             BranchCut(
-                _json_int(c["node"], "node"),
+                c["node"],
                 tuple(Point(qf(x), qf(y)) for x, y in c["path"]),
             )
             for c in obj.get("cuts", ())
@@ -184,17 +188,10 @@ class PiecewiseMap:
         return self.region_map == UnimodularAffineMap.identity()
 
 
-def _json_int(value: object, field: str) -> int:
-    """A JSON integer field; floats and bools are rejected, never truncated."""
-    if type(value) is not int:
-        raise ValueError(f"diagram field {field!r} needs a JSON integer, got {value!r}")
-    return value
-
-
 def _json_vector(value: object, field: str) -> LatticeVector:
     if not isinstance(value, (list, tuple)) or len(value) != 2:
         raise ValueError(f"diagram field {field!r} needs two JSON integers, got {value!r}")
-    return LatticeVector(_json_int(value[0], field), _json_int(value[1], field))
+    return LatticeVector(*value)
 
 
 def _prov_to_json(entry: tuple) -> list:

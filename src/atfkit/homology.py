@@ -30,7 +30,7 @@ class H2Class:
 
     def __post_init__(self):
         for coeff in (self.alpha, self.beta, self.gamma):
-            if not isinstance(coeff, int):
+            if type(coeff) is not int:
                 raise ValueError("homology coefficients must be integers")
 
     def __neg__(self) -> "H2Class":

@@ -42,7 +42,7 @@ class LatticeVector:
     v: int
 
     def __post_init__(self):
-        if not (isinstance(self.u, int) and isinstance(self.v, int)):
+        if not (type(self.u) is int and type(self.v) is int):
             raise ValueError("lattice vector entries must be integers")
 
     def __neg__(self) -> "LatticeVector":
@@ -193,7 +193,7 @@ class UnimodularAffineMap:
 
     def __post_init__(self):
         for entry in (self.m11, self.m12, self.m21, self.m22):
-            if not isinstance(entry, int):
+            if type(entry) is not int:
                 raise ValueError("linear part must have integer entries")
         if self.det not in (1, -1):
             raise ValueError(f"determinant must be +-1, got {self.det}")

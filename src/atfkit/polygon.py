@@ -10,20 +10,20 @@ The central quantity is the lattice distance to the boundary
     F(x) = min_i (<n_i, x> + k_i),
 
 a concave piecewise-affine function whose level sets are the inner
-parallel polygons obtained by sliding every edge inward by h.  They have a
-closed form: each vertex of ``{F >= h}`` is where the shifted lines
-``<n, x> + k = h`` of two neighbouring surviving edges meet, a 2x2 solve
-with an integer determinant.  An edge whose shifted segment has
-non-positive length is dead at that level; it is dropped and the
-neighbours are intersected again.  Each polygon memoises its level sets
+parallel polygons obtained by sliding every edge inward by h.  One
+edge-death schedule, built once per polygon, gives all of them: every edge
+line slides inward from level 0, an edge dies where the shifted lines of
+its two live neighbours meet on it, and max F is reached when fewer than
+three edges are left.  Each vertex of ``{F >= h}`` is where the shifted
+lines ``<n, x> + k = h`` of two neighbouring edges alive at h meet, a 2x2
+solve with an integer determinant.  Each polygon memoises its level sets
 by h, keeping the newest ``LEVEL_MEMO_SIZE`` of them.  The module also
-builds the family of corner-chopped rectangles that drives the
-recurrence construction, plus a small catalog of named polygons.
+builds the family of corner-chopped rectangles that drives the recurrence
+construction, plus a small catalog of named polygons.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -60,7 +60,7 @@ class Edge:
 class Polygon:
     """A strictly convex rational polygon with counterclockwise vertices."""
 
-    __slots__ = ("vertices", "edges", "_hash", "_max", "_levels", "_base", "_prefix")
+    __slots__ = ("vertices", "edges", "_hash", "_schedule", "_levels", "_base", "_prefix")
 
     def __init__(self, vertices: Iterable[Point | tuple]):
         verts = tuple(as_point(v) for v in vertices)
@@ -91,7 +91,7 @@ class Polygon:
         object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "edges", tuple(edges))
         object.__setattr__(self, "_hash", None)
-        object.__setattr__(self, "_max", None)
+        object.__setattr__(self, "_schedule", None)
         object.__setattr__(self, "_levels", {})
         base = 0
         for i in range(1, n):
@@ -222,48 +222,65 @@ class Polygon:
     def max_distance(self) -> tuple[QField, Point]:
         """The maximum of F over the polygon and one maximizer.
 
-        Solved as an exact linear program: the optimum of
-        ``max t  s.t.  <n_i, x> + k_i >= t`` is attained where three
-        constraints are active, so all edge triples are enumerated and the
-        best feasible solution kept.
+        Read off the last stage of the edge-death schedule: max F is the
+        level where fewer than three edges are left, and the maximizer is
+        where the first edge of that stage dies.
         """
-        if self._max is not None:
-            return self._max
-        best: tuple[QField, Point] | None = None
-        edges = self.edges
-        for i, j, k in itertools.combinations(range(len(edges)), 3):
-            solved = solve_equidistant_triple(edges[i], edges[j], edges[k])
-            if solved is None:
-                continue
-            p, t = solved
-            if all((v - t).sign() >= 0 for v in self.support_values(p)):
-                if best is None or t > best[0]:
-                    best = (t, p)
-        if best is None:
-            raise ValueError("interior distance maximization failed")
-        object.__setattr__(self, "_max", best)
-        return best
+        value, _, point = self._edge_deaths()[-1]
+        return value, point
 
     def level_set(self, h: ScalarLike) -> "Polygon":
         """The inner parallel polygon {F >= h}; h = 0 gives the polygon.
 
-        Requires 0 <= h < max F so the result is two-dimensional.
+        Requires 0 <= h < max F so the result is two-dimensional.  The
+        edges alive at h come from the edge-death schedule.
         """
         h = qf(h)
         if h.sign() < 0:
             raise ValueError("level must be nonnegative")
         if h.sign() == 0:
             return self
-        if h >= self.max_distance()[0]:
-            raise ValueError(f"level {h} is not below the maximum distance")
         levels = self._levels
         level = levels.get(h)
         if level is None:
-            level = Polygon(_level_vertices(self.edges, h))
+            alive = next((edges for end, edges, _ in self._edge_deaths() if h < end), None)
+            if alive is None:
+                raise ValueError(f"level {h} is not below the maximum distance")
+            level = Polygon(_level_vertices(alive, h))
             if len(levels) >= LEVEL_MEMO_SIZE:
                 del levels[next(iter(levels))]
             levels[h] = level
         return level
+
+    def _edge_deaths(self) -> list[tuple[QField, tuple[Edge, ...], Point]]:
+        """The edge-death schedule of the inward wavefront, built once: the
+        lattice-weighted straight skeleton (Aichholzer et al., J.UCS 1995).
+
+        Stage ``(t, alive, p)`` holds the edges alive from the previous
+        stage's end up to level t and a point where one of them dies at t.
+        An edge dies where the shifted lines of its two live neighbours
+        meet on it; a meeting at or below the current level belongs to a
+        growing edge and is never reached.
+        """
+        if self._schedule is None:
+            # a triple is solved once: its meeting level holds while the edge
+            # keeps both neighbours
+            edges, level, stages, meets = self.edges, qf(0), [], {}
+            alive = list(range(len(edges)))
+            while len(alive) >= 3:
+                deaths = {}
+                for key in zip(alive[-1:] + alive[:-1], alive, alive[1:] + alive[:1]):
+                    if key not in meets:
+                        meet = solve_equidistant_triple(*(edges[i] for i in key))
+                        meets[key] = meet if meet and meet[1] > level else None
+                    if meets[key]:
+                        deaths[key[1]] = meets[key]
+                level = min(t for _, t in deaths.values())
+                dying = [i for i, (_, t) in deaths.items() if t == level]
+                stages.append((level, tuple(edges[i] for i in alive), deaths[dying[0]][0]))
+                alive = [i for i in alive if i not in dying]
+            object.__setattr__(self, "_schedule", stages)
+        return self._schedule
 
     def level_perimeter(self, h: ScalarLike) -> QField:
         return self.level_set(h).perimeter()
@@ -400,28 +417,14 @@ def _lower_half(w: LatticeVector) -> bool:
 
 
 def _level_vertices(edges: Sequence[Edge], h: QField) -> list[Point]:
-    """Vertices of {F >= h} where neighbouring shifted edge lines meet.
-
-    Edges whose shifted segment has non-positive length are dropped and the
-    pass repeats.  A surviving edge always keeps a positive length, so the
-    dropped ones are exactly the edges that vanish at level h.
-    """
-    while len(edges) >= 3:
-        points = []
-        for e0, e1 in zip(edges[-1:] + edges[:-1], edges):
-            n0, n1 = e0.normal, e1.normal
-            r0, r1 = h - e0.offset, h - e1.offset
-            det = cross(n0, n1)
-            points.append(Point((r0 * n1.v - r1 * n0.v) / det, (r1 * n0.u - r0 * n1.u) / det))
-        alive = [
-            e
-            for e, p, q in zip(edges, points, points[1:] + points[:1])
-            if (q.x1 - p.x1) * e.direction.u + (q.x2 - p.x2) * e.direction.v > 0
-        ]
-        if len(alive) == len(edges):
-            return points
-        edges = alive
-    raise ValueError(f"level {h} produced a degenerate set")
+    """Vertices of {F >= h}: where neighbouring shifted edge lines meet."""
+    points = []
+    for e0, e1 in zip(edges[-1:] + edges[:-1], edges):
+        n0, n1 = e0.normal, e1.normal
+        r0, r1 = h - e0.offset, h - e1.offset
+        det = cross(n0, n1)
+        points.append(Point((r0 * n1.v - r1 * n0.v) / det, (r1 * n0.u - r0 * n1.u) / det))
+    return points
 
 
 @dataclass(frozen=True)

@@ -248,6 +248,17 @@ def test_render_rejects_float_fields(tmp_path, capsys, field, value):
     assert stderr.startswith("error:")
 
 
+def test_render_many_vertex_polygon_quickly(tmp_path, capsys):
+    # a hostile-size input: the parabola y = x^2 for x = -500..500, no nodes
+    path = tmp_path / "parabola.json"
+    vertices = [[str(x), str(x * x)] for x in range(-500, 501)]
+    path.write_text(json.dumps({"polygon": {"vertices": vertices}, "nodes": [], "cuts": []}))
+    start = time.perf_counter()
+    code, stdout, _ = run(capsys, "render", str(path), "--levels", "1/2")
+    assert code == 0 and stdout.count('class="level"') == 1
+    assert time.perf_counter() - start < 5.0
+
+
 # -- top level ------------------------------------------------------------------
 
 

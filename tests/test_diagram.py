@@ -36,8 +36,9 @@ def traded_square(param="1") -> BaseDiagram:
 def test_node_validation():
     with pytest.raises(ValueError):
         Node(pt(1, 1), LatticeVector(2, 2))
-    with pytest.raises(ValueError):
-        Node(pt(1, 1), LatticeVector(1, 0), multiplicity=0)
+    for multiplicity in (0, 1.5, True):
+        with pytest.raises(ValueError):
+            Node(pt(1, 1), LatticeVector(1, 0), multiplicity=multiplicity)
 
 
 def test_diagram_validation():
@@ -57,6 +58,9 @@ def test_diagram_validation():
     for nodes, cuts in cases:
         with pytest.raises(ValueError):
             BaseDiagram(SQUARE, nodes, cuts)
+    for index in (0.0, False):
+        with pytest.raises(ValueError):
+            BranchCut(index, (pt(2, 2), pt(0, 0)))
 
 
 def test_diagram_rejects_crossing_cuts():

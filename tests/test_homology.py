@@ -75,6 +75,8 @@ def test_omega_areas():
 def test_class_validation():
     with pytest.raises(ValueError):
         H2Class(1.0, 0, 0)
+    with pytest.raises(ValueError):
+        H2Class(True, False, 0)
     assert (-H2Class(1, -2, 3)).as_tuple() == (-1, 2, -3)
 
 

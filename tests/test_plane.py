@@ -52,6 +52,8 @@ def test_lattice_vector_validation():
         LatticeVector(Fraction(1, 2), 0)
     with pytest.raises(ValueError):
         LatticeVector(1.0, 0)
+    with pytest.raises(ValueError):
+        LatticeVector(True, False)
 
 
 def test_perp_turns_left():
@@ -152,6 +154,10 @@ def test_map_validation():
         UnimodularAffineMap(2, 0, 0, 1, qf(0), qf(0))  # det 2
     with pytest.raises(ValueError):
         UnimodularAffineMap(Fraction(1), 0, 0, 1, qf(0), qf(0))
+    with pytest.raises(ValueError):
+        UnimodularAffineMap(True, 0, 0, 1, qf(0), qf(0))  # det 1, but a bool
+    with pytest.raises(ValueError):
+        UnimodularAffineMap(1.0, 0, 0, 1, qf(0), qf(0))
 
 
 def test_map_translation_coerces():

@@ -1,7 +1,9 @@
 """Convex polygons: boundary distance, level sets, chops, and the catalog."""
 
 import copy
+import itertools
 import json
+import math
 import pickle
 import random
 from fractions import Fraction
@@ -10,6 +12,7 @@ import pytest
 
 from conftest import random_triple
 
+from atfkit.classify import monotone_test
 from atfkit.plane import LatticeVector, Point, orient, pt
 from atfkit.polygon import (
     LEVEL_MEMO_SIZE,
@@ -384,6 +387,133 @@ def test_level_memo_is_bounded_and_reused():
     assert len(poly._levels) == LEVEL_MEMO_SIZE
     again = poly.level_set(Fraction(1, 200))  # the oldest entry was evicted
     assert again == first and again is not first
+
+
+# -- the edge-death schedule against its oracles ---------------------------------
+
+
+def lp_max_distance(poly: Polygon):
+    """Reference max F as an exact linear program: the optimum of
+    ``max t  s.t.  <n_i, x> + k_i >= t`` is attained where three constraints
+    are active, so every edge triple is solved and the best feasible kept."""
+    best = None
+    for triple in itertools.combinations(poly.edges, 3):
+        solved = solve_equidistant_triple(*triple)
+        if solved is None:
+            continue
+        point, t = solved
+        if all(v >= t for v in poly.support_values(point)) and (best is None or t > best):
+            best = t
+    return best
+
+
+def first_triple_monotone(poly: Polygon) -> bool:
+    """Reference monotone test: the first independent edge triple pins the
+    candidate center, and every other edge must agree on its distance."""
+    for triple in itertools.combinations(poly.edges, 3):
+        solved = solve_equidistant_triple(*triple)
+        if solved is not None:
+            point, t = solved
+            return t.sign() > 0 and all(v == t for v in poly.support_values(point))
+    return False
+
+
+def convex_hull(points) -> list:
+    """Counterclockwise hull of distinct (x, y) Fractions, collinear points dropped."""
+    def chain(seq):
+        out = []
+        for p in seq:
+            while len(out) >= 2 and (
+                (out[-1][0] - out[-2][0]) * (p[1] - out[-2][1])
+                - (out[-1][1] - out[-2][1]) * (p[0] - out[-2][0])
+            ) <= 0:
+                out.pop()
+            out.append(p)
+        return out
+
+    pts = sorted(set(points))
+    return chain(pts)[:-1] + chain(pts[::-1])[:-1]
+
+
+def random_hulls(rng: random.Random, count: int) -> list[Polygon]:
+    """Hulls with 3 to 14 vertices of rational points r (1 - t^2, 2t) / (1 + t^2)
+    near a circle; few are Delzant and most have edges that grow as the
+    level rises."""
+    hulls = []
+    while len(hulls) < count:
+        points = []
+        for _ in range(rng.randint(3, 20)):
+            r, t = rng.randint(21, 24), Fraction(rng.randint(-30, 30), rng.randint(1, 6))
+            points.append((r * (1 - t * t) / (1 + t * t), r * 2 * t / (1 + t * t)))
+        verts = convex_hull(points)
+        if 3 <= len(verts) <= 14:
+            hulls.append(Polygon(verts))
+    return hulls
+
+
+def primitive_fan(bound: int) -> Polygon:
+    """The polygon whose edges are every primitive direction (u, v) with
+    |u|, |v| <= bound in angular order, each of lattice length 1."""
+    dirs = [
+        (u, v)
+        for u in range(-bound, bound + 1)
+        for v in range(-bound, bound + 1)
+        if math.gcd(u, v) == 1
+    ]
+    dirs.sort(key=lambda d: math.atan2(d[1], d[0]))
+    verts = list(itertools.accumulate(dirs, lambda p, d: (p[0] + d[0], p[1] + d[1]),
+                                      initial=(0, 0)))
+    return Polygon(verts[:-1])
+
+
+def random_delzant(rng: random.Random, count: int) -> list[Polygon]:
+    """Catalog shapes and squares, chopped at random corners and moved by
+    random unimodular maps; chops keep a polygon Delzant."""
+    shapes = [catalog(name) for name in CATALOG_SAMPLES] + [
+        catalog(f"S2xS2({k},{k})") for k in (1, 3)
+    ]
+    out = []
+    for _ in range(count):
+        poly = rng.choice(shapes)
+        for _ in range(rng.randint(0, 3)):
+            i = rng.randrange(len(poly.edges))
+            room = min(poly.edges[i - 1].length, poly.edges[i].length)
+            poly = poly.corner_chop(i, room * Fraction(rng.randint(1, 7), 8))
+        out.append(poly.transform(random_unimodular(rng, rng.choice((1, -1)))))
+    return out
+
+
+def test_max_distance_matches_triple_enumeration_oracle():
+    rng = random.Random(27)
+    polys = random_hulls(rng, 300) + random_delzant(rng, 60) + [primitive_fan(3)]
+    assert sum(not p.is_delzant() for p in polys) > 250
+    for poly in polys:
+        value, point = poly.max_distance()
+        assert value == lp_max_distance(poly), poly
+        assert poly.distance_to_boundary(point) == value
+    fan = primitive_fan(3)
+    assert len(fan.edges) == 32 and fan.max_distance()[0] == qf("27/2")
+
+
+def test_schedule_level_sets_match_clip_and_clean_oracle():
+    rng = random.Random(28)
+    count = 0
+    for poly in random_hulls(rng, 300) + [primitive_fan(3)]:
+        top = poly.max_distance()[0]
+        deaths = [end for end, _, _ in poly._edge_deaths()[:-1]]
+        for h in [top * k / 4 for k in range(1, 4)] + deaths:
+            assert poly.level_set(h).vertices == clip_and_clean_level(poly, h), (poly, h)
+            count += 1
+    assert count > 2000
+
+
+def test_monotone_test_matches_first_triple_oracle():
+    rng = random.Random(29)
+    polys = random_delzant(rng, 80) + [primitive_fan(3)]
+    polys += [catalog(f"CP2({k})") for k in (1, 2, 5)] + [catalog("S2xS2(3,3)")]
+    verdicts = [monotone_test(poly) for poly in polys]
+    assert verdicts == [first_triple_monotone(poly) for poly in polys]
+    assert 5 <= sum(verdicts) < len(polys)
 
 
 # -- arc coordinates -------------------------------------------------------------
