@@ -13,12 +13,17 @@ eigenline.  Three moves transform diagrams:
 
 Every move validates its result, returns a new diagram, and appends a
 provenance record, so a diagram carries its own construction history.
+A record is a tuple in memory and a JSON list whose fields one table
+fixes: ``["trade", vertex, param]``, ``["slide", node, {"point": old},
+{"point": new}, band]`` (band: the range of F swept), ``["cut_transfer",
+node]`` and ``["recurrence_loop"]``.  Points and bands are scalar pairs
+``["p/q", "p/q"]``; malformed JSON raises ``ValueError``.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .plane import (
     LatticeVector,
@@ -33,7 +38,13 @@ from .plane import (
     segments_intersect,
     unipotent_fixing,
 )
-from .polygon import ConstructionParams, Polygon, build_blowup_polygon
+from .polygon import (
+    ConstructionParams,
+    Polygon,
+    build_blowup_polygon,
+    point_from_json,
+    point_to_json,
+)
 from .scalars import QField, ScalarLike, qf
 
 
@@ -95,28 +106,20 @@ class BaseDiagram:
             "polygon": self.polygon.to_json_obj(),
             "nodes": [
                 {
-                    "position": [str(n.position.x1), str(n.position.x2)],
+                    "position": point_to_json(n.position),
                     "eigen_dir": [n.eigen_dir.u, n.eigen_dir.v],
                     "multiplicity": n.multiplicity,
                 }
                 for n in self.nodes
             ],
             "cuts": [
-                {
-                    "node": c.node_index,
-                    "path": [[str(p.x1), str(p.x2)] for p in c.path],
-                }
+                {"node": c.node_index, "path": [point_to_json(p) for p in c.path]}
                 for c in self.cuts
             ],
-            "provenance": [_prov_to_json(entry) for entry in self.provenance],
+            "provenance": [_move_to_json(record) for record in self.provenance],
         }
         if self.params is not None:
-            obj["params"] = {
-                "a": str(self.params.a),
-                "b": str(self.params.b),
-                "c": str(self.params.c),
-                "eps": str(self.params.eps),
-            }
+            obj["params"] = {f.name: str(getattr(self.params, f.name)) for f in fields(self.params)}
         return obj
 
     def to_json(self) -> str:
@@ -124,27 +127,27 @@ class BaseDiagram:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "BaseDiagram":
-        poly = Polygon.from_json_obj(obj["polygon"])
-        nodes = tuple(
-            Node(
-                Point(qf(n["position"][0]), qf(n["position"][1])),
-                _json_vector(n["eigen_dir"], "eigen_dir"),
-                n.get("multiplicity", 1),
+        try:
+            poly = Polygon.from_json_obj(obj["polygon"])
+            nodes = tuple(
+                Node(
+                    point_from_json(n["position"]),
+                    LatticeVector(*n["eigen_dir"]),
+                    n.get("multiplicity", 1),
+                )
+                for n in obj.get("nodes", ())
             )
-            for n in obj.get("nodes", ())
-        )
-        cuts = tuple(
-            BranchCut(
-                c["node"],
-                tuple(Point(qf(x), qf(y)) for x, y in c["path"]),
+            cuts = tuple(
+                BranchCut(c["node"], tuple(point_from_json(p) for p in c["path"]))
+                for c in obj.get("cuts", ())
             )
-            for c in obj.get("cuts", ())
-        )
-        provenance = tuple(_prov_from_json(e) for e in obj.get("provenance", ()))
-        params = None
-        if "params" in obj:
-            p = obj["params"]
-            params = ConstructionParams(qf(p["a"]), qf(p["b"]), qf(p["c"]), qf(p["eps"]))
+            provenance = tuple(_move_from_json(e) for e in obj.get("provenance", ()))
+            params = None
+            if "params" in obj:
+                p = obj["params"]
+                params = ConstructionParams(*(p[f.name] for f in fields(ConstructionParams)))
+        except (KeyError, TypeError, IndexError) as exc:
+            raise ValueError(f"malformed diagram JSON: {exc!r}") from None
         return cls(poly, nodes, cuts, provenance, params)
 
     @classmethod
@@ -188,48 +191,41 @@ class PiecewiseMap:
         return self.region_map == UnimodularAffineMap.identity()
 
 
-def _json_vector(value: object, field: str) -> LatticeVector:
-    if not isinstance(value, (list, tuple)) or len(value) != 2:
-        raise ValueError(f"diagram field {field!r} needs two JSON integers, got {value!r}")
-    return LatticeVector(*value)
+def _index(value: object) -> int:
+    if type(value) is not int:
+        raise ValueError(f"move index must be an integer, got {value!r}")
+    return value
 
 
-def _prov_to_json(entry: tuple) -> list:
-    def encode(value):
-        if isinstance(value, QField):
-            return str(value)
-        if isinstance(value, Point):
-            return {"point": [str(value.x1), str(value.x2)]}
-        if isinstance(value, LatticeVector):
-            return {"vec": [value.u, value.v]}
-        if isinstance(value, tuple):
-            return [encode(v) for v in value]
-        return value
+# (write, read) codecs: the tag's, and those of the fields that follow each tag
+_TAG = (str, str)
+_INDEX = (_index, _index)
+_SCALAR = (lambda x: str(qf(x)), qf)
+_POINT = (lambda p: {"point": point_to_json(p)}, lambda obj: point_from_json(obj["point"]))
+_BAND = (point_to_json, lambda obj: tuple(point_from_json(obj)))
+_MOVES = {
+    "trade": (_INDEX, _SCALAR),
+    "slide": (_INDEX, _POINT, _POINT, _BAND),
+    "cut_transfer": (_INDEX,),
+    "recurrence_loop": (),
+}
 
-    return [encode(v) for v in entry]
+
+def _move_codecs(record: object) -> tuple:
+    """The codecs of a move record, tag first; ValueError unless it fits the table."""
+    tag = record[0] if isinstance(record, (list, tuple)) and record else None
+    codecs = _MOVES.get(tag) if isinstance(tag, str) else None
+    if codecs is None or len(record) != 1 + len(codecs):
+        raise ValueError(f"not a move record: {record!r}")
+    return (_TAG,) + codecs
 
 
-def _prov_from_json(entry: list) -> tuple:
-    def decode(value):
-        if isinstance(value, str):
-            try:
-                return qf(value)
-            except ValueError:
-                return value
-        if isinstance(value, dict):
-            if "point" in value:
-                return Point(qf(value["point"][0]), qf(value["point"][1]))
-            if "vec" in value:
-                return _json_vector(value["vec"], "vec")
-        if isinstance(value, list):
-            return tuple(decode(v) for v in value)
-        return value
+def _move_to_json(record: tuple) -> list:
+    return [write(v) for (write, _), v in zip(_move_codecs(record), record)]
 
-    decoded = tuple(decode(v) for v in entry)
-    # move tags come back as QField-parseable only if oddly named; first slot is a tag
-    if decoded and isinstance(entry[0], str):
-        decoded = (entry[0],) + decoded[1:]
-    return decoded
+
+def _move_from_json(record: list) -> tuple:
+    return tuple(read(v) for (_, read), v in zip(_move_codecs(record), record))
 
 
 # -- validation -----------------------------------------------------------
@@ -253,32 +249,22 @@ def _validate_diagram(diagram: BaseDiagram) -> None:
         for p in cut.path[1:-1]:
             if not poly.contains(p, strict=True):
                 raise ValueError(f"cut {idx} leaves the polygon")
-        first_dir, _ = direction_of(cut.path[0], cut.path[1])
-        if cross(first_dir, node.eigen_dir) != 0:
-            raise ValueError(f"cut {idx} must leave its node along the eigenline")
-        for a, b in cut.segments():
-            direction_of(a, b)  # raises on irrational or degenerate legs
-        for i, (a, b) in enumerate(cut.segments()):
-            for j, (c, d) in enumerate(cut.segments()):
-                if j <= i + 1 and i <= j + 1:
-                    continue
-                if segments_intersect(a, b, c, d):
-                    raise ValueError(f"cut {idx} self-intersects")
-    for i, ci in enumerate(diagram.cuts):
-        for j, cj in enumerate(diagram.cuts):
-            if j <= i:
+    # each pair of legs once; cuts start at their nodes, so a node on another cut is a crossing
+    legs = [
+        (i, k, a, b)
+        for i, cut in enumerate(diagram.cuts)
+        for k, (a, b) in enumerate(cut.segments())
+    ]
+    for m, (i, k, a, b) in enumerate(legs):
+        leg_dir, _ = direction_of(a, b)  # raises on irrational or degenerate legs
+        if k == 0 and cross(leg_dir, diagram.nodes[i].eigen_dir) != 0:
+            raise ValueError(f"cut {i} must leave its node along the eigenline")
+        for j, l, c, d in legs[m + 1 :]:
+            if (i == j and l == k + 1) or not segments_intersect(a, b, c, d):
                 continue
-            for a, b in ci.segments():
-                for c, d in cj.segments():
-                    if segments_intersect(a, b, c, d):
-                        raise ValueError(f"cuts {i} and {j} intersect")
-    for i, node in enumerate(diagram.nodes):
-        for j, cut in enumerate(diagram.cuts):
             if i == j:
-                continue
-            for a, b in cut.segments():
-                if on_segment(node.position, a, b):
-                    raise ValueError(f"node {i} lies on cut {j}")
+                raise ValueError(f"cut {i} self-intersects")
+            raise ValueError(f"cuts {i} and {j} intersect")
 
 
 # -- region bookkeeping for cut transfer -----------------------------------
@@ -390,14 +376,13 @@ def nodal_trade(
         raise ValueError("trade parameter pushes the node out of the polygon")
     node = Node(position, direction)
     cut = BranchCut(len(diagram.nodes), (position, vertex))
-    new = BaseDiagram(
+    return BaseDiagram(
         polygon=poly,
         nodes=diagram.nodes + (node,),
         cuts=diagram.cuts + (cut,),
         provenance=diagram.provenance + (("trade", vertex_index, param),),
         params=diagram.params,
     )
-    return new
 
 
 def nodal_slide(
@@ -428,6 +413,7 @@ def nodal_slide(
     old_first_dir, _ = direction_of(old_position, anchor)
     if new_first_dir != old_first_dir:
         raise ValueError("slide target passes through the cut anchor")
+    # every other node starts its own cut, so sweeping across it crosses that cut
     for j, other in enumerate(diagram.cuts):
         segs = other.segments()
         if j == node_index:
@@ -435,9 +421,6 @@ def nodal_slide(
         for a, b in segs:
             if segments_intersect(old_position, new_position, a, b):
                 raise ValueError("slide sweeps across another cut")
-    for j, other in enumerate(diagram.nodes):
-        if j != node_index and on_segment(other.position, old_position, new_position):
-            raise ValueError("slide sweeps across another node")
     band = _distance_band(poly, old_position, new_position)
     new_node = Node(new_position, node.eigen_dir, node.multiplicity)
     new_cut = BranchCut(node_index, (new_position,) + cut.path[1:])

@@ -24,6 +24,7 @@ construction, plus a small catalog of named polygons.
 
 from __future__ import annotations
 
+import heapq
 import json
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -222,11 +223,11 @@ class Polygon:
     def max_distance(self) -> tuple[QField, Point]:
         """The maximum of F over the polygon and one maximizer.
 
-        Read off the last stage of the edge-death schedule: max F is the
-        level where fewer than three edges are left, and the maximizer is
-        where the first edge of that stage dies.
+        Read off the edge-death schedule: max F is the level where fewer
+        than three edges are left, and the maximizer is where the first
+        edge to die at that level dies.
         """
-        value, _, point = self._edge_deaths()[-1]
+        _, value, point = self._edge_deaths()
         return value, point
 
     def level_set(self, h: ScalarLike) -> "Polygon":
@@ -243,43 +244,48 @@ class Polygon:
         levels = self._levels
         level = levels.get(h)
         if level is None:
-            alive = next((edges for end, edges, _ in self._edge_deaths() if h < end), None)
-            if alive is None:
+            deaths, top, _ = self._edge_deaths()
+            if h >= top:
                 raise ValueError(f"level {h} is not below the maximum distance")
-            level = Polygon(_level_vertices(alive, h))
+            level = Polygon(_level_vertices([e for e, t in zip(self.edges, deaths) if t > h], h))
             if len(levels) >= LEVEL_MEMO_SIZE:
                 del levels[next(iter(levels))]
             levels[h] = level
         return level
 
-    def _edge_deaths(self) -> list[tuple[QField, tuple[Edge, ...], Point]]:
+    def _edge_deaths(self) -> tuple[list[QField], QField, Point]:
         """The edge-death schedule of the inward wavefront, built once: the
         lattice-weighted straight skeleton (Aichholzer et al., J.UCS 1995).
 
-        Stage ``(t, alive, p)`` holds the edges alive from the previous
-        stage's end up to level t and a point where one of them dies at t.
-        An edge dies where the shifted lines of its two live neighbours
-        meet on it; a meeting at or below the current level belongs to a
-        growing edge and is never reached.
+        Returns each edge's death level, max F and a maximizer.  An edge
+        dies where the shifted lines of its two live neighbours meet on it;
+        a meeting below the current level belongs to a growing edge and is
+        never reached.  Deaths leave a heap keyed by (level, edge index)
+        until two edges are left, and those two die at max F.
         """
         if self._schedule is None:
-            # a triple is solved once: its meeting level holds while the edge
-            # keeps both neighbours
-            edges, level, stages, meets = self.edges, qf(0), [], {}
-            alive = list(range(len(edges)))
-            while len(alive) >= 3:
-                deaths = {}
-                for key in zip(alive[-1:] + alive[:-1], alive, alive[1:] + alive[:1]):
-                    if key not in meets:
-                        meet = solve_equidistant_triple(*(edges[i] for i in key))
-                        meets[key] = meet if meet and meet[1] > level else None
-                    if meets[key]:
-                        deaths[key[1]] = meets[key]
-                level = min(t for _, t in deaths.values())
-                dying = [i for i, (_, t) in deaths.items() if t == level]
-                stages.append((level, tuple(edges[i] for i in alive), deaths[dying[0]][0]))
-                alive = [i for i in alive if i not in dying]
-            object.__setattr__(self, "_schedule", stages)
+            edges, n = self.edges, len(self.edges)
+            prev, nxt = [(i - 1) % n for i in range(n)], [(i + 1) % n for i in range(n)]
+            deaths, heap, level, top = [None] * n, [], qf(0), None
+
+            def push(i):  # a meeting at the current level is a simultaneous death
+                meet = solve_equidistant_triple(edges[prev[i]], edges[i], edges[nxt[i]])
+                if meet and meet[1] >= level:
+                    heapq.heappush(heap, (meet[1], i, prev[i], nxt[i], meet[0]))
+
+            for i in range(n):
+                push(i)
+            for _ in range(n - 2):
+                t, i, p, q, point = heapq.heappop(heap)
+                while deaths[i] is not None or (prev[i], nxt[i]) != (p, q):
+                    t, i, p, q, point = heapq.heappop(heap)
+                if t != level:
+                    level, top = t, point
+                deaths[i], nxt[p], prev[q] = t, q, p
+                push(p)
+                push(q)
+            deaths = [level if t is None else t for t in deaths]
+            object.__setattr__(self, "_schedule", (deaths, level, top))
         return self._schedule
 
     def level_perimeter(self, h: ScalarLike) -> QField:
@@ -340,17 +346,14 @@ class Polygon:
         return Polygon(pts)
 
     def to_json_obj(self) -> dict:
-        return {
-            "vertices": [[str(v.x1), str(v.x2)] for v in self.vertices]
-        }
+        return {"vertices": [point_to_json(v) for v in self.vertices]}
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "Polygon":
-        try:
-            verts = obj["vertices"]
-        except (KeyError, TypeError):
-            raise ValueError("polygon object needs a 'vertices' list") from None
-        return cls([(qf(x), qf(y)) for x, y in verts])
+        verts = obj.get("vertices") if isinstance(obj, dict) else None
+        if not isinstance(verts, list):
+            raise ValueError("polygon object needs a 'vertices' list")
+        return cls([point_from_json(v) for v in verts])
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_obj())
@@ -409,6 +412,19 @@ def clip_halfplane(
             dx, dy = delta(cur, nxt)
             out.append(Point(cur.x1 + t * dx, cur.x2 + t * dy))
     return out
+
+
+def point_to_json(p: Point | tuple[QField, QField]) -> list[str]:
+    """The JSON pair ``["p/q", "p/q"]`` of a point, or of any two scalars."""
+    x1, x2 = p
+    return [str(qf(x1)), str(qf(x2))]
+
+
+def point_from_json(value: object) -> Point:
+    """Read a JSON pair: a list of exactly two scalars (strings or integers)."""
+    if not isinstance(value, list) or len(value) != 2:
+        raise ValueError(f"expected a pair of scalars, got {value!r}")
+    return Point(*value)
 
 
 def _lower_half(w: LatticeVector) -> bool:

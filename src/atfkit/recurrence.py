@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .diagram import BaseDiagram
-from .plane import LatticeVector, Point, UnimodularAffineMap, dot
+from .plane import LatticeVector, Point, UnimodularAffineMap, dot, move
 from .polygon import ConstructionParams, Polygon, build_blowup_polygon
 from .scalars import QField, ScalarLike, qf
 
@@ -48,6 +48,7 @@ class StripShear:
 
     @property
     def shear_map(self) -> UnimodularAffineMap:
+        """The affine map that ``apply`` agrees with inside the strip."""
         n, w = self.normal, self.normal.perp()
         return UnimodularAffineMap(
             1 + w.u * n.u,
@@ -62,9 +63,8 @@ class StripShear:
         return dot(self.normal, p) - self.offset
 
     def apply(self, p: Point) -> Point:
-        if self.excess(p).sign() >= 0:
-            return self.shear_map.apply(p)
-        return p
+        excess = self.excess(p)
+        return move(p, self.normal.perp(), excess) if excess.sign() >= 0 else p
 
 
 @dataclass(frozen=True)

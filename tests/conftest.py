@@ -7,13 +7,32 @@ Random parameters, interior points and unimodular maps come from
 of generators.
 """
 
+import copy
 import random
+import tempfile
 from fractions import Fraction
 
 import pytest
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from atfkit import ConstructionParams, Point, qf
+from atfkit.diagram import build_pi0
 from atfkit.polygon import Polygon, build_blowup_polygon
+
+
+# hypothesis caches the constants of local source files in its home
+# directory, even without an example database; keep it out of the checkout
+HYPOTHESIS_HOME = pytest.StashKey[tempfile.TemporaryDirectory]()
+
+
+def pytest_configure(config):
+    home = config.stash[HYPOTHESIS_HOME] = tempfile.TemporaryDirectory(prefix="hypothesis-")
+    set_hypothesis_home_dir(home.name)
+
+
+def pytest_unconfigure(config):
+    set_hypothesis_home_dir(None)
+    config.stash[HYPOTHESIS_HOME].cleanup()
 
 
 def random_triple(rng: random.Random) -> tuple[Fraction, Fraction, Fraction]:
@@ -45,3 +64,44 @@ def default_params() -> ConstructionParams:
 @pytest.fixture
 def default_polygon(default_params) -> Polygon:
     return build_blowup_polygon(default_params)
+
+
+# polygon JSON that must be refused: strings split into characters, a short
+# pair, vertices that are not a list
+HOSTILE_POLYGONS = {
+    "string vertices": {"vertices": ["00", "40", "04"]},
+    "short vertex": {"vertices": [["0", "0"], ["4", "0"], ["1"]]},
+    "vertices not a list": {"vertices": 5},
+}
+
+
+def hostile_diagrams() -> dict[str, dict]:
+    """Diagram JSON that must be refused, by the way each one is malformed."""
+    pi0 = build_pi0(ConstructionParams(4, 2, qf("1/2"), qf("1/8"))).to_json_obj()
+
+    def changed(keys: tuple, value) -> dict:
+        obj = copy.deepcopy(pi0)
+        target = obj
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = value
+        return obj
+
+    traded_square = {
+        "polygon": {"vertices": [["0", "0"], ["4", "0"], ["4", "4"], ["0", "4"]]},
+        "nodes": [{"position": ["1", "1"], "eigen_dir": [1, 1]}],
+        "cuts": [{"node": 0, "path": ["11", "00"]}],
+    }
+    cases = {
+        "short node position": changed(("nodes", 0, "position"), ["1"]),
+        "short slide point": changed(("provenance", -1, 2), {"point": ["1"]}),
+        "object as scalar": changed(("provenance", 0), ["trade", 0, {"x": 1}]),
+        "float index and scalar": changed(("provenance", 0), ["trade", 0.5, 1e300]),
+        "float scalar": changed(("provenance", 0), ["trade", 0, 1e300]),
+        "string record": changed(("provenance", 0), "abc"),
+        "unknown tag": changed(("provenance", 0), ["twist", 0]),
+        "wrong field count": changed(("provenance", 0), ["cut_transfer", 0, 1]),
+        "string cut path": traded_square,
+    }
+    cases.update({name: {"polygon": poly} for name, poly in HOSTILE_POLYGONS.items()})
+    return cases

@@ -5,6 +5,8 @@ import time
 
 import pytest
 
+from conftest import HOSTILE_POLYGONS, hostile_diagrams
+
 from atfkit.cli import main
 from atfkit.diagram import BaseDiagram, build_pi0
 from atfkit.polygon import ConstructionParams, catalog
@@ -165,6 +167,15 @@ def test_classify_rejects_self_intersecting_polygon(tmp_path, capsys):
     assert stderr.startswith("error:")
 
 
+@pytest.mark.parametrize("name", sorted(HOSTILE_POLYGONS))
+def test_classify_rejects_hostile_json(tmp_path, capsys, name):
+    path = tmp_path / "hostile.json"
+    path.write_text(json.dumps(HOSTILE_POLYGONS[name]))
+    code, stdout, stderr = run(capsys, "classify", str(path))
+    assert code == 2 and stdout == ""
+    assert stderr.startswith("error:") and len(stderr.splitlines()) == 1
+
+
 def test_classify_missing_file(tmp_path, capsys):
     code, _, stderr = run(capsys, "classify", str(tmp_path / "absent.json"))
     assert code == 2
@@ -246,6 +257,15 @@ def test_render_rejects_float_fields(tmp_path, capsys, field, value):
     code, stdout, stderr = run(capsys, "render", str(path))
     assert code == 2 and stdout == ""
     assert stderr.startswith("error:")
+
+
+@pytest.mark.parametrize("name", sorted(hostile_diagrams()))
+def test_render_rejects_hostile_json(tmp_path, capsys, name):
+    path = tmp_path / "hostile.json"
+    path.write_text(json.dumps(hostile_diagrams()[name]))
+    code, stdout, stderr = run(capsys, "render", str(path))
+    assert code == 2 and stdout == ""
+    assert stderr.startswith("error:") and len(stderr.splitlines()) == 1
 
 
 def test_render_many_vertex_polygon_quickly(tmp_path, capsys):

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import hostile_diagrams
 
 from atfkit.diagram import (
     BaseDiagram,
@@ -401,6 +402,24 @@ def test_json_rejects_inexact_numbers(field, value):
     (obj["cuts"] if field == "node" else obj["nodes"])[0][field] = value
     with pytest.raises(ValueError):
         BaseDiagram.from_json(json.dumps(obj))
+
+
+@pytest.mark.parametrize("name", sorted(hostile_diagrams()))
+def test_json_rejects_hostile_input(name):
+    with pytest.raises(ValueError):
+        BaseDiagram.from_json(json.dumps(hostile_diagrams()[name]))
+
+
+@pytest.mark.parametrize(
+    "record",
+    [("noted",), ("trade", 0), ("trade", 0.5, qf(1)), ("trade", True, qf(1)),
+     ("trade", 0, 0.5), ("cut_transfer", 0, 1), ("recurrence_loop", 0), (), "trade"],
+)
+def test_json_writer_refuses_records_outside_the_move_table(record):
+    # whatever the writer emits reads back, so it refuses what would not
+    diagram = BaseDiagram(polygon=SQUARE, provenance=(record,))
+    with pytest.raises(ValueError):
+        diagram.to_json_obj()
 
 
 def test_json_round_trip_after_transfer():

@@ -6,11 +6,12 @@ import json
 import math
 import pickle
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from conftest import random_triple
+from conftest import HOSTILE_POLYGONS, random_triple
 
 from atfkit.classify import monotone_test
 from atfkit.plane import LatticeVector, Point, orient, pt
@@ -500,11 +501,29 @@ def test_schedule_level_sets_match_clip_and_clean_oracle():
     count = 0
     for poly in random_hulls(rng, 300) + [primitive_fan(3)]:
         top = poly.max_distance()[0]
-        deaths = [end for end, _, _ in poly._edge_deaths()[:-1]]
+        deaths = sorted({t for t in poly._edge_deaths()[0] if t < top})
         for h in [top * k / 4 for k in range(1, 4)] + deaths:
             assert poly.level_set(h).vertices == clip_and_clean_level(poly, h), (poly, h)
             count += 1
     assert count > 2000
+
+
+def test_schedule_of_a_many_vertex_hull_is_fast():
+    # edges die one at a time on this hull, so a schedule that rescans every
+    # live edge at each death is quadratic
+    rng = random.Random(1)
+    ts = set()
+    while len(ts) < 3000:
+        ts.add(Fraction(rng.randint(-300, 300), rng.randint(1, 60)))
+    points = [((1 - t * t) / (1 + t * t), 2 * t / (1 + t * t)) for t in ts]
+    poly = Polygon(sorted(points, key=lambda p: math.atan2(p[1], p[0])))
+    assert len(poly.edges) == 3000
+    start = time.perf_counter()
+    top, point = poly.max_distance()
+    level = poly.level_set(top / 2)
+    assert time.perf_counter() - start < 3.0
+    assert poly.distance_to_boundary(point) == top
+    assert 3 <= len(level.edges) < 3000
 
 
 def test_monotone_test_matches_first_triple_oracle():
@@ -586,6 +605,12 @@ def test_json_round_trip():
     for inexact in ([[0, 0], [1.5, 0], [0, 1]], [[0, 0], [1, 0], [0, True]]):
         with pytest.raises(ValueError):
             Polygon.from_json(json.dumps({"vertices": inexact}))
+
+
+@pytest.mark.parametrize("name", sorted(HOSTILE_POLYGONS))
+def test_json_rejects_hostile_input(name):
+    with pytest.raises(ValueError):
+        Polygon.from_json(json.dumps(HOSTILE_POLYGONS[name]))
 
 
 def test_copy_and_pickle_round_trip():

@@ -66,6 +66,22 @@ def test_strip_shear_inside_action():
     assert shear.apply(pt(-1, -1)) == pt("-1/2", -1)
 
 
+def test_strip_shear_apply_is_its_map_inside_and_identity_outside():
+    rng = random.Random(41)
+    inside = outside = 0
+    for _ in range(200):
+        normal = rng.choice([LatticeVector(0, -1), LatticeVector(-1, 0), LatticeVector(2, -3)])
+        shear = StripShear(normal, Fraction(rng.randint(-8, 8), rng.randint(1, 4)))
+        p = pt(Fraction(rng.randint(-40, 40), 8), Fraction(rng.randint(-40, 40), 8))
+        if shear.excess(p).sign() >= 0:
+            assert shear.apply(p) == shear.shear_map.apply(p)
+            inside += 1
+        else:
+            assert shear.apply(p) == p
+            outside += 1
+    assert inside > 50 and outside > 50
+
+
 def test_documented_first_round_action():
     params = ConstructionParams(4, 2, qf("1/2"), qf("1/4"))
     rm = build_recurrence_map(build_pi0(params))
