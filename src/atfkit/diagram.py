@@ -42,6 +42,7 @@ from .polygon import (
     ConstructionParams,
     Polygon,
     build_blowup_polygon,
+    json_from_text,
     point_from_json,
     point_to_json,
 )
@@ -152,7 +153,7 @@ class BaseDiagram:
 
     @classmethod
     def from_json(cls, text: str) -> "BaseDiagram":
-        return cls.from_json_obj(json.loads(text))
+        return cls.from_json_obj(json_from_text(text))
 
 
 @dataclass(frozen=True)

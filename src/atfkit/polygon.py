@@ -98,11 +98,8 @@ class Polygon:
         for i in range(1, n):
             if lex_less(verts[i], verts[base]):
                 base = i
-        prefix = [qf(0)]
-        for k in range(n):
-            prefix.append(prefix[-1] + edges[(base + k) % n].length)
         object.__setattr__(self, "_base", base)
-        object.__setattr__(self, "_prefix", tuple(prefix))
+        object.__setattr__(self, "_prefix", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Polygon is immutable")
@@ -218,7 +215,7 @@ class Polygon:
         return total / 2
 
     def perimeter(self) -> QField:
-        return self._prefix[-1]
+        return self._arcs()[-1]
 
     def max_distance(self) -> tuple[QField, Point]:
         """The maximum of F over the polygon and one maximizer.
@@ -298,9 +295,20 @@ class Polygon:
         """Index of the lexicographically smallest vertex (arc origin)."""
         return self._base
 
+    def _arcs(self) -> tuple[QField, ...]:
+        """Arc coordinates of the vertices from the base vertex on, then the
+        perimeter; summed on first use, since level sets rarely need them."""
+        if self._prefix is None:
+            n = len(self.vertices)
+            prefix = [qf(0)]
+            for k in range(n):
+                prefix.append(prefix[-1] + self.edges[(self._base + k) % n].length)
+            object.__setattr__(self, "_prefix", tuple(prefix))
+        return self._prefix
+
     def arc_of_vertex(self, i: int) -> QField:
         n = len(self.vertices)
-        return self._prefix[(i - self._base) % n]
+        return self._arcs()[(i - self._base) % n]
 
     def point_to_arc(self, p: Point) -> QField:
         """Counterclockwise boundary arc coordinate in [0, perimeter).
@@ -321,19 +329,20 @@ class Polygon:
             else:
                 lam = (p.x2 - v.x2) / edge.direction.v
             if lam.sign() >= 0 and lam < edge.length:
-                return self._prefix[k] + lam
+                return self._arcs()[k] + lam
         raise ValueError(f"point ({p.x1}, {p.x2}) is not on the polygon boundary")
 
     def arc_to_point(self, s: ScalarLike) -> Point:
         """Inverse of point_to_arc; s is taken modulo the perimeter."""
         s = qf(s)
-        per = self.perimeter()
+        prefix = self._arcs()
+        per = prefix[-1]
         s = s - scalars.floor(s / per) * per
         n = len(self.vertices)
         for k in range(n):
-            if s < self._prefix[k + 1]:
+            if s < prefix[k + 1]:
                 i = (self._base + k) % n
-                return move(self.vertices[i], self.edges[i].direction, s - self._prefix[k])
+                return move(self.vertices[i], self.edges[i].direction, s - prefix[k])
         # s == perimeter cannot survive the reduction; guard anyway
         return self.vertices[self._base]
 
@@ -360,7 +369,7 @@ class Polygon:
 
     @classmethod
     def from_json(cls, text: str) -> "Polygon":
-        return cls.from_json_obj(json.loads(text))
+        return cls.from_json_obj(json_from_text(text))
 
 
 def solve_equidistant_triple(e1: Edge, e2: Edge, e3: Edge) -> tuple[Point, QField] | None:
@@ -425,6 +434,14 @@ def point_from_json(value: object) -> Point:
     if not isinstance(value, list) or len(value) != 2:
         raise ValueError(f"expected a pair of scalars, got {value!r}")
     return Point(*value)
+
+
+def json_from_text(text: str) -> object:
+    """``json.loads``, with JSON nested too deeply to parse as a ``ValueError``."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
 
 
 def _lower_half(w: LatticeVector) -> bool:

@@ -499,7 +499,11 @@ def is_rational(x: "QField | Rational") -> bool:
 
 def floor(x: "QField | Rational") -> int:
     """Exact floor, via the integer square root of the sqrt term."""
-    A, B, D, d = qf(x)._v
+    return _floor(*qf(x)._v)
+
+
+def _floor(A: int, B: int, D: int, d: int | None) -> int:
+    """Exact floor of ``(A + B*sqrt(d)) / D`` for integers with ``D > 0``."""
     if not B:
         return A // D
     # |B|*sqrt(d) is irrational, so it lies strictly inside (t, t+1), and

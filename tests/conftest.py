@@ -8,6 +8,7 @@ of generators.
 """
 
 import copy
+import json
 import random
 import tempfile
 from fractions import Fraction
@@ -17,6 +18,7 @@ from hypothesis.configuration import set_hypothesis_home_dir
 
 from atfkit import ConstructionParams, Point, qf
 from atfkit.diagram import build_pi0
+from atfkit.orbits import _walk
 from atfkit.polygon import Polygon, build_blowup_polygon
 
 
@@ -56,6 +58,11 @@ def edge_samples(poly: Polygon, per_edge: int) -> list[Point]:
     return points
 
 
+def stuck_walk(rows, count: int, x: int = 0, y: int = 0) -> list:
+    """A broken orbit walk for certificate tests: its first position ``count`` times."""
+    return [next(_walk(rows, 1, x, y))] * count
+
+
 @pytest.fixture
 def default_params() -> ConstructionParams:
     return ConstructionParams(4, 2, qf("1/2"), qf("1/8"))
@@ -66,17 +73,21 @@ def default_polygon(default_params) -> Polygon:
     return build_blowup_polygon(default_params)
 
 
-# polygon JSON that must be refused: strings split into characters, a short
-# pair, vertices that are not a list
+# nesting far beyond the JSON parser's recursion limit
+DEEP_LIST = "[" * 100_000 + "]" * 100_000
+
+# polygon JSON text that must be refused: strings split into characters, a
+# short pair, vertices that are not a list, vertices nested too deeply
 HOSTILE_POLYGONS = {
-    "string vertices": {"vertices": ["00", "40", "04"]},
-    "short vertex": {"vertices": [["0", "0"], ["4", "0"], ["1"]]},
-    "vertices not a list": {"vertices": 5},
+    "string vertices": json.dumps({"vertices": ["00", "40", "04"]}),
+    "short vertex": json.dumps({"vertices": [["0", "0"], ["4", "0"], ["1"]]}),
+    "vertices not a list": json.dumps({"vertices": 5}),
+    "deeply nested vertices": '{"vertices": ' + DEEP_LIST + "}",
 }
 
 
-def hostile_diagrams() -> dict[str, dict]:
-    """Diagram JSON that must be refused, by the way each one is malformed."""
+def hostile_diagrams() -> dict[str, str]:
+    """Diagram JSON text that must be refused, by the way each one is malformed."""
     pi0 = build_pi0(ConstructionParams(4, 2, qf("1/2"), qf("1/8"))).to_json_obj()
 
     def changed(keys: tuple, value) -> dict:
@@ -103,5 +114,7 @@ def hostile_diagrams() -> dict[str, dict]:
         "wrong field count": changed(("provenance", 0), ["cut_transfer", 0, 1]),
         "string cut path": traded_square,
     }
-    cases.update({name: {"polygon": poly} for name, poly in HOSTILE_POLYGONS.items()})
-    return cases
+    texts = {name: json.dumps(obj) for name, obj in cases.items()}
+    texts["deeply nested document"] = DEEP_LIST
+    texts.update({name: '{"polygon": ' + poly + "}" for name, poly in HOSTILE_POLYGONS.items()})
+    return texts

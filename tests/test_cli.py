@@ -1,12 +1,18 @@
 """End-to-end runs of the command line entry point, in process."""
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
-from conftest import HOSTILE_POLYGONS, hostile_diagrams
+from conftest import HOSTILE_POLYGONS, hostile_diagrams, stuck_walk
 
+import atfkit
+from atfkit import orbits
 from atfkit.cli import main
 from atfkit.diagram import BaseDiagram, build_pi0
 from atfkit.polygon import ConstructionParams, catalog
@@ -98,6 +104,30 @@ def test_orbit_rejects_hostile_levels_fast(capsys, level):
     assert elapsed < 1.0
 
 
+def test_orbit_long_period_exits_quickly():
+    # rho = 1000001/23000055: the period is proved, not walked
+    env = dict(os.environ, PYTHONPATH=str(Path(atfkit.__file__).parents[1]))
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-m", "atfkit.cli", "orbit", "--h", "1/1000003"],
+        capture_output=True, text=True, env=env, timeout=30,
+    )
+    elapsed = time.perf_counter() - start
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout)
+    assert report["period"] == 23000055
+    assert report["distinct_checked"] == 10000
+    assert elapsed < 1.0
+
+
+def test_orbit_failed_certificate_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(orbits, "_walk", stuck_walk)
+    for level in ("1/4", "0/1+1/8*sqrt(2)"):
+        code, stdout, stderr = run(capsys, "orbit", "--h", level)
+        assert code == 1 and stdout == ""
+        assert stderr.startswith("verification failed:") and len(stderr.splitlines()) == 1
+
+
 def test_orbit_dump_csv(tmp_path, capsys):
     dump = tmp_path / "orbit.csv"
     code, _, _ = run(
@@ -170,7 +200,7 @@ def test_classify_rejects_self_intersecting_polygon(tmp_path, capsys):
 @pytest.mark.parametrize("name", sorted(HOSTILE_POLYGONS))
 def test_classify_rejects_hostile_json(tmp_path, capsys, name):
     path = tmp_path / "hostile.json"
-    path.write_text(json.dumps(HOSTILE_POLYGONS[name]))
+    path.write_text(HOSTILE_POLYGONS[name])
     code, stdout, stderr = run(capsys, "classify", str(path))
     assert code == 2 and stdout == ""
     assert stderr.startswith("error:") and len(stderr.splitlines()) == 1
@@ -262,7 +292,7 @@ def test_render_rejects_float_fields(tmp_path, capsys, field, value):
 @pytest.mark.parametrize("name", sorted(hostile_diagrams()))
 def test_render_rejects_hostile_json(tmp_path, capsys, name):
     path = tmp_path / "hostile.json"
-    path.write_text(json.dumps(hostile_diagrams()[name]))
+    path.write_text(hostile_diagrams()[name])
     code, stdout, stderr = run(capsys, "render", str(path))
     assert code == 2 and stdout == ""
     assert stderr.startswith("error:") and len(stderr.splitlines()) == 1

@@ -1,13 +1,17 @@
 """Rotation numbers, orbit classification, gaps, and equidistribution."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from conftest import stuck_walk
 
+from atfkit import orbits
 from atfkit.orbits import (
     LevelCoordinate,
+    OrbitReport,
     classify_level,
     equidistribution_stats,
     from_level_coordinate,
@@ -20,11 +24,86 @@ from atfkit.orbits import (
 )
 from atfkit.plane import pt
 from atfkit.polygon import ConstructionParams, build_blowup_polygon
-from atfkit.scalars import QField, qf
+from atfkit.recurrence import VerificationError
+from atfkit.scalars import QField, floor, qf
 from atfkit.verify import random_params
 
 PARAMS = ConstructionParams(4, 2, qf("1/2"), qf("1/8"))
 SQRT2_OVER_8 = QField(0, Fraction(1, 8), 2)
+
+
+# -- oracles: the QField walk, set sweep, sort and floor the engine replaced ---
+
+
+def qfield_positions(params, h, count, s0=0):
+    per = perimeter_value(params, h)
+    step = params.c - qf(h)
+    s = qf(s0)
+    s = s - floor(s / per) * per
+    out = []
+    for _ in range(count):
+        out.append(s)
+        s = s + step
+        if s >= per:
+            s = s - per
+    return out
+
+
+def set_sweep_report(params, h, n_checked=10_000):
+    h = qf(h)
+    rho = rotation_number(params, h)
+    if rho.is_rational():
+        q = rho.as_fraction().denominator
+        pts = qfield_positions(params, h, q + 1)
+        assert len(set(pts[:-1])) == q and pts[-1] == pts[0]
+        return OrbitReport(h, rho, "periodic", q, q)
+    assert len(set(qfield_positions(params, h, n_checked))) == n_checked
+    return OrbitReport(h, rho, "irrational-certified", None, n_checked)
+
+
+def sorted_gaps(positions, per):
+    ordered = sorted(positions)
+    gaps = {ordered[i + 1] - ordered[i] for i in range(len(ordered) - 1)}
+    gaps.add(ordered[0] + per - ordered[-1])
+    return sorted(gaps)
+
+
+def floor_histogram(positions, per, bins):
+    counts = [0] * bins
+    for s in positions:
+        counts[floor(s * bins / per)] += 1
+    return counts
+
+
+RATIONAL_LEVELS = [qf(Fraction(k, 128)) for k in range(49)]  # all of [0, c - eps]
+GAP_COUNTS = (2, 3, 7, 50, 137, 400, 2000)
+RADICANDS = (2, 3, 5, 6, 7, 10, 11, 13)
+
+
+def irrational_levels(seed, per_radicand):
+    """Seeded levels p/64 +- sqrt(d)/k in [0, c - eps], ``per_radicand`` for each d."""
+    rng = random.Random(seed)
+    top = PARAMS.c - PARAMS.eps
+    levels = []
+    for d in RADICANDS:
+        chosen = []
+        while len(chosen) < per_radicand:
+            root = Fraction(rng.choice((-1, 1)), rng.randint(10, 40))
+            h = QField(Fraction(rng.randrange(25), 64), root, d)
+            if h.sign() >= 0 and h <= top:
+                chosen.append(h)
+        levels += chosen
+    return levels
+
+
+def assert_walk_matches_oracles(params, h, s0=0):
+    """Positions and gaps at every count in GAP_COUNTS agree with the oracles."""
+    per = perimeter_value(params, h)
+    positions = qfield_positions(params, h, GAP_COUNTS[-1], s0)
+    assert orbit_positions(params, h, len(positions), s0) == positions
+    for count in GAP_COUNTS:
+        assert gap_values(params, h, count, s0) == sorted_gaps(positions[:count], per)
+    return positions
 
 
 # -- closed forms -------------------------------------------------------------
@@ -153,6 +232,121 @@ def test_gaps_sum_to_the_perimeter():
     for i in range(count - 1):
         total = total + (positions[i + 1] - positions[i])
     assert total == per
+
+
+# -- the integer walk against the oracles ---------------------------------------------
+
+
+def test_rational_levels_match_the_oracles():
+    for h in RATIONAL_LEVELS:
+        assert classify_level(PARAMS, h) == set_sweep_report(PARAMS, h)
+        assert_walk_matches_oracles(PARAMS, h)
+
+
+def test_irrational_levels_match_the_oracles():
+    for h in irrational_levels(61, 2):
+        assert classify_level(PARAMS, h, n_checked=2000) == set_sweep_report(PARAMS, h, 2000)
+        positions = assert_walk_matches_oracles(PARAMS, h)
+        per = perimeter_value(PARAMS, h)
+        for bins in (1, 7, 10, 64):
+            assert equidistribution_stats(PARAMS, h, 2000, bins) == floor_histogram(
+                positions, per, bins
+            )
+
+
+def test_random_parameters_match_the_oracles():
+    rng = random.Random(62)
+    for _ in range(4):
+        params = random_params(rng)
+        top = params.c - params.eps
+        for h in (top * Fraction(rng.randrange(1, 8), 8), top * QField(0, Fraction(1, 2), 2)):
+            expected = set_sweep_report(params, h, 400)
+            if expected.period is not None:  # the sweep stops at n_checked
+                expected = replace(expected, distinct_checked=min(expected.period, 400))
+            assert classify_level(params, h, n_checked=400) == expected
+            assert_walk_matches_oracles(params, h, s0=top / 3)
+
+
+def test_perimeter_with_a_negative_conjugate_matches_the_oracles():
+    # P(h) > 0 but its conjugate 71/10 - 7*(4/5 + 9/16*sqrt(2)) is negative,
+    # so the histogram divides by a negative norm
+    params = ConstructionParams(2, 2, qf("9/10"), qf("1/20"))
+    h = QField(Fraction(4, 5), Fraction(-9, 16), 2)
+    per = perimeter_value(params, h)
+    assert per.sign() > 0 > per.conjugate().sign()
+    assert classify_level(params, h, n_checked=2000) == set_sweep_report(params, h, 2000)
+    positions = assert_walk_matches_oracles(params, h)
+    for bins in (1, 7, 10, 64):
+        assert equidistribution_stats(params, h, 2000, bins) == floor_histogram(positions, per, bins)
+
+
+def test_rational_gaps_past_the_period_include_zero():
+    # level 1/4 has period 39: later positions repeat earlier ones
+    h = qf("1/4")
+    per = perimeter_value(PARAMS, h)
+    for count in (40, 41, 78, 79, 137):
+        positions = qfield_positions(PARAMS, h, count)
+        assert gap_values(PARAMS, h, count) == sorted_gaps(positions, per) == [qf(0), qf("1/4")]
+
+
+@pytest.mark.parametrize(
+    "s0",
+    [qf("1/3"), qf("-7/2"), qf("100"), QField(0, Fraction(1, 5), 2), QField(1, Fraction(-2, 3), 3)],
+    ids=str,
+)
+def test_nonzero_start_matches_the_oracles(s0):
+    levels = [qf("1/4"), qf("5/128")]
+    if s0.d is not None:
+        levels.append(QField(Fraction(1, 16), Fraction(1, 30), s0.d))
+    for h in levels:
+        assert_walk_matches_oracles(PARAMS, h, s0)
+
+
+def test_start_with_another_radicand_is_refused():
+    s0 = QField(0, Fraction(1, 5), 3)
+    for fn in (orbit_positions, gap_values):
+        with pytest.raises(ValueError):
+            fn(PARAMS, SQRT2_OVER_8, 5, s0)
+    with pytest.raises(ValueError):
+        qfield_positions(PARAMS, SQRT2_OVER_8, 5, s0)
+
+
+def test_long_period_is_proved_and_swept_to_n_checked():
+    report = classify_level(PARAMS, qf("1/1000003"), n_checked=500)
+    assert report.rho == qf("1000001/23000055")
+    assert (report.kind, report.period, report.distinct_checked) == ("periodic", 23000055, 500)
+    # up to the period the sweep is the whole orbit, as before
+    assert classify_level(PARAMS, qf("1/4"), n_checked=39) == set_sweep_report(PARAMS, qf("1/4"))
+    assert classify_level(PARAMS, qf("1/4"), n_checked=38).distinct_checked == 38
+    assert classify_level(PARAMS, qf("1/4"), n_checked=0).distinct_checked == 0
+    with pytest.raises(ValueError):
+        classify_level(PARAMS, qf("1/4"), n_checked=-1)
+
+
+def test_failed_certificates_raise_verification_error(monkeypatch):
+    rows = orbits._rows
+
+    def longer_step(*args):
+        r = rows(*args)
+        return r._replace(a1=r.a1 + 1)
+
+    monkeypatch.setattr(orbits, "_rows", longer_step)
+    with pytest.raises(VerificationError, match="period certificate"):
+        classify_level(PARAMS, qf("1/4"))
+    monkeypatch.setattr(orbits, "_rows", rows)
+
+    def unreduced(rows, count, x=0, y=0):
+        # never wraps around the perimeter: distinct, but never back at the start
+        return [(x + n * rows.a1, y + n * rows.b1) for n in range(count)]
+
+    monkeypatch.setattr(orbits, "_walk", unreduced)
+    with pytest.raises(VerificationError, match="period verification"):
+        classify_level(PARAMS, qf("1/4"))
+    monkeypatch.setattr(orbits, "_walk", stuck_walk)
+    with pytest.raises(VerificationError, match="period verification"):
+        classify_level(PARAMS, qf("1/4"))
+    with pytest.raises(VerificationError, match="produced a repeat"):
+        classify_level(PARAMS, SQRT2_OVER_8, n_checked=10)
 
 
 # -- equidistribution ----------------------------------------------------------------

@@ -610,7 +610,7 @@ def test_json_round_trip():
 @pytest.mark.parametrize("name", sorted(HOSTILE_POLYGONS))
 def test_json_rejects_hostile_input(name):
     with pytest.raises(ValueError):
-        Polygon.from_json(json.dumps(HOSTILE_POLYGONS[name]))
+        Polygon.from_json(HOSTILE_POLYGONS[name])
 
 
 def test_copy_and_pickle_round_trip():
