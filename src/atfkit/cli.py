@@ -26,6 +26,10 @@ from .render import RenderStyle, render_svg
 from .scalars import parse_scalar
 from .verify import run_all
 
+# the largest --n and --bins that ``orbit`` accepts: it builds up to that
+# many counters, positions or visited pairs
+ORBIT_LIMIT = 1_000_000
+
 
 def _scalar(text: str):
     try:
@@ -65,6 +69,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_orbit(args: argparse.Namespace) -> int:
+    for flag, value in (("--n", args.n), ("--bins", args.bins)):
+        if value is not None and value > ORBIT_LIMIT:
+            raise ValueError(f"{flag} {value} is above the limit {ORBIT_LIMIT}")
     params = ConstructionParams(args.a, args.b, args.c, args.eps)
     report = classify_level(params, args.h, n_checked=args.n)
     obj = report.to_json_obj()
@@ -148,8 +155,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_orbit = sub.add_parser("orbit", help="classify the orbit on one level")
     _add_params(p_orbit)
     p_orbit.add_argument("--h", type=_scalar, required=True, help="level, e.g. 1/4 or 0/1+1/8*sqrt(2)")
-    p_orbit.add_argument("--n", type=int, default=10_000, help="iterates to check (default 10000)")
-    p_orbit.add_argument("--bins", type=int, help="also print an equidistribution histogram")
+    p_orbit.add_argument(
+        "--n", type=int, default=10_000,
+        help=f"iterates to check (default 10000, at most {ORBIT_LIMIT})",
+    )
+    p_orbit.add_argument(
+        "--bins", type=int,
+        help=f"also print an equidistribution histogram (at most {ORBIT_LIMIT} bins)",
+    )
     p_orbit.add_argument("--dump", help="write the first n arc positions to this file")
     p_orbit.add_argument("--dump-format", choices=("csv", "json"), default="csv")
     p_orbit.set_defaults(func=_cmd_orbit)

@@ -30,8 +30,8 @@ from .plane import (
     Point,
     UnimodularAffineMap,
     cross,
-    delta,
     direction_of,
+    move,
     on_segment,
     orient,
     primitive,
@@ -370,9 +370,7 @@ def nodal_trade(
     away_in = LatticeVector(-e_in.direction.u, -e_in.direction.v)
     direction = primitive(away_in + e_out.direction)
     vertex = poly.vertices[vertex_index]
-    position = Point(
-        vertex.x1 + param * direction.u, vertex.x2 + param * direction.v
-    )
+    position = move(vertex, direction, param)
     if not poly.contains(position, strict=True):
         raise ValueError("trade parameter pushes the node out of the polygon")
     node = Node(position, direction)
@@ -447,23 +445,19 @@ def _distance_band(poly: Polygon, a: Point, b: Point) -> tuple[QField, QField]:
     functionals cross, and all those parameters are rational.
     """
     fa, fb = poly.distance_to_boundary(a), poly.distance_to_boundary(b)
-    lo = fa if fa <= fb else fb
-    hi = fa if fa >= fb else fb
-    dx, dy = delta(a, b)
-    edges = poly.edges
-    # edge functional along the segment: f_i(t) = base_i + slope_i * t
-    bases = [e.offset + a.x1 * e.normal.u + a.x2 * e.normal.v for e in edges]
-    slopes = [dx * e.normal.u + dy * e.normal.v for e in edges]
-    for i in range(len(edges)):
-        for j in range(i + 1, len(edges)):
+    lo, hi = (fa, fb) if fa <= fb else (fb, fa)
+    # each edge value is affine along the segment: va_i + t * (vb_i - va_i)
+    va, vb = poly.support_values(a), poly.support_values(b)
+    slopes = [y - x for x, y in zip(va, vb)]
+    for i in range(len(va)):
+        for j in range(i + 1, len(va)):
             ds = slopes[i] - slopes[j]
             if ds.sign() == 0:
                 continue
-            t = (bases[j] - bases[i]) / ds
+            t = (va[j] - va[i]) / ds
             if t.sign() <= 0 or (t - 1).sign() >= 0:
                 continue
-            p = Point(a.x1 + t * dx, a.x2 + t * dy)
-            value = poly.distance_to_boundary(p)
+            value = min(x + t * s for x, s in zip(va, slopes))
             if value > hi:
                 hi = value
     return (lo, hi)

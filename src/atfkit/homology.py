@@ -60,12 +60,14 @@ def find_twist_classes(bound: int) -> list[H2Class]:
 
     Solved in closed form: c1 = 0 forces gamma = -2(alpha + beta), and
     substituting into x.x = -2 leaves 2*alpha^2 + 3*alpha*beta + 2*beta^2 = 1,
-    a positive-definite form, so only finitely many (alpha, beta) qualify.
+    a positive-definite form, so only finitely many (alpha, beta) qualify:
+    its discriminant in beta, 8 - 7*alpha^2, is negative unless |alpha| <= 1.
     """
     if bound < 0:
         raise ValueError("bound must be nonnegative")
     found: list[H2Class] = []
-    for alpha in range(-bound, bound + 1):
+    reach = min(bound, 1)
+    for alpha in range(-reach, reach + 1):
         disc = 8 - 7 * alpha * alpha
         if disc < 0:
             continue

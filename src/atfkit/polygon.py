@@ -130,21 +130,25 @@ class Polygon:
         """The affine edge values <n_i, p> + k_i in edge order."""
         return [dot(e.normal, p) + e.offset for e in self.edges]
 
+    def _locate(self, p: Point) -> tuple[QField, int]:
+        """The one edge-value pass: the minimum edge value F, negative
+        outside the polygon, and the first edge that attains it."""
+        best, at = None, 0
+        for i, e in enumerate(self.edges):
+            v = dot(e.normal, p) + e.offset
+            if best is None or v < best:
+                best, at = v, i
+        return best, at
+
     def contains(self, p: Point, strict: bool = False) -> bool:
-        threshold = 1 if strict else 0
-        return all(v.sign() >= threshold for v in self.support_values(p))
+        return self._locate(p)[0].sign() >= (1 if strict else 0)
 
     def on_boundary(self, p: Point) -> bool:
-        signs = [v.sign() for v in self.support_values(p)]
-        return all(s >= 0 for s in signs) and 0 in signs
+        return self._locate(p)[0].sign() == 0
 
     def distance_to_boundary(self, p: Point) -> QField:
         """F(p): the minimum edge value; errors when p lies outside."""
-        values = self.support_values(p)
-        best = values[0]
-        for v in values[1:]:
-            if v < best:
-                best = v
+        best = self._locate(p)[0]
         if best.sign() < 0:
             raise ValueError(f"point ({p.x1}, {p.x2}) lies outside the polygon")
         return best
@@ -316,21 +320,17 @@ class Polygon:
         Measured in lattice length from the lexicographically smallest
         vertex.  Errors when p is not on the boundary.
         """
-        n = len(self.vertices)
-        values = self.support_values(p)
-        for k in range(n):
-            i = (self._base + k) % n
-            if values[i].sign() != 0:
-                continue
-            edge = self.edges[i]
-            v = self.vertices[i]
-            if edge.direction.u != 0:
-                lam = (p.x1 - v.x1) / edge.direction.u
-            else:
-                lam = (p.x2 - v.x2) / edge.direction.v
-            if lam.sign() >= 0 and lam < edge.length:
-                return self._arcs()[k] + lam
-        raise ValueError(f"point ({p.x1}, {p.x2}) is not on the polygon boundary")
+        value, i = self._locate(p)
+        if value.sign() != 0:
+            raise ValueError(f"point ({p.x1}, {p.x2}) is not on the polygon boundary")
+        edge, v = self.edges[i], self.vertices[i]
+        if edge.direction.u != 0:
+            lam = (p.x1 - v.x1) / edge.direction.u
+        else:
+            lam = (p.x2 - v.x2) / edge.direction.v
+        # the end of the edge before the base vertex has arc = perimeter
+        s, per = self.arc_of_vertex(i) + lam, self._arcs()[-1]
+        return s - per if s >= per else s
 
     def arc_to_point(self, s: ScalarLike) -> Point:
         """Inverse of point_to_arc; s is taken modulo the perimeter."""

@@ -86,9 +86,13 @@ def rotate_on_level(poly: Polygon, h: ScalarLike, t: ScalarLike, p: Point) -> Po
     h = qf(h)
     if poly.distance_to_boundary(p) != h:
         raise ValueError(f"point ({p.x1}, {p.x2}) is not on level {h}")
+    return _advance(poly, h, qf(t), p)
+
+
+def _advance(poly: Polygon, h: QField, t: QField, p: Point) -> Point:
+    """Move p, known to lie on {F = h}, by arc length t along that level."""
     level = poly.level_set(h)
-    s = level.point_to_arc(p)
-    return level.arc_to_point(s + qf(t))
+    return level.arc_to_point(level.point_to_arc(p) + t)
 
 
 def rotation_amount(params: ConstructionParams, h: ScalarLike) -> QField:
@@ -193,14 +197,8 @@ def _verify_rounds(rm: RecurrenceMap) -> None:
 
 
 def _level_samples(level: Polygon) -> list[Point]:
-    samples = list(level.vertices)
-    for i, edge in enumerate(level.edges):
-        v = level.vertices[i]
-        half = edge.length / 2
-        samples.append(
-            Point(v.x1 + half * edge.direction.u, v.x2 + half * edge.direction.v)
-        )
-    return samples
+    halves = [move(v, e.direction, e.length / 2) for v, e in zip(level.vertices, level.edges)]
+    return list(level.vertices) + halves
 
 
 def apply_phi(rm: RecurrenceMap, p: Point) -> Point:
@@ -209,7 +207,7 @@ def apply_phi(rm: RecurrenceMap, p: Point) -> Point:
     r = rotation_amount(rm.params, h)
     if r.sign() == 0:
         return p
-    return rotate_on_level(rm.polygon, h, r, p)
+    return _advance(rm.polygon, h, r, p)
 
 
 def apply_phi_iter(rm: RecurrenceMap, p: Point, n: int) -> Point:
@@ -225,7 +223,7 @@ def apply_phi_iter(rm: RecurrenceMap, p: Point, n: int) -> Point:
     r = rotation_amount(rm.params, h)
     if r.sign() == 0 or n == 0:
         return p
-    return rotate_on_level(rm.polygon, h, r * n, p)
+    return _advance(rm.polygon, h, r * n, p)
 
 
 __all__ = [

@@ -29,6 +29,7 @@ from .plane import (
     Point,
     UnimodularAffineMap,
     affine_length,
+    move,
     on_segment,
     unipotent_fixing,
 )
@@ -67,8 +68,7 @@ def random_level_point(rng: random.Random, poly: Polygon, h) -> Point:
     i = rng.randrange(len(level.edges))
     edge = level.edges[i]
     lam = edge.length * rng.randint(0, 9) / 10
-    v = level.vertices[i]
-    return Point(v.x1 + lam * edge.direction.u, v.x2 + lam * edge.direction.v)
+    return move(level.vertices[i], edge.direction, lam)
 
 
 def random_unimodular(rng: random.Random, det: int = 1) -> UnimodularAffineMap:

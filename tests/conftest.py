@@ -58,6 +58,39 @@ def edge_samples(poly: Polygon, per_edge: int) -> list[Point]:
     return points
 
 
+def convex_hull(points) -> list:
+    """Counterclockwise hull of distinct (x, y) Fractions, collinear points dropped."""
+    def chain(seq):
+        out = []
+        for p in seq:
+            while len(out) >= 2 and (
+                (out[-1][0] - out[-2][0]) * (p[1] - out[-2][1])
+                - (out[-1][1] - out[-2][1]) * (p[0] - out[-2][0])
+            ) <= 0:
+                out.pop()
+            out.append(p)
+        return out
+
+    pts = sorted(set(points))
+    return chain(pts)[:-1] + chain(pts[::-1])[:-1]
+
+
+def random_hulls(rng: random.Random, count: int) -> list[Polygon]:
+    """Hulls with 3 to 14 vertices of rational points r (1 - t^2, 2t) / (1 + t^2)
+    near a circle; few are Delzant and most have edges that grow as the
+    level rises."""
+    hulls = []
+    while len(hulls) < count:
+        points = []
+        for _ in range(rng.randint(3, 20)):
+            r, t = rng.randint(21, 24), Fraction(rng.randint(-30, 30), rng.randint(1, 6))
+            points.append((r * (1 - t * t) / (1 + t * t), r * 2 * t / (1 + t * t)))
+        verts = convex_hull(points)
+        if 3 <= len(verts) <= 14:
+            hulls.append(Polygon(verts))
+    return hulls
+
+
 def stuck_walk(rows, count: int, x: int = 0, y: int = 0) -> list:
     """A broken orbit walk for certificate tests: its first position ``count`` times."""
     return [next(_walk(rows, 1, x, y))] * count

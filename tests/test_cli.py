@@ -12,8 +12,8 @@ import pytest
 from conftest import HOSTILE_POLYGONS, hostile_diagrams, stuck_walk
 
 import atfkit
-from atfkit import orbits
-from atfkit.cli import main
+from atfkit import cli, orbits
+from atfkit.cli import ORBIT_LIMIT, main
 from atfkit.diagram import BaseDiagram, build_pi0
 from atfkit.polygon import ConstructionParams, catalog
 from atfkit.scalars import qf
@@ -151,6 +151,27 @@ def test_orbit_dump_json(tmp_path, capsys):
     assert len(positions) == 4
 
 
+@pytest.mark.parametrize("flag", ["--n", "--bins"])
+def test_orbit_refuses_counts_above_the_cap_before_any_work(tmp_path, capsys, monkeypatch, flag):
+    def ran(*args, **kwargs):
+        raise AssertionError("the orbit ran")
+
+    for name in ("classify_level", "equidistribution_stats", "orbit_positions"):
+        monkeypatch.setattr(cli, name, ran)
+    dump = tmp_path / "orbit.csv"
+    code, stdout, stderr = run(
+        capsys, "orbit", "--h", "0/1+1/8*sqrt(2)", flag, str(ORBIT_LIMIT + 1), "--dump", str(dump)
+    )
+    assert code == 2 and stdout == "" and not dump.exists()
+    assert stderr == f"error: {flag} {ORBIT_LIMIT + 1} is above the limit {ORBIT_LIMIT}\n"
+
+
+def test_orbit_help_states_the_cap(capsys):
+    code, stdout, _ = run(capsys, "orbit", "--help")
+    assert code == 0
+    assert stdout.count(str(ORBIT_LIMIT)) == 2
+
+
 # -- classify -----------------------------------------------------------------
 
 
@@ -223,6 +244,17 @@ def test_mcg_lists_the_twist_pair(capsys):
     assert classes == [(-1, 1, 0), (1, -1, 0)]
     areas = [entry["area"] for entry in report["classes"]]
     assert areas == ["-2/1", "2/1"]
+
+
+def test_mcg_huge_bound_is_instant(capsys):
+    # the form 2a^2 + 3ab + 2b^2 = 1 is positive definite: |alpha| <= 1
+    start = time.perf_counter()
+    code, stdout, _ = run(capsys, "mcg", "--bound", str(10**18))
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    report = json.loads(stdout)
+    assert [tuple(entry["class"]) for entry in report["classes"]] == [(-1, 1, 0), (1, -1, 0)]
+    assert elapsed < 1.0
 
 
 def test_mcg_equal_factors_kill_the_areas(capsys):

@@ -1,4 +1,4 @@
-"""Property tests: the scalar text format and the diagram JSON reader.
+"""Property tests: the scalar text format and the polygon and diagram JSON readers.
 
 Hypothesis runs derandomized and without an example database, so each run
 draws the same examples; ``conftest.py`` keeps its cache out of the checkout.
@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from atfkit.diagram import BaseDiagram, build_pi0
-from atfkit.polygon import ConstructionParams
+from atfkit.polygon import ConstructionParams, Polygon, catalog
 from atfkit.scalars import QField, format_scalar, parse_scalar, qf
 
 DETERMINISTIC = settings(derandomize=True, database=None, deadline=None)
@@ -21,6 +21,7 @@ PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 97, 101, 6
 RADICANDS = st.sets(st.sampled_from(PRIMES), min_size=1, max_size=3).map(math.prod)
 
 PI0 = build_pi0(ConstructionParams(4, 2, qf("1/2"), qf("1/8"))).to_json_obj()
+POLYGONS = [PI0["polygon"], catalog("Bl3CP2").to_json_obj()]
 
 # short strings over the scalar alphabet, so some of them parse
 TEXT = st.text("0123456789/+-*sqrt()", max_size=8)
@@ -81,3 +82,26 @@ def test_mutated_diagram_json_is_refused_or_reads_back(data):
     again = BaseDiagram.from_json(diagram.to_json())
     assert again == diagram
     assert again.to_json() == diagram.to_json()
+
+
+@settings(DETERMINISTIC, max_examples=150)
+@given(st.data())
+def test_mutated_polygon_json_is_refused_or_valid(data):
+    obj = copy.deepcopy(data.draw(st.sampled_from(POLYGONS)))
+    for _ in range(data.draw(st.integers(1, 3))):
+        if not obj:
+            break
+        mutate(obj, data)
+    try:
+        poly = Polygon.from_json(json.dumps(obj))
+    except ValueError:
+        return
+    # a polygon that was let in keeps its invariants: it rebuilds from its
+    # own vertices, reads back, encloses area and has every vertex on its
+    # boundary at its own arc coordinate
+    assert Polygon(poly.vertices) == poly
+    assert Polygon.from_json(poly.to_json()) == poly
+    assert poly.area().sign() > 0
+    for i, v in enumerate(poly.vertices):
+        assert poly.on_boundary(v)
+        assert poly.point_to_arc(v) == poly.arc_of_vertex(i)
