@@ -119,7 +119,7 @@ def _cmd_mcg(args: argparse.Namespace) -> int:
 
 def _cmd_render(args: argparse.Namespace) -> int:
     diagram = BaseDiagram.from_json(Path(args.diagram).read_text())
-    levels = tuple(_scalar(h) for h in args.levels.split(",")) if args.levels else ()
+    levels = tuple(parse_scalar(h) for h in args.levels.split(",")) if args.levels else ()
     strips = ()
     if args.strips:
         rm = build_recurrence_map(diagram, verify=False)

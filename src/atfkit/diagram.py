@@ -440,24 +440,34 @@ def nodal_slide(
 def _distance_band(poly: Polygon, a: Point, b: Point) -> tuple[QField, QField]:
     """Exact [min, max] of the boundary distance F along the segment [a, b].
 
-    F is concave along the segment, so the minimum sits at an endpoint.
-    The maximum is attained either at an endpoint or where two edge
-    functionals cross, and all those parameters are rational.
+    Along the segment F(t) = min_i (va_i + t * s_i) is the lower envelope
+    of the n edge values, each affine in t, so F is concave: the minimum
+    sits at an endpoint and the maximum at an endpoint or at a breakpoint
+    of the envelope.  The envelope is built once, by sorting the lines by
+    falling slope and sweeping them with a stack (the convex hull trick),
+    in O(n log n) with no pair enumeration.
     """
     fa, fb = poly.distance_to_boundary(a), poly.distance_to_boundary(b)
     lo, hi = (fa, fb) if fa <= fb else (fb, fa)
-    # each edge value is affine along the segment: va_i + t * (vb_i - va_i)
     va, vb = poly.support_values(a), poly.support_values(b)
-    slopes = [y - x for x, y in zip(va, vb)]
-    for i in range(len(va)):
-        for j in range(i + 1, len(va)):
-            ds = slopes[i] - slopes[j]
-            if ds.sign() == 0:
-                continue
-            t = (va[j] - va[i]) / ds
-            if t.sign() <= 0 or (t - 1).sign() >= 0:
-                continue
-            value = min(x + t * s for x, s in zip(va, slopes))
+    # (slope, value at a) by falling slope, the lowest line first among equal slopes
+    lines = sorted(((y - x, x) for x, y in zip(va, vb)), key=lambda line: (-line[0], line[1]))
+    hull: list[tuple[QField, QField]] = []
+    for s3, c3 in lines:
+        if hull and hull[-1][0] == s3:
+            continue
+        # the top line is never strictly lowest once the new line meets the
+        # one below it no later than the top line does
+        while len(hull) >= 2:
+            (s1, c1), (s2, c2) = hull[-2], hull[-1]
+            if (c3 - c1) * (s1 - s2) > (c2 - c1) * (s1 - s3):
+                break
+            hull.pop()
+        hull.append((s3, c3))
+    for (s1, c1), (s2, c2) in zip(hull, hull[1:]):
+        t = (c2 - c1) / (s1 - s2)
+        if t.sign() > 0 and (t - 1).sign() < 0:
+            value = c1 + s1 * t
             if value > hi:
                 hi = value
     return (lo, hi)

@@ -185,14 +185,14 @@ def classify_level(
     if rho.is_rational():
         p, q = rho.p, rho.q
         if gcd(p, q) != 1 or q * rows.a1 != p * rows.a2 or q * rows.b1 != p * rows.b2:
-            raise VerificationError(f"period certificate failed on level {h}")
+            raise VerificationError(f"period certificate failed on level {h}", level=h)
         sweep = min(q, n_checked)
         pts = list(_walk(rows, sweep + 1))
         if len(set(pts[:sweep])) != sweep or (sweep == q and pts[q] != pts[0]):
-            raise VerificationError(f"period verification failed on level {h}")
+            raise VerificationError(f"period verification failed on level {h}", level=h)
         return OrbitReport(h=h, rho=rho, kind="periodic", period=q, distinct_checked=sweep)
     if len(set(_walk(rows, n_checked))) != n_checked:
-        raise VerificationError(f"irrational level {h} produced a repeat")
+        raise VerificationError(f"irrational level {h} produced a repeat", level=h)
     return OrbitReport(
         h=h, rho=rho, kind="irrational-certified", period=None, distinct_checked=n_checked
     )

@@ -20,6 +20,13 @@ solve with an integer determinant.  Each polygon memoises its level sets
 by h, keeping the newest ``LEVEL_MEMO_SIZE`` of them.  The module also
 builds the family of corner-chopped rectangles that drives the recurrence
 construction, plus a small catalog of named polygons.
+
+Every edge value <n_i, p> + k_i is read from integer edge rows, built on
+first use: the offsets over one common denominator L, so each row is
+(n_u, n_v, A_k, B_k) for k = (A_k + B_k*sqrt(d))/L.  A query puts p over
+the least common denominator P of its coordinates, which makes each edge
+value an integer pair over P*L.  F(p) is the smallest pair by exact sign
+tests, and only the value returned is built as a ``QField``.
 """
 
 from __future__ import annotations
@@ -27,6 +34,7 @@ from __future__ import annotations
 import heapq
 import json
 from dataclasses import dataclass
+from math import lcm
 from typing import Iterable, Sequence
 
 from . import scalars
@@ -42,7 +50,7 @@ from .plane import (
     lex_less,
     move,
 )
-from .scalars import QField, ScalarLike, qf
+from .scalars import QField, ScalarLike, _merge_radicand, _reduced, _sign, qf
 
 # level sets memoised per polygon; the oldest is evicted beyond this
 LEVEL_MEMO_SIZE = 64
@@ -61,7 +69,9 @@ class Edge:
 class Polygon:
     """A strictly convex rational polygon with counterclockwise vertices."""
 
-    __slots__ = ("vertices", "edges", "_hash", "_schedule", "_levels", "_base", "_prefix")
+    __slots__ = (
+        "vertices", "edges", "_hash", "_schedule", "_levels", "_base", "_prefix", "_rows"
+    )
 
     def __init__(self, vertices: Iterable[Point | tuple]):
         verts = tuple(as_point(v) for v in vertices)
@@ -100,6 +110,7 @@ class Polygon:
                 base = i
         object.__setattr__(self, "_base", base)
         object.__setattr__(self, "_prefix", None)
+        object.__setattr__(self, "_rows", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Polygon is immutable")
@@ -127,18 +138,64 @@ class Polygon:
     # -- membership and lattice distance ---------------------------------
 
     def support_values(self, p: Point) -> list[QField]:
-        """The affine edge values <n_i, p> + k_i in edge order."""
-        return [dot(e.normal, p) + e.offset for e in self.edges]
+        """The affine edge values <n_i, p> + k_i in edge order, each read
+        from the integer edge rows and reduced to a ``QField``."""
+        pairs, den, d = self._edge_values(p)
+        return [_reduced(a, b, den, d) for a, b in pairs]
 
     def _locate(self, p: Point) -> tuple[QField, int]:
         """The one edge-value pass: the minimum edge value F, negative
-        outside the polygon, and the first edge that attains it."""
-        best, at = None, 0
-        for i, e in enumerate(self.edges):
-            v = dot(e.normal, p) + e.offset
-            if best is None or v < best:
-                best, at = v, i
-        return best, at
+        outside the polygon, and the first edge that attains it.
+
+        The edge values are integer pairs over one denominator, compared
+        exactly by their signs; only the minimum becomes a ``QField``.
+        """
+        pairs, den, d = self._edge_values(p)
+        ba, bb = pairs[0]
+        at = 0
+        for i in range(1, len(pairs)):
+            a, b = pairs[i]
+            if (a < ba) if b == bb else _sign(a - ba, b - bb, d) < 0:
+                ba, bb, at = a, b, i
+        return _reduced(ba, bb, den, d), at
+
+    def _edge_values(self, p: Point) -> tuple[list[tuple[int, int]], int, int | None]:
+        """Every edge value <n_i, p> + k_i as an integer pair (a, b), the value
+        being (a + b*sqrt(d)) / den, with the pairs' common denominator den
+        and radicand d.
+
+        p goes over P = lcm of its coordinates' denominators and the rows
+        over L, so each value is a few integer products over den = P*L.
+        A point whose radicand differs from the polygon's is a ``ValueError``.
+        """
+        rows, L, d = self._edge_rows()
+        A1, B1, D1, d1 = p.x1._v
+        A2, B2, D2, d2 = p.x2._v
+        if d1 != d:
+            d = _merge_radicand(d, d1)
+        if d2 != d:
+            d = _merge_radicand(d, d2)
+        P = lcm(D1, D2)
+        s1, s2 = P // D1 * L, P // D2 * L
+        X1, Y1, X2, Y2 = A1 * s1, B1 * s1, A2 * s2, B2 * s2
+        pairs = [(u * X1 + v * X2 + A * P, u * Y1 + v * Y2 + B * P) for u, v, A, B in rows]
+        return pairs, P * L, d
+
+    def _edge_rows(self) -> tuple[tuple[tuple[int, int, int, int], ...], int, int | None]:
+        """The integer edge rows (n_u, n_v, A_k, B_k), with every offset
+        k = (A_k + B_k*sqrt(d)) / L over one common denominator L, then L
+        and the polygon's radicand d; built on first use."""
+        if self._rows is None:
+            offsets = [e.offset._v for e in self.edges]
+            L, d = lcm(*(D for _, _, D, _ in offsets)), None
+            for _, _, _, dk in offsets:
+                d = _merge_radicand(d, dk)
+            rows = tuple(
+                (e.normal.u, e.normal.v, A * (L // D), B * (L // D))
+                for e, (A, B, D, _) in zip(self.edges, offsets)
+            )
+            object.__setattr__(self, "_rows", (rows, L, d))
+        return self._rows
 
     def contains(self, p: Point, strict: bool = False) -> bool:
         return self._locate(p)[0].sign() >= (1 if strict else 0)

@@ -7,7 +7,13 @@ the four rounds compose to an exact counterclockwise rotation in boundary
 arc length on every level polygon {F = h} with h <= c: the level-h polygon
 advances by arc c - h, while every level with h >= c is left pointwise
 fixed.  ``build_recurrence_map`` certifies this rotation property on a
-sample grid before handing the map out.
+sample grid before handing the map out, and a failed check raises a
+``VerificationError`` that names the level, the point and both images.
+
+``apply_rounds`` and ``StripShear.apply`` are one integer pass: the point
+and the strip offsets go over one common denominator M, each round's
+excess is an integer pair with one exact sign test, and the point is
+reduced to ``QField`` coordinates once, after the last round.
 
 ``apply_phi`` is the smoothed version used for orbit analysis: full
 advance c - h up to level c - eps, a linear taper across the band
@@ -17,15 +23,37 @@ advance c - h up to level c - eps, a linear taper across the band
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from math import lcm
 
 from .diagram import BaseDiagram
 from .plane import LatticeVector, Point, UnimodularAffineMap, dot, move
 from .polygon import ConstructionParams, Polygon, build_blowup_polygon
-from .scalars import QField, ScalarLike, qf
+from .scalars import QField, ScalarLike, _merge_radicand, _reduced, _sign, qf
 
 
 class VerificationError(ValueError):
-    """Raised when a constructed map fails its self-check."""
+    """Raised when a constructed map or an orbit certificate fails its self-check.
+
+    Besides the message, the error carries what failed, each ``None`` when
+    the check has no such value: the ``level`` h, the sample ``point``, the
+    point the map sent it to (``got``) and the point it should have gone
+    to (``expected``).
+    """
+
+    def __init__(
+        self,
+        message: str,
+        *,
+        level: QField | None = None,
+        point: Point | None = None,
+        got: Point | None = None,
+        expected: Point | None = None,
+    ):
+        super().__init__(message)
+        self.level = level
+        self.point = point
+        self.got = got
+        self.expected = expected
 
 
 @dataclass(frozen=True)
@@ -63,8 +91,7 @@ class StripShear:
         return dot(self.normal, p) - self.offset
 
     def apply(self, p: Point) -> Point:
-        excess = self.excess(p)
-        return move(p, self.normal.perp(), excess) if excess.sign() >= 0 else p
+        return _shear_pass((self,), p)
 
 
 @dataclass(frozen=True)
@@ -162,9 +189,43 @@ def build_recurrence_map(
 
 def apply_rounds(rm: RecurrenceMap, p: Point) -> Point:
     """One pass of all four strip shears, in stored order."""
-    for shear in rm.rounds:
-        p = shear.apply(p)
-    return p
+    return _shear_pass(rm.rounds, p)
+
+
+def _shear_pass(shears: tuple[StripShear, ...], p: Point) -> Point:
+    """Apply the shears in order as one integer pass.
+
+    The point and every strip offset go over one denominator M, so each
+    round's excess <n, x> - offset is an integer pair (a, b), standing for
+    (a + b*sqrt(d)) / M, with one exact sign test, and a shear adds a
+    multiple of that pair to the point.  The point is reduced once, at the
+    end, and p itself comes back when no round applies.  A point whose
+    radicand differs from the offsets' is a ``ValueError``.
+    """
+    A1, B1, D1, d = p.x1._v
+    A2, B2, D2, d2 = p.x2._v
+    if d2 != d:
+        d = _merge_radicand(d, d2)
+    offsets = [s.offset._v for s in shears]
+    M = lcm(D1, D2, *(D for _, _, D, _ in offsets))
+    for _, _, _, dk in offsets:
+        if dk != d:
+            d = _merge_radicand(d, dk)
+    s1, s2 = M // D1, M // D2
+    X1, Y1, X2, Y2 = A1 * s1, B1 * s1, A2 * s2, B2 * s2
+    moved = False
+    for shear, (A, B, D, _) in zip(shears, offsets):
+        u, v = shear.normal.u, shear.normal.v
+        s = M // D
+        a = u * X1 + v * X2 - A * s
+        b = u * Y1 + v * Y2 - B * s
+        if _sign(a, b, d) >= 0:
+            # x -> x + excess * (-v, u), the quarter turn of the normal
+            X1, Y1, X2, Y2 = X1 - v * a, Y1 - v * b, X2 + u * a, Y2 + u * b
+            moved = True
+    if not moved:
+        return p
+    return Point(_reduced(X1, Y1, M, d), _reduced(X2, Y2, M, d))
 
 
 def _verify_rounds(rm: RecurrenceMap) -> None:
@@ -182,7 +243,8 @@ def _verify_rounds(rm: RecurrenceMap) -> None:
                 raise VerificationError(
                     f"round composite missed the arc rotation at level {h}: "
                     f"({pt.x1}, {pt.x2}) -> ({got.x1}, {got.x2}), "
-                    f"expected ({expected.x1}, {expected.x2})"
+                    f"expected ({expected.x1}, {expected.x2})",
+                    level=h, point=pt, got=got, expected=expected,
                 )
     top = poly.max_distance()[0]
     for h in (c + eps, (c + eps + top) / 2):
@@ -192,7 +254,8 @@ def _verify_rounds(rm: RecurrenceMap) -> None:
             if got != pt:
                 raise VerificationError(
                     f"round composite moved a point on level {h}: "
-                    f"({pt.x1}, {pt.x2}) -> ({got.x1}, {got.x2})"
+                    f"({pt.x1}, {pt.x2}) -> ({got.x1}, {got.x2})",
+                    level=h, point=pt, got=got, expected=pt,
                 )
 
 

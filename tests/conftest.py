@@ -91,6 +91,14 @@ def random_hulls(rng: random.Random, count: int) -> list[Polygon]:
     return hulls
 
 
+def outcome(f, *args):
+    """The value of f(*args), or the type and message of what it raised."""
+    try:
+        return ("value", f(*args))
+    except ValueError as exc:
+        return ("error", type(exc), str(exc))
+
+
 def stuck_walk(rows, count: int, x: int = 0, y: int = 0) -> list:
     """A broken orbit walk for certificate tests: its first position ``count`` times."""
     return [next(_walk(rows, 1, x, y))] * count

@@ -126,6 +126,7 @@ def test_orbit_failed_certificate_exits_1(capsys, monkeypatch):
         code, stdout, stderr = run(capsys, "orbit", "--h", level)
         assert code == 1 and stdout == ""
         assert stderr.startswith("verification failed:") and len(stderr.splitlines()) == 1
+    assert stderr == "verification failed: irrational level 0/1+1/8*sqrt(2) produced a repeat\n"
 
 
 def test_orbit_dump_csv(tmp_path, capsys):
@@ -307,6 +308,13 @@ def test_render_rejects_broken_json(tmp_path, capsys):
     code, _, stderr = run(capsys, "render", str(path))
     assert code == 2
     assert stderr.startswith("error:")
+
+
+@pytest.mark.parametrize("levels", ["1/4,,1/2", "a,b", "1/4,"])
+def test_render_rejects_malformed_levels(tmp_path, capsys, levels):
+    code, stdout, stderr = run(capsys, "render", write_pi0(tmp_path), "--levels", levels)
+    assert code == 2 and stdout == ""
+    assert stderr.startswith("error: malformed scalar") and len(stderr.splitlines()) == 1
 
 
 @pytest.mark.parametrize("field, value", [("eigen_dir", [1.9, 1.2]), ("position", [0.1, 0])])

@@ -331,8 +331,9 @@ def test_failed_certificates_raise_verification_error(monkeypatch):
         return r._replace(a1=r.a1 + 1)
 
     monkeypatch.setattr(orbits, "_rows", longer_step)
-    with pytest.raises(VerificationError, match="period certificate"):
+    with pytest.raises(VerificationError, match="period certificate") as caught:
         classify_level(PARAMS, qf("1/4"))
+    assert caught.value.level == qf("1/4") and caught.value.point is None
     monkeypatch.setattr(orbits, "_rows", rows)
 
     def unreduced(rows, count, x=0, y=0):
@@ -343,10 +344,12 @@ def test_failed_certificates_raise_verification_error(monkeypatch):
     with pytest.raises(VerificationError, match="period verification"):
         classify_level(PARAMS, qf("1/4"))
     monkeypatch.setattr(orbits, "_walk", stuck_walk)
-    with pytest.raises(VerificationError, match="period verification"):
+    with pytest.raises(VerificationError, match="period verification") as caught:
         classify_level(PARAMS, qf("1/4"))
-    with pytest.raises(VerificationError, match="produced a repeat"):
+    assert caught.value.level == qf("1/4") and caught.value.got is None
+    with pytest.raises(VerificationError, match="produced a repeat") as caught:
         classify_level(PARAMS, SQRT2_OVER_8, n_checked=10)
+    assert caught.value.level == SQRT2_OVER_8
 
 
 # -- equidistribution ----------------------------------------------------------------

@@ -8,14 +8,16 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import edge_samples
+from conftest import edge_samples, outcome
 
 from atfkit.diagram import BaseDiagram, build_pi0
-from atfkit.plane import LatticeVector, Point, pt
+from atfkit.plane import LatticeVector, Point, move, pt
 from atfkit.polygon import ConstructionParams, build_blowup_polygon, centered_rectangle
 from atfkit.recurrence import (
     StripShear,
     VerificationError,
+    _level_samples,
+    _verify_rounds,
     apply_phi,
     apply_phi_iter,
     apply_rounds,
@@ -23,7 +25,7 @@ from atfkit.recurrence import (
     rotate_on_level,
     rotation_amount,
 )
-from atfkit.scalars import qf
+from atfkit.scalars import QField, qf
 from atfkit.verify import random_params
 
 
@@ -231,10 +233,34 @@ def test_verification_rejects_tampered_rounds():
     crooked = replace(
         rm, rounds=(rm.rounds[0], rm.rounds[0], rm.rounds[2], rm.rounds[3])
     )
-    from atfkit.recurrence import _verify_rounds
 
     with pytest.raises(VerificationError):
         _verify_rounds(crooked)
+
+
+def test_verification_error_names_level_point_and_both_images():
+    rm = default_map()
+    shifted = replace(rm.rounds[1], offset=rm.rounds[1].offset + Fraction(1, 1000))
+    crooked = replace(rm, rounds=(rm.rounds[0], shifted) + rm.rounds[2:])
+    with pytest.raises(VerificationError) as caught:
+        _verify_rounds(crooked)
+    err = caught.value
+    h, p, got, expected = err.level, err.point, err.got, err.expected
+    assert h == 0 and p in _level_samples(rm.polygon)
+    assert got == apply_rounds(crooked, p) != expected
+    assert expected == rotate_on_level(rm.polygon, h, rm.params.c - h, p) == apply_rounds(rm, p)
+    assert str(err) == (
+        f"round composite missed the arc rotation at level {h}: "
+        f"({p.x1}, {p.x2}) -> ({got.x1}, {got.x2}), "
+        f"expected ({expected.x1}, {expected.x2})"
+    )
+    assert str(err) == (
+        "round composite missed the arc rotation at level 0/1: (-2/1, 1/1) -> "
+        "(-2001/1000, 501/1000), expected (-2/1, 1/2)"
+    )
+    plain = VerificationError("message")
+    assert str(plain) == "message"
+    assert (plain.level, plain.point, plain.got, plain.expected) == (None,) * 4
 
 
 # -- the smoothed step --------------------------------------------------------------------
@@ -285,3 +311,102 @@ def test_apply_phi_iter_rejects_non_integer():
     rm = default_map()
     with pytest.raises(ValueError):
         apply_phi_iter(rm, pt(0, "-3/4"), qf("1/2"))
+
+
+# -- the integer shear pass against the QField rounds it replaced ---------------------
+
+
+def oracle_shear(shear: StripShear, p: Point) -> Point:
+    """The former ``StripShear.apply``, verbatim: a QField excess, then a move."""
+    excess = shear.excess(p)
+    return move(p, shear.normal.perp(), excess) if excess.sign() >= 0 else p
+
+
+def oracle_rounds(rounds, p: Point) -> Point:
+    """The former ``apply_rounds``: one ``StripShear.apply`` per round."""
+    for shear in rounds:
+        p = oracle_shear(shear, p)
+    return p
+
+
+def strip_points(rm) -> list[Point]:
+    """For each strip, points exactly on its line (excess 0), a point of the
+    polygon strictly inside the strip and one just outside it."""
+    points = []
+    for shear in rm.rounds:
+        n, w = shear.normal, shear.normal.perp()
+        on_line = move(pt(0, 0), n, shear.offset)  # the four normals are unit vectors
+        for t in (0, Fraction(1, 3), -shear.offset / 2):
+            base = move(on_line, w, t)
+            points += [base, move(base, n, Fraction(1, 16)), move(base, n, Fraction(-1, 16))]
+    return points
+
+
+def shear_cases():
+    """20 random maps, each with its level samples below c - eps (rational
+    levels and levels with sqrt(2) and sqrt(3) parts), above c + eps, and
+    its strip points."""
+    rng = random.Random(44)
+    cases = []
+    for _ in range(20):
+        params = random_params(rng)
+        rm = build_recurrence_map(build_pi0(params), verify=False)
+        poly, c, eps = rm.polygon, params.c, params.eps
+        top = poly.max_distance()[0]
+        levels = [(c - eps) * Fraction(k, 3) for k in range(3)]
+        levels += [(c + eps + top) / 2, (c - eps) / 2 + QField(0, Fraction(1, 500), 2),
+                   (c - eps) / 3 + QField(0, Fraction(1, 700), 3)]
+        points = [p for h in levels for p in _level_samples(poly.level_set(h))]
+        cases.append((rm, points + strip_points(rm)))
+    return cases
+
+
+SHEAR_CASES = shear_cases()
+
+
+def test_shear_cases_reach_every_side_of_every_strip():
+    on_line = inside = outside = irrational = 0
+    for rm, points in SHEAR_CASES:
+        for p in points:
+            signs = {shear.excess(p).sign() for shear in rm.rounds}
+            on_line += 0 in signs
+            inside += 1 in signs
+            outside += signs == {-1}
+            irrational += not p.x1.is_rational()
+    assert min(on_line, inside, outside, irrational) > 100
+
+
+def test_shear_pass_matches_the_qfield_rounds():
+    for rm, points in SHEAR_CASES:
+        for p in points:
+            want = oracle_rounds(rm.rounds, p)
+            got = apply_rounds(rm, p)
+            assert got == want, (rm.params, p)
+            # the point itself comes back exactly when no round applies
+            assert (got is p) == (want is p), (rm.params, p)
+            for shear in rm.rounds:
+                want, got = oracle_shear(shear, p), shear.apply(p)
+                assert got == want and (got is p) == (want is p), (shear, p)
+
+
+def test_a_point_of_another_radicand_is_refused_by_the_shear_pass():
+    rm = default_map()
+    root2, root3 = QField(0, Fraction(1, 100), 2), QField(0, Fraction(1, 100), 3)
+    irrational = replace(rm, rounds=tuple(replace(s, offset=s.offset + root2) for s in rm.rounds))
+    cases = [
+        # sqrt(3) points against strip offsets in sqrt(2)
+        (irrational, Point(qf("-7/4") + root3, qf("-1/2"))),
+        (irrational, Point(qf("1/3"), qf("-7/8") - root3)),
+        (irrational, Point(qf("1/3") + root3, qf("1/5") + root3)),
+        # points mixing sqrt(2) and sqrt(3), inside a strip of a rational map
+        (rm, Point(qf("-7/4") + root2, qf("-1/2") + root3)),
+        (rm, Point(qf("1/3") + root2, qf("-7/8") + root3)),
+    ]
+    for m, p in cases:
+        assert outcome(oracle_rounds, m.rounds, p)[0] == "error"
+        with pytest.raises(ValueError, match="mixed radicands"):
+            apply_rounds(m, p)
+        for shear in m.rounds:
+            if outcome(oracle_shear, shear, p)[0] == "error":
+                with pytest.raises(ValueError, match="mixed radicands"):
+                    shear.apply(p)
