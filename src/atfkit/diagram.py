@@ -41,6 +41,7 @@ from .plane import (
 from .polygon import (
     ConstructionParams,
     Polygon,
+    _loop_area_twice,
     build_blowup_polygon,
     json_from_text,
     point_from_json,
@@ -269,15 +270,6 @@ def _validate_diagram(diagram: BaseDiagram) -> None:
 
 
 # -- region bookkeeping for cut transfer -----------------------------------
-
-
-def _loop_area_twice(loop: tuple[Point, ...]) -> QField:
-    total = qf(0)
-    n = len(loop)
-    for i in range(n):
-        a, b = loop[i], loop[(i + 1) % n]
-        total = total + (a.x1 * b.x2 - a.x2 * b.x1)
-    return total
 
 
 def _loop_contains(loop: tuple[Point, ...], p: Point) -> bool:

@@ -34,7 +34,7 @@ No ``QField`` is built per position.  On top of the walk:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, lcm
+from math import gcd
 from typing import Iterator, NamedTuple
 
 from . import scalars
@@ -126,13 +126,8 @@ def _rows(params: ConstructionParams, h: ScalarLike, s0: ScalarLike = 0) -> _Row
     per = perimeter_value(params, h)
     s = qf(s0)
     s = s - scalars.floor(s / per) * per
-    d = scalars._merge_radicand(scalars._merge_radicand(step.d, per.d), s.d)
-    D = lcm(step.q, step.s, per.q, per.s, s.q, s.s)
-
-    def row(x: QField) -> tuple[int, int]:
-        return x.p * (D // x.q), x.r * (D // x.s)
-
-    return _Rows(d, D, *row(step), *row(per), *row(s))
+    D, d, (step_row, per_row, start) = scalars._over(step, per, s)
+    return _Rows(d, D, *step_row, *per_row, *start)
 
 
 def _walk(rows: _Rows, count: int, x: int = 0, y: int = 0) -> Iterator[tuple[int, int]]:

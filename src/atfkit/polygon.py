@@ -21,12 +21,13 @@ by h, keeping the newest ``LEVEL_MEMO_SIZE`` of them.  The module also
 builds the family of corner-chopped rectangles that drives the recurrence
 construction, plus a small catalog of named polygons.
 
-Every edge value <n_i, p> + k_i is read from integer edge rows, built on
-first use: the offsets over one common denominator L, so each row is
-(n_u, n_v, A_k, B_k) for k = (A_k + B_k*sqrt(d))/L.  A query puts p over
-the least common denominator P of its coordinates, which makes each edge
-value an integer pair over P*L.  F(p) is the smallest pair by exact sign
-tests, and only the value returned is built as a ``QField``.
+Every edge value <n_i, p> + k_i is read from integer edge rows built with
+the polygon, the offsets over one common denominator L by ``scalars._over``:
+row (n_u, n_v, A_k, B_k) for k = (A_k + B_k*sqrt(d))/L.  Offsets in two
+radicands are refused there.  A query puts p over the least common
+denominator P of its coordinates, which makes each edge value an integer
+pair over P*L.  F(p) is the smallest pair by exact sign tests, and only
+the value returned is built as a ``QField``.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from __future__ import annotations
 import heapq
 import json
 from dataclasses import dataclass
-from math import lcm
 from typing import Iterable, Sequence
 
 from . import scalars
@@ -50,7 +50,7 @@ from .plane import (
     lex_less,
     move,
 )
-from .scalars import QField, ScalarLike, _merge_radicand, _reduced, _sign, qf
+from .scalars import QField, ScalarLike, _over, _reduced, _sign, qf
 
 # level sets memoised per polygon; the oldest is evicted beyond this
 LEVEL_MEMO_SIZE = 64
@@ -101,6 +101,7 @@ class Polygon:
             )
         object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "edges", tuple(edges))
+        object.__setattr__(self, "_rows", _line_rows(edges))
         object.__setattr__(self, "_hash", None)
         object.__setattr__(self, "_schedule", None)
         object.__setattr__(self, "_levels", {})
@@ -110,7 +111,6 @@ class Polygon:
                 base = i
         object.__setattr__(self, "_base", base)
         object.__setattr__(self, "_prefix", None)
-        object.__setattr__(self, "_rows", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Polygon is immutable")
@@ -164,38 +164,16 @@ class Polygon:
         being (a + b*sqrt(d)) / den, with the pairs' common denominator den
         and radicand d.
 
-        p goes over P = lcm of its coordinates' denominators and the rows
-        over L, so each value is a few integer products over den = P*L.
+        ``_over`` puts p over P, the least common denominator of its
+        coordinates, and the rows are over L, so each value is a few
+        integer products over den = P*L.
         A point whose radicand differs from the polygon's is a ``ValueError``.
         """
-        rows, L, d = self._edge_rows()
-        A1, B1, D1, d1 = p.x1._v
-        A2, B2, D2, d2 = p.x2._v
-        if d1 != d:
-            d = _merge_radicand(d, d1)
-        if d2 != d:
-            d = _merge_radicand(d, d2)
-        P = lcm(D1, D2)
-        s1, s2 = P // D1 * L, P // D2 * L
-        X1, Y1, X2, Y2 = A1 * s1, B1 * s1, A2 * s2, B2 * s2
+        rows, L, d = self._rows
+        P, d, ((X1, Y1), (X2, Y2)) = _over(p.x1, p.x2, d=d)
+        X1, Y1, X2, Y2 = X1 * L, Y1 * L, X2 * L, Y2 * L
         pairs = [(u * X1 + v * X2 + A * P, u * Y1 + v * Y2 + B * P) for u, v, A, B in rows]
         return pairs, P * L, d
-
-    def _edge_rows(self) -> tuple[tuple[tuple[int, int, int, int], ...], int, int | None]:
-        """The integer edge rows (n_u, n_v, A_k, B_k), with every offset
-        k = (A_k + B_k*sqrt(d)) / L over one common denominator L, then L
-        and the polygon's radicand d; built on first use."""
-        if self._rows is None:
-            offsets = [e.offset._v for e in self.edges]
-            L, d = lcm(*(D for _, _, D, _ in offsets)), None
-            for _, _, _, dk in offsets:
-                d = _merge_radicand(d, dk)
-            rows = tuple(
-                (e.normal.u, e.normal.v, A * (L // D), B * (L // D))
-                for e, (A, B, D, _) in zip(self.edges, offsets)
-            )
-            object.__setattr__(self, "_rows", (rows, L, d))
-        return self._rows
 
     def contains(self, p: Point, strict: bool = False) -> bool:
         return self._locate(p)[0].sign() >= (1 if strict else 0)
@@ -268,12 +246,7 @@ class Polygon:
     # -- global measurements ----------------------------------------------
 
     def area(self) -> QField:
-        total = qf(0)
-        n = len(self.vertices)
-        for i in range(n):
-            a, b = self.vertices[i], self.vertices[(i + 1) % n]
-            total = total + (a.x1 * b.x2 - a.x2 * b.x1)
-        return total / 2
+        return _loop_area_twice(self.vertices) / 2
 
     def perimeter(self) -> QField:
         return self._arcs()[-1]
@@ -499,6 +472,24 @@ def json_from_text(text: str) -> object:
         return json.loads(text)
     except RecursionError:
         raise ValueError("JSON nested too deeply") from None
+
+
+def _line_rows(lines: Sequence) -> tuple[tuple[tuple[int, int, int, int], ...], int, int | None]:
+    """The integer rows (n_u, n_v, A_k, B_k) of lines with a ``normal`` and an
+    ``offset`` (polygon edges, strip shears), every offset
+    k = (A_k + B_k*sqrt(d)) / L over one common denominator L; then L and d."""
+    L, d, offsets = _over(*(line.offset for line in lines))
+    return tuple((e.normal.u, e.normal.v, A, B) for e, (A, B) in zip(lines, offsets)), L, d
+
+
+def _loop_area_twice(loop: Sequence[Point]) -> QField:
+    """Twice the signed area of a vertex loop, by the shoelace formula."""
+    total = qf(0)
+    n = len(loop)
+    for i in range(n):
+        a, b = loop[i], loop[(i + 1) % n]
+        total = total + (a.x1 * b.x2 - a.x2 * b.x1)
+    return total
 
 
 def _lower_half(w: LatticeVector) -> bool:

@@ -10,10 +10,11 @@ fixed.  ``build_recurrence_map`` certifies this rotation property on a
 sample grid before handing the map out, and a failed check raises a
 ``VerificationError`` that names the level, the point and both images.
 
-``apply_rounds`` and ``StripShear.apply`` are one integer pass: the point
-and the strip offsets go over one common denominator M, each round's
-excess is an integer pair with one exact sign test, and the point is
-reduced to ``QField`` coordinates once, after the last round.
+``apply_rounds`` and ``StripShear.apply`` are one integer pass over strip
+rows in the polygon's edge-row format, built once per ``RecurrenceMap``
+(``StripShear.apply`` builds its one row per call).  Each round's excess
+is an integer pair with one exact sign test, and the point is reduced to
+``QField`` coordinates once, after the last round.
 
 ``apply_phi`` is the smoothed version used for orbit analysis: full
 advance c - h up to level c - eps, a linear taper across the band
@@ -22,13 +23,12 @@ advance c - h up to level c - eps, a linear taper across the band
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from math import lcm
+from dataclasses import dataclass, field, replace
 
 from .diagram import BaseDiagram
 from .plane import LatticeVector, Point, UnimodularAffineMap, dot, move
-from .polygon import ConstructionParams, Polygon, build_blowup_polygon
-from .scalars import QField, ScalarLike, _merge_radicand, _reduced, _sign, qf
+from .polygon import ConstructionParams, Polygon, _line_rows, build_blowup_polygon
+from .scalars import QField, ScalarLike, _over, _reduced, _sign, qf
 
 
 class VerificationError(ValueError):
@@ -91,18 +91,23 @@ class StripShear:
         return dot(self.normal, p) - self.offset
 
     def apply(self, p: Point) -> Point:
-        return _shear_pass((self,), p)
+        return _shear_pass(_line_rows((self,)), p)
 
 
 @dataclass(frozen=True)
 class RecurrenceMap:
-    """Four strip-shear rounds on a chopped-rectangle polygon."""
+    """Four strip-shear rounds on a chopped-rectangle polygon; the rows of the
+    rounds are built with the map and take no part in ==, repr or hash."""
 
     params: ConstructionParams
     polygon: Polygon
     rounds: tuple[StripShear, StripShear, StripShear, StripShear]
     source_diagram: BaseDiagram
     target_diagram: BaseDiagram
+    _strips: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_strips", _line_rows(self.rounds))
 
 
 def rotate_on_level(poly: Polygon, h: ScalarLike, t: ScalarLike, p: Point) -> Point:
@@ -189,42 +194,33 @@ def build_recurrence_map(
 
 def apply_rounds(rm: RecurrenceMap, p: Point) -> Point:
     """One pass of all four strip shears, in stored order."""
-    return _shear_pass(rm.rounds, p)
+    return _shear_pass(rm._strips, p)
 
 
-def _shear_pass(shears: tuple[StripShear, ...], p: Point) -> Point:
-    """Apply the shears in order as one integer pass.
+def _shear_pass(strips: tuple, p: Point) -> Point:
+    """Apply the strip shears in order as one integer pass.
 
-    The point and every strip offset go over one denominator M, so each
-    round's excess <n, x> - offset is an integer pair (a, b), standing for
-    (a + b*sqrt(d)) / M, with one exact sign test, and a shear adds a
-    multiple of that pair to the point.  The point is reduced once, at the
+    ``strips`` is ``polygon._line_rows`` of the shears, offsets over L.  With
+    p over its own denominator P, each round's excess <n, x> - offset is an
+    integer pair (a, b) over P*L with one exact sign test, and a shear adds
+    a multiple of that pair to the point.  The point is reduced once, at the
     end, and p itself comes back when no round applies.  A point whose
     radicand differs from the offsets' is a ``ValueError``.
     """
-    A1, B1, D1, d = p.x1._v
-    A2, B2, D2, d2 = p.x2._v
-    if d2 != d:
-        d = _merge_radicand(d, d2)
-    offsets = [s.offset._v for s in shears]
-    M = lcm(D1, D2, *(D for _, _, D, _ in offsets))
-    for _, _, _, dk in offsets:
-        if dk != d:
-            d = _merge_radicand(d, dk)
-    s1, s2 = M // D1, M // D2
-    X1, Y1, X2, Y2 = A1 * s1, B1 * s1, A2 * s2, B2 * s2
+    rows, L, d = strips
+    P, d, ((X1, Y1), (X2, Y2)) = _over(p.x1, p.x2, d=d)
+    X1, Y1, X2, Y2 = X1 * L, Y1 * L, X2 * L, Y2 * L
     moved = False
-    for shear, (A, B, D, _) in zip(shears, offsets):
-        u, v = shear.normal.u, shear.normal.v
-        s = M // D
-        a = u * X1 + v * X2 - A * s
-        b = u * Y1 + v * Y2 - B * s
+    for u, v, A, B in rows:
+        a = u * X1 + v * X2 - A * P
+        b = u * Y1 + v * Y2 - B * P
         if _sign(a, b, d) >= 0:
             # x -> x + excess * (-v, u), the quarter turn of the normal
             X1, Y1, X2, Y2 = X1 - v * a, Y1 - v * b, X2 + u * a, Y2 + u * b
             moved = True
     if not moved:
         return p
+    M = P * L
     return Point(_reduced(X1, Y1, M, d), _reduced(X2, Y2, M, d))
 
 

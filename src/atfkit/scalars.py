@@ -14,6 +14,10 @@ Radicands are capped below ``RADICAND_BOUND = 2**32`` so that the
 square-freeness test (trial division up to ``sqrt(d)``) stays within a few
 milliseconds on any input; a larger radicand is a ``ValueError``.
 
+``_over`` is the one place where values go over a common denominator;
+the integer passes over polygon edges, strip shears and orbit rows start
+from its pairs.
+
 The canonical text form is ``p/q`` for rationals and ``p/q+r/s*sqrt(d)``
 (or ``p/q-r/s*sqrt(d)``) otherwise, with both fractions in lowest terms
 and positive denominators.  ``parse_scalar`` and ``format_scalar`` round
@@ -457,6 +461,25 @@ def _reduced(A: int, B: int, D: int, d: int | None) -> QField:
     v = _new(QField)
     _set(v, (A, B, D, d if B else None))
     return v
+
+
+def _over(*values: QField, d: int | None = None) -> tuple[int, int | None, list[tuple[int, int]]]:
+    """``(D, d, pairs)``: value k is ``(A + B*sqrt(d)) / D`` for ``(A, B) = pairs[k]``,
+    over the least common denominator D.  The radicand ``d`` is merged first,
+    then each value's in order; two radicands are a ``ValueError``."""
+    D = 1
+    for x in values:
+        Dk = x._v[2]
+        if D % Dk:
+            D = D // gcd(D, Dk) * Dk
+    pairs = []
+    for x in values:
+        A, B, Dk, dk = x._v
+        if dk != d and dk is not None:
+            d = _merge_radicand(d, dk)
+        s = D // Dk
+        pairs.append((A * s, B * s))
+    return D, d, pairs
 
 
 def _coerce(value: object) -> QField | None:

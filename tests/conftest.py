@@ -124,6 +124,10 @@ HOSTILE_POLYGONS = {
     "short vertex": json.dumps({"vertices": [["0", "0"], ["4", "0"], ["1"]]}),
     "vertices not a list": json.dumps({"vertices": 5}),
     "deeply nested vertices": '{"vertices": ' + DEEP_LIST + "}",
+    # edge offsets 0, sqrt(2), sqrt(3), 0: no one radicand serves every edge
+    "mixed radicands": json.dumps({"vertices": [
+        ["0", "0"], ["1*sqrt(2)", "0"], ["1*sqrt(2)", "1*sqrt(3)"], ["0", "1*sqrt(3)"]
+    ]}),
 }
 
 

@@ -580,6 +580,17 @@ def test_json_rejects_hostile_input(name):
         Polygon.from_json(HOSTILE_POLYGONS[name])
 
 
+def test_offsets_in_two_radicands_are_refused_at_construction():
+    r2, r3 = QField.sqrt(2), QField.sqrt(3)
+    vertices = [(0, 0), (r2, qf(0)), (r2, r3), (qf(0), r3)]
+    with pytest.raises(ValueError, match="mixed radicands sqrt\\(2\\) and sqrt\\(3\\)"):
+        Polygon(vertices)
+    with pytest.raises(ValueError, match="mixed radicands"):
+        Polygon.from_json(HOSTILE_POLYGONS["mixed radicands"])
+    # one radicand throughout still builds
+    assert Polygon([(0, 0), (r2, qf(0)), (r2, r2), (qf(0), r2)]).area() == 2
+
+
 def test_copy_and_pickle_round_trip():
     poly = build_blowup_polygon(ConstructionParams(4, 2, qf("1/2"), qf("1/8")))
     size = len(pickle.dumps(poly))

@@ -389,6 +389,25 @@ def test_shear_pass_matches_the_qfield_rounds():
                 assert got == want and (got is p) == (want is p), (shear, p)
 
 
+def test_rows_follow_the_rounds_of_a_replaced_map():
+    # the integer rows are built with each map, so a map whose offsets moved
+    # shears by its own rounds, not by the rows of the map it was made from
+    for rm, _ in SHEAR_CASES[:5]:
+        moved = tuple(replace(s, offset=s.offset + Fraction(1, 1000)) for s in rm.rounds)
+        other = replace(rm, rounds=moved)
+        assert other != rm and repr(other) != repr(rm)
+        poly, c, eps = rm.polygon, rm.params.c, rm.params.eps
+        points = [p for k in range(3) for p in _level_samples(poly.level_set((c - eps) * k / 3))]
+        changed = 0
+        for p in points + strip_points(other):
+            want = oracle_rounds(moved, p)
+            assert apply_rounds(other, p) == want, (rm.params, p)
+            changed += want != oracle_rounds(rm.rounds, p)
+        assert changed > 10
+        again = replace(other, rounds=rm.rounds)
+        assert again == rm and hash(again) == hash(rm) and repr(again) == repr(rm)
+
+
 def test_a_point_of_another_radicand_is_refused_by_the_shear_pass():
     rm = default_map()
     root2, root3 = QField(0, Fraction(1, 100), 2), QField(0, Fraction(1, 100), 3)

@@ -17,6 +17,8 @@ from atfkit.scalars import (
     ONE,
     ZERO,
     QField,
+    _over,
+    _reduced,
     floor,
     format_scalar,
     parse_scalar,
@@ -475,3 +477,45 @@ def test_kernel_agrees_with_fraction_pair_model():
         if x.is_rational():
             assert hash(x) == hash(mx[0])
 
+
+# -- the common-denominator helper ---------------------------------------------
+
+
+def over_batches():
+    """Seeded batches of rationals and of values in one radicand (sqrt(2) or
+    sqrt(5)), with negative values, zeros and the denominators 10007 and 10009."""
+    rng = random.Random(91)
+    dens = [1, 2, 3, 12, 10007, 10009]
+    batches = [[qf(0)], [qf("-3/10007"), qf("5/10009"), qf(0)]]
+    for k in range(60):
+        d = (None, 2, 5)[k % 3]
+        batch = []
+        for _ in range(rng.randint(1, 6)):
+            a = Fraction(rng.randint(-50, 50), rng.choice(dens))
+            b = Fraction(rng.randint(-50, 50), rng.choice(dens)) if d else 0
+            batch.append(QField(a, b, d if b else None))
+        batches.append(batch)
+    return batches
+
+
+def test_over_puts_values_over_their_least_common_denominator():
+    batches = over_batches()
+    assert any(x.d == 2 for b in batches for x in b) and any(x.d == 5 for b in batches for x in b)
+    assert any({10007, 10009} <= {x.q for x in b} | {x.s for x in b} for b in batches)
+    for batch in batches:
+        D, d, pairs = _over(*batch)
+        assert D == math.lcm(*(x.q for x in batch), *(x.s for x in batch))
+        assert d == next((x.d for x in batch if x.d), None)
+        assert len(pairs) == len(batch)
+        for x, (A, B) in zip(batch, pairs):
+            assert _reduced(A, B, D, d) == x
+
+
+def test_over_merges_a_given_radicand_and_refuses_two():
+    x, y = qf("-7/3"), QField(Fraction(1, 4), Fraction(-2, 5), 2)
+    assert _over(x, d=2) == (3, 2, [(-7, 0)])
+    assert _over(x, y, d=2) == (60, 2, [(-140, 0), (15, -24)])
+    assert _over(d=7) == (1, 7, []) and _over() == (1, None, [])
+    for values, d in (((y, QField.sqrt(3)), None), ((y,), 3), ((x, QField.sqrt(5)), 2)):
+        with pytest.raises(ValueError, match="mixed radicands"):
+            _over(*values, d=d)
