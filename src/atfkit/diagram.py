@@ -9,7 +9,9 @@ eigenline.  Three moves transform diagrams:
 * ``nodal_trade``   - smooth a Delzant corner into a node with a short cut;
 * ``nodal_slide``   - move a node along its eigenline, keeping the cut;
 * ``cut_transfer``  - swing a cut to the other side of its node, which
-  re-coordinatizes the swept region by the node's monodromy.
+  re-coordinatizes the swept region by the node's monodromy.  The region
+  is a counterclockwise loop out along one cut, along the boundary and
+  back along the other; cuts that enclose no area are refused.
 
 Every move validates its result, returns a new diagram, and appends a
 provenance record, so a diagram carries its own construction history.
@@ -23,7 +25,7 @@ node]`` and ``["recurrence_loop"]``.  Points and bands are scalar pairs
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 from .plane import (
     LatticeVector,
@@ -161,11 +163,13 @@ class BaseDiagram:
 class PiecewiseMap:
     """A chart transition: affine on one region, identity outside.
 
-    ``apply`` re-coordinatizes a point drawn in the source chart: points
-    strictly inside the region get the region map, everything else
-    (including region-boundary points) stays put.  Along the removed
-    branch cut the two prescriptions agree because the monodromy fixes
-    the cut line pointwise; that is what makes the transition continuous.
+    ``region`` is a simple loop; ``cut_transfer`` returns it
+    counterclockwise.  ``apply`` re-coordinatizes a point drawn in the
+    source chart: points strictly inside the region get the region map,
+    everything else (including region-boundary points) stays put.  Along
+    the removed branch cut the two prescriptions agree because the
+    monodromy fixes the cut line pointwise; that is what makes the
+    transition continuous.
 
     Transitions over the *same* region compose formally: the composite
     keeps the region and multiplies the affine maps.  A transfer followed
@@ -312,11 +316,12 @@ def _clean_loop_points(points: list[Point]) -> tuple[Point, ...]:
 
 
 def _boundary_walk_ccw(poly: Polygon, start: Point, stop: Point) -> list[Point]:
-    """Polygon vertices strictly between two boundary points, going ccw."""
+    """Polygon vertices strictly between two boundary points, going ccw;
+    none from a point to itself."""
     s1 = poly.point_to_arc(start)
     s2 = poly.point_to_arc(stop)
     per = poly.perimeter()
-    if s2 <= s1:
+    if s2 < s1:
         s2 = s2 + per
     hits: list[tuple[QField, Point]] = []
     for i, v in enumerate(poly.vertices):
@@ -367,12 +372,11 @@ def nodal_trade(
         raise ValueError("trade parameter pushes the node out of the polygon")
     node = Node(position, direction)
     cut = BranchCut(len(diagram.nodes), (position, vertex))
-    return BaseDiagram(
-        polygon=poly,
+    return replace(
+        diagram,
         nodes=diagram.nodes + (node,),
         cuts=diagram.cuts + (cut,),
         provenance=diagram.provenance + (("trade", vertex_index, param),),
-        params=diagram.params,
     )
 
 
@@ -415,17 +419,12 @@ def nodal_slide(
     band = _distance_band(poly, old_position, new_position)
     new_node = Node(new_position, node.eigen_dir, node.multiplicity)
     new_cut = BranchCut(node_index, (new_position,) + cut.path[1:])
-    nodes = list(diagram.nodes)
-    cuts = list(diagram.cuts)
-    nodes[node_index] = new_node
-    cuts[node_index] = new_cut
-    return BaseDiagram(
-        polygon=poly,
-        nodes=tuple(nodes),
-        cuts=tuple(cuts),
+    return replace(
+        diagram,
+        nodes=diagram.nodes[:node_index] + (new_node,) + diagram.nodes[node_index + 1 :],
+        cuts=diagram.cuts[:node_index] + (new_cut,) + diagram.cuts[node_index + 1 :],
         provenance=diagram.provenance
         + (("slide", node_index, old_position, new_position, band),),
-        params=diagram.params,
     )
 
 
@@ -475,6 +474,15 @@ def cut_transfer(
     transferred coordinates continuous across the removed cut).  The new
     cut may be any valid polyline leaving the node along the eigenline.
 
+    The swept region is one of two counterclockwise loops, each out along
+    one cut, counterclockwise along the boundary and back along the other;
+    when both cuts end at one boundary point it is the sliver between them.
+    The monodromy exponent's sign is +1 when the old cut leads the loop
+    and -1 when the new cut does.  Of the simple loops with positive area
+    that hold no other node the smaller is swept, ties broken by point set.
+    A new cut that retraces the old one, or otherwise encloses no area
+    with it, is refused.
+
     Returns the new diagram and the piecewise map carrying old coordinates
     to new ones: the node's monodromy shear on the swept region, identity
     elsewhere.  Transferring back returns every point unchanged.
@@ -492,64 +500,27 @@ def cut_transfer(
     if cross(old_dir, node.eigen_dir) != 0:
         raise ValueError("transfer requires the current cut to lie on the eigenline")
     # install the new cut first so the shared validator vets it fully
-    cuts = list(diagram.cuts)
-    cuts[node_index] = new_cut
-    moved = BaseDiagram(
-        polygon=poly,
-        nodes=diagram.nodes,
-        cuts=tuple(cuts),
+    moved = replace(
+        diagram,
+        cuts=diagram.cuts[:node_index] + (new_cut,) + diagram.cuts[node_index + 1 :],
         provenance=diagram.provenance + (("cut_transfer", node_index),),
-        params=diagram.params,
     )
-    p_old = old_cut.path[-1]
-    p_new = new_cut.path[-1]
-    if p_old == p_new:
-        # both cuts reach the same boundary point: the sweep region is the
-        # sliver enclosed by the two cuts alone, oriented by its signed area
-        loop = _clean_loop_points(
-            list(old_cut.path) + list(reversed(new_cut.path))[:-1]
-        )
-        if len(loop) < 3 or not _loop_simple(loop):
-            raise ValueError("cuts enclose a degenerate sweep region")
-        sweep_sign = 1 if _loop_area_twice(loop).sign() > 0 else -1
-        candidates = [(sweep_sign, loop)]
-    else:
-        # region swept counterclockwise: out along the old cut, ccw along
-        # the boundary, back along the new cut; then the complement
-        walk_a = _boundary_walk_ccw(poly, p_old, p_new)
-        loop_a = _clean_loop_points(
-            list(old_cut.path) + walk_a + list(reversed(new_cut.path))[:-1]
-        )
-        walk_b = _boundary_walk_ccw(poly, p_new, p_old)
-        loop_b = _clean_loop_points(
-            list(new_cut.path) + walk_b + list(reversed(old_cut.path))[:-1]
-        )
-        candidates = [
-            (sign_, loop)
-            for sign_, loop in ((1, loop_a), (-1, loop_b))
-            if len(loop) >= 3 and _loop_simple(loop)
-        ]
-    candidates = [
-        (sign_, loop)
-        for sign_, loop in candidates
-        if not any(
-            _loop_contains(loop, diagram.nodes[i].position)
-            for i in range(len(diagram.nodes))
-            if i != node_index
-        )
-    ]
+    # the sliver between two cuts to one end point walks no boundary
+    candidates = []
+    for sign_, lead, trail in ((1, old_cut.path, new_cut.path), (-1, new_cut.path, old_cut.path)):
+        walk = _boundary_walk_ccw(poly, lead[-1], trail[-1])
+        loop = _clean_loop_points(list(lead) + walk + list(reversed(trail))[:-1])
+        twice_area = _loop_area_twice(loop)
+        if twice_area.sign() > 0 and _loop_simple(loop):
+            candidates.append((twice_area, _canonical_region_key(loop), sign_, loop))
+    if not candidates:
+        raise ValueError("cuts enclose a degenerate sweep region")
+    others = [n.position for i, n in enumerate(diagram.nodes) if i != node_index]
+    candidates = [c for c in candidates if not any(_loop_contains(c[-1], p) for p in others)]
     if not candidates:
         raise ValueError("every sweep region contains other nodes; transfer blocked")
-    if len(candidates) == 2:
-        area_a = abs(_loop_area_twice(candidates[0][1]))
-        area_b = abs(_loop_area_twice(candidates[1][1]))
-        if area_b < area_a:
-            candidates = candidates[1:]
-        elif area_a == area_b and _canonical_region_key(
-            candidates[1][1]
-        ) < _canonical_region_key(candidates[0][1]):
-            candidates = candidates[1:]
-    sweep_sign, loop = candidates[0]
+    # the key breaks ties of area, so a transfer and its reverse pick the same half
+    _, _, sweep_sign, loop = min(candidates)
     monodromy = unipotent_fixing(
         node.eigen_dir, sweep_sign * node.multiplicity, base=node.position
     )

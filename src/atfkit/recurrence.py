@@ -262,11 +262,7 @@ def _level_samples(level: Polygon) -> list[Point]:
 
 def apply_phi(rm: RecurrenceMap, p: Point) -> Point:
     """The smoothed recurrence step at p's own level."""
-    h = rm.polygon.distance_to_boundary(p)
-    r = rotation_amount(rm.params, h)
-    if r.sign() == 0:
-        return p
-    return _advance(rm.polygon, h, r, p)
+    return apply_phi_iter(rm, p, 1)
 
 
 def apply_phi_iter(rm: RecurrenceMap, p: Point, n: int) -> Point:

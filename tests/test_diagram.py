@@ -13,13 +13,31 @@ from atfkit.diagram import (
     BranchCut,
     Node,
     PiecewiseMap,
+    _canonical_region_key,
+    _clean_loop_points,
+    _loop_contains,
+    _loop_simple,
     build_pi0,
     cut_transfer,
     nodal_slide,
     nodal_trade,
 )
-from atfkit.plane import LatticeVector, Point, UnimodularAffineMap, pt
-from atfkit.polygon import ConstructionParams, Polygon, build_blowup_polygon
+from atfkit.plane import (
+    LatticeVector,
+    Point,
+    UnimodularAffineMap,
+    affine_length,
+    move,
+    pt,
+    unipotent_fixing,
+)
+from atfkit.polygon import (
+    ConstructionParams,
+    Polygon,
+    _loop_area_twice,
+    build_blowup_polygon,
+    catalog,
+)
 from atfkit.scalars import qf
 from atfkit.verify import random_interior_point
 
@@ -297,6 +315,21 @@ def test_transfer_same_boundary_point_sliver():
     # a point clearly inside the sliver moves, one clearly outside stays
     assert push.apply(pt("3/2", 2)) != pt("3/2", 2)
     assert push.apply(pt(3, 1)) == pt(3, 1)
+    assert _loop_area_twice(push.region) > 0
+
+
+@pytest.mark.parametrize(
+    "path",
+    [
+        ((2, 2), (1, 1), (0, 0)),  # the old cut with a midpoint added
+        ((2, 2), (1, 1), (1, 0)),  # leaves along the old cut, then turns off it
+    ],
+    ids=["retraced", "toward_old_cut"],
+)
+def test_transfer_refuses_a_cut_that_encloses_no_area(path):
+    diagram = nodal_trade(BaseDiagram(polygon=SQUARE), 0, qf(2))
+    with pytest.raises(ValueError, match="cuts enclose a degenerate sweep region"):
+        cut_transfer(diagram, 0, BranchCut(0, tuple(pt(*xy) for xy in path)))
 
 
 def test_transfer_blocked_by_foreign_node():
@@ -313,6 +346,176 @@ def test_transfer_blocked_by_foreign_node():
     # cross its cut; both candidate regions die
     with pytest.raises(ValueError):
         cut_transfer(crowded, 0, BranchCut(0, (pt(2, 2), pt(1, 4))))
+
+
+def _parent_boundary_walk_ccw(poly: Polygon, start: Point, stop: Point) -> list[Point]:
+    """The walk before the sliver became the empty walk: a point to itself
+    went once round the polygon."""
+    s1 = poly.point_to_arc(start)
+    s2 = poly.point_to_arc(stop)
+    per = poly.perimeter()
+    if s2 <= s1:
+        s2 = s2 + per
+    hits = []
+    for i, v in enumerate(poly.vertices):
+        pos = poly.arc_of_vertex(i)
+        for candidate in (pos, pos + per):
+            if s1 < candidate < s2:
+                hits.append((candidate, v))
+    hits.sort(key=lambda item: item[0])
+    return [v for _, v in hits]
+
+
+def _parent_sweep(diagram, node_index, new_cut):
+    """Oracle: the two-branch region choice that one loop replaced, verbatim
+    but for its walk and for returning the candidates the choice saw.
+
+    Returns (sign, loop, survivors) or raises ValueError.
+    """
+    poly = diagram.polygon
+    old_cut = diagram.cuts[node_index]
+    _boundary_walk_ccw = _parent_boundary_walk_ccw
+    p_old = old_cut.path[-1]
+    p_new = new_cut.path[-1]
+    if p_old == p_new:
+        # both cuts reach the same boundary point: the sweep region is the
+        # sliver enclosed by the two cuts alone, oriented by its signed area
+        loop = _clean_loop_points(
+            list(old_cut.path) + list(reversed(new_cut.path))[:-1]
+        )
+        if len(loop) < 3 or not _loop_simple(loop):
+            raise ValueError("cuts enclose a degenerate sweep region")
+        sweep_sign = 1 if _loop_area_twice(loop).sign() > 0 else -1
+        candidates = [(sweep_sign, loop)]
+    else:
+        # region swept counterclockwise: out along the old cut, ccw along
+        # the boundary, back along the new cut; then the complement
+        walk_a = _boundary_walk_ccw(poly, p_old, p_new)
+        loop_a = _clean_loop_points(
+            list(old_cut.path) + walk_a + list(reversed(new_cut.path))[:-1]
+        )
+        walk_b = _boundary_walk_ccw(poly, p_new, p_old)
+        loop_b = _clean_loop_points(
+            list(new_cut.path) + walk_b + list(reversed(old_cut.path))[:-1]
+        )
+        candidates = [
+            (sign_, loop)
+            for sign_, loop in ((1, loop_a), (-1, loop_b))
+            if len(loop) >= 3 and _loop_simple(loop)
+        ]
+    candidates = [
+        (sign_, loop)
+        for sign_, loop in candidates
+        if not any(
+            _loop_contains(loop, diagram.nodes[i].position)
+            for i in range(len(diagram.nodes))
+            if i != node_index
+        )
+    ]
+    if not candidates:
+        raise ValueError("every sweep region contains other nodes; transfer blocked")
+    survivors = list(candidates)
+    if len(candidates) == 2:
+        area_a = abs(_loop_area_twice(candidates[0][1]))
+        area_b = abs(_loop_area_twice(candidates[1][1]))
+        if area_b < area_a:
+            candidates = candidates[1:]
+        elif area_a == area_b and _canonical_region_key(
+            candidates[1][1]
+        ) < _canonical_region_key(candidates[0][1]):
+            candidates = candidates[1:]
+    sweep_sign, loop = candidates[0]
+    return sweep_sign, loop, survivors
+
+
+TRANSFER_CATALOG = (
+    "CP2(3)",
+    "S2xS2(2,2)",
+    "S2xS2(4,2)",
+    "Bl1CP2",
+    "Bl2CP2",
+    "Bl3CP2",
+    "HirzebruchF1(4,1)",
+    "Blowup_S2xS2(4,2,1/2)",
+    "Blowup2_S2xS2(4,2)",
+)
+
+
+def _ray_exit(poly: Polygon, p: Point, w: LatticeVector):
+    """The lattice length from the interior point p to the boundary along w."""
+    return min(
+        value / -slope
+        for value, edge in zip(poly.support_values(p), poly.edges)
+        if (slope := edge.normal.u * w.u + edge.normal.v * w.v) < 0
+    )
+
+
+def _random_transfer(rng: random.Random):
+    """A traded catalog polygon, one of its nodes and a candidate new cut."""
+    poly = catalog(rng.choice(TRANSFER_CATALOG))
+    diagram = BaseDiagram(polygon=poly)
+    count = rng.randint(1, 3)
+    for vertex in rng.sample(range(len(poly.vertices)), count):
+        diagram = nodal_trade(diagram, vertex, Fraction(1, rng.randint(3, 5)))
+    k = rng.randrange(count)
+    node, (q, corner) = diagram.nodes[k], diagram.cuts[k].path
+    w = node.eigen_dir
+    reach = _ray_exit(poly, q, w)
+    ahead = move(q, w, reach * Fraction(rng.randint(1, 3), 4))
+    # the old cut runs from q to the corner along -w
+    behind = move(q, -w, affine_length(q, corner) / rng.randint(2, 3))
+    edge_point = poly.arc_to_point(poly.perimeter() * rng.randint(0, 23) / 24)
+    kind = rng.choice(("straight", "bent", "sliver", "toward", "interior"))
+    if kind == "straight":
+        path = (q, move(q, w, reach))
+    elif kind == "bent":
+        path = (q, ahead, edge_point)
+    elif kind == "sliver":
+        path = (q, ahead, random_interior_point(rng, poly), corner)
+    elif kind == "toward":
+        kind = rng.choice(("toward", "retraced"))
+        path = (q, behind, corner if kind == "retraced" else edge_point)
+    else:
+        path = (q, rng.choice((ahead, behind)), random_interior_point(rng, poly), edge_point)
+    return diagram, k, kind, BranchCut(k, path)
+
+
+def test_transfer_region_matches_the_two_branch_construction():
+    rng = random.Random(2003)
+    seen = dict.fromkeys(("sliver", "tie", "blocked", "retraced", "round_trip"), 0)
+    for _ in range(400):
+        diagram, k, kind, new_cut = _random_transfer(rng)
+        cuts = diagram.cuts[:k] + (new_cut,) + diagram.cuts[k + 1 :]
+        try:
+            BaseDiagram(diagram.polygon, diagram.nodes, cuts)
+        except ValueError:
+            continue  # an invalid cut is the validator's business
+        try:
+            sign, loop, survivors = _parent_sweep(diagram, k, new_cut)
+        except ValueError:
+            sign = loop = None
+        try:
+            moved, push = cut_transfer(diagram, k, new_cut)
+        except ValueError as exc:
+            assert loop is None or _loop_area_twice(loop) == 0, (kind, new_cut)
+            seen["blocked"] += "transfer blocked" in str(exc)
+            seen["retraced"] += kind == "retraced" and "degenerate" in str(exc)
+            continue
+        assert loop is not None and _loop_area_twice(loop) != 0, (kind, new_cut)
+        node = diagram.nodes[k]
+        assert push.region_map == unipotent_fixing(node.eigen_dir, sign, base=node.position)
+        assert _canonical_region_key(push.region) == _canonical_region_key(loop)
+        assert _loop_area_twice(push.region) > 0
+        seen["sliver"] += new_cut.path[-1] == diagram.cuts[k].path[-1]
+        areas = {abs(_loop_area_twice(region)) for _, region in survivors}
+        seen["tie"] += len(survivors) == 2 and len(areas) == 1
+        if kind == "straight":
+            back, pull = cut_transfer(moved, k, diagram.cuts[k])
+            assert back.same_geometry(diagram)
+            assert pull.compose(push).is_identity()
+            seen["round_trip"] += 1
+    # every path of the choice ran: slivers, equal-area ties, blocks, retraced cuts
+    assert min(seen.values()) >= 5, seen
 
 
 def test_piecewise_compose_requires_matching_regions():
