@@ -4,7 +4,9 @@ A :class:`BaseDiagram` records an almost toric fibration combinatorially:
 the moment polygon, the focus-focus nodes in its interior (each with the
 primitive eigendirection of its monodromy), and one branch cut per node, a
 polyline from the node to the boundary whose first leg follows the
-eigenline.  Three moves transform diagrams:
+eigenline.  Cuts cross neither each other nor themselves: two consecutive
+legs of a cut meet only at their joint, so a cut never folds back over
+its previous leg.  Three moves transform diagrams:
 
 * ``nodal_trade``   - smooth a Delzant corner into a node with a short cut;
 * ``nodal_slide``   - move a node along its eigenline, keeping the cut;
@@ -265,6 +267,11 @@ def _validate_diagram(diagram: BaseDiagram) -> None:
         leg_dir, _ = direction_of(a, b)  # raises on irrational or degenerate legs
         if k == 0 and cross(leg_dir, diagram.nodes[i].eigen_dir) != 0:
             raise ValueError(f"cut {i} must leave its node along the eigenline")
+        # consecutive legs share their joint; they overlap beyond it only
+        # when the cut turns straight back
+        if k > 0 and leg_dir == -prev_dir:
+            raise ValueError(f"cut {i} self-intersects")
+        prev_dir = leg_dir
         for j, l, c, d in legs[m + 1 :]:
             if (i == j and l == k + 1) or not segments_intersect(a, b, c, d):
                 continue

@@ -206,17 +206,11 @@ class Polygon:
         relation (a non-Delzant corner).
         """
         n = len(self.edges)
-        cur = self.edges[i % n].normal
-        rhs = self.edges[(i - 1) % n].normal + self.edges[(i + 1) % n].normal
-        if cur.u != 0:
-            if rhs.u % cur.u != 0:
-                raise ValueError(f"fan relation unsolvable at edge {i}")
-            s = -(rhs.u // cur.u)
-        else:
-            if rhs.v % cur.v != 0:
-                raise ValueError(f"fan relation unsolvable at edge {i}")
-            s = -(rhs.v // cur.v)
-        if rhs.u != -s * cur.u or rhs.v != -s * cur.v:
+        prev, cur, nxt = (self.edges[j % n].normal for j in (i - 1, i, i + 1))
+        # crossing the relation with n_{i-1} leaves one integer equation;
+        # the floor quotient solves the relation only when it is exact
+        s = -cross(prev, nxt) // cross(prev, cur)
+        if prev + nxt != LatticeVector(-s * cur.u, -s * cur.v):
             raise ValueError(f"fan relation unsolvable at edge {i}")
         return s
 

@@ -9,6 +9,9 @@ advances by arc c - h, while every level with h >= c is left pointwise
 fixed.  ``build_recurrence_map`` certifies this rotation property on a
 sample grid before handing the map out, and a failed check raises a
 ``VerificationError`` that names the level, the point and both images.
+A ``RecurrenceMap`` holds only its rounds and its source diagram: it reads
+its parameters and polygon from that diagram, and builds the target
+diagram (the source with the loop recorded) when it is read.
 
 ``apply_rounds`` and ``StripShear.apply`` are one integer pass over strip
 rows in the polygon's edge-row format, built once per ``RecurrenceMap``
@@ -96,18 +99,30 @@ class StripShear:
 
 @dataclass(frozen=True)
 class RecurrenceMap:
-    """Four strip-shear rounds on a chopped-rectangle polygon; the rows of the
-    rounds are built with the map and take no part in ==, repr or hash."""
+    """Four strip-shear rounds on the polygon of their source diagram; the
+    rows of the rounds are built with the map and take no part in ==, repr
+    or hash."""
 
-    params: ConstructionParams
-    polygon: Polygon
     rounds: tuple[StripShear, StripShear, StripShear, StripShear]
     source_diagram: BaseDiagram
-    target_diagram: BaseDiagram
     _strips: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_strips", _line_rows(self.rounds))
+
+    @property
+    def params(self) -> ConstructionParams:
+        return self.source_diagram.params
+
+    @property
+    def polygon(self) -> Polygon:
+        return self.source_diagram.polygon
+
+    @property
+    def target_diagram(self) -> BaseDiagram:
+        """The source diagram with the loop recorded in its provenance."""
+        source = self.source_diagram
+        return replace(source, provenance=source.provenance + (("recurrence_loop",),))
 
 
 def rotate_on_level(poly: Polygon, h: ScalarLike, t: ScalarLike, p: Point) -> Point:
@@ -123,6 +138,8 @@ def rotate_on_level(poly: Polygon, h: ScalarLike, t: ScalarLike, p: Point) -> Po
 
 def _advance(poly: Polygon, h: QField, t: QField, p: Point) -> Point:
     """Move p, known to lie on {F = h}, by arc length t along that level."""
+    if not t:
+        return p
     level = poly.level_set(h)
     return level.arc_to_point(level.point_to_arc(p) + t)
 
@@ -145,20 +162,16 @@ def rotation_amount(params: ConstructionParams, h: ScalarLike) -> QField:
     return (c - h) * u
 
 
-def build_recurrence_map(
-    source: BaseDiagram,
-    params: ConstructionParams | None = None,
-    verify: bool = True,
-) -> RecurrenceMap:
+def build_recurrence_map(source: BaseDiagram, verify: bool = True) -> RecurrenceMap:
     """Assemble the four rounds for a diagram built by ``build_pi0``.
 
-    With ``verify`` on (the default), the composite is checked against the
-    pure arc rotation on a grid of levels, and checked to fix a grid of
-    points above level c; any mismatch raises VerificationError with the
-    offending point.
+    The construction parameters are the diagram's own; for others, pass
+    ``replace(source, params=...)``.  With ``verify`` on (the default), the
+    composite is checked against the pure arc rotation on a grid of levels,
+    and checked to fix a grid of points above level c; any mismatch raises
+    VerificationError with the offending point.
     """
-    if params is None:
-        params = source.params
+    params = source.params
     if params is None:
         raise ValueError("recurrence map needs construction parameters")
     poly = source.polygon
@@ -177,16 +190,7 @@ def build_recurrence_map(
         StripShear(LatticeVector(0, 1), b / 2 - c),
         StripShear(LatticeVector(1, 0), a / 2 - c),
     )
-    target = replace(
-        source, provenance=source.provenance + (("recurrence_loop",),)
-    )
-    rm = RecurrenceMap(
-        params=params,
-        polygon=poly,
-        rounds=rounds,
-        source_diagram=source,
-        target_diagram=target,
-    )
+    rm = RecurrenceMap(rounds=rounds, source_diagram=source)
     if verify:
         _verify_rounds(rm)
     return rm
@@ -225,34 +229,25 @@ def _shear_pass(strips: tuple, p: Point) -> Point:
 
 
 def _verify_rounds(rm: RecurrenceMap) -> None:
-    params, poly = rm.params, rm.polygon
-    c, eps = params.c, params.eps
-    reach = c - eps
-    for k in range(4):
-        h = reach * k / 4
-        level = poly.level_set(h)
-        advance = c - h
-        for pt in _level_samples(level):
+    poly, c, eps = rm.polygon, rm.params.c, rm.params.eps
+    top = poly.max_distance()[0]
+    # levels below the taper advance by c - h; the two above it stay fixed
+    checks = [(h, c - h) for h in ((c - eps) * k / 4 for k in range(4))]
+    checks += [(h, 0) for h in (c + eps, (c + eps + top) / 2)]
+    for h, advance in checks:
+        for pt in _level_samples(poly.level_set(h)):
             expected = rotate_on_level(poly, h, advance, pt)
             got = apply_rounds(rm, pt)
-            if got != expected:
-                raise VerificationError(
-                    f"round composite missed the arc rotation at level {h}: "
-                    f"({pt.x1}, {pt.x2}) -> ({got.x1}, {got.x2}), "
-                    f"expected ({expected.x1}, {expected.x2})",
-                    level=h, point=pt, got=got, expected=expected,
-                )
-    top = poly.max_distance()[0]
-    for h in (c + eps, (c + eps + top) / 2):
-        level = poly.level_set(h)
-        for pt in _level_samples(level):
-            got = apply_rounds(rm, pt)
-            if got != pt:
-                raise VerificationError(
-                    f"round composite moved a point on level {h}: "
-                    f"({pt.x1}, {pt.x2}) -> ({got.x1}, {got.x2})",
-                    level=h, point=pt, got=got, expected=pt,
-                )
+            if got == expected:
+                continue
+            image = f"({pt.x1}, {pt.x2}) -> ({got.x1}, {got.x2})"
+            message = (
+                f"round composite missed the arc rotation at level {h}: {image}, "
+                f"expected ({expected.x1}, {expected.x2})"
+                if advance
+                else f"round composite moved a point on level {h}: {image}"
+            )
+            raise VerificationError(message, level=h, point=pt, got=got, expected=expected)
 
 
 def _level_samples(level: Polygon) -> list[Point]:
@@ -272,13 +267,10 @@ def apply_phi_iter(rm: RecurrenceMap, p: Point, n: int) -> Point:
     single advance by n * r(h); this matches iterating ``apply_phi``
     exactly while costing one rotation.
     """
-    if not isinstance(n, int):
+    if type(n) is not int:
         raise ValueError("iteration count must be an integer")
     h = rm.polygon.distance_to_boundary(p)
-    r = rotation_amount(rm.params, h)
-    if r.sign() == 0 or n == 0:
-        return p
-    return _advance(rm.polygon, h, r * n, p)
+    return _advance(rm.polygon, h, rotation_amount(rm.params, h) * n, p)
 
 
 __all__ = [

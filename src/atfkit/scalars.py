@@ -483,10 +483,10 @@ def _over(*values: QField, d: int | None = None) -> tuple[int, int | None, list[
 
 
 def _coerce(value: object) -> QField | None:
-    """The slow path of operand dispatch: subclasses and Fractions."""
+    """The slow path of operand dispatch: subclasses and Fractions, not bools."""
     if isinstance(value, QField):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return _raw(int(value), 0, 1, None)
     if isinstance(value, Fraction):
         return _raw(value.numerator, 0, value.denominator, None)

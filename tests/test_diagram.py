@@ -127,6 +127,23 @@ def test_self_intersecting_cut_rejected():
         BaseDiagram(SQUARE, (node,), (loop,))
 
 
+@pytest.mark.parametrize(
+    "path",
+    [
+        ((2, 2), (3, 3), (0, 0)),  # the second leg runs back through the node
+        ((2, 2), (3, 3), (1, 1), (1, 0)),  # ... and past it before turning
+        ((2, 2), (3, 3), ("5/2", "5/2"), ("5/2", 0)),  # the second leg ends on the first
+    ],
+    ids=["through_node", "past_node", "short_fold"],
+)
+def test_cut_folding_back_over_its_previous_leg_rejected(path):
+    # consecutive legs share their joint and may meet nowhere else
+    diagram = nodal_trade(BaseDiagram(polygon=SQUARE), 0, qf(2))
+    folded = BranchCut(0, tuple(pt(*xy) for xy in path))
+    with pytest.raises(ValueError, match="cut 0 self-intersects"):
+        BaseDiagram(SQUARE, diagram.nodes, (folded,))
+
+
 # -- nodal trade -----------------------------------------------------------------
 
 

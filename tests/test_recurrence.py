@@ -3,7 +3,7 @@
 import copy
 import pickle
 import random
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import pytest
@@ -149,9 +149,9 @@ def test_rotation_amount_profile():
 def test_build_checks_the_polygon():
     params = ConstructionParams(4, 2, qf("1/2"), qf("1/8"))
     other = ConstructionParams(6, 2, qf("1/2"), qf("1/8"))
-    diagram = build_pi0(params)
-    with pytest.raises(ValueError):
-        build_recurrence_map(diagram, params=other)
+    diagram = replace(build_pi0(params), params=other)
+    with pytest.raises(ValueError, match="does not match the parameters"):
+        build_recurrence_map(diagram)
 
 
 def test_build_needs_a_node_on_level_c():
@@ -174,6 +174,24 @@ def test_build_records_source_and_target():
     assert rm.target_diagram.same_geometry(rm.source_diagram)
     assert rm.target_diagram.provenance[-1] == ("recurrence_loop",)
     assert len(rm.rounds) == 4
+
+
+def test_map_reads_params_and_polygon_from_its_source(monkeypatch):
+    params = ConstructionParams(4, 2, qf("1/2"), qf("1/8"))
+    source = build_pi0(params)
+    built = []
+    validate = BaseDiagram.__post_init__
+    monkeypatch.setattr(
+        BaseDiagram, "__post_init__", lambda self: (built.append(self), validate(self))
+    )
+    rm = build_recurrence_map(source)
+    # no diagram is built, so none is validated, until the target is read
+    assert built == []
+    assert [f.name for f in fields(rm) if f.init] == ["rounds", "source_diagram"]
+    assert rm.source_diagram is source
+    assert rm.params is source.params and rm.polygon is source.polygon
+    assert rm.target_diagram.provenance == source.provenance + (("recurrence_loop",),)
+    assert len(built) == 1
 
 
 def test_copy_and_pickle_round_trip():
@@ -236,6 +254,28 @@ def test_verification_rejects_tampered_rounds():
 
     with pytest.raises(VerificationError):
         _verify_rounds(crooked)
+
+
+def test_verification_error_names_a_moved_point_above_the_taper(monkeypatch):
+    rm = default_map()
+    poly, top = rm.polygon, rm.polygon.max_distance()[0]
+    high = (rm.params.c + rm.params.eps + top) / 2
+
+    def nudged(rm, p):
+        # the true rounds, with points of the highest checked level nudged up
+        q = apply_rounds(rm, p)
+        return move(q, LatticeVector(0, 1), qf(1)) if poly.distance_to_boundary(p) == high else q
+
+    monkeypatch.setattr("atfkit.recurrence.apply_rounds", nudged)
+    with pytest.raises(VerificationError) as caught:
+        _verify_rounds(rm)
+    err = caught.value
+    h, p, got = err.level, err.point, err.got
+    assert h == high and p in _level_samples(poly.level_set(high))
+    assert err.expected == p and got == move(p, LatticeVector(0, 1), qf(1))
+    assert str(err) == (
+        f"round composite moved a point on level {h}: ({p.x1}, {p.x2}) -> ({got.x1}, {got.x2})"
+    )
 
 
 def test_verification_error_names_level_point_and_both_images():
@@ -309,8 +349,9 @@ def test_apply_phi_iter_period_on_level_quarter():
 
 def test_apply_phi_iter_rejects_non_integer():
     rm = default_map()
-    with pytest.raises(ValueError):
-        apply_phi_iter(rm, pt(0, "-3/4"), qf("1/2"))
+    for n in (qf("1/2"), 1.0, True):
+        with pytest.raises(ValueError, match="iteration count must be an integer"):
+            apply_phi_iter(rm, pt(0, "-3/4"), n)
 
 
 # -- the integer shear pass against the QField rounds it replaced ---------------------

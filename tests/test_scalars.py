@@ -6,6 +6,7 @@ values mixing a rational and a sqrt term.
 
 import copy
 import math
+import operator
 import pickle
 import random
 from fractions import Fraction
@@ -211,6 +212,22 @@ def test_int_and_fraction_operands():
     assert 1 - v == qf("1/4")
     assert Fraction(1, 2) / v == qf("2/3")
     assert v / 3 == qf("1/4")
+
+
+@pytest.mark.parametrize("flag", [True, False])
+def test_bool_operands_are_refused(flag):
+    # a bool is no more a number to the operators than it is to qf
+    one = qf(1)
+    for op in (
+        operator.add, operator.sub, operator.mul, operator.truediv,
+        operator.lt, operator.le, operator.gt, operator.ge,
+    ):
+        with pytest.raises(TypeError):
+            op(one, flag)
+        with pytest.raises(TypeError):
+            op(flag, one)
+    assert not (one == flag) and not (flag == one) and one != flag
+    assert not (qf(0) == False) and qf(0) != False  # noqa: E712
 
 
 def test_unary_operators():
