@@ -12,6 +12,7 @@ Exit codes: 0 on success, 1 when a verification produces a counterexample,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -20,7 +21,7 @@ from .classify import check_applicable
 from .diagram import BaseDiagram, build_pi0
 from .homology import find_twist_classes, omega_eval
 from .orbits import classify_level, equidistribution_stats, orbit_positions
-from .polygon import ConstructionParams, Polygon, catalog, catalog_names
+from .polygon import ConstructionParams, Polygon, catalog, catalog_names, check_shape
 from .recurrence import VerificationError, build_recurrence_map
 from .render import RenderStyle, render_svg
 from .scalars import parse_scalar
@@ -102,6 +103,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 
 def _cmd_mcg(args: argparse.Namespace) -> int:
+    check_shape(args.a, args.b, args.c)
     classes = find_twist_classes(args.bound)
     obj = {
         "bound": args.bound,
@@ -136,7 +138,14 @@ def _cmd_render(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process; callers must not change it.
+
+    Parsing leaves it unchanged, and argparse builds its help formatter
+    only when it formats, so help and usage still wrap at the current
+    ``COLUMNS``.  ``build_parser.__wrapped__()`` builds a fresh one.
+    """
     parser = argparse.ArgumentParser(
         prog="atfkit",
         description="exact moment-polygon, base-diagram, and recurrence-orbit toolkit",

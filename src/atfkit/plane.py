@@ -4,7 +4,11 @@ The plane here is R^2 equipped with the integer lattice Z^2.  Geometry is
 measured lattice-style: segment lengths count primitive integer steps, and
 the symmetry group is the group of affine maps whose linear part lies in
 GL(2, Z).  Exact predicates (orientation, on-segment, segment crossing)
-live here too so that every other module can share them.
+live here too so that every other module can share them.  Each is an
+integer pass: it puts its points' coordinates over one common denominator
+with ``scalars._over`` and reads exact signs of integer pairs A + B*sqrt(d),
+building no ``QField``.  Points whose coordinates mix two radicands are a
+``ValueError``.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .scalars import QField, ScalarLike, qf
+from .scalars import QField, ScalarLike, _over, _sign, qf
 
 
 @dataclass(frozen=True)
@@ -140,39 +144,66 @@ def affine_length(a: Point, b: Point) -> QField:
     return direction_of(a, b)[1]
 
 
+# Over the common denominator D > 0 a point is the row ((X, Xs), (Y, Ys)) for
+# ((X + Xs*sqrt(d)) / D, (Y + Ys*sqrt(d)) / D); D > 0 drops out of every sign,
+# and d is None only when every Xs and Ys is 0.
+
+
+def _turn(d: int | None, o: tuple, a: tuple, b: tuple) -> int:
+    """``orient`` on rows: the sign of D^2 times (a - o) x (b - o)."""
+    (ox, oxs), (oy, oys) = o
+    (ax, axs), (ay, ays) = a
+    (bx, bxs), (by, bys) = b
+    ux, uxs, uy, uys = ax - ox, axs - oxs, ay - oy, ays - oys
+    wx, wxs, wy, wys = bx - ox, bxs - oxs, by - oy, bys - oys
+    return _sign(
+        ux * wy - uy * wx + (uxs * wys - uys * wxs) * (d or 0),
+        ux * wys + uxs * wy - uy * wxs - uys * wx,
+        d,
+    )
+
+
+def _between(d: int | None, p: tuple, a: tuple, b: tuple) -> bool:
+    """Each coordinate of row p lies between those of rows a and b, i.e.
+    p - a and p - b never share a strict sign."""
+    for (x, xs), (ax, axs), (bx, bxs) in zip(p, a, b):
+        if _sign(x - ax, xs - axs, d) * _sign(x - bx, xs - bxs, d) > 0:
+            return False
+    return True
+
+
 def orient(o: Point, a: Point, b: Point) -> int:
     """Sign of the turn o -> a -> b: +1 left, -1 right, 0 collinear."""
-    ax, ay = delta(o, a)
-    bx, by = delta(o, b)
-    return (ax * by - ay * bx).sign()
+    _, d, (ox, oy, ax, ay, bx, by) = _over(o.x1, o.x2, a.x1, a.x2, b.x1, b.x2)
+    return _turn(d, (ox, oy), (ax, ay), (bx, by))
 
 
 def on_segment(p: Point, a: Point, b: Point) -> bool:
     """True when p lies on the closed segment [a, b]."""
-    if orient(a, b, p) != 0:
-        return False
-    lo1, hi1 = sorted((a.x1, b.x1))
-    lo2, hi2 = sorted((a.x2, b.x2))
-    return lo1 <= p.x1 <= hi1 and lo2 <= p.x2 <= hi2
+    _, d, (px, py, ax, ay, bx, by) = _over(p.x1, p.x2, a.x1, a.x2, b.x1, b.x2)
+    rp, ra, rb = (px, py), (ax, ay), (bx, by)
+    return _turn(d, ra, rb, rp) == 0 and _between(d, rp, ra, rb)
 
 
 def segments_intersect(a: Point, b: Point, c: Point, d: Point) -> bool:
     """True when the closed segments [a,b] and [c,d] share any point."""
-    o1 = orient(a, b, c)
-    o2 = orient(a, b, d)
-    o3 = orient(c, d, a)
-    o4 = orient(c, d, b)
+    _, rad, (ax, ay, bx, by, cx, cy, dx, dy) = _over(
+        a.x1, a.x2, b.x1, b.x2, c.x1, c.x2, d.x1, d.x2
+    )
+    ra, rb, rc, rd = (ax, ay), (bx, by), (cx, cy), (dx, dy)
+    o1 = _turn(rad, ra, rb, rc)
+    o2 = _turn(rad, ra, rb, rd)
+    o3 = _turn(rad, rc, rd, ra)
+    o4 = _turn(rad, rc, rd, rb)
     if o1 != o2 and o3 != o4:
         return True
-    if o1 == 0 and on_segment(c, a, b):
-        return True
-    if o2 == 0 and on_segment(d, a, b):
-        return True
-    if o3 == 0 and on_segment(a, c, d):
-        return True
-    if o4 == 0 and on_segment(b, c, d):
-        return True
-    return False
+    # a zero turn puts that endpoint on the other segment's line
+    return (
+        (o1 == 0 and _between(rad, rc, ra, rb))
+        or (o2 == 0 and _between(rad, rd, ra, rb))
+        or (o3 == 0 and _between(rad, ra, rc, rd))
+        or (o4 == 0 and _between(rad, rb, rc, rd))
+    )
 
 
 @dataclass(frozen=True)

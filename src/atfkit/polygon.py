@@ -502,6 +502,16 @@ def _level_vertices(edges: Sequence[Edge], h: QField) -> list[Point]:
     return points
 
 
+def check_shape(a: QField, b: QField, c: QField) -> None:
+    """The chopped-rectangle shape constraints a >= b > 0 and 0 < c < b/2,
+    as a ``ValueError``; ``ConstructionParams`` and ``atfkit mcg`` both
+    check them here."""
+    if not (a >= b and b.sign() > 0):
+        raise ValueError("parameters require a >= b > 0")
+    if not (c.sign() > 0 and c < b / 2):
+        raise ValueError("parameter c must satisfy 0 < c < b/2")
+
+
 @dataclass(frozen=True)
 class ConstructionParams:
     """Shape parameters (a, b, c, eps) for the chopped-rectangle family.
@@ -517,12 +527,8 @@ class ConstructionParams:
     def __post_init__(self):
         for name in ("a", "b", "c", "eps"):
             object.__setattr__(self, name, qf(getattr(self, name)))
-        if not (self.a >= self.b and self.b.sign() > 0):
-            raise ValueError("parameters require a >= b > 0")
-        half_b = self.b / 2
-        if not (self.c.sign() > 0 and self.c < half_b):
-            raise ValueError("parameter c must satisfy 0 < c < b/2")
-        bound = min(self.c, half_b - self.c)
+        check_shape(self.a, self.b, self.c)
+        bound = min(self.c, self.b / 2 - self.c)
         if not (self.eps.sign() > 0 and self.eps < bound):
             raise ValueError("parameter eps must satisfy 0 < eps < min(c, b/2 - c)")
 
@@ -625,6 +631,7 @@ __all__ = [
     "Edge",
     "Polygon",
     "ConstructionParams",
+    "check_shape",
     "clip_halfplane",
     "solve_equidistant_triple",
     "centered_rectangle",

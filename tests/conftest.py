@@ -19,6 +19,7 @@ from hypothesis.configuration import set_hypothesis_home_dir
 from atfkit import ConstructionParams, Point, qf
 from atfkit.diagram import build_pi0
 from atfkit.orbits import _walk
+from atfkit.plane import delta
 from atfkit.polygon import Polygon, build_blowup_polygon
 
 
@@ -89,6 +90,45 @@ def random_hulls(rng: random.Random, count: int) -> list[Polygon]:
         if 3 <= len(verts) <= 14:
             hulls.append(Polygon(verts))
     return hulls
+
+
+# The QField predicates that ``atfkit.plane`` had before its integer pass,
+# kept verbatim (only the names differ) as the oracle for that pass.
+
+
+def qfield_orient(o: Point, a: Point, b: Point) -> int:
+    """Sign of the turn o -> a -> b: +1 left, -1 right, 0 collinear."""
+    ax, ay = delta(o, a)
+    bx, by = delta(o, b)
+    return (ax * by - ay * bx).sign()
+
+
+def qfield_on_segment(p: Point, a: Point, b: Point) -> bool:
+    """True when p lies on the closed segment [a, b]."""
+    if qfield_orient(a, b, p) != 0:
+        return False
+    lo1, hi1 = sorted((a.x1, b.x1))
+    lo2, hi2 = sorted((a.x2, b.x2))
+    return lo1 <= p.x1 <= hi1 and lo2 <= p.x2 <= hi2
+
+
+def qfield_segments_intersect(a: Point, b: Point, c: Point, d: Point) -> bool:
+    """True when the closed segments [a,b] and [c,d] share any point."""
+    o1 = qfield_orient(a, b, c)
+    o2 = qfield_orient(a, b, d)
+    o3 = qfield_orient(c, d, a)
+    o4 = qfield_orient(c, d, b)
+    if o1 != o2 and o3 != o4:
+        return True
+    if o1 == 0 and qfield_on_segment(c, a, b):
+        return True
+    if o2 == 0 and qfield_on_segment(d, a, b):
+        return True
+    if o3 == 0 and qfield_on_segment(a, c, d):
+        return True
+    if o4 == 0 and qfield_on_segment(b, c, d):
+        return True
+    return False
 
 
 def outcome(f, *args):

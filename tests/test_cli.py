@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -350,6 +351,58 @@ def test_render_many_vertex_polygon_quickly(tmp_path, capsys):
 
 
 # -- top level ------------------------------------------------------------------
+
+
+def test_mcg_refuses_the_shapes_build_refuses(capsys):
+    for shape, message in (
+        (["--a", "-3"], "parameters require a >= b > 0"),
+        (["--a", "1", "--b", "2"], "parameters require a >= b > 0"),
+        (["--b", "0"], "parameters require a >= b > 0"),
+        (["--c", "0"], "parameter c must satisfy 0 < c < b/2"),
+        (["--c", "5"], "parameter c must satisfy 0 < c < b/2"),
+    ):
+        for command in ("build", "mcg"):
+            code, stdout, stderr = run(capsys, command, *shape)
+            assert (code, stdout, stderr) == (2, "", f"error: {message}\n"), (command, shape)
+
+
+def test_one_parser_answers_like_a_fresh_parser_per_call(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    pi0, svg = str(tmp_path / "pi0.json"), str(tmp_path / "pi0.svg")
+    main(["build", "-o", pi0])
+    pool = (
+        [[command, "-h"] for command in ("build", "verify", "orbit", "classify", "mcg", "render")]
+        + [["--help"], [], ["frobnicate"], ["Build"], ["orbit"], ["render"], ["orbit", "--n", "5"]]
+        + [["build", "--a", "4/0"], ["build", "--c", "1/2+1*sqrt(4)"], ["orbit", "--h", "x"],
+           ["orbit", "--h", "-1/4"], ["orbit", "--h=-1/4"], ["mcg", "--bound", "two"],
+           ["render", pi0, "--scale", "0.5"], ["verify", "--seed", "x"], ["build", "--eps"]]
+        + [["build", "--a", "6", "--b", "3", "--c", "3/4", "--eps", "1/4"], ["mcg", "--bound", "3"],
+           ["orbit", "--h", "1/4", "--n", "20"], ["classify", "--name", "CP2(3)"],
+           ["render", pi0, "--levels", "1/4", "-o", svg], ["mcg", "--a", "2", "--b", "2"],
+           ["mcg", "--c", "5"], ["classify", pi0, "--name", "CP2(3)"]]
+    )
+    argvs = random.Random(12).choices(pool, k=120)
+    assert {tuple(argv) for argv in argvs} == {tuple(argv) for argv in pool}
+    ours = [run(capsys, *argv) for argv in argvs]
+    assert cli.build_parser() is cli.build_parser()
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    assert [run(capsys, *argv) for argv in argvs] == ours
+    assert {code for code, _, _ in ours} == {0, 2}
+
+
+def test_help_wraps_at_the_current_terminal_width(capsys, monkeypatch):
+    helps = {}
+    for width in (60, 140, 60):
+        monkeypatch.setenv("COLUMNS", str(width))
+        code, stdout, _ = run(capsys, "orbit", "-h")
+        assert code == 0
+        assert max(len(line) for line in stdout.splitlines()) <= width - 2
+        assert helps.setdefault(width, stdout) == stdout
+    assert max(len(line) for line in helps[140].splitlines()) > 60
+    fresh = cli.build_parser.__wrapped__().format_help
+    for width, text in helps.items():
+        monkeypatch.setenv("COLUMNS", str(width))
+        assert run(capsys, "-h")[1] == fresh()
 
 
 def test_no_arguments_is_a_usage_error(capsys):

@@ -6,8 +6,15 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import hostile_diagrams
+from conftest import (
+    hostile_diagrams,
+    outcome,
+    qfield_on_segment,
+    qfield_orient,
+    qfield_segments_intersect,
+)
 
+import atfkit.diagram
 from atfkit.diagram import (
     BaseDiagram,
     BranchCut,
@@ -38,8 +45,8 @@ from atfkit.polygon import (
     build_blowup_polygon,
     catalog,
 )
-from atfkit.scalars import qf
-from atfkit.verify import random_interior_point
+from atfkit.scalars import QField, qf
+from atfkit.verify import random_interior_point, random_unimodular
 
 SQUARE = Polygon([(0, 0), (4, 0), (4, 4), (0, 4)])
 
@@ -533,6 +540,75 @@ def test_transfer_region_matches_the_two_branch_construction():
             seen["round_trip"] += 1
     # every path of the choice ran: slivers, equal-area ties, blocks, retraced cuts
     assert min(seen.values()) >= 5, seen
+
+
+def _moved(diagram: BaseDiagram, m: UnimodularAffineMap) -> BaseDiagram:
+    """The diagram's polygon, nodes and cuts under a det +1 affine map."""
+    nodes = tuple(
+        Node(m.apply(n.position), m.apply_vector(n.eigen_dir), n.multiplicity)
+        for n in diagram.nodes
+    )
+    cuts = tuple(BranchCut(c.node_index, tuple(m.apply(p) for p in c.path)) for c in diagram.cuts)
+    return BaseDiagram(diagram.polygon.transform(m), nodes, cuts)
+
+
+def _blocked_slide(rng: random.Random):
+    """The traded square with a second node whose vertical cut may stand in
+    the way of the first node's slide along the diagonal."""
+    x, y = Fraction(rng.randint(5, 15), 4), Fraction(rng.randint(4, 15), 4)
+    square = traded_square(param=1)
+    diagram = BaseDiagram(
+        SQUARE,
+        square.nodes + (Node(pt(x, y), LatticeVector(0, 1)),),
+        square.cuts + (BranchCut(1, (pt(x, y), pt(x, 4))),),
+    )
+    t = Fraction(rng.randint(5, 15), 4)
+    return diagram, 0, diagram.cuts[0], pt(t, t)
+
+
+def _predicate_oracle_cases(rng: random.Random, count: int) -> list[tuple]:
+    """Seeded transfer candidates and blocked slides, each in rational
+    coordinates and again moved by a unimodular map whose translation has a
+    sqrt(2) or sqrt(3) part."""
+    cases = []
+    for _ in range(count):
+        transfer, k, _, new_cut = _random_transfer(rng)
+        node = transfer.nodes[k]
+        slide = move(node.position, node.eigen_dir, Fraction(rng.randint(-4, 4), 16))
+        for diagram, k, cut, target in ((transfer, k, new_cut, slide), _blocked_slide(rng)):
+            d = rng.choice((2, 3))
+            shift = UnimodularAffineMap.translation(
+                QField(0, Fraction(1, rng.randint(2, 5)), d),
+                QField(0, Fraction(-1, rng.randint(2, 5)), d),
+            )
+            for m in (UnimodularAffineMap.identity(), shift.compose(random_unimodular(rng))):
+                moved_cut = BranchCut(k, tuple(m.apply(p) for p in cut.path))
+                cases.append((_moved(diagram, m), k, moved_cut, m.apply(target)))
+    return cases
+
+
+def _validation_outcomes(cases: list[tuple]) -> list[tuple]:
+    results = [outcome(BaseDiagram.from_json, text) for text in hostile_diagrams().values()]
+    for diagram, k, cut, target in cases:
+        cuts = diagram.cuts[:k] + (cut,) + diagram.cuts[k + 1 :]
+        results.append(outcome(BaseDiagram, diagram.polygon, diagram.nodes, cuts))
+        results.append(outcome(cut_transfer, diagram, k, cut))
+        results.append(outcome(nodal_slide, diagram, k, target))
+    return results
+
+
+def test_validation_and_moves_match_the_qfield_predicates(monkeypatch):
+    cases = _predicate_oracle_cases(random.Random(1976), 80)
+    ours = _validation_outcomes(cases)
+    monkeypatch.setattr(atfkit.diagram, "orient", qfield_orient)
+    monkeypatch.setattr(atfkit.diagram, "on_segment", qfield_on_segment)
+    monkeypatch.setattr(atfkit.diagram, "segments_intersect", qfield_segments_intersect)
+    assert _validation_outcomes(cases) == ours
+    # the crossing tests decided some of them
+    messages = [r[2] for r in ours if r[0] == "error"]
+    assert sum("intersect" in m for m in messages) >= 20
+    assert sum("sweeps across another cut" in m for m in messages) >= 20
+    assert sum(r[0] == "value" for r in ours) >= 100
 
 
 def test_piecewise_compose_requires_matching_regions():

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import outcome, qfield_on_segment, qfield_orient, qfield_segments_intersect
+
 from atfkit.plane import (
     LatticeVector,
     Point,
@@ -142,6 +144,90 @@ def test_segments_intersect(segs, expected):
     a, b, c, d = (pt(*s) for s in segs)
     assert segments_intersect(a, b, c, d) is expected
     assert segments_intersect(c, d, a, b) is expected
+
+
+def field_point(rng: random.Random, d: int | None) -> Point:
+    """A point on a coarse grid of Q(sqrt(d)), rational when d is None."""
+
+    def value():
+        v = QField(Fraction(rng.randint(-4, 4), rng.randint(1, 2)))
+        if d is not None and rng.random() < 0.7:
+            v = v + QField(0, Fraction(rng.randint(-2, 2), rng.randint(1, 2)), d)
+        return v
+
+    return Point(value(), value())
+
+
+def along(a: Point, b: Point, t) -> Point:
+    """The point a + t*(b - a) of the line through a and b."""
+    return Point(a.x1 + t * (b.x1 - a.x1), a.x2 + t * (b.x2 - a.x2))
+
+
+def predicate_cases(rng: random.Random, d: int | None, count: int) -> list[tuple]:
+    """Segment pairs (a, b, c, e) that often touch: c and e are endpoints of
+    [a, b], points of its line (inside, at an end or beyond) or free points."""
+    ts = [Fraction(k, 4) for k in range(-4, 9)]
+    if d is not None:
+        ts.append(QField(0, Fraction(1, 2), d))
+    cases = []
+    while len(cases) < count:
+        a, b = field_point(rng, d), field_point(rng, d)
+        if a == b:
+            continue
+
+        def partner():
+            kind = rng.choice(("end", "line", "line", "free"))
+            if kind == "end":
+                return rng.choice((a, b))
+            if kind == "line":
+                return along(a, b, rng.choice(ts))
+            return field_point(rng, d)
+
+        cases.append((a, b, partner(), partner()))
+    return cases
+
+
+@pytest.mark.parametrize("d", [None, 2, 3])
+def test_predicates_match_the_qfield_oracle(d):
+    rng = random.Random(1212 + (d or 0))
+    seen = dict.fromkeys(("collinear overlap", "shared endpoint", "touch at one end", "apart"), 0)
+    for a, b, c, e in predicate_cases(rng, d, 600):
+        for o, p, q in ((a, b, c), (b, a, c), (a, c, b), (c, e, a), (e, c, b), (a, b, e)):
+            assert orient(o, p, q) == qfield_orient(o, p, q), (o, p, q)
+        for p in (a, b, c, e):
+            for s, t in ((a, b), (b, a), (c, e), (e, c)):
+                assert on_segment(p, s, t) is qfield_on_segment(p, s, t), (p, s, t)
+        hit = qfield_segments_intersect(a, b, c, e)
+        for args in ((a, b, c, e), (b, a, c, e), (a, b, e, c), (b, a, e, c),
+                     (c, e, a, b), (e, c, a, b), (c, e, b, a), (e, c, b, a)):
+            assert segments_intersect(*args) is hit, args
+        turns = [qfield_orient(a, b, c), qfield_orient(a, b, e)]
+        if hit and turns == [0, 0] and c != e:
+            seen["collinear overlap"] += 1
+        elif hit and {a, b} & {c, e}:
+            seen["shared endpoint"] += 1
+        elif hit and 0 in turns:
+            seen["touch at one end"] += 1
+        elif not hit:
+            seen["apart"] += 1
+    assert min(seen.values()) >= 20, seen
+
+
+@pytest.mark.parametrize(
+    "predicate, points",
+    [
+        ("orient", ((0, 0), ("1*sqrt(2)", 0), (0, "1*sqrt(3)"))),
+        ("on_segment", (("1*sqrt(2)", "1*sqrt(3)"), (0, 0), (1, 1))),
+        ("segments_intersect", ((0, 0), ("1*sqrt(2)", 1), (1, "1*sqrt(3)"), (0, 1))),
+    ],
+)
+def test_predicates_refuse_mixed_radicands(predicate, points):
+    args = [pt(*p) for p in points]
+    ours = outcome(globals()[predicate], *args)
+    oracle = outcome(globals()["qfield_" + predicate], *args)
+    for result in (ours, oracle):
+        assert result[0] == "error" and result[1] is ValueError
+        assert "sqrt(2)" in result[2] and "sqrt(3)" in result[2]
 
 
 # -- affine maps --------------------------------------------------------------
