@@ -330,14 +330,15 @@ def _boundary_walk_ccw(poly: Polygon, start: Point, stop: Point) -> list[Point]:
     per = poly.perimeter()
     if s2 < s1:
         s2 = s2 + per
-    hits: list[tuple[QField, Point]] = []
-    for i, v in enumerate(poly.vertices):
-        pos = poly.arc_of_vertex(i)
-        for candidate in (pos, pos + per):
-            if s1 < candidate < s2:
-                hits.append((candidate, v))
-    hits.sort(key=lambda item: item[0])
-    return [v for _, v in hits]
+    # the vertices in arc order from the base vertex, then once more a perimeter on
+    n, base = len(poly.vertices), poly.base_index
+    ring = [(base + k) % n for k in range(n)]
+    return [
+        poly.vertices[i]
+        for shift in (0, per)
+        for i in ring
+        if s1 < poly.arc_of_vertex(i) + shift < s2
+    ]
 
 
 def _canonical_region_key(loop: tuple[Point, ...]) -> tuple:
@@ -411,9 +412,8 @@ def nodal_slide(
     anchor = cut.path[1]
     if new_position == anchor:
         raise ValueError("slide target collides with the cut anchor")
-    new_first_dir, _ = direction_of(new_position, anchor)
-    old_first_dir, _ = direction_of(old_position, anchor)
-    if new_first_dir != old_first_dir:
+    # the anchor is on the eigenline too, so it is passed exactly when it lies between
+    if on_segment(anchor, old_position, new_position):
         raise ValueError("slide target passes through the cut anchor")
     # every other node starts its own cut, so sweeping across it crosses that cut
     for j, other in enumerate(diagram.cuts):
@@ -501,11 +501,9 @@ def cut_transfer(
         raise ValueError("replacement cut must reference the same node")
     if new_cut.path == old_cut.path:
         raise ValueError("replacement cut equals the current cut")
+    # a valid diagram's first leg lies on the eigenline, so a one-leg cut does too
     if len(old_cut.path) != 2:
         raise ValueError("transfer requires the current cut to be a straight segment")
-    old_dir, _ = direction_of(old_cut.path[0], old_cut.path[1])
-    if cross(old_dir, node.eigen_dir) != 0:
-        raise ValueError("transfer requires the current cut to lie on the eigenline")
     # install the new cut first so the shared validator vets it fully
     moved = replace(
         diagram,

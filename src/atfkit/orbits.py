@@ -193,20 +193,18 @@ def classify_level(
     )
 
 
-def gap_values(
-    params: ConstructionParams, h: ScalarLike, count: int, s0: ScalarLike = 0
-) -> list[QField]:
+def gap_values(params: ConstructionParams, h: ScalarLike, count: int) -> list[QField]:
     """Distinct circular gaps between the first ``count`` orbit positions.
 
     For an orbit of an exact circle rotation these take at most three
     values (the three-distance property), the largest being the sum of
     the other two when all three occur.  Translating every position
-    keeps the gaps, so the walk starts at 0 (``s0`` is only validated):
-    one pass finds the indices u, v of the smallest and largest position
-    t_n over 1 <= n < count, and the gaps are t_u, per - t_v and, when
+    keeps the gaps, so they are those of the walk from 0: one pass finds
+    the indices u, v of the smallest and largest position t_n over
+    1 <= n < count, and the gaps are t_u, per - t_v and, when
     u + v > count, their sum.
     """
-    rows = _rows(params, h, s0)
+    rows = _rows(params, h)
     if count < 2:
         raise ValueError("need at least two positions for gaps")
     d, a2, b2 = rows.d, rows.a2, rows.b2

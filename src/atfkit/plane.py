@@ -7,8 +7,9 @@ GL(2, Z).  Exact predicates (orientation, on-segment, segment crossing)
 live here too so that every other module can share them.  Each is an
 integer pass: it puts its points' coordinates over one common denominator
 with ``scalars._over`` and reads exact signs of integer pairs A + B*sqrt(d),
-building no ``QField``.  Points whose coordinates mix two radicands are a
-``ValueError``.
+building no ``QField``.  The lattice direction of a segment (``direction_of``)
+is an integer pass too, which builds only the length.  Points whose
+coordinates mix two radicands are a ``ValueError``.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .scalars import QField, ScalarLike, _over, _sign, qf
+from .scalars import QField, ScalarLike, _over, _reduced, _sign, qf
 
 
 @dataclass(frozen=True)
@@ -110,27 +111,27 @@ def delta(a: Point, b: Point) -> tuple[QField, QField]:
 def direction_of(a: Point, b: Point) -> tuple[LatticeVector, QField]:
     """Primitive lattice direction and affine length of the segment a -> b.
 
-    Requires ``b - a`` to be a scalar multiple of an integer vector; a
-    segment with an irrational direction slope is rejected.
+    Over one denominator D > 0, ``b - a`` is ((X, Y) + sqrt(d) * (Xs, Ys)) / D
+    for integer pairs (X, Y) and (Xs, Ys).  It is a multiple of an integer
+    vector exactly when the pairs are parallel, ``X*Ys == Xs*Y``, and the
+    direction is then the nonzero pair in lowest terms, signed along b - a.
+    A degenerate segment, or one of irrational slope, is a ``ValueError``.
     """
     dx, dy = delta(a, b)
-    if dx.sign() == 0 and dy.sign() == 0:
+    D, d, ((Y, Ys), (X, Xs)) = _over(dy, dx)
+    u, v = (X, Y) if X or Y else (Xs, Ys)
+    if not (u or v):
         raise ValueError("degenerate segment has no direction")
-    if dx.sign() == 0:
-        w = LatticeVector(0, dy.sign())
-        return w, abs(dy)
-    if dy.sign() == 0:
-        w = LatticeVector(dx.sign(), 0)
-        return w, abs(dx)
-    ratio = dy / dx
-    if not ratio.is_rational():
+    if X * Ys != Xs * Y:
         raise ValueError("segment direction is not rational")
-    r = ratio.as_fraction()
-    w = primitive(LatticeVector(r.denominator, r.numerator))
-    if w.u * dx.sign() < 0 or (w.u == 0 and w.v * dy.sign() < 0):
-        w = -w
-    length = dx / w.u if w.u != 0 else dy / w.v
-    return w, length
+    g = math.gcd(u, v)
+    u, v = u // g, v // g
+    # b - a is (N + Ns*sqrt(d)) / (D*e) times (u, v), e the first nonzero entry
+    e, N, Ns = (u, X, Xs) if u else (v, Y, Ys)
+    s = _sign(N, Ns, d)
+    if s * e < 0:
+        u, v = -u, -v
+    return LatticeVector(u, v), _reduced(s * N, s * Ns, D * abs(e), d)
 
 
 def affine_length(a: Point, b: Point) -> QField:
@@ -138,10 +139,7 @@ def affine_length(a: Point, b: Point) -> QField:
 
     Returns 0 for a degenerate segment.
     """
-    dx, dy = delta(a, b)
-    if dx.sign() == 0 and dy.sign() == 0:
-        return qf(0)
-    return direction_of(a, b)[1]
+    return qf(0) if a == b else direction_of(a, b)[1]
 
 
 # Over the common denominator D > 0 a point is the row ((X, Xs), (Y, Ys)) for

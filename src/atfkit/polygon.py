@@ -32,6 +32,7 @@ the value returned is built as a ``QField``.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import json
 from dataclasses import dataclass
@@ -362,13 +363,10 @@ class Polygon:
         prefix = self._arcs()
         per = prefix[-1]
         s = s - scalars.floor(s / per) * per
-        n = len(self.vertices)
-        for k in range(n):
-            if s < prefix[k + 1]:
-                i = (self._base + k) % n
-                return move(self.vertices[i], self.edges[i].direction, s - prefix[k])
-        # s == perimeter cannot survive the reduction; guard anyway
-        return self.vertices[self._base]
+        # 0 <= s < per, so the edge is the last one that starts at or before s
+        k = bisect.bisect_right(prefix, s) - 1
+        i = (self._base + k) % len(self.vertices)
+        return move(self.vertices[i], self.edges[i].direction, s - prefix[k])
 
     # -- transforms and serialization ---------------------------------------
 

@@ -76,7 +76,9 @@ def random_unimodular(rng: random.Random, det: int = 1) -> UnimodularAffineMap:
     m = UnimodularAffineMap.identity()
     for _ in range(3):
         k = rng.randint(-2, 2)
-        if rng.random() < 0.5:
+        # the two words random() reads, and its decision, with no float:
+        # random() < 0.5 exactly when the first word is below 2**31
+        if rng.getrandbits(64) % 2**32 < 2**31:
             m = m.compose(UnimodularAffineMap.linear(1, k, 0, 1))
         else:
             m = m.compose(UnimodularAffineMap.linear(1, 0, k, 1))

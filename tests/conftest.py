@@ -16,10 +16,10 @@ from fractions import Fraction
 import pytest
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from atfkit import ConstructionParams, Point, qf
+from atfkit import ConstructionParams, LatticeVector, Point, QField, qf
 from atfkit.diagram import build_pi0
 from atfkit.orbits import _walk
-from atfkit.plane import delta
+from atfkit.plane import delta, primitive
 from atfkit.polygon import Polygon, build_blowup_polygon
 
 
@@ -92,8 +92,9 @@ def random_hulls(rng: random.Random, count: int) -> list[Polygon]:
     return hulls
 
 
-# The QField predicates that ``atfkit.plane`` had before its integer pass,
-# kept verbatim (only the names differ) as the oracle for that pass.
+# The QField predicates and ``direction_of`` that ``atfkit.plane`` had
+# before their integer passes, kept verbatim (only the names differ) as the
+# oracle for those passes.
 
 
 def qfield_orient(o: Point, a: Point, b: Point) -> int:
@@ -129,6 +130,32 @@ def qfield_segments_intersect(a: Point, b: Point, c: Point, d: Point) -> bool:
     if o4 == 0 and qfield_on_segment(b, c, d):
         return True
     return False
+
+
+def qfield_direction_of(a: Point, b: Point) -> tuple[LatticeVector, QField]:
+    """Primitive lattice direction and affine length of the segment a -> b.
+
+    Requires ``b - a`` to be a scalar multiple of an integer vector; a
+    segment with an irrational direction slope is rejected.
+    """
+    dx, dy = delta(a, b)
+    if dx.sign() == 0 and dy.sign() == 0:
+        raise ValueError("degenerate segment has no direction")
+    if dx.sign() == 0:
+        w = LatticeVector(0, dy.sign())
+        return w, abs(dy)
+    if dy.sign() == 0:
+        w = LatticeVector(dx.sign(), 0)
+        return w, abs(dx)
+    ratio = dy / dx
+    if not ratio.is_rational():
+        raise ValueError("segment direction is not rational")
+    r = ratio.as_fraction()
+    w = primitive(LatticeVector(r.denominator, r.numerator))
+    if w.u * dx.sign() < 0 or (w.u == 0 and w.v * dy.sign() < 0):
+        w = -w
+    length = dx / w.u if w.u != 0 else dy / w.v
+    return w, length
 
 
 def outcome(f, *args):

@@ -9,6 +9,7 @@ import pytest
 from conftest import (
     hostile_diagrams,
     outcome,
+    qfield_direction_of,
     qfield_on_segment,
     qfield_orient,
     qfield_segments_intersect,
@@ -20,6 +21,7 @@ from atfkit.diagram import (
     BranchCut,
     Node,
     PiecewiseMap,
+    _boundary_walk_ccw,
     _canonical_region_key,
     _clean_loop_points,
     _loop_contains,
@@ -228,11 +230,15 @@ def test_slide_cannot_pass_the_cut_anchor():
     node = Node(pt(2, 2), LatticeVector(1, 1))
     cut = BranchCut(0, (pt(2, 2), pt(3, 3), pt(3, 0)))
     diagram = BaseDiagram(SQUARE, (node,), (cut,))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="slide target passes through the cut anchor"):
         nodal_slide(diagram, 0, pt("7/2", "7/2"))
     # sliding short of the anchor is fine
     slid = nodal_slide(diagram, 0, pt("5/2", "5/2"))
     assert slid.cuts[0].path == (pt("5/2", "5/2"), pt(3, 3), pt(3, 0))
+    # an anchor behind the node, the cut bent up the left side
+    behind = BaseDiagram(SQUARE, (node,), (BranchCut(0, (pt(2, 2), pt(1, 1), pt(1, 4))),))
+    with pytest.raises(ValueError, match="slide target passes through the cut anchor"):
+        nodal_slide(behind, 0, pt("1/2", "1/2"))
 
 
 def test_slide_target_on_anchor_rejected():
@@ -390,6 +396,24 @@ def _parent_boundary_walk_ccw(poly: Polygon, start: Point, stop: Point) -> list[
     return [v for _, v in hits]
 
 
+def _sorting_boundary_walk_ccw(poly: Polygon, start: Point, stop: Point) -> list[Point]:
+    """Oracle: the walk before it read the arc table in order, verbatim: it
+    collected the vertices between the two arcs and sorted them."""
+    s1 = poly.point_to_arc(start)
+    s2 = poly.point_to_arc(stop)
+    per = poly.perimeter()
+    if s2 < s1:
+        s2 = s2 + per
+    hits: list[tuple[QField, Point]] = []
+    for i, v in enumerate(poly.vertices):
+        pos = poly.arc_of_vertex(i)
+        for candidate in (pos, pos + per):
+            if s1 < candidate < s2:
+                hits.append((candidate, v))
+    hits.sort(key=lambda item: item[0])
+    return [v for _, v in hits]
+
+
 def _parent_sweep(diagram, node_index, new_cut):
     """Oracle: the two-branch region choice that one loop replaced, verbatim
     but for its walk and for returning the candidates the choice saw.
@@ -463,6 +487,22 @@ TRANSFER_CATALOG = (
     "Blowup_S2xS2(4,2,1/2)",
     "Blowup2_S2xS2(4,2)",
 )
+
+
+def test_boundary_walk_matches_the_sorting_oracle():
+    root2 = QField(0, Fraction(1, 3), 2)
+    for name in TRANSFER_CATALOG:
+        base = catalog(name)
+        top, _ = base.max_distance()
+        for poly in (base, base.level_set(top / 2)):
+            per = poly.perimeter()
+            arcs = [poly.arc_of_vertex(i) for i in range(len(poly.vertices))]
+            arcs += [per * Fraction(k, 5) for k in (-2, 1, 3, 5, 7)] + [root2, per - root2]
+            points = [poly.arc_to_point(s) for s in arcs]
+            for start in points:
+                for stop in points:
+                    walk = _sorting_boundary_walk_ccw(poly, start, stop)
+                    assert _boundary_walk_ccw(poly, start, stop) == walk, (poly, start, stop)
 
 
 def _ray_exit(poly: Polygon, p: Point, w: LatticeVector):
@@ -600,6 +640,7 @@ def _validation_outcomes(cases: list[tuple]) -> list[tuple]:
 def test_validation_and_moves_match_the_qfield_predicates(monkeypatch):
     cases = _predicate_oracle_cases(random.Random(1976), 80)
     ours = _validation_outcomes(cases)
+    monkeypatch.setattr(atfkit.diagram, "direction_of", qfield_direction_of)
     monkeypatch.setattr(atfkit.diagram, "orient", qfield_orient)
     monkeypatch.setattr(atfkit.diagram, "on_segment", qfield_on_segment)
     monkeypatch.setattr(atfkit.diagram, "segments_intersect", qfield_segments_intersect)

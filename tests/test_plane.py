@@ -5,7 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import outcome, qfield_on_segment, qfield_orient, qfield_segments_intersect
+from conftest import (
+    outcome,
+    qfield_direction_of,
+    qfield_on_segment,
+    qfield_orient,
+    qfield_segments_intersect,
+)
 
 from atfkit.plane import (
     LatticeVector,
@@ -211,6 +217,42 @@ def test_predicates_match_the_qfield_oracle(d):
         elif not hit:
             seen["apart"] += 1
     assert min(seen.values()) >= 20, seen
+
+
+def direction_cases(rng: random.Random, d: int | None, count: int) -> list[tuple]:
+    """Segments (a, b) from a point of Q(sqrt(d)): along an integer vector
+    (zero included) by a field amount, to a free field point, to the point
+    itself, or to a point whose coordinates take sqrt(5) or sqrt(7)."""
+    field = [x for _ in range(50) for x in field_point(rng, d)]
+    foreign = {r: [x for _ in range(25) for x in field_point(rng, r)] for r in (5, 7)}
+    cases = []
+    for _ in range(count):
+        a = Point(rng.choice(field), rng.choice(field))
+        kind = rng.choice(("vector", "vector", "free", "same", "foreign"))
+        if kind == "vector":
+            t = rng.choice(field)
+            b = Point(a.x1 + t * rng.randint(-5, 5), a.x2 + t * rng.randint(-5, 5))
+        elif kind == "free":
+            b = Point(rng.choice(field), rng.choice(field))
+        elif kind == "same":
+            b = a
+        else:
+            b = Point(rng.choice(foreign[rng.choice((5, 7))]), rng.choice(foreign[5]))
+        cases.append((a, b))
+    return cases
+
+
+@pytest.mark.parametrize("d", [None, 2, 3])
+def test_direction_of_matches_the_qfield_oracle(d):
+    rng = random.Random(1313 + (d or 0))
+    seen = dict.fromkeys(("value", "degenerate", "not rational", "mixed radicands"), 0)
+    for a, b in direction_cases(rng, d, 20_000):
+        for p, q in ((a, b), (b, a)):
+            expected = outcome(qfield_direction_of, p, q)
+            assert outcome(direction_of, p, q) == expected, (p, q)
+            kind = expected[0] if expected[0] == "value" else expected[2]
+            seen[next(key for key in seen if key in kind)] += 1
+    assert min(seen.values()) >= 500, seen
 
 
 @pytest.mark.parametrize(

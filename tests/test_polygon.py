@@ -14,7 +14,8 @@ import pytest
 from conftest import HOSTILE_POLYGONS, outcome, random_hulls, random_triple
 
 from atfkit.classify import monotone_test
-from atfkit.plane import LatticeVector, Point, orient, pt
+from atfkit import scalars
+from atfkit.plane import LatticeVector, Point, move, orient, pt
 from atfkit.polygon import (
     LEVEL_MEMO_SIZE,
     ConstructionParams,
@@ -578,6 +579,43 @@ def test_arc_orientation_is_counterclockwise():
     assert UNIT_SQUARE.point_to_arc(pt(1, "1/2")) == qf("3/2")
     assert UNIT_SQUARE.point_to_arc(pt("1/2", 1)) == qf("5/2")
     assert UNIT_SQUARE.point_to_arc(pt(0, "1/2")) == qf("7/2")
+
+
+def _scanning_arc_to_point(self, s):
+    """Oracle: ``Polygon.arc_to_point`` before it bisected the arc table,
+    verbatim but for being a function."""
+    s = qf(s)
+    prefix = self._arcs()
+    per = prefix[-1]
+    s = s - scalars.floor(s / per) * per
+    n = len(self.vertices)
+    for k in range(n):
+        if s < prefix[k + 1]:
+            i = (self._base + k) % n
+            return move(self.vertices[i], self.edges[i].direction, s - prefix[k])
+    # s == perimeter cannot survive the reduction; guard anyway
+    return self.vertices[self._base]
+
+
+def arc_oracle_polygons() -> list[Polygon]:
+    """The catalog samples and two level sets of each."""
+    polys = []
+    for poly in [catalog(name) for name in CATALOG_SAMPLES]:
+        top, _ = poly.max_distance()
+        polys += [poly, poly.level_set(top / 3), poly.level_set(top * 2 / 3)]
+    return polys
+
+
+def test_arc_to_point_matches_the_scanning_oracle():
+    root2 = QField(0, Fraction(1, 3), 2)
+    for poly in arc_oracle_polygons():
+        per = poly.perimeter()
+        vertex_arcs = [poly.arc_of_vertex(i) for i in range(len(poly.vertices))]
+        arcs = [per * Fraction(k, 12) for k in range(-13, 27)]
+        arcs += [s + k * per for s in vertex_arcs for k in (-1, 0, 1, 2)]
+        arcs += [root2 * k + Fraction(j, 5) for k in (-7, -1, 1, 4, 11) for j in (-3, 0, 2)]
+        for s in arcs:
+            assert poly.arc_to_point(s) == _scanning_arc_to_point(poly, s), (poly, s)
 
 
 # -- transforms and serialization -------------------------------------------------
