@@ -17,6 +17,8 @@ its previous leg.  Three moves transform diagrams:
 
 Every move validates its result, returns a new diagram, and appends a
 provenance record, so a diagram carries its own construction history.
+``build_pi0`` trades its five corners by the rule ``nodal_trade`` uses and
+validates the traded diagram once, then the slid diagram once.
 A record is a tuple in memory and a JSON list whose fields one table
 fixes: ``["trade", vertex, param]``, ``["slide", node, {"point": old},
 {"point": new}, band]`` (band: the range of F swept), ``["cut_transfer",
@@ -187,8 +189,8 @@ class PiecewiseMap:
         return p
 
     def compose(self, earlier: "PiecewiseMap") -> "PiecewiseMap":
-        """The transition ``self after earlier``; regions must agree."""
-        if _canonical_region_key(self.region) != _canonical_region_key(earlier.region):
+        """The transition ``self after earlier``; regions must be one loop, read any way."""
+        if _loop_edges(self.region) != _loop_edges(earlier.region):
             raise ValueError("piecewise maps act on different regions")
         return PiecewiseMap(
             region=earlier.region,
@@ -345,6 +347,10 @@ def _canonical_region_key(loop: tuple[Point, ...]) -> tuple:
     return tuple(sorted((str(p.x1), str(p.x2)) for p in loop))
 
 
+def _loop_edges(loop: tuple[Point, ...]) -> frozenset:
+    return frozenset(frozenset(edge) for edge in zip(loop, loop[1:] + loop[:1]))
+
+
 # -- the moves --------------------------------------------------------------
 
 
@@ -358,34 +364,36 @@ def nodal_trade(
     straight back to the (former) corner point.  ``param`` defaults to
     eps/2 when the diagram carries construction parameters.
     """
-    poly = diagram.polygon
-    n = len(poly.vertices)
-    vertex_index %= n
     if param is None:
         if diagram.params is None:
             raise ValueError("trade needs a distance parameter")
         param = diagram.params.eps / 2
-    param = qf(param)
-    if param.sign() <= 0:
-        raise ValueError("trade parameter must be positive")
-    e_in = poly.edges[(vertex_index - 1) % n]
-    e_out = poly.edges[vertex_index]
-    if abs(cross(e_in.direction, e_out.direction)) != 1:
-        raise ValueError(f"vertex {vertex_index} is not a Delzant corner")
-    away_in = LatticeVector(-e_in.direction.u, -e_in.direction.v)
-    direction = primitive(away_in + e_out.direction)
-    vertex = poly.vertices[vertex_index]
-    position = move(vertex, direction, param)
-    if not poly.contains(position, strict=True):
-        raise ValueError("trade parameter pushes the node out of the polygon")
-    node = Node(position, direction)
-    cut = BranchCut(len(diagram.nodes), (position, vertex))
+    node, cut, record = _traded_corner(diagram.polygon, vertex_index, param, len(diagram.nodes))
     return replace(
         diagram,
         nodes=diagram.nodes + (node,),
         cuts=diagram.cuts + (cut,),
-        provenance=diagram.provenance + (("trade", vertex_index, param),),
+        provenance=diagram.provenance + (record,),
     )
+
+
+def _traded_corner(poly: Polygon, vertex_index: int, param: ScalarLike, node_index: int) -> tuple:
+    """The node, cut and provenance record of the trade at one corner."""
+    vertex_index %= len(poly.vertices)
+    param = qf(param)
+    if param.sign() <= 0:
+        raise ValueError("trade parameter must be positive")
+    e_in = poly.edges[vertex_index - 1]
+    e_out = poly.edges[vertex_index]
+    if abs(cross(e_in.direction, e_out.direction)) != 1:
+        raise ValueError(f"vertex {vertex_index} is not a Delzant corner")
+    direction = primitive(-e_in.direction + e_out.direction)  # both pointing away from the corner
+    vertex = poly.vertices[vertex_index]
+    position = move(vertex, direction, param)
+    if not poly.contains(position, strict=True):
+        raise ValueError("trade parameter pushes the node out of the polygon")
+    cut = BranchCut(node_index, (position, vertex))
+    return Node(position, direction), cut, ("trade", vertex_index, param)
 
 
 def nodal_slide(
@@ -536,25 +544,17 @@ def build_pi0(params: ConstructionParams) -> BaseDiagram:
     """The initial base diagram of the chopped-rectangle construction.
 
     Every corner of the five-corner polygon is traded for a node at
-    distance eps/2, and the node born at the chopped corner is slid up its
-    vertical eigenline to the point at boundary distance c, where the
-    recurrence construction needs it.
+    distance eps/2, all five validated as one diagram, and the node born
+    at the chopped corner is slid up its vertical eigenline to the point
+    at boundary distance c, where the recurrence construction needs it.
     """
     poly = build_blowup_polygon(params)
-    diagram = BaseDiagram(polygon=poly, params=params)
-    for vertex_index in range(len(poly.vertices)):
-        diagram = nodal_trade(diagram, vertex_index)
-    # the node traded at the chopped corner (vertex 1) has eigenline (0, 1)
-    slide_index = 1
-    node = diagram.nodes[slide_index]
-    if node.eigen_dir != LatticeVector(0, 1):
-        raise ValueError("unexpected eigenline at the chopped corner")
-    vertex = poly.vertices[slide_index]
-    target = Point(vertex.x1, vertex.x2 + params.c)
-    diagram = nodal_slide(diagram, slide_index, target)
-    if diagram.polygon.distance_to_boundary(target) != params.c:
-        raise ValueError("slide target missed the distance-c level")
-    return diagram
+    traded = (_traded_corner(poly, i, params.eps / 2, i) for i in range(len(poly.vertices)))
+    nodes, cuts, records = zip(*traded)
+    diagram = BaseDiagram(poly, nodes, cuts, records, params)
+    # vertex 1 = (a/2 - c, -b/2) trades along (0, 1), and F = c at (0, c) above it: c < b/2 <= a/2
+    vertex = poly.vertices[1]
+    return nodal_slide(diagram, 1, Point(vertex.x1, vertex.x2 + params.c))
 
 
 __all__ = [

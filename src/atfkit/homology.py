@@ -14,7 +14,6 @@ whose Dehn twists act on homology.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .scalars import QField, ScalarLike, qf
@@ -58,35 +57,17 @@ def omega_eval(x: H2Class, a: ScalarLike, b: ScalarLike, c: ScalarLike) -> QFiel
 def find_twist_classes(bound: int) -> list[H2Class]:
     """All classes with square -2 and vanishing c1, coefficients in [-bound, bound].
 
-    Solved in closed form: c1 = 0 forces gamma = -2(alpha + beta), and
-    substituting into x.x = -2 leaves 2*alpha^2 + 3*alpha*beta + 2*beta^2 = 1,
-    a positive-definite form, so only finitely many (alpha, beta) qualify:
-    its discriminant in beta, 8 - 7*alpha^2, is negative unless |alpha| <= 1.
+    c1 = 0 forces gamma = -2(alpha + beta), and substituting into x.x = -2
+    leaves 2*alpha^2 + 3*alpha*beta + 2*beta^2 = 1.  The form equals
+    (alpha^2 + beta^2)/2 + (3/2)(alpha + beta)^2, so every solution has
+    |alpha|, |beta| <= 1: the 3x3 box holds them all, and walking it in
+    ascending order returns the classes sorted.
     """
     if bound < 0:
         raise ValueError("bound must be nonnegative")
-    found: list[H2Class] = []
-    reach = min(bound, 1)
-    for alpha in range(-reach, reach + 1):
-        disc = 8 - 7 * alpha * alpha
-        if disc < 0:
-            continue
-        root = math.isqrt(disc)
-        if root * root != disc:
-            continue
-        for signed in ({root, -root} if root else {0}):
-            num = -3 * alpha + signed
-            if num % 4 != 0:
-                continue
-            beta = num // 4
-            gamma = -2 * (alpha + beta)
-            cls = H2Class(alpha, beta, gamma)
-            if max(abs(beta), abs(gamma)) > bound:
-                continue
-            if intersection(cls, cls) == -2 and c1_eval(cls) == 0:
-                found.append(cls)
-    found.sort(key=H2Class.as_tuple)
-    return found
+    box = range(-min(bound, 1), min(bound, 1) + 1)
+    classes = (H2Class(alpha, beta, -2 * (alpha + beta)) for alpha in box for beta in box)
+    return [x for x in classes if abs(x.gamma) <= bound and intersection(x, x) == -2]
 
 
 __all__ = ["H2Class", "intersection", "c1_eval", "omega_eval", "find_twist_classes"]

@@ -145,21 +145,20 @@ def _advance(poly: Polygon, h: QField, t: QField, p: Point) -> Point:
 
 
 def rotation_amount(params: ConstructionParams, h: ScalarLike) -> QField:
-    """The smoothed advance r(h): c - h below the taper band, 0 above it.
+    """The smoothed advance r(h): c - h up to c - eps, 0 from c + eps on.
 
     Across the band (c - eps, c + eps) the full advance is scaled by the
-    linear ramp ((c + eps) - h) / (2 eps) clamped to [0, 1].
+    linear ramp ((c + eps) - h) / (2 eps), which falls from 1 to 0.
     """
     h = qf(h)
     if h.sign() < 0:
         raise ValueError("level must be nonnegative")
     c, eps = params.c, params.eps
-    u = (c + eps - h) / (2 * eps)
-    if u.sign() <= 0:
+    if h <= c - eps:
+        return c - h
+    if h >= c + eps:
         return qf(0)
-    if (u - 1).sign() >= 0:
-        u = qf(1)
-    return (c - h) * u
+    return (c - h) * (c + eps - h) / (2 * eps)
 
 
 def build_recurrence_map(source: BaseDiagram, verify: bool = True) -> RecurrenceMap:
@@ -236,7 +235,7 @@ def _verify_rounds(rm: RecurrenceMap) -> None:
     checks += [(h, 0) for h in (c + eps, (c + eps + top) / 2)]
     for h, advance in checks:
         for pt in _level_samples(poly.level_set(h)):
-            expected = rotate_on_level(poly, h, advance, pt)
+            expected = _advance(poly, h, advance, pt)  # samples of the level lie on it
             got = apply_rounds(rm, pt)
             if got == expected:
                 continue

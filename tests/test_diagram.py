@@ -26,6 +26,7 @@ from atfkit.diagram import (
     _clean_loop_points,
     _loop_contains,
     _loop_simple,
+    _traded_corner,
     build_pi0,
     cut_transfer,
     nodal_slide,
@@ -48,7 +49,7 @@ from atfkit.polygon import (
     catalog,
 )
 from atfkit.scalars import QField, qf
-from atfkit.verify import random_interior_point, random_unimodular
+from atfkit.verify import DEFAULT_PARAMS, random_interior_point, random_params, random_unimodular
 
 SQUARE = Polygon([(0, 0), (4, 0), (4, 4), (0, 4)])
 
@@ -182,6 +183,21 @@ def test_trade_requires_delzant_corner():
     skew = Polygon([(0, 0), (2, 0), (0, 1)])
     with pytest.raises(ValueError):
         nodal_trade(BaseDiagram(polygon=skew), 2, qf("1/8"))
+
+
+def test_trade_messages():
+    base = BaseDiagram(polygon=SQUARE)
+    skew = BaseDiagram(polygon=Polygon([(0, 0), (2, 0), (0, 1)]))
+    cases = [
+        (base, 0, None, "trade needs a distance parameter"),
+        (base, 0, 0, "trade parameter must be positive"),
+        (base, 1, -1, "trade parameter must be positive"),
+        (base, 0, 5, "trade parameter pushes the node out of the polygon"),
+        (skew, 2, qf("1/8"), "vertex 2 is not a Delzant corner"),
+        (skew, -1, qf("1/8"), "vertex 2 is not a Delzant corner"),
+    ]
+    for diagram, vertex, param, message in cases:
+        assert outcome(nodal_trade, diagram, vertex, param) == ("error", ValueError, message)
 
 
 def test_trade_default_uses_half_eps():
@@ -652,6 +668,23 @@ def test_validation_and_moves_match_the_qfield_predicates(monkeypatch):
     assert sum(r[0] == "value" for r in ours) >= 100
 
 
+def test_piecewise_compose_tells_two_loops_on_one_vertex_set_apart():
+    shear = UnimodularAffineMap.linear(1, 1, 0, 1)
+    # one vertex set, two simple loops: areas 14 and 12
+    a = tuple(pt(*xy) for xy in [(0, 0), (2, 1), (4, 0), (4, 4), (0, 4)])
+    b = tuple(pt(*xy) for xy in [(0, 0), (4, 0), (2, 1), (4, 4), (0, 4)])
+    assert (_loop_area_twice(a), _loop_area_twice(b)) == (28, 24)
+    there, back = PiecewiseMap(a, shear), PiecewiseMap(b, shear.inverse())
+    # applied in turn, the two maps are no identity
+    assert back.apply(there.apply(pt(3, 1))) == pt(4, 1)
+    with pytest.raises(ValueError, match="piecewise maps act on different regions"):
+        back.compose(there)
+    # the same loop from another start or the other way round is one region
+    for same in (a[2:] + a[:2], tuple(reversed(a)), tuple(reversed(a[3:] + a[:3]))):
+        round_trip = PiecewiseMap(same, shear.inverse()).compose(there)
+        assert round_trip.is_identity() and round_trip.region == a
+
+
 def test_piecewise_compose_requires_matching_regions():
     shear = UnimodularAffineMap.linear(1, 1, 0, 1)
     one = PiecewiseMap(region=(pt(0, 0), pt(2, 0), pt(2, 2)), region_map=shear)
@@ -673,6 +706,66 @@ def test_build_pi0_structure():
     trades = [e for e in diagram.provenance if e[0] == "trade"]
     slides = [e for e in diagram.provenance if e[0] == "slide"]
     assert len(trades) == 5 and len(slides) == 1
+
+
+def stepwise_build_pi0(params: ConstructionParams) -> BaseDiagram:
+    """``build_pi0`` as it was before it traded all five corners in one
+    diagram: five public trades and a slide, each validated."""
+    poly = build_blowup_polygon(params)
+    diagram = BaseDiagram(polygon=poly, params=params)
+    for vertex_index in range(len(poly.vertices)):
+        diagram = nodal_trade(diagram, vertex_index)
+    # the node traded at the chopped corner (vertex 1) has eigenline (0, 1)
+    slide_index = 1
+    node = diagram.nodes[slide_index]
+    if node.eigen_dir != LatticeVector(0, 1):
+        raise ValueError("unexpected eigenline at the chopped corner")
+    vertex = poly.vertices[slide_index]
+    target = Point(vertex.x1, vertex.x2 + params.c)
+    diagram = nodal_slide(diagram, slide_index, target)
+    if diagram.polygon.distance_to_boundary(target) != params.c:
+        raise ValueError("slide target missed the distance-c level")
+    return diagram
+
+
+IRRATIONAL_PARAMS = [
+    ConstructionParams(QField(4, 1, 2), QField(2, Fraction(1, 2), 2),
+                       QField(Fraction(1, 2), Fraction(1, 8), 2), Fraction(1, 8)),
+    ConstructionParams(QField(0, 3, 2), QField(0, 2, 2), QField(0, Fraction(1, 2), 2),
+                       QField(0, Fraction(1, 8), 2)),
+    ConstructionParams(4, QField(Fraction(5, 2), Fraction(1, 3), 3), Fraction(3, 4),
+                       QField(0, Fraction(1, 9), 3)),
+    ConstructionParams(QField(0, 2, 3), QField(0, 2, 3), Fraction(1, 2),
+                       QField(0, Fraction(1, 7), 3)),
+]
+
+
+def test_build_pi0_matches_the_stepwise_construction():
+    rng = random.Random(2024)
+    for params in [DEFAULT_PARAMS, *IRRATIONAL_PARAMS] + [random_params(rng) for _ in range(200)]:
+        ours, theirs = build_pi0(params), stepwise_build_pi0(params)
+        assert ours == theirs
+        assert ours.to_json() == theirs.to_json()
+
+
+def test_build_pi0_validates_the_traded_and_the_slid_diagram_once(monkeypatch):
+    calls = {"validate": 0, "trade": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    validate = atfkit.diagram._validate_diagram
+    monkeypatch.setattr(atfkit.diagram, "_validate_diagram", counted("validate", validate))
+    monkeypatch.setattr(atfkit.diagram, "_traded_corner", counted("trade", _traded_corner))
+    build_pi0(DEFAULT_PARAMS)
+    assert calls == {"validate": 2, "trade": 5}
+    # the public move trades by the same rule
+    nodal_trade(BaseDiagram(polygon=SQUARE), 0, 1)
+    assert calls == {"validate": 4, "trade": 6}
 
 
 def test_build_pi0_frozen_nodes():

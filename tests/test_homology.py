@@ -1,5 +1,6 @@
 """The intersection form on the blown-up product and the twist classes."""
 
+import math
 import random
 
 import pytest
@@ -23,6 +24,35 @@ def brute_force_classes(bound: int) -> list[tuple[int, int, int]]:
                 if square == -2 and chern == 0:
                     hits.append((alpha, beta, gamma))
     return sorted(hits)
+
+
+def discriminant_twist_classes(bound: int) -> list[H2Class]:
+    """``find_twist_classes`` as it was before the 3x3 box: beta from the
+    discriminant of the form in beta, for each |alpha| <= 1."""
+    if bound < 0:
+        raise ValueError("bound must be nonnegative")
+    found: list[H2Class] = []
+    reach = min(bound, 1)
+    for alpha in range(-reach, reach + 1):
+        disc = 8 - 7 * alpha * alpha
+        if disc < 0:
+            continue
+        root = math.isqrt(disc)
+        if root * root != disc:
+            continue
+        for signed in ({root, -root} if root else {0}):
+            num = -3 * alpha + signed
+            if num % 4 != 0:
+                continue
+            beta = num // 4
+            gamma = -2 * (alpha + beta)
+            cls = H2Class(alpha, beta, gamma)
+            if max(abs(beta), abs(gamma)) > bound:
+                continue
+            if intersection(cls, cls) == -2 and c1_eval(cls) == 0:
+                found.append(cls)
+    found.sort(key=H2Class.as_tuple)
+    return found
 
 
 # -- the form -------------------------------------------------------------------
@@ -95,6 +125,11 @@ def test_twist_classes_are_the_antidiagonal_pair():
 def test_twist_classes_match_brute_force(bound):
     closed_form = [cls.as_tuple() for cls in find_twist_classes(bound)]
     assert closed_form == brute_force_classes(bound)
+
+
+def test_twist_classes_match_the_discriminant_solver():
+    for bound in [*range(61), 10**18]:
+        assert find_twist_classes(bound) == discriminant_twist_classes(bound), bound
 
 
 def test_twist_classes_empty_bound():

@@ -143,6 +143,42 @@ def test_rotation_amount_profile():
         rotation_amount(params, -1)
 
 
+def clamped_ramp_amount(params: ConstructionParams, h) -> QField:
+    """``rotation_amount`` as it was before its three cases: the ramp
+    clamped to [0, 1]."""
+    h = qf(h)
+    if h.sign() < 0:
+        raise ValueError("level must be nonnegative")
+    c, eps = params.c, params.eps
+    u = (c + eps - h) / (2 * eps)
+    if u.sign() <= 0:
+        return qf(0)
+    if (u - 1).sign() >= 0:
+        u = qf(1)
+    return (c - h) * u
+
+
+def test_rotation_amount_matches_the_clamped_ramp():
+    rng = random.Random(1956)
+    band_levels = 0
+    for _ in range(40):
+        params = random_params(rng)
+        c, eps, half = params.c, params.eps, params.b / 2
+        levels = [c - eps, c, c + eps, half * Fraction(rng.randrange(1000), 1000)]
+        levels += [half * Fraction(k, 48) for k in range(48)]
+        for d in (2, 3):
+            # irrational levels on both sides of each band end and inside the band
+            for end in (c - eps, c + eps):
+                levels += [end + QField(0, Fraction(s, 1000), d) for s in (-1, 1)]
+            levels += [(c - eps) / 2 + QField(0, Fraction(1, 500), d),
+                       QField(0, half.as_fraction() / 2, d)]
+        for h in levels:
+            assert 0 <= h < half
+            assert rotation_amount(params, h) == clamped_ramp_amount(params, h), (params, h)
+            band_levels += c - eps < h < c + eps
+    assert band_levels >= 200
+
+
 # -- building and verifying the map ---------------------------------------------------
 
 
@@ -244,6 +280,18 @@ def test_composite_fixes_levels_above_c():
         level = poly.level_set(qf(h))
         for p in edge_samples(level, 2):
             assert apply_rounds(rm, p) == p
+
+
+def test_verification_derives_no_level(monkeypatch):
+    # the samples lie on their level by construction, so no check re-derives F there
+    def refused(*args):
+        raise AssertionError("the self-check re-derived a level")
+
+    monkeypatch.setattr("atfkit.recurrence.rotate_on_level", refused)
+    rm = default_map()
+    shifted = replace(rm.rounds[1], offset=rm.rounds[1].offset + Fraction(1, 1000))
+    with pytest.raises(VerificationError, match="missed the arc rotation at level 0/1"):
+        _verify_rounds(replace(rm, rounds=(rm.rounds[0], shifted) + rm.rounds[2:]))
 
 
 def test_verification_rejects_tampered_rounds():
