@@ -28,17 +28,25 @@ radicands are refused there.  A query puts p over the least common
 denominator P of its coordinates, which makes each edge value an integer
 pair over P*L.  F(p) is the smallest pair by exact sign tests, and only
 the value returned is built as a ``QField``.
+
+The boundary arc coordinate, lattice length counterclockwise from the
+lexicographically smallest vertex, is one set of integer arc rows built on
+first use: for each edge in arc order, the arc prefix at its start and its
+start vertex over one common denominator D by ``_over``, with the perimeter
+last.  ``perimeter``, ``arc_of_vertex``, ``point_to_arc`` and
+``arc_to_point`` read them.  An arc of a point on edge i is prefix + lambda
+as one integer pair; an arc is reduced modulo the perimeter by sign tests
+(an exact ``scalars._floor`` when it lies outside [0, 2 perimeter)), its
+edge is found by sign tests on the prefixes, and one ``Point`` is built.
 """
 
 from __future__ import annotations
 
-import bisect
 import heapq
 import json
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from . import scalars
 from .plane import (
     LatticeVector,
     Point,
@@ -51,7 +59,7 @@ from .plane import (
     lex_less,
     move,
 )
-from .scalars import QField, ScalarLike, _over, _reduced, _sign, qf
+from .scalars import QField, ScalarLike, _floor, _merge_radicand, _over, _reduced, _sign, qf
 
 # level sets memoised per polygon; the oldest is evicted beyond this
 LEVEL_MEMO_SIZE = 64
@@ -71,7 +79,7 @@ class Polygon:
     """A strictly convex rational polygon with counterclockwise vertices."""
 
     __slots__ = (
-        "vertices", "edges", "_hash", "_schedule", "_levels", "_base", "_prefix", "_rows"
+        "vertices", "edges", "_hash", "_schedule", "_levels", "_base", "_arc", "_rows"
     )
 
     def __init__(self, vertices: Iterable[Point | tuple]):
@@ -111,7 +119,7 @@ class Polygon:
             if lex_less(verts[i], verts[base]):
                 base = i
         object.__setattr__(self, "_base", base)
-        object.__setattr__(self, "_prefix", None)
+        object.__setattr__(self, "_arc", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Polygon is immutable")
@@ -184,10 +192,14 @@ class Polygon:
 
     def distance_to_boundary(self, p: Point) -> QField:
         """F(p): the minimum edge value; errors when p lies outside."""
-        best = self._locate(p)[0]
+        return self._inside(p)[0]
+
+    def _inside(self, p: Point) -> tuple[QField, int]:
+        """``_locate`` of a point that must lie in the polygon."""
+        best, i = self._locate(p)
         if best.sign() < 0:
             raise ValueError(f"point ({p.x1}, {p.x2}) lies outside the polygon")
-        return best
+        return best, i
 
     # -- Delzant structure ------------------------------------------------
 
@@ -244,7 +256,8 @@ class Polygon:
         return _loop_area_twice(self.vertices) / 2
 
     def perimeter(self) -> QField:
-        return self._arcs()[-1]
+        rows, D, d = self._arc_rows()
+        return _reduced(*rows[-1], D, d)
 
     def max_distance(self) -> tuple[QField, Point]:
         """The maximum of F over the polygon and one maximizer.
@@ -324,20 +337,36 @@ class Polygon:
         """Index of the lexicographically smallest vertex (arc origin)."""
         return self._base
 
-    def _arcs(self) -> tuple[QField, ...]:
-        """Arc coordinates of the vertices from the base vertex on, then the
-        perimeter; summed on first use, since level sets rarely need them."""
-        if self._prefix is None:
-            n = len(self.vertices)
-            prefix = [qf(0)]
-            for k in range(n):
-                prefix.append(prefix[-1] + self.edges[(self._base + k) % n].length)
-            object.__setattr__(self, "_prefix", tuple(prefix))
-        return self._prefix
+    def _arc_rows(self) -> tuple[tuple[tuple[int, ...], ...], int, int | None]:
+        """The integer arc rows, built on first use, so a polygon that
+        never measures arc length pays nothing for them: ``(rows, D, d)``,
+        every value over one common denominator D by ``_over``, an integer
+        pair (A, B) standing for (A + B*sqrt(d)) / D.
+
+        Row k is the k-th edge in arc order from the base vertex,
+        ``(S, Sb, X1, Y1, X2, Y2, u, v)``: the arc prefix (S, Sb) at its
+        start, the start vertex ((X1, Y1), (X2, Y2)) and the direction
+        (u, v).  The last row is the perimeter (S, Sb).
+        """
+        if self._arc is None:
+            n, base = len(self.vertices), self._base
+            order = [(base + k) % n for k in range(n)]
+            coords = [x for i in order for x in self.vertices[i]]
+            D, d, pairs = _over(*coords, *(self.edges[i].length for i in order))
+            rows, S, Sb = [], 0, 0
+            for k, i in enumerate(order):
+                w = self.edges[i].direction
+                rows.append((S, Sb, *pairs[2 * k], *pairs[2 * k + 1], w.u, w.v))
+                A, B = pairs[2 * n + k]
+                S, Sb = S + A, Sb + B
+            rows.append((S, Sb))
+            object.__setattr__(self, "_arc", (tuple(rows), D, d))
+        return self._arc
 
     def arc_of_vertex(self, i: int) -> QField:
-        n = len(self.vertices)
-        return self._arcs()[(i - self._base) % n]
+        rows, D, d = self._arc_rows()
+        S, Sb = rows[(i - self._base) % len(self.vertices)][:2]
+        return _reduced(S, Sb, D, d)
 
     def point_to_arc(self, p: Point) -> QField:
         """Counterclockwise boundary arc coordinate in [0, perimeter).
@@ -348,25 +377,98 @@ class Polygon:
         value, i = self._locate(p)
         if value.sign() != 0:
             raise ValueError(f"point ({p.x1}, {p.x2}) is not on the polygon boundary")
-        edge, v = self.edges[i], self.vertices[i]
-        if edge.direction.u != 0:
-            lam = (p.x1 - v.x1) / edge.direction.u
-        else:
-            lam = (p.x2 - v.x2) / edge.direction.v
-        # the end of the edge before the base vertex has arc = perimeter
-        s, per = self.arc_of_vertex(i) + lam, self._arcs()[-1]
-        return s - per if s >= per else s
+        return _reduced(*self._arc_pair(i, p))
 
     def arc_to_point(self, s: ScalarLike) -> Point:
         """Inverse of point_to_arc; s is taken modulo the perimeter."""
-        s = qf(s)
-        prefix = self._arcs()
-        per = prefix[-1]
-        s = s - scalars.floor(s / per) * per
-        # 0 <= s < per, so the edge is the last one that starts at or before s
-        k = bisect.bisect_right(prefix, s) - 1
-        i = (self._base + k) % len(self.vertices)
-        return move(self.vertices[i], self.edges[i].direction, s - prefix[k])
+        A, B, Ds, ds = qf(s)._v
+        D, d = self._arc_rows()[1:]
+        return self._arc_point(A * D, B * D, Ds * D, self._arc_radicand(d, ds))
+
+    def _arc_radicand(self, d: int | None, ds: int | None) -> int | None:
+        """The one radicand of a rational arc over rows in sqrt(d) plus a
+        value in sqrt(ds).  Two radicands are refused, named as ``QField``
+        arithmetic on the arc names them: the value's first when the
+        perimeter is irrational (the quotient s / perimeter), else the rows'
+        first (the edge's start vertex plus the offset)."""
+        if ds is None or ds == d:
+            return d
+        if self._arc_rows()[0][-1][1]:
+            return _merge_radicand(ds, d)
+        return _merge_radicand(d, ds)
+
+    def _arc_pair(self, i: int, p: Point) -> tuple[int, int, int, int | None]:
+        """The arc coordinate of p, a point on edge i, as an integer pair
+        over a multiple M of the rows' denominator: ``(a, b, M, d)`` for
+        (a + b*sqrt(d)) / M in [0, perimeter).
+
+        With p over P by ``_over``, the offset along the edge is
+        lambda = (p - start) / w for the first nonzero entry w of the
+        direction, so the coordinate is prefix + lambda over M = P*D*|w|.
+        """
+        rows, D, d = self._arc_rows()
+        n = len(self.vertices)
+        k = (i - self._base) % n
+        S, Sb, X1, Y1, X2, Y2, u, v = rows[k]
+        P, d, ((A1, B1), (A2, B2)) = _over(p.x1, p.x2, d=d)
+        if u:
+            w, a, b = u, A1 * D - X1 * P, B1 * D - Y1 * P
+        else:
+            w, a, b = v, A2 * D - X2 * P, B2 * D - Y2 * P
+        if w < 0:
+            w, a, b = -w, -a, -b
+        scale = P * w
+        a, b = a + S * scale, b + Sb * scale
+        # only the end of the edge before the base vertex reaches the perimeter
+        if k == n - 1 and (a, b) == (rows[n][0] * scale, rows[n][1] * scale):
+            a = b = 0
+        return a, b, D * scale, d
+
+    def _arc_point(self, a: int, b: int, M: int, d: int | None) -> Point:
+        """The boundary point at arc (a + b*sqrt(d)) / M modulo the
+        perimeter, for M a multiple of the rows' denominator D.
+
+        The arc is reduced by sign tests when it lies in [0, 2 perimeter)
+        and by ``scalars._floor`` of its quotient otherwise; its edge is the
+        last one whose prefix is at most the arc, found by bisecting the
+        prefix rows with sign tests; one ``Point`` is built at the end.
+        """
+        rows, D, _ = self._arc_rows()
+        scale, n = M // D, len(rows) - 1
+        pa, pb = rows[n][0] * scale, rows[n][1] * scale
+        if _sign(a - pa, b - pb, d) >= 0:
+            if _sign(a - 2 * pa, b - 2 * pb, d) < 0:
+                a, b = a - pa, b - pb
+            else:
+                a, b = _mod(a, b, pa, pb, d)
+        elif _sign(a, b, d) < 0:
+            a, b = _mod(a, b, pa, pb, d)
+        lo, hi = 0, n
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if _sign(a - rows[mid][0] * scale, b - rows[mid][1] * scale, d) >= 0:
+                lo = mid
+            else:
+                hi = mid
+        S, Sb, X1, Y1, X2, Y2, u, v = rows[lo]
+        a, b = a - S * scale, b - Sb * scale
+        return Point(
+            _reduced(X1 * scale + a * u, Y1 * scale + b * u, M, d),
+            _reduced(X2 * scale + a * v, Y2 * scale + b * v, M, d),
+        )
+
+    def _level_edge(self, h: QField, i: int, p: Point) -> tuple["Polygon", int]:
+        """The level polygon {F >= h} and the index of its edge through p,
+        for a point p with F(p) = h first attained at edge i of this polygon.
+
+        While no edge has died below h, the level polygon's edges are this
+        polygon's edges in order, so the index is i; otherwise the level's
+        own ``_locate`` finds the edge.
+        """
+        level = self.level_set(h)
+        if len(level.edges) == len(self.edges):
+            return level, i
+        return level, level._locate(p)[1]
 
     # -- transforms and serialization ---------------------------------------
 
@@ -472,6 +574,18 @@ def _line_rows(lines: Sequence) -> tuple[tuple[tuple[int, int, int, int], ...], 
     k = (A_k + B_k*sqrt(d)) / L over one common denominator L; then L and d."""
     L, d, offsets = _over(*(line.offset for line in lines))
     return tuple((e.normal.u, e.normal.v, A, B) for e, (A, B) in zip(lines, offsets)), L, d
+
+
+def _mod(a: int, b: int, pa: int, pb: int, d: int | None) -> tuple[int, int]:
+    """(a + b*sqrt(d)) modulo (pa + pb*sqrt(d)) > 0, by ``scalars._floor`` of
+    the quotient, whose denominator is the norm pa^2 - pb^2*d."""
+    if d is None:
+        q = a // pa
+    else:
+        N = pa * pa - pb * pb * d
+        s = 1 if N > 0 else -1
+        q = _floor(s * (a * pa - b * pb * d), s * (b * pa - a * pb), s * N, d)
+    return a - q * pa, b - q * pb
 
 
 def _loop_area_twice(loop: Sequence[Point]) -> QField:

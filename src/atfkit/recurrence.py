@@ -22,6 +22,13 @@ is an integer pair with one exact sign test, and the point is reduced to
 ``apply_phi`` is the smoothed version used for orbit analysis: full
 advance c - h up to level c - eps, a linear taper across the band
 (c - eps, c + eps), and the identity above.
+
+Every level rotation (``apply_phi``, ``apply_phi_iter``,
+``rotate_on_level`` and the expected images of the self-check) is one
+advance pass over the level polygon's integer arc rows: the edge of p comes
+from the ``_locate`` that finds its level, the image's arc
+prefix + lambda + t is one integer pair, and the polygon reduces it modulo
+the perimeter, finds its edge by sign tests and builds the one ``Point``.
 """
 
 from __future__ import annotations
@@ -31,7 +38,7 @@ from dataclasses import dataclass, field, replace
 from .diagram import BaseDiagram
 from .plane import LatticeVector, Point, UnimodularAffineMap, dot, move
 from .polygon import ConstructionParams, Polygon, _line_rows, build_blowup_polygon
-from .scalars import QField, ScalarLike, _over, _reduced, _sign, qf
+from .scalars import QField, ScalarLike, _merge_radicand, _over, _reduced, _sign, qf
 
 
 class VerificationError(ValueError):
@@ -131,17 +138,28 @@ def rotate_on_level(poly: Polygon, h: ScalarLike, t: ScalarLike, p: Point) -> Po
     Requires p to lie exactly on the level set {F = h}.
     """
     h = qf(h)
-    if poly.distance_to_boundary(p) != h:
+    F, i = poly._inside(p)
+    if F != h:
         raise ValueError(f"point ({p.x1}, {p.x2}) is not on level {h}")
-    return _advance(poly, h, qf(t), p)
-
-
-def _advance(poly: Polygon, h: QField, t: QField, p: Point) -> Point:
-    """Move p, known to lie on {F = h}, by arc length t along that level."""
+    t = qf(t)
     if not t:
         return p
-    level = poly.level_set(h)
-    return level.arc_to_point(level.point_to_arc(p) + t)
+    return _advance(*poly._level_edge(h, i, p), t, p)
+
+
+def _advance(level: Polygon, j: int, t: QField, p: Point) -> Point:
+    """Move p, a point on edge j of a level polygon, by arc length t along
+    it: one integer pass over the level's arc rows.
+
+    The arc s = prefix + lambda + t of the image is one integer pair over one
+    denominator; ``Polygon._arc_point`` reduces it modulo the perimeter, finds
+    its edge by sign tests and builds the one ``Point``.
+    """
+    a, b, M, d = level._arc_pair(j, p)
+    A, B, Dt, dt = t._v
+    # an irrational arc meets t in the scalar sum arc + t, a rational one later
+    d = _merge_radicand(d, dt) if b else level._arc_radicand(d, dt)
+    return level._arc_point(a * Dt + A * M, b * Dt + B * M, M * Dt, d)
 
 
 def rotation_amount(params: ConstructionParams, h: ScalarLike) -> QField:
@@ -234,8 +252,11 @@ def _verify_rounds(rm: RecurrenceMap) -> None:
     checks = [(h, c - h) for h in ((c - eps) * k / 4 for k in range(4))]
     checks += [(h, 0) for h in (c + eps, (c + eps + top) / 2)]
     for h, advance in checks:
-        for pt in _level_samples(poly.level_set(h)):
-            expected = _advance(poly, h, advance, pt)  # samples of the level lie on it
+        level = poly.level_set(h)
+        n = len(level.edges)
+        # sample j is a vertex or an edge midpoint of level edge j mod n
+        for j, pt in enumerate(_level_samples(level)):
+            expected = _advance(level, j % n, advance, pt) if advance else pt
             got = apply_rounds(rm, pt)
             if got == expected:
                 continue
@@ -264,12 +285,17 @@ def apply_phi_iter(rm: RecurrenceMap, p: Point, n: int) -> Point:
 
     Levels are preserved, so n steps of arc advance r(h) amount to a
     single advance by n * r(h); this matches iterating ``apply_phi``
-    exactly while costing one rotation.
+    exactly while costing one rotation.  Any integer n is accepted: n = 0
+    gives p and n < 0 the inverse iterate, a clockwise advance by |n| * r(h).
     """
     if type(n) is not int:
         raise ValueError("iteration count must be an integer")
-    h = rm.polygon.distance_to_boundary(p)
-    return _advance(rm.polygon, h, rotation_amount(rm.params, h) * n, p)
+    poly = rm.polygon
+    h, i = poly._inside(p)
+    t = rotation_amount(rm.params, h) * n
+    if not t:
+        return p
+    return _advance(*poly._level_edge(h, i, p), t, p)
 
 
 __all__ = [

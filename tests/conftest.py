@@ -7,6 +7,7 @@ Random parameters, interior points and unimodular maps come from
 of generators.
 """
 
+import bisect
 import copy
 import json
 import random
@@ -17,9 +18,10 @@ import pytest
 from hypothesis.configuration import set_hypothesis_home_dir
 
 from atfkit import ConstructionParams, LatticeVector, Point, QField, qf
+from atfkit import scalars
 from atfkit.diagram import build_pi0
 from atfkit.orbits import _walk
-from atfkit.plane import delta, primitive
+from atfkit.plane import delta, move, primitive
 from atfkit.polygon import Polygon, build_blowup_polygon
 
 
@@ -156,6 +158,66 @@ def qfield_direction_of(a: Point, b: Point) -> tuple[LatticeVector, QField]:
         w = -w
     length = dx / w.u if w.u != 0 else dy / w.v
     return w, length
+
+
+# The QField arc path that ``Polygon`` and ``atfkit.recurrence`` had before
+# the integer arc rows, kept verbatim (only the names differ, and methods
+# became functions of the polygon) as the oracle for the rows and for the
+# one advance pass.
+
+
+def qfield_arcs(self: Polygon) -> tuple[QField, ...]:
+    """Arc coordinates of the vertices from the base vertex on, then the
+    perimeter."""
+    n = len(self.vertices)
+    prefix = [qf(0)]
+    for k in range(n):
+        prefix.append(prefix[-1] + self.edges[(self._base + k) % n].length)
+    return tuple(prefix)
+
+
+def qfield_arc_of_vertex(self: Polygon, i: int) -> QField:
+    n = len(self.vertices)
+    return qfield_arcs(self)[(i - self._base) % n]
+
+
+def qfield_point_to_arc(self: Polygon, p: Point) -> QField:
+    """Counterclockwise boundary arc coordinate in [0, perimeter).
+
+    Measured in lattice length from the lexicographically smallest
+    vertex.  Errors when p is not on the boundary.
+    """
+    value, i = self._locate(p)
+    if value.sign() != 0:
+        raise ValueError(f"point ({p.x1}, {p.x2}) is not on the polygon boundary")
+    edge, v = self.edges[i], self.vertices[i]
+    if edge.direction.u != 0:
+        lam = (p.x1 - v.x1) / edge.direction.u
+    else:
+        lam = (p.x2 - v.x2) / edge.direction.v
+    # the end of the edge before the base vertex has arc = perimeter
+    s, per = qfield_arc_of_vertex(self, i) + lam, qfield_arcs(self)[-1]
+    return s - per if s >= per else s
+
+
+def qfield_arc_to_point(self: Polygon, s) -> Point:
+    """Inverse of point_to_arc; s is taken modulo the perimeter."""
+    s = qf(s)
+    prefix = qfield_arcs(self)
+    per = prefix[-1]
+    s = s - scalars.floor(s / per) * per
+    # 0 <= s < per, so the edge is the last one that starts at or before s
+    k = bisect.bisect_right(prefix, s) - 1
+    i = (self._base + k) % len(self.vertices)
+    return move(self.vertices[i], self.edges[i].direction, s - prefix[k])
+
+
+def qfield_advance(poly: Polygon, h: QField, t: QField, p: Point) -> Point:
+    """Move p, known to lie on {F = h}, by arc length t along that level."""
+    if not t:
+        return p
+    level = poly.level_set(h)
+    return qfield_arc_to_point(level, qfield_point_to_arc(level, p) + t)
 
 
 def outcome(f, *args):

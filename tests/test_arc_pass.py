@@ -1,0 +1,293 @@
+"""The integer arc rows and the one advance pass against the QField arc path.
+
+``Polygon`` keeps a level's arc coordinate as integer rows over one common
+denominator, and ``recurrence._advance`` moves a point along its level in
+one integer pass over them.  The ``QField`` path they replaced (the prefix
+tuple, ``point_to_arc``, ``arc_to_point`` and ``_advance``) is kept
+verbatim in ``conftest`` as the oracle; the oracles below compose it the
+way the public functions did.  Values, error types and messages must all
+agree: on random chopped rectangles with rational, sqrt(2) and sqrt(3)
+parameters, at levels below the taper, inside it and above it, at every
+vertex (from either of its edges), at edge points, for advances that wrap
+once or many times and for negative ones, and on det +1 and det -1 images
+of the catalog polygons.  The one difference: where the ``QField`` path
+built a point with one coordinate in each of two radicands, a point every
+other function refuses, the pass refuses to build it.
+"""
+
+import random
+from fractions import Fraction
+
+from conftest import (
+    outcome,
+    qfield_advance,
+    qfield_arc_of_vertex,
+    qfield_arc_to_point,
+    qfield_arcs,
+    qfield_point_to_arc,
+)
+
+from atfkit.diagram import build_pi0
+from atfkit.orbits import LevelCoordinate, from_level_coordinate, to_level_coordinate
+from atfkit.plane import Point, move
+from atfkit.polygon import ConstructionParams, Polygon, _mod, catalog
+from atfkit.recurrence import (
+    _advance,
+    apply_phi_iter,
+    build_recurrence_map,
+    rotate_on_level,
+    rotation_amount,
+)
+from atfkit.scalars import QField, floor, qf
+from atfkit.verify import random_interior_point, random_params, random_unimodular
+
+ITERATES = (-3, 0, 1, 2, 7, 10**6)
+
+CATALOG_SAMPLES = ["CP2(3)", "S2xS2(4,2)", "HirzebruchF1(4,1)", "Bl1CP2", "Bl2CP2", "Bl3CP2",
+                   "Blowup_S2xS2(4,2,1/2)", "Blowup2_S2xS2(4,2)"]
+
+ROOT_2 = QField(-1, 1, 2)  # sqrt(2) - 1
+
+IRRATIONAL_PARAMS = [
+    ConstructionParams(QField(4, 1, 2), QField(2, Fraction(1, 2), 2),
+                       QField(Fraction(1, 2), Fraction(1, 8), 2), Fraction(1, 8)),
+    # every perimeter here has a negative conjugate, so a negative norm
+    ConstructionParams(QField(0, 3, 2), QField(0, 2, 2), QField(0, Fraction(1, 2), 2),
+                       QField(0, Fraction(1, 8), 2)),
+    ConstructionParams(4, QField(Fraction(5, 2), Fraction(1, 3), 3), Fraction(3, 4),
+                       QField(0, Fraction(1, 9), 3)),
+]
+
+
+# -- the public functions as they were, over the QField arc path ----------------
+
+
+def oracle_rotate_on_level(poly: Polygon, h, t, p: Point) -> Point:
+    h = qf(h)
+    if poly.distance_to_boundary(p) != h:
+        raise ValueError(f"point ({p.x1}, {p.x2}) is not on level {h}")
+    return qfield_advance(poly, h, qf(t), p)
+
+
+def oracle_apply_phi_iter(rm, p: Point, n: int) -> Point:
+    if type(n) is not int:
+        raise ValueError("iteration count must be an integer")
+    h = rm.polygon.distance_to_boundary(p)
+    return qfield_advance(rm.polygon, h, rotation_amount(rm.params, h) * n, p)
+
+
+def oracle_to_level_coordinate(poly: Polygon, p: Point) -> LevelCoordinate:
+    h = poly.distance_to_boundary(p)
+    return LevelCoordinate(h, qfield_point_to_arc(poly.level_set(h), p))
+
+
+def oracle_from_level_coordinate(poly: Polygon, coord: LevelCoordinate) -> Point:
+    return qfield_arc_to_point(poly.level_set(coord.h), coord.s)
+
+
+# -- inputs ---------------------------------------------------------------------
+
+
+def root(*values: QField) -> QField:
+    """sqrt(d) - 1 in the values' own radicand, sqrt(2) - 1 for rational ones."""
+    return QField(-1, 1, next((x._v[3] for x in values if x._v[3]), 2))
+
+
+def map_levels(rm) -> list:
+    """Rational and irrational levels below c - eps, inside the taper band
+    and above c + eps."""
+    c, eps = rm.params.c, rm.params.eps
+    r = root(rm.params.a, rm.params.b, c, eps)
+    top = rm.polygon.max_distance()[0]
+    low = [(c - eps) * k / 4 for k in range(4)] + [c - eps, (c - eps) * r]
+    band = [c - eps / 2, c + eps / 3, c + eps * (r - qf("1/4"))]
+    high = [c + eps + (top - c - eps) / 3, c + eps + (top - c - eps) * r / 2]
+    return low + band + high
+
+
+def level_points(level: Polygon) -> list:
+    """Each vertex, then the points a fifth and a half of the way along each
+    edge."""
+    points = list(level.vertices)
+    for v, e in zip(level.vertices, level.edges):
+        points += [move(v, e.direction, e.length * f) for f in (qf("1/5"), qf("1/2"))]
+    return points
+
+
+def maps() -> list:
+    rng = random.Random(1509)
+    params = [random_params(rng) for _ in range(20)] + IRRATIONAL_PARAMS
+    return [build_recurrence_map(build_pi0(p)) for p in params]
+
+
+MAPS = maps()
+
+
+# -- agreement ------------------------------------------------------------------
+
+
+def test_arc_rows_match_the_qfield_prefix():
+    rng = random.Random(1510)
+    polys = [rm.polygon.level_set(h) for rm in MAPS for h in map_levels(rm)]
+    for name in CATALOG_SAMPLES:
+        polys += [catalog(name).transform(random_unimodular(rng, det)) for det in (1, -1)]
+    for poly in polys:
+        arcs = qfield_arcs(poly)
+        assert poly.perimeter() == arcs[-1]
+        n = len(poly.vertices)
+        assert [poly.arc_of_vertex(i) for i in range(n)] == [
+            qfield_arc_of_vertex(poly, i) for i in range(n)
+        ]
+        for p in level_points(poly):
+            assert outcome(poly.point_to_arc, p) == outcome(qfield_point_to_arc, poly, p)
+        per, r = arcs[-1], root(*(x for v in poly.vertices for x in v))
+        for s in [per * Fraction(k, 7) for k in range(-8, 22)] + [per * r * k for k in (-5, 1, 3)]:
+            assert poly.arc_to_point(s) == qfield_arc_to_point(poly, s), (poly, s)
+
+
+def test_apply_phi_iter_matches_the_qfield_path():
+    wraps = 0
+    for rm in MAPS:
+        for h in map_levels(rm):
+            level = rm.polygon.level_set(h)
+            r = rotation_amount(rm.params, h)
+            # points a little before the base vertex, where one step wraps past it
+            base = level.vertices[level.base_index]
+            last = level.edges[level.base_index - 1]
+            ends = [move(base, last.direction, -r * f) for f in (qf("1/2"), qf("1/7"))
+                    if qf(0) < r * f < last.length]
+            for p in level_points(level) + ends:
+                s = level.point_to_arc(p)
+                for n in ITERATES:
+                    got = apply_phi_iter(rm, p, n)
+                    assert got == oracle_apply_phi_iter(rm, p, n), (rm.params, h, p, n)
+                wraps += s + r >= level.perimeter()
+    assert wraps > 300
+
+
+def test_the_pass_from_either_edge_of_a_vertex():
+    # a vertex ends one edge and starts the next; the base vertex ends the
+    # last edge of the arc, where the arc coordinate equals the perimeter
+    for rm in MAPS[:6] + MAPS[-3:]:
+        for h in map_levels(rm)[:6]:
+            level = rm.polygon.level_set(h)
+            n, t = len(level.vertices), rotation_amount(rm.params, h)
+            for j, v in enumerate(level.vertices):
+                for shift in (t, -t, t * 10**6, level.perimeter()):
+                    want = qfield_advance(rm.polygon, h, shift, v)
+                    assert _advance(level, j, shift, v) == want
+                    assert _advance(level, (j - 1) % n, shift, v) == want
+
+
+def test_rotate_on_level_matches_on_transformed_catalog_polygons():
+    # the equivariance check of the verify battery rotates det -1 images
+    # with negative advances
+    rng = random.Random(1511)
+    # edge 0 of this square, the chop, dies at level 1 where its neighbours
+    # meet at (1, 1): at that death level the first edge through the level
+    # vertex (1, 1) is not a level edge
+    polys = [Polygon([(0, 1), (1, 0), (4, 0), (4, 4), (0, 4)])]
+    for name in CATALOG_SAMPLES:
+        polys += [catalog(name).transform(random_unimodular(rng, det)) for det in (1, -1)]
+    cases = 0
+    for poly in polys:
+        top = poly.max_distance()[0]
+        deaths = {t for t in poly._edge_deaths()[0] if t < top}
+        for h in [qf(0), top / 3, top * ROOT_2, top * 5 / 6, *deaths]:
+            level = poly.level_set(h)
+            per = level.perimeter()
+            for p in level_points(level):
+                for t in (per / 7, -per / 3, per * 3, -per * ROOT_2 * 11, qf(0)):
+                    got = outcome(rotate_on_level, poly, h, t, p)
+                    assert got == outcome(oracle_rotate_on_level, poly, h, t, p)
+                    cases += 1
+    assert cases > 2000
+
+
+def test_level_coordinates_match_and_round_trip():
+    rng = random.Random(1512)
+    for rm in MAPS:
+        poly = rm.polygon
+        points = [p for h in map_levels(rm) for p in level_points(poly.level_set(h))]
+        points += [random_interior_point(rng, poly) for _ in range(6)]
+        for p in points:
+            coord = to_level_coordinate(poly, p)
+            assert coord == oracle_to_level_coordinate(poly, p)
+            assert from_level_coordinate(poly, coord) == p
+            shifted = LevelCoordinate(coord.h, coord.s + poly.level_perimeter(coord.h) * 3)
+            assert from_level_coordinate(poly, shifted) == oracle_from_level_coordinate(poly, shifted)
+
+
+def test_errors_match_the_qfield_path():
+    rm = MAPS[-3]  # sqrt(2) parameters
+    poly, c = rm.polygon, rm.params.c
+    level = poly.level_set(c / 3)
+    base = level.vertices[level.base_index]
+    inner = level.vertices[(level.base_index + 2) % len(level.vertices)]
+    root_3 = QField(0, Fraction(1, 5), 3)
+    off = Point(inner.x1 + qf("1/100"), inner.x2)
+    outside = Point(poly.vertices[0].x1 - 1, poly.vertices[0].x2)
+    stray = Point(root_3, qf(0))
+    cases = [
+        (rotate_on_level, oracle_rotate_on_level, (poly, c / 3, 1, off)),  # off the level
+        (rotate_on_level, oracle_rotate_on_level, (poly, c / 3, 1, outside)),
+        (rotate_on_level, oracle_rotate_on_level, (poly, c / 3, 1, stray)),  # p in sqrt(3)
+        # t in sqrt(3): at the base vertex the arc is rational, elsewhere not
+        (rotate_on_level, oracle_rotate_on_level, (poly, c / 3, root_3, base)),
+        (rotate_on_level, oracle_rotate_on_level, (poly, c / 3, root_3, inner)),
+        (rotate_on_level, oracle_rotate_on_level, (poly, c / 3, 1.5, base)),
+        (apply_phi_iter, oracle_apply_phi_iter, (rm, outside, 1)),
+        (apply_phi_iter, oracle_apply_phi_iter, (rm, stray, 1)),
+        (apply_phi_iter, oracle_apply_phi_iter, (rm, base, 1.0)),
+        (Polygon.point_to_arc, qfield_point_to_arc, (level, off)),
+        (Polygon.point_to_arc, qfield_point_to_arc, (level, stray)),
+        (Polygon.arc_to_point, qfield_arc_to_point, (level, root_3)),
+        (Polygon.arc_to_point, qfield_arc_to_point, (level, 0.5)),
+        (to_level_coordinate, oracle_to_level_coordinate, (poly, outside)),
+        (from_level_coordinate, oracle_from_level_coordinate,
+         (poly, LevelCoordinate(c / 3, root_3))),
+    ]
+    # translated by a sqrt(2) vector, a catalog polygon keeps rational edge
+    # lengths and perimeter: a sqrt(3) advance from a vertex passes the
+    # perimeter's quotient and meets the sqrt(2) start vertex first
+    for name in ("CP2(3)", "S2xS2(4,2)"):
+        moved = Polygon([Point(v.x1 + ROOT_2, v.x2 + ROOT_2 * 3) for v in catalog(name).vertices])
+        for h in (qf(0), moved.max_distance()[0] / 3):
+            level = moved.level_set(h)
+            for v in level.vertices:
+                cases.append((rotate_on_level, oracle_rotate_on_level, (moved, h, root_3, v)))
+            cases.append((Polygon.arc_to_point, qfield_arc_to_point, (level, root_3 + 1)))
+    for f, oracle, args in cases:
+        got, want = outcome(f, *args), outcome(oracle, *args)
+        assert got == want and got[0] == "error", (f.__name__, got, want)
+
+
+def test_the_pass_refuses_a_point_of_two_radicands():
+    # a square moved right by sqrt(2) keeps rational y coordinates, so the
+    # QField path moved (4 + sqrt(2), 0) up its right edge by sqrt(3)/5 into
+    # a point with one coordinate in each radicand, which every other
+    # function refuses; the integer pass refuses it at once
+    square = Polygon([Point(x + ROOT_2 + 1, y) for x, y in ((0, 0), (4, 0), (4, 4), (0, 4))])
+    corner, t = square.vertices[1], QField(0, Fraction(1, 5), 3)
+    made = oracle_rotate_on_level(square, 0, t, corner)
+    assert (made.x1._v[3], made.x2._v[3]) == (2, 3)
+    refused = ("error", ValueError, "mixed radicands sqrt(2) and sqrt(3)")
+    assert outcome(square.distance_to_boundary, made) == refused
+    assert outcome(rotate_on_level, square, 0, t, corner) == refused
+    assert outcome(square.arc_to_point, t + 4) == refused
+
+
+def test_reduction_modulo_a_perimeter_of_either_norm_sign():
+    # the quotient's denominator is the perimeter's norm, negative when its
+    # conjugate is; compared with the QField floor the arc path used
+    rng = random.Random(1513)
+    negative = 0
+    for _ in range(3000):
+        d, pa, pb = rng.choice((2, 3, 5)), rng.randint(-9, 12), rng.randint(-6, 6)
+        if QField(pa, pb, d).sign() <= 0:
+            continue
+        a, b = rng.randint(-80, 80), rng.randint(-80, 80)
+        s, per = QField(a, b, d), QField(pa, pb, d)
+        assert QField(*_mod(a, b, pa, pb, d), d) == s - floor(s / per) * per, (a, b, pa, pb, d)
+        negative += pa * pa < pb * pb * d
+    assert negative > 500

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import HOSTILE_POLYGONS, outcome, random_hulls, random_triple
+from conftest import HOSTILE_POLYGONS, outcome, qfield_arcs, random_hulls, random_triple
 
 from atfkit.classify import monotone_test
 from atfkit import scalars
@@ -583,9 +583,10 @@ def test_arc_orientation_is_counterclockwise():
 
 def _scanning_arc_to_point(self, s):
     """Oracle: ``Polygon.arc_to_point`` before it bisected the arc table,
-    verbatim but for being a function."""
+    verbatim but for being a function and reading the ``QField`` prefix
+    from ``qfield_arcs``."""
     s = qf(s)
-    prefix = self._arcs()
+    prefix = qfield_arcs(self)
     per = prefix[-1]
     s = s - scalars.floor(s / per) * per
     n = len(self.vertices)

@@ -387,6 +387,27 @@ def test_apply_phi_iter_inverts():
     assert apply_phi_iter(rm, p, 0) == p
 
 
+@pytest.mark.parametrize("h", [qf("1/4"), QField(-1, 1, 2) / 4], ids=["rational", "sqrt2"])
+def test_negative_counts_give_the_inverse_iterate(h):
+    rm = default_map()
+    level = rm.polygon.level_set(h)
+    r = rotation_amount(rm.params, h)
+    k = level.base_index
+    base = level.vertices[k]
+    # a step forward from just before the base vertex wraps past it, and a
+    # step back from the base vertex or just after it does too
+    before = move(base, level.edges[k - 1].direction, -r / 3)
+    after = move(base, level.edges[k].direction, r / 3)
+    assert level.point_to_arc(apply_phi(rm, before)) < level.point_to_arc(before)
+    for p in (before, base, after):
+        for n in (1, 7, 10**6):
+            q = apply_phi_iter(rm, p, n)
+            assert rm.polygon.distance_to_boundary(q) == h
+            assert apply_phi_iter(rm, q, -n) == p
+            assert apply_phi_iter(rm, apply_phi_iter(rm, p, -n), n) == p
+    assert level.point_to_arc(apply_phi_iter(rm, after, -1)) > level.point_to_arc(after)
+
+
 def test_apply_phi_iter_period_on_level_quarter():
     rm = default_map()
     p = pt(0, "-3/4")  # F = 1/4, rotation number 1/39
