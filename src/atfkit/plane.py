@@ -38,6 +38,22 @@ class Point:
         return f"({self.x1}, {self.x2})"
 
 
+_new = object.__new__
+_setattr = object.__setattr__
+
+
+def _point(x1: QField, x2: QField) -> Point:
+    """A ``Point`` from two ``QField`` values a pass has already built.
+
+    It skips the ``qf`` coercion of ``Point.__post_init__``, as
+    ``scalars._raw`` skips normalisation, so it accepts ``QField``s only.
+    """
+    p = _new(Point)
+    _setattr(p, "x1", x1)
+    _setattr(p, "x2", x2)
+    return p
+
+
 @dataclass(frozen=True)
 class LatticeVector:
     """An integer vector of Z^2."""
@@ -101,7 +117,7 @@ def dot(n: LatticeVector, p: Point) -> QField:
 def move(p: Point, direction: LatticeVector, amount: ScalarLike) -> Point:
     """The point ``p + amount * direction``."""
     t = qf(amount)
-    return Point(p.x1 + t * direction.u, p.x2 + t * direction.v)
+    return _point(p.x1 + t * direction.u, p.x2 + t * direction.v)
 
 
 def delta(a: Point, b: Point) -> tuple[QField, QField]:

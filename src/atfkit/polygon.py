@@ -14,12 +14,14 @@ parallel polygons obtained by sliding every edge inward by h.  One
 edge-death schedule, built once per polygon, gives all of them: every edge
 line slides inward from level 0, an edge dies where the shifted lines of
 its two live neighbours meet on it, and max F is reached when fewer than
-three edges are left.  Each vertex of ``{F >= h}`` is where the shifted
-lines ``<n, x> + k = h`` of two neighbouring edges alive at h meet, a 2x2
-solve with an integer determinant.  Each polygon memoises its level sets
-by h, keeping the newest ``LEVEL_MEMO_SIZE`` of them.  The module also
-builds the family of corner-chopped rectangles that drives the recurrence
-construction, plus a small catalog of named polygons.
+three edges are left.  A level polygon is built straight from the edges
+alive at h, without the checks of ``Polygon(...)``: each keeps its normal
+and direction, its offset becomes k - h, and each vertex of ``{F >= h}``,
+where the shifted lines ``<n, x> + k = h`` of two neighbouring alive edges
+meet, is one 2x2 integer solve over the edge rows below.  Each polygon
+memoises its level sets by h, keeping the newest ``LEVEL_MEMO_SIZE`` of
+them.  The module also builds the family of corner-chopped rectangles that
+drives the recurrence construction, plus a small catalog of named polygons.
 
 Every edge value <n_i, p> + k_i is read from integer edge rows built with
 the polygon, the offsets over one common denominator L by ``scalars._over``:
@@ -51,6 +53,7 @@ from .plane import (
     LatticeVector,
     Point,
     UnimodularAffineMap,
+    _point,
     as_point,
     cross,
     delta,
@@ -108,14 +111,20 @@ class Polygon:
             raise ValueError(
                 f"vertices wind {wraps} times around the polygon, not once"
             )
+        self._fill(verts, tuple(edges))
+
+    def _fill(self, verts: tuple[Point, ...], edges: tuple[Edge, ...]) -> None:
+        """Set every slot from vertices and edges known to form a polygon:
+        the edge rows, the base vertex by a lexicographic scan, and empty
+        memos."""
         object.__setattr__(self, "vertices", verts)
-        object.__setattr__(self, "edges", tuple(edges))
+        object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "_rows", _line_rows(edges))
         object.__setattr__(self, "_hash", None)
         object.__setattr__(self, "_schedule", None)
         object.__setattr__(self, "_levels", {})
         base = 0
-        for i in range(1, n):
+        for i in range(1, len(verts)):
             if lex_less(verts[i], verts[base]):
                 base = i
         object.__setattr__(self, "_base", base)
@@ -286,7 +295,7 @@ class Polygon:
             deaths, top, _ = self._edge_deaths()
             if h >= top:
                 raise ValueError(f"level {h} is not below the maximum distance")
-            level = Polygon(_level_vertices([e for e, t in zip(self.edges, deaths) if t > h], h))
+            level = self._level([i for i, t in enumerate(deaths) if t > h], h)
             if len(levels) >= LEVEL_MEMO_SIZE:
                 del levels[next(iter(levels))]
             levels[h] = level
@@ -326,6 +335,57 @@ class Polygon:
             deaths = [level if t is None else t for t in deaths]
             object.__setattr__(self, "_schedule", (deaths, level, top))
         return self._schedule
+
+    def _level(self, alive: list[int], h: QField) -> "Polygon":
+        """The level polygon {F >= h} from the indices of the edges alive at
+        h, built without the checks of ``Polygon(...)``: the edge-death
+        schedule already makes it a strictly convex polygon whose edges are
+        the alive edges in order.
+
+        One integer pass over the edge rows: with the offsets over L and h
+        over H, the shifted line <n, x> = h - k of each alive edge is an
+        integer row over L*H.  Vertex j, the start of level edge j, is the
+        Cramer solve of the shifted rows of alive edges j - 1 and j, one
+        integer pair per coordinate over L*H*det.  Each edge keeps its
+        normal and direction, its offset is k - h, and its length is the
+        vertex difference divided by the direction's first nonzero entry.
+        A level whose radicand differs from the offsets' is refused, named
+        as ``h - k`` names it.
+        """
+        rows, L, d = self._rows
+        Ah, Bh, H, dh = h._v
+        d = _merge_radicand(dh, d)
+        shifted = [
+            (u, v, Ah * L - A * H, Bh * L - B * H) for u, v, A, B in (rows[i] for i in alive)
+        ]
+        LH = L * H
+        verts, coords = [], []
+        u0, v0, a0, b0 = shifted[-1]
+        for u1, v1, a1, b1 in shifted:
+            # det > 0: the normals of a counterclockwise polygon turn left
+            D = LH * (u0 * v1 - v0 * u1)
+            X, Xs = a0 * v1 - a1 * v0, b0 * v1 - b1 * v0
+            Y, Ys = a1 * u0 - a0 * u1, b1 * u0 - b0 * u1
+            coords.append((X, Xs, Y, Ys, D))
+            verts.append(_point(_reduced(X, Xs, D, d), _reduced(Y, Ys, D, d)))
+            u0, v0, a0, b0 = u1, v1, a1, b1
+        edges, m = [], len(alive)
+        for j, i in enumerate(alive):
+            e = self.edges[i]
+            w = e.direction
+            X0, Xs0, Y0, Ys0, D0 = coords[j]
+            X1, Xs1, Y1, Ys1, D1 = coords[(j + 1) % m]
+            if w.u:
+                s, a, b = w.u, X1 * D0 - X0 * D1, Xs1 * D0 - Xs0 * D1
+            else:
+                s, a, b = w.v, Y1 * D0 - Y0 * D1, Ys1 * D0 - Ys0 * D1
+            if s < 0:
+                s, a, b = -s, -a, -b
+            offset = _reduced(-shifted[j][2], -shifted[j][3], LH, d)
+            edges.append(Edge(e.normal, offset, w, _reduced(a, b, D0 * D1 * s, d)))
+        level = object.__new__(Polygon)
+        level._fill(tuple(verts), tuple(edges))
+        return level
 
     def level_perimeter(self, h: ScalarLike) -> QField:
         return self.level_set(h).perimeter()
@@ -452,7 +512,7 @@ class Polygon:
                 hi = mid
         S, Sb, X1, Y1, X2, Y2, u, v = rows[lo]
         a, b = a - S * scale, b - Sb * scale
-        return Point(
+        return _point(
             _reduced(X1 * scale + a * u, Y1 * scale + b * u, M, d),
             _reduced(X2 * scale + a * v, Y2 * scale + b * v, M, d),
         )
@@ -601,17 +661,6 @@ def _loop_area_twice(loop: Sequence[Point]) -> QField:
 def _lower_half(w: LatticeVector) -> bool:
     """True when w points into the half-turn of angles [pi, 2 pi)."""
     return w.v < 0 or (w.v == 0 and w.u < 0)
-
-
-def _level_vertices(edges: Sequence[Edge], h: QField) -> list[Point]:
-    """Vertices of {F >= h}: where neighbouring shifted edge lines meet."""
-    points = []
-    for e0, e1 in zip(edges[-1:] + edges[:-1], edges):
-        n0, n1 = e0.normal, e1.normal
-        r0, r1 = h - e0.offset, h - e1.offset
-        det = cross(n0, n1)
-        points.append(Point((r0 * n1.v - r1 * n0.v) / det, (r1 * n0.u - r0 * n1.u) / det))
-    return points
 
 
 def check_shape(a: QField, b: QField, c: QField) -> None:

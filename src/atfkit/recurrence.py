@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from .diagram import BaseDiagram
-from .plane import LatticeVector, Point, UnimodularAffineMap, dot, move
+from .plane import LatticeVector, Point, UnimodularAffineMap, _point, dot, move
 from .polygon import ConstructionParams, Polygon, _line_rows, build_blowup_polygon
 from .scalars import QField, ScalarLike, _merge_radicand, _over, _reduced, _sign, qf
 
@@ -242,7 +242,7 @@ def _shear_pass(strips: tuple, p: Point) -> Point:
     if not moved:
         return p
     M = P * L
-    return Point(_reduced(X1, Y1, M, d), _reduced(X2, Y2, M, d))
+    return _point(_reduced(X1, Y1, M, d), _reduced(X2, Y2, M, d))
 
 
 def _verify_rounds(rm: RecurrenceMap) -> None:

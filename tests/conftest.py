@@ -21,7 +21,7 @@ from atfkit import ConstructionParams, LatticeVector, Point, QField, qf
 from atfkit import scalars
 from atfkit.diagram import build_pi0
 from atfkit.orbits import _walk
-from atfkit.plane import delta, move, primitive
+from atfkit.plane import cross, delta, move, primitive
 from atfkit.polygon import Polygon, build_blowup_polygon
 
 
@@ -218,6 +218,36 @@ def qfield_advance(poly: Polygon, h: QField, t: QField, p: Point) -> Point:
         return p
     level = poly.level_set(h)
     return qfield_arc_to_point(level, qfield_point_to_arc(level, p) + t)
+
+
+# The level path that ``Polygon.level_set`` had before its trusted integer
+# build, kept verbatim (only the names differ, and the memo is left out) as
+# the oracle for that build: the vertices of {F >= h} pass back through the
+# public constructor.
+
+
+def level_vertices(edges, h: QField) -> list[Point]:
+    """Vertices of {F >= h}: where neighbouring shifted edge lines meet."""
+    points = []
+    for e0, e1 in zip(edges[-1:] + edges[:-1], edges):
+        n0, n1 = e0.normal, e1.normal
+        r0, r1 = h - e0.offset, h - e1.offset
+        det = cross(n0, n1)
+        points.append(Point((r0 * n1.v - r1 * n0.v) / det, (r1 * n0.u - r0 * n1.u) / det))
+    return points
+
+
+def constructed_level_set(self: Polygon, h) -> Polygon:
+    """The inner parallel polygon {F >= h}; h = 0 gives the polygon."""
+    h = qf(h)
+    if h.sign() < 0:
+        raise ValueError("level must be nonnegative")
+    if h.sign() == 0:
+        return self
+    deaths, top, _ = self._edge_deaths()
+    if h >= top:
+        raise ValueError(f"level {h} is not below the maximum distance")
+    return Polygon(level_vertices([e for e, t in zip(self.edges, deaths) if t > h], h))
 
 
 def outcome(f, *args):

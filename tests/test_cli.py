@@ -287,6 +287,19 @@ def test_render_to_file(tmp_path, capsys):
     assert svg.count('class="node"') == 5
 
 
+def test_render_of_a_level_above_an_edge_death(tmp_path, capsys):
+    # the command line the CI verify job runs: for a=4, b=2, c=1/2 the
+    # slanted edge dies at 1/2 and max F is 1, so the level at 3/4 has four
+    # vertices
+    pi0, svg_path = tmp_path / "quarter.json", tmp_path / "dead.svg"
+    args = ["--a", "4", "--b", "2", "--c", "1/2", "--eps", "1/4"]
+    assert run(capsys, "build", *args, "-o", str(pi0))[0] == 0
+    assert run(capsys, "render", str(pi0), "--levels", "3/4", "-o", str(svg_path))[0] == 0
+    (level,) = [line for line in svg_path.read_text().splitlines() if 'class="level"' in line]
+    points = level.split('points="')[1].split('"')[0].split()
+    assert len(points) == 4
+
+
 def test_render_to_stdout_with_toggles(tmp_path, capsys):
     code, stdout, _ = run(
         capsys, "render", write_pi0(tmp_path), "--no-cuts", "--no-nodes", "--eigenlines"

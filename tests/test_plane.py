@@ -1,5 +1,7 @@
 """Lattice vectors, exact predicates, and unimodular affine maps."""
 
+import dataclasses
+import pickle
 import random
 from fractions import Fraction
 
@@ -17,6 +19,7 @@ from atfkit.plane import (
     LatticeVector,
     Point,
     UnimodularAffineMap,
+    _point,
     affine_length,
     cross,
     delta,
@@ -53,6 +56,22 @@ def test_point_coerces_coordinates():
     p = Point(Fraction(1, 2), "3/4")
     assert isinstance(p.x1, QField) and isinstance(p.x2, QField)
     assert tuple(p) == (qf("1/2"), qf("3/4"))
+
+
+def test_private_point_is_a_point():
+    # _point skips only the coercion: equality, hash, immutability, pickling
+    # and the coordinates' normal forms are those of the public constructor
+    root_2 = QField.sqrt(2)
+    for x, y in [(qf("1/2"), qf("-3/4")), (qf(0), qf(7)), (root_2 / 3 + 1, -root_2)]:
+        p, q = _point(x, y), Point(x, y)
+        assert type(p) is Point
+        assert p == q and hash(p) == hash(q)
+        assert (p.x1._v, p.x2._v) == (q.x1._v, q.x2._v)
+        assert pickle.loads(pickle.dumps(p)) == q
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            p.x1 = qf(1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del p.x2
 
 
 def test_lattice_vector_validation():
