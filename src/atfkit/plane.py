@@ -322,7 +322,8 @@ def unipotent_fixing(
 
 
 def lex_less(a: Point, b: Point) -> bool:
-    """Lexicographic order on (x1, x2); used for canonical base points."""
+    """Lexicographic order on (x1, x2).  A polygon's arc origin, its
+    lexicographically smallest vertex, comes from its winding scan instead."""
     if a.x1 != b.x1:
         return a.x1 < b.x1
     return a.x2 < b.x2

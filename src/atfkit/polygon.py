@@ -31,15 +31,20 @@ denominator P of its coordinates, which makes each edge value an integer
 pair over P*L.  F(p) is the smallest pair by exact sign tests, and only
 the value returned is built as a ``QField``.
 
-The boundary arc coordinate, lattice length counterclockwise from the
-lexicographically smallest vertex, is one set of integer arc rows built on
-first use: for each edge in arc order, the arc prefix at its start and its
-start vertex over one common denominator D by ``_over``, with the perimeter
-last.  ``perimeter``, ``arc_of_vertex``, ``point_to_arc`` and
-``arc_to_point`` read them.  An arc of a point on edge i is prefix + lambda
-as one integer pair; an arc is reduced modulo the perimeter by sign tests
-(an exact ``scalars._floor`` when it lies outside [0, 2 perimeter)), its
-edge is found by sign tests on the prefixes, and one ``Point`` is built.
+The boundary arc coordinate is lattice length counterclockwise from the
+lexicographically smallest vertex.  That vertex comes from the winding scan
+the constructor and the level build make anyway: it is the one corner where
+the edge directions pass out of the half-turn pointing left or straight
+down.  The coordinate is one set of integer arc rows built on first use:
+for each edge in arc order, the arc prefix at its start and its start
+vertex over one common denominator D by ``_over``, with the perimeter last.
+``perimeter``, ``arc_of_vertex`` and ``point_to_arc`` read them, and one
+advance pass, ``Polygon._advance``, serves every level rotation of
+``atfkit.recurrence`` and ``arc_to_point`` (the base vertex advanced by s).
+An arc of a point on edge i is prefix + lambda (+ the advance) as one
+integer pair; it is reduced modulo the perimeter by one exact floor of its
+quotient (``_mod``), its edge is found by sign tests on the prefixes, and
+one ``Point`` is built.
 """
 
 from __future__ import annotations
@@ -59,7 +64,6 @@ from .plane import (
     delta,
     direction_of,
     dot,
-    lex_less,
     move,
 )
 from .scalars import QField, ScalarLike, _floor, _merge_radicand, _over, _reduced, _sign, qf
@@ -98,35 +102,28 @@ class Polygon:
             offset = -dot(normal, a)
             edges.append(Edge(normal, offset, direction, length))
         # strictly convex and counterclockwise: every corner turns left and
-        # the edge directions wind exactly once, passing the +x axis once
-        wraps = 0
+        # the edge directions wind exactly once
         for i in range(n):
-            prev, cur = edges[i - 1].direction, edges[i].direction
-            if cross(prev, cur) <= 0:
+            if cross(edges[i - 1].direction, edges[i].direction) <= 0:
                 raise ValueError(
                     "vertices must be strictly convex in counterclockwise order"
                 )
-            wraps += _lower_half(prev) and not _lower_half(cur)
-        if wraps != 1:
+        passes = _passes(edges)
+        if len(passes) != 1:
             raise ValueError(
-                f"vertices wind {wraps} times around the polygon, not once"
+                f"vertices wind {len(passes)} times around the polygon, not once"
             )
-        self._fill(verts, tuple(edges))
+        self._fill(verts, tuple(edges), passes[0])
 
-    def _fill(self, verts: tuple[Point, ...], edges: tuple[Edge, ...]) -> None:
-        """Set every slot from vertices and edges known to form a polygon:
-        the edge rows, the base vertex by a lexicographic scan, and empty
-        memos."""
+    def _fill(self, verts: tuple[Point, ...], edges: tuple[Edge, ...], base: int) -> None:
+        """Set every slot from vertices and edges known to form a polygon,
+        the base vertex given: the edge rows and empty memos."""
         object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "_rows", _line_rows(edges))
         object.__setattr__(self, "_hash", None)
         object.__setattr__(self, "_schedule", None)
         object.__setattr__(self, "_levels", {})
-        base = 0
-        for i in range(1, len(verts)):
-            if lex_less(verts[i], verts[base]):
-                base = i
         object.__setattr__(self, "_base", base)
         object.__setattr__(self, "_arc", None)
 
@@ -384,7 +381,7 @@ class Polygon:
             offset = _reduced(-shifted[j][2], -shifted[j][3], LH, d)
             edges.append(Edge(e.normal, offset, w, _reduced(a, b, D0 * D1 * s, d)))
         level = object.__new__(Polygon)
-        level._fill(tuple(verts), tuple(edges))
+        level._fill(tuple(verts), tuple(edges), _passes(edges)[0])
         return level
 
     def level_perimeter(self, h: ScalarLike) -> QField:
@@ -440,22 +437,30 @@ class Polygon:
         return _reduced(*self._arc_pair(i, p))
 
     def arc_to_point(self, s: ScalarLike) -> Point:
-        """Inverse of point_to_arc; s is taken modulo the perimeter."""
-        A, B, Ds, ds = qf(s)._v
-        D, d = self._arc_rows()[1:]
-        return self._arc_point(A * D, B * D, Ds * D, self._arc_radicand(d, ds))
+        """Inverse of point_to_arc: the base vertex advanced by s, taken
+        modulo the perimeter."""
+        base = self._base
+        return self._advance(base, qf(s), self.vertices[base])
 
-    def _arc_radicand(self, d: int | None, ds: int | None) -> int | None:
-        """The one radicand of a rational arc over rows in sqrt(d) plus a
-        value in sqrt(ds).  Two radicands are refused, named as ``QField``
-        arithmetic on the arc names them: the value's first when the
-        perimeter is irrational (the quotient s / perimeter), else the rows'
-        first (the edge's start vertex plus the offset)."""
-        if ds is None or ds == d:
-            return d
-        if self._arc_rows()[0][-1][1]:
-            return _merge_radicand(ds, d)
-        return _merge_radicand(d, ds)
+    def _advance(self, j: int, t: QField, p: Point) -> Point:
+        """Move p, a point on edge j, by arc length t counterclockwise along
+        the boundary: the one advance pass over the integer arc rows.
+
+        The arc s = prefix + lambda + t of the image is one integer pair over
+        one denominator; ``_arc_point`` reduces it modulo the perimeter, finds
+        its edge by sign tests and builds the one ``Point``.  Two radicands
+        are refused, named as ``QField`` arithmetic on the arc names them: an
+        irrational arc meets t in the sum arc + t; a rational one meets it in
+        the quotient s / perimeter when the perimeter is irrational (t's
+        radicand first), else at the edge's start vertex plus the offset.
+        """
+        a, b, M, d = self._arc_pair(j, p)
+        A, B, Dt, dt = t._v
+        if b or not self._arc_rows()[0][-1][1]:
+            d = _merge_radicand(d, dt)
+        else:
+            d = _merge_radicand(dt, d)
+        return self._arc_point(a * Dt + A * M, b * Dt + B * M, M * Dt, d)
 
     def _arc_pair(self, i: int, p: Point) -> tuple[int, int, int, int | None]:
         """The arc coordinate of p, a point on edge i, as an integer pair
@@ -488,21 +493,13 @@ class Polygon:
         """The boundary point at arc (a + b*sqrt(d)) / M modulo the
         perimeter, for M a multiple of the rows' denominator D.
 
-        The arc is reduced by sign tests when it lies in [0, 2 perimeter)
-        and by ``scalars._floor`` of its quotient otherwise; its edge is the
-        last one whose prefix is at most the arc, found by bisecting the
-        prefix rows with sign tests; one ``Point`` is built at the end.
+        The arc is reduced by ``_mod``; its edge is the last one whose prefix
+        is at most the arc, found by bisecting the prefix rows with sign
+        tests; one ``Point`` is built at the end.
         """
         rows, D, _ = self._arc_rows()
         scale, n = M // D, len(rows) - 1
-        pa, pb = rows[n][0] * scale, rows[n][1] * scale
-        if _sign(a - pa, b - pb, d) >= 0:
-            if _sign(a - 2 * pa, b - 2 * pb, d) < 0:
-                a, b = a - pa, b - pb
-            else:
-                a, b = _mod(a, b, pa, pb, d)
-        elif _sign(a, b, d) < 0:
-            a, b = _mod(a, b, pa, pb, d)
+        a, b = _mod(a, b, rows[n][0] * scale, rows[n][1] * scale, d)
         lo, hi = 0, n
         while hi - lo > 1:
             mid = (lo + hi) // 2
@@ -658,9 +655,17 @@ def _loop_area_twice(loop: Sequence[Point]) -> QField:
     return total
 
 
-def _lower_half(w: LatticeVector) -> bool:
-    """True when w points into the half-turn of angles [pi, 2 pi)."""
-    return w.v < 0 or (w.v == 0 and w.u < 0)
+def _passes(edges: Sequence[Edge]) -> list[int]:
+    """The corners i where the edge directions pass out of the half-turn
+    that points left or straight down (u < 0, or u = 0 and v < 0).
+
+    Directions that turn left at every corner pass once per winding.  On
+    a strictly convex counterclockwise loop the one pass is at the
+    lexicographically smallest vertex, the arc origin: the edge into it
+    points left or down, the edge out of it right or up.
+    """
+    left = [w.u < 0 or (w.u == 0 and w.v < 0) for w in (e.direction for e in edges)]
+    return [i for i in range(len(left)) if left[i - 1] and not left[i]]
 
 
 def check_shape(a: QField, b: QField, c: QField) -> None:

@@ -24,11 +24,11 @@ advance c - h up to level c - eps, a linear taper across the band
 (c - eps, c + eps), and the identity above.
 
 Every level rotation (``apply_phi``, ``apply_phi_iter``,
-``rotate_on_level`` and the expected images of the self-check) is one
-advance pass over the level polygon's integer arc rows: the edge of p comes
-from the ``_locate`` that finds its level, the image's arc
-prefix + lambda + t is one integer pair, and the polygon reduces it modulo
-the perimeter, finds its edge by sign tests and builds the one ``Point``.
+``rotate_on_level`` and the expected images of the self-check) is the level
+polygon's own advance pass, ``Polygon._advance``, the one that also serves
+``arc_to_point``: the edge of p comes from the ``_locate`` that finds its
+level, and the polygon moves p along its integer arc rows.  This module
+reads no arc rows.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from dataclasses import dataclass, field, replace
 from .diagram import BaseDiagram
 from .plane import LatticeVector, Point, UnimodularAffineMap, _point, dot, move
 from .polygon import ConstructionParams, Polygon, _line_rows, build_blowup_polygon
-from .scalars import QField, ScalarLike, _merge_radicand, _over, _reduced, _sign, qf
+from .scalars import QField, ScalarLike, _over, _reduced, _sign, qf
 
 
 class VerificationError(ValueError):
@@ -144,22 +144,8 @@ def rotate_on_level(poly: Polygon, h: ScalarLike, t: ScalarLike, p: Point) -> Po
     t = qf(t)
     if not t:
         return p
-    return _advance(*poly._level_edge(h, i, p), t, p)
-
-
-def _advance(level: Polygon, j: int, t: QField, p: Point) -> Point:
-    """Move p, a point on edge j of a level polygon, by arc length t along
-    it: one integer pass over the level's arc rows.
-
-    The arc s = prefix + lambda + t of the image is one integer pair over one
-    denominator; ``Polygon._arc_point`` reduces it modulo the perimeter, finds
-    its edge by sign tests and builds the one ``Point``.
-    """
-    a, b, M, d = level._arc_pair(j, p)
-    A, B, Dt, dt = t._v
-    # an irrational arc meets t in the scalar sum arc + t, a rational one later
-    d = _merge_radicand(d, dt) if b else level._arc_radicand(d, dt)
-    return level._arc_point(a * Dt + A * M, b * Dt + B * M, M * Dt, d)
+    level, j = poly._level_edge(h, i, p)
+    return level._advance(j, t, p)
 
 
 def rotation_amount(params: ConstructionParams, h: ScalarLike) -> QField:
@@ -256,7 +242,7 @@ def _verify_rounds(rm: RecurrenceMap) -> None:
         n = len(level.edges)
         # sample j is a vertex or an edge midpoint of level edge j mod n
         for j, pt in enumerate(_level_samples(level)):
-            expected = _advance(level, j % n, advance, pt) if advance else pt
+            expected = level._advance(j % n, advance, pt) if advance else pt
             got = apply_rounds(rm, pt)
             if got == expected:
                 continue
@@ -295,7 +281,8 @@ def apply_phi_iter(rm: RecurrenceMap, p: Point, n: int) -> Point:
     t = rotation_amount(rm.params, h) * n
     if not t:
         return p
-    return _advance(*poly._level_edge(h, i, p), t, p)
+    level, j = poly._level_edge(h, i, p)
+    return level._advance(j, t, p)
 
 
 __all__ = [

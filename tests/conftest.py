@@ -21,7 +21,7 @@ from atfkit import ConstructionParams, LatticeVector, Point, QField, qf
 from atfkit import scalars
 from atfkit.diagram import build_pi0
 from atfkit.orbits import _walk
-from atfkit.plane import cross, delta, move, primitive
+from atfkit.plane import cross, delta, lex_less, move, primitive
 from atfkit.polygon import Polygon, build_blowup_polygon
 
 
@@ -248,6 +248,21 @@ def constructed_level_set(self: Polygon, h) -> Polygon:
     if h >= top:
         raise ValueError(f"level {h} is not below the maximum distance")
     return Polygon(level_vertices([e for e, t in zip(self.edges, deaths) if t > h], h))
+
+
+# The arc-origin scan that ``Polygon`` had before it took the base vertex
+# from its winding scan, kept verbatim (only the name differs, and it
+# returns the index) as the oracle for that scan.
+
+
+def lex_base(poly: Polygon) -> int:
+    """Index of the lexicographically smallest vertex."""
+    verts = poly.vertices
+    base = 0
+    for i in range(1, len(verts)):
+        if lex_less(verts[i], verts[base]):
+            base = i
+    return base
 
 
 def outcome(f, *args):

@@ -1,8 +1,10 @@
 """The integer arc rows and the one advance pass against the QField arc path.
 
 ``Polygon`` keeps a level's arc coordinate as integer rows over one common
-denominator, and ``recurrence._advance`` moves a point along its level in
-one integer pass over them.  The ``QField`` path they replaced (the prefix
+denominator, and ``Polygon._advance`` moves a point along the boundary in
+one integer pass over them; the level rotations and ``arc_to_point`` (the
+base vertex advanced by s) all call it, and every arc is reduced modulo the
+perimeter by ``_mod``.  The ``QField`` path they replaced (the prefix
 tuple, ``point_to_arc``, ``arc_to_point`` and ``_advance``) is kept
 verbatim in ``conftest`` as the oracle; the oracles below compose it the
 way the public functions did.  Values, error types and messages must all
@@ -32,7 +34,6 @@ from atfkit.orbits import LevelCoordinate, from_level_coordinate, to_level_coord
 from atfkit.plane import Point, move
 from atfkit.polygon import ConstructionParams, Polygon, _mod, catalog
 from atfkit.recurrence import (
-    _advance,
     apply_phi_iter,
     build_recurrence_map,
     rotate_on_level,
@@ -131,6 +132,7 @@ def test_arc_rows_match_the_qfield_prefix():
     polys = [rm.polygon.level_set(h) for rm in MAPS for h in map_levels(rm)]
     for name in CATALOG_SAMPLES:
         polys += [catalog(name).transform(random_unimodular(rng, det)) for det in (1, -1)]
+    kinds = set()
     for poly in polys:
         arcs = qfield_arcs(poly)
         assert poly.perimeter() == arcs[-1]
@@ -141,8 +143,16 @@ def test_arc_rows_match_the_qfield_prefix():
         for p in level_points(poly):
             assert outcome(poly.point_to_arc, p) == outcome(qfield_point_to_arc, poly, p)
         per, r = arcs[-1], root(*(x for v in poly.vertices for x in v))
-        for s in [per * Fraction(k, 7) for k in range(-8, 22)] + [per * r * k for k in (-5, 1, 3)]:
+        # exactly 0, multiples of the perimeter, [per, 2 per), below 0 and
+        # beyond 2 per, rational and irrational
+        samples = [per * Fraction(k, 7) for k in range(-8, 22)] + [per * k for k in (-3, 5)]
+        samples += [per * r * k for k in (-5, 1, 3)] + [per * (1 + r / 2), -per * r / 3]
+        for s in samples:
             assert poly.arc_to_point(s) == qfield_arc_to_point(poly, s), (poly, s)
+        kinds.add((poly._arc_rows()[2], per.conjugate().sign()))
+    # rational rows, sqrt(2) and sqrt(3) rows, and perimeters of negative
+    # norm (IRRATIONAL_PARAMS[1])
+    assert kinds == {(None, 1), (2, 1), (2, -1), (3, 1)}
 
 
 def test_apply_phi_iter_matches_the_qfield_path():
@@ -175,8 +185,8 @@ def test_the_pass_from_either_edge_of_a_vertex():
             for j, v in enumerate(level.vertices):
                 for shift in (t, -t, t * 10**6, level.perimeter()):
                     want = qfield_advance(rm.polygon, h, shift, v)
-                    assert _advance(level, j, shift, v) == want
-                    assert _advance(level, (j - 1) % n, shift, v) == want
+                    assert level._advance(j, shift, v) == want
+                    assert level._advance((j - 1) % n, shift, v) == want
 
 
 def test_rotate_on_level_matches_on_transformed_catalog_polygons():

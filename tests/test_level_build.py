@@ -1,18 +1,21 @@
 """The trusted level build of ``Polygon.level_set`` against the level path it
 replaced: the vertices of {F >= h} passed back through the public
-constructor (``conftest.constructed_level_set``)."""
+constructor (``conftest.constructed_level_set``).  The arc origin, which the
+constructor and the level build both take from the winding scan of the edge
+directions, is checked against the lexicographic scan it replaced
+(``conftest.lex_base``)."""
 
 import pickle
 import random
 
 import pytest
 
-from conftest import constructed_level_set, outcome, random_hulls
+from conftest import constructed_level_set, lex_base, outcome, random_hulls
 
 from atfkit.plane import UnimodularAffineMap
 from atfkit.polygon import Polygon, build_blowup_polygon, catalog, centered_rectangle
 from atfkit.scalars import QField, qf
-from atfkit.verify import random_params
+from atfkit.verify import random_params, random_unimodular
 
 ROOT_2, ROOT_3 = QField.sqrt(2), QField.sqrt(3)
 CATALOG = [
@@ -128,3 +131,19 @@ def test_mixed_radicands_are_named_in_the_constructor_path_order():
     assert outcome(SQRT2_POLYGON.level_set, ROOT_3 / 2)[2] == mixed.format(3, 2)
     assert outcome(SHIFTED.level_set, ROOT_3 / 4)[2] == mixed.format(3, 2)
     assert outcome(SQRT2_CHOP.level_set, ROOT_3 / 2)[2] == mixed.format(2, 3)
+
+
+def test_the_arc_origin_is_the_lexicographically_smallest_vertex():
+    rng = random.Random(18)
+    hulls = random_hulls(rng, 30)
+    named = [catalog(name) for name in CATALOG] + [SQRT2_POLYGON]
+    images = [
+        poly.transform(random_unimodular(rng, det)) for poly in hulls[:10] + named for det in (1, -1)
+    ]
+    count, moved = 0, 0
+    for poly in hulls + named + images:
+        for level in [poly] + [poly.level_set(h) for h in levels(poly)]:
+            assert level.base_index == lex_base(level), (poly, level)
+            moved += level.base_index != 0
+            count += 1
+    assert count > 1100 and moved > 300
