@@ -23,7 +23,9 @@ A record is a tuple in memory and a JSON list whose fields one table
 fixes: ``["trade", vertex, param]``, ``["slide", node, {"point": old},
 {"point": new}, band]`` (band: the range of F swept), ``["cut_transfer",
 node]`` and ``["recurrence_loop"]``.  Points and bands are scalar pairs
-``["p/q", "p/q"]``; malformed JSON raises ``ValueError``.
+``["p/q", "p/q"]``; malformed JSON raises ``ValueError``.  Validation tests
+every pair of cut legs for a crossing, so a diagram whose cuts have more
+than ``LEG_LIMIT`` (256) legs in total is refused before any pair is tested.
 """
 
 from __future__ import annotations
@@ -54,6 +56,10 @@ from .polygon import (
     point_to_json,
 )
 from .scalars import QField, ScalarLike, qf
+
+# the most cut legs, over all cuts, that a diagram may have: validation
+# tests every pair of legs for a crossing
+LEG_LIMIT = 256
 
 
 @dataclass(frozen=True)
@@ -242,6 +248,8 @@ def _move_from_json(record: list) -> tuple:
 
 
 def _validate_diagram(diagram: BaseDiagram) -> None:
+    if (legs := sum(len(cut.path) - 1 for cut in diagram.cuts)) > LEG_LIMIT:
+        raise ValueError(f"cuts have {legs} legs in total, above the limit {LEG_LIMIT}")
     poly = diagram.polygon
     if len(diagram.nodes) != len(diagram.cuts):
         raise ValueError("each node needs exactly one branch cut")

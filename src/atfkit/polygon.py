@@ -16,12 +16,17 @@ line slides inward from level 0, an edge dies where the shifted lines of
 its two live neighbours meet on it, and max F is reached when fewer than
 three edges are left.  A level polygon is built straight from the edges
 alive at h, without the checks of ``Polygon(...)``: each keeps its normal
-and direction, its offset becomes k - h, and each vertex of ``{F >= h}``,
-where the shifted lines ``<n, x> + k = h`` of two neighbouring alive edges
-meet, is one 2x2 integer solve over the edge rows below.  Each polygon
-memoises its level sets by h, keeping the newest ``LEVEL_MEMO_SIZE`` of
-them.  The module also builds the family of corner-chopped rectangles that
-drives the recurrence construction, plus a small catalog of named polygons.
+and direction, its offset becomes k - h, and each vertex of ``{F >= h}``
+is where the shifted lines ``<n, x> + k = h`` of two neighbouring alive
+edges meet.  Every meeting of edge lines is one 2x2 integer Cramer solve,
+``_solve``, over the edge rows below: a level vertex solves two shifted
+rows, and an edge death, like ``solve_equidistant_triple``, subtracts the
+middle row of three from the other two (``_meeting``), so the schedule
+builds no ``QField`` but its death levels and one ``Point``, the
+maximizer.  Each polygon memoises its level sets by h, keeping the newest
+``LEVEL_MEMO_SIZE`` of them.  The module also builds the family of
+corner-chopped rectangles that drives the recurrence construction, five
+closed-form corners each, plus a small catalog of named polygons.
 
 Every edge value <n_i, p> + k_i is read from integer edge rows built with
 the polygon, the offsets over one common denominator L by ``scalars._over``:
@@ -85,9 +90,7 @@ class Edge:
 class Polygon:
     """A strictly convex rational polygon with counterclockwise vertices."""
 
-    __slots__ = (
-        "vertices", "edges", "_hash", "_schedule", "_levels", "_base", "_arc", "_rows"
-    )
+    __slots__ = ("vertices", "edges", "_schedule", "_levels", "_base", "_arc", "_rows")
 
     def __init__(self, vertices: Iterable[Point | tuple]):
         verts = tuple(as_point(v) for v in vertices)
@@ -121,7 +124,6 @@ class Polygon:
         object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "_rows", _line_rows(edges))
-        object.__setattr__(self, "_hash", None)
         object.__setattr__(self, "_schedule", None)
         object.__setattr__(self, "_levels", {})
         object.__setattr__(self, "_base", base)
@@ -140,11 +142,7 @@ class Polygon:
         return self.vertices == other.vertices
 
     def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash(self.vertices)
-            object.__setattr__(self, "_hash", h)
-        return h
+        return hash(self.vertices)
 
     def __repr__(self) -> str:
         coords = ", ".join(f"({v.x1}, {v.x2})" for v in self.vertices)
@@ -303,33 +301,35 @@ class Polygon:
         lattice-weighted straight skeleton (Aichholzer et al., J.UCS 1995).
 
         Returns each edge's death level, max F and a maximizer.  An edge
-        dies where the shifted lines of its two live neighbours meet on it;
-        a meeting below the current level belongs to a growing edge and is
-        never reached.  Deaths leave a heap keyed by (level, edge index)
-        until two edges are left, and those two die at max F.
+        dies where the shifted lines of its two live neighbours meet on it,
+        one ``_meeting`` of their edge rows; a meeting below the current
+        level belongs to a growing edge and is never reached.  Deaths leave
+        a heap keyed by (level, edge index) until two edges are left, and
+        those two die at max F.  Only the maximizer is built as a ``Point``.
         """
         if self._schedule is None:
-            edges, n = self.edges, len(self.edges)
+            (rows, L, d), n = self._rows, len(self.edges)
             prev, nxt = [(i - 1) % n for i in range(n)], [(i + 1) % n for i in range(n)]
             deaths, heap, level, top = [None] * n, [], qf(0), None
 
             def push(i):  # a meeting at the current level is a simultaneous death
-                meet = solve_equidistant_triple(edges[prev[i]], edges[i], edges[nxt[i]])
-                if meet and meet[1] >= level:
-                    heapq.heappush(heap, (meet[1], i, prev[i], nxt[i], meet[0]))
+                meet = _meeting(rows[prev[i]], rows[i], rows[nxt[i]], L)
+                if meet and (t := _reduced(*meet[0], d)) >= level:
+                    heapq.heappush(heap, (t, i, prev[i], nxt[i], *meet[1:]))
 
             for i in range(n):
                 push(i)
             for _ in range(n - 2):
-                t, i, p, q, point = heapq.heappop(heap)
+                t, i, p, q, x1, x2 = heapq.heappop(heap)
                 while deaths[i] is not None or (prev[i], nxt[i]) != (p, q):
-                    t, i, p, q, point = heapq.heappop(heap)
+                    t, i, p, q, x1, x2 = heapq.heappop(heap)
                 if t != level:
-                    level, top = t, point
+                    level, top = t, (x1, x2)
                 deaths[i], nxt[p], prev[q] = t, q, p
                 push(p)
                 push(q)
             deaths = [level if t is None else t for t in deaths]
+            top = _point(_reduced(*top[0], d), _reduced(*top[1], d))
             object.__setattr__(self, "_schedule", (deaths, level, top))
         return self._schedule
 
@@ -357,15 +357,12 @@ class Polygon:
         ]
         LH = L * H
         verts, coords = [], []
-        u0, v0, a0, b0 = shifted[-1]
-        for u1, v1, a1, b1 in shifted:
+        for j in range(len(shifted)):
             # det > 0: the normals of a counterclockwise polygon turn left
-            D = LH * (u0 * v1 - v0 * u1)
-            X, Xs = a0 * v1 - a1 * v0, b0 * v1 - b1 * v0
-            Y, Ys = a1 * u0 - a0 * u1, b1 * u0 - b0 * u1
+            X, Xs, Y, Ys, det = _solve(shifted[j - 1], shifted[j])
+            D = LH * det
             coords.append((X, Xs, Y, Ys, D))
             verts.append(_point(_reduced(X, Xs, D, d), _reduced(Y, Ys, D, d)))
-            u0, v0, a0, b0 = u1, v1, a1, b1
         edges, m = [], len(alive)
         for j, i in enumerate(alive):
             e = self.edges[i]
@@ -556,31 +553,15 @@ class Polygon:
 def solve_equidistant_triple(e1: Edge, e2: Edge, e3: Edge) -> tuple[Point, QField] | None:
     """Solve ``<n_i, x> + k_i = t`` for three edges; None when singular.
 
-    This is the Cramer solve of the 3x3 system in (x1, x2, t) whose rows
-    are ``(n.u, n.v, -1 | -k)``; minors are split so that only the offset
-    column carries QField values.
+    One ``_meeting`` of the three edges' integer rows; offsets in two
+    radicands are a ``ValueError``.
     """
-    n1, n2, n3 = e1.normal, e2.normal, e3.normal
-    det = (
-        n1.u * (-n2.v + n3.v)
-        - n1.v * (-n2.u + n3.u)
-        - (n2.u * n3.v - n2.v * n3.u)
-    )
-    if det == 0:
+    rows, L, d = _line_rows((e1, e2, e3))
+    meet = _meeting(*rows, L)
+    if meet is None:
         return None
-    r1, r2, r3 = -e1.offset, -e2.offset, -e3.offset
-    x1 = (
-        r1 * (-n2.v + n3.v) - r2 * (-n1.v + n3.v) + r3 * (-n1.v + n2.v)
-    ) / det
-    x2 = (
-        -(r1 * (-n2.u + n3.u) - r2 * (-n1.u + n3.u) + r3 * (-n1.u + n2.u))
-    ) / det
-    t = (
-        r1 * (n2.u * n3.v - n2.v * n3.u)
-        - r2 * (n1.u * n3.v - n1.v * n3.u)
-        + r3 * (n1.u * n2.v - n1.v * n2.u)
-    ) / det
-    return Point(x1, x2), t
+    t, x1, x2 = meet
+    return _point(_reduced(*x1, d), _reduced(*x2, d)), _reduced(*t, d)
 
 
 def clip_halfplane(
@@ -631,6 +612,38 @@ def _line_rows(lines: Sequence) -> tuple[tuple[tuple[int, int, int, int], ...], 
     k = (A_k + B_k*sqrt(d)) / L over one common denominator L; then L and d."""
     L, d, offsets = _over(*(line.offset for line in lines))
     return tuple((e.normal.u, e.normal.v, A, B) for e, (A, B) in zip(lines, offsets)), L, d
+
+
+def _solve(r0: tuple[int, ...], r1: tuple[int, ...]) -> tuple[int, int, int, int, int]:
+    """Cramer's rule for two integer rows (u, v, a, b), each the line
+    u*x1 + v*x2 = a + b*sqrt(d): ``(X, Xs, Y, Ys, det)`` for the meeting point
+    x1 = (X + Xs*sqrt(d)) / det, x2 = (Y + Ys*sqrt(d)) / det; det is 0 when
+    the lines are parallel."""
+    (u0, v0, a0, b0), (u1, v1, a1, b1) = r0, r1
+    det = u0 * v1 - v0 * u1
+    return a0 * v1 - a1 * v0, b0 * v1 - b1 * v0, a1 * u0 - a0 * u1, b1 * u0 - b0 * u1, det
+
+
+def _meeting(rp: tuple, ri: tuple, rq: tuple, L: int) -> tuple[tuple[int, int, int], ...] | None:
+    """Where the lines <n, x> + k = t of three edge rows (n_u, n_v, A, B),
+    k = (A + B*sqrt(d)) / L, meet: ``(t, x1, x2)``, each an integer triple
+    (A, B, M) for (A + B*sqrt(d)) / M over one M > 0; None when det is 0.
+
+    Row i subtracted from rows p and q leaves a 2x2 system whose solution
+    is over L*det, and t is row i's value there.
+    """
+    ui, vi, Ai, Bi = ri
+    X, Xs, Y, Ys, det = _solve(
+        (rp[0] - ui, rp[1] - vi, Ai - rp[2], Bi - rp[3]),
+        (rq[0] - ui, rq[1] - vi, Ai - rq[2], Bi - rq[3]),
+    )
+    if not det:
+        return None
+    if det < 0:
+        X, Xs, Y, Ys, det = -X, -Xs, -Y, -Ys, -det
+    M = L * det
+    t = (ui * X + vi * Y + Ai * det, ui * Xs + vi * Ys + Bi * det, M)
+    return t, (X, Xs, M), (Y, Ys, M)
 
 
 def _mod(a: int, b: int, pa: int, pb: int, d: int | None) -> tuple[int, int]:
@@ -712,8 +725,14 @@ def build_blowup_polygon(params: ConstructionParams) -> Polygon:
     """The centered a-by-b rectangle with its bottom-right corner chopped
     at depth c: a five-edge Delzant polygon whose slanted edge has inward
     normal (-1, 1) and offset (a + b)/2 - c."""
-    rect = centered_rectangle(params.a, params.b)
-    return rect.corner_chop(1, params.c)
+    return Polygon(_blowup_corners(params))
+
+
+def _blowup_corners(params: ConstructionParams) -> tuple[Point, ...]:
+    """The five corners of ``build_blowup_polygon`` in closed form, from
+    (-a/2, -b/2) counterclockwise."""
+    a, b, c = params.a / 2, params.b / 2, params.c
+    return tuple(_point(x1, x2) for x1, x2 in ((-a, -b), (a - c, -b), (a, c - b), (a, b), (-a, b)))
 
 
 _CATALOG_DOC = {

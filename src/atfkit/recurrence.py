@@ -37,7 +37,7 @@ from dataclasses import dataclass, field, replace
 
 from .diagram import BaseDiagram
 from .plane import LatticeVector, Point, UnimodularAffineMap, _point, dot, move
-from .polygon import ConstructionParams, Polygon, _line_rows, build_blowup_polygon
+from .polygon import ConstructionParams, Polygon, _blowup_corners, _line_rows
 from .scalars import QField, ScalarLike, _over, _reduced, _sign, qf
 
 
@@ -178,7 +178,7 @@ def build_recurrence_map(source: BaseDiagram, verify: bool = True) -> Recurrence
     if params is None:
         raise ValueError("recurrence map needs construction parameters")
     poly = source.polygon
-    if poly != build_blowup_polygon(params):
+    if poly.vertices != _blowup_corners(params):
         raise ValueError("source diagram polygon does not match the parameters")
     a, b, c = params.a, params.b, params.c
     if not any(

@@ -9,6 +9,7 @@ of generators.
 
 import bisect
 import copy
+import heapq
 import json
 import random
 import tempfile
@@ -22,7 +23,7 @@ from atfkit import scalars
 from atfkit.diagram import build_pi0
 from atfkit.orbits import _walk
 from atfkit.plane import cross, delta, lex_less, move, primitive
-from atfkit.polygon import Polygon, build_blowup_polygon
+from atfkit.polygon import Edge, Polygon, build_blowup_polygon
 
 
 # hypothesis caches the constants of local source files in its home
@@ -265,6 +266,76 @@ def lex_base(poly: Polygon) -> int:
     return base
 
 
+# The QField triple solve and edge-death schedule that ``atfkit.polygon``
+# had before they moved onto the integer edge rows, kept verbatim (only the
+# names differ, and the method became a function of the polygon without its
+# memo) as the oracle for the one integer line-meeting solve.
+
+
+def qfield_solve_equidistant_triple(e1: Edge, e2: Edge, e3: Edge) -> tuple[Point, QField] | None:
+    """Solve ``<n_i, x> + k_i = t`` for three edges; None when singular.
+
+    This is the Cramer solve of the 3x3 system in (x1, x2, t) whose rows
+    are ``(n.u, n.v, -1 | -k)``; minors are split so that only the offset
+    column carries QField values.
+    """
+    n1, n2, n3 = e1.normal, e2.normal, e3.normal
+    det = (
+        n1.u * (-n2.v + n3.v)
+        - n1.v * (-n2.u + n3.u)
+        - (n2.u * n3.v - n2.v * n3.u)
+    )
+    if det == 0:
+        return None
+    r1, r2, r3 = -e1.offset, -e2.offset, -e3.offset
+    x1 = (
+        r1 * (-n2.v + n3.v) - r2 * (-n1.v + n3.v) + r3 * (-n1.v + n2.v)
+    ) / det
+    x2 = (
+        -(r1 * (-n2.u + n3.u) - r2 * (-n1.u + n3.u) + r3 * (-n1.u + n2.u))
+    ) / det
+    t = (
+        r1 * (n2.u * n3.v - n2.v * n3.u)
+        - r2 * (n1.u * n3.v - n1.v * n3.u)
+        + r3 * (n1.u * n2.v - n1.v * n2.u)
+    ) / det
+    return Point(x1, x2), t
+
+
+def qfield_edge_deaths(self: Polygon) -> tuple[list[QField], QField, Point]:
+    """The edge-death schedule of the inward wavefront, built once: the
+    lattice-weighted straight skeleton (Aichholzer et al., J.UCS 1995).
+
+    Returns each edge's death level, max F and a maximizer.  An edge
+    dies where the shifted lines of its two live neighbours meet on it;
+    a meeting below the current level belongs to a growing edge and is
+    never reached.  Deaths leave a heap keyed by (level, edge index)
+    until two edges are left, and those two die at max F.
+    """
+    edges, n = self.edges, len(self.edges)
+    prev, nxt = [(i - 1) % n for i in range(n)], [(i + 1) % n for i in range(n)]
+    deaths, heap, level, top = [None] * n, [], qf(0), None
+
+    def push(i):  # a meeting at the current level is a simultaneous death
+        meet = qfield_solve_equidistant_triple(edges[prev[i]], edges[i], edges[nxt[i]])
+        if meet and meet[1] >= level:
+            heapq.heappush(heap, (meet[1], i, prev[i], nxt[i], meet[0]))
+
+    for i in range(n):
+        push(i)
+    for _ in range(n - 2):
+        t, i, p, q, point = heapq.heappop(heap)
+        while deaths[i] is not None or (prev[i], nxt[i]) != (p, q):
+            t, i, p, q, point = heapq.heappop(heap)
+        if t != level:
+            level, top = t, point
+        deaths[i], nxt[p], prev[q] = t, q, p
+        push(p)
+        push(q)
+    deaths = [level if t is None else t for t in deaths]
+    return deaths, level, top
+
+
 def outcome(f, *args):
     """The value of f(*args), or the type and message of what it raised."""
     try:
@@ -305,6 +376,20 @@ HOSTILE_POLYGONS = {
 }
 
 
+def staircase_diagram(points: int) -> str:
+    """Diagram JSON of one node at the origin, eigendirection (0, 1), on a
+    rectangle: its cut goes up the eigenline, climbs unit steps (right,
+    then up) through ``points`` path points in all, and ends on the
+    boundary, so the diagram is valid and has points - 1 legs."""
+    path = [[str(j // 2), str((j + 1) // 2)] for j in range(points)]
+    right, top = str(points // 2), str((points + 1) // 2)
+    return json.dumps({
+        "polygon": {"vertices": [["-1", "-1"], [right, "-1"], [right, top], ["-1", top]]},
+        "nodes": [{"position": ["0", "0"], "eigen_dir": [0, 1]}],
+        "cuts": [{"node": 0, "path": path}],
+    })
+
+
 def hostile_diagrams() -> dict[str, str]:
     """Diagram JSON text that must be refused, by the way each one is malformed."""
     pi0 = build_pi0(ConstructionParams(4, 2, qf("1/2"), qf("1/8"))).to_json_obj()
@@ -335,5 +420,7 @@ def hostile_diagrams() -> dict[str, str]:
     }
     texts = {name: json.dumps(obj) for name, obj in cases.items()}
     texts["deeply nested document"] = DEEP_LIST
+    # 8,000 legs: far above the leg limit, which pair tests cannot reach in time
+    texts["staircase cut"] = staircase_diagram(8001)
     texts.update({name: '{"polygon": ' + poly + "}" for name, poly in HOSTILE_POLYGONS.items()})
     return texts

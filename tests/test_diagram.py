@@ -13,10 +13,12 @@ from conftest import (
     qfield_on_segment,
     qfield_orient,
     qfield_segments_intersect,
+    staircase_diagram,
 )
 
 import atfkit.diagram
 from atfkit.diagram import (
+    LEG_LIMIT,
     BaseDiagram,
     BranchCut,
     Node,
@@ -832,6 +834,13 @@ def test_json_rejects_inexact_numbers(field, value):
     (obj["cuts"] if field == "node" else obj["nodes"])[0][field] = value
     with pytest.raises(ValueError):
         BaseDiagram.from_json(json.dumps(obj))
+
+
+def test_cut_legs_up_to_the_limit_are_validated():
+    diagram = BaseDiagram.from_json(staircase_diagram(LEG_LIMIT + 1))
+    assert sum(len(cut.segments()) for cut in diagram.cuts) == LEG_LIMIT == 256
+    with pytest.raises(ValueError, match=f"257 legs in total, above the limit {LEG_LIMIT}"):
+        BaseDiagram.from_json(staircase_diagram(LEG_LIMIT + 2))
 
 
 @pytest.mark.parametrize("name", sorted(hostile_diagrams()))

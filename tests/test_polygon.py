@@ -11,14 +11,24 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import HOSTILE_POLYGONS, outcome, qfield_arcs, random_hulls, random_triple
+from conftest import (
+    HOSTILE_POLYGONS,
+    outcome,
+    qfield_arcs,
+    qfield_edge_deaths,
+    qfield_solve_equidistant_triple,
+    random_hulls,
+    random_triple,
+)
 
 from atfkit.classify import monotone_test
 from atfkit import scalars
+from atfkit.diagram import build_pi0
 from atfkit.plane import LatticeVector, Point, move, orient, pt
 from atfkit.polygon import (
     LEVEL_MEMO_SIZE,
     ConstructionParams,
+    Edge,
     Polygon,
     build_blowup_polygon,
     catalog,
@@ -27,11 +37,25 @@ from atfkit.polygon import (
     clip_halfplane,
     solve_equidistant_triple,
 )
+from atfkit.recurrence import build_recurrence_map
 from atfkit.scalars import QField, qf
 from atfkit.verify import random_interior_point, random_params, random_unimodular
 
 UNIT_SQUARE = Polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
 PENTAGRAM = [(0, 0), (5, 3), (-1, 3), (4, 0), (2, 5)]
+ROOT_2 = QField.sqrt(2)
+# offsets and max F in sqrt(2)
+SQRT2_POLYGON = centered_rectangle(5 + ROOT_2, 3 + ROOT_2).corner_chop(1, ROOT_2 / 2)
+# one offset in sqrt(2), and that edge dies at an irrational level below max F
+SQRT2_CHOP = centered_rectangle(4, 2).corner_chop(1, ROOT_2 / 2)
+
+
+def exact(value):
+    """The integers of a scalar or a point, so agreement means the same
+    reduced representation and not only the same value."""
+    if isinstance(value, Point):
+        return value.x1._v, value.x2._v
+    return value._v
 
 
 # -- construction -------------------------------------------------------------
@@ -90,6 +114,35 @@ def test_blowup_polygon_frozen_vertices():
     assert slant.normal == LatticeVector(-1, 1)
     assert slant.offset == qf("5/2")  # (a + b)/2 - c
     assert slant.length == qf("1/2")
+
+
+def test_blowup_polygon_is_the_chopped_rectangle():
+    rng = random.Random(17)
+    cases = [random_params(rng) for _ in range(200)]
+    cases.append(ConstructionParams(5 * ROOT_2, 3 * ROOT_2, ROOT_2 / 2, ROOT_2 / 8))
+    for params in cases:
+        chopped = centered_rectangle(params.a, params.b).corner_chop(1, params.c)
+        poly = build_blowup_polygon(params)
+        assert poly == chopped
+        assert [exact(v) for v in poly.vertices] == [exact(v) for v in chopped.vertices]
+        assert poly.edges == chopped.edges
+
+
+def test_pi0_polygon_is_constructed_once(monkeypatch):
+    params = ConstructionParams(4, 2, qf("1/2"), qf("1/8"))
+    source = build_pi0(params)
+    constructions = []
+    init = Polygon.__init__
+
+    def counted(self, vertices):
+        constructions.append(self)
+        init(self, vertices)
+
+    monkeypatch.setattr(Polygon, "__init__", counted)
+    build_blowup_polygon(params)
+    assert len(constructions) == 1
+    build_recurrence_map(source, verify=False)
+    assert len(constructions) == 1
 
 
 def test_blowup_polygon_documented_example():
@@ -436,7 +489,7 @@ def lp_max_distance(poly: Polygon):
     are active, so every edge triple is solved and the best feasible kept."""
     best = None
     for triple in itertools.combinations(poly.edges, 3):
-        solved = solve_equidistant_triple(*triple)
+        solved = qfield_solve_equidistant_triple(*triple)
         if solved is None:
             continue
         point, t = solved
@@ -449,7 +502,7 @@ def first_triple_monotone(poly: Polygon) -> bool:
     """Reference monotone test: the first independent edge triple pins the
     candidate center, and every other edge must agree on its distance."""
     for triple in itertools.combinations(poly.edges, 3):
-        solved = solve_equidistant_triple(*triple)
+        solved = qfield_solve_equidistant_triple(*triple)
         if solved is not None:
             point, t = solved
             return t.sign() > 0 and all(v == t for v in poly.support_values(point))
@@ -537,6 +590,48 @@ def test_monotone_test_matches_first_triple_oracle():
     verdicts = [monotone_test(poly) for poly in polys]
     assert verdicts == [first_triple_monotone(poly) for poly in polys]
     assert 5 <= sum(verdicts) < len(polys)
+
+
+def test_integer_solve_matches_the_qfield_oracle_on_every_edge_triple():
+    rng = random.Random(18)
+    polys = random_hulls(rng, 40) + [catalog(name) for name in CATALOG_SAMPLES]
+    polys += [SQRT2_POLYGON, SQRT2_CHOP, primitive_fan(3)]
+    singular = irrational = 0
+    for poly in polys:
+        for triple in itertools.combinations(poly.edges, 3):
+            ours = solve_equidistant_triple(*triple)
+            oracle = qfield_solve_equidistant_triple(*triple)
+            if oracle is None:
+                assert ours is None, triple
+                singular += 1
+                continue
+            assert (exact(ours[0]), exact(ours[1])) == (exact(oracle[0]), exact(oracle[1]))
+            irrational += oracle[1]._v[3] is not None
+    assert singular > 100 and irrational > 10
+
+
+def test_schedule_matches_the_qfield_oracle():
+    rng = random.Random(19)
+    polys = random_hulls(rng, 80) + [catalog(name) for name in CATALOG_SAMPLES]
+    polys += [SQRT2_POLYGON, SQRT2_CHOP, primitive_fan(3)]
+    polys += [build_blowup_polygon(random_params(rng)) for _ in range(20)]
+    for poly in polys:
+        deaths, top, point = poly._edge_deaths()
+        o_deaths, o_top, o_point = qfield_edge_deaths(poly)
+        assert [exact(t) for t in deaths] == [exact(t) for t in o_deaths], poly
+        assert (exact(top), exact(point)) == (exact(o_top), exact(o_point)), poly
+
+
+def test_triple_solve_refuses_offsets_in_two_radicands():
+    edges = (
+        Edge(LatticeVector(0, 1), ROOT_2, LatticeVector(1, 0), qf(1)),
+        Edge(LatticeVector(-1, 0), QField.sqrt(3), LatticeVector(0, 1), qf(1)),
+        Edge(LatticeVector(1, -1), qf(2), LatticeVector(1, 1), qf(1)),
+    )
+    with pytest.raises(ValueError, match="mixed radicands"):
+        solve_equidistant_triple(*edges)
+    with pytest.raises(ValueError, match="mixed radicands"):
+        qfield_solve_equidistant_triple(*edges)
 
 
 # -- arc coordinates -------------------------------------------------------------
