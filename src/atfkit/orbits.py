@@ -29,6 +29,11 @@ No ``QField`` is built per position.  On top of the walk:
   ``u + v > N``, their sum;
 * a histogram bin ``floor(bins * s / per)`` is one integer square root
   after multiplying by the conjugate of the perimeter.
+
+The level coordinates of a point (``to_level_coordinate`` and its inverse
+``from_level_coordinate``) read the polygon's arc rows for the piece of its
+edge-death schedule that holds h, at h, by the same advance pass as the
+rotations of ``atfkit.recurrence``; neither builds a level polygon.
 """
 
 from __future__ import annotations
@@ -74,12 +79,12 @@ class OrbitReport:
 
 def to_level_coordinate(poly: Polygon, p: Point) -> LevelCoordinate:
     """Split an interior point into (level, arc position on that level)."""
-    h = poly.distance_to_boundary(p)
-    return LevelCoordinate(h, poly.level_set(h).point_to_arc(p))
+    h, i = poly._inside(p)
+    return LevelCoordinate(h, poly._arc_at(h, i, p))
 
 
 def from_level_coordinate(poly: Polygon, coord: LevelCoordinate) -> Point:
-    return poly.level_set(coord.h).arc_to_point(coord.s)
+    return poly._advance(poly._arc_view(qf(coord.h)), 0, coord.s, None)
 
 
 def perimeter_value(params: ConstructionParams, h: ScalarLike) -> QField:

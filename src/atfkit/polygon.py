@@ -14,19 +14,22 @@ parallel polygons obtained by sliding every edge inward by h.  One
 edge-death schedule, built once per polygon, gives all of them: every edge
 line slides inward from level 0, an edge dies where the shifted lines of
 its two live neighbours meet on it, and max F is reached when fewer than
-three edges are left.  A level polygon is built straight from the edges
-alive at h, without the checks of ``Polygon(...)``: each keeps its normal
-and direction, its offset becomes k - h, and each vertex of ``{F >= h}``
-is where the shifted lines ``<n, x> + k = h`` of two neighbouring alive
-edges meet.  Every meeting of edge lines is one 2x2 integer Cramer solve,
-``_solve``, over the edge rows below: a level vertex solves two shifted
-rows, and an edge death, like ``solve_equidistant_triple``, subtracts the
-middle row of three from the other two (``_meeting``), so the schedule
-builds no ``QField`` but its death levels and one ``Point``, the
-maximizer.  Each polygon memoises its level sets by h, keeping the newest
-``LEVEL_MEMO_SIZE`` of them.  The module also builds the family of
-corner-chopped rectangles that drives the recurrence construction, five
-closed-form corners each, plus a small catalog of named polygons.
+three edges are left.  Every meeting of edge lines is one 2x2 integer
+Cramer solve, ``_solve``, over the edge rows below: an edge death, like
+``solve_equidistant_triple``, subtracts the middle row of three from the
+other two (``_meeting``), so the schedule builds no ``QField`` but its
+death levels and one ``Point``, the maximizer.
+
+Between two consecutive death levels the same edges are alive, and every
+vertex of {F >= h} moves affinely in h: this is one *piece* of the
+lattice-weighted straight skeleton (Aichholzer et al., 1995).  A polygon
+keeps the sorted death levels with its schedule and builds a piece on
+first use, one per death level at most, so the table needs no size bound.
+A piece holds its alive edges, its arc origin and, per corner, two
+``_solve`` results on the neighbouring edge rows: the corner at level 0
+and its velocity.  ``level_set`` reads the corners at h and builds the
+level polygon without the checks of ``Polygon(...)``: each edge keeps its
+normal and direction, and its offset becomes k - h.
 
 Every edge value <n_i, p> + k_i is read from integer edge rows built with
 the polygon, the offsets over one common denominator L by ``scalars._over``:
@@ -38,23 +41,29 @@ the value returned is built as a ``QField``.
 
 The boundary arc coordinate is lattice length counterclockwise from the
 lexicographically smallest vertex.  That vertex comes from the winding scan
-the constructor and the level build make anyway: it is the one corner where
-the edge directions pass out of the half-turn pointing left or straight
-down.  The coordinate is one set of integer arc rows built on first use:
-for each edge in arc order, the arc prefix at its start and its start
-vertex over one common denominator D by ``_over``, with the perimeter last.
-``perimeter``, ``arc_of_vertex`` and ``point_to_arc`` read them, and one
-advance pass, ``Polygon._advance``, serves every level rotation of
-``atfkit.recurrence`` and ``arc_to_point`` (the base vertex advanced by s).
-An arc of a point on edge i is prefix + lambda (+ the advance) as one
-integer pair; it is reduced modulo the perimeter by one exact floor of its
+of the edge directions: it is the one corner where they pass out of the
+half-turn pointing left or straight down, so it is fixed within a piece.
+On first arc use a piece also builds integer arc rows, affine in h: for
+each alive edge in arc order, the arc prefix at its start and its start
+vertex, with the perimeter last, each a value at level 0 plus h times a
+rate over one common denominator D by ``_over``.  One advance pass,
+``Polygon._advance``, reads them at h: it serves every level rotation of
+``atfkit.recurrence``, the level coordinates of ``atfkit.orbits`` and, at
+h = 0, the polygon's own ``arc_to_point``; ``perimeter``,
+``level_perimeter``, ``arc_of_vertex`` and ``point_to_arc`` read the same
+rows, so no rotation or level coordinate builds a level polygon.  An arc
+of a point on edge i is prefix + lambda (+ the advance) as one integer
+pair; it is reduced modulo the perimeter by one exact floor of its
 quotient (``_mod``), its edge is found by sign tests on the prefixes, and
-one ``Point`` is built.
+one ``Point`` is built.  The module also builds the family of
+corner-chopped rectangles that drives the recurrence construction, five
+closed-form corners each, plus a small catalog of named polygons.
 """
 
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left, bisect_right
 import json
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -71,11 +80,7 @@ from .plane import (
     dot,
     move,
 )
-from .scalars import QField, ScalarLike, _floor, _merge_radicand, _over, _reduced, _sign, qf
-
-# level sets memoised per polygon; the oldest is evicted beyond this
-LEVEL_MEMO_SIZE = 64
-
+from .scalars import ZERO, QField, ScalarLike, _floor, _merge_radicand, _over, _reduced, _sign, qf
 
 @dataclass(frozen=True)
 class Edge:
@@ -90,7 +95,7 @@ class Edge:
 class Polygon:
     """A strictly convex rational polygon with counterclockwise vertices."""
 
-    __slots__ = ("vertices", "edges", "_schedule", "_levels", "_base", "_arc", "_rows")
+    __slots__ = ("vertices", "edges", "_schedule", "_pieces", "_base", "_rows")
 
     def __init__(self, vertices: Iterable[Point | tuple]):
         verts = tuple(as_point(v) for v in vertices)
@@ -120,20 +125,19 @@ class Polygon:
 
     def _fill(self, verts: tuple[Point, ...], edges: tuple[Edge, ...], base: int) -> None:
         """Set every slot from vertices and edges known to form a polygon,
-        the base vertex given: the edge rows and empty memos."""
+        the base vertex given: the edge rows, no schedule and no pieces."""
         object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "_rows", _line_rows(edges))
         object.__setattr__(self, "_schedule", None)
-        object.__setattr__(self, "_levels", {})
+        object.__setattr__(self, "_pieces", {})
         object.__setattr__(self, "_base", base)
-        object.__setattr__(self, "_arc", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Polygon is immutable")
 
     def __reduce__(self):
-        # rebuilt from the vertices, so the memos are never serialized
+        # rebuilt from the vertices, so the schedule and pieces are never serialized
         return (Polygon, (self.vertices,))
 
     def __eq__(self, other: object) -> bool:
@@ -260,8 +264,7 @@ class Polygon:
         return _loop_area_twice(self.vertices) / 2
 
     def perimeter(self) -> QField:
-        rows, D, d = self._arc_rows()
-        return _reduced(*rows[-1], D, d)
+        return self.level_perimeter(ZERO)
 
     def max_distance(self) -> tuple[QField, Point]:
         """The maximum of F over the polygon and one maximizer.
@@ -277,23 +280,31 @@ class Polygon:
         """The inner parallel polygon {F >= h}; h = 0 gives the polygon.
 
         Requires 0 <= h < max F so the result is two-dimensional.  The
-        edges alive at h come from the edge-death schedule.
+        polygon is built from the piece of the edge-death schedule that
+        holds h, without the checks of ``Polygon(...)``: the schedule already
+        makes it a strictly convex polygon whose edges are the alive edges
+        in order.  Its vertices are the piece's corner rows read at h, each
+        one integer pair per coordinate over L*det*H for h over H; each edge
+        keeps its normal and direction, its offset is k - h, and its length
+        is the vertex difference along the direction (``_along``).
         """
         h = qf(h)
-        if h.sign() < 0:
-            raise ValueError("level must be nonnegative")
-        if h.sign() == 0:
+        if not h:
             return self
-        levels = self._levels
-        level = levels.get(h)
-        if level is None:
-            deaths, top, _ = self._edge_deaths()
-            if h >= top:
-                raise ValueError(f"level {h} is not below the maximum distance")
-            level = self._level([i for i, t in enumerate(deaths) if t > h], h)
-            if len(levels) >= LEVEL_MEMO_SIZE:
-                del levels[next(iter(levels))]
-            levels[h] = level
+        alive, base, corners, *_ = self._piece(h)
+        (rows, L, d), (Ah, Bh, H, dh) = self._rows, h._v
+        d = _merge_radicand(dh, d)
+        coords = [(X * H + VX * Ah, Xs * H + VX * Bh, Y * H + VY * Ah, Ys * H + VY * Bh, D * H)
+                  for (X, Xs, Y, Ys, D), (VX, _, VY, _, _) in corners]
+        verts = (_point(_reduced(X, Xs, D, d), _reduced(Y, Ys, D, d)) for X, Xs, Y, Ys, D in coords)
+        edges = []
+        for j, i in enumerate(alive):
+            (_, _, A, B), w = rows[i], self.edges[i].direction
+            offset = _reduced(A * H - Ah * L, B * H - Bh * L, L * H, d)
+            length = _reduced(*_along(w, coords[j], coords[(j + 1) % len(alive)]), d)
+            edges.append(Edge(self.edges[i].normal, offset, w, length))
+        level = object.__new__(Polygon)
+        level._fill(tuple(verts), tuple(edges), base)
         return level
 
     def _edge_deaths(self) -> tuple[list[QField], QField, Point]:
@@ -306,11 +317,13 @@ class Polygon:
         level belongs to a growing edge and is never reached.  Deaths leave
         a heap keyed by (level, edge index) until two edges are left, and
         those two die at max F.  Only the maximizer is built as a ``Point``.
+        The heap gives the death levels in order, so the distinct ones, where
+        ``_piece`` breaks the levels, are kept with the schedule, max F last.
         """
         if self._schedule is None:
             (rows, L, d), n = self._rows, len(self.edges)
             prev, nxt = [(i - 1) % n for i in range(n)], [(i + 1) % n for i in range(n)]
-            deaths, heap, level, top = [None] * n, [], qf(0), None
+            deaths, heap, level, top, breaks = [None] * n, [], qf(0), None, []
 
             def push(i):  # a meeting at the current level is a simultaneous death
                 meet = _meeting(rows[prev[i]], rows[i], rows[nxt[i]], L)
@@ -325,64 +338,69 @@ class Polygon:
                     t, i, p, q, x1, x2 = heapq.heappop(heap)
                 if t != level:
                     level, top = t, (x1, x2)
+                    breaks.append(t)
                 deaths[i], nxt[p], prev[q] = t, q, p
                 push(p)
                 push(q)
             deaths = [level if t is None else t for t in deaths]
             top = _point(_reduced(*top[0], d), _reduced(*top[1], d))
-            object.__setattr__(self, "_schedule", (deaths, level, top))
-        return self._schedule
+            object.__setattr__(self, "_schedule", (deaths, level, top, breaks))
+        return self._schedule[:3]
 
-    def _level(self, alive: list[int], h: QField) -> "Polygon":
-        """The level polygon {F >= h} from the indices of the edges alive at
-        h, built without the checks of ``Polygon(...)``: the edge-death
-        schedule already makes it a strictly convex polygon whose edges are
-        the alive edges in order.
+    def _piece(self, h: QField) -> list:
+        """The piece of the edge-death schedule that holds level h, built on
+        first use: ``[alive, base, corners, arc, read]``.
 
-        One integer pass over the edge rows: with the offsets over L and h
-        over H, the shifted line <n, x> = h - k of each alive edge is an
-        integer row over L*H.  Vertex j, the start of level edge j, is the
-        Cramer solve of the shifted rows of alive edges j - 1 and j, one
-        integer pair per coordinate over L*H*det.  Each edge keeps its
-        normal and direction, its offset is k - h, and its length is the
-        vertex difference divided by the direction's first nonzero entry.
-        A level whose radicand differs from the offsets' is refused, named
-        as ``h - k`` names it.
+        Piece k holds the levels from the k-th death level (0 for k = 0) up
+        to the next, where the same edges are alive; a death level belongs to
+        the piece above it, where the edges dying there are gone.  ``alive``
+        lists their indices in order and ``base`` the arc origin among them,
+        from the winding scan.  Corner j, where alive edges j - 1 and j meet,
+        is two vertex rows (X, Xs, Y, Ys, D) for ((X + Xs*sqrt(d))/D,
+        (Y + Ys*sqrt(d))/D), both ``_solve`` of their edge rows over D = L*det:
+        the meeting of their lines at level 0, rows (u, v, -A, -B), and its
+        velocity (VX, 0, VY, 0, D), rows (u, v, L, 0).  So the corner at
+        h = (Ah + Bh*sqrt(d))/H has x1 = (X*H + VX*Ah + (Xs*H + VX*Bh)*sqrt(d))
+        / (D*H), and x2 likewise.
+        ``arc`` holds the piece's affine arc rows once ``_arc_view`` builds
+        them, and ``read`` those rows read at the last level asked.
+
+        A negative level, or one at or above max F, is a ``ValueError``, and
+        so is a level whose radicand differs from max F's, a death level's or
+        the offsets', named in that order of tests: level first, death level
+        first, level first.
         """
-        rows, L, d = self._rows
-        Ah, Bh, H, dh = h._v
-        d = _merge_radicand(dh, d)
-        shifted = [
-            (u, v, Ah * L - A * H, Bh * L - B * H) for u, v, A, B in (rows[i] for i in alive)
-        ]
-        LH = L * H
-        verts, coords = [], []
-        for j in range(len(shifted)):
-            # det > 0: the normals of a counterclockwise polygon turn left
-            X, Xs, Y, Ys, det = _solve(shifted[j - 1], shifted[j])
-            D = LH * det
-            coords.append((X, Xs, Y, Ys, D))
-            verts.append(_point(_reduced(X, Xs, D, d), _reduced(Y, Ys, D, d)))
-        edges, m = [], len(alive)
-        for j, i in enumerate(alive):
-            e = self.edges[i]
-            w = e.direction
-            X0, Xs0, Y0, Ys0, D0 = coords[j]
-            X1, Xs1, Y1, Ys1, D1 = coords[(j + 1) % m]
-            if w.u:
-                s, a, b = w.u, X1 * D0 - X0 * D1, Xs1 * D0 - Xs0 * D1
-            else:
-                s, a, b = w.v, Y1 * D0 - Y0 * D1, Ys1 * D0 - Ys0 * D1
-            if s < 0:
-                s, a, b = -s, -a, -b
-            offset = _reduced(-shifted[j][2], -shifted[j][3], LH, d)
-            edges.append(Edge(e.normal, offset, w, _reduced(a, b, D0 * D1 * s, d)))
-        level = object.__new__(Polygon)
-        level._fill(tuple(verts), tuple(edges), _passes(edges)[0])
-        return level
+        if (sign := h.sign()) < 0:
+            raise ValueError("level must be nonnegative")
+        k, alive = 0, range(len(self.edges))
+        if sign:
+            if self._schedule is None:
+                self._edge_deaths()
+            deaths, top, _, levels = self._schedule
+            if (dh := h._v[3]) is not None:
+                _merge_radicand(dh, top._v[3])
+                _merge_radicand(next((t._v[3] for t in levels if t._v[3]), None), dh)
+                _merge_radicand(dh, self._rows[2])
+            if (k := bisect_right(levels, h)) == len(levels):
+                raise ValueError(f"level {h} is not below the maximum distance")
+        piece = self._pieces.get(k)
+        if piece is None:
+            if k:
+                alive = [i for i, t in enumerate(deaths) if t > levels[k - 1]]
+            rows, L, _ = self._rows
+            corners = []
+            for j in range(len(alive)):
+                (u0, v0, A0, B0), (u1, v1, A1, B1) = rows[alive[j - 1]], rows[alive[j]]
+                X, Xs, Y, Ys, det = _solve((u0, v0, -A0, -B0), (u1, v1, -A1, -B1))
+                VX, _, VY, _, _ = _solve((u0, v0, L, 0), (u1, v1, L, 0))
+                corners.append(((X, Xs, Y, Ys, L * det), (VX, 0, VY, 0, L * det)))
+            piece = [alive, _passes([self.edges[i] for i in alive])[0], corners, None, (None,)]
+            self._pieces[k] = piece
+        return piece
 
     def level_perimeter(self, h: ScalarLike) -> QField:
-        return self.level_set(h).perimeter()
+        _, _, rows, D, d = self._arc_view(qf(h))
+        return _reduced(*rows[-1], D, d)
 
     # -- boundary arc coordinates ------------------------------------------
 
@@ -391,36 +409,60 @@ class Polygon:
         """Index of the lexicographically smallest vertex (arc origin)."""
         return self._base
 
-    def _arc_rows(self) -> tuple[tuple[tuple[int, ...], ...], int, int | None]:
-        """The integer arc rows, built on first use, so a polygon that
-        never measures arc length pays nothing for them: ``(rows, D, d)``,
-        every value over one common denominator D by ``_over``, an integer
-        pair (A, B) standing for (A + B*sqrt(d)) / D.
+    def _arc_view(self, h: QField) -> tuple:
+        """The arc rows of the piece that holds level h, read at h:
+        ``(alive, base, rows, D, d)``, the piece's alive edges and base vertex,
+        then every value over one common denominator D, an integer pair
+        (A, B) standing for (A + B*sqrt(d)) / D.
 
-        Row k is the k-th edge in arc order from the base vertex,
+        Row k is the k-th alive edge in arc order from the base vertex,
         ``(S, Sb, X1, Y1, X2, Y2, u, v)``: the arc prefix (S, Sb) at its
         start, the start vertex ((X1, Y1), (X2, Y2)) and the direction
         (u, v).  The last row is the perimeter (S, Sb).
+
+        They are read from the piece's affine arc rows, built on its first
+        arc use, so ``level_set`` pays nothing for them: the same layout with
+        a rate R after each pair, ``(S, Sb, R, X1, Y1, R1, X2, Y2, R2, u, v)``,
+        for the value (A + B*sqrt(d) + h*R) / D0 over one denominator D0 by
+        ``_over``.  At h = (Ah + Bh*sqrt(d))/H that value is the pair
+        (A*H + R*Ah, B*H + R*Bh) over D = D0*H.  The piece keeps the rows read
+        at the last level asked, so the rotations of one level read them once.
         """
-        if self._arc is None:
-            n, base = len(self.vertices), self._base
-            order = [(base + k) % n for k in range(n)]
-            coords = [x for i in order for x in self.vertices[i]]
-            D, d, pairs = _over(*coords, *(self.edges[i].length for i in order))
-            rows, S, Sb = [], 0, 0
-            for k, i in enumerate(order):
-                w = self.edges[i].direction
-                rows.append((S, Sb, *pairs[2 * k], *pairs[2 * k + 1], w.u, w.v))
-                A, B = pairs[2 * n + k]
-                S, Sb = S + A, Sb + B
-            rows.append((S, Sb))
-            object.__setattr__(self, "_arc", (tuple(rows), D, d))
-        return self._arc
+        piece = self._piece(h)
+        if piece[3] is None:
+            alive, base, corners, _, _ = piece
+            m, d = len(alive), self._rows[2]
+            order = [(base + k) % m for k in range(m)]
+            values = []
+            for j in order:
+                (z0, v0), (z1, v1) = corners[j], corners[(j + 1) % m]
+                w = self.edges[alive[j]].direction
+                # x1, x2 and the length, each at level 0 and its rate
+                triples = (z0[:2] + z0[4:], v0[:2] + v0[4:], z0[2:], v0[2:])
+                triples += (_along(w, z0, z1), _along(w, v0, v1))
+                values += [_reduced(a, b, D, d) for a, b, D in triples]
+            D, d, pairs = _over(*values)
+            rows, S, Sb, R = [], 0, 0, 0
+            for k, j in enumerate(order):
+                (X1, Y1), (R1, _), (X2, Y2), (R2, _), (A, B), (Q, _) = pairs[6 * k : 6 * k + 6]
+                w = self.edges[alive[j]].direction
+                rows.append((S, Sb, R, X1, Y1, R1, X2, Y2, R2, w.u, w.v))
+                S, Sb, R = S + A, Sb + B, R + Q
+            rows.append((S, Sb, R))
+            piece[3] = (tuple(rows), D, d)
+        if piece[4][0] != h._v:
+            (rows, D, d), (Ah, Bh, H, dh) = piece[3], h._v
+            read = [(S * H + R * Ah, Sb * H + R * Bh, X1 * H + R1 * Ah, Y1 * H + R1 * Bh,
+                     X2 * H + R2 * Ah, Y2 * H + R2 * Bh, u, v)
+                    for S, Sb, R, X1, Y1, R1, X2, Y2, R2, u, v in rows[:-1]]
+            S, Sb, R = rows[-1]
+            read.append((S * H + R * Ah, Sb * H + R * Bh))
+            piece[4] = (h._v, (piece[0], piece[1], read, D * H, d or dh))
+        return piece[4][1]
 
     def arc_of_vertex(self, i: int) -> QField:
-        rows, D, d = self._arc_rows()
-        S, Sb = rows[(i - self._base) % len(self.vertices)][:2]
-        return _reduced(S, Sb, D, d)
+        _, _, rows, D, d = self._arc_view(ZERO)
+        return _reduced(*rows[(i - self._base) % len(self.vertices)][:2], D, d)
 
     def point_to_arc(self, p: Point) -> QField:
         """Counterclockwise boundary arc coordinate in [0, perimeter).
@@ -431,17 +473,23 @@ class Polygon:
         value, i = self._locate(p)
         if value.sign() != 0:
             raise ValueError(f"point ({p.x1}, {p.x2}) is not on the polygon boundary")
-        return _reduced(*self._arc_pair(i, p))
+        return self._arc_at(ZERO, i, p)
 
     def arc_to_point(self, s: ScalarLike) -> Point:
-        """Inverse of point_to_arc: the base vertex advanced by s, taken
-        modulo the perimeter."""
-        base = self._base
-        return self._advance(base, qf(s), self.vertices[base])
+        """Inverse of point_to_arc, taking s modulo the perimeter."""
+        return self._advance(self._arc_view(ZERO), 0, qf(s), None)
 
-    def _advance(self, j: int, t: QField, p: Point) -> Point:
-        """Move p, a point on edge j, by arc length t counterclockwise along
-        the boundary: the one advance pass over the integer arc rows.
+    def _arc_at(self, h: QField, i: int, p: Point) -> QField:
+        """The arc coordinate of p, a point of {F = h} on edge i, along the
+        level polygon {F >= h}."""
+        return _reduced(*self._arc_pair(self._arc_view(h), i, p))
+
+    def _advance(self, view: tuple, i: int, t: ScalarLike, p: Point | None) -> Point:
+        """Move p, a point on edge i of this polygon and on the level of the
+        view (``_arc_view`` of h, so F(p) = h), by arc length t
+        counterclockwise along the level polygon {F >= h}: the one advance
+        pass over the piece's arc rows read at h.  With p None the pass starts
+        at arc 0, so it returns the point at arc t.
 
         The arc s = prefix + lambda + t of the image is one integer pair over
         one denominator; ``_arc_point`` reduces it modulo the perimeter, finds
@@ -451,26 +499,27 @@ class Polygon:
         the quotient s / perimeter when the perimeter is irrational (t's
         radicand first), else at the edge's start vertex plus the offset.
         """
-        a, b, M, d = self._arc_pair(j, p)
-        A, B, Dt, dt = t._v
-        if b or not self._arc_rows()[0][-1][1]:
-            d = _merge_radicand(d, dt)
-        else:
-            d = _merge_radicand(dt, d)
-        return self._arc_point(a * Dt + A * M, b * Dt + B * M, M * Dt, d)
+        a, b, M, d = (0, 0, *view[3:]) if p is None else self._arc_pair(view, i, p)
+        A, B, Dt, dt = qf(t)._v
+        per_b = view[2][-1][1]
+        d = _merge_radicand(d, dt) if b or not per_b else _merge_radicand(dt, d)
+        return self._arc_point(view, a * Dt + A * M, b * Dt + B * M, M * Dt, d)
 
-    def _arc_pair(self, i: int, p: Point) -> tuple[int, int, int, int | None]:
-        """The arc coordinate of p, a point on edge i, as an integer pair
-        over a multiple M of the rows' denominator: ``(a, b, M, d)`` for
-        (a + b*sqrt(d)) / M in [0, perimeter).
+    def _arc_pair(self, view: tuple, i: int, p: Point) -> tuple[int, int, int, int | None]:
+        """The arc coordinate of p, a point of the view's level on edge i of
+        this polygon, as an integer pair over a multiple M of the view's
+        denominator: ``(a, b, M, d)`` for (a + b*sqrt(d)) / M in [0, perimeter).
 
-        With p over P by ``_over``, the offset along the edge is
-        lambda = (p - start) / w for the first nonzero entry w of the
-        direction, so the coordinate is prefix + lambda over M = P*D*|w|.
+        The level edge through p is the first alive edge from i on: edge i
+        itself, or, at the death level of edge i, the alive edge that starts
+        at the corner where edge i shrank to a point.  With p over P by
+        ``_over``, the offset along that edge is lambda = (p - start) / w for
+        the first nonzero entry w of the direction, so the coordinate is
+        prefix + lambda over M = P*D*|w|.
         """
-        rows, D, d = self._arc_rows()
-        n = len(self.vertices)
-        k = (i - self._base) % n
+        alive, base, rows, D, d = view
+        m = len(alive)
+        k = (bisect_left(alive, i) - base) % m
         S, Sb, X1, Y1, X2, Y2, u, v = rows[k]
         P, d, ((A1, B1), (A2, B2)) = _over(p.x1, p.x2, d=d)
         if u:
@@ -482,47 +531,32 @@ class Polygon:
         scale = P * w
         a, b = a + S * scale, b + Sb * scale
         # only the end of the edge before the base vertex reaches the perimeter
-        if k == n - 1 and (a, b) == (rows[n][0] * scale, rows[n][1] * scale):
+        if k == m - 1 and (a, b) == (rows[m][0] * scale, rows[m][1] * scale):
             a = b = 0
         return a, b, D * scale, d
 
-    def _arc_point(self, a: int, b: int, M: int, d: int | None) -> Point:
-        """The boundary point at arc (a + b*sqrt(d)) / M modulo the
-        perimeter, for M a multiple of the rows' denominator D.
+    def _arc_point(self, view: tuple, a: int, b: int, M: int, d: int | None) -> Point:
+        """The point of the view's level at arc (a + b*sqrt(d)) / M modulo
+        its perimeter, for M a multiple of the view's denominator D.
 
         The arc is reduced by ``_mod``; its edge is the last one whose prefix
         is at most the arc, found by bisecting the prefix rows with sign
         tests; one ``Point`` is built at the end.
         """
-        rows, D, _ = self._arc_rows()
+        _, _, rows, D, _ = view
         scale, n = M // D, len(rows) - 1
         a, b = _mod(a, b, rows[n][0] * scale, rows[n][1] * scale, d)
         lo, hi = 0, n
         while hi - lo > 1:
             mid = (lo + hi) // 2
-            if _sign(a - rows[mid][0] * scale, b - rows[mid][1] * scale, d) >= 0:
-                lo = mid
-            else:
-                hi = mid
+            at_or_past = _sign(a - rows[mid][0] * scale, b - rows[mid][1] * scale, d) >= 0
+            lo, hi = (mid, hi) if at_or_past else (lo, mid)
         S, Sb, X1, Y1, X2, Y2, u, v = rows[lo]
         a, b = a - S * scale, b - Sb * scale
         return _point(
             _reduced(X1 * scale + a * u, Y1 * scale + b * u, M, d),
             _reduced(X2 * scale + a * v, Y2 * scale + b * v, M, d),
         )
-
-    def _level_edge(self, h: QField, i: int, p: Point) -> tuple["Polygon", int]:
-        """The level polygon {F >= h} and the index of its edge through p,
-        for a point p with F(p) = h first attained at edge i of this polygon.
-
-        While no edge has died below h, the level polygon's edges are this
-        polygon's edges in order, so the index is i; otherwise the level's
-        own ``_locate`` finds the edge.
-        """
-        level = self.level_set(h)
-        if len(level.edges) == len(self.edges):
-            return level, i
-        return level, level._locate(p)[1]
 
     # -- transforms and serialization ---------------------------------------
 
@@ -622,6 +656,17 @@ def _solve(r0: tuple[int, ...], r1: tuple[int, ...]) -> tuple[int, int, int, int
     (u0, v0, a0, b0), (u1, v1, a1, b1) = r0, r1
     det = u0 * v1 - v0 * u1
     return a0 * v1 - a1 * v0, b0 * v1 - b1 * v0, a1 * u0 - a0 * u1, b1 * u0 - b0 * u1, det
+
+
+def _along(w: LatticeVector, c0: tuple, c1: tuple) -> tuple[int, int, int]:
+    """The lattice length from c0 to c1 along the direction w, each point
+    (X, Xs, Y, Ys, D) for ((X + Xs*sqrt(d))/D, (Y + Ys*sqrt(d))/D): the
+    coordinate difference over w's first nonzero entry, as (a, b, M) for
+    (a + b*sqrt(d))/M with M > 0."""
+    s, c = (w.u, 0) if w.u else (w.v, 2)
+    D0, D1 = c0[4], c1[4]
+    a, b = c1[c] * D0 - c0[c] * D1, c1[c + 1] * D0 - c0[c + 1] * D1
+    return (a, b, D0 * D1 * s) if s > 0 else (-a, -b, -D0 * D1 * s)
 
 
 def _meeting(rp: tuple, ri: tuple, rq: tuple, L: int) -> tuple[tuple[int, int, int], ...] | None:

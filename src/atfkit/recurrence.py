@@ -24,10 +24,12 @@ advance c - h up to level c - eps, a linear taper across the band
 (c - eps, c + eps), and the identity above.
 
 Every level rotation (``apply_phi``, ``apply_phi_iter``,
-``rotate_on_level`` and the expected images of the self-check) is the level
-polygon's own advance pass, ``Polygon._advance``, the one that also serves
-``arc_to_point``: the edge of p comes from the ``_locate`` that finds its
-level, and the polygon moves p along its integer arc rows.  This module
+``rotate_on_level`` and the expected images of the self-check) is the
+polygon's one advance pass, ``Polygon._advance``, which also serves
+``arc_to_point`` and the level coordinates of ``atfkit.orbits``: the
+``_locate`` that finds p's level h also gives its edge, and the polygon
+moves p along the arc rows of the piece of its edge-death schedule that
+holds h, read at h.  No rotation builds a level polygon, and this module
 reads no arc rows.
 """
 
@@ -144,8 +146,7 @@ def rotate_on_level(poly: Polygon, h: ScalarLike, t: ScalarLike, p: Point) -> Po
     t = qf(t)
     if not t:
         return p
-    level, j = poly._level_edge(h, i, p)
-    return level._advance(j, t, p)
+    return poly._advance(poly._arc_view(h), i, t, p)
 
 
 def rotation_amount(params: ConstructionParams, h: ScalarLike) -> QField:
@@ -239,10 +240,11 @@ def _verify_rounds(rm: RecurrenceMap) -> None:
     checks += [(h, 0) for h in (c + eps, (c + eps + top) / 2)]
     for h, advance in checks:
         level = poly.level_set(h)
-        n = len(level.edges)
-        # sample j is a vertex or an edge midpoint of level edge j mod n
+        n, view = len(level.edges), advance and poly._arc_view(h)
+        # sample j is a vertex or an edge midpoint of level edge j mod n,
+        # which is edge view[0][j mod n] of the polygon, the view's alive edge
         for j, pt in enumerate(_level_samples(level)):
-            expected = level._advance(j % n, advance, pt) if advance else pt
+            expected = poly._advance(view, view[0][j % n], advance, pt) if advance else pt
             got = apply_rounds(rm, pt)
             if got == expected:
                 continue
@@ -281,8 +283,7 @@ def apply_phi_iter(rm: RecurrenceMap, p: Point, n: int) -> Point:
     t = rotation_amount(rm.params, h) * n
     if not t:
         return p
-    level, j = poly._level_edge(h, i, p)
-    return level._advance(j, t, p)
+    return poly._advance(poly._arc_view(h), i, t, p)
 
 
 __all__ = [

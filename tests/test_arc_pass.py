@@ -1,20 +1,25 @@
 """The integer arc rows and the one advance pass against the QField arc path.
 
-``Polygon`` keeps a level's arc coordinate as integer rows over one common
-denominator, and ``Polygon._advance`` moves a point along the boundary in
-one integer pass over them; the level rotations and ``arc_to_point`` (the
-base vertex advanced by s) all call it, and every arc is reduced modulo the
+``Polygon`` keeps the arc coordinate of every level in one piece of its
+edge-death schedule as integer rows, affine in h, over one common
+denominator, and ``Polygon._advance`` moves a point along the level in one
+integer pass over those rows read at h; the level rotations, the level
+coordinates and ``arc_to_point`` (the pass from arc 0) all call it, no
+level polygon is built for them, and every arc is reduced modulo the
 perimeter by ``_mod``.  The ``QField`` path they replaced (the prefix
-tuple, ``point_to_arc``, ``arc_to_point`` and ``_advance``) is kept
-verbatim in ``conftest`` as the oracle; the oracles below compose it the
-way the public functions did.  Values, error types and messages must all
-agree: on random chopped rectangles with rational, sqrt(2) and sqrt(3)
-parameters, at levels below the taper, inside it and above it, at every
-vertex (from either of its edges), at edge points, for advances that wrap
-once or many times and for negative ones, and on det +1 and det -1 images
-of the catalog polygons.  The one difference: where the ``QField`` path
-built a point with one coordinate in each of two radicands, a point every
-other function refuses, the pass refuses to build it.
+tuple, ``point_to_arc``, ``arc_to_point`` and ``_advance`` on a level
+polygon) is kept verbatim in ``conftest`` as the oracle; the oracles below
+compose it the way the public functions did.  Values, error types and
+messages must all agree: on random chopped rectangles with rational,
+sqrt(2) and sqrt(3) parameters, at levels below the taper, inside it and
+above it, at every death level and just below it, at every vertex (from
+either of its edges), at edge points, for advances that wrap once or many
+times and for negative ones, and on det +1 and det -1 images of the
+catalog polygons.  The one difference: where the ``QField`` path built a
+point with one coordinate in each of two radicands, or a point in a third
+radicand on a level whose vertices are rational although the polygon's
+offsets and h are in sqrt(2), points every other function refuses, the
+pass refuses to build it.
 """
 
 import random
@@ -27,13 +32,15 @@ from conftest import (
     qfield_arc_to_point,
     qfield_arcs,
     qfield_point_to_arc,
+    random_hulls,
 )
 
 from atfkit.diagram import build_pi0
 from atfkit.orbits import LevelCoordinate, from_level_coordinate, to_level_coordinate
 from atfkit.plane import Point, move
-from atfkit.polygon import ConstructionParams, Polygon, _mod, catalog
+from atfkit.polygon import ConstructionParams, Polygon, _mod, catalog, centered_rectangle
 from atfkit.recurrence import (
+    apply_phi,
     apply_phi_iter,
     build_recurrence_map,
     rotate_on_level,
@@ -48,6 +55,13 @@ CATALOG_SAMPLES = ["CP2(3)", "S2xS2(4,2)", "HirzebruchF1(4,1)", "Bl1CP2", "Bl2CP
                    "Blowup_S2xS2(4,2,1/2)", "Blowup2_S2xS2(4,2)"]
 
 ROOT_2 = QField(-1, 1, 2)  # sqrt(2) - 1
+
+# offsets and max F in sqrt(2)
+SQRT2_POLYGON = centered_rectangle(5 + QField.sqrt(2), 3 + QField.sqrt(2)).corner_chop(
+    1, QField.sqrt(2) / 2
+)
+# one offset in sqrt(2), and that edge dies at an irrational level below max F = 1
+SQRT2_CHOP = centered_rectangle(4, 2).corner_chop(1, QField.sqrt(2) / 2)
 
 IRRATIONAL_PARAMS = [
     ConstructionParams(QField(4, 1, 2), QField(2, Fraction(1, 2), 2),
@@ -149,7 +163,7 @@ def test_arc_rows_match_the_qfield_prefix():
         samples += [per * r * k for k in (-5, 1, 3)] + [per * (1 + r / 2), -per * r / 3]
         for s in samples:
             assert poly.arc_to_point(s) == qfield_arc_to_point(poly, s), (poly, s)
-        kinds.add((poly._arc_rows()[2], per.conjugate().sign()))
+        kinds.add((poly._arc_view(qf(0))[-1], per.conjugate().sign()))
     # rational rows, sqrt(2) and sqrt(3) rows, and perimeters of negative
     # norm (IRRATIONAL_PARAMS[1])
     assert kinds == {(None, 1), (2, 1), (2, -1), (3, 1)}
@@ -179,14 +193,16 @@ def test_the_pass_from_either_edge_of_a_vertex():
     # a vertex ends one edge and starts the next; the base vertex ends the
     # last edge of the arc, where the arc coordinate equals the perimeter
     for rm in MAPS[:6] + MAPS[-3:]:
+        poly = rm.polygon
         for h in map_levels(rm)[:6]:
-            level = rm.polygon.level_set(h)
-            n, t = len(level.vertices), rotation_amount(rm.params, h)
+            # level vertex j starts level edge j, which is edge alive[j] of poly
+            level, view = poly.level_set(h), poly._arc_view(h)
+            alive, t = view[0], rotation_amount(rm.params, h)
             for j, v in enumerate(level.vertices):
                 for shift in (t, -t, t * 10**6, level.perimeter()):
-                    want = qfield_advance(rm.polygon, h, shift, v)
-                    assert level._advance(j, shift, v) == want
-                    assert level._advance((j - 1) % n, shift, v) == want
+                    want = qfield_advance(poly, h, shift, v)
+                    assert poly._advance(view, alive[j], shift, v) == want
+                    assert poly._advance(view, alive[j - 1], shift, v) == want
 
 
 def test_rotate_on_level_matches_on_transformed_catalog_polygons():
@@ -212,6 +228,75 @@ def test_rotate_on_level_matches_on_transformed_catalog_polygons():
                     assert got == outcome(oracle_rotate_on_level, poly, h, t, p)
                     cases += 1
     assert cases > 2000
+
+
+def test_rotations_at_and_just_below_every_death_level():
+    # a death level belongs to the piece above it, where the edges dying
+    # there are gone; the first edge through a level vertex may be one of them
+    rng = random.Random(1514)
+    polys = random_hulls(rng, 40) + [catalog(name) for name in CATALOG_SAMPLES]
+    polys += [SQRT2_POLYGON, SQRT2_CHOP]
+    cases = dead_first = 0
+    for poly in polys:
+        deaths, top, _ = poly._edge_deaths()
+        for death in sorted({t for t in deaths if t < top}):
+            for h in (death, death - qf("1/1000000")):
+                level = poly.level_set(h)
+                # the piece above, without the edges that die at h
+                assert list(poly._arc_view(h)[0]) == [i for i, t in enumerate(deaths) if t > h]
+                per = level.perimeter()
+                edge = level.edges[0]
+                mid = move(level.vertices[0], edge.direction, edge.length / 2)
+                for j, p in enumerate(level.vertices + (mid,)):
+                    dead_first += deaths[poly._locate(p)[1]] <= h
+                    t = per / 3 if j % 2 else -per * ROOT_2
+                    got = outcome(rotate_on_level, poly, h, t, p)
+                    assert got == outcome(oracle_rotate_on_level, poly, h, t, p), (poly, h, p)
+                    cases += 1
+    assert cases > 1500 and dead_first > 25
+
+
+def test_no_rotation_or_level_coordinate_builds_a_level(monkeypatch):
+    # the oracles build level polygons, so every expected value is taken
+    # first, on equal maps; the maps under test are fresh, so no piece of
+    # their polygons is built before level_set refuses to run
+    rng = random.Random(1515)
+    params = [random_params(rng) for _ in range(4)] + IRRATIONAL_PARAMS
+    cases = []
+    for k, par in enumerate(params):
+        rm = build_recurrence_map(build_pi0(par))
+        poly = rm.polygon
+        for h in map_levels(rm)[::2]:
+            level = poly.level_set(h)
+            t = level.perimeter() / 3
+            for p in level_points(level)[::2]:
+                coord = oracle_to_level_coordinate(poly, p)
+                far = LevelCoordinate(coord.h, coord.s + t * 5)
+                want = (
+                    oracle_apply_phi_iter(rm, p, 1),
+                    oracle_apply_phi_iter(rm, p, 7),
+                    oracle_rotate_on_level(poly, h, t, p),
+                    coord,
+                    oracle_from_level_coordinate(poly, far),
+                )
+                cases.append((k, h, t, p, far, want))
+    fresh = [build_recurrence_map(build_pi0(par), verify=False) for par in params]
+
+    def refuse(self, h):
+        raise AssertionError(f"level {h} was built")
+
+    monkeypatch.setattr(Polygon, "level_set", refuse)
+    for k, h, t, p, far, want in cases:
+        rm = fresh[k]
+        got = (
+            apply_phi(rm, p),
+            apply_phi_iter(rm, p, 7),
+            rotate_on_level(rm.polygon, h, t, p),
+            to_level_coordinate(rm.polygon, p),
+            from_level_coordinate(rm.polygon, far),
+        )
+        assert got == want, (rm.params, h, p)
+    assert len(cases) > 300
 
 
 def test_level_coordinates_match_and_round_trip():
@@ -285,6 +370,15 @@ def test_the_pass_refuses_a_point_of_two_radicands():
     assert outcome(square.distance_to_boundary, made) == refused
     assert outcome(rotate_on_level, square, 0, t, corner) == refused
     assert outcome(square.arc_to_point, t + 4) == refused
+    # at its death level sqrt(2)/2 the level of SQRT2_POLYGON is the rational
+    # rectangle with corners (+-5/2, +-3/2): the QField path moved a corner
+    # into a sqrt(3) point, which the polygon, its offsets in sqrt(2), refuses
+    h = QField.sqrt(2) / 2
+    corner = SQRT2_POLYGON.level_set(h).vertices[0]
+    made = oracle_rotate_on_level(SQRT2_POLYGON, h, t, corner)
+    assert {made.x1._v[3], made.x2._v[3]} == {None, 3}
+    assert outcome(SQRT2_POLYGON.distance_to_boundary, made) == refused
+    assert outcome(rotate_on_level, SQRT2_POLYGON, h, t, corner) == refused
 
 
 def test_reduction_modulo_a_perimeter_of_either_norm_sign():

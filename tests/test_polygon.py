@@ -26,7 +26,6 @@ from atfkit import scalars
 from atfkit.diagram import build_pi0
 from atfkit.plane import LatticeVector, Point, move, orient, pt
 from atfkit.polygon import (
-    LEVEL_MEMO_SIZE,
     ConstructionParams,
     Edge,
     Polygon,
@@ -37,7 +36,7 @@ from atfkit.polygon import (
     clip_halfplane,
     solve_equidistant_triple,
 )
-from atfkit.recurrence import build_recurrence_map
+from atfkit.recurrence import build_recurrence_map, rotate_on_level
 from atfkit.scalars import QField, qf
 from atfkit.verify import random_interior_point, random_params, random_unimodular
 
@@ -467,17 +466,11 @@ def test_delzant_level_edges_shrink_by_self_intersection():
             assert got == {n: length for n, length in predicted.items() if length.sign() > 0}
 
 
-def test_level_memo_is_bounded_and_reused():
+def test_two_level_sets_at_one_level_are_equal():
     poly = build_blowup_polygon(ConstructionParams(4, 2, qf("1/2"), qf("1/8")))
     first = poly.level_set(Fraction(1, 200))
-    assert poly.level_set(qf("1/200")) is first
-    for k in range(2, 2 * LEVEL_MEMO_SIZE):
-        level = poly.level_set(Fraction(k, 200))
-        assert poly.level_set(Fraction(k, 200)) is level
-        assert len(poly._levels) <= LEVEL_MEMO_SIZE
-    assert len(poly._levels) == LEVEL_MEMO_SIZE
-    again = poly.level_set(Fraction(1, 200))  # the oldest entry was evicted
-    assert again == first and again is not first
+    again = poly.level_set(qf("1/200"))
+    assert again == first and again.edges == first.edges
 
 
 # -- the edge-death schedule against its oracles ---------------------------------
@@ -578,9 +571,18 @@ def test_schedule_of_a_many_vertex_hull_is_fast():
     start = time.perf_counter()
     top, point = poly.max_distance()
     level = poly.level_set(top / 2)
+    # a low level keeps 253 edges; its perimeter, the hull's perimeter and
+    # one rotation on it build the arc rows of three pieces
+    low = poly.level_set(top / 100)
+    low_perimeter, perimeter = low.perimeter(), poly.perimeter()
+    moved = rotate_on_level(poly, top / 100, low_perimeter / 3, low.vertices[0])
     assert time.perf_counter() - start < 3.0
     assert poly.distance_to_boundary(point) == top
     assert 3 <= len(level.edges) < 3000
+    last = poly.base_index - 1  # the edge that closes the arc
+    assert perimeter == poly.arc_of_vertex(last) + poly.edges[last].length
+    assert len(low.edges) == 253
+    assert low.point_to_arc(moved) == low.arc_of_vertex(0) + low_perimeter / 3
 
 
 def test_monotone_test_matches_first_triple_oracle():
