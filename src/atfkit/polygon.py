@@ -601,7 +601,12 @@ def solve_equidistant_triple(e1: Edge, e2: Edge, e3: Edge) -> tuple[Point, QFiel
 def clip_halfplane(
     points: Sequence[Point], normal: LatticeVector, offset: QField
 ) -> list[Point]:
-    """Clip a ccw vertex loop against the half-plane <normal, x> + offset >= 0."""
+    """Clip a ccw vertex loop against the half-plane <normal, x> + offset >= 0.
+
+    No library code calls it: ``render`` clips its strip regions on integer
+    rows.  It stays as the reference that the tests hold the level sets and
+    those strip regions to, and because ``bench/tracing.py`` wraps it.
+    """
     if not points:
         return []
     out: list[Point] = []

@@ -336,6 +336,37 @@ def qfield_edge_deaths(self: Polygon) -> tuple[list[QField], QField, Point]:
     return deaths, level, top
 
 
+def qfield_decimal20(x) -> str:
+    """Fixed 20-digit decimal expansion, round half to even, in QField
+    arithmetic: the oracle of ``render._decimal20``."""
+    scaled = qf(x) * 10**20
+    m = scalars.floor(scaled)
+    tie = (2 * (scaled - m) - 1).sign()
+    if tie > 0 or (tie == 0 and m % 2 != 0):
+        m += 1
+    sign = "-" if m < 0 else ""
+    whole, frac = divmod(abs(m), 10**20)
+    return f"{sign}{whole}.{frac:020d}"
+
+
+class QFieldScreen:
+    """Model-to-screen transform with the y-axis flip, in QField arithmetic:
+    the oracle of ``render._Screen``."""
+
+    def __init__(self, diagram, scale):
+        xs = [v.x1 for v in diagram.polygon.vertices]
+        ys = [v.x2 for v in diagram.polygon.vertices]
+        self.minx, self.maxy = min(xs), max(ys)
+        self.scale = qf(scale)
+        self.pad = qf(1) / 2
+
+    def x(self, value: QField) -> QField:
+        return (value - self.minx + self.pad) * self.scale
+
+    def y(self, value: QField) -> QField:
+        return (self.maxy + self.pad - value) * self.scale
+
+
 def outcome(f, *args):
     """The value of f(*args), or the type and message of what it raised."""
     try:
