@@ -54,6 +54,20 @@ def _point(x1: QField, x2: QField) -> Point:
     return p
 
 
+def _row(p: Point, d: int | None) -> tuple[tuple[int, int, int, int, int], int | None]:
+    """p as a point row ``(X, Xs, Y, Ys, D)`` for ((X + Xs*sqrt(d))/D,
+    (Y + Ys*sqrt(d))/D), over the least common denominator of its
+    coordinates, and the radicand: ``d`` merged first, as in ``_over``."""
+    D, d, ((X, Xs), (Y, Ys)) = _over(p.x1, p.x2, d=d)
+    return (X, Xs, Y, Ys, D), d
+
+
+def _row_point(row: tuple[int, int, int, int, int], d: int | None) -> Point:
+    """The ``Point`` of a point row with D > 0, each coordinate reduced."""
+    X, Xs, Y, Ys, D = row
+    return _point(_reduced(X, Xs, D, d), _reduced(Y, Ys, D, d))
+
+
 @dataclass(frozen=True)
 class LatticeVector:
     """An integer vector of Z^2."""

@@ -27,9 +27,11 @@ keeps the sorted death levels with its schedule and builds a piece on
 first use, one per death level at most, so the table needs no size bound.
 A piece holds its alive edges, its arc origin and, per corner, two
 ``_solve`` results on the neighbouring edge rows: the corner at level 0
-and its velocity.  ``level_set`` reads the corners at h and builds the
-level polygon without the checks of ``Polygon(...)``: each edge keeps its
-normal and direction, and its offset becomes k - h.
+and its velocity.  ``_corners`` reads them at h as integer point rows;
+``level_set`` builds the level polygon from those without the checks of
+``Polygon(...)`` (each edge keeps its normal and direction, and its offset
+becomes k - h), and the map self-check and the SVG level outlines read the
+rows with no level polygon.
 
 Every edge value <n_i, p> + k_i is read from integer edge rows built with
 the polygon, the offsets over one common denominator L by ``scalars._over``:
@@ -54,8 +56,10 @@ h = 0, the polygon's own ``arc_to_point``; ``perimeter``,
 rows, so no rotation or level coordinate builds a level polygon.  An arc
 of a point on edge i is prefix + lambda (+ the advance) as one integer
 pair; it is reduced modulo the perimeter by one exact floor of its
-quotient (``_mod``), its edge is found by sign tests on the prefixes, and
-one ``Point`` is built.  The module also builds the family of
+quotient (``_mod``), and its edge is found by sign tests on the prefixes.
+The pass takes and gives point rows (``_arc_pair``, ``_arc_point``), so the
+map self-check runs it with no ``Point``; ``_advance`` builds the one
+``Point`` of a rotation.  The module also builds the family of
 corner-chopped rectangles that drives the recurrence construction, five
 closed-form corners each, plus a small catalog of named polygons.
 """
@@ -73,6 +77,8 @@ from .plane import (
     Point,
     UnimodularAffineMap,
     _point,
+    _row,
+    _row_point,
     as_point,
     cross,
     delta,
@@ -283,7 +289,7 @@ class Polygon:
         polygon is built from the piece of the edge-death schedule that
         holds h, without the checks of ``Polygon(...)``: the schedule already
         makes it a strictly convex polygon whose edges are the alive edges
-        in order.  Its vertices are the piece's corner rows read at h, each
+        in order.  Its vertices are the rows of ``_corners`` at h, each
         one integer pair per coordinate over L*det*H for h over H; each edge
         keeps its normal and direction, its offset is k - h, and its length
         is the vertex difference along the direction (``_along``).
@@ -291,12 +297,9 @@ class Polygon:
         h = qf(h)
         if not h:
             return self
-        alive, base, corners, *_ = self._piece(h)
-        (rows, L, d), (Ah, Bh, H, dh) = self._rows, h._v
-        d = _merge_radicand(dh, d)
-        coords = [(X * H + VX * Ah, Xs * H + VX * Bh, Y * H + VY * Ah, Ys * H + VY * Bh, D * H)
-                  for (X, Xs, Y, Ys, D), (VX, _, VY, _, _) in corners]
-        verts = (_point(_reduced(X, Xs, D, d), _reduced(Y, Ys, D, d)) for X, Xs, Y, Ys, D in coords)
+        (alive, base, *_), coords, d = self._corners(h)
+        (rows, L, _), (Ah, Bh, H, _) = self._rows, h._v
+        verts = (_row_point(row, d) for row in coords)
         edges = []
         for j, i in enumerate(alive):
             (_, _, A, B), w = rows[i], self.edges[i].direction
@@ -398,6 +401,22 @@ class Polygon:
             self._pieces[k] = piece
         return piece
 
+    def _corners(self, h: QField) -> tuple[list, list[tuple[int, int, int, int, int]], int | None]:
+        """The corners of {F >= h} as point rows, with the piece that holds h:
+        ``(piece, corners, d)``.  Corner j, where alive edges j - 1 and j
+        meet, is the piece's corner row read at h = (Ah + Bh*sqrt(d))/H,
+        ``(X, Xs, Y, Ys, D)`` for ((X + Xs*sqrt(d))/D, (Y + Ys*sqrt(d))/D)
+        over D = L*det*H; ``level_set``, the map self-check of
+        ``atfkit.recurrence`` and the level outlines of ``atfkit.render``
+        all read them here.  Errors are ``_piece``'s.
+        """
+        piece = self._piece(h)
+        Ah, Bh, H, dh = h._v
+        d = _merge_radicand(dh, self._rows[2])
+        corners = [(X * H + VX * Ah, Xs * H + VX * Bh, Y * H + VY * Ah, Ys * H + VY * Bh, D * H)
+                   for (X, Xs, Y, Ys, D), (VX, _, VY, _, _) in piece[2]]
+        return piece, corners, d
+
     def level_perimeter(self, h: ScalarLike) -> QField:
         _, _, rows, D, d = self._arc_view(qf(h))
         return _reduced(*rows[-1], D, d)
@@ -482,7 +501,8 @@ class Polygon:
     def _arc_at(self, h: QField, i: int, p: Point) -> QField:
         """The arc coordinate of p, a point of {F = h} on edge i, along the
         level polygon {F >= h}."""
-        return _reduced(*self._arc_pair(self._arc_view(h), i, p))
+        view = self._arc_view(h)
+        return _reduced(*self._arc_pair(view, i, *_row(p, view[4])))
 
     def _advance(self, view: tuple, i: int, t: ScalarLike, p: Point | None) -> Point:
         """Move p, a point on edge i of this polygon and on the level of the
@@ -491,37 +511,31 @@ class Polygon:
         pass over the piece's arc rows read at h.  With p None the pass starts
         at arc 0, so it returns the point at arc t.
 
-        The arc s = prefix + lambda + t of the image is one integer pair over
-        one denominator; ``_arc_point`` reduces it modulo the perimeter, finds
-        its edge by sign tests and builds the one ``Point``.  Two radicands
-        are refused, named as ``QField`` arithmetic on the arc names them: an
-        irrational arc meets t in the sum arc + t; a rational one meets it in
-        the quotient s / perimeter when the perimeter is irrational (t's
-        radicand first), else at the edge's start vertex plus the offset.
+        p goes in as a point row (``plane._row``), ``_arc_pair`` gives its
+        arc, ``_arc_point`` moves it by t on integers, and the image row is
+        reduced to the one ``Point`` here.
         """
-        a, b, M, d = (0, 0, *view[3:]) if p is None else self._arc_pair(view, i, p)
-        A, B, Dt, dt = qf(t)._v
-        per_b = view[2][-1][1]
-        d = _merge_radicand(d, dt) if b or not per_b else _merge_radicand(dt, d)
-        return self._arc_point(view, a * Dt + A * M, b * Dt + B * M, M * Dt, d)
+        arc = (0, 0, *view[3:]) if p is None else self._arc_pair(view, i, *_row(p, view[4]))
+        return _row_point(*self._arc_point(view, *arc, qf(t)))
 
-    def _arc_pair(self, view: tuple, i: int, p: Point) -> tuple[int, int, int, int | None]:
-        """The arc coordinate of p, a point of the view's level on edge i of
-        this polygon, as an integer pair over a multiple M of the view's
+    def _arc_pair(self, view: tuple, i: int, row: tuple, d: int | None) -> tuple[int, int, int, int | None]:
+        """The arc coordinate of the point row ``row``, its radicand d
+        already merged with the view's, a point of the view's level on edge
+        i of this polygon, as an integer pair over a multiple M of the view's
         denominator: ``(a, b, M, d)`` for (a + b*sqrt(d)) / M in [0, perimeter).
 
-        The level edge through p is the first alive edge from i on: edge i
-        itself, or, at the death level of edge i, the alive edge that starts
-        at the corner where edge i shrank to a point.  With p over P by
-        ``_over``, the offset along that edge is lambda = (p - start) / w for
+        The level edge through the point is the first alive edge from i on:
+        edge i itself, or, at the death level of edge i, the alive edge that
+        starts at the corner where edge i shrank to a point.  With the point
+        over P, the offset along that edge is lambda = (p - start) / w for
         the first nonzero entry w of the direction, so the coordinate is
         prefix + lambda over M = P*D*|w|.
         """
-        alive, base, rows, D, d = view
+        alive, base, rows, D, _ = view
         m = len(alive)
         k = (bisect_left(alive, i) - base) % m
         S, Sb, X1, Y1, X2, Y2, u, v = rows[k]
-        P, d, ((A1, B1), (A2, B2)) = _over(p.x1, p.x2, d=d)
+        A1, B1, A2, B2, P = row
         if u:
             w, a, b = u, A1 * D - X1 * P, B1 * D - Y1 * P
         else:
@@ -535,16 +549,26 @@ class Polygon:
             a = b = 0
         return a, b, D * scale, d
 
-    def _arc_point(self, view: tuple, a: int, b: int, M: int, d: int | None) -> Point:
-        """The point of the view's level at arc (a + b*sqrt(d)) / M modulo
-        its perimeter, for M a multiple of the view's denominator D.
+    def _arc_point(self, view: tuple, a: int, b: int, M: int, d: int | None,
+                   t: QField) -> tuple[tuple[int, int, int, int, int], int | None]:
+        """The point of the view's level at arc (a + b*sqrt(d)) / M + t modulo
+        its perimeter, for M a multiple of the view's denominator D, as a
+        point row and its radicand.
 
-        The arc is reduced by ``_mod``; its edge is the last one whose prefix
-        is at most the arc, found by bisecting the prefix rows with sign
-        tests; one ``Point`` is built at the end.
+        The arc s = (a + b*sqrt(d)) / M + t is one integer pair, reduced by
+        ``_mod``; its edge is the last one whose prefix is at most s, found
+        by bisecting the prefix rows with sign tests.  Two radicands are
+        refused, named as ``QField`` arithmetic on the arc names them: an
+        irrational arc meets t in the sum arc + t; a rational one meets it in
+        the quotient s / perimeter when the perimeter is irrational (t's
+        radicand first), else at the edge's start vertex plus the offset.
         """
         _, _, rows, D, _ = view
-        scale, n = M // D, len(rows) - 1
+        A, B, Dt, dt = t._v
+        n = len(rows) - 1
+        d = _merge_radicand(d, dt) if b or not rows[n][1] else _merge_radicand(dt, d)
+        a, b, M = a * Dt + A * M, b * Dt + B * M, M * Dt
+        scale = M // D
         a, b = _mod(a, b, rows[n][0] * scale, rows[n][1] * scale, d)
         lo, hi = 0, n
         while hi - lo > 1:
@@ -553,10 +577,7 @@ class Polygon:
             lo, hi = (mid, hi) if at_or_past else (lo, mid)
         S, Sb, X1, Y1, X2, Y2, u, v = rows[lo]
         a, b = a - S * scale, b - Sb * scale
-        return _point(
-            _reduced(X1 * scale + a * u, Y1 * scale + b * u, M, d),
-            _reduced(X2 * scale + a * v, Y2 * scale + b * v, M, d),
-        )
+        return (X1 * scale + a * u, Y1 * scale + b * u, X2 * scale + a * v, Y2 * scale + b * v, M), d
 
     # -- transforms and serialization ---------------------------------------
 

@@ -9,14 +9,20 @@ advances by arc c - h, while every level with h >= c is left pointwise
 fixed.  ``build_recurrence_map`` certifies this rotation property on a
 sample grid before handing the map out, and a failed check raises a
 ``VerificationError`` that names the level, the point and both images.
+The grid runs on integer point rows: its samples are the corners of each
+level, read from the piece of the edge-death schedule that holds it
+(``Polygon._corners``), and the midpoints between them; both images of a
+sample are rows, compared by cross-multiplying, and ``Point``s are built
+only to report a failure.
 A ``RecurrenceMap`` holds only its rounds and its source diagram: it reads
 its parameters and polygon from that diagram, and builds the target
 diagram (the source with the loop recorded) when it is read.
 
-``apply_rounds`` and ``StripShear.apply`` are one integer pass over strip
-rows in the polygon's edge-row format, built once per ``RecurrenceMap``
+The rounds are one integer pass, ``_shear_rows``, over strip rows in the
+polygon's edge-row format, built once per ``RecurrenceMap``
 (``StripShear.apply`` builds its one row per call).  Each round's excess
-is an integer pair with one exact sign test, and the point is reduced to
+is an integer pair with one exact sign test.  ``apply_rounds`` and
+``StripShear.apply`` put the point on a row and reduce the image to
 ``QField`` coordinates once, after the last round.
 
 ``apply_phi`` is the smoothed version used for orbit analysis: full
@@ -25,12 +31,13 @@ advance c - h up to level c - eps, a linear taper across the band
 
 Every level rotation (``apply_phi``, ``apply_phi_iter``,
 ``rotate_on_level`` and the expected images of the self-check) is the
-polygon's one advance pass, ``Polygon._advance``, which also serves
-``arc_to_point`` and the level coordinates of ``atfkit.orbits``: the
-``_locate`` that finds p's level h also gives its edge, and the polygon
-moves p along the arc rows of the piece of its edge-death schedule that
-holds h, read at h.  No rotation builds a level polygon, and this module
-reads no arc rows.
+polygon's one advance pass, which also serves ``arc_to_point`` and the
+level coordinates of ``atfkit.orbits``: the ``_locate`` that finds p's
+level h also gives its edge, and the polygon moves p along the arc rows of
+the piece of its edge-death schedule that holds h, read at h.
+``Polygon._advance`` runs it on a ``Point``; the self-check runs its
+integer steps, ``_arc_pair`` and ``_arc_point``, on the sample rows.  No
+rotation builds a level polygon, and this module reads no arc rows.
 """
 
 from __future__ import annotations
@@ -38,9 +45,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from .diagram import BaseDiagram
-from .plane import LatticeVector, Point, UnimodularAffineMap, _point, dot, move
+from .plane import LatticeVector, Point, UnimodularAffineMap, _row, _row_point, dot
 from .polygon import ConstructionParams, Polygon, _blowup_corners, _line_rows
-from .scalars import QField, ScalarLike, _over, _reduced, _sign, qf
+from .scalars import QField, ScalarLike, _merge_radicand, _sign, qf
 
 
 class VerificationError(ValueError):
@@ -173,7 +180,9 @@ def build_recurrence_map(source: BaseDiagram, verify: bool = True) -> Recurrence
     ``replace(source, params=...)``.  With ``verify`` on (the default), the
     composite is checked against the pure arc rotation on a grid of levels,
     and checked to fix a grid of points above level c; any mismatch raises
-    VerificationError with the offending point.
+    VerificationError with the offending point.  The grid reads the corners
+    of each level's schedule piece and the midpoints between them as
+    integer point rows, and builds ``Point``s only to report a failure.
     """
     params = source.params
     if params is None:
@@ -206,17 +215,27 @@ def apply_rounds(rm: RecurrenceMap, p: Point) -> Point:
 
 
 def _shear_pass(strips: tuple, p: Point) -> Point:
-    """Apply the strip shears in order as one integer pass.
+    """Apply the strip shears in order to a ``Point``: ``_shear_rows`` on its
+    point row, reduced once at the end; p itself comes back when no round
+    applies.  A point whose radicand differs from the offsets' is a
+    ``ValueError``."""
+    row, d = _row(p, strips[2])
+    moved = _shear_rows(strips, row, d)
+    return p if moved is None else _row_point(moved, d)
 
-    ``strips`` is ``polygon._line_rows`` of the shears, offsets over L.  With
-    p over its own denominator P, each round's excess <n, x> - offset is an
-    integer pair (a, b) over P*L with one exact sign test, and a shear adds
-    a multiple of that pair to the point.  The point is reduced once, at the
-    end, and p itself comes back when no round applies.  A point whose
-    radicand differs from the offsets' is a ``ValueError``.
+
+def _shear_rows(strips: tuple, row: tuple, d: int | None) -> tuple | None:
+    """Apply the strip shears in order as one integer pass on a point row.
+
+    ``strips`` is ``polygon._line_rows`` of the shears, offsets over L, and
+    ``row`` a point row (X1, Y1, X2, Y2, P) for ((X1 + Y1*sqrt(d))/P,
+    (X2 + Y2*sqrt(d))/P), d merged with the offsets' radicand.  Each round's
+    excess <n, x> - offset is an integer pair (a, b) over P*L with one exact
+    sign test, and a shear adds a multiple of that pair to the point.  The
+    image comes back as a point row over P*L, or None when no round applies.
     """
-    rows, L, d = strips
-    P, d, ((X1, Y1), (X2, Y2)) = _over(p.x1, p.x2, d=d)
+    rows, L, _ = strips
+    X1, Y1, X2, Y2, P = row
     X1, Y1, X2, Y2 = X1 * L, Y1 * L, X2 * L, Y2 * L
     moved = False
     for u, v, A, B in rows:
@@ -226,28 +245,36 @@ def _shear_pass(strips: tuple, p: Point) -> Point:
             # x -> x + excess * (-v, u), the quarter turn of the normal
             X1, Y1, X2, Y2 = X1 - v * a, Y1 - v * b, X2 + u * a, Y2 + u * b
             moved = True
-    if not moved:
-        return p
-    M = P * L
-    return _point(_reduced(X1, Y1, M, d), _reduced(X2, Y2, M, d))
+    return (X1, Y1, X2, Y2, P * L) if moved else None
 
 
 def _verify_rounds(rm: RecurrenceMap) -> None:
     poly, c, eps = rm.polygon, rm.params.c, rm.params.eps
-    top = poly.max_distance()[0]
+    strips, top = rm._strips, poly.max_distance()[0]
     # levels below the taper advance by c - h; the two above it stay fixed
     checks = [(h, c - h) for h in ((c - eps) * k / 4 for k in range(4))]
     checks += [(h, 0) for h in (c + eps, (c + eps + top) / 2)]
     for h, advance in checks:
-        level = poly.level_set(h)
-        n, view = len(level.edges), advance and poly._arc_view(h)
-        # sample j is a vertex or an edge midpoint of level edge j mod n,
-        # which is edge view[0][j mod n] of the polygon, the view's alive edge
-        for j, pt in enumerate(_level_samples(level)):
-            expected = poly._advance(view, view[0][j % n], advance, pt) if advance else pt
-            got = apply_rounds(rm, pt)
-            if got == expected:
+        (alive, *_), corners, d = poly._corners(h)
+        n, view = len(corners), advance and poly._arc_view(h)
+        # sample j is corner j or the midpoint of corners j - n and j - n + 1,
+        # so it lies on alive edge j mod n
+        samples = corners + [
+            (X * E + Z * D, Xs * E + Zs * D, Y * E + W * D, Ys * E + Ws * D, 2 * D * E)
+            for (X, Xs, Y, Ys, D), (Z, Zs, W, Ws, E) in zip(corners, corners[1:] + corners[:1])
+        ]
+        for j, row in enumerate(samples):
+            ds = d if row[1] or row[3] else None  # the radicand of the sample's Point
+            if advance:
+                arc = poly._arc_pair(view, alive[j % n], row, view[4])
+                expected, de = poly._arc_point(view, *arc, advance)
+            else:
+                expected, de = row, ds
+            dg = _merge_radicand(strips[2], ds)
+            got = _shear_rows(strips, row, dg) or row
+            if _same(got, dg, expected, de):
                 continue
+            pt, got, expected = _row_point(row, ds), _row_point(got, dg), _row_point(expected, de)
             image = f"({pt.x1}, {pt.x2}) -> ({got.x1}, {got.x2})"
             message = (
                 f"round composite missed the arc rotation at level {h}: {image}, "
@@ -258,9 +285,14 @@ def _verify_rounds(rm: RecurrenceMap) -> None:
             raise VerificationError(message, level=h, point=pt, got=got, expected=expected)
 
 
-def _level_samples(level: Polygon) -> list[Point]:
-    halves = [move(v, e.direction, e.length / 2) for v, e in zip(level.vertices, level.edges)]
-    return list(level.vertices) + halves
+def _same(r: tuple, dr: int | None, s: tuple, ds: int | None) -> bool:
+    """Whether two point rows are the same point, by cross-multiplying each
+    pair of integers; rows of two radicands agree only where both are
+    rational."""
+    X, Xs, Y, Ys, D = r
+    Z, Zs, W, Ws, E = s
+    return (X * E == Z * D and Y * E == W * D and Xs * E == Zs * D and Ys * E == Ws * D
+            and (dr == ds or not (Xs or Ys)))
 
 
 def apply_phi(rm: RecurrenceMap, p: Point) -> Point:

@@ -10,7 +10,8 @@ only, so all geometry stays in model coordinates until the last moment.
 The screen transform, the strip clipping and the rounding run as one
 integer pass: a model coordinate (A + B*sqrt(d))/D goes through the
 transform as integers over an unreduced denominator, and ``_decimal20``
-reads its digits without a ``QField`` operation.
+reads its digits without a ``QField`` operation.  A level outline is the
+corner rows of ``Polygon._corners``, with no level polygon built.
 """
 
 from __future__ import annotations
@@ -199,9 +200,10 @@ def render_svg(diagram: BaseDiagram, style: RenderStyle | None = None) -> str:
             'fill="#7f7fbf" fill-opacity="0.25" stroke="none"/>'
         )
     for h in style.show_levels:
-        level = poly.level_set(h)
+        _, corners, d = poly._corners(h)
+        level = [((X, Xs, D, d), (Y, Ys, D, d)) for X, Xs, Y, Ys, D in corners]
         lines.append(
-            f'<polygon class="level" points="{screen.points_attr(_coords(level.vertices))}" '
+            f'<polygon class="level" points="{screen.points_attr(level)}" '
             'fill="none" stroke="#448" stroke-width="1" stroke-dasharray="2,3"/>'
         )
     lines.append(

@@ -24,6 +24,7 @@ from atfkit.diagram import build_pi0
 from atfkit.orbits import _walk
 from atfkit.plane import cross, delta, lex_less, move, primitive
 from atfkit.polygon import Edge, Polygon, build_blowup_polygon
+from atfkit.recurrence import VerificationError, apply_rounds
 
 
 # hypothesis caches the constants of local source files in its home
@@ -249,6 +250,43 @@ def constructed_level_set(self: Polygon, h) -> Polygon:
     if h >= top:
         raise ValueError(f"level {h} is not below the maximum distance")
     return Polygon(level_vertices([e for e, t in zip(self.edges, deaths) if t > h], h))
+
+
+# The map self-check that ``atfkit.recurrence`` had before it ran on point
+# rows, kept verbatim (only the names differ) as the oracle for that grid:
+# a level polygon per level, samples by ``move``, and every sample through
+# ``apply_rounds`` and ``Polygon._advance`` as a ``Point``.
+
+
+def level_samples(level: Polygon) -> list[Point]:
+    halves = [move(v, e.direction, e.length / 2) for v, e in zip(level.vertices, level.edges)]
+    return list(level.vertices) + halves
+
+
+def point_verify_rounds(rm) -> None:
+    poly, c, eps = rm.polygon, rm.params.c, rm.params.eps
+    top = poly.max_distance()[0]
+    # levels below the taper advance by c - h; the two above it stay fixed
+    checks = [(h, c - h) for h in ((c - eps) * k / 4 for k in range(4))]
+    checks += [(h, 0) for h in (c + eps, (c + eps + top) / 2)]
+    for h, advance in checks:
+        level = poly.level_set(h)
+        n, view = len(level.edges), advance and poly._arc_view(h)
+        # sample j is a vertex or an edge midpoint of level edge j mod n,
+        # which is edge view[0][j mod n] of the polygon, the view's alive edge
+        for j, pt in enumerate(level_samples(level)):
+            expected = poly._advance(view, view[0][j % n], advance, pt) if advance else pt
+            got = apply_rounds(rm, pt)
+            if got == expected:
+                continue
+            image = f"({pt.x1}, {pt.x2}) -> ({got.x1}, {got.x2})"
+            message = (
+                f"round composite missed the arc rotation at level {h}: {image}, "
+                f"expected ({expected.x1}, {expected.x2})"
+                if advance
+                else f"round composite moved a point on level {h}: {image}"
+            )
+            raise VerificationError(message, level=h, point=pt, got=got, expected=expected)
 
 
 # The arc-origin scan that ``Polygon`` had before it took the base vertex

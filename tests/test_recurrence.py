@@ -5,18 +5,19 @@ import pickle
 import random
 from dataclasses import fields, replace
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
-from conftest import edge_samples, outcome
+from conftest import edge_samples, level_samples, outcome, point_verify_rounds
 
+from atfkit import recurrence
 from atfkit.diagram import BaseDiagram, build_pi0
-from atfkit.plane import LatticeVector, Point, move, pt
-from atfkit.polygon import ConstructionParams, build_blowup_polygon, centered_rectangle
+from atfkit.plane import LatticeVector, Point, _row_point, move, pt
+from atfkit.polygon import ConstructionParams, Polygon, build_blowup_polygon, centered_rectangle
 from atfkit.recurrence import (
     StripShear,
     VerificationError,
-    _level_samples,
     _verify_rounds,
     apply_phi,
     apply_phi_iter,
@@ -26,7 +27,7 @@ from atfkit.recurrence import (
     rotation_amount,
 )
 from atfkit.scalars import QField, qf
-from atfkit.verify import random_params
+from atfkit.verify import DEFAULT_PARAMS, random_params
 
 
 def default_map():
@@ -304,22 +305,35 @@ def test_verification_rejects_tampered_rounds():
         _verify_rounds(crooked)
 
 
+def nudge(monkeypatch, rm, h, corners: bool = True) -> None:
+    """Patch the shear core, which the self-check reads on point rows, so
+    that it gives the true rounds with the points of level h nudged up by 1,
+    the corners of the level only when ``corners`` is set."""
+    poly, core = rm.polygon, recurrence._shear_rows
+    kept = () if corners else set(poly.level_set(h).vertices)
+
+    def nudged(strips, row, d):
+        q = core(strips, row, d)
+        p = _row_point(row, d)
+        if poly.distance_to_boundary(p) != h or p in kept:
+            return q
+        X1, Y1, X2, Y2, P = q or row
+        return X1, Y1, X2 + P, Y2, P
+
+    monkeypatch.setattr("atfkit.recurrence._shear_rows", nudged)
+
+
 def test_verification_error_names_a_moved_point_above_the_taper(monkeypatch):
     rm = default_map()
     poly, top = rm.polygon, rm.polygon.max_distance()[0]
     high = (rm.params.c + rm.params.eps + top) / 2
 
-    def nudged(rm, p):
-        # the true rounds, with points of the highest checked level nudged up
-        q = apply_rounds(rm, p)
-        return move(q, LatticeVector(0, 1), qf(1)) if poly.distance_to_boundary(p) == high else q
-
-    monkeypatch.setattr("atfkit.recurrence.apply_rounds", nudged)
+    nudge(monkeypatch, rm, high)
     with pytest.raises(VerificationError) as caught:
         _verify_rounds(rm)
     err = caught.value
     h, p, got = err.level, err.point, err.got
-    assert h == high and p in _level_samples(poly.level_set(high))
+    assert h == high and p in level_samples(poly.level_set(high))
     assert err.expected == p and got == move(p, LatticeVector(0, 1), qf(1))
     assert str(err) == (
         f"round composite moved a point on level {h}: ({p.x1}, {p.x2}) -> ({got.x1}, {got.x2})"
@@ -334,7 +348,7 @@ def test_verification_error_names_level_point_and_both_images():
         _verify_rounds(crooked)
     err = caught.value
     h, p, got, expected = err.level, err.point, err.got, err.expected
-    assert h == 0 and p in _level_samples(rm.polygon)
+    assert h == 0 and p in level_samples(rm.polygon)
     assert got == apply_rounds(crooked, p) != expected
     assert expected == rotate_on_level(rm.polygon, h, rm.params.c - h, p) == apply_rounds(rm, p)
     assert str(err) == (
@@ -349,6 +363,102 @@ def test_verification_error_names_level_point_and_both_images():
     plain = VerificationError("message")
     assert str(plain) == "message"
     assert (plain.level, plain.point, plain.got, plain.expected) == (None,) * 4
+
+
+# -- the integer grid against the Point grid it replaced ------------------------------
+
+
+def grid_outcome(check, rm):
+    """What a self-check made of rm: None when it passed, else the message
+    and the four fields of its VerificationError."""
+    try:
+        check(rm)
+    except VerificationError as exc:
+        return str(exc), exc.level, exc.point, exc.got, exc.expected
+    return None
+
+
+def sqrt_params(rng: random.Random, r: int, in_a: bool) -> ConstructionParams:
+    """``random_params`` with a sqrt(r) part added to c, and to a if
+    ``in_a``; with a rational, the corner (-a/2, -b/2) stays rational."""
+    while True:
+        p = random_params(rng)
+        try:
+            a = p.a + QField(0, Fraction(1, 7), r) if in_a else p.a
+            return ConstructionParams(a, p.b, p.c + QField(0, Fraction(1, 97), r), p.eps)
+        except ValueError:
+            continue
+
+
+def grid_maps():
+    """The default map, 6 random rational maps, and 3 maps each with sqrt(2)
+    and sqrt(3) parameters."""
+    rng = random.Random(45)
+    params = [DEFAULT_PARAMS] + [random_params(rng) for _ in range(6)]
+    params += [sqrt_params(rng, r, k < 2) for r in (2, 3) for k in range(3)]
+    return [build_recurrence_map(build_pi0(p), verify=False) for p in params]
+
+
+def grid_mutations(rm):
+    """Named broken copies of rm: each strip offset moved by +-c/1000, the
+    slanted edge moved by +-c/1000, each strip normal turned, each pair of
+    neighbouring rounds swapped."""
+    rounds, (a, b, c) = rm.rounds, (rm.params.a / 2, rm.params.b / 2, rm.params.c)
+    out = {}
+    for k, shear in enumerate(rounds):
+        for sign in (1, -1):
+            moved = replace(shear, offset=shear.offset + sign * c / 1000)
+            out[f"offset {k} {sign:+}"] = rounds[:k] + (moved,) + rounds[k + 1 :]
+        n = shear.normal
+        turned = replace(shear, normal=LatticeVector(n.u - n.v, n.v + n.u))
+        out[f"normal {k}"] = rounds[:k] + (turned,) + rounds[k + 1 :]
+        swapped = list(rounds)
+        swapped[k], swapped[k - 1] = rounds[k - 1], rounds[k]
+        out[f"swap {(k - 1) % 4} {k}"] = tuple(swapped)
+    out = {name: replace(rm, rounds=moved) for name, moved in out.items()}
+    for sign in (1, -1):
+        chop = c + sign * c / 1000
+        corners = [(-a, -b), (a - chop, -b), (a, chop - b), (a, b), (-a, b)]
+        # the cuts end on the slanted edge, so no diagram holds this polygon;
+        # the self-check reads only the source's polygon and parameters
+        slanted = SimpleNamespace(polygon=Polygon(corners), params=rm.params)
+        out[f"slanted edge {sign:+}"] = replace(rm, source_diagram=slanted)
+    return out
+
+
+GRID_MAPS = grid_maps()
+
+
+def test_the_integer_grid_matches_the_point_grid():
+    for rm in GRID_MAPS:
+        assert _verify_rounds(rm) is None and point_verify_rounds(rm) is None, rm.params
+        for name, broken in grid_mutations(rm).items():
+            want = grid_outcome(point_verify_rounds, broken)
+            assert want is not None, (rm.params, name)
+            assert grid_outcome(_verify_rounds, broken) == want, (rm.params, name)
+
+
+def test_the_integer_grid_matches_the_point_grid_on_a_nudged_point(monkeypatch):
+    # both grids shear through the one core, so one nudge reaches both: a
+    # point above the taper, and an edge midpoint of a level that advances
+    for rm in GRID_MAPS:
+        c, eps, top = rm.params.c, rm.params.eps, rm.polygon.max_distance()[0]
+        for h, corners in (((c + eps + top) / 2, True), ((c - eps) / 2, False)):
+            nudge(monkeypatch, rm, h, corners)
+            want = grid_outcome(point_verify_rounds, rm)
+            assert want is not None and want[1] == h, rm.params
+            assert grid_outcome(_verify_rounds, rm) == want, (rm.params, h)
+            monkeypatch.undo()
+
+
+def test_the_integer_grid_matches_the_point_grid_on_strips_of_another_radicand():
+    for rm in GRID_MAPS:
+        # the offsets' rational parts plus sqrt(r)/100, r not the map's radicand
+        r = 2 if rm.params.c.d == 3 else 3
+        moved = tuple(replace(s, offset=QField(s.offset.a, Fraction(1, 100), r)) for s in rm.rounds)
+        broken = replace(rm, rounds=moved)
+        want = outcome(grid_outcome, point_verify_rounds, broken)
+        assert outcome(grid_outcome, _verify_rounds, broken) == want, rm.params
 
 
 # -- the smoothed step --------------------------------------------------------------------
@@ -466,7 +576,7 @@ def shear_cases():
         levels = [(c - eps) * Fraction(k, 3) for k in range(3)]
         levels += [(c + eps + top) / 2, (c - eps) / 2 + QField(0, Fraction(1, 500), 2),
                    (c - eps) / 3 + QField(0, Fraction(1, 700), 3)]
-        points = [p for h in levels for p in _level_samples(poly.level_set(h))]
+        points = [p for h in levels for p in level_samples(poly.level_set(h))]
         cases.append((rm, points + strip_points(rm)))
     return cases
 
@@ -507,7 +617,7 @@ def test_rows_follow_the_rounds_of_a_replaced_map():
         other = replace(rm, rounds=moved)
         assert other != rm and repr(other) != repr(rm)
         poly, c, eps = rm.polygon, rm.params.c, rm.params.eps
-        points = [p for k in range(3) for p in _level_samples(poly.level_set((c - eps) * k / 3))]
+        points = [p for k in range(3) for p in level_samples(poly.level_set((c - eps) * k / 3))]
         changed = 0
         for p in points + strip_points(other):
             want = oracle_rounds(moved, p)
