@@ -24,14 +24,18 @@ Between two consecutive death levels the same edges are alive, and every
 vertex of {F >= h} moves affinely in h: this is one *piece* of the
 lattice-weighted straight skeleton (Aichholzer et al., 1995).  A polygon
 keeps the sorted death levels with its schedule and builds a piece on
-first use, one per death level at most, so the table needs no size bound.
-A piece holds its alive edges, its arc origin and, per corner, two
-``_solve`` results on the neighbouring edge rows: the corner at level 0
-and its velocity.  ``_corners`` reads them at h as integer point rows;
-``level_set`` builds the level polygon from those without the checks of
-``Polygon(...)`` (each edge keeps its normal and direction, and its offset
-becomes k - h), and the map self-check and the SVG level outlines read the
-rows with no level polygon.
+first use, one per death level at most, so ``_pieces`` needs no size bound.
+A piece holds its alive edges, its arc origin and one integer table, affine
+in h: for each alive edge in arc order, the arc prefix at its start, its
+start vertex and its direction, with the perimeter last, each a value at
+level 0 plus h times a rate over one common denominator D.  ``_piece``
+builds it from one pair of ``_solve`` results per corner (the corner at
+level 0 and its velocity), scaled to D, and takes each edge length as an
+exact integer quotient of its end corners.  ``_arc_view`` reads the table
+at h once per level; ``_corners`` rotates that read into the corners of
+{F >= h}, and ``level_set`` builds the level polygon from them and the
+prefix differences without the checks of ``Polygon(...)`` (each edge keeps
+its normal and direction, and its offset becomes k - h).
 
 Every edge value <n_i, p> + k_i is read from integer edge rows built with
 the polygon, the offsets over one common denominator L by ``scalars._over``:
@@ -45,18 +49,15 @@ The boundary arc coordinate is lattice length counterclockwise from the
 lexicographically smallest vertex.  That vertex comes from the winding scan
 of the edge directions: it is the one corner where they pass out of the
 half-turn pointing left or straight down, so it is fixed within a piece.
-On first arc use a piece also builds integer arc rows, affine in h: for
-each alive edge in arc order, the arc prefix at its start and its start
-vertex, with the perimeter last, each a value at level 0 plus h times a
-rate over one common denominator D by ``_over``.  One advance pass,
-``Polygon._advance``, reads them at h: it serves every level rotation of
-``atfkit.recurrence``, the level coordinates of ``atfkit.orbits`` and, at
-h = 0, the polygon's own ``arc_to_point``; ``perimeter``,
-``level_perimeter``, ``arc_of_vertex`` and ``point_to_arc`` read the same
-rows, so no rotation or level coordinate builds a level polygon.  An arc
-of a point on edge i is prefix + lambda (+ the advance) as one integer
-pair; it is reduced modulo the perimeter by one exact floor of its
-quotient (``_mod``), and its edge is found by sign tests on the prefixes.
+One advance pass, ``Polygon._advance``, reads the piece's table at h: it
+serves every level rotation of ``atfkit.recurrence``, the level coordinates
+of ``atfkit.orbits`` and, at h = 0, the polygon's own ``arc_to_point``;
+``perimeter``, ``level_perimeter``, ``arc_of_vertex`` and ``point_to_arc``
+read the same rows, so no rotation or level coordinate builds a level
+polygon.  An arc of a point on edge i is prefix + lambda (+ the advance) as
+one integer pair; it is reduced modulo the perimeter by one exact floor of
+its quotient (``_mod``), and its edge is found by sign tests on the
+prefixes.
 The pass takes and gives point rows (``_arc_pair``, ``_arc_point``), so the
 map self-check runs it with no ``Point``; ``_advance`` builds the one
 ``Point`` of a rotation.  The module also builds the family of
@@ -69,6 +70,7 @@ from __future__ import annotations
 import heapq
 from bisect import bisect_left, bisect_right
 import json
+from math import lcm
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -289,25 +291,25 @@ class Polygon:
         polygon is built from the piece of the edge-death schedule that
         holds h, without the checks of ``Polygon(...)``: the schedule already
         makes it a strictly convex polygon whose edges are the alive edges
-        in order.  Its vertices are the rows of ``_corners`` at h, each
-        one integer pair per coordinate over L*det*H for h over H; each edge
-        keeps its normal and direction, its offset is k - h, and its length
-        is the vertex difference along the direction (``_along``).
+        in order.  Its vertices are the rows of ``_corners`` at h and its
+        edge lengths the differences of consecutive arc prefixes, all read
+        from the piece's table over one denominator; each edge keeps its
+        normal and direction, and its offset is k - h.
         """
         h = qf(h)
         if not h:
             return self
-        (alive, base, *_), coords, d = self._corners(h)
-        (rows, L, _), (Ah, Bh, H, _) = self._rows, h._v
-        verts = (_row_point(row, d) for row in coords)
+        (alive, base, arcs, D, d), corners = self._corners(h)
+        (rows, L, _), (Ah, Bh, H, _), m = self._rows, h._v, len(alive)
         edges = []
         for j, i in enumerate(alive):
-            (_, _, A, B), w = rows[i], self.edges[i].direction
+            k = (j - base) % m
+            (_, _, A, B), (S, Sb, *_), (T, Tb, *_) = rows[i], arcs[k], arcs[k + 1]
             offset = _reduced(A * H - Ah * L, B * H - Bh * L, L * H, d)
-            length = _reduced(*_along(w, coords[j], coords[(j + 1) % len(alive)]), d)
-            edges.append(Edge(self.edges[i].normal, offset, w, length))
+            length = _reduced(T - S, Tb - Sb, D, d)
+            edges.append(Edge(self.edges[i].normal, offset, self.edges[i].direction, length))
         level = object.__new__(Polygon)
-        level._fill(tuple(verts), tuple(edges), base)
+        level._fill(tuple(_row_point(row, d) for row in corners), tuple(edges), base)
         return level
 
     def _edge_deaths(self) -> tuple[list[QField], QField, Point]:
@@ -352,21 +354,26 @@ class Polygon:
 
     def _piece(self, h: QField) -> list:
         """The piece of the edge-death schedule that holds level h, built on
-        first use: ``[alive, base, corners, arc, read]``.
+        first use: ``[alive, base, table, read]``.
 
         Piece k holds the levels from the k-th death level (0 for k = 0) up
         to the next, where the same edges are alive; a death level belongs to
         the piece above it, where the edges dying there are gone.  ``alive``
         lists their indices in order and ``base`` the arc origin among them,
-        from the winding scan.  Corner j, where alive edges j - 1 and j meet,
-        is two vertex rows (X, Xs, Y, Ys, D) for ((X + Xs*sqrt(d))/D,
-        (Y + Ys*sqrt(d))/D), both ``_solve`` of their edge rows over D = L*det:
-        the meeting of their lines at level 0, rows (u, v, -A, -B), and its
-        velocity (VX, 0, VY, 0, D), rows (u, v, L, 0).  So the corner at
-        h = (Ah + Bh*sqrt(d))/H has x1 = (X*H + VX*Ah + (Xs*H + VX*Bh)*sqrt(d))
-        / (D*H), and x2 likewise.
-        ``arc`` holds the piece's affine arc rows once ``_arc_view`` builds
-        them, and ``read`` those rows read at the last level asked.
+        from the winding scan.
+
+        ``table`` is ``(rows, D, d)``: one integer row per alive edge in arc
+        order from the base vertex, ``(S, Sb, R, X1, Y1, R1, X2, Y2, R2, u, v)``,
+        the arc prefix at the edge's start, its start vertex (x1, x2) and its
+        direction (u, v), then the perimeter ``(S, Sb, R)``.  Each triple is
+        the affine value (A + B*sqrt(d) + h*R) / D over one denominator D.
+        The start vertex of alive edge j is corner j, where alive edges j - 1
+        and j meet: ``_solve`` of their edge rows over L*det gives its place
+        at level 0, rows (u, v, -A, -B), and its velocity, rows (u, v, L, 0),
+        and D = lcm(L*|det|) puts every corner over one denominator.  An
+        edge's length and its rate are the difference of its end corners
+        divided by the first nonzero entry of its direction.  ``read`` holds
+        the table read at the last level asked (``_arc_view``).
 
         A negative level, or one at or above max F, is a ``ValueError``, and
         so is a level whose radicand differs from max F's, a death level's or
@@ -390,32 +397,44 @@ class Polygon:
         if piece is None:
             if k:
                 alive = [i for i, t in enumerate(deaths) if t > levels[k - 1]]
-            rows, L, _ = self._rows
-            corners = []
-            for j in range(len(alive)):
+            (rows, L, d), m = self._rows, len(alive)
+            solved = []
+            for j in range(m):
                 (u0, v0, A0, B0), (u1, v1, A1, B1) = rows[alive[j - 1]], rows[alive[j]]
                 X, Xs, Y, Ys, det = _solve((u0, v0, -A0, -B0), (u1, v1, -A1, -B1))
                 VX, _, VY, _, _ = _solve((u0, v0, L, 0), (u1, v1, L, 0))
-                corners.append(((X, Xs, Y, Ys, L * det), (VX, 0, VY, 0, L * det)))
-            piece = [alive, _passes([self.edges[i] for i in alive])[0], corners, None, (None,)]
+                solved.append((L * det, (X, Xs, VX, Y, Ys, VY)))
+            D = lcm(*(E for E, _ in solved))
+            corners = [tuple(a * (D // E) for a in z) for E, z in solved]
+            base = _passes([self.edges[i] for i in alive])[0]
+            table, S = [], (0, 0, 0)
+            for j in (*range(base, m), *range(base)):
+                z0, z1, w = corners[j], corners[(j + 1) % m], self.edges[alive[j]].direction
+                table.append((*S, *z0, w.u, w.v))
+                # z1 - z0 is the length times w in each part (value, sqrt(d)
+                # part, rate), and w is primitive, so some integer
+                # combination of its entries is 1: the length's parts over D
+                # are integers, and dividing by one entry of w is exact
+                c, s = (0, w.u) if w.u else (3, w.v)
+                S = tuple(p + (b - a) // s for p, a, b in zip(S, z0[c:c + 3], z1[c:c + 3]))
+            table.append(S)
+            piece = [alive, base, (table, D, d), (None,)]
             self._pieces[k] = piece
         return piece
 
-    def _corners(self, h: QField) -> tuple[list, list[tuple[int, int, int, int, int]], int | None]:
-        """The corners of {F >= h} as point rows, with the piece that holds h:
-        ``(piece, corners, d)``.  Corner j, where alive edges j - 1 and j
-        meet, is the piece's corner row read at h = (Ah + Bh*sqrt(d))/H,
-        ``(X, Xs, Y, Ys, D)`` for ((X + Xs*sqrt(d))/D, (Y + Ys*sqrt(d))/D)
-        over D = L*det*H; ``level_set``, the map self-check of
-        ``atfkit.recurrence`` and the level outlines of ``atfkit.render``
-        all read them here.  Errors are ``_piece``'s.
+    def _corners(self, h: QField) -> tuple[tuple, list[tuple[int, int, int, int, int]]]:
+        """The corners of {F >= h} as point rows, with the view they come
+        from: ``(view, corners)`` for ``view = _arc_view(h)``.  Corner j, where
+        alive edges j - 1 and j meet, is the start vertex of alive edge j in
+        the view's rows, ``(X, Xs, Y, Ys, D)`` for ((X + Xs*sqrt(d))/D,
+        (Y + Ys*sqrt(d))/D), all over the view's D: the rows rotated from arc
+        order to alive order.  ``level_set``, the map self-check of
+        ``atfkit.recurrence`` and the level outlines of ``atfkit.render`` all
+        read them here.  Errors are ``_piece``'s.
         """
-        piece = self._piece(h)
-        Ah, Bh, H, dh = h._v
-        d = _merge_radicand(dh, self._rows[2])
-        corners = [(X * H + VX * Ah, Xs * H + VX * Bh, Y * H + VY * Ah, Ys * H + VY * Bh, D * H)
-                   for (X, Xs, Y, Ys, D), (VX, _, VY, _, _) in piece[2]]
-        return piece, corners, d
+        alive, base, rows, D, _ = view = self._arc_view(h)
+        k = len(alive) - base  # row k starts at corner 0
+        return view, [(X1, Y1, X2, Y2, D) for _, _, X1, Y1, X2, Y2, _, _ in rows[k:-1] + rows[:k]]
 
     def level_perimeter(self, h: ScalarLike) -> QField:
         _, _, rows, D, d = self._arc_view(qf(h))
@@ -429,7 +448,7 @@ class Polygon:
         return self._base
 
     def _arc_view(self, h: QField) -> tuple:
-        """The arc rows of the piece that holds level h, read at h:
+        """The table of the piece that holds level h, read at h:
         ``(alive, base, rows, D, d)``, the piece's alive edges and base vertex,
         then every value over one common denominator D, an integer pair
         (A, B) standing for (A + B*sqrt(d)) / D.
@@ -439,45 +458,21 @@ class Polygon:
         start, the start vertex ((X1, Y1), (X2, Y2)) and the direction
         (u, v).  The last row is the perimeter (S, Sb).
 
-        They are read from the piece's affine arc rows, built on its first
-        arc use, so ``level_set`` pays nothing for them: the same layout with
-        a rate R after each pair, ``(S, Sb, R, X1, Y1, R1, X2, Y2, R2, u, v)``,
-        for the value (A + B*sqrt(d) + h*R) / D0 over one denominator D0 by
-        ``_over``.  At h = (Ah + Bh*sqrt(d))/H that value is the pair
-        (A*H + R*Ah, B*H + R*Bh) over D = D0*H.  The piece keeps the rows read
-        at the last level asked, so the rotations of one level read them once.
+        Each pair is a triple (A, B, R) of the piece's table over D0 read at
+        h = (Ah + Bh*sqrt(d))/H: (A*H + R*Ah, B*H + R*Bh) over D = D0*H.  The
+        piece keeps the rows read at the last level asked, so every read of
+        one level (its corners, its rotations) reads the table once.
         """
         piece = self._piece(h)
-        if piece[3] is None:
-            alive, base, corners, _, _ = piece
-            m, d = len(alive), self._rows[2]
-            order = [(base + k) % m for k in range(m)]
-            values = []
-            for j in order:
-                (z0, v0), (z1, v1) = corners[j], corners[(j + 1) % m]
-                w = self.edges[alive[j]].direction
-                # x1, x2 and the length, each at level 0 and its rate
-                triples = (z0[:2] + z0[4:], v0[:2] + v0[4:], z0[2:], v0[2:])
-                triples += (_along(w, z0, z1), _along(w, v0, v1))
-                values += [_reduced(a, b, D, d) for a, b, D in triples]
-            D, d, pairs = _over(*values)
-            rows, S, Sb, R = [], 0, 0, 0
-            for k, j in enumerate(order):
-                (X1, Y1), (R1, _), (X2, Y2), (R2, _), (A, B), (Q, _) = pairs[6 * k : 6 * k + 6]
-                w = self.edges[alive[j]].direction
-                rows.append((S, Sb, R, X1, Y1, R1, X2, Y2, R2, w.u, w.v))
-                S, Sb, R = S + A, Sb + B, R + Q
-            rows.append((S, Sb, R))
-            piece[3] = (tuple(rows), D, d)
-        if piece[4][0] != h._v:
-            (rows, D, d), (Ah, Bh, H, dh) = piece[3], h._v
+        if piece[3][0] != h._v:
+            (rows, D, d), (Ah, Bh, H, dh) = piece[2], h._v
             read = [(S * H + R * Ah, Sb * H + R * Bh, X1 * H + R1 * Ah, Y1 * H + R1 * Bh,
                      X2 * H + R2 * Ah, Y2 * H + R2 * Bh, u, v)
                     for S, Sb, R, X1, Y1, R1, X2, Y2, R2, u, v in rows[:-1]]
             S, Sb, R = rows[-1]
             read.append((S * H + R * Ah, Sb * H + R * Bh))
-            piece[4] = (h._v, (piece[0], piece[1], read, D * H, d or dh))
-        return piece[4][1]
+            piece[3] = (h._v, (piece[0], piece[1], read, D * H, d or dh))
+        return piece[3][1]
 
     def arc_of_vertex(self, i: int) -> QField:
         _, _, rows, D, d = self._arc_view(ZERO)
@@ -508,7 +503,7 @@ class Polygon:
         """Move p, a point on edge i of this polygon and on the level of the
         view (``_arc_view`` of h, so F(p) = h), by arc length t
         counterclockwise along the level polygon {F >= h}: the one advance
-        pass over the piece's arc rows read at h.  With p None the pass starts
+        pass over the piece's table read at h.  With p None the pass starts
         at arc 0, so it returns the point at arc t.
 
         p goes in as a point row (``plane._row``), ``_arc_pair`` gives its
@@ -682,17 +677,6 @@ def _solve(r0: tuple[int, ...], r1: tuple[int, ...]) -> tuple[int, int, int, int
     (u0, v0, a0, b0), (u1, v1, a1, b1) = r0, r1
     det = u0 * v1 - v0 * u1
     return a0 * v1 - a1 * v0, b0 * v1 - b1 * v0, a1 * u0 - a0 * u1, b1 * u0 - b0 * u1, det
-
-
-def _along(w: LatticeVector, c0: tuple, c1: tuple) -> tuple[int, int, int]:
-    """The lattice length from c0 to c1 along the direction w, each point
-    (X, Xs, Y, Ys, D) for ((X + Xs*sqrt(d))/D, (Y + Ys*sqrt(d))/D): the
-    coordinate difference over w's first nonzero entry, as (a, b, M) for
-    (a + b*sqrt(d))/M with M > 0."""
-    s, c = (w.u, 0) if w.u else (w.v, 2)
-    D0, D1 = c0[4], c1[4]
-    a, b = c1[c] * D0 - c0[c] * D1, c1[c + 1] * D0 - c0[c + 1] * D1
-    return (a, b, D0 * D1 * s) if s > 0 else (-a, -b, -D0 * D1 * s)
 
 
 def _meeting(rp: tuple, ri: tuple, rq: tuple, L: int) -> tuple[tuple[int, int, int], ...] | None:

@@ -10,10 +10,11 @@ fixed.  ``build_recurrence_map`` certifies this rotation property on a
 sample grid before handing the map out, and a failed check raises a
 ``VerificationError`` that names the level, the point and both images.
 The grid runs on integer point rows: its samples are the corners of each
-level, read from the piece of the edge-death schedule that holds it
-(``Polygon._corners``), and the midpoints between them; both images of a
-sample are rows, compared by cross-multiplying, and ``Point``s are built
-only to report a failure.
+level, read from the table of the piece of the edge-death schedule that
+holds it (``Polygon._corners``) over one denominator D, and the midpoints
+between them, row sums over 2*D; both images of a sample are rows,
+compared by cross-multiplying, and ``Point``s are built only to report a
+failure.
 A ``RecurrenceMap`` holds only its rounds and its source diagram: it reads
 its parameters and polygon from that diagram, and builds the target
 diagram (the source with the loop recorded) when it is read.
@@ -33,7 +34,7 @@ Every level rotation (``apply_phi``, ``apply_phi_iter``,
 ``rotate_on_level`` and the expected images of the self-check) is the
 polygon's one advance pass, which also serves ``arc_to_point`` and the
 level coordinates of ``atfkit.orbits``: the ``_locate`` that finds p's
-level h also gives its edge, and the polygon moves p along the arc rows of
+level h also gives its edge, and the polygon moves p along the table of
 the piece of its edge-death schedule that holds h, read at h.
 ``Polygon._advance`` runs it on a ``Point``; the self-check runs its
 integer steps, ``_arc_pair`` and ``_arc_point``, on the sample rows.  No
@@ -165,12 +166,13 @@ def rotation_amount(params: ConstructionParams, h: ScalarLike) -> QField:
     h = qf(h)
     if h.sign() < 0:
         raise ValueError("level must be nonnegative")
-    c, eps = params.c, params.eps
-    if h <= c - eps:
-        return c - h
-    if h >= c + eps:
+    # c - h as -(h - c), so a level of another radicand is named first
+    g, eps = h - params.c, params.eps
+    if (d := -g) >= eps:
+        return d
+    if g >= eps:
         return qf(0)
-    return (c - h) * (c + eps - h) / (2 * eps)
+    return d * (d + eps) / (2 * eps)
 
 
 def build_recurrence_map(source: BaseDiagram, verify: bool = True) -> RecurrenceMap:
@@ -255,13 +257,13 @@ def _verify_rounds(rm: RecurrenceMap) -> None:
     checks = [(h, c - h) for h in ((c - eps) * k / 4 for k in range(4))]
     checks += [(h, 0) for h in (c + eps, (c + eps + top) / 2)]
     for h, advance in checks:
-        (alive, *_), corners, d = poly._corners(h)
-        n, view = len(corners), advance and poly._arc_view(h)
+        view, corners = poly._corners(h)
+        alive, n, d = view[0], len(corners), view[4]
         # sample j is corner j or the midpoint of corners j - n and j - n + 1,
-        # so it lies on alive edge j mod n
+        # so it lies on alive edge j mod n; the corners share one D
         samples = corners + [
-            (X * E + Z * D, Xs * E + Zs * D, Y * E + W * D, Ys * E + Ws * D, 2 * D * E)
-            for (X, Xs, Y, Ys, D), (Z, Zs, W, Ws, E) in zip(corners, corners[1:] + corners[:1])
+            (X + Z, Xs + Zs, Y + W, Ys + Ws, 2 * D)
+            for (X, Xs, Y, Ys, D), (Z, Zs, W, Ws, _) in zip(corners, corners[1:] + corners[:1])
         ]
         for j, row in enumerate(samples):
             ds = d if row[1] or row[3] else None  # the radicand of the sample's Point

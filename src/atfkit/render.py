@@ -11,7 +11,9 @@ The screen transform, the strip clipping and the rounding run as one
 integer pass: a model coordinate (A + B*sqrt(d))/D goes through the
 transform as integers over an unreduced denominator, and ``_decimal20``
 reads its digits without a ``QField`` operation.  A level outline is the
-corner rows of ``Polygon._corners``, with no level polygon built.
+corner rows of ``Polygon._corners``, read from the table of the schedule
+piece that holds the level, all over one denominator, with no level
+polygon built.
 """
 
 from __future__ import annotations
@@ -200,7 +202,7 @@ def render_svg(diagram: BaseDiagram, style: RenderStyle | None = None) -> str:
             'fill="#7f7fbf" fill-opacity="0.25" stroke="none"/>'
         )
     for h in style.show_levels:
-        _, corners, d = poly._corners(h)
+        (*_, d), corners = poly._corners(h)
         level = [((X, Xs, D, d), (Y, Ys, D, d)) for X, Xs, Y, Ys, D in corners]
         lines.append(
             f'<polygon class="level" points="{screen.points_attr(level)}" '

@@ -12,7 +12,7 @@ import pytest
 
 from conftest import constructed_level_set, lex_base, outcome, random_hulls
 
-from atfkit.plane import UnimodularAffineMap
+from atfkit.plane import UnimodularAffineMap, _row_point
 from atfkit.polygon import Polygon, build_blowup_polygon, catalog, centered_rectangle
 from atfkit.scalars import QField, qf
 from atfkit.verify import random_params, random_unimodular
@@ -48,17 +48,30 @@ def levels(poly: Polygon) -> list[QField]:
 
 @pytest.fixture(scope="module")
 def cases() -> list[tuple[Polygon, QField, Polygon]]:
-    """(polygon, h, oracle level) for every level of every sample polygon."""
+    """(polygon, h, oracle level) for every level of every sample polygon.
+
+    Each polygon built here starts at its lexicographically smallest
+    vertex, so its levels have arc origin 0; the unimodular images, of
+    either orientation, move the origin."""
     rng = random.Random(16)
-    polys = random_hulls(rng, 30) + [catalog(name) for name in CATALOG]
-    polys += [build_blowup_polygon(random_params(rng)) for _ in range(30)]
-    polys += [SQRT2_POLYGON, SHIFTED, SQRT2_CHOP]
+    hulls, named = random_hulls(rng, 30), [catalog(name) for name in CATALOG]
+    blowups = [build_blowup_polygon(random_params(rng)) for _ in range(30)]
+    irrational = [SQRT2_POLYGON, SHIFTED, SQRT2_CHOP]
+    polys = hulls + named + blowups + irrational
+    polys += [
+        poly.transform(random_unimodular(rng, det))
+        for poly in hulls[:10] + named + blowups[:5] + irrational
+        for det in (1, -1)
+    ]
     return [(poly, h, constructed_level_set(poly, h)) for poly in polys for h in levels(poly)]
 
 
 def test_level_build_matches_the_constructor_path(cases):
-    dead = 0
+    dead = moved = 0
     for poly, h, oracle in cases:
+        # the corner rows, reduced, are the oracle's vertices in order
+        (*_, d), corners = poly._corners(h)
+        assert [_row_point(row, d) for row in corners] == list(oracle.vertices), (poly, h)
         level = poly.level_set(h)
         assert level.vertices == oracle.vertices, (poly, h)
         assert level.edges == oracle.edges, (poly, h)
@@ -72,7 +85,8 @@ def test_level_build_matches_the_constructor_path(cases):
         assert level._rows == oracle._rows
         assert level.base_index == oracle.base_index
         dead += len(level.edges) < len(poly.edges)
-    assert len(cases) > 900 and dead > 300
+        moved += oracle.base_index != 0
+    assert len(cases) > 1500 and dead > 300 and moved > 300, (len(cases), dead, moved)
 
 
 def test_a_trusted_level_passes_every_constructor_check(cases):

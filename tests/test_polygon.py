@@ -571,8 +571,8 @@ def test_schedule_of_a_many_vertex_hull_is_fast():
     start = time.perf_counter()
     top, point = poly.max_distance()
     level = poly.level_set(top / 2)
-    # a low level keeps 253 edges; its perimeter, the hull's perimeter and
-    # one rotation on it build the arc rows of three pieces
+    # a low level keeps 253 edges; the two levels, the low level's and the
+    # hull's perimeters and one rotation build the tables of four pieces
     low = poly.level_set(top / 100)
     low_perimeter, perimeter = low.perimeter(), poly.perimeter()
     moved = rotate_on_level(poly, top / 100, low_perimeter / 3, low.vertices[0])

@@ -325,6 +325,11 @@ GOLDEN_RENDERS = {
         ["--levels", "1/3,0/1+1/5*sqrt(3)"],
     ),
     "pi0_sqrt2_scale.svg": ([], ["--levels", "1/4,0/1+1/8*sqrt(2)", "--scale", "10/1+20/1*sqrt(2)"]),
+    # both levels lie above the death of the slanted edge (1/2)
+    "pi0_dead.svg": (
+        ["--a", "4", "--b", "2", "--c", "1/2", "--eps", "1/4"],
+        ["--levels", "3/4,0/1+1/2*sqrt(2)"],
+    ),
 }
 
 
