@@ -31,9 +31,9 @@ No ``QField`` is built per position.  On top of the walk:
   after multiplying by the conjugate of the perimeter.
 
 The level coordinates of a point (``to_level_coordinate`` and its inverse
-``from_level_coordinate``) read the polygon's arc rows for the piece of its
-edge-death schedule that holds h, at h, by the same advance pass as the
-rotations of ``atfkit.recurrence``; neither builds a level polygon.
+``from_level_coordinate``) read the arc rows of level h from the
+polygon's edge-death schedule, by the same advance pass as the rotations
+of ``atfkit.recurrence``; neither builds a level polygon.
 """
 
 from __future__ import annotations

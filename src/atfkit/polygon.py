@@ -20,22 +20,20 @@ Cramer solve, ``_solve``, over the edge rows below: an edge death, like
 other two (``_meeting``), so the schedule builds no ``QField`` but its
 death levels and one ``Point``, the maximizer.
 
-Between two consecutive death levels the same edges are alive, and every
-vertex of {F >= h} moves affinely in h: this is one *piece* of the
-lattice-weighted straight skeleton (Aichholzer et al., 1995).  A polygon
-keeps the sorted death levels with its schedule and builds a piece on
-first use, one per death level at most, so ``_pieces`` needs no size bound.
-A piece holds its alive edges, its arc origin and one integer table, affine
-in h: for each alive edge in arc order, the arc prefix at its start, its
-start vertex and its direction, with the perimeter last, each a value at
-level 0 plus h times a rate over one common denominator D.  ``_piece``
-builds it from one pair of ``_solve`` results per corner (the corner at
-level 0 and its velocity), scaled to D, and takes each edge length as an
-exact integer quotient of its end corners.  ``_arc_view`` reads the table
-at h once per level; ``_corners`` rotates that read into the corners of
-{F >= h}, and ``level_set`` builds the level polygon from them and the
-prefix differences without the checks of ``Polygon(...)`` (each edge keeps
-its normal and direction, and its offset becomes k - h).
+Between two consecutive death levels the same edges are alive: the
+lattice-weighted straight skeleton (Aichholzer et al., 1995).  A level h
+is read by ``_level`` in one pass: the edges alive at h are those whose
+death level is above it, each corner of {F >= h} is one ``_solve`` of two
+neighbouring alive edge rows shifted to h, all put over one common
+denominator D, and each edge length is an exact integer quotient of its
+end corners.  The read is one integer row per alive edge in arc order: the
+arc prefix at its start, its start vertex and its direction, with the
+perimeter last.  ``_arc_view`` keeps the last level read, so every read of
+one level (its corners, its rotations, its level polygon) solves it once;
+``_corners`` rotates that read into the corners of {F >= h}, and
+``level_set`` builds the level polygon from them and the prefix
+differences without the checks of ``Polygon(...)`` (each edge keeps its
+normal and direction, and its offset becomes k - h).
 
 Every edge value <n_i, p> + k_i is read from integer edge rows built with
 the polygon, the offsets over one common denominator L by ``scalars._over``:
@@ -48,16 +46,16 @@ the value returned is built as a ``QField``.
 The boundary arc coordinate is lattice length counterclockwise from the
 lexicographically smallest vertex.  That vertex comes from the winding scan
 of the edge directions: it is the one corner where they pass out of the
-half-turn pointing left or straight down, so it is fixed within a piece.
-One advance pass, ``Polygon._advance``, reads the piece's table at h: it
-serves every level rotation of ``atfkit.recurrence``, the level coordinates
-of ``atfkit.orbits`` and, at h = 0, the polygon's own ``arc_to_point``;
-``perimeter``, ``level_perimeter``, ``arc_of_vertex`` and ``point_to_arc``
-read the same rows, so no rotation or level coordinate builds a level
-polygon.  An arc of a point on edge i is prefix + lambda (+ the advance) as
-one integer pair; it is reduced modulo the perimeter by one exact floor of
-its quotient (``_mod``), and its edge is found by sign tests on the
-prefixes.
+half-turn pointing left or straight down, so it is fixed while the same
+edges are alive.  One advance pass, ``Polygon._advance``, reads level h
+from ``_arc_view``: it serves every level rotation of
+``atfkit.recurrence``, the level coordinates of ``atfkit.orbits`` and, at
+h = 0, the polygon's own ``arc_to_point``; ``perimeter``,
+``level_perimeter``, ``arc_of_vertex`` and ``point_to_arc`` read the same
+rows, so no rotation or level coordinate builds a level polygon.  An arc of
+a point on edge i is prefix + lambda (+ the advance) as one integer pair;
+it is reduced modulo the perimeter by one exact floor of its quotient
+(``_mod``), and its edge is found by sign tests on the prefixes.
 The pass takes and gives point rows (``_arc_pair``, ``_arc_point``), so the
 map self-check runs it with no ``Point``; ``_advance`` builds the one
 ``Point`` of a rotation.  The module also builds the family of
@@ -68,7 +66,7 @@ closed-form corners each, plus a small catalog of named polygons.
 from __future__ import annotations
 
 import heapq
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 import json
 from math import lcm
 from dataclasses import dataclass
@@ -103,7 +101,7 @@ class Edge:
 class Polygon:
     """A strictly convex rational polygon with counterclockwise vertices."""
 
-    __slots__ = ("vertices", "edges", "_schedule", "_pieces", "_base", "_rows")
+    __slots__ = ("vertices", "edges", "_schedule", "_read", "_base", "_rows")
 
     def __init__(self, vertices: Iterable[Point | tuple]):
         verts = tuple(as_point(v) for v in vertices)
@@ -133,19 +131,19 @@ class Polygon:
 
     def _fill(self, verts: tuple[Point, ...], edges: tuple[Edge, ...], base: int) -> None:
         """Set every slot from vertices and edges known to form a polygon,
-        the base vertex given: the edge rows, no schedule and no pieces."""
+        the base vertex given: the edge rows, no schedule and no level read."""
         object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "_rows", _line_rows(edges))
         object.__setattr__(self, "_schedule", None)
-        object.__setattr__(self, "_pieces", {})
+        object.__setattr__(self, "_read", (None, None))
         object.__setattr__(self, "_base", base)
 
     def __setattr__(self, name, value):
         raise AttributeError("Polygon is immutable")
 
     def __reduce__(self):
-        # rebuilt from the vertices, so the schedule and pieces are never serialized
+        # rebuilt from the vertices, so the schedule and level read are never serialized
         return (Polygon, (self.vertices,))
 
     def __eq__(self, other: object) -> bool:
@@ -288,13 +286,13 @@ class Polygon:
         """The inner parallel polygon {F >= h}; h = 0 gives the polygon.
 
         Requires 0 <= h < max F so the result is two-dimensional.  The
-        polygon is built from the piece of the edge-death schedule that
-        holds h, without the checks of ``Polygon(...)``: the schedule already
-        makes it a strictly convex polygon whose edges are the alive edges
-        in order.  Its vertices are the rows of ``_corners`` at h and its
-        edge lengths the differences of consecutive arc prefixes, all read
-        from the piece's table over one denominator; each edge keeps its
-        normal and direction, and its offset is k - h.
+        polygon is built from the level read of ``_arc_view``, without the
+        checks of ``Polygon(...)``: the schedule already makes it a strictly
+        convex polygon whose edges are the alive edges in order.  Its
+        vertices are the rows of ``_corners`` at h and its edge lengths the
+        differences of consecutive arc prefixes, all over the read's one
+        denominator; each edge keeps its normal and direction, and its
+        offset is k - h.
         """
         h = qf(h)
         if not h:
@@ -322,13 +320,11 @@ class Polygon:
         level belongs to a growing edge and is never reached.  Deaths leave
         a heap keyed by (level, edge index) until two edges are left, and
         those two die at max F.  Only the maximizer is built as a ``Point``.
-        The heap gives the death levels in order, so the distinct ones, where
-        ``_piece`` breaks the levels, are kept with the schedule, max F last.
         """
         if self._schedule is None:
             (rows, L, d), n = self._rows, len(self.edges)
             prev, nxt = [(i - 1) % n for i in range(n)], [(i + 1) % n for i in range(n)]
-            deaths, heap, level, top, breaks = [None] * n, [], qf(0), None, []
+            deaths, heap, level, top = [None] * n, [], qf(0), None
 
             def push(i):  # a meeting at the current level is a simultaneous death
                 meet = _meeting(rows[prev[i]], rows[i], rows[nxt[i]], L)
@@ -343,84 +339,69 @@ class Polygon:
                     t, i, p, q, x1, x2 = heapq.heappop(heap)
                 if t != level:
                     level, top = t, (x1, x2)
-                    breaks.append(t)
                 deaths[i], nxt[p], prev[q] = t, q, p
                 push(p)
                 push(q)
             deaths = [level if t is None else t for t in deaths]
             top = _point(_reduced(*top[0], d), _reduced(*top[1], d))
-            object.__setattr__(self, "_schedule", (deaths, level, top, breaks))
-        return self._schedule[:3]
+            object.__setattr__(self, "_schedule", (deaths, level, top))
+        return self._schedule
 
-    def _piece(self, h: QField) -> list:
-        """The piece of the edge-death schedule that holds level h, built on
-        first use: ``[alive, base, table, read]``.
+    def _level(self, h: QField) -> tuple:
+        """Level h of the edge-death schedule, read in one pass:
+        ``(alive, base, rows, D, d)``, the indices of the edges alive at h in
+        order and the arc origin among them (from the winding scan), then
+        every value over one common denominator D, an integer pair (A, B)
+        standing for (A + B*sqrt(d)) / D.
 
-        Piece k holds the levels from the k-th death level (0 for k = 0) up
-        to the next, where the same edges are alive; a death level belongs to
-        the piece above it, where the edges dying there are gone.  ``alive``
-        lists their indices in order and ``base`` the arc origin among them,
-        from the winding scan.
+        Row k is the k-th alive edge in arc order from the base vertex,
+        ``(S, Sb, X1, Y1, X2, Y2, u, v)``: the arc prefix (S, Sb) at its
+        start, the start vertex ((X1, Y1), (X2, Y2)) and the direction
+        (u, v).  The last row is the perimeter (S, Sb).
 
-        ``table`` is ``(rows, D, d)``: one integer row per alive edge in arc
-        order from the base vertex, ``(S, Sb, R, X1, Y1, R1, X2, Y2, R2, u, v)``,
-        the arc prefix at the edge's start, its start vertex (x1, x2) and its
-        direction (u, v), then the perimeter ``(S, Sb, R)``.  Each triple is
-        the affine value (A + B*sqrt(d) + h*R) / D over one denominator D.
-        The start vertex of alive edge j is corner j, where alive edges j - 1
-        and j meet: ``_solve`` of their edge rows over L*det gives its place
-        at level 0, rows (u, v, -A, -B), and its velocity, rows (u, v, L, 0),
-        and D = lcm(L*|det|) puts every corner over one denominator.  An
-        edge's length and its rate are the difference of its end corners
-        divided by the first nonzero entry of its direction.  ``read`` holds
-        the table read at the last level asked (``_arc_view``).
+        The edges alive at h are those that die above it, so a death level
+        belongs to the levels above it.  Each alive edge row, shifted to h,
+        is <n, x> = h - k with h - k over L*H for h = (Ah + Bh*sqrt(d))/H;
+        the start vertex of alive edge j is corner j, where alive edges
+        j - 1 and j meet, one ``_solve`` of their shifted rows over L*H*det,
+        and D = lcm(L*H*|det|) puts every corner over one denominator.  An
+        edge's length is the difference of its end corners divided by the
+        first nonzero entry of its direction.
 
-        A negative level, or one at or above max F, is a ``ValueError``, and
-        so is a level whose radicand differs from max F's, a death level's or
-        the offsets', named in that order of tests: level first, death level
-        first, level first.
+        The level is checked in the order that building {F >= h} through
+        ``Polygon(...)`` checks it, so a refused level gets that build's
+        ``ValueError``: a negative level, a level at or above max F, a
+        radicand met by the scan for the alive edges (a death level's named
+        first), then one differing from the offsets' (h's named first).
         """
         if (sign := h.sign()) < 0:
             raise ValueError("level must be nonnegative")
-        k, alive = 0, range(len(self.edges))
+        alive = range(len(self.edges))
         if sign:
-            if self._schedule is None:
-                self._edge_deaths()
-            deaths, top, _, levels = self._schedule
-            if (dh := h._v[3]) is not None:
-                _merge_radicand(dh, top._v[3])
-                _merge_radicand(next((t._v[3] for t in levels if t._v[3]), None), dh)
-                _merge_radicand(dh, self._rows[2])
-            if (k := bisect_right(levels, h)) == len(levels):
+            deaths, top, _ = self._edge_deaths()
+            if h >= top:
                 raise ValueError(f"level {h} is not below the maximum distance")
-        piece = self._pieces.get(k)
-        if piece is None:
-            if k:
-                alive = [i for i, t in enumerate(deaths) if t > levels[k - 1]]
-            (rows, L, d), m = self._rows, len(alive)
-            solved = []
-            for j in range(m):
-                (u0, v0, A0, B0), (u1, v1, A1, B1) = rows[alive[j - 1]], rows[alive[j]]
-                X, Xs, Y, Ys, det = _solve((u0, v0, -A0, -B0), (u1, v1, -A1, -B1))
-                VX, _, VY, _, _ = _solve((u0, v0, L, 0), (u1, v1, L, 0))
-                solved.append((L * det, (X, Xs, VX, Y, Ys, VY)))
-            D = lcm(*(E for E, _ in solved))
-            corners = [tuple(a * (D // E) for a in z) for E, z in solved]
-            base = _passes([self.edges[i] for i in alive])[0]
-            table, S = [], (0, 0, 0)
-            for j in (*range(base, m), *range(base)):
-                z0, z1, w = corners[j], corners[(j + 1) % m], self.edges[alive[j]].direction
-                table.append((*S, *z0, w.u, w.v))
-                # z1 - z0 is the length times w in each part (value, sqrt(d)
-                # part, rate), and w is primitive, so some integer
-                # combination of its entries is 1: the length's parts over D
-                # are integers, and dividing by one entry of w is exact
-                c, s = (0, w.u) if w.u else (3, w.v)
-                S = tuple(p + (b - a) // s for p, a, b in zip(S, z0[c:c + 3], z1[c:c + 3]))
-            table.append(S)
-            piece = [alive, base, (table, D, d), (None,)]
-            self._pieces[k] = piece
-        return piece
+            alive = [i for i, t in enumerate(deaths) if t > h]
+        (rows, L, d), (Ah, Bh, H, dh), m = self._rows, h._v, len(alive)
+        d = _merge_radicand(dh, d)
+        shifted = [(u, v, Ah * L - A * H, Bh * L - B * H)
+                   for u, v, A, B in (rows[i] for i in alive)]
+        solved = [_solve(shifted[j - 1], shifted[j]) for j in range(m)]
+        D = lcm(*(z[4] for z in solved))
+        corners = [tuple(a * (D // z[4]) for a in z[:4]) for z in solved]
+        base = _passes([self.edges[i] for i in alive])[0]
+        arcs, S, Sb = [], 0, 0
+        for j in (*range(base, m), *range(base)):
+            z0, z1, w = corners[j], corners[(j + 1) % m], self.edges[alive[j]].direction
+            arcs.append((S, Sb, *z0, w.u, w.v))
+            # z1 - z0 is the length times w in each part (value and sqrt(d)
+            # part), and w is primitive, so some integer combination of its
+            # entries is 1: the length's parts over D are integers, and
+            # dividing by one entry of w is exact
+            c, s = (0, w.u) if w.u else (2, w.v)
+            S, Sb = S + (z1[c] - z0[c]) // s, Sb + (z1[c + 1] - z0[c + 1]) // s
+        arcs.append((S, Sb))
+        return alive, base, arcs, D * L * H, d
 
     def _corners(self, h: QField) -> tuple[tuple, list[tuple[int, int, int, int, int]]]:
         """The corners of {F >= h} as point rows, with the view they come
@@ -430,7 +411,7 @@ class Polygon:
         (Y + Ys*sqrt(d))/D), all over the view's D: the rows rotated from arc
         order to alive order.  ``level_set``, the map self-check of
         ``atfkit.recurrence`` and the level outlines of ``atfkit.render`` all
-        read them here.  Errors are ``_piece``'s.
+        read them here.  Errors are ``_level``'s.
         """
         alive, base, rows, D, _ = view = self._arc_view(h)
         k = len(alive) - base  # row k starts at corner 0
@@ -448,31 +429,15 @@ class Polygon:
         return self._base
 
     def _arc_view(self, h: QField) -> tuple:
-        """The table of the piece that holds level h, read at h:
-        ``(alive, base, rows, D, d)``, the piece's alive edges and base vertex,
-        then every value over one common denominator D, an integer pair
-        (A, B) standing for (A + B*sqrt(d)) / D.
+        """Level h as ``_level`` reads it, ``(alive, base, rows, D, d)``.
 
-        Row k is the k-th alive edge in arc order from the base vertex,
-        ``(S, Sb, X1, Y1, X2, Y2, u, v)``: the arc prefix (S, Sb) at its
-        start, the start vertex ((X1, Y1), (X2, Y2)) and the direction
-        (u, v).  The last row is the perimeter (S, Sb).
-
-        Each pair is a triple (A, B, R) of the piece's table over D0 read at
-        h = (Ah + Bh*sqrt(d))/H: (A*H + R*Ah, B*H + R*Bh) over D = D0*H.  The
-        piece keeps the rows read at the last level asked, so every read of
-        one level (its corners, its rotations) reads the table once.
+        The polygon keeps the last level read in its one slot ``_read``, so
+        every read of one level (its corners, its rotations, its level
+        polygon) solves it once; another level is read afresh.
         """
-        piece = self._piece(h)
-        if piece[3][0] != h._v:
-            (rows, D, d), (Ah, Bh, H, dh) = piece[2], h._v
-            read = [(S * H + R * Ah, Sb * H + R * Bh, X1 * H + R1 * Ah, Y1 * H + R1 * Bh,
-                     X2 * H + R2 * Ah, Y2 * H + R2 * Bh, u, v)
-                    for S, Sb, R, X1, Y1, R1, X2, Y2, R2, u, v in rows[:-1]]
-            S, Sb, R = rows[-1]
-            read.append((S * H + R * Ah, Sb * H + R * Bh))
-            piece[3] = (h._v, (piece[0], piece[1], read, D * H, d or dh))
-        return piece[3][1]
+        if self._read[0] != h._v:
+            object.__setattr__(self, "_read", (h._v, self._level(h)))
+        return self._read[1]
 
     def arc_of_vertex(self, i: int) -> QField:
         _, _, rows, D, d = self._arc_view(ZERO)
@@ -503,7 +468,7 @@ class Polygon:
         """Move p, a point on edge i of this polygon and on the level of the
         view (``_arc_view`` of h, so F(p) = h), by arc length t
         counterclockwise along the level polygon {F >= h}: the one advance
-        pass over the piece's table read at h.  With p None the pass starts
+        pass over the level read at h.  With p None the pass starts
         at arc 0, so it returns the point at arc t.
 
         p goes in as a point row (``plane._row``), ``_arc_pair`` gives its

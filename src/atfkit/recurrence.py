@@ -10,8 +10,8 @@ fixed.  ``build_recurrence_map`` certifies this rotation property on a
 sample grid before handing the map out, and a failed check raises a
 ``VerificationError`` that names the level, the point and both images.
 The grid runs on integer point rows: its samples are the corners of each
-level, read from the table of the piece of the edge-death schedule that
-holds it (``Polygon._corners``) over one denominator D, and the midpoints
+level, read from the edge-death schedule at that level
+(``Polygon._corners``) over one denominator D, and the midpoints
 between them, row sums over 2*D; both images of a sample are rows,
 compared by cross-multiplying, and ``Point``s are built only to report a
 failure.
@@ -34,8 +34,8 @@ Every level rotation (``apply_phi``, ``apply_phi_iter``,
 ``rotate_on_level`` and the expected images of the self-check) is the
 polygon's one advance pass, which also serves ``arc_to_point`` and the
 level coordinates of ``atfkit.orbits``: the ``_locate`` that finds p's
-level h also gives its edge, and the polygon moves p along the table of
-the piece of its edge-death schedule that holds h, read at h.
+level h also gives its edge, and the polygon moves p along level h as it
+reads it from its edge-death schedule, once per level.
 ``Polygon._advance`` runs it on a ``Point``; the self-check runs its
 integer steps, ``_arc_pair`` and ``_arc_point``, on the sample rows.  No
 rotation builds a level polygon, and this module reads no arc rows.
@@ -183,8 +183,9 @@ def build_recurrence_map(source: BaseDiagram, verify: bool = True) -> Recurrence
     composite is checked against the pure arc rotation on a grid of levels,
     and checked to fix a grid of points above level c; any mismatch raises
     VerificationError with the offending point.  The grid reads the corners
-    of each level's schedule piece and the midpoints between them as
-    integer point rows, and builds ``Point``s only to report a failure.
+    of each level from the polygon's one read of that level, and the
+    midpoints between them, as integer point rows, and builds ``Point``s
+    only to report a failure.
     """
     params = source.params
     if params is None:

@@ -11,9 +11,8 @@ The screen transform, the strip clipping and the rounding run as one
 integer pass: a model coordinate (A + B*sqrt(d))/D goes through the
 transform as integers over an unreduced denominator, and ``_decimal20``
 reads its digits without a ``QField`` operation.  A level outline is the
-corner rows of ``Polygon._corners``, read from the table of the schedule
-piece that holds the level, all over one denominator, with no level
-polygon built.
+corner rows of ``Polygon._corners``, read from the edge-death schedule at
+the level, all over one denominator, with no level polygon built.
 """
 
 from __future__ import annotations

@@ -1,9 +1,9 @@
 """The integer arc rows and the one advance pass against the QField arc path.
 
-``Polygon`` keeps the arc coordinate of every level in one piece of its
-edge-death schedule as integer rows, affine in h, over one common
-denominator, and ``Polygon._advance`` moves a point along the level in one
-integer pass over those rows read at h; the level rotations, the level
+``Polygon`` reads the arc coordinate of a level h from its edge-death
+schedule as integer rows over one common denominator, and keeps the last
+level read; ``Polygon._advance`` moves a point along the level in one
+integer pass over those rows; the level rotations, the level
 coordinates and ``arc_to_point`` (the pass from arc 0) all call it, no
 level polygon is built for them, and every arc is reduced modulo the
 perimeter by ``_mod``.  The ``QField`` path they replaced (the prefix
@@ -231,8 +231,8 @@ def test_rotate_on_level_matches_on_transformed_catalog_polygons():
 
 
 def test_rotations_at_and_just_below_every_death_level():
-    # a death level belongs to the piece above it, where the edges dying
-    # there are gone; the first edge through a level vertex may be one of them
+    # the edges dying at a death level are gone from its read; the first
+    # edge through a level vertex may be one of them
     rng = random.Random(1514)
     polys = random_hulls(rng, 40) + [catalog(name) for name in CATALOG_SAMPLES]
     polys += [SQRT2_POLYGON, SQRT2_CHOP]
@@ -242,7 +242,7 @@ def test_rotations_at_and_just_below_every_death_level():
         for death in sorted({t for t in deaths if t < top}):
             for h in (death, death - qf("1/1000000")):
                 level = poly.level_set(h)
-                # the piece above, without the edges that die at h
+                # the edges alive at h, without those that die at h
                 assert list(poly._arc_view(h)[0]) == [i for i, t in enumerate(deaths) if t > h]
                 per = level.perimeter()
                 edge = level.edges[0]
@@ -258,8 +258,8 @@ def test_rotations_at_and_just_below_every_death_level():
 
 def test_no_rotation_or_level_coordinate_builds_a_level(monkeypatch):
     # the oracles build level polygons, so every expected value is taken
-    # first, on equal maps; the maps under test are fresh, so no piece of
-    # their polygons is built before level_set refuses to run
+    # first, on equal maps; the maps under test are fresh, so none of
+    # their polygons has read a level before level_set refuses to run
     rng = random.Random(1515)
     params = [random_params(rng) for _ in range(4)] + IRRATIONAL_PARAMS
     cases = []
@@ -297,6 +297,37 @@ def test_no_rotation_or_level_coordinate_builds_a_level(monkeypatch):
         )
         assert got == want, (rm.params, h, p)
     assert len(cases) > 300
+
+
+def test_one_level_is_read_once_until_another_is_read(monkeypatch):
+    # the polygon keeps its last level read: the rotations on one level and
+    # its level polygon solve it once, a new level is read afresh, and the
+    # first level read again gives an equal view; the points come from an
+    # equal polygon, whose reads are not counted
+    params = ConstructionParams(4, 2, qf("1/2"), qf("1/8"))
+    rm = build_recurrence_map(build_pi0(params), verify=False)
+    poly, first, second = rm.polygon, qf("1/4"), qf("1/8") + QField.sqrt(2) / 16
+    twin = Polygon(poly.vertices)
+    points = {h: level_points(twin.level_set(h)) for h in (first, second)}
+    reads, read = [], Polygon._level
+
+    def counted(self, h):
+        if self is poly:
+            reads.append(h)
+        return read(self, h)
+
+    monkeypatch.setattr(Polygon, "_level", counted)
+    images = [apply_phi(rm, p) for p in points[first]]
+    assert [apply_phi(rm, p) for p in points[first]] == images
+    assert reads == [first]
+    view = poly._arc_view(first)
+    t = poly.level_set(second).perimeter() / 3
+    for p in points[second]:
+        rotate_on_level(poly, second, t, p)
+    assert reads == [first, second]
+    assert poly._arc_view(first) == view and reads == [first, second, first]
+    assert [apply_phi(rm, p) for p in points[first]] == images
+    assert reads == [first, second, first]
 
 
 def test_level_coordinates_match_and_round_trip():

@@ -130,6 +130,10 @@ def test_a_level_of_a_level_is_a_level():
         (SQRT2_CHOP, ROOT_3 / 2),
         (catalog("CP2(3)"), qf(1)),
         (catalog("CP2(3)"), -ROOT_2 / 9),
+        # at or above max F = 1 a level is refused as too high before any
+        # scan meets its radicand
+        (SQRT2_CHOP, ROOT_3),
+        (SQRT2_CHOP, 1 + ROOT_3 / 100),
     ],
 )
 def test_refused_levels_match_the_constructor_path(poly, h):

@@ -572,7 +572,8 @@ def test_schedule_of_a_many_vertex_hull_is_fast():
     top, point = poly.max_distance()
     level = poly.level_set(top / 2)
     # a low level keeps 253 edges; the two levels, the low level's and the
-    # hull's perimeters and one rotation build the tables of four pieces
+    # hull's perimeters and one rotation make five level reads, the hull's
+    # perimeter read between the two reads of the low level
     low = poly.level_set(top / 100)
     low_perimeter, perimeter = low.perimeter(), poly.perimeter()
     moved = rotate_on_level(poly, top / 100, low_perimeter / 3, low.vertices[0])
