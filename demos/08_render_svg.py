@@ -19,7 +19,8 @@ from atfkit import (
     render_svg,
 )
 
-out_dir = Path(__file__).parent / "out"
+demo_dir = Path(__file__).parent
+out_dir = demo_dir / "out"
 out_dir.mkdir(exist_ok=True)
 
 params = ConstructionParams(4, 2, qf("1/2"), qf("1/8"))
@@ -38,7 +39,7 @@ annotated = render_svg(
 for name, svg in (("pi0.svg", plain), ("pi0_annotated.svg", annotated)):
     path = out_dir / name
     path.write_text(svg)
-    print(f"wrote {path} ({len(svg)} bytes)")
+    print(f"wrote {path.relative_to(demo_dir)} ({len(svg)} bytes)")
 print()
 
 print("determinism: rendering twice gives identical bytes:", plain == render_svg(diagram))

@@ -8,8 +8,10 @@ live here too so that every other module can share them.  Each is an
 integer pass: it puts its points' coordinates over one common denominator
 with ``scalars._over`` and reads exact signs of integer pairs A + B*sqrt(d),
 building no ``QField``.  The lattice direction of a segment (``direction_of``)
-is an integer pass too, which builds only the length.  Points whose
-coordinates mix two radicands are a ``ValueError``.
+is an integer pass too, which builds only the length: its rule, ``_direction``,
+reads one difference row, and ``Polygon(...)`` calls it on the differences of
+its vertex rows.  Points whose coordinates mix two radicands are a
+``ValueError``.
 """
 
 from __future__ import annotations
@@ -149,6 +151,14 @@ def direction_of(a: Point, b: Point) -> tuple[LatticeVector, QField]:
     """
     dx, dy = delta(a, b)
     D, d, ((Y, Ys), (X, Xs)) = _over(dy, dx)
+    return _direction(X, Xs, Y, Ys, D, d)
+
+
+def _direction(X: int, Xs: int, Y: int, Ys: int, D: int, d: int | None) -> tuple[LatticeVector, QField]:
+    """The lattice direction rule of ``direction_of`` on one vector row: the
+    primitive direction and lattice length of ((X + Xs*sqrt(d)) / D,
+    (Y + Ys*sqrt(d)) / D) for D > 0, the same two ``ValueError``s raised.
+    ``Polygon(...)`` reads every edge through it from its vertex rows."""
     u, v = (X, Y) if X or Y else (Xs, Ys)
     if not (u or v):
         raise ValueError("degenerate segment has no direction")
@@ -156,7 +166,7 @@ def direction_of(a: Point, b: Point) -> tuple[LatticeVector, QField]:
         raise ValueError("segment direction is not rational")
     g = math.gcd(u, v)
     u, v = u // g, v // g
-    # b - a is (N + Ns*sqrt(d)) / (D*e) times (u, v), e the first nonzero entry
+    # the vector is (N + Ns*sqrt(d)) / (D*e) times (u, v), e the first nonzero entry
     e, N, Ns = (u, X, Xs) if u else (v, Y, Ys)
     s = _sign(N, Ns, d)
     if s * e < 0:

@@ -31,9 +31,14 @@ arc prefix at its start, its start vertex and its direction, with the
 perimeter last.  ``_arc_view`` keeps the last level read, so every read of
 one level (its corners, its rotations, its level polygon) solves it once;
 ``_corners`` rotates that read into the corners of {F >= h}, and
-``level_set`` builds the level polygon from them and the prefix
-differences without the checks of ``Polygon(...)`` (each edge keeps its
-normal and direction, and its offset becomes k - h).
+``level_set`` passes them to ``Polygon(...)``, so a level polygon gets every
+check of the constructor.
+
+The constructor is one integer pass too: one ``scalars._over`` puts every
+vertex coordinate over a common denominator, and each edge reads its
+primitive direction and lattice length from the difference of neighbouring
+vertex rows (``plane._direction``, the rule of ``direction_of``), its normal
+as the direction's quarter turn and its offset -<n, x> as one reduced pair.
 
 Every edge value <n_i, p> + k_i is read from integer edge rows built with
 the polygon, the offsets over one common denominator L by ``scalars._over``:
@@ -76,13 +81,13 @@ from .plane import (
     LatticeVector,
     Point,
     UnimodularAffineMap,
+    _direction,
     _point,
     _row,
     _row_point,
     as_point,
     cross,
     delta,
-    direction_of,
     dot,
     move,
 )
@@ -107,17 +112,19 @@ class Polygon:
         verts = tuple(as_point(v) for v in vertices)
         if len(verts) < 3:
             raise ValueError("a polygon needs at least three vertices")
-        n = len(verts)
+        # every vertex over one denominator D: the point rows ((X, Xs), (Y, Ys))
+        D, d, coords = _over(*(x for v in verts for x in (v.x1, v.x2)))
+        rows = list(zip(coords[::2], coords[1::2]))
         edges = []
-        for i in range(n):
-            a, b = verts[i], verts[(i + 1) % n]
-            direction, length = direction_of(a, b)
-            normal = direction.perp()  # left of travel points inward for ccw
-            offset = -dot(normal, a)
-            edges.append(Edge(normal, offset, direction, length))
+        for ((X, Xs), (Y, Ys)), ((X1, Xs1), (Y1, Ys1)) in zip(rows, rows[1:] + rows[:1]):
+            w, length = _direction(X1 - X, Xs1 - Xs, Y1 - Y, Ys1 - Ys, D, d)
+            # the normal (-w.v, w.u), left of travel, points inward for ccw,
+            # and the offset is -<normal, start>
+            offset = _reduced(w.v * X - w.u * Y, w.v * Xs - w.u * Ys, D, d)
+            edges.append(Edge(w.perp(), offset, w, length))
         # strictly convex and counterclockwise: every corner turns left and
         # the edge directions wind exactly once
-        for i in range(n):
+        for i in range(len(edges)):
             if cross(edges[i - 1].direction, edges[i].direction) <= 0:
                 raise ValueError(
                     "vertices must be strictly convex in counterclockwise order"
@@ -127,17 +134,12 @@ class Polygon:
             raise ValueError(
                 f"vertices wind {len(passes)} times around the polygon, not once"
             )
-        self._fill(verts, tuple(edges), passes[0])
-
-    def _fill(self, verts: tuple[Point, ...], edges: tuple[Edge, ...], base: int) -> None:
-        """Set every slot from vertices and edges known to form a polygon,
-        the base vertex given: the edge rows, no schedule and no level read."""
         object.__setattr__(self, "vertices", verts)
-        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "edges", tuple(edges))
         object.__setattr__(self, "_rows", _line_rows(edges))
         object.__setattr__(self, "_schedule", None)
         object.__setattr__(self, "_read", (None, None))
-        object.__setattr__(self, "_base", base)
+        object.__setattr__(self, "_base", passes[0])
 
     def __setattr__(self, name, value):
         raise AttributeError("Polygon is immutable")
@@ -285,30 +287,15 @@ class Polygon:
     def level_set(self, h: ScalarLike) -> "Polygon":
         """The inner parallel polygon {F >= h}; h = 0 gives the polygon.
 
-        Requires 0 <= h < max F so the result is two-dimensional.  The
-        polygon is built from the level read of ``_arc_view``, without the
-        checks of ``Polygon(...)``: the schedule already makes it a strictly
-        convex polygon whose edges are the alive edges in order.  Its
-        vertices are the rows of ``_corners`` at h and its edge lengths the
-        differences of consecutive arc prefixes, all over the read's one
-        denominator; each edge keeps its normal and direction, and its
-        offset is k - h.
+        Requires 0 <= h < max F so the result is two-dimensional.  Its
+        vertices are the corners of the level read (``_corners``), and it is
+        built through ``Polygon(...)`` with every check of the constructor.
         """
         h = qf(h)
         if not h:
             return self
-        (alive, base, arcs, D, d), corners = self._corners(h)
-        (rows, L, _), (Ah, Bh, H, _), m = self._rows, h._v, len(alive)
-        edges = []
-        for j, i in enumerate(alive):
-            k = (j - base) % m
-            (_, _, A, B), (S, Sb, *_), (T, Tb, *_) = rows[i], arcs[k], arcs[k + 1]
-            offset = _reduced(A * H - Ah * L, B * H - Bh * L, L * H, d)
-            length = _reduced(T - S, Tb - Sb, D, d)
-            edges.append(Edge(self.edges[i].normal, offset, self.edges[i].direction, length))
-        level = object.__new__(Polygon)
-        level._fill(tuple(_row_point(row, d) for row in corners), tuple(edges), base)
-        return level
+        (*_, d), corners = self._corners(h)
+        return Polygon(_row_point(row, d) for row in corners)
 
     def _edge_deaths(self) -> tuple[list[QField], QField, Point]:
         """The edge-death schedule of the inward wavefront, built once: the

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 import re
-import sys
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
@@ -37,9 +36,6 @@ from typing import Union
 Rational = Union[int, Fraction]
 
 RADICAND_BOUND = 2**32
-
-_HASH_MODULUS = sys.hash_info.modulus
-_HASH_INF = sys.hash_info.inf
 
 _SCALAR_RE = re.compile(
     r"^(?P<rat>[+-]?\d+(?:/\d+)?)?"
@@ -122,24 +118,6 @@ def _sign(a: int, b: int, d: int | None) -> int:
     if lhs == rhs:  # impossible for square-free d
         raise ArithmeticError("square-free radicand produced a square")
     return sa if lhs > rhs else sb
-
-
-def _hash_ratio(n: int, d: int) -> int:
-    """``hash(Fraction(n, d))`` for ``d > 0``, by the algorithm of ``Fraction.__hash__``."""
-    if d == 1:
-        return hash(n)
-    try:
-        dinv = pow(d, -1, _HASH_MODULUS)
-    except ValueError:
-        # d is a multiple of the modulus; Fraction hashes n/d in lowest terms
-        g = gcd(n, d)
-        if g != 1:
-            return _hash_ratio(n // g, d // g)
-        h = _HASH_INF
-    else:
-        h = hash(hash(abs(n)) * dinv)
-    h = h if n >= 0 else -h
-    return -2 if h == -1 else h
 
 
 class QField:
@@ -422,8 +400,8 @@ class QField:
         # like the tuple (a, b, d) of Fractions
         A, B, D, d = self._v
         if not B:
-            return _hash_ratio(A, D)
-        return hash((_hash_ratio(A, D), _hash_ratio(B, D), d))
+            return hash(Fraction(A, D))
+        return hash((Fraction(A, D), Fraction(B, D), d))
 
     # -- conversions -----------------------------------------------------
 

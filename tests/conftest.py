@@ -22,8 +22,8 @@ from atfkit import ConstructionParams, LatticeVector, Point, QField, qf
 from atfkit import scalars
 from atfkit.diagram import build_pi0
 from atfkit.orbits import _walk
-from atfkit.plane import cross, delta, lex_less, move, primitive
-from atfkit.polygon import Edge, Polygon, build_blowup_polygon
+from atfkit.plane import as_point, cross, delta, dot, lex_less, move, primitive
+from atfkit.polygon import Edge, Polygon, _line_rows, _passes, build_blowup_polygon
 from atfkit.recurrence import VerificationError, apply_rounds
 
 
@@ -162,6 +162,40 @@ def qfield_direction_of(a: Point, b: Point) -> tuple[LatticeVector, QField]:
     return w, length
 
 
+# The per-edge loop that ``Polygon.__init__`` had before its one integer
+# pass, kept verbatim (only the names differ: it calls the QField direction
+# rule above, and it returns what the constructor stores instead of setting
+# it) as the oracle for that pass.
+
+
+def edge_loop_polygon(vertices) -> tuple:
+    """``(vertices, edges, rows, base)`` of the polygon on these vertices."""
+    verts = tuple(as_point(v) for v in vertices)
+    if len(verts) < 3:
+        raise ValueError("a polygon needs at least three vertices")
+    n = len(verts)
+    edges = []
+    for i in range(n):
+        a, b = verts[i], verts[(i + 1) % n]
+        direction, length = qfield_direction_of(a, b)
+        normal = direction.perp()  # left of travel points inward for ccw
+        offset = -dot(normal, a)
+        edges.append(Edge(normal, offset, direction, length))
+    # strictly convex and counterclockwise: every corner turns left and
+    # the edge directions wind exactly once
+    for i in range(n):
+        if cross(edges[i - 1].direction, edges[i].direction) <= 0:
+            raise ValueError(
+                "vertices must be strictly convex in counterclockwise order"
+            )
+    passes = _passes(edges)
+    if len(passes) != 1:
+        raise ValueError(
+            f"vertices wind {len(passes)} times around the polygon, not once"
+        )
+    return verts, tuple(edges), _line_rows(edges), passes[0]
+
+
 # The QField arc path that ``Polygon`` and ``atfkit.recurrence`` had before
 # the integer arc rows, kept verbatim (only the names differ, and methods
 # became functions of the polygon) as the oracle for the rows and for the
@@ -222,10 +256,10 @@ def qfield_advance(poly: Polygon, h: QField, t: QField, p: Point) -> Point:
     return qfield_arc_to_point(level, qfield_point_to_arc(level, p) + t)
 
 
-# The level path that ``Polygon.level_set`` had before its trusted integer
-# build, kept verbatim (only the names differ, and the memo is left out) as
-# the oracle for that build: the vertices of {F >= h} pass back through the
-# public constructor.
+# The level path that ``Polygon.level_set`` had before it read its corners
+# from the integer level read, kept verbatim (only the names differ, and the
+# memo is left out) as the oracle for that read: the QField vertices of
+# {F >= h} pass through the public constructor.
 
 
 def level_vertices(edges, h: QField) -> list[Point]:

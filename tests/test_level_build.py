@@ -1,20 +1,23 @@
-"""The trusted level build of ``Polygon.level_set`` against the level path it
-replaced: the vertices of {F >= h} passed back through the public
-constructor (``conftest.constructed_level_set``).  The arc origin, which the
-constructor and the level build both take from the winding scan of the edge
-directions, is checked against the lexicographic scan it replaced
-(``conftest.lex_base``)."""
+"""The level build of ``Polygon.level_set``, the corners of the integer level
+read passed to the constructor, against the level path it replaced: the
+QField vertices of {F >= h} (``conftest.constructed_level_set``).  The
+constructor's one integer pass is checked against the per-edge loop it
+replaced (``conftest.edge_loop_polygon``) on every sample polygon, every
+level of one and seeded hostile vertex lists.  The arc origin, which the
+constructor takes from the winding scan of the edge directions, is checked
+against the lexicographic scan it replaced (``conftest.lex_base``)."""
 
 import pickle
 import random
+from fractions import Fraction
 
 import pytest
 
-from conftest import constructed_level_set, lex_base, outcome, random_hulls
+from conftest import constructed_level_set, edge_loop_polygon, lex_base, outcome, random_hulls
 
 from atfkit.plane import UnimodularAffineMap, _row_point
 from atfkit.polygon import Polygon, build_blowup_polygon, catalog, centered_rectangle
-from atfkit.scalars import QField, qf
+from atfkit.scalars import ZERO, QField, qf
 from atfkit.verify import random_params, random_unimodular
 
 ROOT_2, ROOT_3 = QField.sqrt(2), QField.sqrt(3)
@@ -47,8 +50,9 @@ def levels(poly: Polygon) -> list[QField]:
 
 
 @pytest.fixture(scope="module")
-def cases() -> list[tuple[Polygon, QField, Polygon]]:
-    """(polygon, h, oracle level) for every level of every sample polygon.
+def polygons() -> list[Polygon]:
+    """Hulls, catalog polygons, chopped rectangles, three polygons with
+    sqrt(2) offsets, and unimodular images of them.
 
     Each polygon built here starts at its lexicographically smallest
     vertex, so its levels have arc origin 0; the unimodular images, of
@@ -58,12 +62,101 @@ def cases() -> list[tuple[Polygon, QField, Polygon]]:
     blowups = [build_blowup_polygon(random_params(rng)) for _ in range(30)]
     irrational = [SQRT2_POLYGON, SHIFTED, SQRT2_CHOP]
     polys = hulls + named + blowups + irrational
-    polys += [
+    return polys + [
         poly.transform(random_unimodular(rng, det))
         for poly in hulls[:10] + named + blowups[:5] + irrational
         for det in (1, -1)
     ]
-    return [(poly, h, constructed_level_set(poly, h)) for poly in polys for h in levels(poly)]
+
+
+@pytest.fixture(scope="module")
+def cases(polygons) -> list[tuple[Polygon, QField, Polygon]]:
+    """(polygon, h, oracle level) for every level of every sample polygon."""
+    return [(poly, h, constructed_level_set(poly, h)) for poly in polygons for h in levels(poly)]
+
+
+def built_alike(vertices) -> str:
+    """Build a vertex list with ``Polygon(...)`` and with the per-edge loop
+    it replaced (``conftest.edge_loop_polygon``), and check they agree:
+    "accepted" when both build the same vertices, edges (in normal form),
+    edge rows and arc origin, "refused" when both raise ``ValueError``."""
+    want = outcome(edge_loop_polygon, vertices)
+    got = outcome(Polygon, vertices)
+    if want[0] == "error":
+        assert got[0] == "error", (vertices, want)
+        return "refused"
+    assert got[0] == "value", (vertices, got)
+    (verts, edges, rows, base), poly = want[1], got[1]
+    assert [(x.x1._v, x.x2._v) for x in poly.vertices] == [(x.x1._v, x.x2._v) for x in verts]
+    assert [(e.normal, e.direction, e.offset._v, e.length._v) for e in poly.edges] == [
+        (e.normal, e.direction, e.offset._v, e.length._v) for e in edges
+    ]
+    assert poly._rows == rows
+    assert poly.base_index == base
+    return "accepted"
+
+
+def hostile_vertex_lists(rng: random.Random, polys: list[Polygon], count: int) -> list[list]:
+    """``count`` seeded vertex lists, each a sample polygon's vertices
+    changed one way: shifted or scaled by sqrt(2) and sqrt(3) amounts (one
+    radicand or two), one vertex moved by such an amount, a vertex repeated,
+    an edge midpoint inserted, the order reversed (clockwise), two vertices
+    swapped or every second vertex taken (self-crossing loops), or all but
+    two vertices dropped."""
+    roots = {2: QField.sqrt(2), 3: QField.sqrt(3)}
+
+    def amount():
+        r = rng.choice((2, 3))
+        return qf(Fraction(rng.randint(-9, 9), rng.randint(1, 4))) + roots[r] * Fraction(
+            rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 4)
+        )
+
+    def changed(verts):
+        n, kind = len(verts), rng.randrange(9)
+        if kind == 0:  # shifted
+            t1, t2 = amount(), rng.choice((amount(), qf(rng.randint(-3, 3))))
+            verts = [(v.x1 + t1, v.x2 + t2) for v in verts]
+        elif kind == 1:  # scaled
+            s = amount()
+            verts = [(v.x1 * s, v.x2 * s) for v in verts]
+        elif kind == 2:  # one vertex moved
+            i = rng.randrange(n)
+            verts[i] = (verts[i].x1 + amount(), verts[i].x2 + rng.choice((amount(), ZERO)))
+        elif kind == 3:  # a vertex repeated
+            i = rng.randrange(n)
+            verts.insert(i, verts[i])
+        elif kind == 4:  # an edge midpoint inserted
+            i = rng.randrange(n)
+            a, b = verts[i], verts[(i + 1) % n]
+            verts.insert(i + 1, ((a.x1 + b.x1) / 2, (a.x2 + b.x2) / 2))
+        elif kind == 5:  # clockwise
+            verts.reverse()
+        elif kind == 6:  # two vertices swapped
+            i, j = rng.sample(range(n), 2)
+            verts[i], verts[j] = verts[j], verts[i]
+        elif kind == 7:  # every second vertex, which winds twice when n is odd
+            verts = verts[::2] + verts[1::2]
+        else:  # two vertices left
+            verts = rng.sample(verts, 2)
+        return verts
+
+    lists = []
+    while len(lists) < count:
+        try:
+            lists.append(changed(list(rng.choice(polys).vertices)))
+        except ValueError:  # a sqrt(3) amount met a sqrt(2) coordinate
+            pass
+    return lists
+
+
+def test_the_constructor_matches_the_edge_loop(polygons, cases):
+    # every sample polygon and every level of one
+    for vertices in [poly.vertices for poly in polygons] + [level.vertices for _, _, level in cases]:
+        assert built_alike(vertices) == "accepted"
+    seen = {"accepted": 0, "refused": 0}
+    for vertices in hostile_vertex_lists(random.Random(24), polygons, 2400):
+        seen[built_alike(vertices)] += 1
+    assert seen["accepted"] > 400 and seen["refused"] > 1500, seen
 
 
 def test_level_build_matches_the_constructor_path(cases):

@@ -9,6 +9,7 @@ import math
 import operator
 import pickle
 import random
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -277,6 +278,15 @@ def test_hash_consistency():
     seen = {qf("1/2"), qf(Fraction(2, 4)), QField(Fraction(1, 2))}
     assert len(seen) == 1
     assert len({QField(1, 1, 2), QField(1, 1, 3)}) == 2
+    # a rational hashes like the equal Fraction, also over a denominator that
+    # is the hash modulus or a multiple of it, and -1 like the int -1 (as -2)
+    modulus = sys.hash_info.modulus
+    for n, den in ((1, modulus), (-3, modulus), (1, 2 * modulus), (7, modulus * modulus), (-1, 1)):
+        assert hash(qf(Fraction(n, den))) == hash(Fraction(n, den)), (n, den)
+    assert hash(qf(-1)) == hash(-1) == -2
+    # an irrational like the tuple (a, b, d) of Fractions
+    a, b = Fraction(1, modulus), Fraction(-2, 3 * modulus)
+    assert hash(QField(a, b, 2)) == hash((a, b, 2))
 
 
 # -- floor -------------------------------------------------------------------
