@@ -14,9 +14,24 @@ corroborated by a distinctness sweep of the first N iterates.
 All four orbit functions share one integer walk.  The advance and the
 perimeter are put over one common denominator D as integer rows
 ``step = (a1 + b1*sqrt(d))/D`` and ``per = (a2 + b2*sqrt(d))/D``; a position
-is an integer pair (X, Y) standing for ``(X + Y*sqrt(d))/D``, and a step is
-two integer additions and one exact sign test of ``s + step - per``.
-No ``QField`` is built per position.  On top of the walk:
+is an integer pair (X, Y) standing for ``(X + Y*sqrt(d))/D``.  No
+``QField`` is built per position.
+
+Each position also carries one integer *key* ``z = X*2^K + Y*sigma`` with
+``sigma = isqrt(d*4^K)``, kept up to date by one addition per step.  As
+``2^K*sqrt(d)`` is irrational, ``z`` differs from ``(X + Y*sqrt(d))*2^K`` by
+less than ``|Y|`` (by 0 when Y = 0).  Over ``count`` steps from a start
+``y0``, ``|Y| + |b1| + |b2|`` for every Y the walk reaches, and ``|Y - Y'|``
+for any two of them, are less than ``E = |y0| + (count + 2)(|b1| + |b2|)``,
+and these bound the Y of every difference the orbit functions compare.  So a
+comparison whose key difference lies outside ``[-E, E)`` is decided by the
+key alone, and only inside that band does it fall back to the exact
+``scalars._sign`` or ``scalars._floor``; 2^K is chosen so that the band is
+under 2^-16 of the smallest gap, and the fallback is rare.  A rational
+level has ``K = sigma = E = 0``: the key is X itself and every decision is
+exact.  The key decides the wrap ``s + step >= per``, the running extremes
+of the gap scan and the histogram bins, and distinct keys prove distinct
+positions in the irrational sweep.  On top of the walk:
 
 * a rational rho = p/q is proved to have period exactly q by the integer
   identity ``q*step = p*per`` with ``gcd(p, q) = 1`` (s_n returns to s_0
@@ -27,8 +42,10 @@ No ``QField`` is built per position.  On top of the walk:
   smallest and largest t_n over 1 <= n < N (the nearest returns to the
   start), the gap values are ``t_u``, ``per - t_v`` and, when
   ``u + v > N``, their sum;
-* a histogram bin ``floor(bins * s / per)`` is one integer square root
-  after multiplying by the conjugate of the perimeter.
+* a histogram bin ``floor(bins * s / per)`` is ``divmod(bins*z, key(per))``
+  when the remainder is at least ``bins*E`` from both ends, and otherwise
+  one integer square root after multiplying by the conjugate of the
+  perimeter.
 
 The level coordinates of a point (``to_level_coordinate`` and its inverse
 ``from_level_coordinate``) read the arc rows of level h from the
@@ -39,7 +56,7 @@ of ``atfkit.recurrence``; neither builds a level polygon.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, isqrt
 from typing import Iterator, NamedTuple
 
 from . import scalars
@@ -135,17 +152,57 @@ def _rows(params: ConstructionParams, h: ScalarLike, s0: ScalarLike = 0) -> _Row
     return _Rows(d, D, *step_row, *per_row, *start)
 
 
-def _walk(rows: _Rows, count: int, x: int = 0, y: int = 0) -> Iterator[tuple[int, int]]:
-    """The first ``count`` positions from ``(x + y*sqrt(d))/D`` as integer pairs."""
+def _keying(rows: _Rows, count: int) -> tuple[int, int, int]:
+    """``(K, sigma, E)`` for a walk of ``count`` steps: position (X, Y) has the
+    key ``X*2^K + Y*sigma``, and E exceeds ``|Y| + |b1| + |b2|`` for every Y
+    the walk reaches and ``|Y - Y'|`` for any two of them.
+
+    ``2^K`` exceeds ``2^16 * count * E * (|a2| + d*|b2|)``.  As ``|a2^2 - d*b2^2|``
+    is at least 1, ``per*D`` is at least ``1/(|a2| + |b2|*sqrt(d))``, so the key
+    of the perimeter is positive and E is less than 2^-16 of it over
+    ``count``, the scale of the smallest gap.
+    """
+    d, _, _, b1, a2, b2, _, y0 = rows
+    if d is None:
+        return 0, 0, 0
+    E = abs(y0) + (count + 2) * (abs(b1) + abs(b2))
+    K = (count * E * (abs(a2) + d * abs(b2)) << 16).bit_length()
+    return K, isqrt(d << 2 * K), E
+
+
+def _walk(
+    rows: _Rows, count: int, x: int = 0, y: int = 0
+) -> Iterator[tuple[int, int, int]]:
+    """The first ``count`` positions from ``(x + y*sqrt(d))/D`` as integer
+    triples (X, Y, z), z the key of (X, Y); the start is 0 or the reduced
+    start of ``rows``."""
     d, _, a1, b1, a2, b2, _, _ = rows
+    K, sigma, E = _keying(rows, count)
+    z = (x << K) + y * sigma
+    k1 = (a1 << K) + b1 * sigma
+    k2 = (a2 << K) + b2 * sigma
+    # s + step >= per, tested as key(s) against key(per - step)
+    top, bottom = k2 - k1 + E, k2 - k1 - E
+    c1, c2, kc = a1 - a2, b1 - b2, k1 - k2
     sign = scalars._sign
     for _ in range(count):
-        yield x, y
-        x += a1
-        y += b1
-        if sign(x - a2, y - b2, d) >= 0:
-            x -= a2
-            y -= b2
+        yield x, y, z
+        if z >= top or (z >= bottom and sign(x + c1, y + c2, d) >= 0):
+            x += c1
+            y += c2
+            z += kc
+        else:
+            x += a1
+            y += b1
+            z += k1
+
+
+def _distinct(rows: _Rows, count: int) -> bool:
+    """Whether the first ``count`` positions are pairwise distinct: distinct
+    keys prove it, and only a repeated key needs the integer pairs."""
+    if len({z for _, _, z in _walk(rows, count)}) == count:
+        return True
+    return len({(x, y) for x, y, _ in _walk(rows, count)}) == count
 
 
 def orbit_positions(
@@ -161,7 +218,7 @@ def orbit_positions(
     if count < 0:
         raise ValueError("count must be nonnegative")
     d, D = rows.d, rows.D
-    return [scalars._reduced(x, y, D, d) for x, y in _walk(rows, count, rows.x0, rows.y0)]
+    return [scalars._reduced(x, y, D, d) for x, y, _ in _walk(rows, count, rows.x0, rows.y0)]
 
 
 def classify_level(
@@ -187,11 +244,11 @@ def classify_level(
         if gcd(p, q) != 1 or q * rows.a1 != p * rows.a2 or q * rows.b1 != p * rows.b2:
             raise VerificationError(f"period certificate failed on level {h}", level=h)
         sweep = min(q, n_checked)
-        pts = list(_walk(rows, sweep + 1))
+        pts = [(x, y) for x, y, _ in _walk(rows, sweep + 1)]
         if len(set(pts[:sweep])) != sweep or (sweep == q and pts[q] != pts[0]):
             raise VerificationError(f"period verification failed on level {h}", level=h)
         return OrbitReport(h=h, rho=rho, kind="periodic", period=q, distinct_checked=sweep)
-    if len(set(_walk(rows, n_checked))) != n_checked:
+    if not _distinct(rows, n_checked):
         raise VerificationError(f"irrational level {h} produced a repeat", level=h)
     return OrbitReport(
         h=h, rho=rho, kind="irrational-certified", period=None, distinct_checked=n_checked
@@ -213,21 +270,25 @@ def gap_values(params: ConstructionParams, h: ScalarLike, count: int) -> list[QF
     if count < 2:
         raise ValueError("need at least two positions for gaps")
     d, a2, b2 = rows.d, rows.a2, rows.b2
+    E = _keying(rows, count)[2]
     sign = scalars._sign
     walk = _walk(rows, count)
     next(walk)
-    lo = hi = next(walk)
+    lx, ly, lz = hx, hy, hz = next(walk)
     u = v = 1
-    for n, (x, y) in enumerate(walk, 2):
-        if sign(x - lo[0], y - lo[1], d) < 0:
-            lo, u = (x, y), n
-        elif sign(x - hi[0], y - hi[1], d) > 0:
-            hi, v = (x, y), n
-    first, second = lo, (a2 - hi[0], b2 - hi[1])
+    # z - lz < -E proves a smaller position and z - lz >= E one no smaller,
+    # z - hz > E a larger one and z - hz <= -E one no larger; in between
+    # the exact sign decides
+    for n, (x, y, z) in enumerate(walk, 2):
+        if z < lz + E and (z < lz - E or sign(x - lx, y - ly, d) < 0):
+            lx, ly, lz, u = x, y, z, n
+        elif z > hz - E and (z > hz + E or sign(x - hx, y - hy, d) > 0):
+            hx, hy, hz, v = x, y, z, n
+    first, second = (lx, ly), (a2 - hx, b2 - hy)
     if sign(first[0] - second[0], first[1] - second[1], d) > 0:
         first, second = second, first
     gaps = [first] if first == second else [first, second]
-    total = (lo[0] + a2 - hi[0], lo[1] + b2 - hi[1])
+    total = (lx + a2 - hx, ly + b2 - hy)
     # with repeated positions (count > period) the smallest gap is 0 and
     # the sum is the other gap
     if u + v > count and total != gaps[-1]:
@@ -244,10 +305,12 @@ def equidistribution_stats(
     """Histogram of the first n orbit positions over ``bins`` equal arcs.
 
     Only defined for irrational levels.  Bin indices are exact floors of
-    s * bins / perimeter: multiplied by the conjugate of the perimeter,
-    the quotient is ``(P + Q*sqrt(d)) / N`` over the fixed norm N of the
-    perimeter row, and its floor is one ``math.isqrt``, so no position
-    ever straddles a boundary.
+    s * bins / perimeter.  The quotient of ``bins*z`` by the key of the
+    perimeter is the bin when its remainder is at least ``bins*E`` from
+    both ends.  Otherwise the position is multiplied by the conjugate of
+    the perimeter: the quotient is ``(P + Q*sqrt(d)) / N`` over the fixed
+    norm N of the perimeter row, and its floor is one ``math.isqrt``, so
+    no position ever straddles a boundary.
     """
     if bins < 1:
         raise ValueError("need at least one bin")
@@ -259,6 +322,13 @@ def equidistribution_stats(
         raise ValueError("equidistribution statistics need an irrational level")
     rows = _rows(params, h)
     d, a2, b2 = rows.d, rows.a2, rows.b2
+    K, sigma, E = _keying(rows, n)
+    # for -1 <= q <= bins (the only quotients while kp > bins*E), bins*z - q*kp
+    # is off from (bins*s - q*per)*D*2^K by less than |bins*Y - q*b2| < bins*E;
+    # so a remainder r >= bins*E proves q <= bins*s/per (ruling out q = bins),
+    # and then r <= kp - bins*E proves bins*s/per < q + 1 (ruling out q = -1)
+    kp = (a2 << K) + b2 * sigma
+    low, high = bins * E, kp - bins * E
     # bins*s/per = (P + Q*sqrt(d)) / norm with P, Q linear in the position
     norm = a2 * a2 - d * b2 * b2
     sgn = 1 if norm > 0 else -1
@@ -266,8 +336,11 @@ def equidistribution_stats(
     kbd = kb * d
     floor = scalars._floor
     counts = [0] * bins
-    for x, y in _walk(rows, n):
-        counts[floor(x * ka - y * kbd, y * ka - x * kb, norm, d)] += 1
+    for x, y, z in _walk(rows, n):
+        q, r = divmod(bins * z, kp)
+        if r < low or r > high:
+            q = floor(x * ka - y * kbd, y * ka - x * kb, norm, d)
+        counts[q] += 1
     return counts
 
 

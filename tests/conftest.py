@@ -448,7 +448,8 @@ def outcome(f, *args):
 
 
 def stuck_walk(rows, count: int, x: int = 0, y: int = 0) -> list:
-    """A broken orbit walk for certificate tests: its first position ``count`` times."""
+    """A broken orbit walk for certificate tests: its first (X, Y, key) triple
+    ``count`` times."""
     return [next(_walk(rows, 1, x, y))] * count
 
 

@@ -182,9 +182,9 @@ def test_level_build_matches_the_constructor_path(cases):
     assert len(cases) > 1500 and dead > 300 and moved > 300, (len(cases), dead, moved)
 
 
-def test_a_trusted_level_passes_every_constructor_check(cases):
-    # unpickling goes through Polygon(...), which re-derives every direction
-    # and checks convexity and winding
+def test_a_level_set_survives_a_pickle_round_trip(cases):
+    # a level set is built by Polygon(...), and unpickling builds it again
+    # from its vertices: the copy must equal the original in every field
     for poly, h, _ in cases:
         level = poly.level_set(h)
         back = pickle.loads(pickle.dumps(level))

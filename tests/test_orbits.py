@@ -1,14 +1,17 @@
 """Rotation numbers, orbit classification, gaps, and equidistribution."""
 
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
+from math import isqrt
+from types import SimpleNamespace
 
 import pytest
 
 from conftest import stuck_walk
 
-from atfkit import orbits
+from atfkit import orbits, scalars
 from atfkit.orbits import (
     LevelCoordinate,
     OrbitReport,
@@ -290,17 +293,97 @@ def test_rational_gaps_past_the_period_include_zero():
         assert gap_values(PARAMS, h, count) == sorted_gaps(positions, per) == [qf(0), qf("1/4")]
 
 
-@pytest.mark.parametrize(
-    "s0",
-    [qf("1/3"), qf("-7/2"), qf("100"), QField(0, Fraction(1, 5), 2), QField(1, Fraction(-2, 3), 3)],
-    ids=str,
-)
+NONZERO_STARTS = [
+    qf("1/3"), qf("-7/2"), qf("100"), QField(0, Fraction(1, 5), 2), QField(1, Fraction(-2, 3), 3)
+]
+
+
+@pytest.mark.parametrize("s0", NONZERO_STARTS, ids=str)
 def test_nonzero_start_matches_the_oracles(s0):
     levels = [qf("1/4"), qf("5/128")]
     if s0.d is not None:
         levels.append(QField(Fraction(1, 16), Fraction(1, 30), s0.d))
     for h in levels:
         assert_walk_matches_oracles(PARAMS, h, s0)
+
+
+def coarse_keying(rows, count):
+    """A valid key (off by less than |Y|) with a band too wide to decide anything."""
+    return 0, 0 if rows.d is None else isqrt(rows.d), 1 << 256
+
+
+def count_exact_tests(monkeypatch):
+    """A counter of the ``scalars._sign`` and ``_floor`` calls orbits makes from now on."""
+    calls = Counter()
+
+    def counted(name):
+        exact = getattr(scalars, name)
+
+        def call(*args):
+            calls[name] += 1
+            return exact(*args)
+
+        return call
+
+    counting = SimpleNamespace(**vars(scalars))
+    counting._sign, counting._floor = counted("_sign"), counted("_floor")
+    monkeypatch.setattr(orbits, "scalars", counting)
+    return calls
+
+
+def test_the_key_decides_all_but_the_start(monkeypatch):
+    calls = count_exact_tests(monkeypatch)
+    for h in RATIONAL_LEVELS:
+        assert orbits._keying(orbits._rows(PARAMS, h), 2000) == (0, 0, 0)
+        classify_level(PARAMS, h, n_checked=2000)
+        orbit_positions(PARAMS, h, 2000)
+    assert not calls
+    levels = irrational_levels(61, 2)
+    for h in levels:
+        classify_level(PARAMS, h, n_checked=2000)
+        gap_values(PARAMS, h, 2000)
+        equidistribution_stats(PARAMS, h, 2000, 10)
+    # one to order the two gaps, one for position 0 on the edge of bin 0
+    assert calls == {"_sign": len(levels), "_floor": len(levels)}
+
+
+def test_the_exact_branch_alone_matches_the_oracles(monkeypatch):
+    # every wrap, gap extreme and bin goes through scalars._sign/_floor
+    calls = count_exact_tests(monkeypatch)
+    monkeypatch.setattr(orbits, "_keying", coarse_keying)
+    test_rational_levels_match_the_oracles()
+    test_irrational_levels_match_the_oracles()
+    test_perimeter_with_a_negative_conjugate_matches_the_oracles()
+    test_rational_gaps_past_the_period_include_zero()
+    for s0 in NONZERO_STARTS:
+        test_nonzero_start_matches_the_oracles(s0)
+    # one walk step and at least one scan comparison per position, one floor
+    # per histogram position (2000 positions, 4 bin counts, 17 levels)
+    assert calls["_sign"] > 2 * 49 * sum(GAP_COUNTS)
+    assert calls["_floor"] == 4 * 17 * 2000
+    # a key of resolution 1 repeats on some irrational sweep, which the
+    # integer pairs then settle
+    rows = orbits._rows(PARAMS, SQRT2_OVER_8)
+    assert len({z for _, _, z in orbits._walk(rows, 2000)}) < 2000
+    assert orbits._distinct(rows, 2000)
+
+
+def test_the_key_is_within_its_bound():
+    # |z - (X + Y*sqrt(d))*2^K| < E, decided by the exact sign
+    walks = [(PARAMS, h, 2000, 0) for h in irrational_levels(61, 2)]
+    walks += [(PARAMS, SQRT2_OVER_8, 10**5, 0), (PARAMS, SQRT2_OVER_8, 2000, NONZERO_STARTS[3])]
+    # a rational advance on an irrational perimeter: b1 = 0, so every Y is a
+    # multiple of b2 and E needs its |b2| term
+    params = ConstructionParams(QField(3, 1, 2), 3, QField(Fraction(1, 2), Fraction(1, 8), 2), qf("1/8"))
+    walks.append((params, params.c - qf("1/4"), 2000, 0))
+    for params, h, count, s0 in walks:
+        rows = orbits._rows(params, h, s0)
+        K, sigma, E = orbits._keying(rows, count)
+        assert K > 0 and sigma == isqrt(rows.d << 2 * K)
+        for x, y, z in orbits._walk(rows, count, rows.x0, rows.y0):
+            off = z - (x << K)
+            assert scalars._sign(E - off, y << K, rows.d) > 0
+            assert scalars._sign(E + off, -(y << K), rows.d) > 0
 
 
 def test_start_with_another_radicand_is_refused():
@@ -338,7 +421,9 @@ def test_failed_certificates_raise_verification_error(monkeypatch):
 
     def unreduced(rows, count, x=0, y=0):
         # never wraps around the perimeter: distinct, but never back at the start
-        return [(x + n * rows.a1, y + n * rows.b1) for n in range(count)]
+        K, sigma, _ = orbits._keying(rows, count)
+        points = [(x + n * rows.a1, y + n * rows.b1) for n in range(count)]
+        return [(X, Y, (X << K) + Y * sigma) for X, Y in points]
 
     monkeypatch.setattr(orbits, "_walk", unreduced)
     with pytest.raises(VerificationError, match="period verification"):
