@@ -27,8 +27,8 @@ from .render import RenderStyle, render_svg
 from .scalars import parse_scalar
 from .verify import run_all
 
-# the largest --n and --bins that ``orbit`` accepts: it builds up to that
-# many counters, positions or visited pairs
+# the largest --n and --bins that ``orbit`` accepts: it walks up to that
+# many positions and builds up to that many counters or dumped positions
 ORBIT_LIMIT = 1_000_000
 
 

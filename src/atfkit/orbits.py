@@ -11,41 +11,30 @@ full-advance regime 0 <= h <= c - eps and in exact arithmetic: a level is
 certificate being the nonzero sqrt-coefficient of rho in normal form,
 corroborated by a distinctness sweep of the first N iterates.
 
-All four orbit functions share one integer walk.  The advance and the
-perimeter are put over one common denominator D as integer rows
+All four orbit functions work on one integer rotation.  The advance and
+the perimeter are put over one common denominator D as integer rows
 ``step = (a1 + b1*sqrt(d))/D`` and ``per = (a2 + b2*sqrt(d))/D``; a position
 is an integer pair (X, Y) standing for ``(X + Y*sqrt(d))/D``.  No
-``QField`` is built per position.
+``QField`` is built per position, and every comparison is exact:
 
-Each position also carries one integer *key* ``z = X*2^K + Y*sigma`` with
-``sigma = isqrt(d*4^K)``, kept up to date by one addition per step.  As
-``2^K*sqrt(d)`` is irrational, ``z`` differs from ``(X + Y*sqrt(d))*2^K`` by
-less than ``|Y|`` (by 0 when Y = 0).  Over ``count`` steps from a start
-``y0``, ``|Y| + |b1| + |b2|`` for every Y the walk reaches, and ``|Y - Y'|``
-for any two of them, are less than ``E = |y0| + (count + 2)(|b1| + |b2|)``,
-and these bound the Y of every difference the orbit functions compare.  So a
-comparison whose key difference lies outside ``[-E, E)`` is decided by the
-key alone, and only inside that band does it fall back to the exact
-``scalars._sign`` or ``scalars._floor``; 2^K is chosen so that the band is
-under 2^-16 of the smallest gap, and the fallback is rare.  A rational
-level has ``K = sigma = E = 0``: the key is X itself and every decision is
-exact.  The key decides the wrap ``s + step >= per``, the running extremes
-of the gap scan and the histogram bins, and distinct keys prove distinct
-positions in the irrational sweep.  On top of the walk:
-
+* the walk (``orbit_positions`` and the histogram) wraps on the exact sign
+  of ``s + step - per``;
+* with t_n the position n steps from the start 0, positions m and m + n
+  coincide exactly when t_n = 0, and the records of t_n (the first indices
+  u and v of the smallest t_n and of the smallest ``per - t_n`` over
+  1 <= n < N, the nearest returns to the start) are read from the
+  continued fraction of step/per in O(log N) exact floors, without a walk.
+  By the three-gap theorem (Sos 1958) the gap values are ``t_u``,
+  ``per - t_v`` and, when ``u + v > N``, their sum; the first N positions
+  are distinct when ``t_u`` is not 0;
 * a rational rho = p/q is proved to have period exactly q by the integer
   identity ``q*step = p*per`` with ``gcd(p, q) = 1`` (s_n returns to s_0
-  exactly when q divides n); min(q, N) positions are then swept for
-  distinctness;
-* the gaps come from the three-gap theorem (Sos 1958): with t_n the
-  position n steps from the start 0, and u and v the indices of the
-  smallest and largest t_n over 1 <= n < N (the nearest returns to the
-  start), the gap values are ``t_u``, ``per - t_v`` and, when
-  ``u + v > N``, their sum;
-* a histogram bin ``floor(bins * s / per)`` is ``divmod(bins*z, key(per))``
-  when the remainder is at least ``bins*E`` from both ends, and otherwise
-  one integer square root after multiplying by the conjugate of the
-  perimeter.
+  exactly when q divides n), and its records show the first return at q
+  when q <= N and none before;
+* a histogram bin ``floor(bins * s_i / per)`` is ``(i*m + k_i) mod bins``,
+  with ``m = floor(bins * rho)`` and k_i the wraps so far of the walk whose
+  step is ``bins*step - m*per``: one sign test per position, whatever the
+  number of bins.
 
 The level coordinates of a point (``to_level_coordinate`` and its inverse
 ``from_level_coordinate``) read the arc rows of level h from the
@@ -56,7 +45,7 @@ of ``atfkit.recurrence``; neither builds a level polygon.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, isqrt
+from math import gcd
 from typing import Iterator, NamedTuple
 
 from . import scalars
@@ -152,57 +141,61 @@ def _rows(params: ConstructionParams, h: ScalarLike, s0: ScalarLike = 0) -> _Row
     return _Rows(d, D, *step_row, *per_row, *start)
 
 
-def _keying(rows: _Rows, count: int) -> tuple[int, int, int]:
-    """``(K, sigma, E)`` for a walk of ``count`` steps: position (X, Y) has the
-    key ``X*2^K + Y*sigma``, and E exceeds ``|Y| + |b1| + |b2|`` for every Y
-    the walk reaches and ``|Y - Y'|`` for any two of them.
+def _records(rows: _Rows, count: int) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
+    """``(u, X, Y)`` and ``(v, X', Y')``: with t_n the position n steps from 0,
+    t_u is the smallest t_n and ``per - t_v`` the smallest ``per - t_n`` over
+    1 <= n < count (count >= 1), u and v the first indices to reach them, and
+    (X, Y) and (X', Y') the rows of t_u and ``per - t_v``.
 
-    ``2^K`` exceeds ``2^16 * count * E * (|a2| + d*|b2|)``.  As ``|a2^2 - d*b2^2|``
-    is at least 1, ``per*D`` is at least ``1/(|a2| + |b2|*sqrt(d))``, so the key
-    of the perimeter is positive and E is less than 2^-16 of it over
-    ``count``, the scale of the smallest gap.
+    The continued fraction of step/per runs on rows: ``g_-1 = per`` at index
+    ``q_-1 = 0``, ``g_0 = step`` at ``q_0 = 1``, then ``g_k = g_k-2 - a_k*g_k-1``
+    at ``q_k = q_k-2 + a_k*q_k-1`` with ``a_k = floor(g_k-2 / g_k-1)``.  An even
+    k has ``t_q = g`` and an odd k ``per - t_q = g``, and the records of each
+    side are the intermediate values ``g_k-2 - j*g_k-1`` at ``q_k-2 + j*q_k-1``
+    for 0 <= j <= a_k.  A rational expansion is made to end on an even k, as
+    [..., a - 1, 1], so that the return to the start is a t_n record.
     """
-    d, _, _, b1, a2, b2, _, y0 = rows
-    if d is None:
-        return 0, 0, 0
-    E = abs(y0) + (count + 2) * (abs(b1) + abs(b2))
-    K = (count * E * (abs(a2) + d * abs(b2)) << 16).bit_length()
-    return K, isqrt(d << 2 * K), E
+    d = rows.d or 0  # a rational level has no sqrt terms
+    prev, last = (0, rows.a2, rows.b2), (1, rows.a1, rows.b1)
+    odd = True  # prev, g_k-2, is on the per - t_n side
+    while last[1] or last[2]:
+        (q0, x0, y0), (q1, x1, y1) = prev, last
+        # g_k-2 / g_k-1 is g_k-2 times the conjugate of g_k-1 over its norm
+        norm = x1 * x1 - d * y1 * y1
+        sgn = 1 if norm > 0 else -1
+        a = scalars._floor(sgn * (x0 * x1 - d * y0 * y1), sgn * (y0 * x1 - x0 * y1), sgn * norm, d)
+        if odd and (x0, y0) == (a * x1, a * y1):
+            a -= 1
+        # g_k takes the place of g_k-2 on its side, unless the count cuts it
+        # short at an intermediate value, the last record
+        j = min(a, (count - 1 - q0) // q1)
+        prev = (q0 + j * q1, x0 - j * x1, y0 - j * y1)
+        if j < a:
+            break
+        prev, last, odd = last, prev, not odd
+    return (last, prev) if odd else (prev, last)
 
 
 def _walk(
     rows: _Rows, count: int, x: int = 0, y: int = 0
 ) -> Iterator[tuple[int, int, int]]:
     """The first ``count`` positions from ``(x + y*sqrt(d))/D`` as integer
-    triples (X, Y, z), z the key of (X, Y); the start is 0 or the reduced
-    start of ``rows``."""
+    triples (X, Y, wraps), wraps the number of times the walk has so far
+    crossed the perimeter, each step wrapping on the exact sign of
+    ``s + step - per``; the start is 0 or the reduced start of ``rows``."""
     d, _, a1, b1, a2, b2, _, _ = rows
-    K, sigma, E = _keying(rows, count)
-    z = (x << K) + y * sigma
-    k1 = (a1 << K) + b1 * sigma
-    k2 = (a2 << K) + b2 * sigma
-    # s + step >= per, tested as key(s) against key(per - step)
-    top, bottom = k2 - k1 + E, k2 - k1 - E
-    c1, c2, kc = a1 - a2, b1 - b2, k1 - k2
+    c1, c2 = a1 - a2, b1 - b2
     sign = scalars._sign
+    wraps = 0
     for _ in range(count):
-        yield x, y, z
-        if z >= top or (z >= bottom and sign(x + c1, y + c2, d) >= 0):
+        yield x, y, wraps
+        if sign(x + c1, y + c2, d) >= 0:
             x += c1
             y += c2
-            z += kc
+            wraps += 1
         else:
             x += a1
             y += b1
-            z += k1
-
-
-def _distinct(rows: _Rows, count: int) -> bool:
-    """Whether the first ``count`` positions are pairwise distinct: distinct
-    keys prove it, and only a repeated key needs the integer pairs."""
-    if len({z for _, _, z in _walk(rows, count)}) == count:
-        return True
-    return len({(x, y) for x, y, _ in _walk(rows, count)}) == count
 
 
 def orbit_positions(
@@ -226,13 +219,15 @@ def classify_level(
 ) -> OrbitReport:
     """Decide periodic vs irrational for the orbit on level h.
 
-    Rational rho = p/q: the integer identity ``q*step = p*per`` with
-    ``gcd(p, q) = 1`` proves the period is exactly q; the first
-    min(q, n_checked) positions are verified distinct, and when
-    q <= n_checked the walk is also seen landing back on the start.
-    Irrational rho (certified by its normal form): the first ``n_checked``
-    iterates are verified pairwise distinct.  A failed check raises
-    ``VerificationError``.
+    Positions m and m + n coincide exactly when t_n, the position n steps
+    from 0, is 0, so the first N positions are distinct when the smallest
+    t_n over 1 <= n < N (read from ``_records``) is not 0.  Rational
+    rho = p/q: the integer identity ``q*step = p*per`` with ``gcd(p, q) = 1``
+    proves the period is exactly q; the first min(q, n_checked) positions
+    are verified distinct, and when q <= n_checked the walk is also seen
+    returning to the start at q.  Irrational rho (certified by its normal
+    form): the first ``n_checked`` iterates are verified pairwise distinct.
+    A failed check raises ``VerificationError``.
     """
     if n_checked < 0:
         raise ValueError("n_checked must be nonnegative")
@@ -244,11 +239,12 @@ def classify_level(
         if gcd(p, q) != 1 or q * rows.a1 != p * rows.a2 or q * rows.b1 != p * rows.b2:
             raise VerificationError(f"period certificate failed on level {h}", level=h)
         sweep = min(q, n_checked)
-        pts = [(x, y) for x, y, _ in _walk(rows, sweep + 1)]
-        if len(set(pts[:sweep])) != sweep or (sweep == q and pts[q] != pts[0]):
+        u, x, y = _records(rows, sweep + 1)[0]
+        # the first return to the start comes at q, or after the sweep
+        if not (u == q if x == y == 0 else sweep < q):
             raise VerificationError(f"period verification failed on level {h}", level=h)
         return OrbitReport(h=h, rho=rho, kind="periodic", period=q, distinct_checked=sweep)
-    if not _distinct(rows, n_checked):
+    if n_checked > 1 and _records(rows, n_checked)[0][1:] == (0, 0):
         raise VerificationError(f"irrational level {h} produced a repeat", level=h)
     return OrbitReport(
         h=h, rho=rho, kind="irrational-certified", period=None, distinct_checked=n_checked
@@ -261,34 +257,21 @@ def gap_values(params: ConstructionParams, h: ScalarLike, count: int) -> list[QF
     For an orbit of an exact circle rotation these take at most three
     values (the three-distance property), the largest being the sum of
     the other two when all three occur.  Translating every position
-    keeps the gaps, so they are those of the walk from 0: one pass finds
-    the indices u, v of the smallest and largest position t_n over
-    1 <= n < count, and the gaps are t_u, per - t_v and, when
-    u + v > count, their sum.
+    keeps the gaps, so they are those of the walk from 0: with u and v
+    the first indices of the smallest and largest position t_n over
+    1 <= n < count, read from the continued fraction by ``_records``,
+    the gaps are t_u, per - t_v and, when u + v > count, their sum.
     """
     rows = _rows(params, h)
     if count < 2:
         raise ValueError("need at least two positions for gaps")
-    d, a2, b2 = rows.d, rows.a2, rows.b2
-    E = _keying(rows, count)[2]
-    sign = scalars._sign
-    walk = _walk(rows, count)
-    next(walk)
-    lx, ly, lz = hx, hy, hz = next(walk)
-    u = v = 1
-    # z - lz < -E proves a smaller position and z - lz >= E one no smaller,
-    # z - hz > E a larger one and z - hz <= -E one no larger; in between
-    # the exact sign decides
-    for n, (x, y, z) in enumerate(walk, 2):
-        if z < lz + E and (z < lz - E or sign(x - lx, y - ly, d) < 0):
-            lx, ly, lz, u = x, y, z, n
-        elif z > hz - E and (z > hz + E or sign(x - hx, y - hy, d) > 0):
-            hx, hy, hz, v = x, y, z, n
-    first, second = (lx, ly), (a2 - hx, b2 - hy)
-    if sign(first[0] - second[0], first[1] - second[1], d) > 0:
+    d = rows.d
+    (u, lx, ly), (v, hx, hy) = _records(rows, count)
+    first, second = (lx, ly), (hx, hy)
+    if scalars._sign(lx - hx, ly - hy, d) > 0:
         first, second = second, first
     gaps = [first] if first == second else [first, second]
-    total = (lx + a2 - hx, ly + b2 - hy)
+    total = (lx + hx, ly + hy)
     # with repeated positions (count > period) the smallest gap is 0 and
     # the sum is the other gap
     if u + v > count and total != gaps[-1]:
@@ -305,42 +288,25 @@ def equidistribution_stats(
     """Histogram of the first n orbit positions over ``bins`` equal arcs.
 
     Only defined for irrational levels.  Bin indices are exact floors of
-    s * bins / perimeter.  The quotient of ``bins*z`` by the key of the
-    perimeter is the bin when its remainder is at least ``bins*E`` from
-    both ends.  Otherwise the position is multiplied by the conjugate of
-    the perimeter: the quotient is ``(P + Q*sqrt(d)) / N`` over the fixed
-    norm N of the perimeter row, and its floor is one ``math.isqrt``, so
-    no position ever straddles a boundary.
+    ``bins * s_i / per``.  With ``m = floor(bins * rho)``, the walk whose
+    step is ``bins*step - m*per``, in (0, per), has after i steps wrapped
+    k_i times and reached ``bins*i*step - (i*m + k_i)*per``.  The bin of
+    s_i therefore is ``(i*m + k_i) mod bins``: one exact sign test per
+    position, whatever the number of bins.
     """
     if bins < 1:
         raise ValueError("need at least one bin")
     if n < 0:
         raise ValueError("sample count must be nonnegative")
-    h = qf(h)
     rho = rotation_number(params, h)
     if rho.is_rational():
         raise ValueError("equidistribution statistics need an irrational level")
     rows = _rows(params, h)
-    d, a2, b2 = rows.d, rows.a2, rows.b2
-    K, sigma, E = _keying(rows, n)
-    # for -1 <= q <= bins (the only quotients while kp > bins*E), bins*z - q*kp
-    # is off from (bins*s - q*per)*D*2^K by less than |bins*Y - q*b2| < bins*E;
-    # so a remainder r >= bins*E proves q <= bins*s/per (ruling out q = bins),
-    # and then r <= kp - bins*E proves bins*s/per < q + 1 (ruling out q = -1)
-    kp = (a2 << K) + b2 * sigma
-    low, high = bins * E, kp - bins * E
-    # bins*s/per = (P + Q*sqrt(d)) / norm with P, Q linear in the position
-    norm = a2 * a2 - d * b2 * b2
-    sgn = 1 if norm > 0 else -1
-    ka, kb, norm = sgn * bins * a2, sgn * bins * b2, abs(norm)
-    kbd = kb * d
-    floor = scalars._floor
+    m = scalars.floor(bins * rho)
+    scaled = rows._replace(a1=bins * rows.a1 - m * rows.a2, b1=bins * rows.b1 - m * rows.b2)
     counts = [0] * bins
-    for x, y, z in _walk(rows, n):
-        q, r = divmod(bins * z, kp)
-        if r < low or r > high:
-            q = floor(x * ka - y * kbd, y * ka - x * kb, norm, d)
-        counts[q] += 1
+    for i, (_, _, wraps) in enumerate(_walk(scaled, n)):
+        counts[(i * m + wraps) % bins] += 1
     return counts
 
 

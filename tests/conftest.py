@@ -21,7 +21,6 @@ from hypothesis.configuration import set_hypothesis_home_dir
 from atfkit import ConstructionParams, LatticeVector, Point, QField, qf
 from atfkit import scalars
 from atfkit.diagram import build_pi0
-from atfkit.orbits import _walk
 from atfkit.plane import as_point, cross, delta, dot, lex_less, move, primitive
 from atfkit.polygon import Edge, Polygon, _line_rows, _passes, build_blowup_polygon
 from atfkit.recurrence import VerificationError, apply_rounds
@@ -447,10 +446,10 @@ def outcome(f, *args):
         return ("error", type(exc), str(exc))
 
 
-def stuck_walk(rows, count: int, x: int = 0, y: int = 0) -> list:
-    """A broken orbit walk for certificate tests: its first (X, Y, key) triple
-    ``count`` times."""
-    return [next(_walk(rows, 1, x, y))] * count
+def stuck_records(rows, count: int) -> tuple:
+    """The ``orbits._records`` of a broken walk that stays at its start, for
+    certificate tests: t_1 = 0, and per - t_1 = per."""
+    return (1, 0, 0), (1, rows.a2, rows.b2)
 
 
 @pytest.fixture

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import HOSTILE_POLYGONS, hostile_diagrams, stuck_walk
+from conftest import HOSTILE_POLYGONS, hostile_diagrams, stuck_records
 
 import atfkit
 from atfkit import cli, orbits
@@ -122,7 +122,7 @@ def test_orbit_long_period_exits_quickly():
 
 
 def test_orbit_failed_certificate_exits_1(capsys, monkeypatch):
-    monkeypatch.setattr(orbits, "_walk", stuck_walk)
+    monkeypatch.setattr(orbits, "_records", stuck_records)
     for level in ("1/4", "0/1+1/8*sqrt(2)"):
         code, stdout, stderr = run(capsys, "orbit", "--h", level)
         assert code == 1 and stdout == ""

@@ -1,17 +1,14 @@
 """Rotation numbers, orbit classification, gaps, and equidistribution."""
 
 import random
-from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
-from math import isqrt
-from types import SimpleNamespace
 
 import pytest
 
-from conftest import stuck_walk
+from conftest import stuck_records
 
-from atfkit import orbits, scalars
+from atfkit import orbits
 from atfkit.orbits import (
     LevelCoordinate,
     OrbitReport,
@@ -76,6 +73,16 @@ def floor_histogram(positions, per, bins):
     for s in positions:
         counts[floor(s * bins / per)] += 1
     return counts
+
+
+def expansion_length(rho):
+    """K for rho = 1/(a_1 + 1/(a_2 + ... + 1/a_K)) in (0, 1), a_K >= 2."""
+    x, length = rho.as_fraction(), 0
+    while x:
+        x = 1 / x
+        x -= x.numerator // x.denominator
+        length += 1
+    return length
 
 
 RATIONAL_LEVELS = [qf(Fraction(k, 128)) for k in range(49)]  # all of [0, c - eps]
@@ -242,6 +249,10 @@ def test_gaps_sum_to_the_perimeter():
 
 
 def test_rational_levels_match_the_oracles():
+    # an expansion of odd length ends on a per - t_n record and is rewritten
+    # as [..., a - 1, 1] to end on the return to the start; both lengths occur
+    parities = {expansion_length(rotation_number(PARAMS, h)) % 2 for h in RATIONAL_LEVELS}
+    assert parities == {0, 1}
     for h in RATIONAL_LEVELS:
         assert classify_level(PARAMS, h) == set_sweep_report(PARAMS, h)
         assert_walk_matches_oracles(PARAMS, h)
@@ -256,6 +267,23 @@ def test_irrational_levels_match_the_oracles():
             assert equidistribution_stats(PARAMS, h, 2000, bins) == floor_histogram(
                 positions, per, bins
             )
+        # more bins than positions
+        for bins in (64, 1000):
+            assert equidistribution_stats(PARAMS, h, 50, bins) == floor_histogram(
+                positions[:50], per, bins
+            )
+
+
+@pytest.mark.parametrize("h", [SQRT2_OVER_8, QField(Fraction(1, 8), Fraction(1, 40), 13)], ids=str)
+def test_long_walks_match_the_oracles(h):
+    # at N = 5*10^4 the oracles (QField walk, sort, one floor per position)
+    # take about a second
+    count = 50_000
+    per = perimeter_value(PARAMS, h)
+    positions = qfield_positions(PARAMS, h, count)
+    assert gap_values(PARAMS, h, count) == sorted_gaps(positions, per)
+    for bins in (10, 1000):
+        assert equidistribution_stats(PARAMS, h, count, bins) == floor_histogram(positions, per, bins)
 
 
 def test_random_parameters_match_the_oracles():
@@ -307,85 +335,6 @@ def test_nonzero_start_matches_the_oracles(s0):
         assert_walk_matches_oracles(PARAMS, h, s0)
 
 
-def coarse_keying(rows, count):
-    """A valid key (off by less than |Y|) with a band too wide to decide anything."""
-    return 0, 0 if rows.d is None else isqrt(rows.d), 1 << 256
-
-
-def count_exact_tests(monkeypatch):
-    """A counter of the ``scalars._sign`` and ``_floor`` calls orbits makes from now on."""
-    calls = Counter()
-
-    def counted(name):
-        exact = getattr(scalars, name)
-
-        def call(*args):
-            calls[name] += 1
-            return exact(*args)
-
-        return call
-
-    counting = SimpleNamespace(**vars(scalars))
-    counting._sign, counting._floor = counted("_sign"), counted("_floor")
-    monkeypatch.setattr(orbits, "scalars", counting)
-    return calls
-
-
-def test_the_key_decides_all_but_the_start(monkeypatch):
-    calls = count_exact_tests(monkeypatch)
-    for h in RATIONAL_LEVELS:
-        assert orbits._keying(orbits._rows(PARAMS, h), 2000) == (0, 0, 0)
-        classify_level(PARAMS, h, n_checked=2000)
-        orbit_positions(PARAMS, h, 2000)
-    assert not calls
-    levels = irrational_levels(61, 2)
-    for h in levels:
-        classify_level(PARAMS, h, n_checked=2000)
-        gap_values(PARAMS, h, 2000)
-        equidistribution_stats(PARAMS, h, 2000, 10)
-    # one to order the two gaps, one for position 0 on the edge of bin 0
-    assert calls == {"_sign": len(levels), "_floor": len(levels)}
-
-
-def test_the_exact_branch_alone_matches_the_oracles(monkeypatch):
-    # every wrap, gap extreme and bin goes through scalars._sign/_floor
-    calls = count_exact_tests(monkeypatch)
-    monkeypatch.setattr(orbits, "_keying", coarse_keying)
-    test_rational_levels_match_the_oracles()
-    test_irrational_levels_match_the_oracles()
-    test_perimeter_with_a_negative_conjugate_matches_the_oracles()
-    test_rational_gaps_past_the_period_include_zero()
-    for s0 in NONZERO_STARTS:
-        test_nonzero_start_matches_the_oracles(s0)
-    # one walk step and at least one scan comparison per position, one floor
-    # per histogram position (2000 positions, 4 bin counts, 17 levels)
-    assert calls["_sign"] > 2 * 49 * sum(GAP_COUNTS)
-    assert calls["_floor"] == 4 * 17 * 2000
-    # a key of resolution 1 repeats on some irrational sweep, which the
-    # integer pairs then settle
-    rows = orbits._rows(PARAMS, SQRT2_OVER_8)
-    assert len({z for _, _, z in orbits._walk(rows, 2000)}) < 2000
-    assert orbits._distinct(rows, 2000)
-
-
-def test_the_key_is_within_its_bound():
-    # |z - (X + Y*sqrt(d))*2^K| < E, decided by the exact sign
-    walks = [(PARAMS, h, 2000, 0) for h in irrational_levels(61, 2)]
-    walks += [(PARAMS, SQRT2_OVER_8, 10**5, 0), (PARAMS, SQRT2_OVER_8, 2000, NONZERO_STARTS[3])]
-    # a rational advance on an irrational perimeter: b1 = 0, so every Y is a
-    # multiple of b2 and E needs its |b2| term
-    params = ConstructionParams(QField(3, 1, 2), 3, QField(Fraction(1, 2), Fraction(1, 8), 2), qf("1/8"))
-    walks.append((params, params.c - qf("1/4"), 2000, 0))
-    for params, h, count, s0 in walks:
-        rows = orbits._rows(params, h, s0)
-        K, sigma, E = orbits._keying(rows, count)
-        assert K > 0 and sigma == isqrt(rows.d << 2 * K)
-        for x, y, z in orbits._walk(rows, count, rows.x0, rows.y0):
-            off = z - (x << K)
-            assert scalars._sign(E - off, y << K, rows.d) > 0
-            assert scalars._sign(E + off, -(y << K), rows.d) > 0
-
-
 def test_start_with_another_radicand_is_refused():
     s0 = QField(0, Fraction(1, 5), 3)
     with pytest.raises(ValueError):
@@ -419,19 +368,18 @@ def test_failed_certificates_raise_verification_error(monkeypatch):
     assert caught.value.level == qf("1/4") and caught.value.point is None
     monkeypatch.setattr(orbits, "_rows", rows)
 
-    def unreduced(rows, count, x=0, y=0):
-        # never wraps around the perimeter: distinct, but never back at the start
-        K, sigma, _ = orbits._keying(rows, count)
-        points = [(x + n * rows.a1, y + n * rows.b1) for n in range(count)]
-        return [(X, Y, (X << K) + Y * sigma) for X, Y in points]
+    def missed_return(rows, count):
+        # level 1/4 has period 39: records of a walk not back at the start by then
+        return (39, 1, 0), (1, rows.a2, rows.b2)
 
-    monkeypatch.setattr(orbits, "_walk", unreduced)
-    with pytest.raises(VerificationError, match="period verification"):
-        classify_level(PARAMS, qf("1/4"))
-    monkeypatch.setattr(orbits, "_walk", stuck_walk)
+    monkeypatch.setattr(orbits, "_records", missed_return)
     with pytest.raises(VerificationError, match="period verification") as caught:
         classify_level(PARAMS, qf("1/4"))
     assert caught.value.level == qf("1/4") and caught.value.got is None
+    # back at the start after one step, before the period
+    monkeypatch.setattr(orbits, "_records", stuck_records)
+    with pytest.raises(VerificationError, match="period verification"):
+        classify_level(PARAMS, qf("1/4"))
     with pytest.raises(VerificationError, match="produced a repeat") as caught:
         classify_level(PARAMS, SQRT2_OVER_8, n_checked=10)
     assert caught.value.level == SQRT2_OVER_8
