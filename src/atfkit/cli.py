@@ -20,7 +20,7 @@ from pathlib import Path
 from .classify import check_applicable
 from .diagram import BaseDiagram, build_pi0
 from .homology import find_twist_classes, omega_eval
-from .orbits import classify_level, equidistribution_stats, orbit_positions
+from .orbits import _positions, classify_level, equidistribution_stats
 from .polygon import ConstructionParams, Polygon, catalog, catalog_names, check_shape
 from .recurrence import VerificationError, build_recurrence_map
 from .render import RenderStyle, render_svg
@@ -74,18 +74,19 @@ def _cmd_orbit(args: argparse.Namespace) -> int:
         if value is not None and value > ORBIT_LIMIT:
             raise ValueError(f"{flag} {value} is above the limit {ORBIT_LIMIT}")
     params = ConstructionParams(args.a, args.b, args.c, args.eps)
-    report = classify_level(params, args.h, n_checked=args.n)
-    obj = report.to_json_obj()
+    obj = classify_level(params, args.h, n_checked=args.n).to_json_obj()
     if args.bins is not None:
         obj["histogram"] = equidistribution_stats(params, args.h, args.n, args.bins)
     print(json.dumps(obj, indent=2))
     if args.dump is not None:
-        positions = orbit_positions(params, args.h, args.n)
-        if args.dump_format == "json":
-            Path(args.dump).write_text(json.dumps([str(s) for s in positions]))
-        else:
-            rows = "\n".join(f"{i},{s}" for i, s in enumerate(positions))
-            Path(args.dump).write_text("n,s\n" + rows + "\n")
+        # the rows are written as the walk yields them, so the dump's memory
+        # does not grow with --n; the text is that of json.dumps (a scalar's
+        # text needs no escapes) or of the CSV lines joined, "n,s\n\n" for none
+        positions, as_json = enumerate(_positions(params, args.h, args.n)), args.dump_format == "json"
+        with open(args.dump, "w") as out:
+            out.write("[" if as_json else "n,s\n" if args.n else "n,s\n\n")
+            out.writelines(f'{", " if i else ""}"{s}"' if as_json else f"{i},{s}\n" for i, s in positions)
+            out.write("]" if as_json else "")
     return 0
 
 

@@ -85,12 +85,12 @@ class OrbitReport:
 
 def to_level_coordinate(poly: Polygon, p: Point) -> LevelCoordinate:
     """Split an interior point into (level, arc position on that level)."""
-    h, i = poly._inside(p)
-    return LevelCoordinate(h, poly._arc_at(h, i, p))
+    h, i, row, d = poly._inside(p)
+    return LevelCoordinate(h, scalars._reduced(*poly._arc_pair(poly._arc_view(h), i, row, d)))
 
 
 def from_level_coordinate(poly: Polygon, coord: LevelCoordinate) -> Point:
-    return poly._advance(poly._arc_view(qf(coord.h)), 0, coord.s, None)
+    return poly._advance(poly._arc_view(qf(coord.h)), 0, qf(coord.s)._v, None, None)
 
 
 def perimeter_value(params: ConstructionParams, h: ScalarLike) -> QField:
@@ -207,11 +207,17 @@ def orbit_positions(
     the walk runs on integer pairs and only the returned positions are
     built as ``QField`` values.
     """
+    return list(_positions(params, h, count, s0))
+
+
+def _positions(params: ConstructionParams, h: ScalarLike, count: int, s0: ScalarLike = 0) -> Iterator[QField]:
+    """``orbit_positions`` as an iterator: the inputs are checked at the
+    call, and the walk runs as the positions are read, one at a time
+    (``atfkit orbit --dump`` writes each as it comes)."""
     rows = _rows(params, h, s0)
     if count < 0:
         raise ValueError("count must be nonnegative")
-    d, D = rows.d, rows.D
-    return [scalars._reduced(x, y, D, d) for x, y, _ in _walk(rows, count, rows.x0, rows.y0)]
+    return (scalars._reduced(x, y, rows.D, rows.d) for x, y, _ in _walk(rows, count, rows.x0, rows.y0))
 
 
 def classify_level(

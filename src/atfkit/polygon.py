@@ -30,15 +30,19 @@ end corners.  The read is one integer row per alive edge in arc order: the
 arc prefix at its start, its start vertex and its direction, with the
 perimeter last.  ``_arc_view`` keeps the last level read, so every read of
 one level (its corners, its rotations, its level polygon) solves it once;
-``_corners`` rotates that read into the corners of {F >= h}, and
-``level_set`` passes them to ``Polygon(...)``, so a level polygon gets every
-check of the constructor.
+``_corners`` rotates that read into the corners of {F >= h}, over the
+read's one denominator D.
 
-The constructor is one integer pass too: one ``scalars._over`` puts every
-vertex coordinate over a common denominator, and each edge reads its
-primitive direction and lattice length from the difference of neighbouring
-vertex rows (``plane._direction``, the rule of ``direction_of``), its normal
-as the direction's quarter turn and its offset -<n, x> as one reduced pair.
+The constructor is one integer pass too.  ``Polygon(...)`` puts every vertex
+coordinate over a common denominator with one ``scalars._over`` and enters
+the row core, ``_build``: each edge reads its primitive direction and
+lattice length from the difference of neighbouring vertex rows
+(``plane._direction``, the rule of ``direction_of``), its normal as the
+direction's quarter turn and its offset -<n, x> as one reduced pair, and
+then the convexity and winding checks run.  ``level_set`` enters the same
+core with the corner rows of ``_corners``, already over one D, so a level
+polygon gets every check of the constructor, and only the ``Point``
+vertices it stores are built from the rows.
 
 Every edge value <n_i, p> + k_i is read from integer edge rows built with
 the polygon, the offsets over one common denominator L by ``scalars._over``:
@@ -46,24 +50,27 @@ row (n_u, n_v, A_k, B_k) for k = (A_k + B_k*sqrt(d))/L.  Offsets in two
 radicands are refused there.  A query puts p over the least common
 denominator P of its coordinates, which makes each edge value an integer
 pair over P*L.  F(p) is the smallest pair by exact sign tests, and only
-the value returned is built as a ``QField``.
+the value returned is built as a ``QField``; the pass (``_locate``) also
+returns p's point row, which the arc coordinates and the level rotations
+read as it is.
 
 The boundary arc coordinate is lattice length counterclockwise from the
 lexicographically smallest vertex.  That vertex comes from the winding scan
 of the edge directions: it is the one corner where they pass out of the
 half-turn pointing left or straight down, so it is fixed while the same
-edges are alive.  One advance pass, ``Polygon._advance``, reads level h
-from ``_arc_view``: it serves every level rotation of
-``atfkit.recurrence``, the level coordinates of ``atfkit.orbits`` and, at
-h = 0, the polygon's own ``arc_to_point``; ``perimeter``,
-``level_perimeter``, ``arc_of_vertex`` and ``point_to_arc`` read the same
-rows, so no rotation or level coordinate builds a level polygon.  An arc of
-a point on edge i is prefix + lambda (+ the advance) as one integer pair;
-it is reduced modulo the perimeter by one exact floor of its quotient
-(``_mod``), and its edge is found by sign tests on the prefixes.
-The pass takes and gives point rows (``_arc_pair``, ``_arc_point``), so the
-map self-check runs it with no ``Point``; ``_advance`` builds the one
-``Point`` of a rotation.  The module also builds the family of
+edges are alive.  One advance pass reads level h from ``_arc_view``: it
+serves every level rotation of ``atfkit.recurrence``, the level
+coordinates of ``atfkit.orbits`` and, at h = 0, the polygon's own
+``arc_to_point``; ``perimeter``, ``level_perimeter``, ``arc_of_vertex`` and
+``point_to_arc`` read the same rows, so no rotation or level coordinate
+builds a level polygon.  An arc of a point on edge i is prefix + lambda
+(+ the advance) as one integer pair; it is reduced modulo the perimeter by
+one exact floor of its quotient (``_mod``), and its edge is found by sign
+tests on the prefixes.  The pass takes and gives point rows
+(``_arc_pair``, ``_arc_point``, the advance an integer quadruple), so the
+map self-check runs it with no ``Point``; ``_advance`` runs it from the
+point row of ``_locate`` or from arc 0, and builds the one ``Point`` of a
+rotation, at the end.  The module also builds the family of
 corner-chopped rectangles that drives the recurrence construction, five
 closed-form corners each, plus a small catalog of named polygons.
 """
@@ -83,7 +90,6 @@ from .plane import (
     UnimodularAffineMap,
     _direction,
     _point,
-    _row,
     _row_point,
     as_point,
     cross,
@@ -112,11 +118,20 @@ class Polygon:
         verts = tuple(as_point(v) for v in vertices)
         if len(verts) < 3:
             raise ValueError("a polygon needs at least three vertices")
-        # every vertex over one denominator D: the point rows ((X, Xs), (Y, Ys))
+        # every vertex over one denominator D: the point rows (X, Xs, Y, Ys, D)
         D, d, coords = _over(*(x for v in verts for x in (v.x1, v.x2)))
-        rows = list(zip(coords[::2], coords[1::2]))
+        pairs = iter(coords)  # x1, then x2, of each vertex in turn
+        self._build(verts, [(X, Xs, Y, Ys, D) for (X, Xs), (Y, Ys) in zip(pairs, pairs)], d)
+
+    def _build(self, verts: tuple[Point, ...], rows: list[tuple], d: int | None) -> "Polygon":
+        """The constructor's row core: every check and every stored field
+        of the polygon on ``verts``, read from their point rows
+        ``(X, Xs, Y, Ys, D)`` for ((X + Xs*sqrt(d))/D, (Y + Ys*sqrt(d))/D),
+        all over one D > 0, and the polygon itself.  ``__init__`` enters it
+        with the vertices over their least common denominator, ``level_set``
+        with the corner rows of its level read."""
         edges = []
-        for ((X, Xs), (Y, Ys)), ((X1, Xs1), (Y1, Ys1)) in zip(rows, rows[1:] + rows[:1]):
+        for (X, Xs, Y, Ys, D), (X1, Xs1, Y1, Ys1, _) in zip(rows, rows[1:] + rows[:1]):
             w, length = _direction(X1 - X, Xs1 - Xs, Y1 - Y, Ys1 - Ys, D, d)
             # the normal (-w.v, w.u), left of travel, points inward for ccw,
             # and the offset is -<normal, start>
@@ -126,20 +141,16 @@ class Polygon:
         # the edge directions wind exactly once
         for i in range(len(edges)):
             if cross(edges[i - 1].direction, edges[i].direction) <= 0:
-                raise ValueError(
-                    "vertices must be strictly convex in counterclockwise order"
-                )
-        passes = _passes(edges)
-        if len(passes) != 1:
-            raise ValueError(
-                f"vertices wind {len(passes)} times around the polygon, not once"
-            )
+                raise ValueError("vertices must be strictly convex in counterclockwise order")
+        if len(passes := _passes(edges)) != 1:
+            raise ValueError(f"vertices wind {len(passes)} times around the polygon, not once")
         object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "edges", tuple(edges))
         object.__setattr__(self, "_rows", _line_rows(edges))
         object.__setattr__(self, "_schedule", None)
         object.__setattr__(self, "_read", (None, None))
         object.__setattr__(self, "_base", passes[0])
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("Polygon is immutable")
@@ -165,40 +176,44 @@ class Polygon:
     def support_values(self, p: Point) -> list[QField]:
         """The affine edge values <n_i, p> + k_i in edge order, each read
         from the integer edge rows and reduced to a ``QField``."""
-        pairs, den, d = self._edge_values(p)
-        return [_reduced(a, b, den, d) for a, b in pairs]
+        pairs, N, d, _ = self._edge_values(p)
+        return [_reduced(a, b, N, d) for a, b in pairs]
 
-    def _locate(self, p: Point) -> tuple[QField, int]:
-        """The one edge-value pass: the minimum edge value F, negative
-        outside the polygon, and the first edge that attains it.
+    def _locate(self, p: Point) -> tuple[QField, int, tuple, int | None]:
+        """The one edge-value pass: ``(F, i, row, d)``, the minimum edge value
+        F(p), negative outside the polygon, the first edge i that attains
+        it, and p's point row with its radicand d, merged with the polygon's.
 
-        The edge values are integer pairs over one denominator, compared
-        exactly by their signs; only the minimum becomes a ``QField``.
+        The edge values are integer pairs over one denominator N, compared
+        exactly by their signs; only the minimum becomes a ``QField``, by one
+        gcd.  The row is the one a query carries on: ``_arc_pair`` reads it
+        as it is.
         """
-        pairs, den, d = self._edge_values(p)
+        pairs, N, d, row = self._edge_values(p)
         ba, bb = pairs[0]
         at = 0
         for i in range(1, len(pairs)):
             a, b = pairs[i]
             if (a < ba) if b == bb else _sign(a - ba, b - bb, d) < 0:
                 ba, bb, at = a, b, i
-        return _reduced(ba, bb, den, d), at
+        return _reduced(ba, bb, N, d), at, row, d
 
-    def _edge_values(self, p: Point) -> tuple[list[tuple[int, int]], int, int | None]:
+    def _edge_values(self, p: Point) -> tuple[list[tuple[int, int]], int, int | None, tuple]:
         """Every edge value <n_i, p> + k_i as an integer pair (a, b), the value
-        being (a + b*sqrt(d)) / den, with the pairs' common denominator den
-        and radicand d.
+        being (a + b*sqrt(d)) / N, with the pairs' common denominator N, the
+        radicand d and p's point row ``(X1, Y1, X2, Y2, P)`` for
+        ((X1 + Y1*sqrt(d))/P, (X2 + Y2*sqrt(d))/P).
 
         ``_over`` puts p over P, the least common denominator of its
         coordinates, and the rows are over L, so each value is a few
-        integer products over den = P*L.
+        integer products over N = P*L.
         A point whose radicand differs from the polygon's is a ``ValueError``.
         """
         rows, L, d = self._rows
         P, d, ((X1, Y1), (X2, Y2)) = _over(p.x1, p.x2, d=d)
-        X1, Y1, X2, Y2 = X1 * L, Y1 * L, X2 * L, Y2 * L
-        pairs = [(u * X1 + v * X2 + A * P, u * Y1 + v * Y2 + B * P) for u, v, A, B in rows]
-        return pairs, P * L, d
+        x1, y1, x2, y2 = X1 * L, Y1 * L, X2 * L, Y2 * L
+        pairs = [(u * x1 + v * x2 + A * P, u * y1 + v * y2 + B * P) for u, v, A, B in rows]
+        return pairs, P * L, d, (X1, Y1, X2, Y2, P)
 
     def contains(self, p: Point, strict: bool = False) -> bool:
         return self._locate(p)[0].sign() >= (1 if strict else 0)
@@ -210,12 +225,12 @@ class Polygon:
         """F(p): the minimum edge value; errors when p lies outside."""
         return self._inside(p)[0]
 
-    def _inside(self, p: Point) -> tuple[QField, int]:
+    def _inside(self, p: Point) -> tuple[QField, int, tuple, int | None]:
         """``_locate`` of a point that must lie in the polygon."""
-        best, i = self._locate(p)
-        if best.sign() < 0:
+        found = self._locate(p)
+        if found[0].sign() < 0:
             raise ValueError(f"point ({p.x1}, {p.x2}) lies outside the polygon")
-        return best, i
+        return found
 
     # -- Delzant structure ------------------------------------------------
 
@@ -261,10 +276,7 @@ class Polygon:
         v = self.vertices[i]
         p_in = move(v, e_in.direction, -c)
         p_out = move(v, e_out.direction, c)
-        new_vertices = (
-            list(self.vertices[:i]) + [p_in, p_out] + list(self.vertices[i + 1 :])
-        )
-        return Polygon(new_vertices)
+        return Polygon(self.vertices[:i] + (p_in, p_out) + self.vertices[i + 1 :])
 
     # -- global measurements ----------------------------------------------
 
@@ -288,14 +300,15 @@ class Polygon:
         """The inner parallel polygon {F >= h}; h = 0 gives the polygon.
 
         Requires 0 <= h < max F so the result is two-dimensional.  Its
-        vertices are the corners of the level read (``_corners``), and it is
-        built through ``Polygon(...)`` with every check of the constructor.
+        vertices are the corners of the level read (``_corners``), and it
+        enters the constructor's row core (``_build``) on their rows, already
+        over one denominator, so it gets every check of the constructor.
         """
         h = qf(h)
         if not h:
             return self
         (*_, d), corners = self._corners(h)
-        return Polygon(_row_point(row, d) for row in corners)
+        return object.__new__(Polygon)._build(tuple(_row_point(row, d) for row in corners), corners, d)
 
     def _edge_deaths(self) -> tuple[list[QField], QField, Point]:
         """The edge-death schedule of the inward wavefront, built once: the
@@ -436,34 +449,29 @@ class Polygon:
         Measured in lattice length from the lexicographically smallest
         vertex.  Errors when p is not on the boundary.
         """
-        value, i = self._locate(p)
+        value, i, row, d = self._locate(p)
         if value.sign() != 0:
             raise ValueError(f"point ({p.x1}, {p.x2}) is not on the polygon boundary")
-        return self._arc_at(ZERO, i, p)
+        return _reduced(*self._arc_pair(self._arc_view(ZERO), i, row, d))
 
     def arc_to_point(self, s: ScalarLike) -> Point:
         """Inverse of point_to_arc, taking s modulo the perimeter."""
-        return self._advance(self._arc_view(ZERO), 0, qf(s), None)
+        return self._advance(self._arc_view(ZERO), 0, qf(s)._v, None, None)
 
-    def _arc_at(self, h: QField, i: int, p: Point) -> QField:
-        """The arc coordinate of p, a point of {F = h} on edge i, along the
-        level polygon {F >= h}."""
-        view = self._arc_view(h)
-        return _reduced(*self._arc_pair(view, i, *_row(p, view[4])))
+    def _advance(self, view: tuple, i: int, t: tuple, row: tuple | None, d: int | None) -> Point:
+        """Move the point row ``row``, a point on edge i of this polygon and
+        on the level of the view (``_arc_view`` of h, so F = h there), by the
+        arc length t counterclockwise along the level polygon {F >= h}: the
+        one advance pass over the level read at h.  The row and its radicand
+        d, merged with the polygon's, are those of ``_locate``, and t is an
+        integer quadruple as ``_arc_point`` takes it.  With row None the pass
+        starts at arc 0, so it returns the point at arc t.
 
-    def _advance(self, view: tuple, i: int, t: ScalarLike, p: Point | None) -> Point:
-        """Move p, a point on edge i of this polygon and on the level of the
-        view (``_arc_view`` of h, so F(p) = h), by arc length t
-        counterclockwise along the level polygon {F >= h}: the one advance
-        pass over the level read at h.  With p None the pass starts
-        at arc 0, so it returns the point at arc t.
-
-        p goes in as a point row (``plane._row``), ``_arc_pair`` gives its
-        arc, ``_arc_point`` moves it by t on integers, and the image row is
-        reduced to the one ``Point`` here.
+        ``_arc_pair`` gives the row's arc, ``_arc_point`` moves it by t on
+        integers, and the image row is reduced to the one ``Point`` here.
         """
-        arc = (0, 0, *view[3:]) if p is None else self._arc_pair(view, i, *_row(p, view[4]))
-        return _row_point(*self._arc_point(view, *arc, qf(t)))
+        arc = (0, 0, *view[3:]) if row is None else self._arc_pair(view, i, row, d)
+        return _row_point(*self._arc_point(view, *arc, t))
 
     def _arc_pair(self, view: tuple, i: int, row: tuple, d: int | None) -> tuple[int, int, int, int | None]:
         """The arc coordinate of the point row ``row``, its radicand d
@@ -497,21 +505,25 @@ class Polygon:
         return a, b, D * scale, d
 
     def _arc_point(self, view: tuple, a: int, b: int, M: int, d: int | None,
-                   t: QField) -> tuple[tuple[int, int, int, int, int], int | None]:
+                   t: tuple[int, int, int, int | None]) -> tuple[tuple[int, int, int, int, int], int | None]:
         """The point of the view's level at arc (a + b*sqrt(d)) / M + t modulo
         its perimeter, for M a multiple of the view's denominator D, as a
         point row and its radicand.
 
-        The arc s = (a + b*sqrt(d)) / M + t is one integer pair, reduced by
-        ``_mod``; its edge is the last one whose prefix is at most s, found
-        by bisecting the prefix rows with sign tests.  Two radicands are
-        refused, named as ``QField`` arithmetic on the arc names them: an
-        irrational arc meets t in the sum arc + t; a rational one meets it in
-        the quotient s / perimeter when the perimeter is irrational (t's
-        radicand first), else at the edge's start vertex plus the offset.
+        The advance t is an integer quadruple ``(A, B, Dt, dt)`` for
+        (A + B*sqrt(dt)) / Dt with Dt > 0 and dt None when B is 0, in lowest
+        terms or not: a ``QField``'s ``_v``, or an advance that the
+        recurrence computed on integers.  The arc s = (a + b*sqrt(d)) / M + t
+        is one integer pair, reduced by ``_mod``; its edge is the last one
+        whose prefix is at most s, found by bisecting the prefix rows with
+        sign tests.  Two radicands are refused, named as ``QField``
+        arithmetic on the arc names them: an irrational arc meets t in the
+        sum arc + t; a rational one meets it in the quotient s / perimeter
+        when the perimeter is irrational (t's radicand first), else at the
+        edge's start vertex plus the offset.
         """
         _, _, rows, D, _ = view
-        A, B, Dt, dt = t._v
+        A, B, Dt, dt = t
         n = len(rows) - 1
         d = _merge_radicand(d, dt) if b or not rows[n][1] else _merge_radicand(dt, d)
         a, b, M = a * Dt + A * M, b * Dt + B * M, M * Dt

@@ -33,12 +33,19 @@ advance c - h up to level c - eps, a linear taper across the band
 Every level rotation (``apply_phi``, ``apply_phi_iter``,
 ``rotate_on_level`` and the expected images of the self-check) is the
 polygon's one advance pass, which also serves ``arc_to_point`` and the
-level coordinates of ``atfkit.orbits``: the ``_locate`` that finds p's
-level h also gives its edge, and the polygon moves p along level h as it
-reads it from its edge-death schedule, once per level.
-``Polygon._advance`` runs it on a ``Point``; the self-check runs its
-integer steps, ``_arc_pair`` and ``_arc_point``, on the sample rows.  No
-rotation builds a level polygon, and this module reads no arc rows.
+level coordinates of ``atfkit.orbits``: the edge-value pass
+(``Polygon._locate``) that finds p's level h also gives its edge and its
+point row, and the polygon moves that row along level h as it reads it
+from its edge-death schedule, once per level.  The smoothed step is one
+integer row pass: one ``_over`` puts p over P, the level F(p) is the
+smallest edge value over P*L, reduced to a ``QField`` by one gcd as the
+key of the level read, the advance r(h)*n is an integer quadruple
+(``_advance_of``, with c and eps over one denominator per map), the same
+point row goes through ``_arc_pair`` and ``_arc_point``, and one ``Point``
+is built at the end.  ``rotation_amount`` is ``_advance_of`` reduced, so
+the taper has one rule.  The self-check runs the same integer steps on
+its sample rows.  No rotation builds a level polygon, and this module
+reads no arc rows.
 """
 
 from __future__ import annotations
@@ -48,7 +55,7 @@ from dataclasses import dataclass, field, replace
 from .diagram import BaseDiagram
 from .plane import LatticeVector, Point, UnimodularAffineMap, _row, _row_point, dot
 from .polygon import ConstructionParams, Polygon, _blowup_corners, _line_rows
-from .scalars import QField, ScalarLike, _merge_radicand, _sign, qf
+from .scalars import QField, ScalarLike, _merge_radicand, _over, _reduced, _sign, qf
 
 
 class VerificationError(ValueError):
@@ -117,15 +124,17 @@ class StripShear:
 @dataclass(frozen=True)
 class RecurrenceMap:
     """Four strip-shear rounds on the polygon of their source diagram; the
-    rows of the rounds are built with the map and take no part in ==, repr
-    or hash."""
+    rows of the rounds, and c and eps over one denominator, are built with
+    the map and take no part in ==, repr or hash."""
 
     rounds: tuple[StripShear, StripShear, StripShear, StripShear]
     source_diagram: BaseDiagram
     _strips: tuple = field(init=False, repr=False, compare=False)
+    _taper: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_strips", _line_rows(self.rounds))
+        object.__setattr__(self, "_taper", _over(self.params.c, self.params.eps))
 
     @property
     def params(self) -> ConstructionParams:
@@ -148,31 +157,59 @@ def rotate_on_level(poly: Polygon, h: ScalarLike, t: ScalarLike, p: Point) -> Po
     Requires p to lie exactly on the level set {F = h}.
     """
     h = qf(h)
-    F, i = poly._inside(p)
+    F, i, row, d = poly._inside(p)
     if F != h:
         raise ValueError(f"point ({p.x1}, {p.x2}) is not on level {h}")
     t = qf(t)
     if not t:
         return p
-    return poly._advance(poly._arc_view(h), i, t, p)
+    return poly._advance(poly._arc_view(h), i, t._v, row, d)
 
 
 def rotation_amount(params: ConstructionParams, h: ScalarLike) -> QField:
     """The smoothed advance r(h): c - h up to c - eps, 0 from c + eps on.
 
     Across the band (c - eps, c + eps) the full advance is scaled by the
-    linear ramp ((c + eps) - h) / (2 eps), which falls from 1 to 0.
+    linear ramp ((c + eps) - h) / (2 eps), which falls from 1 to 0.  This
+    is ``_advance_of`` on h's integers, reduced to a ``QField``.
     """
     h = qf(h)
     if h.sign() < 0:
         raise ValueError("level must be nonnegative")
-    # c - h as -(h - c), so a level of another radicand is named first
-    g, eps = h - params.c, params.eps
-    if (d := -g) >= eps:
-        return d
-    if g >= eps:
-        return qf(0)
-    return d * (d + eps) / (2 * eps)
+    return _reduced(*_advance_of(_over(params.c, params.eps), h))
+
+
+def _advance_of(taper: tuple, h: QField) -> tuple[int, int, int, int | None]:
+    """The smoothed advance r(h) as an integer quadruple ``(A, B, D, d)`` for
+    (A + B*sqrt(d)) / D with D > 0 and d None when B is 0, not in lowest
+    terms.  ``taper`` is c and eps over one denominator E,
+    ``scalars._over(c, eps)``.
+
+    With h = (a + b*sqrt(d)) / N in normal form, c - h is a pair over
+    M = E*N, and two sign tests against eps over M pick the case.  The taper
+    (c - h)(c - h + eps) / (2 eps) divides by eps through its conjugate,
+    which leaves the denominator 2*M*N*Q for Q the norm of eps; numerator
+    and denominator are multiplied by Q once more, so that the denominator
+    is positive whatever the sign of Q.  Of the four values h, c, c - h and
+    eps, only h can carry a radicand other than that of c and eps,
+    and ``QField`` arithmetic meets them first in c - h or in its
+    comparison with eps, so that pair is refused first, h's named first.
+    ``rotation_amount`` reduces the quadruple; ``apply_phi_iter`` multiplies
+    it by n and hands it to ``Polygon._advance``.
+    """
+    (E, de, ((Ca, Cb), (Ea, Eb))), (a, b, N, d) = taper, h._v
+    d = _merge_radicand(d, de) if b else de
+    Ga, Gb, M, ea, eb = Ca * N - a * E, Cb * N - b * E, E * N, Ea * N, Eb * N
+    if _sign(Ga - ea, Gb - eb, d) >= 0:  # full advance c - h
+        return Ga, Gb, M, d if Gb else None
+    if _sign(-Ga - ea, -Gb - eb, d) >= 0:  # identity from c + eps on
+        return 0, 0, 1, None
+    s = d or 0
+    # (c - h)(c - h + eps) over M^2
+    Ka, Kb = Ga * (Ga + ea) + Gb * (Gb + eb) * s, Ga * (Gb + eb) + Gb * (Ga + ea)
+    Q = Ea * Ea - Eb * Eb * s
+    A, B = (Ka * Ea - Kb * Eb * s) * Q, (Kb * Ea - Ka * Eb) * Q
+    return A, B, 2 * M * N * Q * Q, d if B else None
 
 
 def build_recurrence_map(source: BaseDiagram, verify: bool = True) -> RecurrenceMap:
@@ -269,8 +306,8 @@ def _verify_rounds(rm: RecurrenceMap) -> None:
         for j, row in enumerate(samples):
             ds = d if row[1] or row[3] else None  # the radicand of the sample's Point
             if advance:
-                arc = poly._arc_pair(view, alive[j % n], row, view[4])
-                expected, de = poly._arc_point(view, *arc, advance)
+                arc = poly._arc_pair(view, alive[j % n], row, d)
+                expected, de = poly._arc_point(view, *arc, advance._v)
             else:
                 expected, de = row, ds
             dg = _merge_radicand(strips[2], ds)
@@ -310,15 +347,20 @@ def apply_phi_iter(rm: RecurrenceMap, p: Point, n: int) -> Point:
     single advance by n * r(h); this matches iterating ``apply_phi``
     exactly while costing one rotation.  Any integer n is accepted: n = 0
     gives p and n < 0 the inverse iterate, a clockwise advance by |n| * r(h).
+
+    One integer row pass: p's point row and its level F(p) come from the
+    polygon's edge-value pass, n * r(h) is an integer quadruple
+    (``_advance_of``), the row moves along the level's read, and the image
+    is the one ``Point`` built.
     """
     if type(n) is not int:
         raise ValueError("iteration count must be an integer")
     poly = rm.polygon
-    h, i = poly._inside(p)
-    t = rotation_amount(rm.params, h) * n
-    if not t:
+    h, i, row, d = poly._inside(p)
+    A, B, M, dt = _advance_of(rm._taper, h)
+    if not (n and (A or B)):
         return p
-    return poly._advance(poly._arc_view(h), i, t, p)
+    return poly._advance(poly._arc_view(h), i, (A * n, B * n, M, dt), row, d)
 
 
 __all__ = [

@@ -21,7 +21,7 @@ from hypothesis.configuration import set_hypothesis_home_dir
 from atfkit import ConstructionParams, LatticeVector, Point, QField, qf
 from atfkit import scalars
 from atfkit.diagram import build_pi0
-from atfkit.plane import as_point, cross, delta, dot, lex_less, move, primitive
+from atfkit.plane import _row, as_point, cross, delta, dot, lex_less, move, primitive
 from atfkit.polygon import Edge, Polygon, _line_rows, _passes, build_blowup_polygon
 from atfkit.recurrence import VerificationError, apply_rounds
 
@@ -222,7 +222,7 @@ def qfield_point_to_arc(self: Polygon, p: Point) -> QField:
     Measured in lattice length from the lexicographically smallest
     vertex.  Errors when p is not on the boundary.
     """
-    value, i = self._locate(p)
+    value, i = self._locate(p)[:2]
     if value.sign() != 0:
         raise ValueError(f"point ({p.x1}, {p.x2}) is not on the polygon boundary")
     edge, v = self.edges[i], self.vertices[i]
@@ -253,6 +253,25 @@ def qfield_advance(poly: Polygon, h: QField, t: QField, p: Point) -> Point:
         return p
     level = poly.level_set(h)
     return qfield_arc_to_point(level, qfield_point_to_arc(level, p) + t)
+
+
+# The QField taper that ``recurrence.rotation_amount`` had before it became
+# the reduction of the integer advance, kept verbatim (only the name
+# differs) as the oracle for that advance.
+
+
+def qfield_rotation_amount(params: ConstructionParams, h) -> QField:
+    """The smoothed advance r(h): c - h up to c - eps, 0 from c + eps on."""
+    h = qf(h)
+    if h.sign() < 0:
+        raise ValueError("level must be nonnegative")
+    # c - h as -(h - c), so a level of another radicand is named first
+    g, eps = h - params.c, params.eps
+    if (d := -g) >= eps:
+        return d
+    if g >= eps:
+        return qf(0)
+    return d * (d + eps) / (2 * eps)
 
 
 # The level path that ``Polygon.level_set`` had before it read its corners
@@ -286,9 +305,10 @@ def constructed_level_set(self: Polygon, h) -> Polygon:
 
 
 # The map self-check that ``atfkit.recurrence`` had before it ran on point
-# rows, kept verbatim (only the names differ) as the oracle for that grid:
-# a level polygon per level, samples by ``move``, and every sample through
-# ``apply_rounds`` and ``Polygon._advance`` as a ``Point``.
+# rows, kept verbatim (only the names differ, and ``Polygon._advance`` now
+# takes the sample's point row and the advance's integers) as the oracle for
+# that grid: a level polygon per level, samples by ``move``, and every sample
+# through ``apply_rounds`` and ``Polygon._advance`` as a ``Point``.
 
 
 def level_samples(level: Polygon) -> list[Point]:
@@ -308,7 +328,7 @@ def point_verify_rounds(rm) -> None:
         # sample j is a vertex or an edge midpoint of level edge j mod n,
         # which is edge view[0][j mod n] of the polygon, the view's alive edge
         for j, pt in enumerate(level_samples(level)):
-            expected = poly._advance(view, view[0][j % n], advance, pt) if advance else pt
+            expected = poly._advance(view, view[0][j % n], advance._v, *_row(pt, view[4])) if advance else pt
             got = apply_rounds(rm, pt)
             if got == expected:
                 continue

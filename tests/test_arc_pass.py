@@ -32,12 +32,13 @@ from conftest import (
     qfield_arc_to_point,
     qfield_arcs,
     qfield_point_to_arc,
+    qfield_rotation_amount,
     random_hulls,
 )
 
 from atfkit.diagram import build_pi0
 from atfkit.orbits import LevelCoordinate, from_level_coordinate, to_level_coordinate
-from atfkit.plane import Point, move
+from atfkit.plane import Point, _row, move
 from atfkit.polygon import ConstructionParams, Polygon, _mod, catalog, centered_rectangle
 from atfkit.recurrence import (
     apply_phi,
@@ -189,6 +190,60 @@ def test_apply_phi_iter_matches_the_qfield_path():
     assert wraps > 300
 
 
+def oracle_taper_phi_iter(rm, p: Point, n: int) -> Point:
+    """``apply_phi_iter`` over the QField path with the QField taper."""
+    h = rm.polygon.distance_to_boundary(p)
+    return qfield_advance(rm.polygon, h, qfield_rotation_amount(rm.params, h) * n, p)
+
+
+# c and eps both irrational, c irrational with a rational eps, eps irrational
+# with a rational c (its norm negative), in sqrt(2) and in sqrt(3)
+TAPER_PARAMS = IRRATIONAL_PARAMS + [
+    ConstructionParams(5, QField(2, Fraction(1, 2), 3), QField(Fraction(1, 2), Fraction(1, 4), 3),
+                       Fraction(1, 4)),
+    ConstructionParams(4, 2, Fraction(1, 2), QField(0, Fraction(1, 16), 2)),
+    ConstructionParams(6, 3, Fraction(3, 4), QField(Fraction(1, 8), Fraction(1, 16), 3)),
+    ConstructionParams(4, 2, Fraction(1, 2), Fraction(1, 8)),
+]
+
+
+def test_the_integer_advance_matches_the_qfield_taper():
+    # levels strictly inside the band (c - eps, c + eps), rational and
+    # irrational, its two ends exactly, and levels below and above it
+    band = inside = 0
+    for params in TAPER_PARAMS:
+        rm = build_recurrence_map(build_pi0(params))
+        poly, c, eps = rm.polygon, params.c, params.eps
+        r = root(params.a, params.b, c, eps)
+        levels = [c - eps * k / 5 for k in range(-4, 5)] + [c - eps * r, c + eps * r / 3]
+        levels += [c - eps, c + eps, (c - eps) / 2, (c + eps + poly.max_distance()[0]) / 2]
+        for h in levels:
+            assert outcome(rotation_amount, params, h) == outcome(qfield_rotation_amount, params, h)
+            assert rotation_amount(params, h)._v == qfield_rotation_amount(params, h)._v
+            inside += c - eps < h < c + eps
+            for p in level_points(poly.level_set(h))[::3]:
+                for n in (0, 1, -1, 5):
+                    got = outcome(apply_phi_iter, rm, p, n)
+                    assert got == outcome(oracle_taper_phi_iter, rm, p, n), (params, h, p, n)
+                    band += c - eps < h < c + eps and n != 0 and got[1] != p
+        # a point outside the polygon, a point of another radicand and a
+        # level of another radicand raise the QField path's errors
+        x1, x2 = poly.vertices[0].x1 - 1, poly.vertices[0].x2
+        outside = ("error", ValueError, f"point ({x1}, {x2}) lies outside the polygon")
+        assert outcome(apply_phi_iter, rm, Point(x1, x2), 1) == outside
+        other = QField(0, Fraction(1, 50), 7)
+        mixed = ("error", ValueError, f"mixed radicands sqrt({r._v[3]}) and sqrt(7)")
+        if poly._rows[2] is not None:
+            assert outcome(apply_phi_iter, rm, Point(other, qf(0)), 1) == mixed
+        assert outcome(rotation_amount, params, other) == outcome(qfield_rotation_amount, params, other)
+        assert outcome(rotation_amount, params, -other)[2] == "level must be nonnegative"
+    assert inside > 60 and band > 400, (inside, band)
+    # the values of test_rotation_amount_profile
+    params = TAPER_PARAMS[-1]
+    for h in ("0", "1/4", "3/8", "7/16", "1/2", "9/16", "5/8", "7/8", "-1"):
+        assert outcome(rotation_amount, params, qf(h)) == outcome(qfield_rotation_amount, params, qf(h))
+
+
 def test_the_pass_from_either_edge_of_a_vertex():
     # a vertex ends one edge and starts the next; the base vertex ends the
     # last edge of the arc, where the arc coordinate equals the perimeter
@@ -201,8 +256,9 @@ def test_the_pass_from_either_edge_of_a_vertex():
             for j, v in enumerate(level.vertices):
                 for shift in (t, -t, t * 10**6, level.perimeter()):
                     want = qfield_advance(poly, h, shift, v)
-                    assert poly._advance(view, alive[j], shift, v) == want
-                    assert poly._advance(view, alive[j - 1], shift, v) == want
+                    row, d = _row(v, view[4])
+                    assert poly._advance(view, alive[j], shift._v, row, d) == want
+                    assert poly._advance(view, alive[j - 1], shift._v, row, d) == want
 
 
 def test_rotate_on_level_matches_on_transformed_catalog_polygons():

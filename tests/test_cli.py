@@ -153,12 +153,28 @@ def test_orbit_dump_json(tmp_path, capsys):
     assert len(positions) == 4
 
 
+def test_the_streamed_dump_is_the_text_of_orbit_positions(tmp_path, capsys):
+    # the dump is written row by row; its bytes must be those of the text
+    # built whole from orbit_positions, in both formats
+    h = "0/1+1/8*sqrt(2)"
+    positions = orbits.orbit_positions(ConstructionParams(4, 2, qf("1/2"), qf("1/8")), qf(h), 5000)
+    texts = {
+        "csv": "n,s\n" + "\n".join(f"{i},{s}" for i, s in enumerate(positions)) + "\n",
+        "json": json.dumps([str(s) for s in positions]),
+    }
+    for fmt, text in texts.items():
+        dump = tmp_path / f"orbit.{fmt}"
+        code, _, _ = run(capsys, "orbit", "--h", h, "--n", "5000", "--dump", str(dump), "--dump-format", fmt)
+        assert code == 0
+        assert dump.read_bytes() == text.encode()
+
+
 @pytest.mark.parametrize("flag", ["--n", "--bins"])
 def test_orbit_refuses_counts_above_the_cap_before_any_work(tmp_path, capsys, monkeypatch, flag):
     def ran(*args, **kwargs):
         raise AssertionError("the orbit ran")
 
-    for name in ("classify_level", "equidistribution_stats", "orbit_positions"):
+    for name in ("classify_level", "equidistribution_stats", "_positions"):
         monkeypatch.setattr(cli, name, ran)
     dump = tmp_path / "orbit.csv"
     code, stdout, stderr = run(

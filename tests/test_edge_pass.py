@@ -210,7 +210,7 @@ def test_edge_values_match_the_qfield_loop():
     for poly, points in CASES:
         for p in points:
             assert poly.support_values(p) == oracle_support_values(poly, p), (poly, p)
-            assert poly._locate(p) == oracle_locate(poly, p), (poly, p)
+            assert poly._locate(p)[:2] == oracle_locate(poly, p), (poly, p)
 
 
 def test_a_point_of_another_radicand_is_refused_where_the_qfield_loop_refused():

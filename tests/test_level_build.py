@@ -16,7 +16,7 @@ import pytest
 from conftest import constructed_level_set, edge_loop_polygon, lex_base, outcome, random_hulls
 
 from atfkit.plane import UnimodularAffineMap, _row_point
-from atfkit.polygon import Polygon, build_blowup_polygon, catalog, centered_rectangle
+from atfkit.polygon import ConstructionParams, Polygon, build_blowup_polygon, catalog, centered_rectangle
 from atfkit.scalars import ZERO, QField, qf
 from atfkit.verify import random_params, random_unimodular
 
@@ -192,6 +192,35 @@ def test_a_level_set_survives_a_pickle_round_trip(cases):
         assert back.edges == level.edges
         assert back._rows == level._rows
         assert back.base_index == level.base_index
+
+
+def test_the_level_entry_builds_what_the_constructor_builds():
+    # level_set enters the constructor's row core on its corner rows, over
+    # the level read's denominator; Polygon(...) on its vertices puts them
+    # over their least common one: both must build the same polygon
+    rng = random.Random(7)
+    params = [random_params(rng) for _ in range(40)] + [
+        ConstructionParams(3 + ROOT_2, 3, qf("1/2") + ROOT_2 / 8, qf("1/8")),
+        ConstructionParams(5, 2 + ROOT_3 / 2, qf("1/2") + ROOT_3 / 4, qf("1/4")),
+    ]
+    count = 0
+    for par in params:
+        poly, c = build_blowup_polygon(par), par.c
+        top = poly.max_distance()[0]
+        for h in (top / 6, c / 2, c, (c + top) / 2, top * 5 / 6):
+            level = poly.level_set(h)
+            twin = Polygon(level.vertices)
+            assert [(v.x1._v, v.x2._v) for v in level.vertices] == [
+                (v.x1._v, v.x2._v) for v in twin.vertices
+            ]
+            assert [(e.normal, e.direction, e.offset._v, e.length._v) for e in level.edges] == [
+                (e.normal, e.direction, e.offset._v, e.length._v) for e in twin.edges
+            ]
+            assert level._rows == twin._rows and level.base_index == twin.base_index
+            back = pickle.loads(pickle.dumps(level))
+            assert back == level and back.edges == level.edges and back._rows == level._rows
+            count += 1
+    assert count == 210
 
 
 def test_a_level_of_a_level_is_a_level():
