@@ -45,17 +45,12 @@ def _decimal20(A: int, B: int, D: int, d: int | None) -> str:
     change when A, B and D are all multiplied by the same k > 0.
     """
     A *= _TEN20
-    if B:
-        B *= _TEN20
-        m = _floor(A, B, D, d)
-        # the sign of 2*(x*10^20 - m) - 1 over D; with a sqrt term it is
-        # never 0, so there is no tie
-        up = _sign(2 * (A - m * D) - D, 2 * B, d) > 0
-    else:
-        m, r = divmod(A, D)
-        r = 2 * r - D
-        up = r > 0 or (r == 0 and m & 1)
-    if up:
+    B *= _TEN20
+    m = _floor(A, B, D, d)
+    # the sign of 2*(x*10^20 - m) - 1 over D; only a rational value can give
+    # 0, a tie, which rounds to even
+    s = _sign(2 * (A - m * D) - D, 2 * B, d)
+    if s > 0 or (not s and m & 1):
         m += 1
     digits = str(abs(m)).rjust(21, "0")
     return f"{'-' if m < 0 else ''}{digits[:-20]}.{digits[-20:]}"
@@ -114,9 +109,7 @@ class _Screen:
             # the value's radicand first, as in value - minx, so that a clash
             # names the two radicands in the order the QField rule did
             d = _merge_radicand(d, self.d)
-        if kb:
-            return A * ka + B * kb * d + D * oa, A * kb + B * ka + D * ob, D * S, d
-        return A * ka + D * oa, B * ka + D * ob, D * S, d
+        return A * ka + B * kb * (d or 0) + D * oa, A * kb + B * ka + D * ob, D * S, d
 
     def point(self, x: Coord, y: Coord) -> tuple[str, str]:
         return _decimal20(*self.map(0, *x)), _decimal20(*self.map(1, *y))

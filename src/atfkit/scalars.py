@@ -14,9 +14,11 @@ Radicands are capped below ``RADICAND_BOUND = 2**32`` so that the
 square-freeness test (trial division up to ``sqrt(d)``) stays within a few
 milliseconds on any input; a larger radicand is a ``ValueError``.
 
-``_over`` is the one place where values go over a common denominator;
-the integer passes over polygon edges, strip shears and orbit rows start
-from its pairs.
+Values go over a common denominator in two places: ``_over`` for the
+integer passes over polygon edges, strip shears and orbit rows, which start
+from its pairs, and ``_align`` for the operators.  Each binary operator
+reads its other operand through ``_operand``, so a rational is the
+``B = 0`` case of its one integer rule.
 
 The canonical text form is ``p/q`` for rationals and ``p/q+r/s*sqrt(d)``
 (or ``p/q-r/s*sqrt(d)``) otherwise, with both fractions in lowest terms
@@ -202,122 +204,56 @@ class QField:
 
     # -- arithmetic ------------------------------------------------------
     #
-    # Each operator dispatches on ``type(other) is QField``, then on
-    # ``type(other) is int``, and only then falls back to ``_coerce``.
+    # Each binary operator reads its other operand as a normal form through
+    # ``_operand``, so an int or a Fraction is the B = 0 case of the one
+    # integer rule; anything else is ``NotImplemented``.
 
     def __add__(self, other: object) -> "QField":
-        A1, B1, D1, d1 = self._v
-        if type(other) is QField:
-            A2, B2, D2, d2 = other._v
-        elif type(other) is int:
-            return _raw(A1 + other * D1, B1, D1, d1)
-        else:
-            o = _coerce(other)
-            if o is None:
-                return NotImplemented
-            A2, B2, D2, d2 = o._v
-        if d1 != d2:
-            d1 = _merge_radicand(d1, d2)
-        if D1 == D2:
-            return _reduced(A1 + A2, B1 + B2, D1, d1)
-        return _reduced(A1 * D2 + A2 * D1, B1 * D2 + B2 * D1, D1 * D2, d1)
+        o = _operand(other)
+        if o is None:
+            return NotImplemented
+        A1, B1, A2, B2, D, d = _align(self._v, o)
+        return _reduced(A1 + A2, B1 + B2, D, d)
 
     __radd__ = __add__
 
     def __sub__(self, other: object) -> "QField":
-        A1, B1, D1, d1 = self._v
-        if type(other) is QField:
-            A2, B2, D2, d2 = other._v
-        elif type(other) is int:
-            return _raw(A1 - other * D1, B1, D1, d1)
-        else:
-            o = _coerce(other)
-            if o is None:
-                return NotImplemented
-            A2, B2, D2, d2 = o._v
-        if d1 != d2:
-            d1 = _merge_radicand(d1, d2)
-        if D1 == D2:
-            return _reduced(A1 - A2, B1 - B2, D1, d1)
-        return _reduced(A1 * D2 - A2 * D1, B1 * D2 - B2 * D1, D1 * D2, d1)
-
-    def __rsub__(self, other: object) -> "QField":
-        A, B, D, d = self._v
-        if type(other) is int:
-            return _raw(other * D - A, -B, D, d)
-        o = _coerce(other)
+        o = _operand(other)
         if o is None:
             return NotImplemented
-        return o.__sub__(self)
+        A1, B1, A2, B2, D, d = _align(self._v, o)
+        return _reduced(A1 - A2, B1 - B2, D, d)
+
+    def __rsub__(self, other: object) -> "QField":
+        o = _operand(other)
+        if o is None:
+            return NotImplemented
+        A1, B1, A2, B2, D, d = _align(o, self._v)
+        return _reduced(A1 - A2, B1 - B2, D, d)
 
     def __mul__(self, other: object) -> "QField":
-        A1, B1, D1, d1 = self._v
-        if type(other) is QField:
-            A2, B2, D2, d2 = other._v
-        elif type(other) is int:
-            # cancel against D only: gcd(A, B, D) = 1 already
-            g = gcd(other, D1)
-            if g != 1:
-                other //= g
-                D1 //= g
-            B = B1 * other
-            return _raw(A1 * other, B, D1, d1 if B else None)
-        else:
-            o = _coerce(other)
-            if o is None:
-                return NotImplemented
-            A2, B2, D2, d2 = o._v
-        if not B2:
-            return _reduced(A1 * A2, B1 * A2, D1 * D2, d1)
-        if not B1:
-            return _reduced(A1 * A2, A1 * B2, D1 * D2, d2)
-        if d1 != d2:
-            d1 = _merge_radicand(d1, d2)
-        return _reduced(A1 * A2 + B1 * B2 * d1, A1 * B2 + B1 * A2, D1 * D2, d1)
+        o = _operand(other)
+        if o is None:
+            return NotImplemented
+        A1, B1, D1, d = self._v
+        A2, B2, D2, d2 = o
+        if d != d2 and d2 is not None:
+            d = _merge_radicand(d, d2)
+        return _reduced(A1 * A2 + B1 * B2 * (d or 0), A1 * B2 + B1 * A2, D1 * D2, d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: object) -> "QField":
-        A1, B1, D1, d1 = self._v
-        if type(other) is QField:
-            A2, B2, D2, d2 = other._v
-        elif type(other) is int:
-            if not other:
-                raise ZeroDivisionError("division by zero scalar")
-            # a prime dividing A, B and D*other divides other, not D
-            g = gcd(A1, B1, other)
-            if other < 0:
-                g = -g
-            if g != 1:
-                A1 //= g
-                B1 //= g
-                other //= g
-            return _raw(A1, B1, D1 * other, d1)
-        else:
-            o = _coerce(other)
-            if o is None:
-                return NotImplemented
-            A2, B2, D2, d2 = o._v
-        if not B2:
-            if not A2:
-                raise ZeroDivisionError("division by zero scalar")
-            A, B, D, d = A1 * D2, B1 * D2, D1 * A2, d1
-        else:
-            d = _merge_radicand(d1, d2)
-            # multiply by the conjugate; the norm A2^2 - B2^2 d is nonzero
-            # because d is square-free, hence never a square of a rational.
-            A = (A1 * A2 - B1 * B2 * d) * D2
-            B = (B1 * A2 - A1 * B2) * D2
-            D = D1 * (A2 * A2 - B2 * B2 * d)
-        if D < 0:
-            A, B, D = -A, -B, -D
-        return _reduced(A, B, D, d)
-
-    def __rtruediv__(self, other: object) -> "QField":
-        o = _raw(other, 0, 1, None) if type(other) is int else _coerce(other)
+        o = _operand(other)
         if o is None:
             return NotImplemented
-        return o.__truediv__(self)
+        return _quotient(self._v, o)
+
+    def __rtruediv__(self, other: object) -> "QField":
+        o = _operand(other)
+        if o is None:
+            return NotImplemented
+        return _quotient(o, self._v)
 
     def __neg__(self) -> "QField":
         A, B, D, d = self._v
@@ -343,21 +279,11 @@ class QField:
 
     def _cmp(self, other: object) -> int | None:
         """Sign of ``self - other`` from cross-multiplied integers."""
-        A1, B1, D1, d1 = self._v
-        if type(other) is QField:
-            A2, B2, D2, d2 = other._v
-        elif type(other) is int:
-            return _sign(A1 - other * D1, B1, d1)
-        else:
-            o = _coerce(other)
-            if o is None:
-                return None
-            A2, B2, D2, d2 = o._v
-        if d1 != d2:
-            d1 = _merge_radicand(d1, d2)
-        if D1 == D2:
-            return _sign(A1 - A2, B1 - B2, d1)
-        return _sign(A1 * D2 - A2 * D1, B1 * D2 - B2 * D1, d1)
+        o = _operand(other)
+        if o is None:
+            return None
+        A1, B1, A2, B2, _, d = _align(self._v, o)
+        return _sign(A1 - A2, B1 - B2, d)
 
     def __lt__(self, other: object) -> bool:
         c = self._cmp(other)
@@ -385,15 +311,10 @@ class QField:
 
     def __eq__(self, other: object) -> bool:
         # normal forms are unique, so equal values have equal integers
-        if type(other) is QField:
-            return self._v == other._v
-        if type(other) is int:
-            A, B, D, _ = self._v
-            return A == other and D == 1 and not B
-        o = _coerce(other)
+        o = _operand(other)
         if o is None:
             return NotImplemented
-        return self._v == o._v
+        return self._v == o
 
     def __hash__(self) -> int:
         # a rational hashes like the equal Fraction or int; an irrational
@@ -460,15 +381,48 @@ def _over(*values: QField, d: int | None = None) -> tuple[int, int | None, list[
     return D, d, pairs
 
 
-def _coerce(value: object) -> QField | None:
-    """The slow path of operand dispatch: subclasses and Fractions, not bools."""
+def _operand(value: object) -> tuple | None:
+    """The normal form ``(A, B, D, d)`` of a QField, an int or a Fraction;
+    None for anything else, bools included."""
+    if type(value) is QField:
+        return value._v
+    if type(value) is int:
+        return value, 0, 1, None
     if isinstance(value, QField):
-        return value
+        return value._v
     if isinstance(value, int) and not isinstance(value, bool):
-        return _raw(int(value), 0, 1, None)
+        return int(value), 0, 1, None
     if isinstance(value, Fraction):
-        return _raw(value.numerator, 0, value.denominator, None)
+        return value.numerator, 0, value.denominator, None
     return None
+
+
+def _align(v1: tuple, v2: tuple) -> tuple:
+    """``(A1, B1, A2, B2, D, d)``: two normal forms over one denominator D,
+    the radicand of ``v1`` merged first."""
+    A1, B1, D1, d1 = v1
+    A2, B2, D2, d2 = v2
+    if d1 != d2 and d2 is not None:
+        d1 = _merge_radicand(d1, d2)
+    if D1 == D2:
+        return A1, B1, A2, B2, D1, d1
+    return A1 * D2, B1 * D2, A2 * D1, B2 * D1, D1 * D2, d1
+
+
+def _quotient(v1: tuple, v2: tuple) -> QField:
+    """``v1 / v2`` through the conjugate of ``v2``, whose norm
+    A2^2 - B2^2 d is 0 exactly when ``v2`` is: d is square-free."""
+    A1, B1, D1, d = v1
+    A2, B2, D2, d2 = v2
+    if d != d2 and d2 is not None:
+        d = _merge_radicand(d, d2)
+    e = d or 0
+    N = A2 * A2 - B2 * B2 * e
+    if not N:
+        raise ZeroDivisionError("division by zero scalar")
+    if N < 0:
+        N, D2 = -N, -D2
+    return _reduced((A1 * A2 - B1 * B2 * e) * D2, (B1 * A2 - A1 * B2) * D2, D1 * N, d)
 
 
 def qf(value: "QField | Rational | str") -> QField:
@@ -476,15 +430,11 @@ def qf(value: "QField | Rational | str") -> QField:
 
     Anything else, floats and bools included, is a ``ValueError``.
     """
-    if type(value) is QField:
-        return value
-    if type(value) is int:
-        return _raw(value, 0, 1, None)
-    if isinstance(value, QField):
-        return value
-    if isinstance(value, str):
-        return parse_scalar(value)
-    return QField(value)
+    v = _operand(value)
+    if v is None:
+        # a string is parsed; any other type fails in the constructor
+        return parse_scalar(value) if isinstance(value, str) else QField(value)
+    return value if isinstance(value, QField) else _raw(*v)
 
 
 ScalarLike = QField | Rational | str

@@ -120,6 +120,13 @@ def check_scalar_field_axioms(rng: random.Random) -> tuple[bool, str]:
             return False, f"commutativity failed at {x}, {y}"
         if y.sign() != 0 and (x / y) * y != x:
             return False, f"division failed at {x}, {y}"
+        # an int or a Fraction operand must act as the equal QField does
+        k, f = rng.randint(-9, 9), Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        K, F = QField(k), QField(f)
+        if (x + k, k - x, x * f, x < k, x == k, K == k) != (x + K, K - x, x * F, x < K, x == K, True):
+            return False, f"int or Fraction operand failed at {x}, {k}, {f}"
+        if x.sign() != 0 and f / x != F / x:
+            return False, f"Fraction division failed at {x}, {f}"
         if parse_scalar(str(x)) != x:
             return False, f"text round trip failed at {x}"
         n = scalars.floor(x)

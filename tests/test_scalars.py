@@ -5,11 +5,13 @@ values mixing a rational and a sqrt term.
 """
 
 import copy
+import enum
 import math
 import operator
 import pickle
 import random
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import mpmath
@@ -206,6 +208,10 @@ def test_division_by_zero():
             num / ZERO
 
 
+class Small(enum.IntEnum):
+    THREE = 3
+
+
 def test_int_and_fraction_operands():
     v = qf("3/4")
     assert 1 + v == qf("7/4")
@@ -213,22 +219,30 @@ def test_int_and_fraction_operands():
     assert 1 - v == qf("1/4")
     assert Fraction(1, 2) / v == qf("2/3")
     assert v / 3 == qf("1/4")
+    # an int subclass acts as the equal int on every operator, on both sides
+    for x in (v, QField(Fraction(-1, 2), 3, 2), qf(3)):
+        for op in (
+            operator.add, operator.sub, operator.mul, operator.truediv,
+            operator.lt, operator.le, operator.gt, operator.ge, operator.eq, operator.ne,
+        ):
+            for left, right in ((op(x, Small.THREE), op(x, 3)), (op(Small.THREE, x), op(3, x))):
+                assert type(left) is type(right) and left == right
 
 
-@pytest.mark.parametrize("flag", [True, False])
-def test_bool_operands_are_refused(flag):
-    # a bool is no more a number to the operators than it is to qf
-    one = qf(1)
-    for op in (
-        operator.add, operator.sub, operator.mul, operator.truediv,
-        operator.lt, operator.le, operator.gt, operator.ge,
-    ):
-        with pytest.raises(TypeError):
-            op(one, flag)
-        with pytest.raises(TypeError):
-            op(flag, one)
-    assert not (one == flag) and not (flag == one) and one != flag
-    assert not (qf(0) == False) and qf(0) != False  # noqa: E712
+@pytest.mark.parametrize("other", [True, False, 0.5, 1.0, Decimal("1"), 1 + 0j])
+def test_bool_operands_are_refused(other):
+    # a bool, a float, a Decimal or a complex is no more a number to the
+    # operators than it is to qf, even where its value equals the scalar's
+    for x in (qf(1), qf(Fraction(other.real))):
+        for op in (
+            operator.add, operator.sub, operator.mul, operator.truediv,
+            operator.lt, operator.le, operator.gt, operator.ge,
+        ):
+            with pytest.raises(TypeError):
+                op(x, other)
+            with pytest.raises(TypeError):
+                op(other, x)
+        assert not (x == other) and not (other == x) and x != other and other != x
 
 
 def test_unary_operators():
