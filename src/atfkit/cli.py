@@ -24,7 +24,7 @@ from .orbits import _positions, classify_level, equidistribution_stats
 from .polygon import ConstructionParams, Polygon, catalog, catalog_names, check_shape
 from .recurrence import VerificationError, build_recurrence_map
 from .render import RenderStyle, render_svg
-from .scalars import parse_scalar
+from .scalars import _text, parse_scalar
 from .verify import run_all
 
 # the largest --n and --bins that ``orbit`` accepts: it walks up to that
@@ -80,9 +80,10 @@ def _cmd_orbit(args: argparse.Namespace) -> int:
     print(json.dumps(obj, indent=2))
     if args.dump is not None:
         # the rows are written as the walk yields them, so the dump's memory
-        # does not grow with --n; the text is that of json.dumps (a scalar's
-        # text needs no escapes) or of the CSV lines joined, "n,s\n\n" for none
-        positions, as_json = enumerate(_positions(params, args.h, args.n)), args.dump_format == "json"
+        # does not grow with --n, and each is formatted from its integers with
+        # no QField; the text is that of json.dumps (a scalar's text needs no
+        # escapes) or of the CSV lines joined, "n,s\n\n" for none
+        positions, as_json = enumerate(_positions(params, args.h, args.n, form=_text)), args.dump_format == "json"
         with open(args.dump, "w") as out:
             out.write("[" if as_json else "n,s\n" if args.n else "n,s\n\n")
             out.writelines(f'{", " if i else ""}"{s}"' if as_json else f"{i},{s}\n" for i, s in positions)

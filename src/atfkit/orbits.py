@@ -17,8 +17,8 @@ the perimeter are put over one common denominator D as integer rows
 is an integer pair (X, Y) standing for ``(X + Y*sqrt(d))/D``.  No
 ``QField`` is built per position, and every comparison is exact:
 
-* the walk (``orbit_positions`` and the histogram) wraps on the exact sign
-  of ``s + step - per``;
+* the walk (``orbit_positions`` and ``atfkit orbit --dump``) wraps on the
+  exact sign of ``s + step - per``;
 * with t_n the position n steps from the start 0, positions m and m + n
   coincide exactly when t_n = 0, and the records of t_n (the first indices
   u and v of the smallest t_n and of the smallest ``per - t_n`` over
@@ -31,10 +31,11 @@ is an integer pair (X, Y) standing for ``(X + Y*sqrt(d))/D``.  No
   identity ``q*step = p*per`` with ``gcd(p, q) = 1`` (s_n returns to s_0
   exactly when q divides n), and its records show the first return at q
   when q <= N and none before;
-* a histogram bin ``floor(bins * s_i / per)`` is ``(i*m + k_i) mod bins``,
-  with ``m = floor(bins * rho)`` and k_i the wraps so far of the walk whose
-  step is ``bins*step - m*per``: one sign test per position, whatever the
-  number of bins.
+* a histogram bin ``floor(bins * s_i / per)`` is ``floor(i*bins*rho) mod
+  bins``, and these floors step by ``m = floor(bins * rho)`` plus the
+  letters of the characteristic Sturmian word of ``bins*rho - m``, read from
+  its standard words: one exact floor per partial quotient and no exact
+  arithmetic per position, whatever the number of bins.
 
 The level coordinates of a point (``to_level_coordinate`` and its inverse
 ``from_level_coordinate``) read the arc rows of level h from the
@@ -45,8 +46,9 @@ of ``atfkit.recurrence``; neither builds a level polygon.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, chain, islice
 from math import gcd
-from typing import Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from . import scalars
 from .plane import Point
@@ -133,12 +135,18 @@ class _Rows(NamedTuple):
 def _rows(params: ConstructionParams, h: ScalarLike, s0: ScalarLike = 0) -> _Rows:
     h = qf(h)
     _check_full_advance(params, h)
-    step = params.c - h
-    per = perimeter_value(params, h)
-    s = qf(s0)
-    s = s - scalars.floor(s / per) * per
-    D, d, (step_row, per_row, start) = scalars._over(step, per, s)
-    return _Rows(d, D, *step_row, *per_row, *start)
+    D, d, ((x, y), step, per) = scalars._over(qf(s0), params.c - h, perimeter_value(params, h))
+    k = _floor_ratio(x, y, *per, d or 0)
+    return _Rows(d, D, *step, *per, x - k * per[0], y - k * per[1])
+
+
+def _floor_ratio(x0: int, y0: int, x1: int, y1: int, d: int) -> int:
+    """``floor((x0 + y0*sqrt(d)) / (x1 + y1*sqrt(d)))`` for integer rows, the
+    second nonzero and d = 0 on a rational level: the first row times the
+    conjugate of the second over its norm, one ``scalars._floor``."""
+    norm = x1 * x1 - d * y1 * y1
+    sgn = 1 if norm > 0 else -1
+    return scalars._floor(sgn * (x0 * x1 - d * y0 * y1), sgn * (y0 * x1 - x0 * y1), sgn * norm, d)
 
 
 def _records(rows: _Rows, count: int) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
@@ -160,10 +168,7 @@ def _records(rows: _Rows, count: int) -> tuple[tuple[int, int, int], tuple[int, 
     odd = True  # prev, g_k-2, is on the per - t_n side
     while last[1] or last[2]:
         (q0, x0, y0), (q1, x1, y1) = prev, last
-        # g_k-2 / g_k-1 is g_k-2 times the conjugate of g_k-1 over its norm
-        norm = x1 * x1 - d * y1 * y1
-        sgn = 1 if norm > 0 else -1
-        a = scalars._floor(sgn * (x0 * x1 - d * y0 * y1), sgn * (y0 * x1 - x0 * y1), sgn * norm, d)
+        a = _floor_ratio(x0, y0, x1, y1, d)
         if odd and (x0, y0) == (a * x1, a * y1):
             a -= 1
         # g_k takes the place of g_k-2 on its side, unless the count cuts it
@@ -176,23 +181,18 @@ def _records(rows: _Rows, count: int) -> tuple[tuple[int, int, int], tuple[int, 
     return (last, prev) if odd else (prev, last)
 
 
-def _walk(
-    rows: _Rows, count: int, x: int = 0, y: int = 0
-) -> Iterator[tuple[int, int, int]]:
-    """The first ``count`` positions from ``(x + y*sqrt(d))/D`` as integer
-    triples (X, Y, wraps), wraps the number of times the walk has so far
-    crossed the perimeter, each step wrapping on the exact sign of
-    ``s + step - per``; the start is 0 or the reduced start of ``rows``."""
-    d, _, a1, b1, a2, b2, _, _ = rows
+def _walk(rows: _Rows, count: int) -> Iterator[tuple[int, int]]:
+    """The first ``count`` positions from the reduced start of ``rows`` as
+    integer pairs (X, Y), each step wrapping on the exact sign of
+    ``s + step - per``."""
+    d, _, a1, b1, a2, b2, x, y = rows
     c1, c2 = a1 - a2, b1 - b2
     sign = scalars._sign
-    wraps = 0
     for _ in range(count):
-        yield x, y, wraps
+        yield x, y
         if sign(x + c1, y + c2, d) >= 0:
             x += c1
             y += c2
-            wraps += 1
         else:
             x += a1
             y += b1
@@ -210,14 +210,19 @@ def orbit_positions(
     return list(_positions(params, h, count, s0))
 
 
-def _positions(params: ConstructionParams, h: ScalarLike, count: int, s0: ScalarLike = 0) -> Iterator[QField]:
-    """``orbit_positions`` as an iterator: the inputs are checked at the
-    call, and the walk runs as the positions are read, one at a time
-    (``atfkit orbit --dump`` writes each as it comes)."""
+def _positions(
+    params: ConstructionParams, h: ScalarLike, count: int, s0: ScalarLike = 0,
+    form: Callable = scalars._reduced,
+) -> Iterator:
+    """``orbit_positions`` as an iterator of ``form(X, Y, D, d)``: the inputs
+    are checked at the call, and the walk runs as the positions are read, one
+    at a time (``atfkit orbit --dump`` writes the text ``scalars._text`` of
+    each row as it comes)."""
     rows = _rows(params, h, s0)
     if count < 0:
         raise ValueError("count must be nonnegative")
-    return (scalars._reduced(x, y, rows.D, rows.d) for x, y, _ in _walk(rows, count, rows.x0, rows.y0))
+    D, d = rows.D, rows.d
+    return (form(x, y, D, d) for x, y in _walk(rows, count))
 
 
 def classify_level(
@@ -294,25 +299,40 @@ def equidistribution_stats(
     """Histogram of the first n orbit positions over ``bins`` equal arcs.
 
     Only defined for irrational levels.  Bin indices are exact floors of
-    ``bins * s_i / per``.  With ``m = floor(bins * rho)``, the walk whose
-    step is ``bins*step - m*per``, in (0, per), has after i steps wrapped
-    k_i times and reached ``bins*i*step - (i*m + k_i)*per``.  The bin of
-    s_i therefore is ``(i*m + k_i) mod bins``: one exact sign test per
-    position, whatever the number of bins.
+    ``bins * s_i / per``, so the bin of s_i is ``floor(i*bins*rho) mod bins``.
+    With ``m = floor(bins * rho)`` and ``beta = bins*rho - m``, these floors
+    step by m plus the letters of the characteristic Sturmian word of beta,
+    ``floor((i+1)*beta) - floor(i*beta)``, whose prefixes are the standard
+    words ``s_-1 = [m + 1]``, ``s_0 = [m]`` and ``s_k = s_k-1^a_k s_k-2``
+    (a_1 - 1 repeats at k = 1) for the partial quotients a_k of beta
+    (Lothaire, *Algebraic Combinatorics on Words*, ch. 2).  Each a_k is one
+    exact floor on rows, as in ``_records``; the rest is list repetition and
+    one counting pass, with no exact arithmetic per position.
     """
     if bins < 1:
         raise ValueError("need at least one bin")
     if n < 0:
         raise ValueError("sample count must be nonnegative")
-    rho = rotation_number(params, h)
-    if rho.is_rational():
+    d, _, a1, b1, a2, b2, _, _ = _rows(params, h)
+    if a1 * b2 == a2 * b1:
         raise ValueError("equidistribution statistics need an irrational level")
-    rows = _rows(params, h)
-    m = scalars.floor(bins * rho)
-    scaled = rows._replace(a1=bins * rows.a1 - m * rows.a2, b1=bins * rows.b1 - m * rows.b2)
+    m = _floor_ratio(bins * a1, bins * b1, a2, b2, d)
+    # beta's continued fraction on rows, from g_-1 = per and g_0 = bins*step - m*per
+    g0, g1 = (a2, b2), (bins * a1 - m * a2, bins * b1 - m * b2)
+    prev, word, skip = [m + 1], [m], 1
+    while True:
+        a = _floor_ratio(*g0, *g1, d)
+        r = a - skip  # s_k holds r copies of s_k-1, then s_k-2
+        if r * len(word) + len(prev) >= n - 2:
+            break
+        g0, g1, skip = g1, (g0[0] - a * g1[0], g0[1] - a * g1[1]), 0
+        prev, word = word, word * r + prev
+    # the first n floors are 0, m and the sums of n - 2 letters; s_k-1^j is a
+    # prefix for every j <= r, so s_k is read up to them without building it
+    j = min(r, -((2 - n) // len(word)))
     counts = [0] * bins
-    for i, (_, _, wraps) in enumerate(_walk(scaled, n)):
-        counts[(i * m + wraps) % bins] += 1
+    for f in islice(accumulate(chain((0, m), *[word] * j, prev)), n):
+        counts[f % bins] += 1
     return counts
 
 

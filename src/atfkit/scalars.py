@@ -333,10 +333,10 @@ class QField:
         return A / D + B / D * math.sqrt(d)
 
     def __str__(self) -> str:
-        return format_scalar(self)
+        return _text(*self._v)
 
     def __repr__(self) -> str:
-        return f"QField({format_scalar(self)!r})"
+        return f"QField({_text(*self._v)!r})"
 
 
 _new = object.__new__
@@ -497,7 +497,13 @@ def parse_scalar(text: str) -> QField:
 
 def format_scalar(x: "QField | Rational") -> str:
     """Canonical text form; inverse of parse_scalar on its output."""
-    A, B, D, d = qf(x)._v
+    return _text(*qf(x)._v)
+
+
+def _text(A: int, B: int, D: int, d: int | None) -> str:
+    """The canonical text of ``(A + B*sqrt(d)) / D`` for integers with
+    ``D > 0``: each fraction is put in lowest terms, so the row need not be
+    reduced."""
     g = gcd(A, D)
     out = f"{A // g}/{D // g}"
     if B:

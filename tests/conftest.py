@@ -19,7 +19,7 @@ import pytest
 from hypothesis.configuration import set_hypothesis_home_dir
 
 from atfkit import ConstructionParams, LatticeVector, Point, QField, qf
-from atfkit import scalars
+from atfkit import orbits, scalars
 from atfkit.diagram import build_pi0
 from atfkit.plane import _row, as_point, cross, delta, dot, lex_less, move, primitive
 from atfkit.polygon import Edge, Polygon, _line_rows, _passes, build_blowup_polygon
@@ -340,6 +340,28 @@ def point_verify_rounds(rm) -> None:
                 else f"round composite moved a point on level {h}: {image}"
             )
             raise VerificationError(message, level=h, point=pt, got=got, expected=expected)
+
+
+# The orbit histogram as it was read from one walk before it took the
+# standard words of {bins*rho}, kept as the oracle for that change: with
+# m = floor(bins*rho), the walk by bins*step - m*per wraps k_i times in its
+# first i steps, and position i falls in bin (i*m + k_i) mod bins.
+
+
+def walk_histogram(params: ConstructionParams, h, n: int, bins: int) -> list[int]:
+    rows = orbits._rows(params, h)
+    m = scalars.floor(bins * orbits.rotation_number(params, h))
+    a1, b1 = bins * rows.a1 - m * rows.a2, bins * rows.b1 - m * rows.b2
+    c1, c2 = a1 - rows.a2, b1 - rows.b2
+    x = y = wraps = 0
+    counts = [0] * bins
+    for i in range(n):
+        counts[(i * m + wraps) % bins] += 1
+        if scalars._sign(x + c1, y + c2, rows.d) >= 0:
+            x, y, wraps = x + c1, y + c2, wraps + 1
+        else:
+            x, y = x + a1, y + b1
+    return counts
 
 
 # The arc-origin scan that ``Polygon`` had before it took the base vertex

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import stuck_records
+from conftest import stuck_records, walk_histogram
 
 from atfkit import orbits
 from atfkit.orbits import (
@@ -407,6 +407,81 @@ def test_equidistribution_validation():
         equidistribution_stats(PARAMS, SQRT2_OVER_8, 100, 0)
     with pytest.raises(ValueError):
         equidistribution_stats(PARAMS, SQRT2_OVER_8, -1, 10)
+
+
+# -- the histogram from the standard words of {bins*rho} ---------------------------
+
+
+def beta_expansion(params, h, bins, count):
+    """m = floor(bins*rho), beta = bins*rho - m and beta's first partial quotients."""
+    x = bins * rotation_number(params, h)
+    m = floor(x)
+    beta = rest = x - m
+    quotients = []
+    for _ in range(count):
+        rest = 1 / rest
+        quotients.append(floor(rest))
+        rest = rest - quotients[-1]
+    return m, beta, quotients
+
+
+def assert_histogram_matches_the_floors(params, h, n, bins):
+    positions = qfield_positions(params, h, n)
+    expected = floor_histogram(positions, perimeter_value(params, h), bins)
+    assert equidistribution_stats(params, h, n, bins) == expected
+
+
+@pytest.mark.parametrize("bins", [1, 2, 10, 39, 64], ids=str)
+def test_histogram_of_the_first_three_positions(bins):
+    # no letter of the word is read below n = 3, and one at n = 3
+    for h in (SQRT2_OVER_8, QField(Fraction(1, 8), Fraction(1, 40), 13)):
+        for n in range(4):
+            assert_histogram_matches_the_floors(PARAMS, h, n, bins)
+
+
+def test_histogram_when_beta_is_above_a_half():
+    # a_1 = 1: s_0 = [m] is not a prefix, and s_1 = s_-1 = [m + 1] is
+    h = QField(Fraction(1, 8), Fraction(1, 40), 13)
+    m, beta, quotients = beta_expansion(PARAMS, h, 64, 1)
+    assert m == 1 and 2 * beta > 1 and quotients == [1]
+    for n in (2, 3, 4, 5, 50, 2000):
+        assert_histogram_matches_the_floors(PARAMS, h, n, 64)
+
+
+def test_histogram_when_each_step_passes_a_bin_boundary():
+    # m >= 1: every letter of the word is m or m + 1
+    for bins, expected_m in ((39, 1), (78, 2), (64, 2)):
+        assert beta_expansion(PARAMS, SQRT2_OVER_8, bins, 0)[0] == expected_m
+        for n in (3, 50, 2000):
+            assert_histogram_matches_the_floors(PARAMS, SQRT2_OVER_8, n, bins)
+
+
+@pytest.mark.parametrize("sign", [1, -1], ids=["above", "below"])
+def test_histogram_next_to_a_rational_level(sign):
+    # rho(1/4) = 1/39, so at 1/4 +- sqrt(2)/10^12 and 39 or 78 bins beta is
+    # within 10^-10 of 0 or 1 and a partial quotient is about 10^11: its
+    # repeat count is cut at the letters read, or the word would not fit in
+    # memory
+    h = qf("1/4") + QField(0, Fraction(sign, 10**12), 2)
+    for bins in (39, 78):
+        quotients = beta_expansion(PARAMS, h, bins, 2)[2]
+        assert max(quotients) > 10**11
+        for n in (0, 1, 2, 3, 2000):
+            assert_histogram_matches_the_floors(PARAMS, h, n, bins)
+
+
+def test_histogram_matches_the_walk_on_seeded_cases():
+    # the walk oracle costs one exact sign test per position, up to N = 20,000
+    rng = random.Random(65)
+    for case in range(40):
+        params = random_params(rng)
+        top = params.c - params.eps
+        shift = QField(Fraction(rng.randrange(8), 16), Fraction(1, rng.randint(8, 40)), rng.choice(RADICANDS))
+        h = top * shift
+        assert not rotation_number(params, h).is_rational()
+        n = 20_000 if case == 0 else rng.choice((rng.randint(0, 20), rng.randint(0, 20_000)))
+        bins = rng.randint(2, 50) if case % 2 else rng.randint(2, 1000)
+        assert equidistribution_stats(params, h, n, bins) == walk_histogram(params, h, n, bins)
 
 
 # -- monotonicity ---------------------------------------------------------------------
