@@ -74,10 +74,15 @@ def _cmd_orbit(args: argparse.Namespace) -> int:
         if value is not None and value > ORBIT_LIMIT:
             raise ValueError(f"{flag} {value} is above the limit {ORBIT_LIMIT}")
     params = ConstructionParams(args.a, args.b, args.c, args.eps)
-    obj = classify_level(params, args.h, n_checked=args.n).to_json_obj()
+    text = json.dumps(classify_level(params, args.h, n_checked=args.n).to_json_obj(), indent=2)
     if args.bins is not None:
-        obj["histogram"] = equidistribution_stats(params, args.h, args.n, args.bins)
-    print(json.dumps(obj, indent=2))
+        # the counts go through json's C encoder, one a line as indent=2
+        # would write them, spliced in as the report's last key
+        counts = json.dumps(
+            equidistribution_stats(params, args.h, args.n, args.bins), separators=(",\n    ", ": ")
+        )
+        text = f'{text[:-2]},\n  "histogram": [\n    {counts[1:-1]}\n  ]\n}}'
+    print(text)
     if args.dump is not None:
         # the rows are written as the walk yields them, so the dump's memory
         # does not grow with --n, and each is formatted from its integers with

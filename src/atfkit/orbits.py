@@ -33,9 +33,12 @@ is an integer pair (X, Y) standing for ``(X + Y*sqrt(d))/D``.  No
   when q <= N and none before;
 * a histogram bin ``floor(bins * s_i / per)`` is ``floor(i*bins*rho) mod
   bins``, and these floors step by ``m = floor(bins * rho)`` plus the
-  letters of the characteristic Sturmian word of ``bins*rho - m``, read from
-  its standard words: one exact floor per partial quotient and no exact
-  arithmetic per position, whatever the number of bins.
+  letters of the characteristic Sturmian word of ``bins*rho - m``, a product
+  of powers of its standard words: one exact floor per partial quotient.
+  Each word is its letter sum and its bin counts packed as ``bins`` fields
+  of one integer, joined by an add and a rotation of the fields mod bins,
+  so the histogram takes O(log n) big-integer steps of ``bins`` fields each
+  and no pass over the positions, for any n < 2**64.
 
 The level coordinates of a point (``to_level_coordinate`` and its inverse
 ``from_level_coordinate``) read the arc rows of level h from the
@@ -45,8 +48,8 @@ of ``atfkit.recurrence``; neither builds a level polygon.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
-from itertools import accumulate, chain, islice
 from math import gcd
 from typing import Callable, Iterator, NamedTuple
 
@@ -243,11 +246,13 @@ def classify_level(
     if n_checked < 0:
         raise ValueError("n_checked must be nonnegative")
     h = qf(h)
-    rows = _rows(params, h)
-    rho = rotation_number(params, h)
-    if rho.is_rational():
+    d, _, a1, b1, a2, b2, _, _ = rows = _rows(params, h)
+    if a1 * b2 == a2 * b1:
+        # the certificate checks the rows against rho's closed form, so rho
+        # is not read from them here
+        rho = rotation_number(params, h)
         p, q = rho.p, rho.q
-        if gcd(p, q) != 1 or q * rows.a1 != p * rows.a2 or q * rows.b1 != p * rows.b2:
+        if gcd(p, q) != 1 or q * a1 != p * a2 or q * b1 != p * b2:
             raise VerificationError(f"period certificate failed on level {h}", level=h)
         sweep = min(q, n_checked)
         u, x, y = _records(rows, sweep + 1)[0]
@@ -257,6 +262,8 @@ def classify_level(
         return OrbitReport(h=h, rho=rho, kind="periodic", period=q, distinct_checked=sweep)
     if n_checked > 1 and _records(rows, n_checked)[0][1:] == (0, 0):
         raise VerificationError(f"irrational level {h} produced a repeat", level=h)
+    # rho = step/per: step times the conjugate of per, over its norm
+    rho = scalars._quotient((a1, b1, 1, d), (a2, b2, 1, d))
     return OrbitReport(
         h=h, rho=rho, kind="irrational-certified", period=None, distinct_checked=n_checked
     )
@@ -298,42 +305,80 @@ def equidistribution_stats(
 ) -> list[int]:
     """Histogram of the first n orbit positions over ``bins`` equal arcs.
 
-    Only defined for irrational levels.  Bin indices are exact floors of
-    ``bins * s_i / per``, so the bin of s_i is ``floor(i*bins*rho) mod bins``.
-    With ``m = floor(bins * rho)`` and ``beta = bins*rho - m``, these floors
-    step by m plus the letters of the characteristic Sturmian word of beta,
-    ``floor((i+1)*beta) - floor(i*beta)``, whose prefixes are the standard
-    words ``s_-1 = [m + 1]``, ``s_0 = [m]`` and ``s_k = s_k-1^a_k s_k-2``
-    (a_1 - 1 repeats at k = 1) for the partial quotients a_k of beta
-    (Lothaire, *Algebraic Combinatorics on Words*, ch. 2).  Each a_k is one
-    exact floor on rows, as in ``_records``; the rest is list repetition and
-    one counting pass, with no exact arithmetic per position.
+    Only defined for irrational levels, and for n < 2**64.  Bin indices are
+    exact floors of ``bins * s_i / per``, so the bin of s_i is
+    ``floor(i*bins*rho) mod bins``.  With ``m = floor(bins * rho)`` and
+    ``beta = bins*rho - m``, these floors step by m plus the letters of the
+    characteristic Sturmian word of beta, ``floor((i+1)*beta) - floor(i*beta)``,
+    whose prefixes are the standard words ``s_-1 = [m + 1]``, ``s_0 = [m]`` and
+    ``s_k = s_k-1^r_k s_k-2`` with r_k = a_k (a_1 - 1 at k = 1) for the
+    partial quotients a_k of beta (Lothaire, *Algebraic Combinatorics on
+    Words*, ch. 2); the first n - 2 letters are ``s_K^b_K ... s_0^b_0``, the
+    digits b_k taken greedily from the longest word that fits.  Each a_k is
+    one exact floor on rows, as in ``_records``.  A word w is read as the
+    pair (H, S): S the sum of its letters, H the bin counts of its running
+    sums from 0, packed into one integer as ``bins`` fields of 8, 16, 32 or
+    64 bits, the fewest that hold n.  Then ``H(uv) = H(u) + rot(H(v), S(u))``
+    with the fields rotated mod bins, and a power is built by doubling:
+    O(log n) big-integer steps of ``bins`` fields each, and no pass over the
+    n positions.
     """
     if bins < 1:
         raise ValueError("need at least one bin")
     if n < 0:
         raise ValueError("sample count must be nonnegative")
+    if n >> 64:
+        raise ValueError("sample count must be below 2**64")
     d, _, a1, b1, a2, b2, _, _ = _rows(params, h)
     if a1 * b2 == a2 * b1:
         raise ValueError("equidistribution statistics need an irrational level")
     m = _floor_ratio(bins * a1, bins * b1, a2, b2, d)
-    # beta's continued fraction on rows, from g_-1 = per and g_0 = bins*step - m*per
+    # pass 1, beta's continued fraction on rows from g_-1 = per and
+    # g_0 = bins*step - m*per: the repeats r_k and lengths |s_k|, up to the
+    # first word longer than n - 2 (a_1 = 1 makes |s_1| = |s_0| = 1)
     g0, g1 = (a2, b2), (bins * a1 - m * a2, bins * b1 - m * b2)
-    prev, word, skip = [m + 1], [m], 1
-    while True:
+    reps, lens, skip = [], [1, 1], 1
+    while lens[-1] <= n - 2:
         a = _floor_ratio(*g0, *g1, d)
-        r = a - skip  # s_k holds r copies of s_k-1, then s_k-2
-        if r * len(word) + len(prev) >= n - 2:
-            break
+        reps.append(a - skip)
+        lens.append((a - skip) * lens[-1] + lens[-2])
         g0, g1, skip = g1, (g0[0] - a * g1[0], g0[1] - a * g1[1]), 0
-        prev, word = word, word * r + prev
-    # the first n floors are 0, m and the sums of n - 2 letters; s_k-1^j is a
-    # prefix for every j <= r, so s_k is read up to them without building it
-    j = min(r, -((2 - n) // len(word)))
-    counts = [0] * bins
-    for f in islice(accumulate(chain((0, m), *[word] * j, prev)), n):
-        counts[f % bins] += 1
-    return counts
+    digits, rest = [], n - 2
+    for size in reversed(lens[1:-1]):
+        digits.append(rest // size)
+        rest %= size
+    # pass 2: each field holds a count up to n in wb bytes, read as the
+    # memoryview format code
+    wb, code = next((b, c) for b, c in ((1, "B"), (2, "H"), (4, "I"), (8, "Q")) if not n >> 8 * b)
+    width, mask = 8 * wb, (1 << 8 * wb * bins) - 1
+
+    def rot(H: int, s: int) -> int:  # bin i moves to bin (i + s) mod bins
+        s = s % bins * width
+        return (H << s) & mask | H >> bins * width - s
+
+    def power(H: int, S: int, r: int) -> tuple[int, int]:
+        P, T = (H, S) if r else (0, 0)
+        for bit in bin(r)[3:]:
+            P, T = P + rot(P, T), 2 * T
+            if bit == "1":
+                P, T = P + rot(H, T), T + S
+        return P, T
+
+    # s_k is built from s_k-1 and s_k-2, and its digit's power is folded
+    # into acc, the word s_k^b_k ... s_0^b_0, smallest words first
+    H, S, H2, S2 = rot(1, m), m, rot(1, m + 1), m + 1
+    acc = 0
+    for k, b in enumerate(reversed(digits)):
+        if k:
+            P, R = power(H, S, reps[k - 1])
+            H, S, H2, S2 = P + rot(H2, R), R + S2, H, S
+        if b:
+            P, R = power(H, S, b)
+            acc = P + rot(acc, R)
+    # the floors are 0, m, then m plus the running sums of the n - 2 letters
+    H = (n > 0) + (n > 1) * rot(1, m) + rot(acc, m)
+    counts = memoryview(H.to_bytes(wb * bins, sys.byteorder)).cast(code).tolist()
+    return counts if sys.byteorder == "little" else counts[::-1]
 
 
 def rho_monotone_check(params: ConstructionParams, grid_size: int) -> bool:

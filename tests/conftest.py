@@ -364,6 +364,35 @@ def walk_histogram(params: ConstructionParams, h, n: int, bins: int) -> list[int
     return counts
 
 
+# An oracle for histograms at any n, from floor sums rather than words: bin
+# j holds C((j+1)/bins) - C(j/bins) of the first n positions, where
+# C(x) = #{i < n : {i*rho} < x} = S(n, rho, 0) - S(n, rho, 1 - x) + n and
+# S(n, alpha, beta) = sum over i < n of floor(alpha*i + beta).  With the
+# integer parts of alpha and beta taken out (as k*n(n-1)/2 and k*n),
+# counting the same lattice points from the other side gives
+# S(n, alpha, beta) = S(M, 1/alpha, {y}/alpha) for y = alpha*n + beta and
+# M = floor(y), so n falls like a continued fraction, in QField throughout.
+
+
+def floor_sum(n: int, alpha: QField, beta: QField) -> int:
+    total = 0
+    while n:
+        k, j = scalars.floor(alpha), scalars.floor(beta)
+        total += k * n * (n - 1) // 2 + j * n
+        alpha, beta = alpha - k, beta - j
+        y = alpha * n + beta
+        M = scalars.floor(y)
+        n, alpha, beta = M, 1 / alpha, (y - M) / alpha
+    return total
+
+
+def floor_sum_histogram(params: ConstructionParams, h, n: int, bins: int) -> list[int]:
+    rho = orbits.rotation_number(params, h)
+    total = floor_sum(n, rho, qf(0)) + n
+    below = [0] + [total - floor_sum(n, rho, 1 - Fraction(j, bins)) for j in range(1, bins)] + [n]
+    return [below[j + 1] - below[j] for j in range(bins)]
+
+
 # The arc-origin scan that ``Polygon`` had before it took the base vertex
 # from its winding scan, kept verbatim (only the name differs, and it
 # returns the index) as the oracle for that scan.

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import stuck_records, walk_histogram
+from conftest import floor_sum_histogram, stuck_records, walk_histogram
 
 from atfkit import orbits
 from atfkit.orbits import (
@@ -407,6 +407,8 @@ def test_equidistribution_validation():
         equidistribution_stats(PARAMS, SQRT2_OVER_8, 100, 0)
     with pytest.raises(ValueError):
         equidistribution_stats(PARAMS, SQRT2_OVER_8, -1, 10)
+    with pytest.raises(ValueError, match="below 2\\*\\*64"):
+        equidistribution_stats(PARAMS, SQRT2_OVER_8, 2**64, 10)
 
 
 # -- the histogram from the standard words of {bins*rho} ---------------------------
@@ -482,6 +484,41 @@ def test_histogram_matches_the_walk_on_seeded_cases():
         n = 20_000 if case == 0 else rng.choice((rng.randint(0, 20), rng.randint(0, 20_000)))
         bins = rng.randint(2, 50) if case % 2 else rng.randint(2, 1000)
         assert equidistribution_stats(params, h, n, bins) == walk_histogram(params, h, n, bins)
+
+
+def test_histogram_at_the_field_width_boundaries():
+    # a packed field is 1 byte up to n = 255 and 2 bytes up to 65535; with
+    # a single bin, that bin holds all n positions, the most a field holds
+    h = QField(Fraction(1, 8), Fraction(1, 40), 13)
+    per = perimeter_value(PARAMS, h)
+    positions = qfield_positions(PARAMS, h, 65536)
+    for bins in (1, 2, 3, 10):
+        for small in (255, 65535):
+            expected = floor_histogram(positions[:small], per, bins)
+            assert equidistribution_stats(PARAMS, h, small, bins) == expected
+            last = floor_histogram(positions[small : small + 1], per, bins)
+            expected = [x + y for x, y in zip(expected, last)]
+            assert equidistribution_stats(PARAMS, h, small + 1, bins) == expected
+
+
+def test_the_floor_sum_oracle_matches_the_walk():
+    near_quarter = qf("1/4") + QField(0, Fraction(1, 10**12), 2)
+    for h in (SQRT2_OVER_8, QField(Fraction(1, 8), Fraction(1, 40), 13), near_quarter):
+        for n in (0, 1, 2, 3, 255, 2000):
+            for bins in (1, 2, 10, 39):
+                assert floor_sum_histogram(PARAMS, h, n, bins) == walk_histogram(PARAMS, h, n, bins)
+
+
+@pytest.mark.parametrize("n", [2**32 - 1, 2**32 + 1, 10**12, 2**64 - 1], ids=str)
+def test_histogram_far_past_the_cap_matches_the_floor_sums(n):
+    for h in (SQRT2_OVER_8, qf("1/4") - QField(0, Fraction(1, 10**12), 2)):
+        for bins in (1, 2, 10):
+            assert equidistribution_stats(PARAMS, h, n, bins) == floor_sum_histogram(PARAMS, h, n, bins)
+
+
+def test_histogram_of_a_trillion_positions_counts_them_all():
+    counts = equidistribution_stats(PARAMS, SQRT2_OVER_8, 10**12, 1000)
+    assert len(counts) == 1000 and sum(counts) == 10**12 and min(counts) > 0
 
 
 # -- monotonicity ---------------------------------------------------------------------
