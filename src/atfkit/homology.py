@@ -63,6 +63,8 @@ def find_twist_classes(bound: int) -> list[H2Class]:
     |alpha|, |beta| <= 1: the 3x3 box holds them all, and walking it in
     ascending order returns the classes sorted.
     """
+    if type(bound) is not int:
+        raise ValueError("bound must be an integer")
     if bound < 0:
         raise ValueError("bound must be nonnegative")
     box = range(-min(bound, 1), min(bound, 1) + 1)

@@ -139,17 +139,7 @@ def _rows(params: ConstructionParams, h: ScalarLike, s0: ScalarLike = 0) -> _Row
     h = qf(h)
     _check_full_advance(params, h)
     D, d, ((x, y), step, per) = scalars._over(qf(s0), params.c - h, perimeter_value(params, h))
-    k = _floor_ratio(x, y, *per, d or 0)
-    return _Rows(d, D, *step, *per, x - k * per[0], y - k * per[1])
-
-
-def _floor_ratio(x0: int, y0: int, x1: int, y1: int, d: int) -> int:
-    """``floor((x0 + y0*sqrt(d)) / (x1 + y1*sqrt(d)))`` for integer rows, the
-    second nonzero and d = 0 on a rational level: the first row times the
-    conjugate of the second over its norm, one ``scalars._floor``."""
-    norm = x1 * x1 - d * y1 * y1
-    sgn = 1 if norm > 0 else -1
-    return scalars._floor(sgn * (x0 * x1 - d * y0 * y1), sgn * (y0 * x1 - x0 * y1), sgn * norm, d)
+    return _Rows(d, D, *step, *per, *scalars._mod(x, y, *per, d))
 
 
 def _records(rows: _Rows, count: int) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
@@ -166,12 +156,12 @@ def _records(rows: _Rows, count: int) -> tuple[tuple[int, int, int], tuple[int, 
     for 0 <= j <= a_k.  A rational expansion is made to end on an even k, as
     [..., a - 1, 1], so that the return to the start is a t_n record.
     """
-    d = rows.d or 0  # a rational level has no sqrt terms
+    d = rows.d
     prev, last = (0, rows.a2, rows.b2), (1, rows.a1, rows.b1)
     odd = True  # prev, g_k-2, is on the per - t_n side
     while last[1] or last[2]:
         (q0, x0, y0), (q1, x1, y1) = prev, last
-        a = _floor_ratio(x0, y0, x1, y1, d)
+        a = scalars._floor_ratio(x0, y0, x1, y1, d)
         if odd and (x0, y0) == (a * x1, a * y1):
             a -= 1
         # g_k takes the place of g_k-2 on its side, unless the count cuts it
@@ -221,6 +211,8 @@ def _positions(
     are checked at the call, and the walk runs as the positions are read, one
     at a time (``atfkit orbit --dump`` writes the text ``scalars._text`` of
     each row as it comes)."""
+    if type(count) is not int:
+        raise ValueError("count must be an integer")
     rows = _rows(params, h, s0)
     if count < 0:
         raise ValueError("count must be nonnegative")
@@ -243,6 +235,8 @@ def classify_level(
     form): the first ``n_checked`` iterates are verified pairwise distinct.
     A failed check raises ``VerificationError``.
     """
+    if type(n_checked) is not int:
+        raise ValueError("n_checked must be an integer")
     if n_checked < 0:
         raise ValueError("n_checked must be nonnegative")
     h = qf(h)
@@ -280,6 +274,8 @@ def gap_values(params: ConstructionParams, h: ScalarLike, count: int) -> list[QF
     1 <= n < count, read from the continued fraction by ``_records``,
     the gaps are t_u, per - t_v and, when u + v > count, their sum.
     """
+    if type(count) is not int:
+        raise ValueError("count must be an integer")
     rows = _rows(params, h)
     if count < 2:
         raise ValueError("need at least two positions for gaps")
@@ -323,6 +319,10 @@ def equidistribution_stats(
     O(log n) big-integer steps of ``bins`` fields each, and no pass over the
     n positions.
     """
+    if type(bins) is not int:
+        raise ValueError("bin count must be an integer")
+    if type(n) is not int:
+        raise ValueError("sample count must be an integer")
     if bins < 1:
         raise ValueError("need at least one bin")
     if n < 0:
@@ -332,14 +332,14 @@ def equidistribution_stats(
     d, _, a1, b1, a2, b2, _, _ = _rows(params, h)
     if a1 * b2 == a2 * b1:
         raise ValueError("equidistribution statistics need an irrational level")
-    m = _floor_ratio(bins * a1, bins * b1, a2, b2, d)
+    m = scalars._floor_ratio(bins * a1, bins * b1, a2, b2, d)
     # pass 1, beta's continued fraction on rows from g_-1 = per and
     # g_0 = bins*step - m*per: the repeats r_k and lengths |s_k|, up to the
     # first word longer than n - 2 (a_1 = 1 makes |s_1| = |s_0| = 1)
     g0, g1 = (a2, b2), (bins * a1 - m * a2, bins * b1 - m * b2)
     reps, lens, skip = [], [1, 1], 1
     while lens[-1] <= n - 2:
-        a = _floor_ratio(*g0, *g1, d)
+        a = scalars._floor_ratio(*g0, *g1, d)
         reps.append(a - skip)
         lens.append((a - skip) * lens[-1] + lens[-2])
         g0, g1, skip = g1, (g0[0] - a * g1[0], g0[1] - a * g1[1]), 0
@@ -381,22 +381,15 @@ def equidistribution_stats(
     return counts if sys.byteorder == "little" else counts[::-1]
 
 
-def rho_monotone_check(params: ConstructionParams, grid_size: int) -> bool:
+def rho_monotone_check(params: ConstructionParams) -> bool:
     """Certify that rho is strictly decreasing in h on [0, c - eps].
 
-    Checks the exact sign of the derivative numerator (rho decreases
-    everywhere iff 4c < a + b) and confirms strict decrease on a grid of
-    ``grid_size`` levels.
+    With P(h) = 2(a + b) - c - 7h the level perimeter, positive on that
+    range, rho(h) = (c - h)/P(h) has derivative (8c - 2(a + b)) / P(h)^2,
+    so rho strictly decreases exactly when 4c < a + b: the sign test is the
+    proof.  ``check_shape`` already gives 4c < 2b <= a + b.
     """
-    if grid_size < 2:
-        raise ValueError("grid needs at least two levels")
-    symbolic = (params.a + params.b - 4 * params.c).sign() > 0
-    top = params.c - params.eps
-    values = [
-        rotation_number(params, top * i / (grid_size - 1)) for i in range(grid_size)
-    ]
-    on_grid = all(values[i] > values[i + 1] for i in range(grid_size - 1))
-    return symbolic and on_grid
+    return (params.a + params.b - 4 * params.c).sign() > 0
 
 
 __all__ = [

@@ -65,8 +65,8 @@ coordinates of ``atfkit.orbits`` and, at h = 0, the polygon's own
 ``point_to_arc`` read the same rows, so no rotation or level coordinate
 builds a level polygon.  An arc of a point on edge i is prefix + lambda
 (+ the advance) as one integer pair; it is reduced modulo the perimeter by
-one exact floor of its quotient (``_mod``), and its edge is found by sign
-tests on the prefixes.  The pass takes and gives point rows
+one exact floor of its quotient (``scalars._mod``), and its edge is found by
+sign tests on the prefixes.  The pass takes and gives point rows
 (``_arc_pair``, ``_arc_point``, the advance an integer quadruple), so the
 map self-check runs it with no ``Point``; ``_advance`` runs it from the
 point row of ``_locate`` or from arc 0, and builds the one ``Point`` of a
@@ -97,7 +97,7 @@ from .plane import (
     dot,
     move,
 )
-from .scalars import ZERO, QField, ScalarLike, _floor, _merge_radicand, _over, _reduced, _sign, qf
+from .scalars import ZERO, QField, ScalarLike, _merge_radicand, _mod, _over, _reduced, _sign, qf
 
 @dataclass(frozen=True)
 class Edge:
@@ -364,7 +364,7 @@ class Polygon:
         is <n, x> = h - k with h - k over L*H for h = (Ah + Bh*sqrt(d))/H;
         the start vertex of alive edge j is corner j, where alive edges
         j - 1 and j meet, one ``_solve`` of their shifted rows over L*H*det,
-        and D = lcm(L*H*|det|) puts every corner over one denominator.  An
+        and D = lcm(L*H*det) puts every corner over one denominator.  An
         edge's length is the difference of its end corners divided by the
         first nonzero entry of its direction.
 
@@ -636,10 +636,12 @@ def _line_rows(lines: Sequence) -> tuple[tuple[tuple[int, int, int, int], ...], 
 def _solve(r0: tuple[int, ...], r1: tuple[int, ...]) -> tuple[int, int, int, int, int]:
     """Cramer's rule for two integer rows (u, v, a, b), each the line
     u*x1 + v*x2 = a + b*sqrt(d): ``(X, Xs, Y, Ys, det)`` for the meeting point
-    x1 = (X + Xs*sqrt(d)) / det, x2 = (Y + Ys*sqrt(d)) / det; det is 0 when
-    the lines are parallel."""
+    x1 = (X + Xs*sqrt(d)) / det, x2 = (Y + Ys*sqrt(d)) / det with det >= 0;
+    det is 0 when the lines are parallel."""
     (u0, v0, a0, b0), (u1, v1, a1, b1) = r0, r1
     det = u0 * v1 - v0 * u1
+    if det < 0:  # the rows swapped solve the same system over -det
+        (u0, v0, a0, b0), (u1, v1, a1, b1), det = r1, r0, -det
     return a0 * v1 - a1 * v0, b0 * v1 - b1 * v0, a1 * u0 - a0 * u1, b1 * u0 - b0 * u1, det
 
 
@@ -658,24 +660,9 @@ def _meeting(rp: tuple, ri: tuple, rq: tuple, L: int) -> tuple[tuple[int, int, i
     )
     if not det:
         return None
-    if det < 0:
-        X, Xs, Y, Ys, det = -X, -Xs, -Y, -Ys, -det
     M = L * det
     t = (ui * X + vi * Y + Ai * det, ui * Xs + vi * Ys + Bi * det, M)
     return t, (X, Xs, M), (Y, Ys, M)
-
-
-def _mod(a: int, b: int, pa: int, pb: int, d: int | None) -> tuple[int, int]:
-    """(a + b*sqrt(d)) modulo (pa + pb*sqrt(d)) > 0, by ``scalars._floor`` of
-    the quotient, whose denominator is the norm pa^2 - pb^2*d."""
-    if d is None:
-        # kept: every rotation takes this case, and through _floor it cost 2-5 % per recurrence item
-        q = a // pa
-    else:
-        N = pa * pa - pb * pb * d
-        s = 1 if N > 0 else -1
-        q = _floor(s * (a * pa - b * pb * d), s * (b * pa - a * pb), s * N, d)
-    return a - q * pa, b - q * pb
 
 
 def _loop_area_twice(loop: Sequence[Point]) -> QField:

@@ -55,7 +55,7 @@ from dataclasses import dataclass, field, replace
 from .diagram import BaseDiagram
 from .plane import LatticeVector, Point, UnimodularAffineMap, _row, _row_point, dot
 from .polygon import ConstructionParams, Polygon, _blowup_corners, _line_rows
-from .scalars import QField, ScalarLike, _merge_radicand, _over, _reduced, _sign, qf
+from .scalars import QField, ScalarLike, _divide, _merge_radicand, _over, _reduced, _sign, qf
 
 
 class VerificationError(ValueError):
@@ -187,13 +187,13 @@ def _advance_of(taper: tuple, h: QField) -> tuple[int, int, int, int | None]:
 
     With h = (a + b*sqrt(d)) / N in normal form, c - h is a pair over
     M = E*N, and two sign tests against eps over M pick the case.  The taper
-    (c - h)(c - h + eps) / (2 eps) divides by eps through its conjugate,
-    which leaves the denominator 2*M*N*Q for Q the norm of eps; numerator
-    and denominator are multiplied by Q once more, so that the denominator
-    is positive whatever the sign of Q.  Of the four values h, c, c - h and
-    eps, only h can carry a radicand other than that of c and eps,
-    and ``QField`` arithmetic meets them first in c - h or in its
-    comparison with eps, so that pair is refused first, h's named first.
+    (c - h)(c - h + eps) / (2 eps) is the row (c - h)(c - h + eps) over M^2
+    divided by eps over E, one ``scalars._divide``, which leaves the
+    denominator 2*M*N*Q for Q > 0, the norm of eps or eps itself when it
+    is rational.  Of the four values h, c, c - h and eps, only h can carry
+    a radicand other than that of c and eps, and ``QField`` arithmetic
+    meets them first in c - h or in its comparison with eps, so that pair
+    is refused first, h's named first.
     ``rotation_amount`` reduces the quadruple; ``apply_phi_iter`` multiplies
     it by n and hands it to ``Polygon._advance``.
     """
@@ -204,12 +204,10 @@ def _advance_of(taper: tuple, h: QField) -> tuple[int, int, int, int | None]:
         return Ga, Gb, M, d if Gb else None
     if _sign(-Ga - ea, -Gb - eb, d) >= 0:  # identity from c + eps on
         return 0, 0, 1, None
-    s = d or 0
     # (c - h)(c - h + eps) over M^2
-    Ka, Kb = Ga * (Ga + ea) + Gb * (Gb + eb) * s, Ga * (Gb + eb) + Gb * (Ga + ea)
-    Q = Ea * Ea - Eb * Eb * s
-    A, B = (Ka * Ea - Kb * Eb * s) * Q, (Kb * Ea - Ka * Eb) * Q
-    return A, B, 2 * M * N * Q * Q, d if B else None
+    Ka, Kb = Ga * (Ga + ea) + Gb * (Gb + eb) * (d or 0), Ga * (Gb + eb) + Gb * (Ga + ea)
+    A, B, Q = _divide(Ka, Kb, Ea, Eb, d)
+    return A, B, 2 * M * N * Q, d if B else None
 
 
 def build_recurrence_map(source: BaseDiagram, verify: bool = True) -> RecurrenceMap:

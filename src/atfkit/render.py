@@ -166,8 +166,6 @@ def _strip_region(poly: Polygon, strip: StripShear) -> list[tuple[Coord, Coord]]
         if signs[i] * signs[(i + 1) % len(pts)] < 0:
             eu, ev, EA, EB = rows[i]
             X, Xs, Y, Ys, det = _solve((eu, ev, -EA, -EB), (u, v, A, B))
-            if det < 0:
-                X, Xs, Y, Ys, det = -X, -Xs, -Y, -Ys, -det
             out.append(((X, Xs, L * det, d), (Y, Ys, L * det, d)))
     return out
 

@@ -20,10 +20,21 @@ from its pairs, and ``_align`` for the operators.  Each binary operator
 reads its other operand through ``_operand``, so a rational is the
 ``B = 0`` case of its one integer rule.
 
+Those passes and the operators share one rule per operation on integer
+rows ``x + y*sqrt(d)``, with ``d`` None on a rational row: ``_sign``, the
+exact sign; ``_floor``, the floor of a row over a positive denominator;
+``_divide``, one row over another through the conjugate of the second;
+``_floor_ratio``, the floor of that ratio, for the steps of a continued
+fraction; and ``_mod``, one row modulo another, for arcs modulo a
+perimeter and orbit starts.
+
 The canonical text form is ``p/q`` for rationals and ``p/q+r/s*sqrt(d)``
 (or ``p/q-r/s*sqrt(d)``) otherwise, with both fractions in lowest terms
-and positive denominators.  ``parse_scalar`` and ``format_scalar`` round
-trip bit-exactly on this grammar.
+and positive denominators.  ``format_scalar`` prints any value, and
+``parse_scalar`` refuses an integer of more than ``DIGIT_BOUND = 4300``
+digits (the interpreter's default limit on int-to-str conversion) before
+converting any, so the two round trip bit-exactly on this grammar for
+every value whose integers have at most that many digits.
 """
 
 from __future__ import annotations
@@ -38,6 +49,7 @@ from typing import Union
 Rational = Union[int, Fraction]
 
 RADICAND_BOUND = 2**32
+DIGIT_BOUND = 4300
 
 _SCALAR_RE = re.compile(
     r"^(?P<rat>[+-]?\d+(?:/\d+)?)?"
@@ -410,19 +422,15 @@ def _align(v1: tuple, v2: tuple) -> tuple:
 
 
 def _quotient(v1: tuple, v2: tuple) -> QField:
-    """``v1 / v2`` through the conjugate of ``v2``, whose norm
-    A2^2 - B2^2 d is 0 exactly when ``v2`` is: d is square-free."""
+    """``v1 / v2``: the quotient of the two rows by ``_divide``, times D2/D1."""
     A1, B1, D1, d = v1
     A2, B2, D2, d2 = v2
     if d != d2 and d2 is not None:
         d = _merge_radicand(d, d2)
-    e = d or 0
-    N = A2 * A2 - B2 * B2 * e
+    A, B, N = _divide(A1, B1, A2, B2, d)
     if not N:
         raise ZeroDivisionError("division by zero scalar")
-    if N < 0:
-        N, D2 = -N, -D2
-    return _reduced((A1 * A2 - B1 * B2 * e) * D2, (B1 * A2 - A1 * B2) * D2, D1 * N, d)
+    return _reduced(A * D2, B * D2, D1 * N, d)
 
 
 def qf(value: "QField | Rational | str") -> QField:
@@ -463,6 +471,37 @@ def _floor(A: int, B: int, D: int, d: int | None) -> int:
     return (A + t) // D if B > 0 else (A - t - 1) // D
 
 
+def _divide(x0: int, y0: int, x1: int, y1: int, d: int | None) -> tuple[int, int, int]:
+    """``(A, B, N)`` with ``(A + B*sqrt(d)) / N = (x0 + y0*sqrt(d)) / (x1 + y1*sqrt(d))``
+    and N >= 0, not in lowest terms: the first row times the conjugate of
+    the second over its norm x1^2 - y1^2*d, which is 0 exactly when the
+    second row is (d is square-free).  A rational second row needs no
+    conjugate: the first row goes over it as it is."""
+    if not y1:
+        return (x0, y0, x1) if x1 >= 0 else (-x0, -y0, -x1)
+    A, B, N = x0 * x1 - y0 * y1 * d, y0 * x1 - x0 * y1, x1 * x1 - y1 * y1 * d
+    return (A, B, N) if N > 0 else (-A, -B, -N)
+
+
+def _floor_ratio(x0: int, y0: int, x1: int, y1: int, d: int | None) -> int:
+    """``floor((x0 + y0*sqrt(d)) / (x1 + y1*sqrt(d)))`` for integer rows, the
+    second positive: the rule of ``_divide`` written out, so that a step of a
+    continued fraction is one call, and one ``_floor``."""
+    if d is None:
+        return x0 // x1
+    norm = x1 * x1 - d * y1 * y1
+    sgn = 1 if norm > 0 else -1
+    return _floor(sgn * (x0 * x1 - d * y0 * y1), sgn * (y0 * x1 - x0 * y1), sgn * norm, d)
+
+
+def _mod(a: int, b: int, pa: int, pb: int, d: int | None) -> tuple[int, int]:
+    """(a + b*sqrt(d)) modulo (pa + pb*sqrt(d)) > 0, by ``_floor_ratio``."""
+    # a rational row skips the call: every level rotation takes this case,
+    # and the call cost 2-5 % per recurrence item
+    q = a // pa if d is None else _floor_ratio(a, b, pa, pb, d)
+    return a - q * pa, b - q * pb
+
+
 def _parse_ratio(text: str) -> tuple[int, int]:
     num, _, den = text.partition("/")
     n, m = int(num), int(den) if den else 1
@@ -478,6 +517,8 @@ def parse_scalar(text: str) -> QField:
     Integer shorthand without an explicit denominator is also accepted.
     """
     s = text.strip()
+    if len(s) > DIGIT_BOUND and max(map(len, re.split(r"\D+", s))) > DIGIT_BOUND:
+        raise ValueError(f"scalar has an integer of more than {DIGIT_BOUND} digits")
     match = _SCALAR_RE.match(s)
     if match is None or not s:
         raise ValueError(f"malformed scalar {text!r}")
@@ -503,13 +544,22 @@ def format_scalar(x: "QField | Rational") -> str:
 def _text(A: int, B: int, D: int, d: int | None) -> str:
     """The canonical text of ``(A + B*sqrt(d)) / D`` for integers with
     ``D > 0``: each fraction is put in lowest terms, so the row need not be
-    reduced."""
+    reduced.  An integer past the interpreter's limit on int-to-str
+    conversion (``sys.get_int_max_str_digits``) is printed by ``Decimal``,
+    which converts from the binary digits and has no limit."""
     g = gcd(A, D)
-    out = f"{A // g}/{D // g}"
-    if B:
-        g = gcd(B, D)
-        out += f"{'+' if B > 0 else '-'}{abs(B) // g}/{D // g}*sqrt({d})"
-    return out
+    try:
+        out = f"{A // g}/{D // g}"
+        if B:
+            g = gcd(B, D)
+            out += f"{'+' if B > 0 else '-'}{abs(B) // g}/{D // g}*sqrt({d})"
+        return out
+    except ValueError:
+        from decimal import Decimal
+
+        g, h = gcd(A, D), gcd(B, D)
+        tail = f"{Decimal(B // h):+}/{Decimal(D // h)}*sqrt({d})" if B else ""
+        return f"{Decimal(A // g)}/{Decimal(D // g)}{tail}"
 
 
 ZERO = QField(0)

@@ -279,11 +279,11 @@ def check_irrational_level(rng: random.Random) -> tuple[bool, str]:
 
 
 def check_rho_monotone(rng: random.Random) -> tuple[bool, str]:
-    if not rho_monotone_check(DEFAULT_PARAMS, 50):
+    if not rho_monotone_check(DEFAULT_PARAMS):
         return False, "default parameters failed"
     for _ in range(4):
         params = random_params(rng)
-        if not rho_monotone_check(params, 25):
+        if not rho_monotone_check(params):
             return False, f"parameters {params} failed"
     return True, "rotation number strictly decreasing, certificate signs agree"
 

@@ -22,7 +22,7 @@ from atfkit import ConstructionParams, LatticeVector, Point, QField, qf
 from atfkit import orbits, scalars
 from atfkit.diagram import build_pi0
 from atfkit.plane import _row, as_point, cross, delta, dot, lex_less, move, primitive
-from atfkit.polygon import Edge, Polygon, _line_rows, _passes, build_blowup_polygon
+from atfkit.polygon import Edge, Polygon, _line_rows, _passes
 from atfkit.recurrence import VerificationError, apply_rounds
 
 
@@ -307,13 +307,9 @@ def constructed_level_set(self: Polygon, h) -> Polygon:
 # The map self-check that ``atfkit.recurrence`` had before it ran on point
 # rows, kept verbatim (only the names differ, and ``Polygon._advance`` now
 # takes the sample's point row and the advance's integers) as the oracle for
-# that grid: a level polygon per level, samples by ``move``, and every sample
-# through ``apply_rounds`` and ``Polygon._advance`` as a ``Point``.
-
-
-def level_samples(level: Polygon) -> list[Point]:
-    halves = [move(v, e.direction, e.length / 2) for v, e in zip(level.vertices, level.edges)]
-    return list(level.vertices) + halves
+# that grid: a level polygon per level, its vertices and edge midpoints
+# (``edge_samples``), and every sample through ``apply_rounds`` and
+# ``Polygon._advance`` as a ``Point``.
 
 
 def point_verify_rounds(rm) -> None:
@@ -327,7 +323,7 @@ def point_verify_rounds(rm) -> None:
         n, view = len(level.edges), advance and poly._arc_view(h)
         # sample j is a vertex or an edge midpoint of level edge j mod n,
         # which is edge view[0][j mod n] of the polygon, the view's alive edge
-        for j, pt in enumerate(level_samples(level)):
+        for j, pt in enumerate(edge_samples(level, 1)):
             expected = poly._advance(view, view[0][j % n], advance._v, *_row(pt, view[4])) if advance else pt
             got = apply_rounds(rm, pt)
             if got == expected:
@@ -391,6 +387,20 @@ def floor_sum_histogram(params: ConstructionParams, h, n: int, bins: int) -> lis
     total = floor_sum(n, rho, qf(0)) + n
     below = [0] + [total - floor_sum(n, rho, 1 - Fraction(j, bins)) for j in range(1, bins)] + [n]
     return [below[j + 1] - below[j] for j in range(bins)]
+
+
+# The grid half of ``orbits.rho_monotone_check`` before its sign test alone
+# became the proof, kept verbatim (only the name differs, and the grid
+# size check is left out) as the oracle for that proof: rho strictly
+# decreasing on ``grid_size`` evenly spaced levels of [0, c - eps].
+
+
+def rho_decreases_on_grid(params: ConstructionParams, grid_size: int) -> bool:
+    top = params.c - params.eps
+    values = [
+        orbits.rotation_number(params, top * i / (grid_size - 1)) for i in range(grid_size)
+    ]
+    return all(values[i] > values[i + 1] for i in range(grid_size - 1))
 
 
 # The arc-origin scan that ``Polygon`` had before it took the base vertex
@@ -521,16 +531,6 @@ def stuck_records(rows, count: int) -> tuple:
     """The ``orbits._records`` of a broken walk that stays at its start, for
     certificate tests: t_1 = 0, and per - t_1 = per."""
     return (1, 0, 0), (1, rows.a2, rows.b2)
-
-
-@pytest.fixture
-def default_params() -> ConstructionParams:
-    return ConstructionParams(4, 2, qf("1/2"), qf("1/8"))
-
-
-@pytest.fixture
-def default_polygon(default_params) -> Polygon:
-    return build_blowup_polygon(default_params)
 
 
 # nesting far beyond the JSON parser's recursion limit

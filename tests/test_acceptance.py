@@ -12,7 +12,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
-from conftest import edge_samples
+from conftest import edge_samples, rho_decreases_on_grid
 
 from atfkit.classify import check_applicable
 from atfkit.diagram import BaseDiagram, BranchCut, build_pi0, cut_transfer, nodal_trade
@@ -165,7 +165,7 @@ def test_criterion_08_rotation_number_decreasing():
     with criterion(8, "rotation number strictly decreasing in the level"):
         for params in [BASE_PARAMS] + [random_params(rng) for _ in range(10)]:
             assert (params.a + params.b - 4 * params.c).sign() > 0
-            assert rho_monotone_check(params, 100)
+            assert rho_monotone_check(params) and rho_decreases_on_grid(params, 100)
 
 
 def test_criterion_09_twist_class_enumeration():

@@ -6,7 +6,7 @@ level read; ``Polygon._advance`` moves a point along the level in one
 integer pass over those rows; the level rotations, the level
 coordinates and ``arc_to_point`` (the pass from arc 0) all call it, no
 level polygon is built for them, and every arc is reduced modulo the
-perimeter by ``_mod``.  The ``QField`` path they replaced (the prefix
+perimeter by ``scalars._mod``.  The ``QField`` path they replaced (the prefix
 tuple, ``point_to_arc``, ``arc_to_point`` and ``_advance`` on a level
 polygon) is kept verbatim in ``conftest`` as the oracle; the oracles below
 compose it the way the public functions did.  Values, error types and
@@ -39,7 +39,7 @@ from conftest import (
 from atfkit.diagram import build_pi0
 from atfkit.orbits import LevelCoordinate, from_level_coordinate, to_level_coordinate
 from atfkit.plane import Point, _row, move
-from atfkit.polygon import ConstructionParams, Polygon, _mod, catalog, centered_rectangle
+from atfkit.polygon import ConstructionParams, Polygon, catalog, centered_rectangle
 from atfkit.recurrence import (
     apply_phi,
     apply_phi_iter,
@@ -47,7 +47,7 @@ from atfkit.recurrence import (
     rotate_on_level,
     rotation_amount,
 )
-from atfkit.scalars import QField, floor, qf
+from atfkit.scalars import QField, _mod, floor, qf
 from atfkit.verify import random_interior_point, random_params, random_unimodular
 
 ITERATES = (-3, 0, 1, 2, 7, 10**6)

@@ -94,6 +94,7 @@ def test_orbit_requires_the_level_flag(capsys):
     [
         "0/1+1/1000000000000*sqrt(1000000000000000003)",  # radicand above the 2**32 cap
         "1/0",
+        "1/" + "9" * 4301,  # an integer above the scalar digit bound
     ],
 )
 def test_orbit_rejects_hostile_levels_fast(capsys, level):
@@ -103,6 +104,20 @@ def test_orbit_rejects_hostile_levels_fast(capsys, level):
     capsys.readouterr()
     assert code == 2
     assert elapsed < 1.0
+
+
+def test_orbit_prints_scalars_past_the_int_to_str_limit(capsys):
+    # a = 111...1 (4,000 digits): rho's integers are past the 4,300 digits
+    # that str() of an int converts by default
+    code, stdout, stderr = run(
+        capsys, "orbit", "--a", "1" * 4000 + "/1", "--b", "3", "--c", "1/2", "--eps", "1/8",
+        "--h", "0/1+1/8*sqrt(2)", "--n", "10",
+    )
+    assert code == 0 and stderr == ""
+    report = json.loads(stdout)
+    params = ConstructionParams(qf("1" * 4000), 3, qf("1/2"), qf("1/8"))
+    assert report["rho"] == str(orbits.rotation_number(params, qf("0/1+1/8*sqrt(2)")))
+    assert len(report["rho"]) > 8000 and report["kind"] == "irrational-certified"
 
 
 def test_orbit_long_period_exits_quickly():

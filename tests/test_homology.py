@@ -136,6 +136,9 @@ def test_twist_classes_empty_bound():
     assert find_twist_classes(0) == []
     with pytest.raises(ValueError):
         find_twist_classes(-1)
+    for bound in (2.5, 50.0, True):
+        with pytest.raises(ValueError, match="bound must be an integer"):
+            find_twist_classes(bound)
 
 
 def test_twist_class_areas():

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import floor_sum_histogram, stuck_records, walk_histogram
+from conftest import floor_sum_histogram, rho_decreases_on_grid, stuck_records, walk_histogram
 
 from atfkit import orbits
 from atfkit.orbits import (
@@ -173,6 +173,12 @@ def test_orbit_positions_reduce_the_seed():
 def test_orbit_positions_validation():
     with pytest.raises(ValueError):
         orbit_positions(PARAMS, qf("1/4"), -1)
+    for count in (2.5, 10.0, True, Fraction(10)):
+        with pytest.raises(ValueError, match="count must be an integer"):
+            orbit_positions(PARAMS, qf("1/4"), count)
+    # the count is checked first, before the level
+    with pytest.raises(ValueError, match="count must be an integer"):
+        orbit_positions(PARAMS, qf("7/16"), 5.0)
     with pytest.raises(ValueError):
         orbit_positions(PARAMS, qf("7/16"), 5)
 
@@ -233,6 +239,9 @@ def test_gaps_partial_periodic_orbit():
 def test_gap_values_need_two_points():
     with pytest.raises(ValueError):
         gap_values(PARAMS, qf("1/4"), 1)
+    for count in (2.5, 10.0, True):
+        with pytest.raises(ValueError, match="count must be an integer"):
+            gap_values(PARAMS, SQRT2_OVER_8, count)
 
 
 def test_gaps_sum_to_the_perimeter():
@@ -353,6 +362,11 @@ def test_long_period_is_proved_and_swept_to_n_checked():
     assert classify_level(PARAMS, qf("1/4"), n_checked=0).distinct_checked == 0
     with pytest.raises(ValueError):
         classify_level(PARAMS, qf("1/4"), n_checked=-1)
+    # a float count would be reported back as distinct_checked=2.5
+    for n_checked in (2.5, 10.0, True):
+        for h in (qf("1/4"), SQRT2_OVER_8):
+            with pytest.raises(ValueError, match="n_checked must be an integer"):
+                classify_level(PARAMS, h, n_checked=n_checked)
 
 
 def test_failed_certificates_raise_verification_error(monkeypatch):
@@ -409,6 +423,13 @@ def test_equidistribution_validation():
         equidistribution_stats(PARAMS, SQRT2_OVER_8, -1, 10)
     with pytest.raises(ValueError, match="below 2\\*\\*64"):
         equidistribution_stats(PARAMS, SQRT2_OVER_8, 2**64, 10)
+    # True was read as one bin, 10.0 samples raised TypeError
+    for n, bins in ((10, True), (10, 10.0), (10.0, 10), (2.5, 10), (True, 10)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            equidistribution_stats(PARAMS, SQRT2_OVER_8, n, bins)
+    # both are checked before the level
+    with pytest.raises(ValueError, match="bin count must be an integer"):
+        equidistribution_stats(PARAMS, qf("1/4"), 10, 10.0)
 
 
 # -- the histogram from the standard words of {bins*rho} ---------------------------
@@ -526,16 +547,11 @@ def test_histogram_of_a_trillion_positions_counts_them_all():
 
 def test_rho_monotone_on_random_parameters():
     rng = random.Random(52)
-    assert rho_monotone_check(PARAMS, 100)
+    assert rho_monotone_check(PARAMS) and rho_decreases_on_grid(PARAMS, 100)
     for _ in range(6):
         params = random_params(rng)
         assert (params.a + params.b - 4 * params.c).sign() > 0
-        assert rho_monotone_check(params, 25)
-
-
-def test_rho_monotone_grid_validation():
-    with pytest.raises(ValueError):
-        rho_monotone_check(PARAMS, 1)
+        assert rho_monotone_check(params) and rho_decreases_on_grid(params, 25)
 
 
 # -- level coordinates -----------------------------------------------------------------

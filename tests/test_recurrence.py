@@ -9,7 +9,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from conftest import edge_samples, level_samples, outcome, point_verify_rounds
+from conftest import edge_samples, outcome, point_verify_rounds
 
 from atfkit import recurrence
 from atfkit.diagram import BaseDiagram, build_pi0
@@ -333,7 +333,7 @@ def test_verification_error_names_a_moved_point_above_the_taper(monkeypatch):
         _verify_rounds(rm)
     err = caught.value
     h, p, got = err.level, err.point, err.got
-    assert h == high and p in level_samples(poly.level_set(high))
+    assert h == high and p in edge_samples(poly.level_set(high), 1)
     assert err.expected == p and got == move(p, LatticeVector(0, 1), qf(1))
     assert str(err) == (
         f"round composite moved a point on level {h}: ({p.x1}, {p.x2}) -> ({got.x1}, {got.x2})"
@@ -348,7 +348,7 @@ def test_verification_error_names_level_point_and_both_images():
         _verify_rounds(crooked)
     err = caught.value
     h, p, got, expected = err.level, err.point, err.got, err.expected
-    assert h == 0 and p in level_samples(rm.polygon)
+    assert h == 0 and p in edge_samples(rm.polygon, 1)
     assert got == apply_rounds(crooked, p) != expected
     assert expected == rotate_on_level(rm.polygon, h, rm.params.c - h, p) == apply_rounds(rm, p)
     assert str(err) == (
@@ -576,7 +576,7 @@ def shear_cases():
         levels = [(c - eps) * Fraction(k, 3) for k in range(3)]
         levels += [(c + eps + top) / 2, (c - eps) / 2 + QField(0, Fraction(1, 500), 2),
                    (c - eps) / 3 + QField(0, Fraction(1, 700), 3)]
-        points = [p for h in levels for p in level_samples(poly.level_set(h))]
+        points = [p for h in levels for p in edge_samples(poly.level_set(h), 1)]
         cases.append((rm, points + strip_points(rm)))
     return cases
 
@@ -617,7 +617,7 @@ def test_rows_follow_the_rounds_of_a_replaced_map():
         other = replace(rm, rounds=moved)
         assert other != rm and repr(other) != repr(rm)
         poly, c, eps = rm.polygon, rm.params.c, rm.params.eps
-        points = [p for k in range(3) for p in level_samples(poly.level_set((c - eps) * k / 3))]
+        points = [p for k in range(3) for p in edge_samples(poly.level_set((c - eps) * k / 3), 1)]
         changed = 0
         for p in points + strip_points(other):
             want = oracle_rounds(moved, p)

@@ -18,6 +18,7 @@ import mpmath
 import pytest
 
 from atfkit.scalars import (
+    DIGIT_BOUND,
     ONE,
     ZERO,
     QField,
@@ -405,6 +406,46 @@ def test_str_and_repr():
     assert str(v) == "1/2-1/3*sqrt(7)"
     assert repr(v) == "QField('1/2-1/3*sqrt(7)')"
     assert str(ZERO) == "0/1"
+
+
+def test_str_and_repr_print_integers_past_the_int_to_str_limit():
+    # str() of an int stops at sys.get_int_max_str_digits() (4300 by default)
+    p = 10**9999 + 7  # 10,000 digits
+    digits = "1" + "0" * 9998 + "7"
+    v = QField(Fraction(p, 3), Fraction(-p, 11), 2)
+    assert str(v) == f"{digits}/3-{digits}/11*sqrt(2)"
+    assert repr(v) == f"QField('{digits}/3-{digits}/11*sqrt(2)')"
+    assert format_scalar(QField(Fraction(-7, p))) == f"-7/{digits}"
+    # the square of the longest integer the grammar takes
+    x = parse_scalar("9" * DIGIT_BOUND)
+    square = str(x * x)
+    assert square.endswith("/1") and int(Decimal(square[:-2])) == (10**DIGIT_BOUND - 1) ** 2
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "9" * (DIGIT_BOUND + 1),
+        "-" + "0" * (DIGIT_BOUND + 1),
+        "1/" + "7" * (DIGIT_BOUND + 1),
+        "1/2+" + "3" * (DIGIT_BOUND + 1) + "*sqrt(2)",
+        "1/2+1/3*sqrt(" + "1" * (DIGIT_BOUND + 1) + ")",
+        "1" * (DIGIT_BOUND + 1) + "x",
+    ],
+)
+def test_parse_refuses_integers_past_the_digit_bound(text):
+    with pytest.raises(ValueError, match=f"integer of more than {DIGIT_BOUND} digits"):
+        parse_scalar(text)
+
+
+def test_parse_takes_integers_up_to_the_digit_bound():
+    text = f"-{'9' * DIGIT_BOUND}/1{'0' * (DIGIT_BOUND - 1)}+1/{'9' * DIGIT_BOUND}*sqrt(2)"
+    x = parse_scalar(text)
+    nine, power = 10**DIGIT_BOUND - 1, 10 ** (DIGIT_BOUND - 1)
+    assert x == QField(Fraction(-nine, power), Fraction(1, nine), 2)
+    assert format_scalar(x) == text
+    with pytest.raises(ValueError, match="malformed"):
+        parse_scalar(("1" * DIGIT_BOUND + "x") * 3)
 
 
 def test_float_conversion_is_close():
