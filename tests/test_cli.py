@@ -94,7 +94,7 @@ def test_orbit_requires_the_level_flag(capsys):
     [
         "0/1+1/1000000000000*sqrt(1000000000000000003)",  # radicand above the 2**32 cap
         "1/0",
-        "1/" + "9" * 4301,  # an integer above the scalar digit bound
+        pytest.param("1/" + "9" * 4301, id="an-integer-above-the-digit-bound"),
     ],
 )
 def test_orbit_rejects_hostile_levels_fast(capsys, level):

@@ -432,6 +432,7 @@ def test_str_and_repr_print_integers_past_the_int_to_str_limit():
         "1/2+1/3*sqrt(" + "1" * (DIGIT_BOUND + 1) + ")",
         "1" * (DIGIT_BOUND + 1) + "x",
     ],
+    ids=["integer", "zeros", "denominator", "sqrt-coefficient", "radicand", "malformed"],
 )
 def test_parse_refuses_integers_past_the_digit_bound(text):
     with pytest.raises(ValueError, match=f"integer of more than {DIGIT_BOUND} digits"):
