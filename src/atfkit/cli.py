@@ -24,7 +24,7 @@ from .orbits import _positions, classify_level, equidistribution_stats
 from .polygon import ConstructionParams, Polygon, catalog, catalog_names, check_shape
 from .recurrence import VerificationError, build_recurrence_map
 from .render import RenderStyle, render_svg
-from .scalars import _text, parse_scalar
+from .scalars import _check_digits, _digits, _text, parse_scalar
 from .verify import run_all
 
 # the largest --n and --bins that ``orbit`` accepts: it walks up to that
@@ -60,8 +60,10 @@ def _write_output(text: str, path: str | None) -> None:
 
 def _cmd_build(args: argparse.Namespace) -> int:
     params = ConstructionParams(args.a, args.b, args.c, args.eps)
-    diagram = build_pi0(params)
-    _write_output(diagram.to_json(), args.output)
+    text = build_pi0(params).to_json()
+    # nothing is written that render could not read back
+    _check_digits(text)
+    _write_output(text, args.output)
     return 0
 
 
@@ -74,7 +76,12 @@ def _cmd_orbit(args: argparse.Namespace) -> int:
         if value is not None and value > ORBIT_LIMIT:
             raise ValueError(f"{flag} {value} is above the limit {ORBIT_LIMIT}")
     params = ConstructionParams(args.a, args.b, args.c, args.eps)
-    text = json.dumps(classify_level(params, args.h, n_checked=args.n).to_json_obj(), indent=2)
+    report = classify_level(params, args.h, n_checked=args.n).to_json_obj()
+    # the report is flat, so each key is one line as json.dumps(indent=2)
+    # writes it; an int goes through _digits, which prints any length
+    text = "{\n" + ",\n".join(
+        f'  "{key}": {_digits(v) if type(v) is int else json.dumps(v)}' for key, v in report.items()
+    ) + "\n}"
     if args.bins is not None:
         # the counts go through json's C encoder, one a line as indent=2
         # would write them, spliced in as the report's last key

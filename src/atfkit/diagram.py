@@ -295,13 +295,10 @@ def _validate_diagram(diagram: BaseDiagram) -> None:
 
 def _loop_contains(loop: tuple[Point, ...], p: Point) -> bool:
     """Strict interior test for a simple (not necessarily convex) loop."""
-    n = len(loop)
-    for i in range(n):
-        if on_segment(p, loop[i], loop[(i + 1) % n]):
-            return False
     winding = 0
-    for i in range(n):
-        a, b = loop[i], loop[(i + 1) % n]
+    for a, b in zip(loop, loop[1:] + loop[:1]):
+        if on_segment(p, a, b):
+            return False
         if a.x2 <= p.x2:
             if b.x2 > p.x2 and orient(a, b, p) > 0:
                 winding += 1
@@ -323,12 +320,13 @@ def _loop_simple(loop: tuple[Point, ...]) -> bool:
 
 
 def _clean_loop_points(points: list[Point]) -> tuple[Point, ...]:
+    """The loop with repeated consecutive points dropped.  A sweep loop starts
+    at the node and ends on the trailing cut's first leg, never at the node,
+    so it has no closing repeat."""
     out: list[Point] = []
     for p in points:
         if not out or out[-1] != p:
             out.append(p)
-    if len(out) > 1 and out[0] == out[-1]:
-        out.pop()
     return tuple(out)
 
 

@@ -732,13 +732,13 @@ def build_blowup_polygon(params: ConstructionParams) -> Polygon:
     """The centered a-by-b rectangle with its bottom-right corner chopped
     at depth c: a five-edge Delzant polygon whose slanted edge has inward
     normal (-1, 1) and offset (a + b)/2 - c."""
-    return Polygon(_blowup_corners(params))
+    return Polygon(_blowup_corners(params.a, params.b, params.c))
 
 
-def _blowup_corners(params: ConstructionParams) -> tuple[Point, ...]:
+def _blowup_corners(a: QField, b: QField, c: QField) -> tuple[Point, ...]:
     """The five corners of ``build_blowup_polygon`` in closed form, from
     (-a/2, -b/2) counterclockwise."""
-    a, b, c = params.a / 2, params.b / 2, params.c
+    a, b = a / 2, b / 2
     return tuple(_point(x1, x2) for x1, x2 in ((-a, -b), (a - c, -b), (a, c - b), (a, b), (-a, b)))
 
 
@@ -791,7 +791,7 @@ def catalog(name: str) -> Polygon:
             raise ValueError("Blowup_S2xS2 needs a >= b > 0")
         if not (qf(0) < c <= b / 2):
             raise ValueError("Blowup_S2xS2 needs 0 < c <= b/2")
-        return centered_rectangle(a, b).corner_chop(1, c)
+        return Polygon(_blowup_corners(a, b, c))
     if head == "Blowup2_S2xS2":
         a, b = _catalog_args(name, args, 2)
         if not (a >= b and b.sign() > 0):

@@ -226,7 +226,7 @@ def build_recurrence_map(source: BaseDiagram, verify: bool = True) -> Recurrence
     if params is None:
         raise ValueError("recurrence map needs construction parameters")
     poly = source.polygon
-    if poly.vertices != _blowup_corners(params):
+    if poly.vertices != _blowup_corners(params.a, params.b, params.c):
         raise ValueError("source diagram polygon does not match the parameters")
     a, b, c = params.a, params.b, params.c
     if not any(

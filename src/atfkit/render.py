@@ -24,7 +24,7 @@ from .diagram import BaseDiagram
 from .plane import Point
 from .polygon import Polygon, _line_rows, _solve
 from .recurrence import StripShear
-from .scalars import QField, ScalarLike, _floor, _merge_radicand, _over, _sign, qf
+from .scalars import QField, ScalarLike, _digits, _floor, _merge_radicand, _over, _sign, qf
 
 
 _TEN20 = 10**20
@@ -52,7 +52,11 @@ def _decimal20(A: int, B: int, D: int, d: int | None) -> str:
     s = _sign(2 * (A - m * D) - D, 2 * B, d)
     if s > 0 or (not s and m & 1):
         m += 1
-    digits = str(abs(m)).rjust(21, "0")
+    try:
+        digits = str(abs(m))
+    except ValueError:  # past the interpreter's int-to-str limit
+        digits = _digits(abs(m))
+    digits = digits.rjust(21, "0")
     return f"{'-' if m < 0 else ''}{digits[:-20]}.{digits[-20:]}"
 
 

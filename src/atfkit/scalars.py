@@ -80,21 +80,6 @@ def _check_radicand(d: object) -> None:
         raise ValueError(f"radicand must be square-free, got {d}")
 
 
-def _ratio(x: Rational) -> tuple[int, int]:
-    """Numerator and positive denominator of ``x`` in lowest terms.
-
-    Only ints and Fractions are exact; a float, a bool or a decimal string
-    is a ``ValueError`` rather than a silently rounded value.
-    """
-    if type(x) is int:
-        return x, 1
-    if isinstance(x, Fraction):
-        return x.numerator, x.denominator
-    if isinstance(x, int) and not isinstance(x, bool):
-        return int(x), 1
-    raise ValueError(f"expected an exact int or Fraction, got {x!r}")
-
-
 def _normal(n1: int, d1: int, n2: int, d2: int, d: object) -> tuple:
     """Normal form of ``n1/d1 + n2/d2*sqrt(d)``, both fractions in lowest terms."""
     if not n2:
@@ -147,9 +132,15 @@ class QField:
     __slots__ = ("_v",)
 
     def __new__(cls, a: Rational = 0, b: Rational = 0, d: int | None = None) -> "QField":
-        # built in __new__, so calling __init__ again cannot rewrite a value
+        # built in __new__, so calling __init__ again cannot rewrite a value;
+        # a and b are read as operands, and only an int or a Fraction is
+        # exact: a float is refused rather than silently rounded
+        va, vb = _operand(a), _operand(b)
+        for x, v in ((a, va), (b, vb)):
+            if v is None or isinstance(x, QField):
+                raise ValueError(f"expected an exact int or Fraction, got {x!r}")
         self = _new(cls)
-        _set(self, _normal(*_ratio(a), *_ratio(b), d))
+        _set(self, _normal(va[0], va[2], vb[0], vb[2], d))
         return self
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -511,20 +502,26 @@ def _parse_ratio(text: str) -> tuple[int, int]:
     return n // g, m // g
 
 
+def _check_digits(text: str) -> None:
+    """Refuse a text holding an integer of more than ``DIGIT_BOUND`` digits,
+    before any is converted: ``parse_scalar`` reads no such integer back."""
+    if len(text) > DIGIT_BOUND and max(map(len, re.split(r"\D+", text))) > DIGIT_BOUND:
+        raise ValueError(f"scalar has an integer of more than {DIGIT_BOUND} digits")
+
+
 def parse_scalar(text: str) -> QField:
     """Parse the canonical scalar grammar (``p/q``, ``p/q+r/s*sqrt(d)``).
 
     Integer shorthand without an explicit denominator is also accepted.
     """
     s = text.strip()
-    if len(s) > DIGIT_BOUND and max(map(len, re.split(r"\D+", s))) > DIGIT_BOUND:
-        raise ValueError(f"scalar has an integer of more than {DIGIT_BOUND} digits")
+    if len(s) > DIGIT_BOUND:  # a shorter text skips the call
+        _check_digits(s)
+    # the pattern matches a non-empty string only when a group is non-empty
     match = _SCALAR_RE.match(s)
     if match is None or not s:
         raise ValueError(f"malformed scalar {text!r}")
     rat, sgn, coef, rad = match.group("rat", "sgn", "coef", "rad")
-    if rat is None and coef is None:
-        raise ValueError(f"malformed scalar {text!r}")
     n1, d1 = _parse_ratio(rat) if rat is not None else (0, 1)
     if coef is None:
         return _raw(n1, 0, d1, None)
@@ -545,8 +542,7 @@ def _text(A: int, B: int, D: int, d: int | None) -> str:
     """The canonical text of ``(A + B*sqrt(d)) / D`` for integers with
     ``D > 0``: each fraction is put in lowest terms, so the row need not be
     reduced.  An integer past the interpreter's limit on int-to-str
-    conversion (``sys.get_int_max_str_digits``) is printed by ``Decimal``,
-    which converts from the binary digits and has no limit."""
+    conversion is printed by ``_digits``."""
     g = gcd(A, D)
     try:
         out = f"{A // g}/{D // g}"
@@ -555,11 +551,21 @@ def _text(A: int, B: int, D: int, d: int | None) -> str:
             out += f"{'+' if B > 0 else '-'}{abs(B) // g}/{D // g}*sqrt({d})"
         return out
     except ValueError:
+        g, h = gcd(A, D), gcd(B, D)
+        tail = f"{'+' if B > 0 else '-'}{_digits(abs(B) // h)}/{_digits(D // h)}*sqrt({d})" if B else ""
+        return f"{_digits(A // g)}/{_digits(D // g)}{tail}"
+
+
+def _digits(n: int) -> str:
+    """The decimal text of any integer: ``str`` up to the interpreter's limit
+    on int-to-str conversion (``sys.get_int_max_str_digits``), ``Decimal``
+    past it, which converts from the binary digits and has no limit."""
+    try:
+        return str(n)
+    except ValueError:
         from decimal import Decimal
 
-        g, h = gcd(A, D), gcd(B, D)
-        tail = f"{Decimal(B // h):+}/{Decimal(D // h)}*sqrt({d})" if B else ""
-        return f"{Decimal(A // g)}/{Decimal(D // g)}{tail}"
+        return str(Decimal(n))
 
 
 ZERO = QField(0)

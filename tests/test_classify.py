@@ -1,5 +1,7 @@
 """The applicability screen and its exception families."""
 
+import json
+
 import pytest
 
 from atfkit.classify import check_applicable, monotone_test
@@ -115,3 +117,21 @@ def test_report_json_shapes():
         "max_F": "1/1",
         "exception_tag": "monotone",
     }
+
+
+def test_a_screen_failure_outside_every_family_is_tagged_none():
+    # the Hirzebruch trapezoid F_2: self-intersections 2, 0, -2, 0, so no
+    # edge is exceptional and no known family matches
+    poly = Polygon([(0, 0), (4, 0), (2, 1), (0, 1)])
+    assert [poly.self_intersection(i) for i in range(4)] == [2, 0, -2, 0]
+    report = check_applicable(poly)
+    assert (report.applicable, report.exception_tag, report.max_F) == (False, "none", qf("1/2"))
+
+
+def test_report_json_text():
+    report = check_applicable(catalog("Blowup_S2xS2(4,2,1/2)"))
+    assert report.to_json() == (
+        '{"applicable": true, "witness_edge": 1, "witness_length": "1/2", '
+        '"max_F": "1/1", "exception_tag": null}'
+    )
+    assert json.loads(report.to_json()) == report.to_json_obj()

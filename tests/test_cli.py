@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 import time
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
@@ -17,7 +18,7 @@ from atfkit import cli, orbits
 from atfkit.cli import ORBIT_LIMIT, main
 from atfkit.diagram import BaseDiagram, build_pi0
 from atfkit.polygon import ConstructionParams, catalog
-from atfkit.scalars import qf
+from atfkit.scalars import DIGIT_BOUND, qf
 
 
 def run(capsys, *argv):
@@ -49,6 +50,29 @@ def test_build_rejects_bad_parameters(capsys):
     code, _, stderr = run(capsys, "build", "--c", "2")
     assert code == 2
     assert stderr.startswith("error:")
+
+
+def test_build_refuses_integers_that_render_could_not_read_back(tmp_path, capsys):
+    # a = 4,300 nines is in the scalar grammar, but the node positions of
+    # pi0 then carry integers of 4,301 digits (x-coordinates over 16)
+    out = tmp_path / "big.json"
+    for argv in (["-o", str(out)], []):
+        code, stdout, stderr = run(capsys, "build", "--a", "9" * DIGIT_BOUND, *argv)
+        assert code == 2 and stdout == "" and not out.exists()
+        assert stderr == f"error: scalar has an integer of more than {DIGIT_BOUND} digits\n"
+
+
+@pytest.mark.parametrize("digits", [4290, DIGIT_BOUND - 1, DIGIT_BOUND])
+def test_what_build_writes_render_reads(tmp_path, capsys, digits):
+    built, svg = tmp_path / "big.json", tmp_path / "big.svg"
+    code, _, _ = run(capsys, "build", "--a", "9" * digits, "--b", "3", "-o", str(built))
+    if code == 0:
+        code, _, stderr = run(capsys, "render", str(built), "--levels", "1/4", "-o", str(svg))
+        assert code == 0 and stderr == ""
+        assert ET.fromstring(svg.read_text()).tag.endswith("svg")
+    else:
+        assert code == 2 and not built.exists()
+    assert (code == 0) == (digits < DIGIT_BOUND)
 
 
 # -- verify -----------------------------------------------------------------
@@ -118,6 +142,15 @@ def test_orbit_prints_scalars_past_the_int_to_str_limit(capsys):
     params = ConstructionParams(qf("1" * 4000), 3, qf("1/2"), qf("1/8"))
     assert report["rho"] == str(orbits.rotation_number(params, qf("0/1+1/8*sqrt(2)")))
     assert len(report["rho"]) > 8000 and report["kind"] == "irrational-certified"
+
+
+def test_orbit_prints_a_period_past_the_int_to_str_limit(capsys):
+    # a = 4,300 nines: the period, the denominator of rho, has 4,301 digits
+    code, stdout, stderr = run(capsys, "orbit", "--a", "9" * DIGIT_BOUND, "--h", "1/4", "--n", "10")
+    assert code == 0 and stderr == ""
+    report = json.loads(stdout, parse_int=str)
+    assert report["kind"] == "periodic" and report["distinct_checked"] == "10"
+    assert report["rho"].split("/")[1] == report["period"] and len(report["period"]) > DIGIT_BOUND
 
 
 def test_orbit_long_period_exits_quickly():

@@ -130,6 +130,15 @@ def test_bent_cut_is_allowed():
     ]
 
 
+def test_cut_joint_on_the_boundary_rejected():
+    # a joint at a corner or on an edge of the square touches the boundary
+    # before the cut ends
+    node = Node(pt(2, 2), LatticeVector(1, 1))
+    for path in ((pt(2, 2), pt(4, 4), pt(4, 0)), (pt(2, 2), pt(3, 3), pt(4, 3), pt(2, 0))):
+        with pytest.raises(ValueError, match="cut 0 leaves the polygon"):
+            BaseDiagram(SQUARE, (node,), (BranchCut(0, path),))
+
+
 def test_self_intersecting_cut_rejected():
     node = Node(pt(2, 2), LatticeVector(1, 1))
     loop = BranchCut(
@@ -263,6 +272,13 @@ def test_slide_target_on_anchor_rejected():
     diagram = traded_square(param=2)
     with pytest.raises(ValueError):
         nodal_slide(diagram, 0, pt(0, 0))
+
+
+def test_slide_onto_a_bent_cuts_interior_anchor_rejected():
+    node = Node(pt(2, 2), LatticeVector(1, 1))
+    diagram = BaseDiagram(SQUARE, (node,), (BranchCut(0, (pt(2, 2), pt(3, 3), pt(3, 0))),))
+    with pytest.raises(ValueError, match="slide target collides with the cut anchor"):
+        nodal_slide(diagram, 0, pt(3, 3))
 
 
 def test_slide_blocked_by_other_cut():

@@ -202,6 +202,28 @@ def test_classify_irrational_level():
     assert report.rho.r != 0  # the certificate: nonzero sqrt coefficient
 
 
+def test_periodic_exactly_on_rational_levels():
+    # for rational parameters h -> rho(h) = (c - h) / (2(a + b) - c - 7h) is
+    # a Moebius map with rational coefficients and determinant
+    # 8c - 2(a + b) != 0, so rho is rational exactly when h is: an oracle
+    # for the kind that reads no rows
+    rng = random.Random(33)
+    for _ in range(16):
+        params = random_params(rng)
+        a, b, c, eps = (x.as_fraction() for x in (params.a, params.b, params.c, params.eps))
+        assert 8 * c - 2 * (a + b) != 0
+        top = c - eps
+        levels = [qf(0), qf(top), qf(top * Fraction(rng.randint(1, 59), 60))]
+        for _ in range(3):
+            d = rng.choice([2, 3, 5, 6, 7, 10, 11])
+            root = QField(0, 1, d)
+            levels.append(top * root / (floor(root) + rng.randint(1, 5)))
+        for h in levels:
+            assert 0 <= h <= top
+            report = classify_level(params, h, n_checked=200)
+            assert (report.kind == "periodic") == h.is_rational(), (params, h)
+
+
 def test_report_json_shape():
     obj = classify_level(PARAMS, qf("1/4")).to_json_obj()
     assert obj == {

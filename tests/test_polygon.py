@@ -6,6 +6,7 @@ import json
 import math
 import pickle
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -97,6 +98,14 @@ def test_polygon_equality_and_hash():
     assert hash(UNIT_SQUARE) == hash(again)
     rotated = Polygon([(1, 0), (1, 1), (0, 1), (0, 0)])
     assert UNIT_SQUARE != rotated  # same set, different starting vertex
+    assert UNIT_SQUARE != object() and not UNIT_SQUARE == UNIT_SQUARE.vertices
+
+
+def test_polygons_are_immutable():
+    for name, value in (("vertices", ()), ("_schedule", None), ("extra", 1)):
+        with pytest.raises(AttributeError, match="Polygon is immutable"):
+            setattr(UNIT_SQUARE, name, value)
+    assert UNIT_SQUARE == Polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
 
 
 def test_blowup_polygon_frozen_vertices():
@@ -874,3 +883,22 @@ def test_catalog_rejects_bad_requests():
         catalog("Blowup_S2xS2(4,2,3/2)")  # c > b/2
     with pytest.raises(ValueError):
         catalog("Blowup2_S2xS2(2,4)")
+    for name in ("S2xS2(0,2)", "S2xS2(2,-1)"):
+        with pytest.raises(ValueError, match="S2xS2 needs positive sides"):
+            catalog(name)
+    with pytest.raises(ValueError, match=re.escape("Blowup_S2xS2 needs a >= b > 0")):
+        catalog("Blowup_S2xS2(2,4,1/2)")
+    with pytest.raises(ValueError, match=re.escape("Blowup_S2xS2 needs 0 < c <= b/2")):
+        catalog("Blowup_S2xS2(4,2,0)")
+
+
+def test_catalog_chopped_rectangle_is_the_construction_polygon():
+    # the catalog entry and the recurrence construction are one polygon,
+    # and c = b/2 (outside the construction's c < b/2) still chops inside
+    # both edges
+    for a, b, c in (("4", "2", "1/2"), ("5", "3", "1"), ("3/1+1/1*sqrt(2)", "3", "1/2+1/8*sqrt(2)")):
+        params = ConstructionParams(a, b, c, qf(c) / 4)
+        poly = catalog(f"Blowup_S2xS2({a},{b},{c})")
+        assert poly == build_blowup_polygon(params)
+        assert poly == centered_rectangle(a, b).corner_chop(1, c)
+    assert catalog("Blowup_S2xS2(4,2,1)") == centered_rectangle(4, 2).corner_chop(1, 1)

@@ -2,6 +2,7 @@
 
 import random
 import xml.etree.ElementTree as ET
+from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 from math import gcd, isqrt
 from pathlib import Path
@@ -160,6 +161,35 @@ def test_decimal20_of_an_unreduced_triple_is_that_of_the_reduced_one():
             assert _decimal20(k * A, k * B, k * D, dx) == expected
 
 
+def decimal_reference(x: QField) -> str:
+    """decimal20 of x, below 10^4320 in size, by the decimal module: x to
+    4,400 significant digits, then rounded half to even to 20 places."""
+    A, B, D, d = x._v
+    with localcontext() as ctx:
+        ctx.prec = 4400
+        value = Decimal(A) / Decimal(D)
+        if B:
+            value += Decimal(B) / Decimal(D) * Decimal(d).sqrt()
+        return f"{value.quantize(Decimal('1e-20'), rounding=ROUND_HALF_EVEN):f}"
+
+
+def test_decimal20_past_the_int_to_str_limit_matches_the_decimal_module():
+    # each scaled value x * 10^20 has more than the 4,300 digits that str()
+    # of an int converts by default
+    big = 10**4300
+    cases = [
+        qf(Fraction(big + 12345, 7)),
+        qf(Fraction(-big - 1, 3)),
+        qf(Fraction(2 * big + 1, 2 * 10**20)),  # a tie, rounded to the even digit
+        qf(Fraction(2 * big + 3, 2 * 10**20)),  # a tie, rounded up to the even digit
+        QField(Fraction(-big, 3), Fraction(big // 10**10, 11), 2),
+        QField(Fraction(big, 7), Fraction(-1, 3), 5),
+    ]
+    for x in cases:
+        assert 10**4300 < abs(x) * 10**20 < 10**4320
+        assert _decimal20(*x._v) == decimal20(x) == decimal_reference(x), x
+
+
 # -- style ----------------------------------------------------------------------
 
 
@@ -221,6 +251,18 @@ def test_strips_are_drawn_when_requested():
     rm = build_recurrence_map(build_pi0(PARAMS))
     svg = render_svg(rm.source_diagram, RenderStyle(strips=rm.rounds))
     assert svg.count('class="strip"') == 4
+
+
+def test_strips_that_miss_the_polygon_are_skipped():
+    # the polygon is -2 <= x <= 2, -1 <= y <= 1: a strip beyond it has no
+    # region, and one on the top edge's line meets it in that edge alone
+    rm = build_recurrence_map(build_pi0(PARAMS))
+    misses = (StripShear(LatticeVector(0, 1), qf(5)), StripShear(LatticeVector(0, 1), qf(1)))
+    for strip in misses:
+        assert len(_strip_region(rm.source_diagram.polygon, strip)) < 3
+    svg = render_svg(rm.source_diagram, RenderStyle(strips=misses + rm.rounds[:1]))
+    assert svg.count('class="strip"') == 1
+    assert svg == render_svg(rm.source_diagram, RenderStyle(strips=rm.rounds[:1]))
 
 
 def test_default_render_via_cli_entry():

@@ -10,6 +10,7 @@ import math
 import operator
 import pickle
 import random
+import re
 import sys
 from decimal import Decimal
 from fractions import Fraction
@@ -22,12 +23,17 @@ from atfkit.scalars import (
     ONE,
     ZERO,
     QField,
+    _check_digits,
+    _digits,
+    _operand,
     _over,
     _reduced,
     floor,
     format_scalar,
+    is_rational,
     parse_scalar,
     qf,
+    sign,
 )
 
 mpmath.mp.dps = 60
@@ -113,6 +119,44 @@ def test_inexact_inputs_rejected(value):
             QField(value)
         with pytest.raises(ValueError):
             QField(1, value, 2)
+
+
+@pytest.mark.parametrize(
+    "value", [qf(1), qf("1/2+1/3*sqrt(2)"), 0.5, True, "1/2"],
+    ids=["rational-qfield", "irrational-qfield", "float", "bool", "string"],
+)
+def test_constructor_refuses_all_but_ints_and_fractions(value):
+    # the constructor reads a and b as the operators read an operand, but a
+    # QField is no exact int or Fraction to it
+    message = re.escape(f"expected an exact int or Fraction, got {value!r}")
+    with pytest.raises(ValueError, match=message):
+        QField(value)
+    with pytest.raises(ValueError, match=message):
+        QField(1, value, 2)
+
+
+def test_constructor_reads_int_subclasses_as_ints():
+    x = QField(Small.THREE, Fraction(-2, 4), 2)
+    assert x._v == (6, -1, 2, 2) and all(type(k) is int for k in x._v)
+    assert QField(Small.THREE)._v == (3, 0, 1, None) and type(QField(Small.THREE)._v[0]) is int
+
+
+def test_operand_reads_a_qfield_subclass():
+    class Sub(QField):
+        pass
+
+    x = Sub(1, 2, 3)
+    assert type(x) is Sub and _operand(x) is x._v
+    assert qf(x) is x
+    assert qf(1) + x == QField(2, 2, 3) and x * 2 == QField(2, 4, 3)
+
+
+def test_module_sign_and_is_rational_coerce_their_argument():
+    assert [sign(x) for x in (-3, 0, Fraction(1, 2), qf("1/1-1/1*sqrt(2)"))] == [-1, 0, 1, -1]
+    assert is_rational(3) and is_rational(Fraction(1, 3))
+    assert not is_rational(QField.sqrt(2)) and is_rational(QField.sqrt(2) * QField.sqrt(2))
+    with pytest.raises(ValueError):
+        sign(0.5)
 
 
 @pytest.mark.parametrize("text", ["-7/3", "0/1", "1/2-1/3*sqrt(7)", "5/1+1/9*sqrt(4294967291)"])
@@ -447,6 +491,20 @@ def test_parse_takes_integers_up_to_the_digit_bound():
     assert format_scalar(x) == text
     with pytest.raises(ValueError, match="malformed"):
         parse_scalar(("1" * DIGIT_BOUND + "x") * 3)
+
+
+def test_digits_prints_integers_of_any_length():
+    assert [_digits(n) for n in (0, -7, 10**DIGIT_BOUND - 1)] == ["0", "-7", "9" * DIGIT_BOUND]
+    # past the int-to-str limit
+    assert _digits(10**DIGIT_BOUND) == "1" + "0" * DIGIT_BOUND
+    assert _digits(-(10**9999 + 7)) == "-1" + "0" * 9998 + "7"
+
+
+def test_check_digits_scans_a_whole_text():
+    _check_digits("x" * 10 * DIGIT_BOUND)
+    _check_digits(("9" * DIGIT_BOUND + ",") * 3)
+    with pytest.raises(ValueError, match=f"integer of more than {DIGIT_BOUND} digits"):
+        _check_digits('{"x": "' + "9" * (DIGIT_BOUND + 1) + '/16"}')
 
 
 def test_float_conversion_is_close():
