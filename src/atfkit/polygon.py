@@ -797,7 +797,7 @@ def catalog(name: str) -> Polygon:
         if not (a >= b and b.sign() > 0):
             raise ValueError("Blowup2_S2xS2 needs a >= b > 0")
         half = b / 2
-        once = centered_rectangle(a, b).corner_chop(1, half)
+        once = Polygon(_blowup_corners(a, b, half))
         return once.corner_chop(4, half)
     raise ValueError(f"unknown catalog polygon {name!r}")
 

@@ -52,11 +52,7 @@ def _decimal20(A: int, B: int, D: int, d: int | None) -> str:
     s = _sign(2 * (A - m * D) - D, 2 * B, d)
     if s > 0 or (not s and m & 1):
         m += 1
-    try:
-        digits = str(abs(m))
-    except ValueError:  # past the interpreter's int-to-str limit
-        digits = _digits(abs(m))
-    digits = digits.rjust(21, "0")
+    digits = _digits(abs(m)).rjust(21, "0")
     return f"{'-' if m < 0 else ''}{digits[:-20]}.{digits[-20:]}"
 
 

@@ -515,8 +515,7 @@ def parse_scalar(text: str) -> QField:
     Integer shorthand without an explicit denominator is also accepted.
     """
     s = text.strip()
-    if len(s) > DIGIT_BOUND:  # a shorter text skips the call
-        _check_digits(s)
+    _check_digits(s)
     # the pattern matches a non-empty string only when a group is non-empty
     match = _SCALAR_RE.match(s)
     if match is None or not s:

@@ -114,18 +114,17 @@ def test_inexact_inputs_rejected(value):
     # a float would be silently rounded (qf(0.1) was 3602879701896397/2**55)
     with pytest.raises(ValueError):
         qf(value)
-    if not isinstance(value, str):
-        with pytest.raises(ValueError):
-            QField(value)
-        with pytest.raises(ValueError):
-            QField(1, value, 2)
+    message = re.escape(f"expected an exact int or Fraction, got {value!r}")
+    with pytest.raises(ValueError, match=message):
+        QField(value)
+    with pytest.raises(ValueError, match=message):
+        QField(1, value, 2)
 
 
 @pytest.mark.parametrize(
-    "value", [qf(1), qf("1/2+1/3*sqrt(2)"), 0.5, True, "1/2"],
-    ids=["rational-qfield", "irrational-qfield", "float", "bool", "string"],
+    "value", [qf(1), qf("1/2+1/3*sqrt(2)")], ids=["rational-qfield", "irrational-qfield"]
 )
-def test_constructor_refuses_all_but_ints_and_fractions(value):
+def test_constructor_refuses_a_qfield(value):
     # the constructor reads a and b as the operators read an operand, but a
     # QField is no exact int or Fraction to it
     message = re.escape(f"expected an exact int or Fraction, got {value!r}")
