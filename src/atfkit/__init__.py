@@ -7,128 +7,23 @@ strip-shear map that rotates every level polygon by its own exact arc
 advance, the induced circle dynamics level by level, the homology-level
 twist-class computation, an applicability screen for general Delzant
 polygons, and a deterministic SVG renderer.
+
+The package exports exactly the names in each library module's
+``__all__``; helpers such as ``plane.orient`` import from their module.
 """
 
-from .classify import ApplicabilityReport, check_applicable, monotone_test
-from .diagram import (
-    BaseDiagram,
-    BranchCut,
-    Node,
-    PiecewiseMap,
-    build_pi0,
-    cut_transfer,
-    nodal_slide,
-    nodal_trade,
-)
-from .homology import H2Class, c1_eval, find_twist_classes, intersection, omega_eval
-from .orbits import (
-    LevelCoordinate,
-    OrbitReport,
-    classify_level,
-    equidistribution_stats,
-    from_level_coordinate,
-    gap_values,
-    orbit_positions,
-    perimeter_value,
-    rho_monotone_check,
-    rotation_number,
-    to_level_coordinate,
-)
-from .plane import (
-    LatticeVector,
-    Point,
-    UnimodularAffineMap,
-    affine_length,
-    direction_of,
-    primitive,
-    pt,
-    unipotent_fixing,
-)
-from .polygon import (
-    ConstructionParams,
-    Edge,
-    Polygon,
-    build_blowup_polygon,
-    catalog,
-    catalog_names,
-    centered_rectangle,
-)
-from .recurrence import (
-    RecurrenceMap,
-    StripShear,
-    VerificationError,
-    apply_phi,
-    apply_phi_iter,
-    apply_rounds,
-    build_recurrence_map,
-    rotate_on_level,
-    rotation_amount,
-)
-from .render import RenderStyle, decimal20, render_svg
-from .scalars import QField, floor, format_scalar, is_rational, parse_scalar, qf, sign
+from . import classify, diagram, homology, orbits, plane, polygon, recurrence, render, scalars
+from .classify import *
+from .diagram import *
+from .homology import *
+from .orbits import *
+from .plane import *
+from .polygon import *
+from .recurrence import *
+from .render import *
+from .scalars import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ApplicabilityReport",
-    "BaseDiagram",
-    "BranchCut",
-    "ConstructionParams",
-    "Edge",
-    "H2Class",
-    "LatticeVector",
-    "LevelCoordinate",
-    "Node",
-    "OrbitReport",
-    "PiecewiseMap",
-    "Point",
-    "Polygon",
-    "QField",
-    "RecurrenceMap",
-    "RenderStyle",
-    "StripShear",
-    "UnimodularAffineMap",
-    "VerificationError",
-    "affine_length",
-    "apply_phi",
-    "apply_phi_iter",
-    "apply_rounds",
-    "build_blowup_polygon",
-    "build_pi0",
-    "build_recurrence_map",
-    "c1_eval",
-    "catalog",
-    "catalog_names",
-    "centered_rectangle",
-    "check_applicable",
-    "classify_level",
-    "cut_transfer",
-    "decimal20",
-    "direction_of",
-    "equidistribution_stats",
-    "find_twist_classes",
-    "floor",
-    "format_scalar",
-    "from_level_coordinate",
-    "gap_values",
-    "intersection",
-    "is_rational",
-    "monotone_test",
-    "nodal_slide",
-    "nodal_trade",
-    "omega_eval",
-    "orbit_positions",
-    "parse_scalar",
-    "perimeter_value",
-    "primitive",
-    "pt",
-    "qf",
-    "render_svg",
-    "rho_monotone_check",
-    "rotate_on_level",
-    "rotation_amount",
-    "rotation_number",
-    "sign",
-    "to_level_coordinate",
-    "unipotent_fixing",
-]
+_MODULES = (classify, diagram, homology, orbits, plane, polygon, recurrence, render, scalars)
+__all__ = sorted(name for module in _MODULES for name in module.__all__)

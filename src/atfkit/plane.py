@@ -358,17 +358,8 @@ __all__ = [
     "LatticeVector",
     "UnimodularAffineMap",
     "pt",
-    "as_point",
     "primitive",
-    "cross",
-    "dot",
-    "move",
-    "delta",
     "direction_of",
     "affine_length",
-    "orient",
-    "on_segment",
-    "segments_intersect",
     "unipotent_fixing",
-    "lex_less",
 ]

@@ -823,9 +823,6 @@ __all__ = [
     "Edge",
     "Polygon",
     "ConstructionParams",
-    "check_shape",
-    "clip_halfplane",
-    "solve_equidistant_triple",
     "centered_rectangle",
     "build_blowup_polygon",
     "catalog",

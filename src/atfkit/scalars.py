@@ -569,3 +569,6 @@ def _digits(n: int) -> str:
 
 ZERO = QField(0)
 ONE = QField(1)
+
+
+__all__ = ["QField", "qf", "sign", "is_rational", "floor", "parse_scalar", "format_scalar"]

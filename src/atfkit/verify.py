@@ -8,6 +8,7 @@ one PASS/FAIL line per property and returns a process exit code.
 
 from __future__ import annotations
 
+import os
 import random
 from fractions import Fraction
 from typing import Callable
@@ -30,7 +31,6 @@ from .plane import (
     UnimodularAffineMap,
     affine_length,
     move,
-    on_segment,
     unipotent_fixing,
 )
 from .polygon import ConstructionParams, Polygon, build_blowup_polygon, catalog
@@ -114,24 +114,25 @@ def check_scalar_field_axioms(rng: random.Random) -> tuple[bool, str]:
             for _ in range(3)
         ]
         x, y, z = vals
-        if (x + y) * z != x * z + y * z:
-            return False, f"distributivity failed at {x}, {y}, {z}"
+        if (lhs := (x + y) * z) != x * z + y * z:
+            return False, f"(x + y)z = {lhs}, xz + yz = {x * z + y * z} at {x}, {y}, {z}"
         if x * y != y * x or x + y != y + x:
-            return False, f"commutativity failed at {x}, {y}"
-        if y.sign() != 0 and (x / y) * y != x:
-            return False, f"division failed at {x}, {y}"
+            return False, f"xy = {x * y}, yx = {y * x}, x + y = {x + y}, y + x = {y + x} at {x}, {y}"
+        if y.sign() != 0 and (q := (x / y) * y) != x:
+            return False, f"(x/y)y = {q}, expected x = {x} at y = {y}"
         # an int or a Fraction operand must act as the equal QField does
         k, f = rng.randint(-9, 9), Fraction(rng.randint(-9, 9), rng.randint(1, 9))
         K, F = QField(k), QField(f)
-        if (x + k, k - x, x * f, x < k, x == k, K == k) != (x + K, K - x, x * F, x < K, x == K, True):
-            return False, f"int or Fraction operand failed at {x}, {k}, {f}"
+        got, want = (x + k, k - x, x * f, x < k, x == k, K == k), (x + K, K - x, x * F, x < K, x == K, True)
+        if got != want:
+            return False, f"int {k} and Fraction {f} at {x} gave {got}, expected {want}"
         if x.sign() != 0 and f / x != F / x:
-            return False, f"Fraction division failed at {x}, {f}"
-        if parse_scalar(str(x)) != x:
-            return False, f"text round trip failed at {x}"
+            return False, f"{f}/x = {f / x}, expected {F / x} at x = {x}"
+        if (back := parse_scalar(str(x))) != x:
+            return False, f"text {str(x)!r} parsed to {back}, expected {x}"
         n = scalars.floor(x)
         if not (qf(n) <= x < qf(n + 1)):
-            return False, f"floor failed at {x}"
+            return False, f"floor({x}) = {n}"
     return True, "field axioms, parse round trip, floor bracketing"
 
 
@@ -144,16 +145,15 @@ def check_affine_invariance(rng: random.Random) -> tuple[bool, str]:
         lam = qf(Fraction(rng.randint(1, 12), rng.randint(1, 6)))
         b = Point(a.x1 + lam * step.u, a.x2 + lam * step.v)
         m = random_unimodular(rng, det=rng.choice((1, -1)))
-        if affine_length(a, b) != affine_length(m.apply(a), m.apply(b)):
-            return False, f"affine length changed under {m}"
-        inv = m.inverse()
-        if inv.compose(m).apply(a) != a:
-            return False, "inverse composition failed"
+        if (before := affine_length(a, b)) != (after := affine_length(m.apply(a), m.apply(b))):
+            return False, f"affine length {before} from {a} to {b} became {after} under {m}"
+        if (back := m.inverse().compose(m).apply(a)) != a:
+            return False, f"inverse after {m} sent {a} to {back}"
     w = LatticeVector(3, 2)
     shear = unipotent_fixing(w, 4, base=Point(qf(1), qf(1)))
     fixed = Point(qf(1) + qf(3) * w.u, qf(1) + qf(3) * w.v)
-    if shear.apply(fixed) != fixed:
-        return False, "unipotent shear moved its fixed line"
+    if (moved := shear.apply(fixed)) != fixed:
+        return False, f"unipotent shear moved {fixed} on its fixed line to {moved}"
     return True, "length invariance, inverses, fixed lines"
 
 
@@ -163,8 +163,8 @@ def check_distance_closed_form(rng: random.Random) -> tuple[bool, str]:
         poly = build_blowup_polygon(params)
         for _ in range(25):
             p = random_interior_point(rng, poly)
-            if poly.distance_to_boundary(p) != _blowup_distance_oracle(params, p):
-                return False, f"distance mismatch at ({p.x1}, {p.x2})"
+            if (got := poly.distance_to_boundary(p)) != (want := _blowup_distance_oracle(params, p)):
+                return False, f"distance {got} at {p}, closed form {want}"
     return True, "five-edge minimum equals the closed form"
 
 
@@ -174,9 +174,9 @@ def check_max_distance(rng: random.Random) -> tuple[bool, str]:
         poly = build_blowup_polygon(params)
         value, point = poly.max_distance()
         if value != params.b / 2:
-            return False, f"max distance {value} is not b/2"
-        if poly.distance_to_boundary(point) != value:
-            return False, "maximizer does not attain the maximum"
+            return False, f"max distance {value} is not b/2 = {params.b / 2}"
+        if (got := poly.distance_to_boundary(point)) != value:
+            return False, f"maximizer {point} has distance {got}, not the maximum {value}"
     return True, "exact LP maximum equals b/2"
 
 
@@ -188,9 +188,9 @@ def check_level_perimeter(rng: random.Random) -> tuple[bool, str]:
             h = params.c * k / 5
             level = poly.level_set(h)
             if len(level.edges) != 5:
-                return False, f"level {h} lost an edge"
-            if level.perimeter() != perimeter_value(params, h):
-                return False, f"perimeter mismatch at level {h}"
+                return False, f"level {h} has {len(level.edges)} edges, expected 5"
+            if (got := level.perimeter()) != (want := perimeter_value(params, h)):
+                return False, f"perimeter {got} at level {h}, formula gives {want}"
     return True, "level perimeter equals 2(a+b) - c - 7h on five edges"
 
 
@@ -202,16 +202,14 @@ def check_recurrence_rotation(rng: random.Random) -> tuple[bool, str]:
             h = (params.c - params.eps) * rng.randint(0, 9) / 10
             p = random_level_point(rng, poly, h)
             expected = rotate_on_level(poly, h, params.c - h, p)
-            if apply_rounds(rm, p) != expected:
-                return False, f"composite missed rotation at level {h}"
+            if (got := apply_rounds(rm, p)) != expected:
+                return False, f"composite sent {p} to {got} at level {h}, rotation gives {expected}"
         top = poly.max_distance()[0]
         for _ in range(6):
             h = params.c + (top - params.c) * rng.randint(1, 9) / 10
-            if h >= top:
-                continue
             p = random_level_point(rng, poly, h)
-            if apply_rounds(rm, p) != p:
-                return False, f"composite moved a fixed point at level {h}"
+            if (got := apply_rounds(rm, p)) != p:
+                return False, f"composite moved the fixed point {p} to {got} at level {h}"
     return True, "four rounds rotate below c, fix above"
 
 
@@ -219,11 +217,12 @@ def check_round_one_form(rng: random.Random) -> tuple[bool, str]:
     params = DEFAULT_PARAMS
     rm = build_recurrence_map(build_pi0(params), verify=False)
     first = rm.rounds[0]
-    want_map = UnimodularAffineMap(1, -1, 0, 1, params.c - params.b / 2, qf(0))
-    if first.normal != LatticeVector(0, -1) or first.offset != params.b / 2 - params.c:
-        return False, "round one strip region is wrong"
+    offset = params.b / 2 - params.c
+    want_map = UnimodularAffineMap(1, -1, 0, 1, -offset, qf(0))
+    if first.normal != LatticeVector(0, -1) or first.offset != offset:
+        return False, f"round one strip is {first.normal}, offset {first.offset}; expected (0, -1), {offset}"
     if first.shear_map != want_map:
-        return False, "round one map is wrong"
+        return False, f"round one map is {first.shear_map}, expected {want_map}"
     return True, "round one is the bottom-strip shear"
 
 
@@ -236,16 +235,14 @@ def check_rotation_equivariance(rng: random.Random) -> tuple[bool, str]:
         p = random_level_point(rng, poly, h)
         m = random_unimodular(rng, det=1)
         moved = poly.transform(m)
-        if m.apply(rotate_on_level(poly, h, t, p)) != rotate_on_level(
-            moved, h, t, m.apply(p)
-        ):
-            return False, "rotation does not commute with a det=+1 map"
+        got, want = m.apply(rotate_on_level(poly, h, t, p)), rotate_on_level(moved, h, t, m.apply(p))
+        if got != want:
+            return False, f"det=+1 map of the rotated {p} is {got}, rotation of its image is {want}"
         r = random_unimodular(rng, det=-1)
         flipped = poly.transform(r)
-        if r.apply(rotate_on_level(poly, h, t, p)) != rotate_on_level(
-            flipped, h, -t, r.apply(p)
-        ):
-            return False, "rotation does not anti-commute with a det=-1 map"
+        got, want = r.apply(rotate_on_level(poly, h, t, p)), rotate_on_level(flipped, h, -t, r.apply(p))
+        if got != want:
+            return False, f"det=-1 map of the rotated {p} is {got}, reverse rotation of its image is {want}"
     return True, "arc rotation is equivariant (orientation-aware)"
 
 
@@ -255,10 +252,10 @@ def check_periodic_level(rng: random.Random) -> tuple[bool, str]:
         return False, f"expected rho 1/39 period 39, got {report.rho} {report.period}"
     rm = build_recurrence_map(build_pi0(DEFAULT_PARAMS), verify=False)
     p = Point(qf(0), qf("-3/4"))
-    if apply_phi_iter(rm, p, 39) != p:
-        return False, "geometric iterate 39 missed the start"
+    if (q := apply_phi_iter(rm, p, 39)) != p:
+        return False, f"geometric iterate 39 of {p} is {q}"
     if apply_phi_iter(rm, p, 13) == p:
-        return False, "geometric orbit closed early"
+        return False, f"geometric iterate 13 of {p} is the start, expected another point"
     return True, "level 1/4 is periodic with period 39"
 
 
@@ -267,31 +264,28 @@ def check_irrational_level(rng: random.Random) -> tuple[bool, str]:
     report = classify_level(DEFAULT_PARAMS, h, n_checked=500)
     if report.kind != "irrational-certified":
         return False, f"expected irrational certificate, got {report.kind}"
-    if rotation_number(DEFAULT_PARAMS, h).is_rational():
-        return False, "rotation number unexpectedly rational"
+    if (rho := rotation_number(DEFAULT_PARAMS, h)).is_rational():
+        return False, f"rotation number {rho} is rational"
     for count in (100, 400):
-        if len(gap_values(DEFAULT_PARAMS, h, count)) > 3:
-            return False, f"more than three gap values at N={count}"
+        if len(gaps := gap_values(DEFAULT_PARAMS, h, count)) > 3:
+            return False, f"gap values {gaps} at N={count}, expected at most three"
     stats = equidistribution_stats(DEFAULT_PARAMS, h, 500, 10)
     if sum(stats) != 500 or min(stats) == 0:
-        return False, f"suspicious histogram {stats}"
+        return False, f"histogram {stats}, expected 500 counts with no empty bin"
     return True, "sqrt(2)/8 level is certified irrational, three-distance holds"
 
 
 def check_rho_monotone(rng: random.Random) -> tuple[bool, str]:
-    if not rho_monotone_check(DEFAULT_PARAMS):
-        return False, "default parameters failed"
-    for _ in range(4):
-        params = random_params(rng)
+    for params in (DEFAULT_PARAMS, *(random_params(rng) for _ in range(4))):
         if not rho_monotone_check(params):
-            return False, f"parameters {params} failed"
+            return False, f"rho_monotone_check is False at a={params.a}, b={params.b}, c={params.c}"
     return True, "rotation number strictly decreasing, certificate signs agree"
 
 
 def check_twist_classes(rng: random.Random) -> tuple[bool, str]:
     want = [H2Class(-1, 1, 0), H2Class(1, -1, 0)]
-    if find_twist_classes(20) != want:
-        return False, "closed-form enumeration is off"
+    if (got := find_twist_classes(20)) != want:
+        return False, f"closed form gave {got} at bound 20, expected {want}"
     brute = sorted(
         (
             H2Class(al, be, ga)
@@ -302,10 +296,10 @@ def check_twist_classes(rng: random.Random) -> tuple[bool, str]:
         ),
         key=H2Class.as_tuple,
     )
-    if find_twist_classes(12) != brute:
-        return False, "closed form disagrees with the brute-force cube"
+    if (got := find_twist_classes(12)) != brute:
+        return False, f"closed form gave {got} at bound 12, the brute-force cube {brute}"
     if any(intersection(x, x) != -2 or c1_eval(x) != 0 for x in brute):
-        return False, "brute-force filter is inconsistent"
+        return False, f"brute-force classes {brute} do not all have square -2 and c1 = 0"
     return True, "square -2, c1 = 0 classes are exactly +-(1, -1, 0)"
 
 
@@ -327,10 +321,11 @@ def check_catalog_labels(rng: random.Random) -> tuple[bool, str]:
         if report.applicable != applicable or report.exception_tag != tag:
             return False, (
                 f"{name}: got applicable={report.applicable} "
-                f"tag={report.exception_tag}"
+                f"tag={report.exception_tag}, expected applicable={applicable} tag={tag}"
             )
-    if not monotone_test(catalog("Bl3CP2")) or monotone_test(catalog("S2xS2(4,2)")):
-        return False, "monotone test misfired"
+    got = monotone_test(catalog("Bl3CP2")), monotone_test(catalog("S2xS2(4,2)"))
+    if got != (True, False):
+        return False, f"monotone test gave {got} for Bl3CP2 and S2xS2(4,2), expected (True, False)"
     return True, "catalog families screen to the expected labels"
 
 
@@ -338,11 +333,11 @@ def check_diagram_moves(rng: random.Random) -> tuple[bool, str]:
     params = DEFAULT_PARAMS
     diagram = build_pi0(params)
     if len(diagram.nodes) != 5 or len(diagram.cuts) != 5:
-        return False, "initial diagram is missing nodes or cuts"
+        return False, f"initial diagram: {len(diagram.nodes)} nodes, {len(diagram.cuts)} cuts, expected 5 and 5"
     slide = next(e for e in diagram.provenance if e[0] == "slide")
     band = slide[4]
     if band != (params.eps / 2, params.c):
-        return False, f"slide band {band} is not [eps/2, c]"
+        return False, f"slide band {band} is not [eps/2, c] = {(params.eps / 2, params.c)}"
     square = Polygon([(0, 0), (4, 0), (4, 4), (0, 4)])
     base = nodal_trade(BaseDiagram(polygon=square), 0, qf(2))
     node = base.nodes[0]
@@ -350,17 +345,17 @@ def check_diagram_moves(rng: random.Random) -> tuple[bool, str]:
     moved, push = cut_transfer(base, 0, new_cut)
     back, pull = cut_transfer(moved, 0, base.cuts[0])
     if not back.same_geometry(base):
-        return False, "transfer round trip changed the diagram"
+        return False, f"transfer round trip gave cuts {back.cuts}, expected {base.cuts}"
     round_trip = pull.compose(push)
     if not round_trip.is_identity():
-        return False, "transfer round trip transition is not the identity"
+        return False, f"transfer round trip transition is {round_trip.region_map}, expected the identity"
     for _ in range(20):
         p = random_interior_point(rng, square)
-        if round_trip.apply(p) != p:
-            return False, f"transfer round trip moved ({p.x1}, {p.x2})"
+        if (q := round_trip.apply(p)) != p:
+            return False, f"transfer round trip moved {p} to {q}"
     lin = push.region_map
     if lin.det != 1 or lin.trace != 2:
-        return False, "transfer monodromy is not unipotent"
+        return False, f"transfer monodromy has det {lin.det} and trace {lin.trace}, expected 1 and 2"
     return True, "slide band exact, transfer round trip is the identity"
 
 
@@ -370,11 +365,11 @@ def check_render_deterministic(rng: random.Random) -> tuple[bool, str]:
     first = render_svg(diagram, style)
     second = render_svg(diagram, style)
     if first != second:
-        return False, "two renders differ"
-    if first.count('class="node"') != 5 or first.count('class="cut"') != 5:
-        return False, "marker counts are wrong"
-    if first.count('class="level"') != 1:
-        return False, "level polygon missing"
+        k = len(os.path.commonprefix((first, second)))
+        return False, f"second render has {second[k:k + 40]!r} at character {k}, the first {first[k:k + 40]!r}"
+    nodes, cuts, levels = (first.count(f'class="{kind}"') for kind in ("node", "cut", "level"))
+    if (nodes, cuts, levels) != (5, 5, 1):
+        return False, f"{nodes} nodes, {cuts} cuts, {levels} levels drawn, expected 5, 5, 1"
     return True, "byte-identical output, 5 nodes, 5 cuts, level drawn"
 
 
