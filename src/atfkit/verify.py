@@ -1,17 +1,24 @@
 """Built-in property battery behind the ``verify`` CLI subcommand.
 
 Each check re-derives a property from scratch (closed forms, brute-force
-enumerations, independently coded oracles) and compares it against the
-library's primary implementation, in exact arithmetic.  ``run_all`` prints
-one PASS/FAIL line per property and returns a process exit code.
+enumerations, independently coded oracles) and yields it as rows
+``(what, got, expected)``: the library's value and the value it must equal,
+in exact arithmetic, under a label ``what`` written as a ``str.format``
+template over the check's local names.  ``run_all`` compares each row with
+``!=``; the first row that differs prints ``FAIL  <name>: <what>: got <got>,
+expected <expected>``, a check that raises prints ``FAIL  <name>: raised
+...``, and a check whose rows all agree prints ``PASS  <name>: <detail>``
+from ``CHECKS``.  It returns a process exit code.  ``tests/test_verify.py``
+plants, for every row, a library fault that makes it the FAIL line.
 """
 
 from __future__ import annotations
 
 import os
 import random
+import sys
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Iterator
 
 from . import scalars
 from .classify import check_applicable, monotone_test
@@ -35,7 +42,6 @@ from .plane import (
 )
 from .polygon import ConstructionParams, Polygon, build_blowup_polygon, catalog
 from .recurrence import (
-    apply_phi,
     apply_phi_iter,
     apply_rounds,
     build_recurrence_map,
@@ -102,41 +108,44 @@ def _blowup_distance_oracle(params: ConstructionParams, p: Point) -> QField:
 
 # -- individual checks -------------------------------------------------------
 
+Rows = Iterator[tuple[str, object, object]]
 
-def check_scalar_field_axioms(rng: random.Random) -> tuple[bool, str]:
+
+def _blowups(rng: random.Random):
+    # the six random chopped rectangles each blow-up check samples
+    for _ in range(6):
+        params = random_params(rng)
+        yield params, build_blowup_polygon(params)
+
+
+def check_scalar_field_axioms(rng: random.Random) -> Rows:
     for _ in range(40):
-        vals = [
+        x, y, z = (
             QField(
                 Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
                 Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
                 2,
             )
             for _ in range(3)
-        ]
-        x, y, z = vals
-        if (lhs := (x + y) * z) != x * z + y * z:
-            return False, f"(x + y)z = {lhs}, xz + yz = {x * z + y * z} at {x}, {y}, {z}"
-        if x * y != y * x or x + y != y + x:
-            return False, f"xy = {x * y}, yx = {y * x}, x + y = {x + y}, y + x = {y + x} at {x}, {y}"
-        if y.sign() != 0 and (q := (x / y) * y) != x:
-            return False, f"(x/y)y = {q}, expected x = {x} at y = {y}"
+        )
+        yield "(x + y)z at {x}, {y}, {z}", (x + y) * z, x * z + y * z
+        yield "xy and x + y at {x}, {y}", (x * y, x + y), (y * x, y + x)
+        if y.sign() != 0:
+            yield "(x/y)y at {x}, {y}", (x / y) * y, x
         # an int or a Fraction operand must act as the equal QField does
         k, f = rng.randint(-9, 9), Fraction(rng.randint(-9, 9), rng.randint(1, 9))
         K, F = QField(k), QField(f)
         got, want = (x + k, k - x, x * f, x < k, x == k, K == k), (x + K, K - x, x * F, x < K, x == K, True)
-        if got != want:
-            return False, f"int {k} and Fraction {f} at {x} gave {got}, expected {want}"
-        if x.sign() != 0 and f / x != F / x:
-            return False, f"{f}/x = {f / x}, expected {F / x} at x = {x}"
-        if (back := parse_scalar(str(x))) != x:
-            return False, f"text {str(x)!r} parsed to {back}, expected {x}"
+        yield "int {k} and Fraction {f} at {x}", got, want
+        if x.sign() != 0:
+            yield "Fraction {f} over {x}", f / x, F / x
+        text = str(x)
+        yield "parse of {text!r}", parse_scalar(text), x
         n = scalars.floor(x)
-        if not (qf(n) <= x < qf(n + 1)):
-            return False, f"floor({x}) = {n}"
-    return True, "field axioms, parse round trip, floor bracketing"
+        yield "n <= x < n + 1 at x = {x}, n = floor(x) = {n}", (qf(n) <= x, x < qf(n + 1)), (True, True)
 
 
-def check_affine_invariance(rng: random.Random) -> tuple[bool, str]:
+def check_affine_invariance(rng: random.Random) -> Rows:
     for _ in range(25):
         a = Point(Fraction(rng.randint(-20, 20), 4), Fraction(rng.randint(-20, 20), 4))
         step = LatticeVector(rng.randint(-5, 5), rng.randint(-5, 5))
@@ -145,147 +154,109 @@ def check_affine_invariance(rng: random.Random) -> tuple[bool, str]:
         lam = qf(Fraction(rng.randint(1, 12), rng.randint(1, 6)))
         b = Point(a.x1 + lam * step.u, a.x2 + lam * step.v)
         m = random_unimodular(rng, det=rng.choice((1, -1)))
-        if (before := affine_length(a, b)) != (after := affine_length(m.apply(a), m.apply(b))):
-            return False, f"affine length {before} from {a} to {b} became {after} under {m}"
-        if (back := m.inverse().compose(m).apply(a)) != a:
-            return False, f"inverse after {m} sent {a} to {back}"
+        before, after = affine_length(a, b), affine_length(m.apply(a), m.apply(b))
+        yield "affine length from {a} to {b} under {m}", after, before
+        yield "inverse after {m} at {a}", m.inverse().compose(m).apply(a), a
     w = LatticeVector(3, 2)
     shear = unipotent_fixing(w, 4, base=Point(qf(1), qf(1)))
     fixed = Point(qf(1) + qf(3) * w.u, qf(1) + qf(3) * w.v)
-    if (moved := shear.apply(fixed)) != fixed:
-        return False, f"unipotent shear moved {fixed} on its fixed line to {moved}"
-    return True, "length invariance, inverses, fixed lines"
+    yield "unipotent shear of {fixed} on its fixed line", shear.apply(fixed), fixed
 
 
-def check_distance_closed_form(rng: random.Random) -> tuple[bool, str]:
-    for _ in range(6):
-        params = random_params(rng)
-        poly = build_blowup_polygon(params)
+def check_distance_closed_form(rng: random.Random) -> Rows:
+    for params, poly in _blowups(rng):
         for _ in range(25):
             p = random_interior_point(rng, poly)
-            if (got := poly.distance_to_boundary(p)) != (want := _blowup_distance_oracle(params, p)):
-                return False, f"distance {got} at {p}, closed form {want}"
-    return True, "five-edge minimum equals the closed form"
+            yield "distance at {p}", poly.distance_to_boundary(p), _blowup_distance_oracle(params, p)
 
 
-def check_max_distance(rng: random.Random) -> tuple[bool, str]:
-    for _ in range(6):
-        params = random_params(rng)
-        poly = build_blowup_polygon(params)
+def check_max_distance(rng: random.Random) -> Rows:
+    for params, poly in _blowups(rng):
         value, point = poly.max_distance()
-        if value != params.b / 2:
-            return False, f"max distance {value} is not b/2 = {params.b / 2}"
-        if (got := poly.distance_to_boundary(point)) != value:
-            return False, f"maximizer {point} has distance {got}, not the maximum {value}"
-    return True, "exact LP maximum equals b/2"
+        yield "max distance at b = {params.b}", value, params.b / 2
+        yield "distance at the maximizer {point}", poly.distance_to_boundary(point), value
 
 
-def check_level_perimeter(rng: random.Random) -> tuple[bool, str]:
-    for _ in range(6):
-        params = random_params(rng)
-        poly = build_blowup_polygon(params)
+def check_level_perimeter(rng: random.Random) -> Rows:
+    for params, poly in _blowups(rng):
         for k in range(5):
             h = params.c * k / 5
             level = poly.level_set(h)
-            if len(level.edges) != 5:
-                return False, f"level {h} has {len(level.edges)} edges, expected 5"
-            if (got := level.perimeter()) != (want := perimeter_value(params, h)):
-                return False, f"perimeter {got} at level {h}, formula gives {want}"
-    return True, "level perimeter equals 2(a+b) - c - 7h on five edges"
+            yield "edges at level {h}", len(level.edges), 5
+            yield "perimeter at level {h}", level.perimeter(), perimeter_value(params, h)
 
 
-def check_recurrence_rotation(rng: random.Random) -> tuple[bool, str]:
+def check_recurrence_rotation(rng: random.Random) -> Rows:
     for params in (DEFAULT_PARAMS, random_params(rng)):
         rm = build_recurrence_map(build_pi0(params))
         poly = rm.polygon
         for _ in range(8):
             h = (params.c - params.eps) * rng.randint(0, 9) / 10
             p = random_level_point(rng, poly, h)
-            expected = rotate_on_level(poly, h, params.c - h, p)
-            if (got := apply_rounds(rm, p)) != expected:
-                return False, f"composite sent {p} to {got} at level {h}, rotation gives {expected}"
+            want = rotate_on_level(poly, h, params.c - h, p)
+            yield "four rounds below c at level {h}, from {p}", apply_rounds(rm, p), want
         top = poly.max_distance()[0]
         for _ in range(6):
             h = params.c + (top - params.c) * rng.randint(1, 9) / 10
             p = random_level_point(rng, poly, h)
-            if (got := apply_rounds(rm, p)) != p:
-                return False, f"composite moved the fixed point {p} to {got} at level {h}"
-    return True, "four rounds rotate below c, fix above"
+            yield "four rounds above c at level {h}, from {p}", apply_rounds(rm, p), p
 
 
-def check_round_one_form(rng: random.Random) -> tuple[bool, str]:
+def check_round_one_form(rng: random.Random) -> Rows:
     params = DEFAULT_PARAMS
-    rm = build_recurrence_map(build_pi0(params), verify=False)
-    first = rm.rounds[0]
+    first = build_recurrence_map(build_pi0(params), verify=False).rounds[0]
     offset = params.b / 2 - params.c
-    want_map = UnimodularAffineMap(1, -1, 0, 1, -offset, qf(0))
-    if first.normal != LatticeVector(0, -1) or first.offset != offset:
-        return False, f"round one strip is {first.normal}, offset {first.offset}; expected (0, -1), {offset}"
-    if first.shear_map != want_map:
-        return False, f"round one map is {first.shear_map}, expected {want_map}"
-    return True, "round one is the bottom-strip shear"
+    yield "round one strip normal and offset", (first.normal, first.offset), (LatticeVector(0, -1), offset)
+    yield "round one map", first.shear_map, UnimodularAffineMap(1, -1, 0, 1, -offset, qf(0))
 
 
-def check_rotation_equivariance(rng: random.Random) -> tuple[bool, str]:
+def check_rotation_equivariance(rng: random.Random) -> Rows:
     params = DEFAULT_PARAMS
     poly = build_blowup_polygon(params)
     for _ in range(6):
         h = (params.c - params.eps) * rng.randint(0, 9) / 10
         t = params.c - h
         p = random_level_point(rng, poly, h)
+        q = rotate_on_level(poly, h, t, p)
         m = random_unimodular(rng, det=1)
-        moved = poly.transform(m)
-        got, want = m.apply(rotate_on_level(poly, h, t, p)), rotate_on_level(moved, h, t, m.apply(p))
-        if got != want:
-            return False, f"det=+1 map of the rotated {p} is {got}, rotation of its image is {want}"
+        want = rotate_on_level(poly.transform(m), h, t, m.apply(p))
+        yield "det=+1 map of the rotated {p}", m.apply(q), want
         r = random_unimodular(rng, det=-1)
-        flipped = poly.transform(r)
-        got, want = r.apply(rotate_on_level(poly, h, t, p)), rotate_on_level(flipped, h, -t, r.apply(p))
-        if got != want:
-            return False, f"det=-1 map of the rotated {p} is {got}, reverse rotation of its image is {want}"
-    return True, "arc rotation is equivariant (orientation-aware)"
+        want = rotate_on_level(poly.transform(r), h, -t, r.apply(p))
+        yield "det=-1 map of the rotated {p}", r.apply(q), want
 
 
-def check_periodic_level(rng: random.Random) -> tuple[bool, str]:
+def check_periodic_level(rng: random.Random) -> Rows:
     report = classify_level(DEFAULT_PARAMS, qf("1/4"))
-    if report.rho != qf("1/39") or report.kind != "periodic" or report.period != 39:
-        return False, f"expected rho 1/39 period 39, got {report.rho} {report.period}"
+    got = report.rho, report.kind, report.period
+    yield "level 1/4 rho, kind and period", got, (qf("1/39"), "periodic", 39)
     rm = build_recurrence_map(build_pi0(DEFAULT_PARAMS), verify=False)
     p = Point(qf(0), qf("-3/4"))
-    if (q := apply_phi_iter(rm, p, 39)) != p:
-        return False, f"geometric iterate 39 of {p} is {q}"
-    if apply_phi_iter(rm, p, 13) == p:
-        return False, f"geometric iterate 13 of {p} is the start, expected another point"
-    return True, "level 1/4 is periodic with period 39"
+    yield "iterate 39 of {p}", apply_phi_iter(rm, p, 39), p
+    # 39 is the least period when no proper divisor of 39 brings p back
+    back = [n for n in (1, 3, 13) if apply_phi_iter(rm, p, n) == p]
+    yield "proper divisors n of 39 with iterate n of {p} at the start", back, []
 
 
-def check_irrational_level(rng: random.Random) -> tuple[bool, str]:
+def check_irrational_level(rng: random.Random) -> Rows:
     h = QField(0, Fraction(1, 8), 2)
-    report = classify_level(DEFAULT_PARAMS, h, n_checked=500)
-    if report.kind != "irrational-certified":
-        return False, f"expected irrational certificate, got {report.kind}"
-    if (rho := rotation_number(DEFAULT_PARAMS, h)).is_rational():
-        return False, f"rotation number {rho} is rational"
+    yield "kind of level {h}", classify_level(DEFAULT_PARAMS, h, n_checked=500).kind, "irrational-certified"
+    rho = rotation_number(DEFAULT_PARAMS, h)
+    yield "rotation number {rho} is rational", rho.is_rational(), False
     for count in (100, 400):
-        if len(gaps := gap_values(DEFAULT_PARAMS, h, count)) > 3:
-            return False, f"gap values {gaps} at N={count}, expected at most three"
+        yield "gaps past the third at N={count}", gap_values(DEFAULT_PARAMS, h, count)[3:], []
     stats = equidistribution_stats(DEFAULT_PARAMS, h, 500, 10)
-    if sum(stats) != 500 or min(stats) == 0:
-        return False, f"histogram {stats}, expected 500 counts with no empty bin"
-    return True, "sqrt(2)/8 level is certified irrational, three-distance holds"
+    yield "sum and empty bins of histogram {stats}", (sum(stats), stats.count(0)), (500, 0)
 
 
-def check_rho_monotone(rng: random.Random) -> tuple[bool, str]:
+def check_rho_monotone(rng: random.Random) -> Rows:
     for params in (DEFAULT_PARAMS, *(random_params(rng) for _ in range(4))):
-        if not rho_monotone_check(params):
-            return False, f"rho_monotone_check is False at a={params.a}, b={params.b}, c={params.c}"
-    return True, "rotation number strictly decreasing, certificate signs agree"
+        got = rho_monotone_check(params)
+        yield "rho_monotone_check at a={params.a}, b={params.b}, c={params.c}", got, True
 
 
-def check_twist_classes(rng: random.Random) -> tuple[bool, str]:
-    want = [H2Class(-1, 1, 0), H2Class(1, -1, 0)]
-    if (got := find_twist_classes(20)) != want:
-        return False, f"closed form gave {got} at bound 20, expected {want}"
+def check_twist_classes(rng: random.Random) -> Rows:
+    yield "closed form at bound 20", find_twist_classes(20), [H2Class(-1, 1, 0), H2Class(1, -1, 0)]
     brute = sorted(
         (
             H2Class(al, be, ga)
@@ -296,14 +267,12 @@ def check_twist_classes(rng: random.Random) -> tuple[bool, str]:
         ),
         key=H2Class.as_tuple,
     )
-    if (got := find_twist_classes(12)) != brute:
-        return False, f"closed form gave {got} at bound 12, the brute-force cube {brute}"
-    if any(intersection(x, x) != -2 or c1_eval(x) != 0 for x in brute):
-        return False, f"brute-force classes {brute} do not all have square -2 and c1 = 0"
-    return True, "square -2, c1 = 0 classes are exactly +-(1, -1, 0)"
+    yield "closed form at bound 12, against the brute-force cube", find_twist_classes(12), brute
+    got = [(intersection(x, x), c1_eval(x)) for x in brute]
+    yield "square and c1 of the brute-force classes", got, [(-2, 0)] * len(brute)
 
 
-def check_catalog_labels(rng: random.Random) -> tuple[bool, str]:
+def check_catalog_labels(rng: random.Random) -> Rows:
     cases = [
         ("CP2(3)", False, "monotone"),
         ("S2xS2(2,2)", False, "monotone"),
@@ -318,95 +287,87 @@ def check_catalog_labels(rng: random.Random) -> tuple[bool, str]:
     ]
     for name, applicable, tag in cases:
         report = check_applicable(catalog(name))
-        if report.applicable != applicable or report.exception_tag != tag:
-            return False, (
-                f"{name}: got applicable={report.applicable} "
-                f"tag={report.exception_tag}, expected applicable={applicable} tag={tag}"
-            )
+        yield "applicable and tag of {name}", (report.applicable, report.exception_tag), (applicable, tag)
     got = monotone_test(catalog("Bl3CP2")), monotone_test(catalog("S2xS2(4,2)"))
-    if got != (True, False):
-        return False, f"monotone test gave {got} for Bl3CP2 and S2xS2(4,2), expected (True, False)"
-    return True, "catalog families screen to the expected labels"
+    yield "monotone test of Bl3CP2 and S2xS2(4,2)", got, (True, False)
 
 
-def check_diagram_moves(rng: random.Random) -> tuple[bool, str]:
+def check_diagram_moves(rng: random.Random) -> Rows:
     params = DEFAULT_PARAMS
     diagram = build_pi0(params)
-    if len(diagram.nodes) != 5 or len(diagram.cuts) != 5:
-        return False, f"initial diagram: {len(diagram.nodes)} nodes, {len(diagram.cuts)} cuts, expected 5 and 5"
+    yield "initial nodes and cuts", (len(diagram.nodes), len(diagram.cuts)), (5, 5)
     slide = next(e for e in diagram.provenance if e[0] == "slide")
-    band = slide[4]
-    if band != (params.eps / 2, params.c):
-        return False, f"slide band {band} is not [eps/2, c] = {(params.eps / 2, params.c)}"
-    square = Polygon([(0, 0), (4, 0), (4, 4), (0, 4)])
-    base = nodal_trade(BaseDiagram(polygon=square), 0, qf(2))
-    node = base.nodes[0]
-    new_cut = BranchCut(0, (node.position, Point(qf(4), qf(4))))
-    moved, push = cut_transfer(base, 0, new_cut)
+    yield "slide band", slide[4], (params.eps / 2, params.c)
+    base = nodal_trade(BaseDiagram(polygon=Polygon([(0, 0), (4, 0), (4, 4), (0, 4)])), 0, qf(2))
+    moved, push = cut_transfer(base, 0, BranchCut(0, (base.nodes[0].position, Point(qf(4), qf(4)))))
     back, pull = cut_transfer(moved, 0, base.cuts[0])
-    if not back.same_geometry(base):
-        return False, f"transfer round trip gave cuts {back.cuts}, expected {base.cuts}"
-    round_trip = pull.compose(push)
-    if not round_trip.is_identity():
-        return False, f"transfer round trip transition is {round_trip.region_map}, expected the identity"
-    for _ in range(20):
-        p = random_interior_point(rng, square)
-        if (q := round_trip.apply(p)) != p:
-            return False, f"transfer round trip moved {p} to {q}"
-    lin = push.region_map
-    if lin.det != 1 or lin.trace != 2:
-        return False, f"transfer monodromy has det {lin.det} and trace {lin.trace}, expected 1 and 2"
-    return True, "slide band exact, transfer round trip is the identity"
+    geometry = back.polygon, back.nodes, back.cuts
+    yield "transfer round trip geometry", geometry, (base.polygon, base.nodes, base.cuts)
+    # an identity region map moves no point, inside the region or out
+    yield "transfer round trip transition", pull.compose(push).region_map, UnimodularAffineMap.identity()
+    # node (2, 2), eigen direction (1, 1): the swept half lies above the
+    # diagonal, and its counterclockwise loop leaves along the new cut to
+    # (4, 4), so it takes the node's shear to the power -1: (2, -1; 1, 0),
+    # which fixes the diagonal pointwise
+    yield "transfer monodromy", push.region_map, UnimodularAffineMap(2, -1, 1, 0, qf(0), qf(0))
 
 
-def check_render_deterministic(rng: random.Random) -> tuple[bool, str]:
+def check_render_deterministic(rng: random.Random) -> Rows:
     diagram = build_pi0(DEFAULT_PARAMS)
     style = RenderStyle(show_levels=(qf("1/4"),), show_eigenlines=True)
-    first = render_svg(diagram, style)
-    second = render_svg(diagram, style)
-    if first != second:
-        k = len(os.path.commonprefix((first, second)))
-        return False, f"second render has {second[k:k + 40]!r} at character {k}, the first {first[k:k + 40]!r}"
-    nodes, cuts, levels = (first.count(f'class="{kind}"') for kind in ("node", "cut", "level"))
-    if (nodes, cuts, levels) != (5, 5, 1):
-        return False, f"{nodes} nodes, {cuts} cuts, {levels} levels drawn, expected 5, 5, 1"
-    return True, "byte-identical output, 5 nodes, 5 cuts, level drawn"
+    first, second = render_svg(diagram, style), render_svg(diagram, style)
+    k = len(os.path.commonprefix((first, second)))
+    yield "second render at character {k}", repr(second[k:k + 40]), repr(first[k:k + 40])
+    drawn = tuple(first.count(f'class="{kind}"') for kind in ("node", "cut", "level"))
+    yield "nodes, cuts and levels drawn", drawn, (5, 5, 1)
 
 
-CHECKS: list[tuple[str, Callable[[random.Random], tuple[bool, str]]]] = [
-    ("scalar-field-axioms", check_scalar_field_axioms),
-    ("affine-invariance", check_affine_invariance),
-    ("distance-closed-form", check_distance_closed_form),
-    ("max-distance-b-half", check_max_distance),
-    ("level-perimeter-formula", check_level_perimeter),
-    ("recurrence-rotation", check_recurrence_rotation),
-    ("round-one-form", check_round_one_form),
-    ("rotation-equivariance", check_rotation_equivariance),
-    ("periodic-level-39", check_periodic_level),
-    ("irrational-level-sqrt2", check_irrational_level),
-    ("rho-strictly-decreasing", check_rho_monotone),
-    ("twist-classes", check_twist_classes),
-    ("catalog-labels", check_catalog_labels),
-    ("diagram-moves", check_diagram_moves),
-    ("render-deterministic", check_render_deterministic),
+CHECKS: list[tuple[str, Callable[[random.Random], Rows], str]] = [
+    ("scalar-field-axioms", check_scalar_field_axioms, "field axioms, parse round trip, floor bracketing"),
+    ("affine-invariance", check_affine_invariance, "length invariance, inverses, fixed lines"),
+    ("distance-closed-form", check_distance_closed_form, "five-edge minimum equals the closed form"),
+    ("max-distance-b-half", check_max_distance, "exact LP maximum equals b/2"),
+    ("level-perimeter-formula", check_level_perimeter, "level perimeter equals 2(a+b) - c - 7h on five edges"),
+    ("recurrence-rotation", check_recurrence_rotation, "four rounds rotate below c, fix above"),
+    ("round-one-form", check_round_one_form, "round one is the bottom-strip shear"),
+    ("rotation-equivariance", check_rotation_equivariance, "arc rotation is equivariant (orientation-aware)"),
+    ("periodic-level-39", check_periodic_level, "level 1/4 is periodic with period 39"),
+    (
+        "irrational-level-sqrt2",
+        check_irrational_level,
+        "sqrt(2)/8 level is certified irrational, three-distance holds",
+    ),
+    (
+        "rho-strictly-decreasing",
+        check_rho_monotone,
+        "rotation number strictly decreasing, certificate signs agree",
+    ),
+    ("twist-classes", check_twist_classes, "square -2, c1 = 0 classes are exactly +-(1, -1, 0)"),
+    ("catalog-labels", check_catalog_labels, "catalog families screen to the expected labels"),
+    ("diagram-moves", check_diagram_moves, "slide band exact, transfer round trip is the identity"),
+    ("render-deterministic", check_render_deterministic, "byte-identical output, 5 nodes, 5 cuts, level drawn"),
 ]
 
 
 def run_all(seed: int = 2026, out=None) -> int:
     """Run every property check; print one line each; return exit code."""
-    import sys
-
     stream = out if out is not None else sys.stdout
     failures = 0
-    for name, fn in CHECKS:
+    for name, check, detail in CHECKS:
         rng = random.Random(f"{seed}:{name}")
+        status = "PASS"
         try:
-            ok, detail = fn(rng)
+            rows = check(rng)
+            for what, got, expected in rows:
+                if got != expected:
+                    # the label names the check's locals at this row; only a
+                    # failing row pays for formatting them
+                    what = what.format_map(rows.gi_frame.f_locals)
+                    status, detail = "FAIL", f"{what}: got {got}, expected {expected}"
+                    break
         except Exception as exc:  # a crashed check is a failed check
-            ok, detail = False, f"raised {type(exc).__name__}: {exc}"
-        status = "PASS" if ok else "FAIL"
-        if not ok:
-            failures += 1
+            status, detail = "FAIL", f"raised {type(exc).__name__}: {exc}"
+        failures += status == "FAIL"
         print(f"{status}  {name}: {detail}", file=stream)
     total = len(CHECKS)
     print(f"{total - failures}/{total} properties passed", file=stream)
