@@ -62,26 +62,20 @@ def monotone_test(poly: Polygon) -> bool:
 
 
 def check_applicable(poly: Polygon) -> ApplicabilityReport:
-    """Screen a Delzant polygon and label the failure family if any."""
+    """Screen a Delzant polygon and label the failure family if any.
+
+    The witness is the shortest qualifying edge, one of self-intersection
+    -1 and length below max F; a tie goes to the lower index.
+    """
     if not poly.is_delzant():
         raise ValueError("applicability screen expects a Delzant polygon")
     max_f = poly.max_distance()[0]
     self_ints = [poly.self_intersection(i) for i in range(len(poly.edges))]
-    witness: tuple[QField, int] | None = None
-    for i, s in enumerate(self_ints):
-        if s == -1 and poly.edges[i].length < max_f:
-            key = (poly.edges[i].length, i)
-            if witness is None or key[0] < witness[0]:
-                witness = key
-    if witness is not None:
-        return ApplicabilityReport(
-            applicable=True,
-            witness_edge=witness[1],
-            witness_length=witness[0],
-            max_F=max_f,
-            exception_tag=None,
-        )
-    if monotone_test(poly):
+    qualifying = [(e.length, i) for i, e in enumerate(poly.edges) if self_ints[i] == -1 and e.length < max_f]
+    witness_length, witness_edge = min(qualifying, default=(None, None))
+    if qualifying:
+        tag = None
+    elif monotone_test(poly):
         tag = "monotone"
     elif len(self_ints) == 4 and all(s == 0 for s in self_ints):
         tag = "product_unequal"
@@ -91,13 +85,7 @@ def check_applicable(poly: Polygon) -> ApplicabilityReport:
         tag = "half-size-blowup-2"
     else:
         tag = "none"
-    return ApplicabilityReport(
-        applicable=False,
-        witness_edge=None,
-        witness_length=None,
-        max_F=max_f,
-        exception_tag=tag,
-    )
+    return ApplicabilityReport(bool(qualifying), witness_edge, witness_length, max_f, tag)
 
 
 __all__ = ["ApplicabilityReport", "monotone_test", "check_applicable"]

@@ -90,6 +90,7 @@ from .plane import (
     UnimodularAffineMap,
     _direction,
     _point,
+    _row,
     _row_point,
     as_point,
     cross,
@@ -204,16 +205,17 @@ class Polygon:
         radicand d and p's point row ``(X1, Y1, X2, Y2, P)`` for
         ((X1 + Y1*sqrt(d))/P, (X2 + Y2*sqrt(d))/P).
 
-        ``_over`` puts p over P, the least common denominator of its
+        ``plane._row`` puts p over P, the least common denominator of its
         coordinates, and the rows are over L, so each value is a few
         integer products over N = P*L.
         A point whose radicand differs from the polygon's is a ``ValueError``.
         """
         rows, L, d = self._rows
-        P, d, ((X1, Y1), (X2, Y2)) = _over(p.x1, p.x2, d=d)
+        row, d = _row(p, d)
+        X1, Y1, X2, Y2, P = row
         x1, y1, x2, y2 = X1 * L, Y1 * L, X2 * L, Y2 * L
         pairs = [(u * x1 + v * x2 + A * P, u * y1 + v * y2 + B * P) for u, v, A, B in rows]
-        return pairs, P * L, d, (X1, Y1, X2, Y2, P)
+        return pairs, P * L, d, row
 
     def contains(self, p: Point, strict: bool = False) -> bool:
         return self._locate(p)[0].sign() >= (1 if strict else 0)
@@ -742,63 +744,82 @@ def _blowup_corners(a: QField, b: QField, c: QField) -> tuple[Point, ...]:
     return tuple(_point(x1, x2) for x1, x2 in ((-a, -b), (a - c, -b), (a, c - b), (a, b), (-a, b)))
 
 
-_CATALOG_DOC = {
-    "CP2(lam)": "projective-plane triangle of side lam",
-    "S2xS2(a,b)": "product rectangle with side areas a and b",
-    "HirzebruchF1(lam,c)": "triangle of side lam with one corner chopped at c",
-    "Bl1CP2": "monotone one-point blow-up (four edges)",
-    "Bl2CP2": "monotone two-point blow-up pentagon",
-    "Bl3CP2": "monotone three-point blow-up hexagon",
-    "Blowup_S2xS2(a,b,c)": "a-by-b rectangle, one corner chopped at c <= b/2",
-    "Blowup2_S2xS2(a,b)": "a-by-b rectangle, two opposite corners chopped at b/2",
+def _cp2(lam: QField) -> Polygon:
+    if lam.sign() <= 0:
+        raise ValueError("CP2 needs a positive side")
+    return Polygon([(0, 0), (lam, qf(0)), (qf(0), lam)])
+
+
+def _s2xs2(a: QField, b: QField) -> Polygon:
+    if a.sign() <= 0 or b.sign() <= 0:
+        raise ValueError("S2xS2 needs positive sides")
+    return Polygon([(0, 0), (a, qf(0)), (a, b), (qf(0), b)])
+
+
+def _hirzebruch_f1(lam: QField, c: QField) -> Polygon:
+    if not (qf(0) < c < lam):
+        raise ValueError("HirzebruchF1 needs 0 < c < lam")
+    return _cp2(lam).corner_chop(1, c)
+
+
+def _bl1cp2() -> Polygon:
+    return _cp2(qf(3)).corner_chop(1, 1)
+
+
+def _bl2cp2() -> Polygon:
+    return _bl1cp2().corner_chop(3, 1)
+
+
+def _bl3cp2() -> Polygon:
+    return _bl2cp2().corner_chop(0, 1)
+
+
+def _blowup_s2xs2(a: QField, b: QField, c: QField) -> Polygon:
+    if not (a >= b and b.sign() > 0):
+        raise ValueError("Blowup_S2xS2 needs a >= b > 0")
+    if not (qf(0) < c <= b / 2):
+        raise ValueError("Blowup_S2xS2 needs 0 < c <= b/2")
+    return Polygon(_blowup_corners(a, b, c))
+
+
+def _blowup2_s2xs2(a: QField, b: QField) -> Polygon:
+    if not (a >= b and b.sign() > 0):
+        raise ValueError("Blowup2_S2xS2 needs a >= b > 0")
+    half = b / 2
+    return Polygon(_blowup_corners(a, b, half)).corner_chop(4, half)
+
+
+# name(argument names) -> (description, builder of the parsed arguments)
+_CATALOG = {
+    "CP2(lam)": ("projective-plane triangle of side lam", _cp2),
+    "S2xS2(a,b)": ("product rectangle with side areas a and b", _s2xs2),
+    "HirzebruchF1(lam,c)": ("triangle of side lam with one corner chopped at c", _hirzebruch_f1),
+    "Bl1CP2": ("monotone one-point blow-up (four edges)", _bl1cp2),
+    "Bl2CP2": ("monotone two-point blow-up pentagon", _bl2cp2),
+    "Bl3CP2": ("monotone three-point blow-up hexagon", _bl3cp2),
+    "Blowup_S2xS2(a,b,c)": ("a-by-b rectangle, one corner chopped at c <= b/2", _blowup_s2xs2),
+    "Blowup2_S2xS2(a,b)": ("a-by-b rectangle, two opposite corners chopped at b/2", _blowup2_s2xs2),
 }
 
 
 def catalog_names() -> list[str]:
-    return list(_CATALOG_DOC)
+    return list(_CATALOG)
 
 
 def catalog(name: str) -> Polygon:
-    """Build a named polygon, e.g. ``CP2(3)`` or ``Blowup_S2xS2(4,2,1/2)``."""
+    """Build a named polygon, e.g. ``CP2(3)`` or ``Blowup_S2xS2(4,2,1/2)``.
+
+    The catalog is one table, ``_CATALOG``: each family's name with its
+    argument names, its description and its builder.  Its keys are the
+    names that ``catalog_names()`` and ``atfkit classify --name`` list.
+    """
     head, args = _parse_catalog_name(name)
-    if head == "CP2":
-        (lam,) = _catalog_args(name, args, 1)
-        if lam.sign() <= 0:
-            raise ValueError("CP2 needs a positive side")
-        return Polygon([(0, 0), (lam, qf(0)), (qf(0), lam)])
-    if head == "S2xS2":
-        a, b = _catalog_args(name, args, 2)
-        if a.sign() <= 0 or b.sign() <= 0:
-            raise ValueError("S2xS2 needs positive sides")
-        return Polygon([(0, 0), (a, qf(0)), (a, b), (qf(0), b)])
-    if head == "HirzebruchF1":
-        lam, c = _catalog_args(name, args, 2)
-        if not (qf(0) < c < lam):
-            raise ValueError("HirzebruchF1 needs 0 < c < lam")
-        return catalog(f"CP2({lam})").corner_chop(1, c)
-    if head == "Bl1CP2":
-        _catalog_args(name, args, 0)
-        return catalog("CP2(3)").corner_chop(1, 1)
-    if head == "Bl2CP2":
-        _catalog_args(name, args, 0)
-        return catalog("Bl1CP2").corner_chop(3, 1)
-    if head == "Bl3CP2":
-        _catalog_args(name, args, 0)
-        return catalog("Bl2CP2").corner_chop(0, 1)
-    if head == "Blowup_S2xS2":
-        a, b, c = _catalog_args(name, args, 3)
-        if not (a >= b and b.sign() > 0):
-            raise ValueError("Blowup_S2xS2 needs a >= b > 0")
-        if not (qf(0) < c <= b / 2):
-            raise ValueError("Blowup_S2xS2 needs 0 < c <= b/2")
-        return Polygon(_blowup_corners(a, b, c))
-    if head == "Blowup2_S2xS2":
-        a, b = _catalog_args(name, args, 2)
-        if not (a >= b and b.sign() > 0):
-            raise ValueError("Blowup2_S2xS2 needs a >= b > 0")
-        half = b / 2
-        once = Polygon(_blowup_corners(a, b, half))
-        return once.corner_chop(4, half)
+    for key, (_, build) in _CATALOG.items():
+        family, params = _parse_catalog_name(key)
+        if family == head:
+            if len(args) != len(params):
+                raise ValueError(f"catalog name {name!r} expects {len(params)} argument(s)")
+            return build(*map(qf, args))
     raise ValueError(f"unknown catalog polygon {name!r}")
 
 
@@ -811,12 +832,6 @@ def _parse_catalog_name(name: str) -> tuple[str, list[str]]:
         args = [piece.strip() for piece in inner.split(",")] if inner.strip() else []
         return head.strip(), args
     return text, []
-
-
-def _catalog_args(name: str, args: list[str], count: int) -> list[QField]:
-    if len(args) != count:
-        raise ValueError(f"catalog name {name!r} expects {count} argument(s)")
-    return [qf(arg) for arg in args]
 
 
 __all__ = [
