@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
+from .plane import Point
 from .polygon import Polygon
 from .scalars import QField
 
@@ -57,7 +58,11 @@ def monotone_test(poly: Polygon) -> bool:
     """
     if not poly.is_delzant():
         raise ValueError("monotone test expects a Delzant polygon")
-    value, point = poly.max_distance()
+    return _equidistant(poly, *poly.max_distance())
+
+
+def _equidistant(poly: Polygon, value: QField, point: Point) -> bool:
+    """Whether ``point`` is at distance ``value`` from every edge line."""
     return all(v == value for v in poly.support_values(point))
 
 
@@ -69,13 +74,13 @@ def check_applicable(poly: Polygon) -> ApplicabilityReport:
     """
     if not poly.is_delzant():
         raise ValueError("applicability screen expects a Delzant polygon")
-    max_f = poly.max_distance()[0]
+    max_f, point = poly.max_distance()
     self_ints = [poly.self_intersection(i) for i in range(len(poly.edges))]
     qualifying = [(e.length, i) for i, e in enumerate(poly.edges) if self_ints[i] == -1 and e.length < max_f]
     witness_length, witness_edge = min(qualifying, default=(None, None))
     if qualifying:
         tag = None
-    elif monotone_test(poly):
+    elif _equidistant(poly, max_f, point):
         tag = "monotone"
     elif len(self_ints) == 4 and all(s == 0 for s in self_ints):
         tag = "product_unequal"

@@ -14,8 +14,11 @@ corroborated by a distinctness sweep of the first N iterates.
 All four orbit functions work on one integer rotation.  The advance and
 the perimeter are put over one common denominator D as integer rows
 ``step = (a1 + b1*sqrt(d))/D`` and ``per = (a2 + b2*sqrt(d))/D``; a position
-is an integer pair (X, Y) standing for ``(X + Y*sqrt(d))/D``.  No
-``QField`` is built per position, and every comparison is exact:
+is an integer pair (X, Y) standing for ``(X + Y*sqrt(d))/D``.  The rows are
+read from the shape's integer form (c, c - eps and 2(a + b) - c over one
+denominator, cached on the parameters) and the level's normal form, with no
+``QField`` arithmetic; no ``QField`` is built per position either, and every
+comparison is exact:
 
 * the walk (``orbit_positions`` and ``atfkit orbit --dump``) wraps on the
   exact sign of ``s + step - per``;
@@ -30,7 +33,9 @@ is an integer pair (X, Y) standing for ``(X + Y*sqrt(d))/D``.  No
 * a rational rho = p/q is proved to have period exactly q by the integer
   identity ``q*step = p*per`` with ``gcd(p, q) = 1`` (s_n returns to s_0
   exactly when q divides n), and its records show the first return at q
-  when q <= N and none before;
+  when q <= N and none before; p/q is the closed form
+  ``rotation_number``, computed on ``QField`` values apart from the rows, so
+  the identity checks the rows against an independent oracle;
 * a histogram bin ``floor(bins * s_i / per)`` is ``floor(i*bins*rho) mod
   bins``, and these floors step by ``m = floor(bins * rho)`` plus the
   letters of the characteristic Sturmian word of ``bins*rho - m``, a product
@@ -50,13 +55,14 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from math import lcm
 from typing import Callable, Iterator, NamedTuple
 
 from . import scalars
 from .plane import Point
 from .polygon import ConstructionParams, Polygon
 from .recurrence import VerificationError
-from .scalars import QField, ScalarLike, qf
+from .scalars import QField, ScalarLike, _merge_radicand, _sign, qf
 
 
 @dataclass(frozen=True)
@@ -108,15 +114,11 @@ def perimeter_value(params: ConstructionParams, h: ScalarLike) -> QField:
     return 2 * (params.a + params.b) - params.c - 7 * h
 
 
-def _check_full_advance(params: ConstructionParams, h: QField) -> None:
-    if h.sign() < 0 or h > params.c - params.eps:
-        raise ValueError("level must satisfy 0 <= h <= c - eps")
-
-
 def rotation_number(params: ConstructionParams, h: ScalarLike) -> QField:
     """Exact rotation number (c - h) / (2(a + b) - c - 7h)."""
     h = qf(h)
-    _check_full_advance(params, h)
+    if h.sign() < 0 or h > params.c - params.eps:
+        raise ValueError("level must satisfy 0 <= h <= c - eps")
     return (params.c - h) / perimeter_value(params, h)
 
 
@@ -135,10 +137,28 @@ class _Rows(NamedTuple):
 
 
 def _rows(params: ConstructionParams, h: ScalarLike, s0: ScalarLike = 0) -> _Rows:
-    h = qf(h)
-    _check_full_advance(params, h)
-    D, d, ((x, y), step, per) = scalars._over(qf(s0), params.c - h, perimeter_value(params, h))
-    return _Rows(d, D, *step, *per, *scalars._mod(x, y, *per, d))
+    """The rows of the step ``c - h`` and the perimeter ``2(a + b) - c - 7h``,
+    read on integers from the normal forms of h and s0 and the shape's
+    ``_rotation_rows``, with no ``QField`` arithmetic.  Radicands are merged, and a
+    mixed pair refused, in the order of the ``QField`` expressions the rows
+    stand for (``h <= c - eps``, ``c - h``, ``2(a + b) - c - 7h``, then the
+    start over the two rows), each only where both values are irrational: a
+    start in another radicand is refused only when a row is irrational."""
+    A, B, Dh, dh = scalars._operand(h) or qf(h)._v
+    Dp, dp, ((cx, cy), (ex, ey), (px, py)) = params._rotation_rows
+    # 0 <= h, then h <= c - eps as the sign of (c - eps)*Dh - h*Dp
+    if _sign(A, B, dh) < 0 or _sign(
+        ex * Dh - A * Dp, ey * Dh - B * Dp, _merge_radicand(dh, dp) if ey else dh
+    ) < 0:
+        raise ValueError("level must satisfy 0 <= h <= c - eps")
+    X, Y, Ds, ds = scalars._operand(s0) or qf(s0)._v
+    # the radicand of the rows: c - h and 2(a + b) - c - 7h merge the shape's with h's
+    r = _merge_radicand(dp, dh) if cy or py else dh or dp
+    D = lcm(Dp, Dh, Ds)
+    k, kh, ks = D // Dp, D // Dh, D // Ds
+    step, per = (cx * k - A * kh, cy * k - B * kh), (px * k - 7 * A * kh, py * k - 7 * B * kh)
+    d = _merge_radicand(ds, r) if step[1] or per[1] else ds
+    return _Rows(d, D, *step, *per, *scalars._mod(X * ks, Y * ks, *per, d))
 
 
 def _records(rows: _Rows, count: int) -> tuple[tuple[int, int, int], tuple[int, int, int]]:

@@ -82,6 +82,7 @@ from bisect import bisect_left
 import json
 from math import lcm
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .plane import (
@@ -719,6 +720,14 @@ class ConstructionParams:
         bound = min(self.c, self.b / 2 - self.c)
         if not (self.eps.sign() > 0 and self.eps < bound):
             raise ValueError("parameter eps must satisfy 0 < eps < min(c, b/2 - c)")
+
+    @cached_property
+    def _rotation_rows(self) -> tuple:
+        """``(D, d, [c, c - eps, 2(a + b) - c])``, the three as integer pairs
+        ``(A, B)`` standing for ``(A + B*sqrt(d))/D``: the level rotations of
+        ``atfkit.orbits`` read them.  Cached outside the dataclass fields, so
+        no diagram JSON carries them."""
+        return _over(self.c, self.c - self.eps, 2 * (self.a + self.b) - self.c)
 
 
 def centered_rectangle(a: ScalarLike, b: ScalarLike) -> Polygon:

@@ -44,7 +44,7 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
-from typing import Union
+from typing import Callable, Union
 
 Rational = Union[int, Fraction]
 
@@ -537,22 +537,21 @@ def format_scalar(x: "QField | Rational") -> str:
     return _text(*qf(x)._v)
 
 
-def _text(A: int, B: int, D: int, d: int | None) -> str:
+def _text(A: int, B: int, D: int, d: int | None, num: Callable[[int], str] = str) -> str:
     """The canonical text of ``(A + B*sqrt(d)) / D`` for integers with
     ``D > 0``: each fraction is put in lowest terms, so the row need not be
-    reduced.  An integer past the interpreter's limit on int-to-str
-    conversion is printed by ``_digits``."""
-    g = gcd(A, D)
+    reduced.  The integers are printed by ``num``; when one is past the
+    interpreter's limit on int-to-str conversion the text is printed again
+    by ``_digits``, through the same template and sign rule."""
     try:
-        out = f"{A // g}/{D // g}"
+        g = gcd(A, D)
+        out = f"{num(A // g)}/{num(D // g)}"
         if B:
             g = gcd(B, D)
-            out += f"{'+' if B > 0 else '-'}{abs(B) // g}/{D // g}*sqrt({d})"
+            out += f"{'+' if B > 0 else '-'}{num(abs(B) // g)}/{num(D // g)}*sqrt({d})"
         return out
     except ValueError:
-        g, h = gcd(A, D), gcd(B, D)
-        tail = f"{'+' if B > 0 else '-'}{_digits(abs(B) // h)}/{_digits(D // h)}*sqrt({d})" if B else ""
-        return f"{_digits(A // g)}/{_digits(D // g)}{tail}"
+        return _text(A, B, D, d, _digits)
 
 
 def _digits(n: int) -> str:

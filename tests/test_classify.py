@@ -77,6 +77,26 @@ def test_screen_rejects_non_delzant():
         check_applicable(skew)
 
 
+@pytest.mark.parametrize("name", ["CP2(3)", "S2xS2(4,2)", "Blowup_S2xS2(4,2,1)", "F2"])
+def test_screen_tests_delzant_once(monkeypatch, name):
+    # with no witness the screen runs the monotone test on the polygon it
+    # has already found Delzant, and does not test it again
+    poly = Polygon([(0, 0), (4, 0), (2, 1), (0, 1)]) if name == "F2" else catalog(name)
+    is_delzant, calls = Polygon.is_delzant, []
+
+    def counted(self):
+        calls.append(self)
+        return is_delzant(self)
+
+    monkeypatch.setattr(Polygon, "is_delzant", counted)
+    report = check_applicable(poly)
+    assert report.witness_edge is None and report.exception_tag is not None
+    assert calls == [poly]
+    # monotone_test keeps its own test
+    monotone_test(poly)
+    assert calls == [poly, poly]
+
+
 def test_witness_prefers_the_shortest_edge():
     poly = centered_rectangle(6, 4).corner_chop(1, qf("1/2")).corner_chop(3, 1)
     report = check_applicable(poly)

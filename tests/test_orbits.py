@@ -8,7 +8,7 @@ import pytest
 
 from conftest import floor_sum_histogram, rho_decreases_on_grid, stuck_records, walk_histogram
 
-from atfkit import orbits
+from atfkit import orbits, scalars
 from atfkit.orbits import (
     LevelCoordinate,
     OrbitReport,
@@ -372,6 +372,96 @@ def test_start_with_another_radicand_is_refused():
         orbit_positions(PARAMS, SQRT2_OVER_8, 5, s0)
     with pytest.raises(ValueError):
         qfield_positions(PARAMS, SQRT2_OVER_8, 5, s0)
+
+
+# -- the rows: one level's rotation on integers ----------------------------------
+
+ROW_SHAPES = {
+    "rational": PARAMS,
+    "sqrt2-a": ConstructionParams(qf("3/1+1/1*sqrt(2)"), 3, qf("1/2"), qf("1/8")),
+    "sqrt2-c": ConstructionParams(4, 2, qf("1/2+1/16*sqrt(2)"), qf("1/8")),
+    "sqrt3-eps": ConstructionParams(4, 2, qf("1/2"), qf("0/1+1/16*sqrt(3)")),
+}
+LEVEL_RADICANDS = {"rational": (2, 3), "sqrt2-a": (2,), "sqrt2-c": (2,), "sqrt3-eps": (3,)}
+ROW_STARTS = [0, "1/9", Fraction(1, 3), QField.sqrt(2) / 5, QField.sqrt(3) / 7]
+
+
+def shape_levels(shape):
+    """0, c - eps and seeded rational and sqrt levels in between, the sqrt
+    levels in the shape's radicand."""
+    params, rng = ROW_SHAPES[shape], random.Random(f"rows-{shape}")
+    top = params.c - params.eps
+    levels = [qf(0), top]
+    while len(levels) < 12:
+        root = Fraction(rng.choice((-1, 1)), rng.randint(10, 40))
+        h = QField(Fraction(rng.randrange(25), 64), root, rng.choice(LEVEL_RADICANDS[shape]))
+        levels += [x for x in (h, qf(h.a)) if x.sign() >= 0 and x <= top]
+    return levels
+
+
+@pytest.mark.parametrize("shape", sorted(ROW_SHAPES))
+def test_rows_match_their_definition(shape):
+    # each row, reduced, is c - h, the closed-form perimeter and the start
+    # modulo the perimeter; the radicand is that of those three values, not
+    # the shape's, so it is None exactly when all three are rational
+    params = ROW_SHAPES[shape]
+    for h in shape_levels(shape):
+        step, per = params.c - h, perimeter_value(params, h)
+        for s0 in ROW_STARTS:
+            s = qf(s0)
+            radicands = {x.d for x in (s, step, per)} - {None}
+            if len(radicands) > 1:
+                with pytest.raises(ValueError) as caught:
+                    orbits._rows(params, h, s0)
+                assert str(caught.value) == f"mixed radicands sqrt({s.d}) and sqrt({step.d or per.d})"
+                continue
+            rows = orbits._rows(params, h, s0)
+            D, d = rows.D, rows.d
+            assert d == (radicands.pop() if radicands else None)
+            assert scalars._reduced(rows.a1, rows.b1, D, d) == step
+            assert scalars._reduced(rows.a2, rows.b2, D, d) == per
+            assert scalars._reduced(rows.x0, rows.y0, D, d) == s - floor(s / per) * per
+
+
+LEVEL_RANGE = "level must satisfy 0 <= h <= c - eps"
+
+
+@pytest.mark.parametrize(
+    "shape, h, s0, message",
+    [
+        ("rational", "-1/64", 0, LEVEL_RANGE),
+        ("rational", Fraction(3, 8) + Fraction(1, 10**9), 0, LEVEL_RANGE),
+        ("sqrt2-c", QField(0, Fraction(-1, 1000), 2), 0, LEVEL_RANGE),
+        ("sqrt2-c", QField(Fraction(3, 8), Fraction(1, 16) + Fraction(1, 10**6), 2), 0, LEVEL_RANGE),
+        # the range is tested before the radicands and the start are read
+        ("sqrt2-c", QField(0, Fraction(-1, 20), 3), 0, LEVEL_RANGE),
+        ("rational", "1/2", 0.5, LEVEL_RANGE),
+        ("rational", 0.25, 0, "expected an exact int or Fraction, got 0.25"),
+        ("rational", True, 0, "expected an exact int or Fraction, got True"),
+        ("rational", "1/4", 0.5, "expected an exact int or Fraction, got 0.5"),
+        ("rational", "1/4", "x", "malformed scalar 'x'"),
+        # h against c - eps names h's radicand first, the perimeter
+        # 2(a + b) - c - 7h names the shape's first, and a start names its own
+        ("sqrt2-c", QField(0, Fraction(1, 20), 3), 0, "mixed radicands sqrt(3) and sqrt(2)"),
+        ("sqrt3-eps", QField(0, Fraction(1, 20), 2), 0, "mixed radicands sqrt(2) and sqrt(3)"),
+        ("sqrt2-a", QField(0, Fraction(1, 20), 3), 0, "mixed radicands sqrt(2) and sqrt(3)"),
+        ("sqrt2-a", "1/4", QField.sqrt(3) / 7, "mixed radicands sqrt(3) and sqrt(2)"),
+        ("sqrt3-eps", QField(0, Fraction(1, 20), 3), QField.sqrt(2) / 5, "mixed radicands sqrt(2) and sqrt(3)"),
+    ],
+    ids=repr,
+)
+def test_rows_refuse_bad_levels_and_starts(shape, h, s0, message):
+    with pytest.raises(ValueError) as caught:
+        orbits._rows(ROW_SHAPES[shape], h, s0)
+    assert str(caught.value) == message
+
+
+def test_rows_take_a_start_in_another_radicand_on_rational_rows():
+    # eps in sqrt(3) leaves c - h and the perimeter rational on a rational
+    # level, so a start in sqrt(2) is its own radicand's row
+    rows = orbits._rows(ROW_SHAPES["sqrt3-eps"], "1/4", QField.sqrt(2) / 5)
+    assert (rows.d, rows.b1, rows.b2) == (2, 0, 0)
+    assert scalars._reduced(rows.x0, rows.y0, rows.D, rows.d) == QField.sqrt(2) / 5
 
 
 def test_long_period_is_proved_and_swept_to_n_checked():

@@ -77,6 +77,14 @@ def test_radicand_validation():
         QField(0, 1, Fraction(5))  # not an int
     with pytest.raises(ValueError, match=r"2\*\*32"):
         QField(0, 1, 2**32 + 15)  # square-free, but above the radicand cap
+    # odd squares and their multiples: _is_squarefree stepping p by 2 from 2
+    # (even trial divisors only) or by 3 from 3 (skipping 5 and 7) would
+    # accept 9, 25 or 49, and a bound of p*p < n would accept 9 and 25
+    for d in (9, 25, 49, 50, 75, 98):
+        with pytest.raises(ValueError, match=f"radicand must be square-free, got {d}"):
+            QField(0, 1, d)
+    for d in (15, 21, 35, 105):
+        assert QField(0, 1, d).d == d
 
 
 def test_values_are_immutable():
@@ -490,6 +498,16 @@ def test_parse_takes_integers_up_to_the_digit_bound():
     assert format_scalar(x) == text
     with pytest.raises(ValueError, match="malformed"):
         parse_scalar(("1" * DIGIT_BOUND + "x") * 3)
+
+
+def test_text_signs_the_sqrt_term_past_the_digit_limit():
+    # one sign rule for both the str and the _digits printing: a coefficient
+    # of 1 or -1 keeps its sign when the rational part is past the limit
+    big = 10**4301
+    assert format_scalar(QField(big, 1, 2)) == f"1{'0' * 4301}/1+1/1*sqrt(2)"
+    assert format_scalar(QField(big, -1, 2)).endswith("/1-1/1*sqrt(2)")
+    assert format_scalar(QField(1, 1, 2)) == "1/1+1/1*sqrt(2)"
+    assert format_scalar(QField(1, -1, 2)) == "1/1-1/1*sqrt(2)"
 
 
 def test_digits_prints_integers_of_any_length():
