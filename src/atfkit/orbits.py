@@ -15,10 +15,10 @@ All four orbit functions work on one integer rotation.  The advance and
 the perimeter are put over one common denominator D as integer rows
 ``step = (a1 + b1*sqrt(d))/D`` and ``per = (a2 + b2*sqrt(d))/D``; a position
 is an integer pair (X, Y) standing for ``(X + Y*sqrt(d))/D``.  The rows are
-read from the shape's integer form (c, c - eps and 2(a + b) - c over one
-denominator, cached on the parameters) and the level's normal form, with no
-``QField`` arithmetic; no ``QField`` is built per position either, and every
-comparison is exact:
+read from the shape's integer form (c and 2(a + b) - c over one
+denominator, and c - eps in its own radicand for the range test, cached on
+the parameters) and the level's normal form, with no ``QField`` arithmetic;
+no ``QField`` is built per position either, and every comparison is exact:
 
 * the walk (``orbit_positions`` and ``atfkit orbit --dump``) wraps on the
   exact sign of ``s + step - per``;
@@ -145,15 +145,16 @@ def _rows(params: ConstructionParams, h: ScalarLike, s0: ScalarLike = 0) -> _Row
     start over the two rows), each only where both values are irrational: a
     start in another radicand is refused only when a row is irrational."""
     A, B, Dh, dh = scalars._operand(h) or qf(h)._v
-    Dp, dp, ((cx, cy), (ex, ey), (px, py)) = params._rotation_rows
-    # 0 <= h, then h <= c - eps as the sign of (c - eps)*Dh - h*Dp
-    if _sign(A, B, dh) < 0 or _sign(
-        ex * Dh - A * Dp, ey * Dh - B * Dp, _merge_radicand(dh, dp) if ey else dh
-    ) < 0:
+    (ex, ey, De, de), rows = params._rotation_rows
+    # 0 <= h, then h <= c - eps as the sign of (c - eps)*Dh - h*De
+    if _sign(A, B, dh) < 0 or _sign(ex * Dh - A * De, ey * Dh - B * De, _merge_radicand(dh, de)) < 0:
         raise ValueError("level must satisfy 0 <= h <= c - eps")
     X, Y, Ds, ds = scalars._operand(s0) or qf(s0)._v
+    # with a + b and c in two radicands the shape has no rows, and
+    # rotation_number refuses c - h or the perimeter as the QField rows do
+    Dp, dp, ((cx, cy), (px, py)) = rows or rotation_number(params, h)
     # the radicand of the rows: c - h and 2(a + b) - c - 7h merge the shape's with h's
-    r = _merge_radicand(dp, dh) if cy or py else dh or dp
+    r = _merge_radicand(dp, dh)
     D = lcm(Dp, Dh, Ds)
     k, kh, ks = D // Dp, D // Dh, D // Ds
     step, per = (cx * k - A * kh, cy * k - B * kh), (px * k - 7 * A * kh, py * k - 7 * B * kh)

@@ -723,11 +723,17 @@ class ConstructionParams:
 
     @cached_property
     def _rotation_rows(self) -> tuple:
-        """``(D, d, [c, c - eps, 2(a + b) - c])``, the three as integer pairs
-        ``(A, B)`` standing for ``(A + B*sqrt(d))/D``: the level rotations of
-        ``atfkit.orbits`` read them.  Cached outside the dataclass fields, so
-        no diagram JSON carries them."""
-        return _over(self.c, self.c - self.eps, 2 * (self.a + self.b) - self.c)
+        """``(c - eps, rows)`` for the level rotations of ``atfkit.orbits``:
+        c - eps as its normal form ``(A, B, D, d)``, and rows
+        ``(D, d, [c, 2(a + b) - c])``, the two as integer pairs ``(A, B)``
+        standing for ``(A + B*sqrt(d))/D``, or None when a + b and c lie in
+        two radicands.  c - eps keeps its own radicand: the range test of a
+        level compares with it alone.  Cached outside the dataclass fields,
+        so no diagram JSON carries them."""
+        try:
+            return (self.c - self.eps)._v, _over(self.c, 2 * (self.a + self.b) - self.c)
+        except ValueError:  # refused where a level's perimeter is built
+            return (self.c - self.eps)._v, None
 
 
 def centered_rectangle(a: ScalarLike, b: ScalarLike) -> Polygon:

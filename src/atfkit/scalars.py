@@ -542,14 +542,12 @@ def _text(A: int, B: int, D: int, d: int | None, num: Callable[[int], str] = str
     ``D > 0``: each fraction is put in lowest terms, so the row need not be
     reduced.  The integers are printed by ``num``; when one is past the
     interpreter's limit on int-to-str conversion the text is printed again
-    by ``_digits``, through the same template and sign rule."""
+    by ``_digits``, through the same template and sign rule (``_digits`` on
+    every integer would cost a Python call each on the common path)."""
+    g, h = gcd(A, D), gcd(B, D)
     try:
-        g = gcd(A, D)
-        out = f"{num(A // g)}/{num(D // g)}"
-        if B:
-            g = gcd(B, D)
-            out += f"{'+' if B > 0 else '-'}{num(abs(B) // g)}/{num(D // g)}*sqrt({d})"
-        return out
+        tail = f"{'+' if B > 0 else '-'}{num(abs(B) // h)}/{num(D // h)}*sqrt({d})" if B else ""
+        return f"{num(A // g)}/{num(D // g)}{tail}"
     except ValueError:
         return _text(A, B, D, d, _digits)
 
