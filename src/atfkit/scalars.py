@@ -131,7 +131,7 @@ class QField:
 
     __slots__ = ("_v",)
 
-    def __new__(cls, a: Rational = 0, b: Rational = 0, d: int | None = None) -> "QField":
+    def __new__(cls, a: Rational, b: Rational = 0, d: int | None = None) -> "QField":
         # built in __new__, so calling __init__ again cannot rewrite a value;
         # a and b are read as operands, and only an int or a Fraction is
         # exact: a float is refused rather than silently rounded

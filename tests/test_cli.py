@@ -1,8 +1,11 @@
-"""End-to-end runs of the command line entry point, in process."""
+"""End-to-end runs of the command line entry point: in process, and in a
+child interpreter where a run must meet a timeout or a memory cap."""
 
+import hashlib
 import json
 import os
 import random
+import resource
 import subprocess
 import sys
 import time
@@ -21,10 +24,39 @@ from atfkit.polygon import ConstructionParams, catalog
 from atfkit.scalars import DIGIT_BOUND, qf
 
 
+GOLDEN = Path(__file__).parent / "golden"
+SQRT2_LEVEL = "0/1+1/8*sqrt(2)"
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_within(seconds, capsys, *argv):
+    """``run``, failing if the command takes ``seconds`` or longer."""
+    start = time.perf_counter()
+    result = run(capsys, *argv)
+    assert time.perf_counter() - start < seconds, argv
+    return result
+
+
+def run_child(*argv, timeout, memory=None):
+    """Run the command line in a fresh ``python -W error``, killed after
+    ``timeout`` seconds and, if ``memory`` is given, with its address space
+    capped at that many bytes; return the finished process (stdout and
+    stderr as bytes) and its wall time."""
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (memory, memory))
+
+    env = dict(os.environ, PYTHONPATH=str(Path(atfkit.__file__).parents[1]))
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "atfkit.cli", *argv],
+        capture_output=True, env=env, timeout=timeout, preexec_fn=None if memory is None else cap,
+    )
+    return done, time.perf_counter() - start
 
 
 # -- build ------------------------------------------------------------------
@@ -57,7 +89,7 @@ def test_build_refuses_integers_that_render_could_not_read_back(tmp_path, capsys
     # pi0 then carry integers of 4,301 digits (x-coordinates over 16)
     out = tmp_path / "big.json"
     for argv in (["-o", str(out)], []):
-        code, stdout, stderr = run(capsys, "build", "--a", "9" * DIGIT_BOUND, *argv)
+        code, stdout, stderr = run_within(10, capsys, "build", "--a", "9" * DIGIT_BOUND, *argv)
         assert code == 2 and stdout == "" and not out.exists()
         assert stderr == f"error: scalar has an integer of more than {DIGIT_BOUND} digits\n"
 
@@ -65,14 +97,26 @@ def test_build_refuses_integers_that_render_could_not_read_back(tmp_path, capsys
 @pytest.mark.parametrize("digits", [4290, DIGIT_BOUND - 1, DIGIT_BOUND])
 def test_what_build_writes_render_reads(tmp_path, capsys, digits):
     built, svg = tmp_path / "big.json", tmp_path / "big.svg"
-    code, _, _ = run(capsys, "build", "--a", "9" * digits, "--b", "3", "-o", str(built))
+    code, _, _ = run_within(10, capsys, "build", "--a", "9" * digits, "--b", "3", "-o", str(built))
     if code == 0:
-        code, _, stderr = run(capsys, "render", str(built), "--levels", "1/4", "-o", str(svg))
+        code, _, stderr = run_within(10, capsys, "render", str(built), "--levels", "1/4", "-o", str(svg))
         assert code == 0 and stderr == ""
         assert ET.fromstring(svg.read_text()).tag.endswith("svg")
     else:
         assert code == 2 and not built.exists()
     assert (code == 0) == (digits < DIGIT_BOUND)
+
+
+def test_one_diagram_through_build_render_classify_and_mcg(tmp_path, capsys):
+    pi0, svg, polygon = tmp_path / "pi0.json", tmp_path / "pi0.svg", tmp_path / "polygon.json"
+    shape = ["--a", "6", "--b", "3", "--c", "3/4"]
+    assert run(capsys, "build", *shape, "--eps", "1/4", "-o", str(pi0)) == (0, "", "")
+    assert run(capsys, "render", str(pi0), "--strips", "--levels", "1/4", "-o", str(svg)) == (0, "", "")
+    polygon.write_text(json.dumps(json.loads(pi0.read_text())["polygon"]))
+    code, stdout, _ = run(capsys, "classify", str(polygon))
+    assert code == 0 and json.loads(stdout)["witness_length"] == "3/4"
+    code, stdout, _ = run(capsys, "mcg", *shape, "--bound", "5")
+    assert code == 0 and [entry["area"] for entry in json.loads(stdout)["classes"]] == ["-3/1", "3/1"]
 
 
 # -- verify -----------------------------------------------------------------
@@ -84,6 +128,7 @@ def test_verify_runs_the_battery(capsys):
     lines = stdout.strip().splitlines()
     assert all(line.startswith("PASS") for line in lines[:-1])
     assert lines[-1].endswith("properties passed")
+    assert run(capsys, "verify") == (0, (GOLDEN / "verify_2026.txt").read_text(), "")
 
 
 # -- orbit ------------------------------------------------------------------
@@ -122,20 +167,22 @@ def test_orbit_requires_the_level_flag(capsys):
     ],
 )
 def test_orbit_rejects_hostile_levels_fast(capsys, level):
-    start = time.perf_counter()
-    code = main(["orbit", "--h", level])
-    elapsed = time.perf_counter() - start
-    capsys.readouterr()
+    code, _, _ = run_within(1.0, capsys, "orbit", "--h", level)
     assert code == 2
-    assert elapsed < 1.0
+
+
+def test_orbit_refuses_a_parameter_above_the_digit_bound(capsys):
+    code, stdout, stderr = run(capsys, "orbit", "--a", "1" * (DIGIT_BOUND + 1), "--h", "1/4")
+    assert code == 2 and stdout == ""
+    assert stderr.endswith(f"argument --a: scalar has an integer of more than {DIGIT_BOUND} digits\n")
 
 
 def test_orbit_prints_scalars_past_the_int_to_str_limit(capsys):
     # a = 111...1 (4,000 digits): rho's integers are past the 4,300 digits
     # that str() of an int converts by default
-    code, stdout, stderr = run(
-        capsys, "orbit", "--a", "1" * 4000 + "/1", "--b", "3", "--c", "1/2", "--eps", "1/8",
-        "--h", "0/1+1/8*sqrt(2)", "--n", "10",
+    code, stdout, stderr = run_within(
+        10, capsys, "orbit", "--a", "1" * 4000 + "/1", "--b", "3", "--c", "1/2", "--eps", "1/8",
+        "--h", SQRT2_LEVEL, "--n", "10",
     )
     assert code == 0 and stderr == ""
     report = json.loads(stdout)
@@ -146,7 +193,9 @@ def test_orbit_prints_scalars_past_the_int_to_str_limit(capsys):
 
 def test_orbit_prints_a_period_past_the_int_to_str_limit(capsys):
     # a = 4,300 nines: the period, the denominator of rho, has 4,301 digits
-    code, stdout, stderr = run(capsys, "orbit", "--a", "9" * DIGIT_BOUND, "--h", "1/4", "--n", "10")
+    code, stdout, stderr = run_within(
+        10, capsys, "orbit", "--a", "9" * DIGIT_BOUND, "--h", "1/4", "--n", "10"
+    )
     assert code == 0 and stderr == ""
     report = json.loads(stdout, parse_int=str)
     assert report["kind"] == "periodic" and report["distinct_checked"] == "10"
@@ -155,18 +204,54 @@ def test_orbit_prints_a_period_past_the_int_to_str_limit(capsys):
 
 def test_orbit_long_period_exits_quickly():
     # rho = 1000001/23000055: the period is proved, not walked
-    env = dict(os.environ, PYTHONPATH=str(Path(atfkit.__file__).parents[1]))
-    start = time.perf_counter()
-    done = subprocess.run(
-        [sys.executable, "-m", "atfkit.cli", "orbit", "--h", "1/1000003"],
-        capture_output=True, text=True, env=env, timeout=30,
-    )
-    elapsed = time.perf_counter() - start
+    done, elapsed = run_child("orbit", "--h", "1/1000003", timeout=30)
     assert done.returncode == 0, done.stderr
     report = json.loads(done.stdout)
     assert report["period"] == 23000055
     assert report["distinct_checked"] == 10000
     assert elapsed < 1.0
+
+
+# The histogram packs its counts into one integer of --bins fields and joins
+# words by adding and rotating it, so neither its time nor its memory grows
+# with --n beyond the field width; each step on the packed counts costs time
+# and memory in proportion to --bins.
+
+
+def test_orbit_of_the_largest_n_in_ten_bins_matches_its_golden():
+    # within 10 s in 1 GB of address space (1,000,000 KiB)
+    done, _ = run_child(
+        "orbit", "--h", SQRT2_LEVEL, "--n", str(ORBIT_LIMIT), "--bins", "10",
+        timeout=10, memory=1_000_000 * 1024,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == (GOLDEN / "orbit_sqrt2_1e6.json").read_bytes()
+
+
+def test_orbit_of_the_largest_bins_at_the_default_n():
+    done, _ = run_child("orbit", "--h", SQRT2_LEVEL, "--n", "10000", "--bins", str(ORBIT_LIMIT), timeout=10)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["kind"] == "irrational-certified"
+
+
+def test_orbit_of_the_largest_n_and_bins_matches_its_digest():
+    # frozen from the output before the counts were packed and the histogram
+    # rows went through json's C encoder
+    done, _ = run_child(
+        "orbit", "--h", SQRT2_LEVEL, "--n", str(ORBIT_LIMIT), "--bins", str(ORBIT_LIMIT), timeout=10
+    )
+    assert done.returncode == 0, done.stderr
+    digest, _ = (GOLDEN / "orbit_sqrt2_1e6_bins1e6.sha256").read_text().split()
+    assert hashlib.sha256(done.stdout).hexdigest() == digest
+
+
+def test_streamed_dump_of_the_largest_n_matches_its_digest(tmp_path):
+    # frozen, as sha256sum writes it, from the dump built in memory before it streamed
+    digest, file_name = (GOLDEN / "orbit_sqrt2_1e6_dump.sha256").read_text().split()
+    dump = tmp_path / file_name
+    done, _ = run_child("orbit", "--h", SQRT2_LEVEL, "--n", str(ORBIT_LIMIT), "--dump", str(dump), timeout=15)
+    assert done.returncode == 0, done.stderr
+    assert hashlib.sha256(dump.read_bytes()).hexdigest() == digest
 
 
 def test_orbit_failed_certificate_exits_1(capsys, monkeypatch):
@@ -314,13 +399,10 @@ def test_mcg_lists_the_twist_pair(capsys):
 
 def test_mcg_huge_bound_is_instant(capsys):
     # the form 2a^2 + 3ab + 2b^2 = 1 is positive definite: |alpha| <= 1
-    start = time.perf_counter()
-    code, stdout, _ = run(capsys, "mcg", "--bound", str(10**18))
-    elapsed = time.perf_counter() - start
+    code, stdout, _ = run_within(1.0, capsys, "mcg", "--bound", str(10**18))
     assert code == 0
     report = json.loads(stdout)
     assert [tuple(entry["class"]) for entry in report["classes"]] == [(-1, 1, 0), (1, -1, 0)]
-    assert elapsed < 1.0
 
 
 def test_mcg_equal_factors_kill_the_areas(capsys):
@@ -352,9 +434,8 @@ def test_render_to_file(tmp_path, capsys):
 
 
 def test_render_of_a_level_above_an_edge_death(tmp_path, capsys):
-    # the command line the CI verify job runs: for a=4, b=2, c=1/2 the
-    # slanted edge dies at 1/2 and max F is 1, so the level at 3/4 has four
-    # vertices
+    # for a=4, b=2, c=1/2 the slanted edge dies at 1/2 and max F is 1, so
+    # the level at 3/4 has four vertices
     pi0, svg_path = tmp_path / "quarter.json", tmp_path / "dead.svg"
     args = ["--a", "4", "--b", "2", "--c", "1/2", "--eps", "1/4"]
     assert run(capsys, "build", *args, "-o", str(pi0))[0] == 0
@@ -411,7 +492,7 @@ def test_render_rejects_float_fields(tmp_path, capsys, field, value):
 def test_render_rejects_hostile_json(tmp_path, capsys, name):
     path = tmp_path / "hostile.json"
     path.write_text(hostile_diagrams()[name])
-    code, stdout, stderr = run(capsys, "render", str(path))
+    code, stdout, stderr = run_within(10, capsys, "render", str(path))
     assert code == 2 and stdout == ""
     assert stderr.startswith("error:") and len(stderr.splitlines()) == 1
 
@@ -421,10 +502,8 @@ def test_render_many_vertex_polygon_quickly(tmp_path, capsys):
     path = tmp_path / "parabola.json"
     vertices = [[str(x), str(x * x)] for x in range(-500, 501)]
     path.write_text(json.dumps({"polygon": {"vertices": vertices}, "nodes": [], "cuts": []}))
-    start = time.perf_counter()
-    code, stdout, _ = run(capsys, "render", str(path), "--levels", "1/2")
+    code, stdout, _ = run_within(5.0, capsys, "render", str(path), "--levels", "1/2")
     assert code == 0 and stdout.count('class="level"') == 1
-    assert time.perf_counter() - start < 5.0
 
 
 # -- top level ------------------------------------------------------------------
@@ -480,6 +559,12 @@ def test_help_wraps_at_the_current_terminal_width(capsys, monkeypatch):
     for width, text in helps.items():
         monkeypatch.setenv("COLUMNS", str(width))
         assert run(capsys, "-h")[1] == fresh()
+
+
+@pytest.mark.parametrize("command", ["build", "verify", "orbit", "classify", "mcg", "render"])
+def test_every_subcommand_prints_its_help(capsys, command):
+    code, stdout, stderr = run(capsys, command, "--help")
+    assert code == 0 and stdout.startswith(f"usage: atfkit {command} ") and stderr == ""
 
 
 def test_no_arguments_is_a_usage_error(capsys):

@@ -283,6 +283,13 @@ def test_composite_fixes_levels_above_c():
             assert apply_rounds(rm, p) == p
 
 
+@pytest.mark.parametrize("r", [2, 3])
+def test_a_map_with_sqrt_parameters_verifies(r):
+    # build_recurrence_map checks its grid on integer point rows
+    params = ConstructionParams(qf(f"3/1+1/1*sqrt({r})"), qf(3), qf(f"1/2+1/8*sqrt({r})"), qf("1/8"))
+    assert build_recurrence_map(build_pi0(params)).params == params
+
+
 def test_verification_derives_no_level(monkeypatch):
     # the samples lie on their level by construction, so no check re-derives F there
     def refused(*args):

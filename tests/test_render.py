@@ -359,19 +359,21 @@ def test_strip_region_of_another_radicand_is_refused():
 
 GOLDEN = Path(__file__).parent / "golden"
 SQRT2_BUILD = ["--a", "3/1+1/1*sqrt(2)", "--b", "3", "--c", "1/2+1/8*sqrt(2)", "--eps", "1/8"]
-# golden file: the build flags, then the render flags besides --strips --eigenlines
+WIDE_TAPER_BUILD = ["--a", "4", "--b", "2", "--c", "1/2", "--eps", "1/4"]
+DRAW_ALL = ["--strips", "--eigenlines"]
+# golden file: the build flags, then the render flags
 GOLDEN_RENDERS = {
-    "pi0_sqrt2.svg": (SQRT2_BUILD, ["--levels", "1/4,0/1+1/8*sqrt(2)"]),
+    "pi0_quarter.svg": (WIDE_TAPER_BUILD, ["--levels", "1/4"]),
+    "pi0_sqrt2.svg": (SQRT2_BUILD, [*DRAW_ALL, "--levels", "1/4,0/1+1/8*sqrt(2)"]),
     "pi0_sqrt3.svg": (
         ["--a", "5", "--b", "2/1+1/2*sqrt(3)", "--c", "1/2+1/4*sqrt(3)", "--eps", "1/4"],
-        ["--levels", "1/3,0/1+1/5*sqrt(3)"],
+        [*DRAW_ALL, "--levels", "1/3,0/1+1/5*sqrt(3)"],
     ),
-    "pi0_sqrt2_scale.svg": ([], ["--levels", "1/4,0/1+1/8*sqrt(2)", "--scale", "10/1+20/1*sqrt(2)"]),
+    "pi0_sqrt2_scale.svg": (
+        [], [*DRAW_ALL, "--levels", "1/4,0/1+1/8*sqrt(2)", "--scale", "10/1+20/1*sqrt(2)"]
+    ),
     # both levels lie above the death of the slanted edge (1/2)
-    "pi0_dead.svg": (
-        ["--a", "4", "--b", "2", "--c", "1/2", "--eps", "1/4"],
-        ["--levels", "3/4,0/1+1/2*sqrt(2)"],
-    ),
+    "pi0_dead.svg": (WIDE_TAPER_BUILD, [*DRAW_ALL, "--levels", "3/4,0/1+1/2*sqrt(2)"]),
 }
 
 
@@ -386,7 +388,7 @@ def build_file(tmp_path, capsys, flags) -> str:
 def test_golden_render_through_the_cli_is_byte_identical(tmp_path, capsys, name):
     build_flags, render_flags = GOLDEN_RENDERS[name]
     svg = tmp_path / name
-    argv = ["render", build_file(tmp_path, capsys, build_flags), "--strips", "--eigenlines", *render_flags]
+    argv = ["render", build_file(tmp_path, capsys, build_flags), *render_flags]
     assert main([*argv, "-o", str(svg)]) == 0
     assert svg.read_bytes() == (GOLDEN / name).read_bytes()
 
