@@ -45,6 +45,13 @@ no ``QField`` is built per position either, and every comparison is exact:
   so the histogram takes O(log n) big-integer steps of ``bins`` fields each
   and no pass over the positions, for any n < 2**64.
 
+The rows of a level from 0 and its records for the last count asked for are
+kept on the parameters, in the one slot ``ConstructionParams._read`` keyed by
+h's normal form (``_level``), so ``classify_level``, ``gap_values`` and
+``equidistribution_stats`` on one level build its rows once and run its
+continued fraction once per count; ``orbit_positions`` builds its own rows,
+from its start s0.
+
 The level coordinates of a point (``to_level_coordinate`` and its inverse
 ``from_level_coordinate``) read the arc rows of level h from the
 polygon's edge-death schedule, by the same advance pass as the rotations
@@ -162,6 +169,24 @@ def _rows(params: ConstructionParams, h: ScalarLike, s0: ScalarLike = 0) -> _Row
     return _Rows(d, D, *step, *per, *scalars._mod(X * ks, Y * ks, *per, d))
 
 
+def _level(params: ConstructionParams, h: ScalarLike, count: int = 0) -> tuple:
+    """``(rows, records)`` of level h: its ``_rows`` from 0 and the
+    ``_records`` of the last count asked for, filled for ``count`` when it is
+    positive.  The parameters keep the last level read in their slot
+    ``_read``, ``(key, rows, count, records)`` keyed by h's normal form and
+    replaced whole, so the statistics of one level build its rows once and run
+    its continued fraction once per count; a read that raises leaves the slot
+    as it was."""
+    key = scalars._operand(h) or qf(h)._v
+    read = params._read
+    if read[0] != key:
+        read = (key, _rows(params, h), 0, None)
+    if count > 0 and read[2] != count:
+        read = (*read[:2], count, _records(read[1], count))
+    object.__setattr__(params, "_read", read)
+    return read[1], read[3]
+
+
 def _records(rows: _Rows, count: int) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
     """``(u, X, Y)`` and ``(v, X', Y')``: with t_n the position n steps from 0,
     t_u is the smallest t_n and ``per - t_v`` the smallest ``per - t_n`` over
@@ -253,14 +278,16 @@ def classify_level(
     are verified distinct, and when q <= n_checked the walk is also seen
     returning to the start at q.  Irrational rho (certified by its normal
     form): the first ``n_checked`` iterates are verified pairwise distinct.
-    A failed check raises ``VerificationError``.
+    A failed check raises ``VerificationError``.  The rows and records are
+    the level read that ``gap_values`` and ``equidistribution_stats`` share
+    (``_level``); rho's closed form is computed afresh on every call.
     """
     if type(n_checked) is not int:
         raise ValueError("n_checked must be an integer")
     if n_checked < 0:
         raise ValueError("n_checked must be nonnegative")
     h = qf(h)
-    d, _, a1, b1, a2, b2, _, _ = rows = _rows(params, h)
+    d, _, a1, b1, a2, b2, _, _ = _level(params, h)[0]
     if a1 * b2 == a2 * b1:
         # the certificate checks the rows against rho's closed form, so rho
         # is not read from them here; p and q, read from rho's normal form,
@@ -270,12 +297,12 @@ def classify_level(
         if q * a1 != p * a2 or q * b1 != p * b2:
             raise VerificationError(f"period certificate failed on level {h}", level=h)
         sweep = min(q, n_checked)
-        u, x, y = _records(rows, sweep + 1)[0]
+        u, x, y = _level(params, h, sweep + 1)[1][0]
         # the first return to the start comes at q, or after the sweep
         if not (u == q if x == y == 0 else sweep < q):
             raise VerificationError(f"period verification failed on level {h}", level=h)
         return OrbitReport(h=h, rho=rho, kind="periodic", period=q, distinct_checked=sweep)
-    if n_checked > 1 and _records(rows, n_checked)[0][1:] == (0, 0):
+    if n_checked > 1 and _level(params, h, n_checked)[1][0][1:] == (0, 0):
         raise VerificationError(f"irrational level {h} produced a repeat", level=h)
     # rho = step/per: step times the conjugate of per, over its norm
     rho = scalars._quotient((a1, b1, 1, d), (a2, b2, 1, d))
@@ -294,14 +321,17 @@ def gap_values(params: ConstructionParams, h: ScalarLike, count: int) -> list[QF
     the first indices of the smallest and largest position t_n over
     1 <= n < count, read from the continued fraction by ``_records``,
     the gaps are t_u, per - t_v and, when u + v > count, their sum.
+    The rows and records are the level read shared with ``classify_level``
+    (``_level``): a classify of an irrational level at ``n_checked = count``
+    has run the same continued fraction.
     """
     if type(count) is not int:
         raise ValueError("count must be an integer")
-    rows = _rows(params, h)
+    rows, records = _level(params, h, count)
     if count < 2:
         raise ValueError("need at least two positions for gaps")
     d = rows.d
-    (u, lx, ly), (v, hx, hy) = _records(rows, count)
+    (u, lx, ly), (v, hx, hy) = records
     first, second = (lx, ly), (hx, hy)
     if scalars._sign(lx - hx, ly - hy, d) > 0:
         first, second = second, first
@@ -338,7 +368,8 @@ def equidistribution_stats(
     64 bits, the fewest that hold n.  Then ``H(uv) = H(u) + rot(H(v), S(u))``
     with the fields rotated mod bins, and a power is built by doubling:
     O(log n) big-integer steps of ``bins`` fields each, and no pass over the
-    n positions.
+    n positions.  The rows are the level read shared with ``classify_level``
+    and ``gap_values`` (``_level``).
     """
     if type(bins) is not int:
         raise ValueError("bin count must be an integer")
@@ -350,7 +381,7 @@ def equidistribution_stats(
         raise ValueError("sample count must be nonnegative")
     if n >> 64:
         raise ValueError("sample count must be below 2**64")
-    d, _, a1, b1, a2, b2, _, _ = _rows(params, h)
+    d, _, a1, b1, a2, b2, _, _ = _level(params, h)[0]
     if a1 * b2 == a2 * b1:
         raise ValueError("equidistribution statistics need an irrational level")
     m = scalars._floor_ratio(bins * a1, bins * b1, a2, b2, d)

@@ -706,12 +706,20 @@ class ConstructionParams:
     """Shape parameters (a, b, c, eps) for the chopped-rectangle family.
 
     Constraints: a >= b > 0, 0 < c < b/2, and 0 < eps < min(c, b/2 - c).
+
+    Outside the dataclass fields, next to ``_rotation_rows``, the parameters
+    keep the last level that ``atfkit.orbits`` read in one slot ``_read``,
+    ``(key, rows, count, records)`` keyed by h's normal form and always
+    replaced whole, so the orbit statistics of one level share its rows and
+    records; ``==``, ``hash`` and the diagram JSON never see it.
     """
 
     a: QField
     b: QField
     c: QField
     eps: QField
+
+    _read = (None, None, 0, None)
 
     def __post_init__(self):
         for name in ("a", "b", "c", "eps"):

@@ -219,10 +219,10 @@ def test_orbit_long_period_exits_quickly():
 
 
 def test_orbit_of_the_largest_n_in_ten_bins_matches_its_golden():
-    # within 10 s in 1 GB of address space (1,000,000 KiB)
+    # within 10 s in 100 MB of address space (100,000 KiB); the run fits in 40 MB
     done, _ = run_child(
         "orbit", "--h", SQRT2_LEVEL, "--n", str(ORBIT_LIMIT), "--bins", "10",
-        timeout=10, memory=1_000_000 * 1024,
+        timeout=10, memory=100_000 * 1024,
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == (GOLDEN / "orbit_sqrt2_1e6.json").read_bytes()

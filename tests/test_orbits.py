@@ -9,6 +9,7 @@ import pytest
 from conftest import floor_sum_histogram, rho_decreases_on_grid, stuck_records, walk_histogram
 
 from atfkit import orbits, scalars
+from atfkit.diagram import build_pi0
 from atfkit.orbits import (
     LevelCoordinate,
     OrbitReport,
@@ -527,6 +528,12 @@ def test_long_period_is_proved_and_swept_to_n_checked():
 
 
 def test_failed_certificates_raise_verification_error(monkeypatch):
+    # each planted fault reads its level on fresh parameters: the parameters
+    # keep the last level read, so a shared object could answer from a good
+    # read made before the fault, or keep the faulty read for later calls
+    def fresh():
+        return ConstructionParams(4, 2, qf("1/2"), qf("1/8"))
+
     rows = orbits._rows
 
     def longer_step(*args):
@@ -535,7 +542,7 @@ def test_failed_certificates_raise_verification_error(monkeypatch):
 
     monkeypatch.setattr(orbits, "_rows", longer_step)
     with pytest.raises(VerificationError, match="period certificate") as caught:
-        classify_level(PARAMS, qf("1/4"))
+        classify_level(fresh(), qf("1/4"))
     assert caught.value.level == qf("1/4") and caught.value.point is None
     monkeypatch.setattr(orbits, "_rows", rows)
 
@@ -545,15 +552,101 @@ def test_failed_certificates_raise_verification_error(monkeypatch):
 
     monkeypatch.setattr(orbits, "_records", missed_return)
     with pytest.raises(VerificationError, match="period verification") as caught:
-        classify_level(PARAMS, qf("1/4"))
+        classify_level(fresh(), qf("1/4"))
     assert caught.value.level == qf("1/4") and caught.value.got is None
     # back at the start after one step, before the period
     monkeypatch.setattr(orbits, "_records", stuck_records)
     with pytest.raises(VerificationError, match="period verification"):
-        classify_level(PARAMS, qf("1/4"))
+        classify_level(fresh(), qf("1/4"))
     with pytest.raises(VerificationError, match="produced a repeat") as caught:
-        classify_level(PARAMS, SQRT2_OVER_8, n_checked=10)
+        classify_level(fresh(), SQRT2_OVER_8, n_checked=10)
     assert caught.value.level == SQRT2_OVER_8
+
+
+# -- the level read the parameters keep -----------------------------------------------
+
+SLOT_COUNTS = (0, 1, 2, 3, 39, 200, 2000)
+SLOT_BINS = (1, 3, 10, 64)
+
+
+def slot_levels(shape):
+    """The shape's levels, each also as text and, when rational, as a
+    Fraction (one normal form in three spellings), each irrational one also
+    in sqrt(5) (the same integers in another radicand), and refused ones:
+    out of range, in a radicand of its own, malformed and inexact."""
+    params = ROW_SHAPES[shape]
+    levels = shape_levels(shape)
+    levels += [str(h) for h in levels] + [h.a for h in levels if h.is_rational()]
+    levels += [QField(h.a, h.b, 5) for h in levels if type(h) is QField and h.d]
+    return levels + [
+        "-1/64", params.c - params.eps + Fraction(1, 10**9), QField(0, Fraction(1, 20), 5), "x", 0.25
+    ]
+
+
+def slot_call(params, name, h, count, bins):
+    """One orbit statistic, or the type and text of the error it raised."""
+    try:
+        if name == "classify":
+            return classify_level(params, h, count)
+        if name == "gaps":
+            return gap_values(params, h, count)
+        return equidistribution_stats(params, h, count, bins)
+    except (ValueError, VerificationError) as error:
+        return type(error), str(error)
+
+
+@pytest.mark.parametrize("shape", sorted(ROW_SHAPES))
+def test_the_kept_level_read_answers_as_fresh_parameters_do(shape):
+    # 1,500 seeded calls in random order on one params object, each level
+    # drawn mostly from the last four used, each answer (or refusal) compared
+    # with the same call on fresh parameters that have read nothing
+    rng = random.Random(f"slot-{shape}")
+    params, pool = ROW_SHAPES[shape], slot_levels(shape)
+    recent = []
+    for _ in range(1500):
+        h = rng.choice(recent) if recent and rng.random() < 0.8 else rng.choice(pool)
+        recent = [x for x in recent if x is not h][-3:] + [h]
+        count = rng.choice(SLOT_COUNTS) if rng.random() < 0.95 else rng.choice((-1, 2.0, "3"))
+        call = rng.choice(("classify", "gaps", "histogram")), h, count, rng.choice(SLOT_BINS)
+        got = slot_call(params, *call)
+        want = slot_call(replace(params), *call)
+        assert type(got) is type(want) and got == want, (call, got, want)
+
+
+def test_one_level_is_read_once_by_its_three_statistics(monkeypatch):
+    params = ConstructionParams(4, 2, qf("1/2"), qf("1/8"))
+    calls = []
+
+    def counted(name):
+        read = getattr(orbits, name)
+
+        def counting(*args):
+            calls.append(name)
+            return read(*args)
+
+        monkeypatch.setattr(orbits, name, counting)
+
+    counted("_rows")
+    counted("_records")
+    report = classify_level(params, SQRT2_OVER_8, 2000)
+    gaps = gap_values(params, SQRT2_OVER_8, 2000)
+    counts = equidistribution_stats(params, SQRT2_OVER_8, 2000, 10)
+    assert calls == ["_rows", "_records"]
+    fresh = ConstructionParams(4, 2, qf("1/2"), qf("1/8"))
+    assert report == classify_level(fresh, SQRT2_OVER_8, 2000)
+    assert gaps == gap_values(fresh, SQRT2_OVER_8, 2000)
+    assert counts == equidistribution_stats(fresh, SQRT2_OVER_8, 2000, 10)
+
+
+def test_a_level_read_leaves_equality_hash_and_json_as_they_were():
+    params = ConstructionParams(4, 2, qf("1/2"), qf("1/8"))
+    before = hash(params), repr(params), build_pi0(params).to_json_obj()
+    for h in (SQRT2_OVER_8, qf("1/4")):
+        classify_level(params, h, 2000)
+        gap_values(params, h, 2000)
+    equidistribution_stats(params, SQRT2_OVER_8, 2000, 10)
+    assert params == ConstructionParams(4, 2, qf("1/2"), qf("1/8")) == replace(params)
+    assert (hash(params), repr(params), build_pi0(params).to_json_obj()) == before
 
 
 # -- equidistribution ----------------------------------------------------------------
