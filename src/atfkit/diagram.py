@@ -23,9 +23,11 @@ A record is a tuple in memory and a JSON list whose fields one table
 fixes: ``["trade", vertex, param]``, ``["slide", node, {"point": old},
 {"point": new}, band]`` (band: the range of F swept), ``["cut_transfer",
 node]`` and ``["recurrence_loop"]``.  Points and bands are scalar pairs
-``["p/q", "p/q"]``; malformed JSON raises ``ValueError``.  Validation tests
-every pair of cut legs for a crossing, so a diagram whose cuts have more
-than ``LEG_LIMIT`` (256) legs in total is refused before any pair is tested.
+``["p/q", "p/q"]``; malformed JSON raises ``ValueError``, and so does a
+record that names a polygon vertex or a node the diagram lacks, when it is
+read or written.  Validation tests every pair of cut legs for a crossing,
+so a diagram whose cuts have more than ``LEG_LIMIT`` (256) legs in total
+is refused before any pair is tested.
 """
 
 from __future__ import annotations
@@ -134,6 +136,8 @@ class BaseDiagram:
         }
         if self.params is not None:
             obj["params"] = {f.name: str(getattr(self.params, f.name)) for f in fields(self.params)}
+        # nothing is written that from_json_obj would refuse
+        _check_history(self)
         return obj
 
     def to_json(self) -> str:
@@ -162,7 +166,9 @@ class BaseDiagram:
                 params = ConstructionParams(*(p[f.name] for f in fields(ConstructionParams)))
         except (KeyError, TypeError, IndexError) as exc:
             raise ValueError(f"malformed diagram JSON: {exc!r}") from None
-        return cls(poly, nodes, cuts, provenance, params)
+        diagram = cls(poly, nodes, cuts, provenance, params)
+        _check_history(diagram)
+        return diagram
 
     @classmethod
     def from_json(cls, text: str) -> "BaseDiagram":
@@ -288,6 +294,19 @@ def _validate_diagram(diagram: BaseDiagram) -> None:
             if i == j:
                 raise ValueError(f"cut {i} self-intersects")
             raise ValueError(f"cuts {i} and {j} intersect")
+
+
+def _check_history(diagram: BaseDiagram) -> None:
+    """Refuse a move record that indexes a polygon vertex or a node the
+    diagram does not have: no move writes one, as the polygon stays and
+    nodes are only added."""
+    nodes = ("node", len(diagram.nodes))
+    sizes = {"trade": ("vertex", len(diagram.polygon.vertices)), "slide": nodes, "cut_transfer": nodes}
+    for k, record in enumerate(diagram.provenance):
+        if record[0] in sizes:
+            what, n = sizes[record[0]]
+            if not 0 <= record[1] < n:
+                raise ValueError(f"provenance record {k}: {what} index {record[1]} is not in range({n})")
 
 
 # -- region bookkeeping for cut transfer -----------------------------------

@@ -278,16 +278,19 @@ def classify_level(
     are verified distinct, and when q <= n_checked the walk is also seen
     returning to the start at q.  Irrational rho (certified by its normal
     form): the first ``n_checked`` iterates are verified pairwise distinct.
-    A failed check raises ``VerificationError``.  The rows and records are
-    the level read that ``gap_values`` and ``equidistribution_stats`` share
-    (``_level``); rho's closed form is computed afresh on every call.
+    A failed check raises ``VerificationError``.  The rows are the level
+    read that ``gap_values`` and ``equidistribution_stats`` share
+    (``_level``), read once; an irrational level's records are shared too,
+    while a rational level's sweep runs ``_records`` on the rows directly.
+    rho's closed form is computed afresh on every call.
     """
     if type(n_checked) is not int:
         raise ValueError("n_checked must be an integer")
     if n_checked < 0:
         raise ValueError("n_checked must be nonnegative")
     h = qf(h)
-    d, _, a1, b1, a2, b2, _, _ = _level(params, h)[0]
+    rows = _level(params, h)[0]
+    d, _, a1, b1, a2, b2, _, _ = rows
     if a1 * b2 == a2 * b1:
         # the certificate checks the rows against rho's closed form, so rho
         # is not read from them here; p and q, read from rho's normal form,
@@ -297,7 +300,7 @@ def classify_level(
         if q * a1 != p * a2 or q * b1 != p * b2:
             raise VerificationError(f"period certificate failed on level {h}", level=h)
         sweep = min(q, n_checked)
-        u, x, y = _level(params, h, sweep + 1)[1][0]
+        u, x, y = _records(rows, sweep + 1)[0]
         # the first return to the start comes at q, or after the sweep
         if not (u == q if x == y == 0 else sweep < q):
             raise VerificationError(f"period verification failed on level {h}", level=h)

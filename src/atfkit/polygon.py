@@ -377,14 +377,12 @@ class Polygon:
         radicand met by the scan for the alive edges (a death level's named
         first), then one differing from the offsets' (h's named first).
         """
-        if (sign := h.sign()) < 0:
+        if h.sign() < 0:
             raise ValueError("level must be nonnegative")
-        alive = range(len(self.edges))
-        if sign:
-            deaths, top, _ = self._edge_deaths()
-            if h >= top:
-                raise ValueError(f"level {h} is not below the maximum distance")
-            alive = [i for i, t in enumerate(deaths) if t > h]
+        deaths, top, _ = self._edge_deaths()
+        if h >= top:
+            raise ValueError(f"level {h} is not below the maximum distance")
+        alive = [i for i, t in enumerate(deaths) if t > h]
         (rows, L, d), (Ah, Bh, H, dh), m = self._rows, h._v, len(alive)
         d = _merge_radicand(dh, d)
         shifted = [(u, v, Ah * L - A * H, Bh * L - B * H)

@@ -25,8 +25,10 @@ rows ``x + y*sqrt(d)``, with ``d`` None on a rational row: ``_sign``, the
 exact sign; ``_floor``, the floor of a row over a positive denominator;
 ``_divide``, one row over another through the conjugate of the second;
 ``_floor_ratio``, the floor of that ratio, for the steps of a continued
-fraction; and ``_mod``, one row modulo another, for arcs modulo a
-perimeter and orbit starts.
+fraction; ``_mod``, one row modulo another, for arcs modulo a
+perimeter and orbit starts; and ``_order``, which builds each of the four
+orderings ``<``, ``<=``, ``>`` and ``>=`` from the ``_sign`` of one
+difference.
 
 The canonical text form is ``p/q`` for rationals and ``p/q+r/s*sqrt(d)``
 (or ``p/q-r/s*sqrt(d)``) otherwise, with both fractions in lowest terms
@@ -85,8 +87,6 @@ def _normal(n1: int, d1: int, n2: int, d2: int, d: object) -> tuple:
     if not n2:
         return n1, 0, d1, None
     _check_radicand(d)
-    if d1 == d2:
-        return n1, n2, d1, d
     # over D = lcm(d1, d2) no prime divides all of A, B, D: it would divide
     # the larger of the two denominators and its numerator too
     D = d1 // gcd(d1, d2) * d2
@@ -117,6 +117,22 @@ def _sign(a: int, b: int, d: int | None) -> int:
     if lhs == rhs:  # impossible for square-free d
         raise ArithmeticError("square-free radicand produced a square")
     return sa if lhs > rhs else sb
+
+
+def _order(holds: tuple[bool, bool, bool]) -> Callable:
+    """A comparison of ``self`` with ``other``: whether it holds when the
+    exact sign of ``self - other``, from cross-multiplied integers, is -1, 0
+    or +1, read from ``holds`` in that order; ``NotImplemented`` for an
+    operand that is not a QField, an int or a Fraction."""
+
+    def compare(self: "QField", other: object) -> bool:
+        o = _operand(other)
+        if o is None:
+            return NotImplemented
+        A1, B1, A2, B2, _, d = _align(self._v, o)
+        return holds[_sign(A1 - A2, B1 - B2, d) + 1]
+
+    return compare
 
 
 class QField:
@@ -280,37 +296,11 @@ class QField:
         A, B, _, d = self._v
         return _sign(A, B, d)
 
-    def _cmp(self, other: object) -> int | None:
-        """Sign of ``self - other`` from cross-multiplied integers."""
-        o = _operand(other)
-        if o is None:
-            return None
-        A1, B1, A2, B2, _, d = _align(self._v, o)
-        return _sign(A1 - A2, B1 - B2, d)
-
-    def __lt__(self, other: object) -> bool:
-        c = self._cmp(other)
-        if c is None:
-            return NotImplemented
-        return c < 0
-
-    def __le__(self, other: object) -> bool:
-        c = self._cmp(other)
-        if c is None:
-            return NotImplemented
-        return c <= 0
-
-    def __gt__(self, other: object) -> bool:
-        c = self._cmp(other)
-        if c is None:
-            return NotImplemented
-        return c > 0
-
-    def __ge__(self, other: object) -> bool:
-        c = self._cmp(other)
-        if c is None:
-            return NotImplemented
-        return c >= 0
+    # each ordering's truth at the sign -1, 0, +1 of self - other
+    __lt__ = _order((True, False, False))
+    __le__ = _order((True, True, False))
+    __gt__ = _order((False, False, True))
+    __ge__ = _order((False, True, True))
 
     def __eq__(self, other: object) -> bool:
         # normal forms are unique, so equal values have equal integers
@@ -527,9 +517,7 @@ def parse_scalar(text: str) -> QField:
     n2, d2 = _parse_ratio(coef)
     if sgn == "-":
         n2 = -n2
-    v = _new(QField)
-    _set(v, _normal(n1, d1, n2, d2, int(rad)))
-    return v
+    return _raw(*_normal(n1, d1, n2, d2, int(rad)))
 
 
 def format_scalar(x: "QField | Rational") -> str:

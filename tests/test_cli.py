@@ -286,6 +286,16 @@ def test_orbit_dump_json(tmp_path, capsys):
     assert len(positions) == 4
 
 
+@pytest.mark.parametrize("fmt, text", [("csv", "n,s\n\n"), ("json", "[]")], ids=["csv", "json"])
+def test_orbit_dump_of_no_positions(tmp_path, capsys, fmt, text):
+    """Kills the mutant ``count < 0`` -> ``count <= 0`` in ``orbits._positions``,
+    which would refuse ``--n 0``."""
+    dump = tmp_path / f"orbit.{fmt}"
+    code, _, stderr = run(capsys, "orbit", "--h", "1/4", "--n", "0", "--dump", str(dump), "--dump-format", fmt)
+    assert (code, stderr) == (0, "")
+    assert dump.read_text() == text
+
+
 def test_the_streamed_dump_is_the_text_of_orbit_positions(tmp_path, capsys):
     # the dump is written row by row; its bytes must be those of the text
     # built whole from orbit_positions, in both formats
@@ -495,6 +505,30 @@ def test_render_rejects_hostile_json(tmp_path, capsys, name):
     code, stdout, stderr = run_within(10, capsys, "render", str(path))
     assert code == 2 and stdout == ""
     assert stderr.startswith("error:") and len(stderr.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "forge, refusal",
+    [
+        (lambda slide: ["cut_transfer", 42], "node index 42 is not in range(5)"),
+        (lambda slide: ["cut_transfer", -1], "node index -1 is not in range(5)"),
+        (lambda slide: ["slide", 9, *slide[2:]], "node index 9 is not in range(5)"),
+        (lambda slide: ["trade", 7, "1/16"], "vertex index 7 is not in range(5)"),
+    ],
+    ids=["transfer-42", "transfer-minus-1", "slide-9", "trade-7"],
+)
+def test_render_refuses_a_record_naming_a_node_or_vertex_the_diagram_lacks(
+    tmp_path, capsys, forge, refusal
+):
+    pi0 = tmp_path / "pi0.json"
+    assert run(capsys, "build", "-o", str(pi0))[0] == 0
+    obj = json.loads(pi0.read_text())
+    obj["provenance"].append(forge(obj["provenance"][-1]))
+    path = tmp_path / "forged.json"
+    path.write_text(json.dumps(obj))
+    code, stdout, stderr = run(capsys, "render", str(path))
+    assert (code, stdout) == (2, "")
+    assert stderr == f"error: provenance record 6: {refusal}\n"
 
 
 def test_render_many_vertex_polygon_quickly(tmp_path, capsys):

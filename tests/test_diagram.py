@@ -868,10 +868,13 @@ def test_json_rejects_hostile_input(name):
 @pytest.mark.parametrize(
     "record",
     [("noted",), ("trade", 0), ("trade", 0.5, qf(1)), ("trade", True, qf(1)),
-     ("trade", 0, 0.5), ("cut_transfer", 0, 1), ("recurrence_loop", 0), (), "trade"],
+     ("trade", 0, 0.5), ("cut_transfer", 0, 1), ("recurrence_loop", 0), (), "trade",
+     ("trade", 4, qf(1)), ("trade", -1, qf(1)), ("cut_transfer", 0),
+     ("slide", 0, pt(1, 1), pt(2, 2), (qf(1), qf(2)))],
 )
 def test_json_writer_refuses_records_outside_the_move_table(record):
-    # whatever the writer emits reads back, so it refuses what would not
+    # whatever the writer emits reads back, so it refuses what would not:
+    # a record outside the table, or one naming a vertex or node SQUARE lacks
     diagram = BaseDiagram(polygon=SQUARE, provenance=(record,))
     with pytest.raises(ValueError):
         diagram.to_json_obj()

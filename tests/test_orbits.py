@@ -184,6 +184,18 @@ def test_orbit_positions_validation():
         orbit_positions(PARAMS, qf("7/16"), 5)
 
 
+def test_no_positions_for_a_count_of_zero():
+    """Kills the mutant ``count < 0`` -> ``count <= 0`` in ``_positions``,
+    which would refuse a count of 0."""
+    assert orbit_positions(PARAMS, "1/4", 0) == []
+
+
+def test_classify_checks_ten_thousand_iterates_by_default():
+    """Kills the mutant ``n_checked = 10_000`` -> ``10_001`` in
+    ``classify_level``'s default."""
+    assert classify_level(PARAMS, SQRT2_OVER_8).distinct_checked == 10_000
+
+
 def test_classify_periodic_levels():
     report = classify_level(PARAMS, qf("1/4"))
     assert report.kind == "periodic"
@@ -613,8 +625,8 @@ def test_the_kept_level_read_answers_as_fresh_parameters_do(shape):
         assert type(got) is type(want) and got == want, (call, got, want)
 
 
-def test_one_level_is_read_once_by_its_three_statistics(monkeypatch):
-    params = ConstructionParams(4, 2, qf("1/2"), qf("1/8"))
+def record_calls(monkeypatch, *names):
+    """The list that each call of the named ``orbits`` functions appends its name to."""
     calls = []
 
     def counted(name):
@@ -626,8 +638,14 @@ def test_one_level_is_read_once_by_its_three_statistics(monkeypatch):
 
         monkeypatch.setattr(orbits, name, counting)
 
-    counted("_rows")
-    counted("_records")
+    for name in names:
+        counted(name)
+    return calls
+
+
+def test_one_level_is_read_once_by_its_three_statistics(monkeypatch):
+    params = ConstructionParams(4, 2, qf("1/2"), qf("1/8"))
+    calls = record_calls(monkeypatch, "_rows", "_records")
     report = classify_level(params, SQRT2_OVER_8, 2000)
     gaps = gap_values(params, SQRT2_OVER_8, 2000)
     counts = equidistribution_stats(params, SQRT2_OVER_8, 2000, 10)
@@ -636,6 +654,14 @@ def test_one_level_is_read_once_by_its_three_statistics(monkeypatch):
     assert report == classify_level(fresh, SQRT2_OVER_8, 2000)
     assert gaps == gap_values(fresh, SQRT2_OVER_8, 2000)
     assert counts == equidistribution_stats(fresh, SQRT2_OVER_8, 2000, 10)
+
+
+def test_a_rational_classify_reads_its_level_once(monkeypatch):
+    params = ConstructionParams(4, 2, qf("1/2"), qf("1/8"))
+    calls = record_calls(monkeypatch, "_level", "_rows", "_records")
+    report = classify_level(params, "1/4", 2000)
+    assert calls == ["_level", "_rows", "_records"]
+    assert report == classify_level(ConstructionParams(4, 2, qf("1/2"), qf("1/8")), "1/4", 2000)
 
 
 def test_a_level_read_leaves_equality_hash_and_json_as_they_were():
