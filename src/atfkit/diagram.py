@@ -21,8 +21,8 @@ provenance record, so a diagram carries its own construction history.
 validates the traded diagram once, then the slid diagram once.
 A record is a tuple in memory and a JSON list whose fields one table
 fixes: ``["trade", vertex, param]``, ``["slide", node, {"point": old},
-{"point": new}, band]`` (band: the range of F swept), ``["cut_transfer",
-node]`` and ``["recurrence_loop"]``.  Points and bands are scalar pairs
+{"point": new}, band]`` (band: the range of F swept) and ``["cut_transfer",
+node]``.  Points and bands are scalar pairs
 ``["p/q", "p/q"]``; malformed JSON raises ``ValueError``, and so does a
 record that names a polygon vertex or a node the diagram lacks, when it is
 read or written.  Validation tests every pair of cut legs for a crossing,
@@ -229,7 +229,6 @@ _MOVES = {
     "trade": (_INDEX, _SCALAR),
     "slide": (_INDEX, _POINT, _POINT, _BAND),
     "cut_transfer": (_INDEX,),
-    "recurrence_loop": (),
 }
 
 

@@ -15,9 +15,9 @@ All four orbit functions work on one integer rotation.  The advance and
 the perimeter are put over one common denominator D as integer rows
 ``step = (a1 + b1*sqrt(d))/D`` and ``per = (a2 + b2*sqrt(d))/D``; a position
 is an integer pair (X, Y) standing for ``(X + Y*sqrt(d))/D``.  The rows are
-read from the shape's integer form (c and 2(a + b) - c over one
-denominator, and c - eps in its own radicand for the range test, cached on
-the parameters) and the level's normal form, with no ``QField`` arithmetic;
+read from the shape's integer form (c - eps, c and 2(a + b) - c over one
+denominator in the shape's one radicand, cached on the parameters) and the
+level's normal form, with no ``QField`` arithmetic;
 no ``QField`` is built per position either, and every comparison is exact:
 
 * the walk (``orbit_positions`` and ``atfkit orbit --dump``) wraps on the
@@ -146,20 +146,20 @@ class _Rows(NamedTuple):
 def _rows(params: ConstructionParams, h: ScalarLike, s0: ScalarLike = 0) -> _Rows:
     """The rows of the step ``c - h`` and the perimeter ``2(a + b) - c - 7h``,
     read on integers from the normal forms of h and s0 and the shape's
-    ``_rotation_rows``, with no ``QField`` arithmetic.  Radicands are merged, and a
-    mixed pair refused, in the order of the ``QField`` expressions the rows
-    stand for (``h <= c - eps``, ``c - h``, ``2(a + b) - c - 7h``, then the
-    start over the two rows), each only where both values are irrational: a
-    start in another radicand is refused only when a row is irrational."""
+    ``_rotation_rows`` (c - eps, c and 2(a + b) - c over one denominator, in
+    the shape's one radicand), with no ``QField`` arithmetic.  Radicands are
+    merged, and a mixed pair refused, in the order of the ``QField``
+    expressions the rows stand for (``h <= c - eps``, ``c - h``,
+    ``2(a + b) - c - 7h``, then the start over the two rows), each only where
+    both values are irrational: a start in another radicand is refused only
+    when a row is irrational."""
     A, B, Dh, dh = scalars._operand(h) or qf(h)._v
-    (ex, ey, De, de), rows = params._rotation_rows
-    # 0 <= h, then h <= c - eps as the sign of (c - eps)*Dh - h*De
-    if _sign(A, B, dh) < 0 or _sign(ex * Dh - A * De, ey * Dh - B * De, _merge_radicand(dh, de)) < 0:
+    Dp, dp, ((ex, ey), (cx, cy), (px, py)) = params._rotation_rows
+    # 0 <= h, then h <= c - eps as the sign of (c - eps)*Dh - h*Dp, whose
+    # radicand is h's, merged with the shape's only where c - eps is irrational
+    if _sign(A, B, dh) < 0 or _sign(ex * Dh - A * Dp, ey * Dh - B * Dp, _merge_radicand(dh, dp) if ey else dh) < 0:
         raise ValueError("level must satisfy 0 <= h <= c - eps")
     X, Y, Ds, ds = scalars._operand(s0) or qf(s0)._v
-    # with a + b and c in two radicands the shape has no rows, and
-    # rotation_number refuses c - h or the perimeter as the QField rows do
-    Dp, dp, ((cx, cy), (px, py)) = rows or rotation_number(params, h)
     # the radicand of the rows: c - h and 2(a + b) - c - 7h merge the shape's with h's
     r = _merge_radicand(dp, dh)
     D = lcm(Dp, Dh, Ds)

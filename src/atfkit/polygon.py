@@ -689,10 +689,12 @@ def _passes(edges: Sequence[Edge]) -> list[int]:
     return [i for i in range(len(left)) if left[i - 1] and not left[i]]
 
 
-def check_shape(a: QField, b: QField, c: QField) -> None:
-    """The chopped-rectangle shape constraints a >= b > 0 and 0 < c < b/2,
-    as a ``ValueError``; ``ConstructionParams`` and ``atfkit mcg`` both
-    check them here."""
+def check_shape(a: QField, b: QField, c: QField, eps: QField = ZERO) -> None:
+    """The chopped-rectangle shape constraints, as a ``ValueError``: a, b, c
+    and eps in one radicand (``_over``'s merge, first), then a >= b > 0 and
+    0 < c < b/2; ``ConstructionParams`` and ``atfkit mcg`` both check them
+    here."""
+    _over(a, b, c, eps)
     if not (a >= b and b.sign() > 0):
         raise ValueError("parameters require a >= b > 0")
     if not (c.sign() > 0 and c < b / 2):
@@ -703,7 +705,8 @@ def check_shape(a: QField, b: QField, c: QField) -> None:
 class ConstructionParams:
     """Shape parameters (a, b, c, eps) for the chopped-rectangle family.
 
-    Constraints: a >= b > 0, 0 < c < b/2, and 0 < eps < min(c, b/2 - c).
+    Constraints: a, b, c and eps in one radicand, a >= b > 0, 0 < c < b/2,
+    and 0 < eps < min(c, b/2 - c).
 
     Outside the dataclass fields, next to ``_rotation_rows``, the parameters
     keep the last level that ``atfkit.orbits`` read in one slot ``_read``,
@@ -722,24 +725,18 @@ class ConstructionParams:
     def __post_init__(self):
         for name in ("a", "b", "c", "eps"):
             object.__setattr__(self, name, qf(getattr(self, name)))
-        check_shape(self.a, self.b, self.c)
+        check_shape(self.a, self.b, self.c, self.eps)
         bound = min(self.c, self.b / 2 - self.c)
         if not (self.eps.sign() > 0 and self.eps < bound):
             raise ValueError("parameter eps must satisfy 0 < eps < min(c, b/2 - c)")
 
     @cached_property
     def _rotation_rows(self) -> tuple:
-        """``(c - eps, rows)`` for the level rotations of ``atfkit.orbits``:
-        c - eps as its normal form ``(A, B, D, d)``, and rows
-        ``(D, d, [c, 2(a + b) - c])``, the two as integer pairs ``(A, B)``
-        standing for ``(A + B*sqrt(d))/D``, or None when a + b and c lie in
-        two radicands.  c - eps keeps its own radicand: the range test of a
-        level compares with it alone.  Cached outside the dataclass fields,
-        so no diagram JSON carries them."""
-        try:
-            return (self.c - self.eps)._v, _over(self.c, 2 * (self.a + self.b) - self.c)
-        except ValueError:  # refused where a level's perimeter is built
-            return (self.c - self.eps)._v, None
+        """``(D, d, [c - eps, c, 2(a + b) - c])`` for the level rotations of
+        ``atfkit.orbits``: each value an integer pair ``(A, B)`` standing for
+        ``(A + B*sqrt(d))/D``, over one denominator in the shape's radicand.
+        Cached outside the dataclass fields, so no diagram JSON carries them."""
+        return _over(self.c - self.eps, self.c, 2 * (self.a + self.b) - self.c)
 
 
 def centered_rectangle(a: ScalarLike, b: ScalarLike) -> Polygon:

@@ -16,8 +16,7 @@ between them, row sums over 2*D; both images of a sample are rows,
 compared by cross-multiplying, and ``Point``s are built only to report a
 failure.
 A ``RecurrenceMap`` holds only its rounds and its source diagram: it reads
-its parameters and polygon from that diagram, and builds the target
-diagram (the source with the loop recorded) when it is read.
+its parameters and polygon from that diagram.
 
 The rounds are one integer pass, ``_shear_rows``, over strip rows in the
 polygon's edge-row format, built once per ``RecurrenceMap``
@@ -50,7 +49,7 @@ reads no arc rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .diagram import BaseDiagram
 from .plane import LatticeVector, Point, UnimodularAffineMap, _row, _row_point, dot
@@ -143,12 +142,6 @@ class RecurrenceMap:
     @property
     def polygon(self) -> Polygon:
         return self.source_diagram.polygon
-
-    @property
-    def target_diagram(self) -> BaseDiagram:
-        """The source diagram with the loop recorded in its provenance."""
-        source = self.source_diagram
-        return replace(source, provenance=source.provenance + (("recurrence_loop",),))
 
 
 def rotate_on_level(poly: Polygon, h: ScalarLike, t: ScalarLike, p: Point) -> Point:

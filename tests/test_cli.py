@@ -177,6 +177,13 @@ def test_orbit_refuses_a_parameter_above_the_digit_bound(capsys):
     assert stderr.endswith(f"argument --a: scalar has an integer of more than {DIGIT_BOUND} digits\n")
 
 
+def test_orbit_refuses_a_shape_in_two_radicands(capsys):
+    # a in sqrt(2) and eps in sqrt(3): refused as parameters, before any level is read
+    shape = ["--a", "3/1+1/1*sqrt(2)", "--b", "3", "--c", "1/2", "--eps", "0/1+1/16*sqrt(3)"]
+    code, stdout, stderr = run(capsys, "orbit", *shape, "--h", "1/4")
+    assert (code, stdout, stderr) == (2, "", "error: mixed radicands sqrt(2) and sqrt(3)\n")
+
+
 def test_orbit_prints_scalars_past_the_int_to_str_limit(capsys):
     # a = 111...1 (4,000 digits): rho's integers are past the 4,300 digits
     # that str() of an int converts by default
@@ -531,6 +538,19 @@ def test_render_refuses_a_record_naming_a_node_or_vertex_the_diagram_lacks(
     assert stderr == f"error: provenance record 6: {refusal}\n"
 
 
+def test_render_refuses_params_in_two_radicands(tmp_path, capsys):
+    # a pi0 built with a in sqrt(2), its params.eps then forged into sqrt(3)
+    pi0 = tmp_path / "pi0.json"
+    shape = ["--a", "3/1+1/1*sqrt(2)", "--b", "3", "--c", "1/2", "--eps", "1/8"]
+    assert run(capsys, "build", *shape, "-o", str(pi0))[0] == 0
+    obj = json.loads(pi0.read_text())
+    obj["params"]["eps"] = "0/1+1/16*sqrt(3)"
+    path = tmp_path / "forged.json"
+    path.write_text(json.dumps(obj))
+    code, stdout, stderr = run(capsys, "render", str(path))
+    assert (code, stdout, stderr) == (2, "", "error: mixed radicands sqrt(2) and sqrt(3)\n")
+
+
 def test_render_many_vertex_polygon_quickly(tmp_path, capsys):
     # a hostile-size input: the parabola y = x^2 for x = -500..500, no nodes
     path = tmp_path / "parabola.json"
@@ -550,6 +570,7 @@ def test_mcg_refuses_the_shapes_build_refuses(capsys):
         (["--b", "0"], "parameters require a >= b > 0"),
         (["--c", "0"], "parameter c must satisfy 0 < c < b/2"),
         (["--c", "5"], "parameter c must satisfy 0 < c < b/2"),
+        (["--a", "3/1+1/1*sqrt(2)", "--c", "1/2+1/16*sqrt(3)"], "mixed radicands sqrt(2) and sqrt(3)"),
     ):
         for command in ("build", "mcg"):
             code, stdout, stderr = run(capsys, command, *shape)

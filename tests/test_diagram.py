@@ -412,6 +412,15 @@ def test_transfer_blocked_by_foreign_node():
         cut_transfer(crowded, 0, BranchCut(0, (pt(2, 2), pt(1, 4))))
 
 
+def test_loop_contains_a_peak_at_the_point_height_is_no_crossing():
+    """Kills the mutant ``b.x2 > p.x2`` -> ``b.x2 >= p.x2`` in
+    ``_loop_contains``: the ray right from (0, 1) grazes the apex (2, 1) of
+    the triangle, a local peak of the loop, and crosses no edge."""
+    loop = (pt(1, 0), pt(2, 1), pt(3, 0))
+    assert not _loop_contains(loop, pt(0, 1))
+    assert _loop_contains(loop, pt(2, Fraction(1, 2)))
+
+
 def _parent_boundary_walk_ccw(poly: Polygon, start: Point, stop: Point) -> list[Point]:
     """The walk before the sliver became the empty walk: a point to itself
     went once round the polygon."""
@@ -870,11 +879,12 @@ def test_json_rejects_hostile_input(name):
     [("noted",), ("trade", 0), ("trade", 0.5, qf(1)), ("trade", True, qf(1)),
      ("trade", 0, 0.5), ("cut_transfer", 0, 1), ("recurrence_loop", 0), (), "trade",
      ("trade", 4, qf(1)), ("trade", -1, qf(1)), ("cut_transfer", 0),
-     ("slide", 0, pt(1, 1), pt(2, 2), (qf(1), qf(2)))],
+     ("slide", 0, pt(1, 1), pt(2, 2), (qf(1), qf(2))), ("recurrence_loop",)],
 )
 def test_json_writer_refuses_records_outside_the_move_table(record):
     # whatever the writer emits reads back, so it refuses what would not:
-    # a record outside the table, or one naming a vertex or node SQUARE lacks
+    # a record outside the table (the recurrence_loop record left it), or
+    # one naming a vertex or node SQUARE lacks
     diagram = BaseDiagram(polygon=SQUARE, provenance=(record,))
     with pytest.raises(ValueError):
         diagram.to_json_obj()

@@ -394,36 +394,45 @@ ROW_SHAPES = {
     "sqrt2-a": ConstructionParams(qf("3/1+1/1*sqrt(2)"), 3, qf("1/2"), qf("1/8")),
     "sqrt2-c": ConstructionParams(4, 2, qf("1/2+1/16*sqrt(2)"), qf("1/8")),
     "sqrt3-eps": ConstructionParams(4, 2, qf("1/2"), qf("0/1+1/16*sqrt(3)")),
-    # c - eps and the perimeter in two radicands: rows on rational levels
-    "sqrt2-a-sqrt3-eps": ConstructionParams(qf("3/1+1/1*sqrt(2)"), 3, qf("1/2"), qf("0/1+1/16*sqrt(3)")),
-    # a + b and c in two radicands: every level in range is refused
-    "sqrt2-a-sqrt3-c": ConstructionParams(qf("3/1+1/1*sqrt(2)"), 3, qf("1/2+1/16*sqrt(3)"), qf("1/8")),
-    # the same with c - eps rational, so a level in sqrt(2) passes the range test
-    "sqrt2-a-sqrt3-c-eps": ConstructionParams(
-        qf("3/1+1/1*sqrt(2)"), 3, qf("1/2+1/16*sqrt(3)"), qf("1/8+1/16*sqrt(3)")
-    ),
 }
 LEVEL_RADICANDS = {
     "rational": (2, 3),
     "sqrt2-a": (2,),
     "sqrt2-c": (2,),
     "sqrt3-eps": (3,),
-    "sqrt2-a-sqrt3-eps": (),
-    "sqrt2-a-sqrt3-c": (3,),
-    "sqrt2-a-sqrt3-c-eps": (3,),
 }
 ROW_STARTS = [0, "1/9", Fraction(1, 3), QField.sqrt(2) / 5, QField.sqrt(3) / 7]
 
 
+@pytest.mark.parametrize(
+    "a, b, c, eps",
+    [
+        pytest.param("3/1+1/1*sqrt(2)", 3, "1/2", "0/1+1/16*sqrt(3)", id="sqrt2-a-sqrt3-eps"),
+        pytest.param("3/1+1/1*sqrt(2)", 3, "1/2+1/16*sqrt(3)", "1/8", id="sqrt2-a-sqrt3-c"),
+        pytest.param("3/1+1/1*sqrt(2)", 3, "1/2+1/16*sqrt(3)", "1/8+1/16*sqrt(3)", id="sqrt2-a-sqrt3-c-eps"),
+        pytest.param("3/1+1/1*sqrt(2)", 3, "0/1+1/4*sqrt(3)", "1/8", id="sqrt2-a-sqrt3-c-quarter"),
+        # a < b as well: the radicands are checked first
+        pytest.param("0/1+1/1*sqrt(2)", 3, "1/2", "0/1+1/16*sqrt(3)", id="sqrt2-a-below-b-sqrt3-eps"),
+    ],
+)
+def test_a_shape_in_two_radicands_is_refused(a, b, c, eps):
+    # every level of the construction lives in one quadratic field: the
+    # shape's radicands are merged first, a's named first, before any other
+    # shape check, and no orbit function ever sees such parameters
+    with pytest.raises(ValueError) as caught:
+        ConstructionParams(qf(a), b, qf(c), qf(eps))
+    assert str(caught.value) == "mixed radicands sqrt(2) and sqrt(3)"
+
+
 def shape_levels(shape):
     """0, c - eps and seeded rational and sqrt levels in between, the sqrt
-    levels in the shape's radicand (none when it has no radicand listed)."""
+    levels in the radicands listed for the shape."""
     params, rng, radicands = ROW_SHAPES[shape], random.Random(f"rows-{shape}"), LEVEL_RADICANDS[shape]
     top = params.c - params.eps
     levels = [qf(0), top]
     while len(levels) < 12:
         root = Fraction(rng.choice((-1, 1)), rng.randint(10, 40))
-        h = QField(Fraction(rng.randrange(25), 64), root if radicands else 0, rng.choice(radicands or (None,)))
+        h = QField(Fraction(rng.randrange(25), 64), root, rng.choice(radicands))
         levels += [x for x in (h, qf(h.a)) if x.sign() >= 0 and x <= top]
     return levels
 
@@ -483,18 +492,6 @@ LEVEL_RANGE = "level must satisfy 0 <= h <= c - eps"
         ("sqrt2-a", QField(0, Fraction(1, 20), 3), 0, "mixed radicands sqrt(2) and sqrt(3)"),
         ("sqrt2-a", "1/4", QField.sqrt(3) / 7, "mixed radicands sqrt(3) and sqrt(2)"),
         ("sqrt3-eps", QField(0, Fraction(1, 20), 3), QField.sqrt(2) / 5, "mixed radicands sqrt(2) and sqrt(3)"),
-        # c - eps in sqrt(3) meets h alone, the perimeter in sqrt(2) the rows alone
-        ("sqrt2-a-sqrt3-eps", "1/2", 0, LEVEL_RANGE),
-        ("sqrt2-a-sqrt3-eps", QField(0, Fraction(1, 20), 2), 0, "mixed radicands sqrt(2) and sqrt(3)"),
-        ("sqrt2-a-sqrt3-eps", QField(0, Fraction(1, 20), 3), 0, "mixed radicands sqrt(2) and sqrt(3)"),
-        ("sqrt2-a-sqrt3-eps", "1/4", QField.sqrt(3) / 7, "mixed radicands sqrt(3) and sqrt(2)"),
-        # a + b and c in two radicands: the range first, then c - h, then the perimeter
-        ("sqrt2-a-sqrt3-c", "-1/64", 0, LEVEL_RANGE),
-        ("sqrt2-a-sqrt3-c", "1", 0, LEVEL_RANGE),
-        ("sqrt2-a-sqrt3-c", "1/4", 0, "mixed radicands sqrt(2) and sqrt(3)"),
-        ("sqrt2-a-sqrt3-c", "1/4", "x", "malformed scalar 'x'"),
-        ("sqrt2-a-sqrt3-c-eps", QField(0, Fraction(1, 20), 2), 0, "mixed radicands sqrt(3) and sqrt(2)"),
-        ("sqrt2-a-sqrt3-c-eps", QField(0, Fraction(1, 20), 3), 0, "mixed radicands sqrt(2) and sqrt(3)"),
     ],
     ids=repr,
 )
@@ -510,16 +507,6 @@ def test_rows_take_a_start_in_another_radicand_on_rational_rows():
     rows = orbits._rows(ROW_SHAPES["sqrt3-eps"], "1/4", QField.sqrt(2) / 5)
     assert (rows.d, rows.b1, rows.b2) == (2, 0, 0)
     assert scalars._reduced(rows.x0, rows.y0, rows.D, rows.d) == QField.sqrt(2) / 5
-
-
-def test_rows_read_c_minus_eps_apart_from_the_perimeter():
-    # a in sqrt(2) and eps in sqrt(3) never meet in one QField expression:
-    # a rational level has rows in sqrt(2), and the command line takes it
-    params = ROW_SHAPES["sqrt2-a-sqrt3-eps"]
-    rows = orbits._rows(params, "1/4")
-    assert rows.d == 2
-    assert scalars._reduced(rows.a2, rows.b2, rows.D, rows.d) == perimeter_value(params, "1/4")
-    assert classify_level(params, "1/4", 100).rho == rotation_number(params, "1/4")
 
 
 def test_long_period_is_proved_and_swept_to_n_checked():
