@@ -404,12 +404,39 @@ LEVEL_RADICANDS = {
 ROW_STARTS = [0, "1/9", Fraction(1, 3), QField.sqrt(2) / 5, QField.sqrt(3) / 7]
 
 
+# shapes in two radicands: ConstructionParams refuses each whole, so no
+# level, row or start of theirs is ever read
+TWO_RADICAND_SHAPES = {
+    "sqrt2-a-sqrt3-eps": ("3/1+1/1*sqrt(2)", 3, "1/2", "0/1+1/16*sqrt(3)"),
+    "sqrt2-a-sqrt3-c": ("3/1+1/1*sqrt(2)", 3, "1/2+1/16*sqrt(3)", "1/8"),
+    "sqrt2-a-sqrt3-c-eps": ("3/1+1/1*sqrt(2)", 3, "1/2+1/16*sqrt(3)", "1/8+1/16*sqrt(3)"),
+}
+MIXED_SHAPE = "mixed radicands sqrt(2) and sqrt(3)"
+
+
+def shape_params(shape):
+    """The shape's parameters, built from its scalars for a shape in two radicands."""
+    if shape in ROW_SHAPES:
+        return ROW_SHAPES[shape]
+    a, b, c, eps = TWO_RADICAND_SHAPES[shape]
+    return ConstructionParams(qf(a), b, qf(c), qf(eps))
+
+
+def refused_whole(shape):
+    """Whether the shape spans two radicands, after checking that building
+    its parameters raises the one mixed-radicand error."""
+    if shape not in TWO_RADICAND_SHAPES:
+        return False
+    with pytest.raises(ValueError) as caught:
+        shape_params(shape)
+    assert str(caught.value) == MIXED_SHAPE
+    return True
+
+
 @pytest.mark.parametrize(
     "a, b, c, eps",
-    [
-        pytest.param("3/1+1/1*sqrt(2)", 3, "1/2", "0/1+1/16*sqrt(3)", id="sqrt2-a-sqrt3-eps"),
-        pytest.param("3/1+1/1*sqrt(2)", 3, "1/2+1/16*sqrt(3)", "1/8", id="sqrt2-a-sqrt3-c"),
-        pytest.param("3/1+1/1*sqrt(2)", 3, "1/2+1/16*sqrt(3)", "1/8+1/16*sqrt(3)", id="sqrt2-a-sqrt3-c-eps"),
+    [pytest.param(*args, id=shape) for shape, args in TWO_RADICAND_SHAPES.items()]
+    + [
         pytest.param("3/1+1/1*sqrt(2)", 3, "0/1+1/4*sqrt(3)", "1/8", id="sqrt2-a-sqrt3-c-quarter"),
         # a < b as well: the radicands are checked first
         pytest.param("0/1+1/1*sqrt(2)", 3, "1/2", "0/1+1/16*sqrt(3)", id="sqrt2-a-below-b-sqrt3-eps"),
@@ -421,7 +448,7 @@ def test_a_shape_in_two_radicands_is_refused(a, b, c, eps):
     # shape check, and no orbit function ever sees such parameters
     with pytest.raises(ValueError) as caught:
         ConstructionParams(qf(a), b, qf(c), qf(eps))
-    assert str(caught.value) == "mixed radicands sqrt(2) and sqrt(3)"
+    assert str(caught.value) == MIXED_SHAPE
 
 
 def shape_levels(shape):
@@ -437,12 +464,15 @@ def shape_levels(shape):
     return levels
 
 
-@pytest.mark.parametrize("shape", sorted(ROW_SHAPES))
+@pytest.mark.parametrize("shape", sorted(ROW_SHAPES) + sorted(TWO_RADICAND_SHAPES))
 def test_rows_match_their_definition(shape):
     # each row, reduced, is c - h, the closed-form perimeter and the start
     # modulo the perimeter; the radicand is that of those three values, not
     # the shape's, so it is None exactly when all three are rational; where
-    # c - h or the perimeter is refused, the rows are refused alike
+    # c - h or the perimeter is refused, the rows are refused alike, and a
+    # shape in two radicands has no rows: its parameters are refused
+    if refused_whole(shape):
+        return
     params = ROW_SHAPES[shape]
     for h in shape_levels(shape):
         try:
@@ -492,12 +522,19 @@ LEVEL_RANGE = "level must satisfy 0 <= h <= c - eps"
         ("sqrt2-a", QField(0, Fraction(1, 20), 3), 0, "mixed radicands sqrt(2) and sqrt(3)"),
         ("sqrt2-a", "1/4", QField.sqrt(3) / 7, "mixed radicands sqrt(3) and sqrt(2)"),
         ("sqrt3-eps", QField(0, Fraction(1, 20), 3), QField.sqrt(2) / 5, "mixed radicands sqrt(2) and sqrt(3)"),
+        # a shape in two radicands is refused before its level or start is read
+        ("sqrt2-a-sqrt3-eps", QField(0, Fraction(1, 20), 2), 0, MIXED_SHAPE),
+        ("sqrt2-a-sqrt3-eps", QField(0, Fraction(1, 20), 3), 0, MIXED_SHAPE),
+        ("sqrt2-a-sqrt3-eps", "1/4", QField.sqrt(3) / 7, MIXED_SHAPE),
+        ("sqrt2-a-sqrt3-c", "1/4", 0, MIXED_SHAPE),
+        ("sqrt2-a-sqrt3-c-eps", QField(0, Fraction(1, 20), 2), 0, MIXED_SHAPE),
+        ("sqrt2-a-sqrt3-c-eps", QField(0, Fraction(1, 20), 3), 0, MIXED_SHAPE),
     ],
     ids=repr,
 )
 def test_rows_refuse_bad_levels_and_starts(shape, h, s0, message):
     with pytest.raises(ValueError) as caught:
-        orbits._rows(ROW_SHAPES[shape], h, s0)
+        orbits._rows(shape_params(shape), h, s0)
     assert str(caught.value) == message
 
 
@@ -594,11 +631,14 @@ def slot_call(params, name, h, count, bins):
         return type(error), str(error)
 
 
-@pytest.mark.parametrize("shape", sorted(ROW_SHAPES))
+@pytest.mark.parametrize("shape", sorted(ROW_SHAPES) + sorted(TWO_RADICAND_SHAPES))
 def test_the_kept_level_read_answers_as_fresh_parameters_do(shape):
     # 1,500 seeded calls in random order on one params object, each level
     # drawn mostly from the last four used, each answer (or refusal) compared
-    # with the same call on fresh parameters that have read nothing
+    # with the same call on fresh parameters that have read nothing; a shape
+    # in two radicands has no parameters to keep a level in
+    if refused_whole(shape):
+        return
     rng = random.Random(f"slot-{shape}")
     params, pool = ROW_SHAPES[shape], slot_levels(shape)
     recent = []
