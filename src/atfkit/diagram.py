@@ -24,10 +24,11 @@ fixes: ``["trade", vertex, param]``, ``["slide", node, {"point": old},
 {"point": new}, band]`` (band: the range of F swept) and ``["cut_transfer",
 node]``.  Points and bands are scalar pairs
 ``["p/q", "p/q"]``; malformed JSON raises ``ValueError``, and so does a
-record that names a polygon vertex or a node the diagram lacks, when it is
-read or written.  Validation tests every pair of cut legs for a crossing,
-so a diagram whose cuts have more than ``LEG_LIMIT`` (256) legs in total
-is refused before any pair is tested.
+record that names a polygon vertex or a node the diagram lacks, or a trade
+whose parameter is not positive or whose vertex is not a Delzant corner,
+when it is read or written.  Validation tests every pair of cut legs for a
+crossing, so a diagram whose cuts have more than ``LEG_LIMIT`` (256) legs in
+total is refused before any pair is tested.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ from .plane import (
     move,
     on_segment,
     orient,
-    primitive,
     segments_intersect,
     unipotent_fixing,
 )
@@ -297,15 +297,23 @@ def _validate_diagram(diagram: BaseDiagram) -> None:
 
 def _check_history(diagram: BaseDiagram) -> None:
     """Refuse a move record that indexes a polygon vertex or a node the
-    diagram does not have: no move writes one, as the polygon stays and
-    nodes are only added."""
+    diagram does not have, or a trade that fails the trade's own checks
+    (``_checked_trade``): no move writes one, as the polygon stays and nodes
+    are only added.  Each record has passed the move table
+    (``_move_codecs``).  A trade's node is not tested against the polygon
+    here: that test costs several times the checks made here, and a
+    diagram is checked on each read and write."""
     nodes = ("node", len(diagram.nodes))
     sizes = {"trade": ("vertex", len(diagram.polygon.vertices)), "slide": nodes, "cut_transfer": nodes}
     for k, record in enumerate(diagram.provenance):
-        if record[0] in sizes:
-            what, n = sizes[record[0]]
+        what, n = sizes[record[0]]
+        try:
             if not 0 <= record[1] < n:
-                raise ValueError(f"provenance record {k}: {what} index {record[1]} is not in range({n})")
+                raise ValueError(f"{what} index {record[1]} is not in range({n})")
+            if record[0] == "trade":
+                _checked_trade(diagram.polygon, *record[1:])
+        except ValueError as exc:
+            raise ValueError(f"provenance record {k}: {exc}") from None
 
 
 # -- region bookkeeping for cut transfer -----------------------------------
@@ -401,17 +409,26 @@ def nodal_trade(
     )
 
 
-def _traded_corner(poly: Polygon, vertex_index: int, param: ScalarLike, node_index: int) -> tuple:
-    """The node, cut and provenance record of the trade at one corner."""
-    vertex_index %= len(poly.vertices)
+def _checked_trade(poly: Polygon, vertex_index: int, param: ScalarLike) -> tuple:
+    """The parameter of a trade at a vertex and the directions of the edges
+    into and out of the corner, refusing a parameter that is not positive and
+    a vertex that is not a Delzant corner."""
     param = qf(param)
     if param.sign() <= 0:
         raise ValueError("trade parameter must be positive")
-    e_in = poly.edges[vertex_index - 1]
-    e_out = poly.edges[vertex_index]
-    if abs(cross(e_in.direction, e_out.direction)) != 1:
+    e_in, e_out = poly.edges[vertex_index - 1].direction, poly.edges[vertex_index].direction
+    if abs(cross(e_in, e_out)) != 1:
         raise ValueError(f"vertex {vertex_index} is not a Delzant corner")
-    direction = primitive(-e_in.direction + e_out.direction)  # both pointing away from the corner
+    return param, e_in, e_out
+
+
+def _traded_corner(poly: Polygon, vertex_index: int, param: ScalarLike, node_index: int) -> tuple:
+    """The node, cut and provenance record of the trade at one corner."""
+    vertex_index %= len(poly.vertices)
+    param, e_in, e_out = _checked_trade(poly, vertex_index, param)
+    # both pointing away from the corner; primitive, as a common divisor of
+    # its entries divides its cross product with e_in, 1 or -1
+    direction = -e_in + e_out
     vertex = poly.vertices[vertex_index]
     position = move(vertex, direction, param)
     if not poly.contains(position, strict=True):

@@ -45,12 +45,11 @@ no ``QField`` is built per position either, and every comparison is exact:
   so the histogram takes O(log n) big-integer steps of ``bins`` fields each
   and no pass over the positions, for any n < 2**64.
 
-The rows of a level from 0 and its records for the last count asked for are
-kept on the parameters, in the one slot ``ConstructionParams._read`` keyed by
-h's normal form (``_level``), so ``classify_level``, ``gap_values`` and
-``equidistribution_stats`` on one level build its rows once and run its
-continued fraction once per count; ``orbit_positions`` builds its own rows,
-from its start s0.
+The rows of a level and its records for the last count asked for are kept
+on the parameters, in the one slot ``ConstructionParams._read`` keyed by h's
+normal form (``_level``), so ``classify_level``, ``gap_values``,
+``equidistribution_stats`` and the walk on one level build its rows once and
+run its continued fraction once per count.
 
 The level coordinates of a point (``to_level_coordinate`` and its inverse
 ``from_level_coordinate``) read the arc rows of level h from the
@@ -130,8 +129,8 @@ def rotation_number(params: ConstructionParams, h: ScalarLike) -> QField:
 
 
 class _Rows(NamedTuple):
-    """A level's rotation over one denominator: ``step = (a1 + b1*sqrt(d))/D``,
-    ``per = (a2 + b2*sqrt(d))/D`` and the reduced start ``(x0 + y0*sqrt(d))/D``."""
+    """A level's rotation over one denominator: ``step = (a1 + b1*sqrt(d))/D``
+    and ``per = (a2 + b2*sqrt(d))/D``."""
 
     d: int | None
     D: int
@@ -139,38 +138,33 @@ class _Rows(NamedTuple):
     b1: int
     a2: int
     b2: int
-    x0: int
-    y0: int
 
 
-def _rows(params: ConstructionParams, h: ScalarLike, s0: ScalarLike = 0) -> _Rows:
+def _rows(params: ConstructionParams, h: ScalarLike) -> _Rows:
     """The rows of the step ``c - h`` and the perimeter ``2(a + b) - c - 7h``,
-    read on integers from the normal forms of h and s0 and the shape's
+    read on integers from the normal form of h and the shape's
     ``_rotation_rows`` (c - eps, c and 2(a + b) - c over one denominator, in
     the shape's one radicand), with no ``QField`` arithmetic.  Radicands are
     merged, and a mixed pair refused, in the order of the ``QField``
-    expressions the rows stand for (``h <= c - eps``, ``c - h``,
-    ``2(a + b) - c - 7h``, then the start over the two rows), each only where
-    both values are irrational: a start in another radicand is refused only
-    when a row is irrational."""
+    expressions the rows stand for (``h <= c - eps``, then ``c - h`` and
+    ``2(a + b) - c - 7h``); the rows' radicand is None when both rows are
+    rational."""
     A, B, Dh, dh = scalars._operand(h) or qf(h)._v
     Dp, dp, ((ex, ey), (cx, cy), (px, py)) = params._rotation_rows
     # 0 <= h, then h <= c - eps as the sign of (c - eps)*Dh - h*Dp, whose
     # radicand is h's, merged with the shape's only where c - eps is irrational
     if _sign(A, B, dh) < 0 or _sign(ex * Dh - A * Dp, ey * Dh - B * Dp, _merge_radicand(dh, dp) if ey else dh) < 0:
         raise ValueError("level must satisfy 0 <= h <= c - eps")
-    X, Y, Ds, ds = scalars._operand(s0) or qf(s0)._v
     # the radicand of the rows: c - h and 2(a + b) - c - 7h merge the shape's with h's
     r = _merge_radicand(dp, dh)
-    D = lcm(Dp, Dh, Ds)
-    k, kh, ks = D // Dp, D // Dh, D // Ds
+    D = lcm(Dp, Dh)
+    k, kh = D // Dp, D // Dh
     step, per = (cx * k - A * kh, cy * k - B * kh), (px * k - 7 * A * kh, py * k - 7 * B * kh)
-    d = _merge_radicand(ds, r) if step[1] or per[1] else ds
-    return _Rows(d, D, *step, *per, *scalars._mod(X * ks, Y * ks, *per, d))
+    return _Rows(r if step[1] or per[1] else None, D, *step, *per)
 
 
 def _level(params: ConstructionParams, h: ScalarLike, count: int = 0) -> tuple:
-    """``(rows, records)`` of level h: its ``_rows`` from 0 and the
+    """``(rows, records)`` of level h: its ``_rows`` and the
     ``_records`` of the last count asked for, filled for ``count`` when it is
     positive.  The parameters keep the last level read in their slot
     ``_read``, ``(key, rows, count, records)`` keyed by h's normal form and
@@ -220,12 +214,12 @@ def _records(rows: _Rows, count: int) -> tuple[tuple[int, int, int], tuple[int, 
 
 
 def _walk(rows: _Rows, count: int) -> Iterator[tuple[int, int]]:
-    """The first ``count`` positions from the reduced start of ``rows`` as
-    integer pairs (X, Y), each step wrapping on the exact sign of
-    ``s + step - per``."""
-    d, _, a1, b1, a2, b2, x, y = rows
+    """The first ``count`` positions from 0 as integer pairs (X, Y), each step
+    wrapping on the exact sign of ``s + step - per``."""
+    d, _, a1, b1, a2, b2 = rows
     c1, c2 = a1 - a2, b1 - b2
     sign = scalars._sign
+    x = y = 0
     for _ in range(count):
         yield x, y
         if sign(x + c1, y + c2, d) >= 0:
@@ -236,29 +230,30 @@ def _walk(rows: _Rows, count: int) -> Iterator[tuple[int, int]]:
             y += b1
 
 
-def orbit_positions(
-    params: ConstructionParams, h: ScalarLike, count: int, s0: ScalarLike = 0
-) -> list[QField]:
-    """The first ``count`` arc positions s_0, s_1, ... on level h.
+def orbit_positions(params: ConstructionParams, h: ScalarLike, count: int) -> list[QField]:
+    """The first ``count`` arc positions s_0, s_1, ... on level h, from
+    s_0 = 0, the base vertex.
 
     Each step adds the advance c - h and reduces modulo the perimeter;
-    the walk runs on integer pairs and only the returned positions are
+    the orbit from a start s is each position plus s, modulo the perimeter.
+    The walk runs on integer pairs and only the returned positions are
     built as ``QField`` values.
     """
-    return list(_positions(params, h, count, s0))
+    return list(_positions(params, h, count))
 
 
 def _positions(
-    params: ConstructionParams, h: ScalarLike, count: int, s0: ScalarLike = 0,
-    form: Callable = scalars._reduced,
+    params: ConstructionParams, h: ScalarLike, count: int, form: Callable = scalars._reduced
 ) -> Iterator:
     """``orbit_positions`` as an iterator of ``form(X, Y, D, d)``: the inputs
     are checked at the call, and the walk runs as the positions are read, one
     at a time (``atfkit orbit --dump`` writes the text ``scalars._text`` of
-    each row as it comes)."""
+    each row as it comes).  The rows are the level read shared with
+    ``classify_level`` (``_level``), so a dump after its classify reads the
+    level once."""
     if type(count) is not int:
         raise ValueError("count must be an integer")
-    rows = _rows(params, h, s0)
+    rows = _level(params, h)[0]
     if count < 0:
         raise ValueError("count must be nonnegative")
     D, d = rows.D, rows.d
@@ -279,7 +274,7 @@ def classify_level(
     returning to the start at q.  Irrational rho (certified by its normal
     form): the first ``n_checked`` iterates are verified pairwise distinct.
     A failed check raises ``VerificationError``.  The rows are the level
-    read that ``gap_values`` and ``equidistribution_stats`` share
+    read that ``gap_values``, ``equidistribution_stats`` and the walk share
     (``_level``), read once; an irrational level's records are shared too,
     while a rational level's sweep runs ``_records`` on the rows directly.
     rho's closed form is computed afresh on every call.
@@ -290,7 +285,7 @@ def classify_level(
         raise ValueError("n_checked must be nonnegative")
     h = qf(h)
     rows = _level(params, h)[0]
-    d, _, a1, b1, a2, b2, _, _ = rows
+    d, _, a1, b1, a2, b2 = rows
     if a1 * b2 == a2 * b1:
         # the certificate checks the rows against rho's closed form, so rho
         # is not read from them here; p and q, read from rho's normal form,
@@ -384,7 +379,7 @@ def equidistribution_stats(
         raise ValueError("sample count must be nonnegative")
     if n >> 64:
         raise ValueError("sample count must be below 2**64")
-    d, _, a1, b1, a2, b2, _, _ = _level(params, h)[0]
+    d, _, a1, b1, a2, b2 = _level(params, h)[0]
     if a1 * b2 == a2 * b1:
         raise ValueError("equidistribution statistics need an irrational level")
     m = scalars._floor_ratio(bins * a1, bins * b1, a2, b2, d)

@@ -521,8 +521,11 @@ def test_render_rejects_hostile_json(tmp_path, capsys, name):
         (lambda slide: ["cut_transfer", -1], "node index -1 is not in range(5)"),
         (lambda slide: ["slide", 9, *slide[2:]], "node index 9 is not in range(5)"),
         (lambda slide: ["trade", 7, "1/16"], "vertex index 7 is not in range(5)"),
+        # a trade's own checks run on its record too
+        (lambda slide: ["trade", 0, "-5/1"], "trade parameter must be positive"),
+        (lambda slide: ["trade", 0, "0/1"], "trade parameter must be positive"),
     ],
-    ids=["transfer-42", "transfer-minus-1", "slide-9", "trade-7"],
+    ids=["transfer-42", "transfer-minus-1", "slide-9", "trade-7", "trade-param-minus-5", "trade-param-0"],
 )
 def test_render_refuses_a_record_naming_a_node_or_vertex_the_diagram_lacks(
     tmp_path, capsys, forge, refusal

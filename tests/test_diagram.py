@@ -890,6 +890,30 @@ def test_json_writer_refuses_records_outside_the_move_table(record):
         diagram.to_json_obj()
 
 
+@pytest.mark.parametrize(
+    "polygon, record, refusal",
+    [
+        (SQUARE, ("trade", 0, qf(-5)), "trade parameter must be positive"),
+        (SQUARE, ("trade", 3, qf(0)), "trade parameter must be positive"),
+        (Polygon([(0, 0), (2, 0), (0, 1)]), ("trade", 2, qf("1/8")), "vertex 2 is not a Delzant corner"),
+    ],
+    ids=["minus-5", "zero", "skew-corner"],
+)
+def test_json_refuses_a_trade_record_that_no_trade_writes(polygon, record, refusal):
+    # the trade's own checks, run on each record when it is written and read,
+    # after a trade at vertex 0 that passes them
+    message = f"provenance record 1: {refusal}"
+    diagram = BaseDiagram(polygon=polygon, provenance=(("trade", 0, qf("1/8")), record))
+    with pytest.raises(ValueError) as caught:
+        diagram.to_json_obj()
+    assert str(caught.value) == message
+    obj = BaseDiagram(polygon=polygon).to_json_obj()
+    obj["provenance"] = [["trade", 0, "1/8"], ["trade", record[1], str(record[2])]]
+    with pytest.raises(ValueError) as caught:
+        BaseDiagram.from_json_obj(obj)
+    assert str(caught.value) == message
+
+
 def test_json_round_trip_after_transfer():
     diagram = nodal_trade(BaseDiagram(polygon=SQUARE), 0, qf(2))
     moved, _ = cut_transfer(

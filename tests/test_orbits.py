@@ -3,12 +3,13 @@
 import random
 from dataclasses import replace
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 from conftest import floor_sum_histogram, rho_decreases_on_grid, stuck_records, walk_histogram
 
-from atfkit import orbits, scalars
+from atfkit import cli, orbits, scalars
 from atfkit.diagram import build_pi0
 from atfkit.orbits import (
     LevelCoordinate,
@@ -36,12 +37,10 @@ SQRT2_OVER_8 = QField(0, Fraction(1, 8), 2)
 # -- oracles: the QField walk, set sweep, sort and floor the engine replaced ---
 
 
-def qfield_positions(params, h, count, s0=0):
+def qfield_positions(params, h, count):
     per = perimeter_value(params, h)
     step = params.c - qf(h)
-    s = qf(s0)
-    s = s - floor(s / per) * per
-    out = []
+    s, out = qf(0), []
     for _ in range(count):
         out.append(s)
         s = s + step
@@ -107,12 +106,11 @@ def irrational_levels(seed, per_radicand):
     return levels
 
 
-def assert_walk_matches_oracles(params, h, s0=0):
+def assert_walk_matches_oracles(params, h):
     """Positions and gaps at every count in GAP_COUNTS agree with the oracles."""
     per = perimeter_value(params, h)
-    positions = qfield_positions(params, h, GAP_COUNTS[-1], s0)
-    assert orbit_positions(params, h, len(positions), s0) == positions
-    # the gaps do not depend on where the walk starts
+    positions = qfield_positions(params, h, GAP_COUNTS[-1])
+    assert orbit_positions(params, h, len(positions)) == positions
     for count in GAP_COUNTS:
         assert gap_values(params, h, count) == sorted_gaps(positions[:count], per)
     return positions
@@ -161,14 +159,6 @@ def test_rotation_number_domain():
 def test_orbit_positions_frozen_start():
     positions = orbit_positions(PARAMS, qf("1/4"), 4)
     assert positions == [qf(0), qf("1/4"), qf("1/2"), qf("3/4")]
-
-
-def test_orbit_positions_reduce_the_seed():
-    per = perimeter_value(PARAMS, qf("1/4"))
-    shifted = orbit_positions(PARAMS, qf("1/4"), 3, s0=per + 1)
-    assert shifted == [qf(1), qf("5/4"), qf("3/2")]
-    negative = orbit_positions(PARAMS, qf("1/4"), 1, s0=-1)
-    assert negative == [per - 1]
 
 
 def test_orbit_positions_validation():
@@ -340,7 +330,7 @@ def test_random_parameters_match_the_oracles():
             if expected.period is not None:  # the sweep stops at n_checked
                 expected = replace(expected, distinct_checked=min(expected.period, 400))
             assert classify_level(params, h, n_checked=400) == expected
-            assert_walk_matches_oracles(params, h, s0=top / 3)
+            assert_walk_matches_oracles(params, h)
 
 
 def test_perimeter_with_a_negative_conjugate_matches_the_oracles():
@@ -365,28 +355,6 @@ def test_rational_gaps_past_the_period_include_zero():
         assert gap_values(PARAMS, h, count) == sorted_gaps(positions, per) == [qf(0), qf("1/4")]
 
 
-NONZERO_STARTS = [
-    qf("1/3"), qf("-7/2"), qf("100"), QField(0, Fraction(1, 5), 2), QField(1, Fraction(-2, 3), 3)
-]
-
-
-@pytest.mark.parametrize("s0", NONZERO_STARTS, ids=str)
-def test_nonzero_start_matches_the_oracles(s0):
-    levels = [qf("1/4"), qf("5/128")]
-    if s0.d is not None:
-        levels.append(QField(Fraction(1, 16), Fraction(1, 30), s0.d))
-    for h in levels:
-        assert_walk_matches_oracles(PARAMS, h, s0)
-
-
-def test_start_with_another_radicand_is_refused():
-    s0 = QField(0, Fraction(1, 5), 3)
-    with pytest.raises(ValueError):
-        orbit_positions(PARAMS, SQRT2_OVER_8, 5, s0)
-    with pytest.raises(ValueError):
-        qfield_positions(PARAMS, SQRT2_OVER_8, 5, s0)
-
-
 # -- the rows: one level's rotation on integers ----------------------------------
 
 ROW_SHAPES = {
@@ -401,11 +369,10 @@ LEVEL_RADICANDS = {
     "sqrt2-c": (2,),
     "sqrt3-eps": (3,),
 }
-ROW_STARTS = [0, "1/9", Fraction(1, 3), QField.sqrt(2) / 5, QField.sqrt(3) / 7]
 
 
 # shapes in two radicands: ConstructionParams refuses each whole, so no
-# level, row or start of theirs is ever read
+# level or row of theirs is ever read
 TWO_RADICAND_SHAPES = {
     "sqrt2-a-sqrt3-eps": ("3/1+1/1*sqrt(2)", 3, "1/2", "0/1+1/16*sqrt(3)"),
     "sqrt2-a-sqrt3-c": ("3/1+1/1*sqrt(2)", 3, "1/2+1/16*sqrt(3)", "1/8"),
@@ -466,11 +433,11 @@ def shape_levels(shape):
 
 @pytest.mark.parametrize("shape", sorted(ROW_SHAPES) + sorted(TWO_RADICAND_SHAPES))
 def test_rows_match_their_definition(shape):
-    # each row, reduced, is c - h, the closed-form perimeter and the start
-    # modulo the perimeter; the radicand is that of those three values, not
-    # the shape's, so it is None exactly when all three are rational; where
-    # c - h or the perimeter is refused, the rows are refused alike, and a
-    # shape in two radicands has no rows: its parameters are refused
+    # each row, reduced, is c - h or the closed-form perimeter; the radicand
+    # is that of those two values, not the shape's, so it is None exactly when
+    # both are rational; where c - h or the perimeter is refused, the rows are
+    # refused alike, and a shape in two radicands has no rows: its parameters
+    # are refused
     if refused_whole(shape):
         return
     params = ROW_SHAPES[shape]
@@ -479,71 +446,65 @@ def test_rows_match_their_definition(shape):
             step, per = params.c - h, perimeter_value(params, h)
         except ValueError as refusal:
             with pytest.raises(ValueError) as caught:
-                orbits._rows(params, h, 0)
+                orbits._rows(params, h)
             assert str(caught.value) == str(refusal)
             continue
-        for s0 in ROW_STARTS:
-            s = qf(s0)
-            radicands = {x.d for x in (s, step, per)} - {None}
-            if len(radicands) > 1:
-                with pytest.raises(ValueError) as caught:
-                    orbits._rows(params, h, s0)
-                assert str(caught.value) == f"mixed radicands sqrt({s.d}) and sqrt({step.d or per.d})"
-                continue
-            rows = orbits._rows(params, h, s0)
-            D, d = rows.D, rows.d
-            assert d == (radicands.pop() if radicands else None)
-            assert scalars._reduced(rows.a1, rows.b1, D, d) == step
-            assert scalars._reduced(rows.a2, rows.b2, D, d) == per
-            assert scalars._reduced(rows.x0, rows.y0, D, d) == s - floor(s / per) * per
+        radicands = {x.d for x in (step, per)} - {None}
+        rows = orbits._rows(params, h)
+        D, d = rows.D, rows.d
+        assert d == (radicands.pop() if radicands else None)
+        assert scalars._reduced(rows.a1, rows.b1, D, d) == step
+        assert scalars._reduced(rows.a2, rows.b2, D, d) == per
 
 
 LEVEL_RANGE = "level must satisfy 0 <= h <= c - eps"
 
 
 @pytest.mark.parametrize(
-    "shape, h, s0, message",
+    "shape, h, count, message",
     [
         ("rational", "-1/64", 0, LEVEL_RANGE),
         ("rational", Fraction(3, 8) + Fraction(1, 10**9), 0, LEVEL_RANGE),
         ("sqrt2-c", QField(0, Fraction(-1, 1000), 2), 0, LEVEL_RANGE),
         ("sqrt2-c", QField(Fraction(3, 8), Fraction(1, 16) + Fraction(1, 10**6), 2), 0, LEVEL_RANGE),
-        # the range is tested before the radicands and the start are read
+        # the range is tested before the radicands are read
         ("sqrt2-c", QField(0, Fraction(-1, 20), 3), 0, LEVEL_RANGE),
-        ("rational", "1/2", 0.5, LEVEL_RANGE),
         ("rational", 0.25, 0, "expected an exact int or Fraction, got 0.25"),
         ("rational", True, 0, "expected an exact int or Fraction, got True"),
-        ("rational", "1/4", 0.5, "expected an exact int or Fraction, got 0.5"),
-        ("rational", "1/4", "x", "malformed scalar 'x'"),
         # h against c - eps names h's radicand first, the perimeter
-        # 2(a + b) - c - 7h names the shape's first, and a start names its own
+        # 2(a + b) - c - 7h names the shape's first
         ("sqrt2-c", QField(0, Fraction(1, 20), 3), 0, "mixed radicands sqrt(3) and sqrt(2)"),
         ("sqrt3-eps", QField(0, Fraction(1, 20), 2), 0, "mixed radicands sqrt(2) and sqrt(3)"),
         ("sqrt2-a", QField(0, Fraction(1, 20), 3), 0, "mixed radicands sqrt(2) and sqrt(3)"),
-        ("sqrt2-a", "1/4", QField.sqrt(3) / 7, "mixed radicands sqrt(3) and sqrt(2)"),
-        ("sqrt3-eps", QField(0, Fraction(1, 20), 3), QField.sqrt(2) / 5, "mixed radicands sqrt(2) and sqrt(3)"),
-        # a shape in two radicands is refused before its level or start is read
+        # a shape in two radicands is refused before its level is read
         ("sqrt2-a-sqrt3-eps", QField(0, Fraction(1, 20), 2), 0, MIXED_SHAPE),
         ("sqrt2-a-sqrt3-eps", QField(0, Fraction(1, 20), 3), 0, MIXED_SHAPE),
-        ("sqrt2-a-sqrt3-eps", "1/4", QField.sqrt(3) / 7, MIXED_SHAPE),
         ("sqrt2-a-sqrt3-c", "1/4", 0, MIXED_SHAPE),
         ("sqrt2-a-sqrt3-c-eps", QField(0, Fraction(1, 20), 2), 0, MIXED_SHAPE),
         ("sqrt2-a-sqrt3-c-eps", QField(0, Fraction(1, 20), 3), 0, MIXED_SHAPE),
     ],
     ids=repr,
 )
-def test_rows_refuse_bad_levels_and_starts(shape, h, s0, message):
+def test_rows_refuse_bad_levels_and_starts(shape, h, count, message):
+    # the walk reads its level through the same rows, so it refuses the level
+    # with the same message, even for no positions
     with pytest.raises(ValueError) as caught:
-        orbits._rows(shape_params(shape), h, s0)
+        orbits._rows(shape_params(shape), h)
+    assert str(caught.value) == message
+    with pytest.raises(ValueError) as caught:
+        orbit_positions(shape_params(shape), h, count)
     assert str(caught.value) == message
 
 
-def test_rows_take_a_start_in_another_radicand_on_rational_rows():
-    # eps in sqrt(3) leaves c - h and the perimeter rational on a rational
-    # level, so a start in sqrt(2) is its own radicand's row
-    rows = orbits._rows(ROW_SHAPES["sqrt3-eps"], "1/4", QField.sqrt(2) / 5)
-    assert (rows.d, rows.b1, rows.b2) == (2, 0, 0)
-    assert scalars._reduced(rows.x0, rows.y0, rows.D, rows.d) == QField.sqrt(2) / 5
+def test_rows_refuse_a_level_in_another_radicand_where_the_rows_cancel():
+    # c - eps = 3/8 is rational, so the range check merges no radicands, and
+    # at h = sqrt(3)/16 the integer sqrt-coefficients of both rows come out 0;
+    # the shape's sqrt(2) and h's sqrt(3) are still refused as a pair
+    params = ConstructionParams(qf("3/1+1/4*sqrt(2)"), 3, qf("1/2+1/16*sqrt(2)"), qf("1/8+1/16*sqrt(2)"))
+    h = QField(0, Fraction(1, 16), 3)
+    for read in (orbits._rows, lambda p, h: orbit_positions(p, h, 0), classify_level):
+        with pytest.raises(ValueError, match=r"^mixed radicands sqrt\(2\) and sqrt\(3\)$"):
+            read(params, h)
 
 
 def test_long_period_is_proved_and_swept_to_n_checked():
@@ -691,6 +652,17 @@ def test_a_rational_classify_reads_its_level_once(monkeypatch):
     assert report == classify_level(ConstructionParams(4, 2, qf("1/2"), qf("1/8")), "1/4", 2000)
 
 
+def test_an_orbit_dump_reads_its_level_once(monkeypatch, tmp_path, capsys):
+    # the classify, the histogram and the walk of one orbit command share
+    # one read of its level
+    calls = record_calls(monkeypatch, "_rows")
+    dump = tmp_path / "orbit.csv"
+    argv = ["orbit", "--h", "0/1+1/8*sqrt(2)", "--n", "1000", "--bins", "10", "--dump", str(dump)]
+    assert cli.main(argv) == 0
+    assert calls == ["_rows"]
+    assert len(dump.read_text().splitlines()) == 1 + 1000
+
+
 def test_a_level_read_leaves_equality_hash_and_json_as_they_were():
     params = ConstructionParams(4, 2, qf("1/2"), qf("1/8"))
     before = hash(params), repr(params), build_pi0(params).to_json_obj()
@@ -808,6 +780,19 @@ def test_histogram_matches_the_walk_on_seeded_cases():
         n = 20_000 if case == 0 else rng.choice((rng.randint(0, 20), rng.randint(0, 20_000)))
         bins = rng.randint(2, 50) if case % 2 else rng.randint(2, 1000)
         assert equidistribution_stats(params, h, n, bins) == walk_histogram(params, h, n, bins)
+
+
+def test_histogram_on_a_big_endian_host(monkeypatch):
+    """Kills the mutant ``counts[::-1]`` -> ``counts[::-2]`` in
+    ``equidistribution_stats``, whose big-endian branch a little-endian host
+    never runs: below n = 256 each packed field is one byte, which reads the
+    same in either byte order, so the branch runs here on ``sys.byteorder``
+    set to "big" and must give the same counts."""
+    h = QField(Fraction(1, 8), Fraction(1, 40), 13)
+    expected = {bins: equidistribution_stats(PARAMS, h, 255, bins) for bins in (1, 2, 7, 10)}
+    monkeypatch.setattr(orbits, "sys", SimpleNamespace(byteorder="big"))
+    for bins, counts in expected.items():
+        assert equidistribution_stats(PARAMS, h, 255, bins) == counts
 
 
 def test_histogram_at_the_field_width_boundaries():
