@@ -24,11 +24,14 @@ fixes: ``["trade", vertex, param]``, ``["slide", node, {"point": old},
 {"point": new}, band]`` (band: the range of F swept) and ``["cut_transfer",
 node]``.  Points and bands are scalar pairs
 ``["p/q", "p/q"]``; malformed JSON raises ``ValueError``, and so does a
-record that names a polygon vertex or a node the diagram lacks, or a trade
+record that names a polygon vertex or a node the diagram lacks, a trade
 whose parameter is not positive or whose vertex is not a Delzant corner,
-when it is read or written.  Validation tests every pair of cut legs for a
-crossing, so a diagram whose cuts have more than ``LEG_LIMIT`` (256) legs in
-total is refused before any pair is tested.
+or a slide whose points are equal or off the node's eigenline, whose band
+is not the exact band of its points, or that breaks the node's chain of
+slides (each starts where the one before ended, and the last ends at the
+node), when it is read or written.  Validation tests every pair of cut
+legs for a crossing, so a diagram whose cuts have more than ``LEG_LIMIT``
+(256) legs in total is refused before any pair is tested.
 """
 
 from __future__ import annotations
@@ -296,15 +299,19 @@ def _validate_diagram(diagram: BaseDiagram) -> None:
 
 
 def _check_history(diagram: BaseDiagram) -> None:
-    """Refuse a move record that indexes a polygon vertex or a node the
-    diagram does not have, or a trade that fails the trade's own checks
-    (``_checked_trade``): no move writes one, as the polygon stays and nodes
-    are only added.  Each record has passed the move table
+    """Refuse a move record that no move writes on this diagram: one that
+    indexes a polygon vertex or a node the diagram does not have (the
+    polygon stays and nodes are only added), a trade that fails the trade's
+    own checks (``_checked_trade``), or a slide that ``nodal_slide`` would
+    not have recorded (``_check_slide``).  Each node's slides must also form
+    a chain, each starting where the one before it ended, and the last must
+    end at the node's position.  Each record has passed the move table
     (``_move_codecs``).  A trade's node is not tested against the polygon
     here: that test costs several times the checks made here, and a
     diagram is checked on each read and write."""
     nodes = ("node", len(diagram.nodes))
     sizes = {"trade": ("vertex", len(diagram.polygon.vertices)), "slide": nodes, "cut_transfer": nodes}
+    ends: dict[int, tuple[int, Point]] = {}  # node -> (record, end) of its last slide so far
     for k, record in enumerate(diagram.provenance):
         what, n = sizes[record[0]]
         try:
@@ -312,8 +319,33 @@ def _check_history(diagram: BaseDiagram) -> None:
                 raise ValueError(f"{what} index {record[1]} is not in range({n})")
             if record[0] == "trade":
                 _checked_trade(diagram.polygon, *record[1:])
+            elif record[0] == "slide":
+                _check_slide(diagram, *record[1:], ends.get(record[1]))
+                ends[record[1]] = (k, record[3])
         except ValueError as exc:
             raise ValueError(f"provenance record {k}: {exc}") from None
+    for i, (k, end) in ends.items():
+        if end != diagram.nodes[i].position:
+            raise ValueError(f"provenance record {k}: slide of node {i} ends at {end}, "
+                             f"not at the node's position {diagram.nodes[i].position}")
+
+
+def _check_slide(diagram: BaseDiagram, i: int, old: Point, new: Point, band: tuple, last: tuple | None) -> None:
+    """Refuse a slide record of node i unless its two points differ and lie
+    on the node's eigenline, its band is ``_distance_band`` of the two, and
+    it starts where the node's previous slide ``last``, ``(record, end)`` or
+    None, ended."""
+    node = diagram.nodes[i]
+    if old == new:
+        raise ValueError(f"slide of node {i} starts and ends at {old}")
+    ahead = move(node.position, node.eigen_dir, 1)
+    for p in (old, new):
+        if orient(node.position, ahead, p):
+            raise ValueError(f"slide point {p} is not on the eigenline of node {i}")
+    if (exact := _distance_band(diagram.polygon, old, new)) != tuple(band):
+        raise ValueError(f"slide band ({band[0]}, {band[1]}) is not the distance band ({exact[0]}, {exact[1]})")
+    if last is not None and old != last[1]:
+        raise ValueError(f"slide of node {i} starts at {old}, not at {last[1]} where record {last[0]} ended")
 
 
 # -- region bookkeeping for cut transfer -----------------------------------
@@ -336,9 +368,10 @@ def _loop_contains(loop: tuple[Point, ...], p: Point) -> bool:
 def _loop_simple(loop: tuple[Point, ...]) -> bool:
     n = len(loop)
     segs = [(loop[i], loop[(i + 1) % n]) for i in range(n)]
+    # a segment shares an end with the next one, and the last with the first
     for i in range(n):
-        for j in range(i + 1, n):
-            if j == i + 1 or (i == 0 and j == n - 1):
+        for j in range(i + 2, n):
+            if i == 0 and j == n - 1:
                 continue
             if segments_intersect(*segs[i], *segs[j]):
                 return False
@@ -494,9 +527,15 @@ def _distance_band(poly: Polygon, a: Point, b: Point) -> tuple[QField, QField]:
     falling slope and sweeping them with a stack (the convex hull trick),
     in O(n log n) with no pair enumeration.
     """
-    fa, fb = poly.distance_to_boundary(a), poly.distance_to_boundary(b)
+    # F is the least edge value, so each endpoint's values are read once
+    ends = []
+    for p in (a, b):
+        values = poly.support_values(p)
+        if (f := min(values)).sign() < 0:
+            raise ValueError(f"point ({p.x1}, {p.x2}) lies outside the polygon")
+        ends.append((values, f))
+    (va, fa), (vb, fb) = ends
     lo, hi = (fa, fb) if fa <= fb else (fb, fa)
-    va, vb = poly.support_values(a), poly.support_values(b)
     # (slope, value at a) by falling slope, the lowest line first among equal slopes
     lines = sorted(((y - x, x) for x, y in zip(va, vb)), key=lambda line: (-line[0], line[1]))
     hull: list[tuple[QField, QField]] = []

@@ -15,9 +15,9 @@ All four orbit functions work on one integer rotation.  The advance and
 the perimeter are put over one common denominator D as integer rows
 ``step = (a1 + b1*sqrt(d))/D`` and ``per = (a2 + b2*sqrt(d))/D``; a position
 is an integer pair (X, Y) standing for ``(X + Y*sqrt(d))/D``.  The rows are
-read from the shape's integer form (c - eps, c and 2(a + b) - c over one
-denominator in the shape's one radicand, cached on the parameters) and the
-level's normal form, with no ``QField`` arithmetic;
+read from the shape's integer form (c - eps, c, 2(a + b) - c and eps over
+one denominator in the shape's one radicand, cached on the parameters) and
+the level's normal form, with no ``QField`` arithmetic;
 no ``QField`` is built per position either, and every comparison is exact:
 
 * the walk (``orbit_positions`` and ``atfkit orbit --dump``) wraps on the
@@ -52,9 +52,11 @@ normal form (``_level``), so ``classify_level``, ``gap_values``,
 run its continued fraction once per count.
 
 The level coordinates of a point (``to_level_coordinate`` and its inverse
-``from_level_coordinate``) read the arc rows of level h from the
-polygon's edge-death schedule, by the same advance pass as the rotations
-of ``atfkit.recurrence``; neither builds a level polygon.
+``from_level_coordinate``) ask the polygon for level h by the same advance
+pass as the rotations of ``atfkit.recurrence`` (``Polygon._arc_pair`` and
+``Polygon._arc_point``), which reads the level from its edge-death
+schedule; neither builds a level polygon, and this module reads no arc
+rows.
 """
 
 from __future__ import annotations
@@ -65,7 +67,7 @@ from math import lcm
 from typing import Callable, Iterator, NamedTuple
 
 from . import scalars
-from .plane import Point
+from .plane import Point, _row_point
 from .polygon import ConstructionParams, Polygon
 from .recurrence import VerificationError
 from .scalars import QField, ScalarLike, _merge_radicand, _sign, qf
@@ -102,11 +104,11 @@ class OrbitReport:
 def to_level_coordinate(poly: Polygon, p: Point) -> LevelCoordinate:
     """Split an interior point into (level, arc position on that level)."""
     h, i, row, d = poly._inside(p)
-    return LevelCoordinate(h, scalars._reduced(*poly._arc_pair(poly._arc_view(h), i, row, d)))
+    return LevelCoordinate(h, scalars._reduced(*poly._arc_pair(h, i, row, d)))
 
 
 def from_level_coordinate(poly: Polygon, coord: LevelCoordinate) -> Point:
-    return poly._advance(poly._arc_view(qf(coord.h)), 0, qf(coord.s)._v, None, None)
+    return _row_point(*poly._arc_point(qf(coord.h), None, qf(coord.s)._v))
 
 
 def perimeter_value(params: ConstructionParams, h: ScalarLike) -> QField:
@@ -143,14 +145,15 @@ class _Rows(NamedTuple):
 def _rows(params: ConstructionParams, h: ScalarLike) -> _Rows:
     """The rows of the step ``c - h`` and the perimeter ``2(a + b) - c - 7h``,
     read on integers from the normal form of h and the shape's
-    ``_rotation_rows`` (c - eps, c and 2(a + b) - c over one denominator, in
-    the shape's one radicand), with no ``QField`` arithmetic.  Radicands are
-    merged, and a mixed pair refused, in the order of the ``QField``
+    ``_rotation_rows`` (c - eps, c, 2(a + b) - c and eps over one
+    denominator, in the shape's one radicand; eps is not read here), with
+    no ``QField`` arithmetic.  Radicands are merged, and a mixed pair
+    refused, in the order of the ``QField``
     expressions the rows stand for (``h <= c - eps``, then ``c - h`` and
     ``2(a + b) - c - 7h``); the rows' radicand is None when both rows are
     rational."""
     A, B, Dh, dh = scalars._operand(h) or qf(h)._v
-    Dp, dp, ((ex, ey), (cx, cy), (px, py)) = params._rotation_rows
+    Dp, dp, ((ex, ey), (cx, cy), (px, py), _) = params._rotation_rows
     # 0 <= h, then h <= c - eps as the sign of (c - eps)*Dh - h*Dp, whose
     # radicand is h's, merged with the shape's only where c - eps is irrational
     if _sign(A, B, dh) < 0 or _sign(ex * Dh - A * Dp, ey * Dh - B * Dp, _merge_radicand(dh, dp) if ey else dh) < 0:

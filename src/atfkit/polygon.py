@@ -29,8 +29,9 @@ denominator D, and each edge length is an exact integer quotient of its
 end corners.  The read is one integer row per alive edge in arc order: the
 arc prefix at its start, its start vertex and its direction, with the
 perimeter last.  ``_arc_view`` keeps the last level read, so every read of
-one level (its corners, its rotations, its level polygon) solves it once;
-``_corners`` rotates that read into the corners of {F >= h}, over the
+one level (its corners, its rotations, its level polygon) solves it once.
+The read stays inside the polygon: other modules ask for a level by h,
+and ``_corners`` rotates the read into the corners of {F >= h}, over the
 read's one denominator D.
 
 The constructor is one integer pass too.  ``Polygon(...)`` puts every vertex
@@ -66,11 +67,12 @@ coordinates of ``atfkit.orbits`` and, at h = 0, the polygon's own
 builds a level polygon.  An arc of a point on edge i is prefix + lambda
 (+ the advance) as one integer pair; it is reduced modulo the perimeter by
 one exact floor of its quotient (``scalars._mod``), and its edge is found by
-sign tests on the prefixes.  The pass takes and gives point rows
-(``_arc_pair``, ``_arc_point``, the advance an integer quadruple), so the
-map self-check runs it with no ``Point``; ``_advance`` runs it from the
-point row of ``_locate`` or from arc 0, and builds the one ``Point`` of a
-rotation, at the end.  The module also builds the family of
+sign tests on the prefixes.  The pass takes a level h and gives point rows:
+``_arc_pair(h, i, row, d)`` reads the arc of the point row of ``_locate``,
+and ``_arc_point(h, arc, t)`` moves that arc, or arc 0, by the advance t,
+an integer quadruple, so the map self-check runs it with no ``Point``; a
+caller that wants a ``Point`` reduces the row once, with
+``plane._row_point``, at the end.  The module also builds the family of
 corner-chopped rectangles that drives the recurrence construction, five
 closed-form corners each, plus a small catalog of named polygons.
 """
@@ -310,7 +312,7 @@ class Polygon:
         h = qf(h)
         if not h:
             return self
-        (*_, d), corners = self._corners(h)
+        _, corners, d = self._corners(h)
         return object.__new__(Polygon)._build(tuple(_row_point(row, d) for row in corners), corners, d)
 
     def _edge_deaths(self) -> tuple[list[QField], QField, Point]:
@@ -404,19 +406,19 @@ class Polygon:
         arcs.append((S, Sb))
         return alive, base, arcs, D * L * H, d
 
-    def _corners(self, h: QField) -> tuple[tuple, list[tuple[int, int, int, int, int]]]:
-        """The corners of {F >= h} as point rows, with the view they come
-        from: ``(view, corners)`` for ``view = _arc_view(h)``.  Corner j, where
-        alive edges j - 1 and j meet, is the start vertex of alive edge j in
-        the view's rows, ``(X, Xs, Y, Ys, D)`` for ((X + Xs*sqrt(d))/D,
-        (Y + Ys*sqrt(d))/D), all over the view's D: the rows rotated from arc
-        order to alive order.  ``level_set``, the map self-check of
-        ``atfkit.recurrence`` and the level outlines of ``atfkit.render`` all
-        read them here.  Errors are ``_level``'s.
+    def _corners(self, h: QField) -> tuple[list[int], list[tuple[int, int, int, int, int]], int | None]:
+        """The corners of {F >= h} as point rows: ``(alive, corners, d)``, the
+        indices of the edges alive at h, the corners and their radicand.
+        Corner j, where alive edges j - 1 and j meet, is the start vertex of
+        alive edge j in the level read's rows, ``(X, Xs, Y, Ys, D)`` for
+        ((X + Xs*sqrt(d))/D, (Y + Ys*sqrt(d))/D), all over the read's D: the
+        rows rotated from arc order to alive order.  ``level_set``, the map
+        self-check of ``atfkit.recurrence`` and the level outlines of
+        ``atfkit.render`` all read them here.  Errors are ``_level``'s.
         """
-        alive, base, rows, D, _ = view = self._arc_view(h)
+        alive, base, rows, D, d = self._arc_view(h)
         k = len(alive) - base  # row k starts at corner 0
-        return view, [(X1, Y1, X2, Y2, D) for _, _, X1, Y1, X2, Y2, _, _ in rows[k:-1] + rows[:k]]
+        return alive, [(X1, Y1, X2, Y2, D) for _, _, X1, Y1, X2, Y2, _, _ in rows[k:-1] + rows[:k]], d
 
     def level_perimeter(self, h: ScalarLike) -> QField:
         _, _, rows, D, d = self._arc_view(qf(h))
@@ -434,7 +436,9 @@ class Polygon:
 
         The polygon keeps the last level read in its one slot ``_read``, so
         every read of one level (its corners, its rotations, its level
-        polygon) solves it once; another level is read afresh.
+        polygon) solves it once; another level is read afresh.  Only this
+        class reads the tuple: other modules ask ``_corners``, ``_arc_pair``
+        and ``_arc_point`` by the level h.
         """
         if self._read[0] != h._v:
             object.__setattr__(self, "_read", (h._v, self._level(h)))
@@ -453,32 +457,18 @@ class Polygon:
         value, i, row, d = self._locate(p)
         if value.sign() != 0:
             raise ValueError(f"point ({p.x1}, {p.x2}) is not on the polygon boundary")
-        return _reduced(*self._arc_pair(self._arc_view(ZERO), i, row, d))
+        return _reduced(*self._arc_pair(ZERO, i, row, d))
 
     def arc_to_point(self, s: ScalarLike) -> Point:
         """Inverse of point_to_arc, taking s modulo the perimeter."""
-        return self._advance(self._arc_view(ZERO), 0, qf(s)._v, None, None)
+        return _row_point(*self._arc_point(ZERO, None, qf(s)._v))
 
-    def _advance(self, view: tuple, i: int, t: tuple, row: tuple | None, d: int | None) -> Point:
-        """Move the point row ``row``, a point on edge i of this polygon and
-        on the level of the view (``_arc_view`` of h, so F = h there), by the
-        arc length t counterclockwise along the level polygon {F >= h}: the
-        one advance pass over the level read at h.  The row and its radicand
-        d, merged with the polygon's, are those of ``_locate``, and t is an
-        integer quadruple as ``_arc_point`` takes it.  With row None the pass
-        starts at arc 0, so it returns the point at arc t.
-
-        ``_arc_pair`` gives the row's arc, ``_arc_point`` moves it by t on
-        integers, and the image row is reduced to the one ``Point`` here.
-        """
-        arc = (0, 0, *view[3:]) if row is None else self._arc_pair(view, i, row, d)
-        return _row_point(*self._arc_point(view, *arc, t))
-
-    def _arc_pair(self, view: tuple, i: int, row: tuple, d: int | None) -> tuple[int, int, int, int | None]:
-        """The arc coordinate of the point row ``row``, its radicand d
-        already merged with the view's, a point of the view's level on edge
-        i of this polygon, as an integer pair over a multiple M of the view's
-        denominator: ``(a, b, M, d)`` for (a + b*sqrt(d)) / M in [0, perimeter).
+    def _arc_pair(self, h: QField, i: int, row: tuple, d: int | None) -> tuple[int, int, int, int | None]:
+        """The arc coordinate of the point row ``row``, a point of level h on
+        edge i of this polygon, its radicand d merged with the polygon's (as
+        ``_locate`` gives them), as an integer pair over a multiple M of the
+        denominator of the level read: ``(a, b, M, d)`` for
+        (a + b*sqrt(d)) / M in [0, perimeter).
 
         The level edge through the point is the first alive edge from i on:
         edge i itself, or, at the death level of edge i, the alive edge that
@@ -487,7 +477,7 @@ class Polygon:
         the first nonzero entry w of the direction, so the coordinate is
         prefix + lambda over M = P*D*|w|.
         """
-        alive, base, rows, D, _ = view
+        alive, base, rows, D, _ = self._arc_view(h)
         m = len(alive)
         k = (bisect_left(alive, i) - base) % m
         S, Sb, X1, Y1, X2, Y2, u, v = rows[k]
@@ -505,11 +495,13 @@ class Polygon:
             a = b = 0
         return a, b, D * scale, d
 
-    def _arc_point(self, view: tuple, a: int, b: int, M: int, d: int | None,
+    def _arc_point(self, h: QField, arc: tuple[int, int, int, int | None] | None,
                    t: tuple[int, int, int, int | None]) -> tuple[tuple[int, int, int, int, int], int | None]:
-        """The point of the view's level at arc (a + b*sqrt(d)) / M + t modulo
-        its perimeter, for M a multiple of the view's denominator D, as a
-        point row and its radicand.
+        """The point of level h at arc + t modulo the level perimeter, as a
+        point row and its radicand: the one advance pass over the level read.
+        ``arc`` is ``_arc_pair``'s ``(a, b, M, d)`` for (a + b*sqrt(d)) / M, M
+        a multiple of the read's denominator D, or None for arc 0, the base
+        vertex, which is (0, 0, D, d) of the read itself.
 
         The advance t is an integer quadruple ``(A, B, Dt, dt)`` for
         (A + B*sqrt(dt)) / Dt with Dt > 0 and dt None when B is 0, in lowest
@@ -523,8 +515,8 @@ class Polygon:
         when the perimeter is irrational (t's radicand first), else at the
         edge's start vertex plus the offset.
         """
-        _, _, rows, D, _ = view
-        A, B, Dt, dt = t
+        (_, _, rows, D, dv), (A, B, Dt, dt) = self._arc_view(h), t
+        a, b, M, d = arc or (0, 0, D, dv)
         n = len(rows) - 1
         d = _merge_radicand(d, dt) if b or not rows[n][1] else _merge_radicand(dt, d)
         a, b, M = a * Dt + A * M, b * Dt + B * M, M * Dt
@@ -732,11 +724,13 @@ class ConstructionParams:
 
     @cached_property
     def _rotation_rows(self) -> tuple:
-        """``(D, d, [c - eps, c, 2(a + b) - c])`` for the level rotations of
-        ``atfkit.orbits``: each value an integer pair ``(A, B)`` standing for
-        ``(A + B*sqrt(d))/D``, over one denominator in the shape's radicand.
+        """``(D, d, [c - eps, c, 2(a + b) - c, eps])``, the one integer copy of
+        the shape's rotation facts: each value an integer pair ``(A, B)``
+        standing for ``(A + B*sqrt(d))/D``, over one denominator in the
+        shape's radicand.  The level rotations of ``atfkit.orbits`` read the
+        first three, the smoothed advance of ``atfkit.recurrence`` c and eps.
         Cached outside the dataclass fields, so no diagram JSON carries them."""
-        return _over(self.c - self.eps, self.c, 2 * (self.a + self.b) - self.c)
+        return _over(self.c - self.eps, self.c, 2 * (self.a + self.b) - self.c, self.eps)
 
 
 def centered_rectangle(a: ScalarLike, b: ScalarLike) -> Polygon:

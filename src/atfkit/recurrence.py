@@ -10,11 +10,11 @@ fixed.  ``build_recurrence_map`` certifies this rotation property on a
 sample grid before handing the map out, and a failed check raises a
 ``VerificationError`` that names the level, the point and both images.
 The grid runs on integer point rows: its samples are the corners of each
-level, read from the edge-death schedule at that level
-(``Polygon._corners``) over one denominator D, and the midpoints
-between them, row sums over 2*D; both images of a sample are rows,
-compared by cross-multiplying, and ``Point``s are built only to report a
-failure.
+level, which ``Polygon._corners(h)`` reads from the edge-death schedule
+with the alive edges and the radicand, all over one denominator D, and
+the midpoints between them, row sums over 2*D; both images of a sample
+are rows, compared by cross-multiplying, and ``Point``s are built only to
+report a failure.
 A ``RecurrenceMap`` holds only its rounds and its source diagram: it reads
 its parameters and polygon from that diagram.
 
@@ -39,12 +39,13 @@ from its edge-death schedule, once per level.  The smoothed step is one
 integer row pass: one ``_over`` puts p over P, the level F(p) is the
 smallest edge value over P*L, reduced to a ``QField`` by one gcd as the
 key of the level read, the advance r(h)*n is an integer quadruple
-(``_advance_of``, with c and eps over one denominator per map), the same
-point row goes through ``_arc_pair`` and ``_arc_point``, and one ``Point``
-is built at the end.  ``rotation_amount`` is ``_advance_of`` reduced, so
-the taper has one rule.  The self-check runs the same integer steps on
-its sample rows.  No rotation builds a level polygon, and this module
-reads no arc rows.
+(``_advance_of``, reading c and eps from the shape's cached
+``ConstructionParams._rotation_rows``), the same point row goes through
+``Polygon._arc_pair`` and ``Polygon._arc_point`` by the level h, and one
+``Point`` is built at the end.  ``rotation_amount`` is ``_advance_of``
+reduced, so the taper has one rule.  The self-check runs the same integer
+steps on its sample rows.  No rotation builds a level polygon, and this
+module reads no arc rows and no level read of the polygon.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from dataclasses import dataclass, field
 from .diagram import BaseDiagram
 from .plane import LatticeVector, Point, UnimodularAffineMap, _row, _row_point, dot
 from .polygon import ConstructionParams, Polygon, _blowup_corners, _line_rows
-from .scalars import QField, ScalarLike, _divide, _merge_radicand, _over, _reduced, _sign, qf
+from .scalars import QField, ScalarLike, _divide, _merge_radicand, _reduced, _sign, qf
 
 
 class VerificationError(ValueError):
@@ -123,17 +124,15 @@ class StripShear:
 @dataclass(frozen=True)
 class RecurrenceMap:
     """Four strip-shear rounds on the polygon of their source diagram; the
-    rows of the rounds, and c and eps over one denominator, are built with
-    the map and take no part in ==, repr or hash."""
+    rows of the rounds are built with the map and take no part in ==, repr
+    or hash."""
 
     rounds: tuple[StripShear, StripShear, StripShear, StripShear]
     source_diagram: BaseDiagram
     _strips: tuple = field(init=False, repr=False, compare=False)
-    _taper: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_strips", _line_rows(self.rounds))
-        object.__setattr__(self, "_taper", _over(self.params.c, self.params.eps))
 
     @property
     def params(self) -> ConstructionParams:
@@ -156,7 +155,7 @@ def rotate_on_level(poly: Polygon, h: ScalarLike, t: ScalarLike, p: Point) -> Po
     t = qf(t)
     if not t:
         return p
-    return poly._advance(poly._arc_view(h), i, t._v, row, d)
+    return _row_point(*poly._arc_point(h, poly._arc_pair(h, i, row, d), t._v))
 
 
 def rotation_amount(params: ConstructionParams, h: ScalarLike) -> QField:
@@ -169,14 +168,14 @@ def rotation_amount(params: ConstructionParams, h: ScalarLike) -> QField:
     h = qf(h)
     if h.sign() < 0:
         raise ValueError("level must be nonnegative")
-    return _reduced(*_advance_of(_over(params.c, params.eps), h))
+    return _reduced(*_advance_of(params._rotation_rows, h))
 
 
-def _advance_of(taper: tuple, h: QField) -> tuple[int, int, int, int | None]:
+def _advance_of(shape: tuple, h: QField) -> tuple[int, int, int, int | None]:
     """The smoothed advance r(h) as an integer quadruple ``(A, B, D, d)`` for
     (A + B*sqrt(d)) / D with D > 0 and d None when B is 0, not in lowest
-    terms.  ``taper`` is c and eps over one denominator E,
-    ``scalars._over(c, eps)``.
+    terms.  ``shape`` is the shape's ``ConstructionParams._rotation_rows``,
+    whose c and eps are read here, over its one denominator E.
 
     With h = (a + b*sqrt(d)) / N in normal form, c - h is a pair over
     M = E*N, and two sign tests against eps over M pick the case.  The taper
@@ -186,12 +185,13 @@ def _advance_of(taper: tuple, h: QField) -> tuple[int, int, int, int | None]:
     is rational.  Of the four values h, c, c - h and eps, only h can carry
     a radicand other than that of c and eps, and ``QField`` arithmetic
     meets them first in c - h or in its comparison with eps, so that pair
-    is refused first, h's named first.
+    is refused first, h's named first: an irrational h meets the shape's
+    radicand only where c or eps is irrational.
     ``rotation_amount`` reduces the quadruple; ``apply_phi_iter`` multiplies
-    it by n and hands it to ``Polygon._advance``.
+    it by n and hands it to ``Polygon._arc_point``.
     """
-    (E, de, ((Ca, Cb), (Ea, Eb))), (a, b, N, d) = taper, h._v
-    d = _merge_radicand(d, de) if b else de
+    (E, de, (_, (Ca, Cb), _, (Ea, Eb))), (a, b, N, d) = shape, h._v
+    d = _merge_radicand(d, de if Cb or Eb else None) if b else de
     Ga, Gb, M, ea, eb = Ca * N - a * E, Cb * N - b * E, E * N, Ea * N, Eb * N
     if _sign(Ga - ea, Gb - eb, d) >= 0:  # full advance c - h
         return Ga, Gb, M, d if Gb else None
@@ -286,8 +286,8 @@ def _verify_rounds(rm: RecurrenceMap) -> None:
     checks = [(h, c - h) for h in ((c - eps) * k / 4 for k in range(4))]
     checks += [(h, 0) for h in (c + eps, (c + eps + top) / 2)]
     for h, advance in checks:
-        view, corners = poly._corners(h)
-        alive, n, d = view[0], len(corners), view[4]
+        alive, corners, d = poly._corners(h)
+        n = len(corners)
         # sample j is corner j or the midpoint of corners j - n and j - n + 1,
         # so it lies on alive edge j mod n; the corners share one D
         samples = corners + [
@@ -297,8 +297,7 @@ def _verify_rounds(rm: RecurrenceMap) -> None:
         for j, row in enumerate(samples):
             ds = d if row[1] or row[3] else None  # the radicand of the sample's Point
             if advance:
-                arc = poly._arc_pair(view, alive[j % n], row, d)
-                expected, de = poly._arc_point(view, *arc, advance._v)
+                expected, de = poly._arc_point(h, poly._arc_pair(h, alive[j % n], row, d), advance._v)
             else:
                 expected, de = row, ds
             dg = _merge_radicand(strips[2], ds)
@@ -348,10 +347,10 @@ def apply_phi_iter(rm: RecurrenceMap, p: Point, n: int) -> Point:
         raise ValueError("iteration count must be an integer")
     poly = rm.polygon
     h, i, row, d = poly._inside(p)
-    A, B, M, dt = _advance_of(rm._taper, h)
+    A, B, M, dt = _advance_of(rm.params._rotation_rows, h)
     if not (n and (A or B)):
         return p
-    return poly._advance(poly._arc_view(h), i, (A * n, B * n, M, dt), row, d)
+    return _row_point(*poly._arc_point(h, poly._arc_pair(h, i, row, d), (A * n, B * n, M, dt)))
 
 
 __all__ = [

@@ -11,8 +11,9 @@ The screen transform, the strip clipping and the rounding run as one
 integer pass: a model coordinate (A + B*sqrt(d))/D goes through the
 transform as integers over an unreduced denominator, and ``_decimal20``
 reads its digits without a ``QField`` operation.  A level outline is the
-corner rows of ``Polygon._corners``, read from the edge-death schedule at
-the level, all over one denominator, with no level polygon built.
+corner rows that ``Polygon._corners(h)`` gives with their radicand, read
+from the edge-death schedule at the level, all over one denominator, with
+no level polygon built.
 """
 
 from __future__ import annotations
@@ -192,7 +193,7 @@ def render_svg(diagram: BaseDiagram, style: RenderStyle | None = None) -> str:
             'fill="#7f7fbf" fill-opacity="0.25" stroke="none"/>'
         )
     for h in style.show_levels:
-        (*_, d), corners = poly._corners(h)
+        _, corners, d = poly._corners(h)
         level = [((X, Xs, D, d), (Y, Ys, D, d)) for X, Xs, Y, Ys, D in corners]
         lines.append(
             f'<polygon class="level" points="{screen.points_attr(level)}" '

@@ -253,6 +253,13 @@ def check_rho_monotone(rng: random.Random) -> Rows:
     for params in (DEFAULT_PARAMS, *(random_params(rng) for _ in range(4))):
         got = rho_monotone_check(params)
         yield "rho_monotone_check at a={params.a}, b={params.b}, c={params.c}", got, True
+        # the closed form itself, at 11 levels across the full-advance range
+        rhos = [rotation_number(params, (params.c - params.eps) * k / 10) for k in range(11)]
+        rises = [k for k in range(10) if rhos[k] <= rhos[k + 1]]
+        yield (
+            "levels k with rho((c - eps)k/10) <= rho((c - eps)(k + 1)/10) at a={params.a}, b={params.b}, "
+            "c={params.c}, eps={params.eps}"
+        ), rises, []
 
 
 def check_twist_classes(rng: random.Random) -> Rows:

@@ -21,7 +21,7 @@ from hypothesis.configuration import set_hypothesis_home_dir
 from atfkit import ConstructionParams, LatticeVector, Point, QField, qf
 from atfkit import orbits, scalars
 from atfkit.diagram import build_pi0
-from atfkit.plane import _row, as_point, cross, delta, dot, lex_less, move, primitive
+from atfkit.plane import _row, _row_point, as_point, cross, delta, dot, lex_less, move, primitive
 from atfkit.polygon import Edge, Polygon, _line_rows, _passes
 from atfkit.recurrence import VerificationError, apply_rounds
 
@@ -305,11 +305,11 @@ def constructed_level_set(self: Polygon, h) -> Polygon:
 
 
 # The map self-check that ``atfkit.recurrence`` had before it ran on point
-# rows, kept verbatim (only the names differ, and ``Polygon._advance`` now
-# takes the sample's point row and the advance's integers) as the oracle for
-# that grid: a level polygon per level, its vertices and edge midpoints
-# (``edge_samples``), and every sample through ``apply_rounds`` and
-# ``Polygon._advance`` as a ``Point``.
+# rows, kept verbatim (only the names differ, and the advance pass now
+# takes the level, the sample's point row and the advance's integers) as the
+# oracle for that grid: a level polygon per level, its vertices and edge
+# midpoints (``edge_samples``), and every sample through ``apply_rounds`` and
+# ``Polygon._arc_pair`` and ``Polygon._arc_point`` as a ``Point``.
 
 
 def point_verify_rounds(rm) -> None:
@@ -320,11 +320,15 @@ def point_verify_rounds(rm) -> None:
     checks += [(h, 0) for h in (c + eps, (c + eps + top) / 2)]
     for h, advance in checks:
         level = poly.level_set(h)
-        n, view = len(level.edges), advance and poly._arc_view(h)
+        n, (alive, _, d) = len(level.edges), poly._corners(h)
         # sample j is a vertex or an edge midpoint of level edge j mod n,
-        # which is edge view[0][j mod n] of the polygon, the view's alive edge
+        # which is edge alive[j mod n] of the polygon
         for j, pt in enumerate(edge_samples(level, 1)):
-            expected = poly._advance(view, view[0][j % n], advance._v, *_row(pt, view[4])) if advance else pt
+            if advance:
+                arc = poly._arc_pair(h, alive[j % n], *_row(pt, d))
+                expected = _row_point(*poly._arc_point(h, arc, advance._v))
+            else:
+                expected = pt
             got = apply_rounds(rm, pt)
             if got == expected:
                 continue

@@ -2,10 +2,10 @@
 
 ``Polygon`` reads the arc coordinate of a level h from its edge-death
 schedule as integer rows over one common denominator, and keeps the last
-level read; ``Polygon._advance`` moves a point along the level in one
-integer pass over those rows; the level rotations, the level
-coordinates and ``arc_to_point`` (the pass from arc 0) all call it, no
-level polygon is built for them, and every arc is reduced modulo the
+level read; ``Polygon._arc_pair`` and ``Polygon._arc_point`` move a point
+along the level in one integer pass over those rows; the level rotations,
+the level coordinates and ``arc_to_point`` (the pass from arc 0) all call
+them, no level polygon is built for them, and every arc is reduced modulo the
 perimeter by ``scalars._mod``.  The ``QField`` path they replaced (the prefix
 tuple, ``point_to_arc``, ``arc_to_point`` and ``_advance`` on a level
 polygon) is kept verbatim in ``conftest`` as the oracle; the oracles below
@@ -38,7 +38,7 @@ from conftest import (
 
 from atfkit.diagram import build_pi0
 from atfkit.orbits import LevelCoordinate, from_level_coordinate, to_level_coordinate
-from atfkit.plane import Point, _row, move
+from atfkit.plane import Point, _row, _row_point, move
 from atfkit.polygon import ConstructionParams, Polygon, catalog, centered_rectangle
 from atfkit.recurrence import (
     apply_phi,
@@ -251,14 +251,14 @@ def test_the_pass_from_either_edge_of_a_vertex():
         poly = rm.polygon
         for h in map_levels(rm)[:6]:
             # level vertex j starts level edge j, which is edge alive[j] of poly
-            level, view = poly.level_set(h), poly._arc_view(h)
-            alive, t = view[0], rotation_amount(rm.params, h)
+            level, (alive, _, dv) = poly.level_set(h), poly._corners(h)
+            t = rotation_amount(rm.params, h)
             for j, v in enumerate(level.vertices):
                 for shift in (t, -t, t * 10**6, level.perimeter()):
                     want = qfield_advance(poly, h, shift, v)
-                    row, d = _row(v, view[4])
-                    assert poly._advance(view, alive[j], shift._v, row, d) == want
-                    assert poly._advance(view, alive[j - 1], shift._v, row, d) == want
+                    row, d = _row(v, dv)
+                    for i in (alive[j], alive[j - 1]):
+                        assert _row_point(*poly._arc_point(h, poly._arc_pair(h, i, row, d), shift._v)) == want
 
 
 def test_rotate_on_level_matches_on_transformed_catalog_polygons():

@@ -524,8 +524,20 @@ def test_render_rejects_hostile_json(tmp_path, capsys, name):
         # a trade's own checks run on its record too
         (lambda slide: ["trade", 0, "-5/1"], "trade parameter must be positive"),
         (lambda slide: ["trade", 0, "0/1"], "trade parameter must be positive"),
+        # and a slide's: its points on the node's eigenline, its band exact
+        (
+            lambda slide: [*slide[:2], {"point": ["100", "100"]}, *slide[3:]],
+            "slide point (100/1, 100/1) is not on the eigenline of node 1",
+        ),
+        (
+            lambda slide: [*slide[:4], ["-7", "1000"]],
+            "slide band (-7/1, 1000/1) is not the distance band (1/16, 1/2)",
+        ),
     ],
-    ids=["transfer-42", "transfer-minus-1", "slide-9", "trade-7", "trade-param-minus-5", "trade-param-0"],
+    ids=[
+        "transfer-42", "transfer-minus-1", "slide-9", "trade-7", "trade-param-minus-5", "trade-param-0",
+        "slide-old-100-100", "slide-band-minus-7-1000",
+    ],
 )
 def test_render_refuses_a_record_naming_a_node_or_vertex_the_diagram_lacks(
     tmp_path, capsys, forge, refusal

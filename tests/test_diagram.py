@@ -2,6 +2,7 @@
 
 import json
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -28,6 +29,7 @@ from atfkit.diagram import (
     _clean_loop_points,
     _loop_contains,
     _loop_simple,
+    _move_to_json,
     _traded_corner,
     build_pi0,
     cut_transfer,
@@ -419,6 +421,16 @@ def test_loop_contains_a_peak_at_the_point_height_is_no_crossing():
     loop = (pt(1, 0), pt(2, 1), pt(3, 0))
     assert not _loop_contains(loop, pt(0, 1))
     assert _loop_contains(loop, pt(2, Fraction(1, 2)))
+
+
+def test_loop_contains_counts_the_crossings_of_both_ways():
+    """Kills the mutants ``winding += 1`` -> ``-= 1`` or ``+= 2``, and
+    ``winding -= 1`` -> ``+= 1`` or ``-= 2``, in ``_loop_contains``: the ray
+    right from (-1, 2) crosses the square up its right side and down its
+    left side, a winding of 0, and the ray from (1, 2) only up its right
+    side."""
+    assert not _loop_contains(SQUARE.vertices, pt(-1, 2))
+    assert _loop_contains(SQUARE.vertices, pt(1, 2))
 
 
 def _parent_boundary_walk_ccw(poly: Polygon, start: Point, stop: Point) -> list[Point]:
@@ -912,6 +924,56 @@ def test_json_refuses_a_trade_record_that_no_trade_writes(polygon, record, refus
     with pytest.raises(ValueError) as caught:
         BaseDiagram.from_json_obj(obj)
     assert str(caught.value) == message
+
+
+@pytest.mark.parametrize(
+    "forge, refusal",
+    [
+        (
+            lambda trade, first, second: (trade, first, ("slide", 0, second[3], second[3], (second[3].x1,) * 2)),
+            "provenance record 2: slide of node 0 starts and ends at (3/2, 3/2)",
+        ),
+        (
+            lambda trade, first, second: (trade, second, first),
+            "provenance record 2: slide of node 0 starts at (1/1, 1/1), not at (3/2, 3/2) where record 1 ended",
+        ),
+        (
+            lambda trade, first, second: (trade, first),
+            "provenance record 1: slide of node 0 ends at (2/1, 2/1), not at the node's position (3/2, 3/2)",
+        ),
+    ],
+    ids=["old-equals-new", "broken-chain", "ends-off-the-node"],
+)
+def test_json_refuses_a_slide_record_that_no_slide_writes(forge, refusal):
+    # node 0 of the traded square slides (1, 1) -> (2, 2) -> (3/2, 3/2) on its
+    # diagonal; that history reads back, and each forged one is refused when
+    # it is written and when it is read
+    diagram = nodal_slide(nodal_slide(traded_square(), 0, pt(2, 2)), 0, pt("3/2", "3/2"))
+    assert BaseDiagram.from_json(diagram.to_json()).provenance == diagram.provenance
+    forged = replace(diagram, provenance=forge(*diagram.provenance))
+    with pytest.raises(ValueError) as caught:
+        forged.to_json_obj()
+    assert str(caught.value) == refusal
+    obj = diagram.to_json_obj()
+    obj["provenance"] = [_move_to_json(record) for record in forged.provenance]
+    with pytest.raises(ValueError) as caught:
+        BaseDiagram.from_json_obj(obj)
+    assert str(caught.value) == refusal
+
+
+def test_json_node_without_a_multiplicity_reads_as_one():
+    """Kills the mutant ``n.get("multiplicity", 1)`` -> ``2`` in
+    ``BaseDiagram.from_json_obj``: the field may be left out."""
+    obj = traded_square().to_json_obj()
+    del obj["nodes"][0]["multiplicity"]
+    assert BaseDiagram.from_json_obj(obj).nodes == traded_square().nodes
+
+
+def test_diagram_json_text_indents_by_two_spaces():
+    """Kills the mutant ``indent=2`` -> ``indent=3`` in ``BaseDiagram.to_json``:
+    the text that ``atfkit build`` writes keeps its layout."""
+    head = build_pi0(DEFAULT_PARAMS).to_json().splitlines()[:5]
+    assert head == ["{", '  "polygon": {', '    "vertices": [', "      [", '        "-2/1",']
 
 
 def test_json_round_trip_after_transfer():

@@ -163,7 +163,7 @@ def test_level_build_matches_the_constructor_path(cases):
     dead = moved = 0
     for poly, h, oracle in cases:
         # the corner rows, reduced, are the oracle's vertices in order
-        (*_, d), corners = poly._corners(h)
+        _, corners, d = poly._corners(h)
         assert [_row_point(row, d) for row in corners] == list(oracle.vertices), (poly, h)
         level = poly.level_set(h)
         assert level.vertices == oracle.vertices, (poly, h)

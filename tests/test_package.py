@@ -1,8 +1,10 @@
 """The package surface: ``atfkit`` exports exactly the names in its library
-modules' ``__all__`` lists, and the helpers left out of them still import
-from their own modules."""
+modules' ``__all__`` lists, the helpers left out of them still import
+from their own modules, and the polygon's level read stays in ``polygon``."""
 
+import ast
 import importlib
+from pathlib import Path
 
 import atfkit
 
@@ -54,3 +56,15 @@ def test_module_only_helpers_still_import():
         for name in names:
             assert callable(getattr(module, name)), f"{m}.{name}"
             assert name not in module.__all__ and name not in atfkit.__all__
+
+
+def test_only_polygon_names_its_level_read():
+    # other modules ask the polygon for a level by h (``_corners``,
+    # ``_arc_pair``, ``_arc_point``) and never hold its read
+    naming = []
+    for path in sorted(Path(atfkit.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+            if name == "_arc_view":
+                naming.append(path.name)
+    assert naming and set(naming) == {"polygon.py"}, naming

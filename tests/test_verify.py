@@ -256,6 +256,13 @@ FAULTS = [
         "rho_monotone_check at a=4/1, b=2/1, c=1/2: got False, expected True",
     ),
     (
+        "rho-strictly-decreasing",
+        verify, "rotation_number",
+        lambda rho: lambda params, h: rho(params, h) + h,
+        "levels k with rho((c - eps)k/10) <= rho((c - eps)(k + 1)/10) at a=4/1, b=2/1, c=1/2, eps=1/8: "
+        "got [0, 1, 2, 3, 4, 5, 6, 7, 8, 9], expected []",
+    ),
+    (
         "twist-classes",
         verify, "find_twist_classes",
         lambda find: lambda bound: [*find(bound), H2Class(2, -2, 0)],
