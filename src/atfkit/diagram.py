@@ -17,8 +17,19 @@ its previous leg.  Three moves transform diagrams:
 
 Every move validates its result, returns a new diagram, and appends a
 provenance record, so a diagram carries its own construction history.
-``build_pi0`` trades its five corners by the rule ``nodal_trade`` uses and
-validates the traded diagram once, then the slid diagram once.
+Validation alone decides what makes a diagram valid: a node off the
+polygon's interior, a first leg off the eigenline, crossing cuts and a cut
+naming another node are refused by it, whichever move made them.  A move
+refuses only what its result cannot show: a trade whose parameter is not
+positive or whose vertex is not a Delzant corner, a default trade
+parameter with no ``params``, a slide to the node's own position, onto
+its cut's anchor or past it, a transfer from a bent cut, and a transfer
+whose cuts enclose no area or whose every sweep region holds another
+node.  ``build_pi0`` trades and slides by the rules the two moves use and
+validates its diagram once.  ``params`` is the shape the polygon was built
+from, and a default trade parameter is its eps/2; it does not describe the
+trades made: nothing checks it against the nodes or the trade records, and
+only the recurrence map checks it, against the polygon's corners.
 A record is a tuple in memory and a JSON list whose fields one table
 fixes: ``["trade", vertex, param]``, ``["slide", node, {"point": old},
 {"point": new}, band]`` (band: the range of F swept) and ``["cut_transfer",
@@ -464,8 +475,6 @@ def _traded_corner(poly: Polygon, vertex_index: int, param: ScalarLike, node_ind
     direction = -e_in + e_out
     vertex = poly.vertices[vertex_index]
     position = move(vertex, direction, param)
-    if not poly.contains(position, strict=True):
-        raise ValueError("trade parameter pushes the node out of the polygon")
     cut = BranchCut(node_index, (position, vertex))
     return Node(position, direction), cut, ("trade", vertex_index, param)
 
@@ -475,46 +484,43 @@ def nodal_slide(
 ) -> BaseDiagram:
     """Move a node along its eigenline, dragging the near end of its cut.
 
-    The swept segment must stay strictly inside the polygon and clear of
-    all other nodes and cuts.  The move records the exact band of
-    boundary-distance values swept, a certificate that the change is local
-    to that band of level sets.
+    The move records the exact band of boundary-distance values swept, a
+    certificate that the change is local to that band of level sets.  The
+    slid diagram is validated, which refuses a target off the eigenline or
+    not strictly inside the polygon and a swept segment that meets another
+    cut: sliding toward the anchor sweeps part of the old first leg, which
+    the diagram's own validation cleared, and sliding away sweeps part of
+    the new first leg, which validation tests against every other leg.
     """
-    node = diagram.nodes[node_index]
-    cut = diagram.cuts[node_index]
+    node, cut, record = _slid_node(
+        diagram.polygon, diagram.nodes[node_index], diagram.cuts[node_index], node_index, new_position
+    )
+    return replace(
+        diagram,
+        nodes=diagram.nodes[:node_index] + (node,) + diagram.nodes[node_index + 1 :],
+        cuts=diagram.cuts[:node_index] + (cut,) + diagram.cuts[node_index + 1 :],
+        provenance=diagram.provenance + (record,),
+    )
+
+
+def _slid_node(poly: Polygon, node: Node, cut: BranchCut, node_index: int, new_position: Point) -> tuple:
+    """The node, cut and provenance record of a slide of one node, refusing
+    the targets that validation of the slid diagram cannot see."""
     old_position = node.position
     if new_position == old_position:
         raise ValueError("slide target equals the current position")
-    slide_dir, _ = direction_of(old_position, new_position)
-    if cross(slide_dir, node.eigen_dir) != 0:
-        raise ValueError("slide target must stay on the eigenline")
-    poly = diagram.polygon
-    if not poly.contains(new_position, strict=True):
-        raise ValueError("slide target must stay strictly inside the polygon")
     anchor = cut.path[1]
     if new_position == anchor:
         raise ValueError("slide target collides with the cut anchor")
-    # the anchor is on the eigenline too, so it is passed exactly when it lies between
+    # past the anchor the first leg leaves the node the other way along the
+    # eigenline, a valid polyline that validation accepts; the anchor is on
+    # the eigenline, so it is passed exactly when it lies between
     if on_segment(anchor, old_position, new_position):
         raise ValueError("slide target passes through the cut anchor")
-    # every other node starts its own cut, so sweeping across it crosses that cut
-    for j, other in enumerate(diagram.cuts):
-        segs = other.segments()
-        if j == node_index:
-            segs = segs[1:]  # the first leg moves with the node
-        for a, b in segs:
-            if segments_intersect(old_position, new_position, a, b):
-                raise ValueError("slide sweeps across another cut")
     band = _distance_band(poly, old_position, new_position)
-    new_node = Node(new_position, node.eigen_dir, node.multiplicity)
     new_cut = BranchCut(node_index, (new_position,) + cut.path[1:])
-    return replace(
-        diagram,
-        nodes=diagram.nodes[:node_index] + (new_node,) + diagram.nodes[node_index + 1 :],
-        cuts=diagram.cuts[:node_index] + (new_cut,) + diagram.cuts[node_index + 1 :],
-        provenance=diagram.provenance
-        + (("slide", node_index, old_position, new_position, band),),
-    )
+    record = ("slide", node_index, old_position, new_position, band)
+    return Node(new_position, node.eigen_dir, node.multiplicity), new_cut, record
 
 
 def _distance_band(poly: Polygon, a: Point, b: Point) -> tuple[QField, QField]:
@@ -585,10 +591,6 @@ def cut_transfer(
     node = diagram.nodes[node_index]
     old_cut = diagram.cuts[node_index]
     poly = diagram.polygon
-    if new_cut.node_index != node_index:
-        raise ValueError("replacement cut must reference the same node")
-    if new_cut.path == old_cut.path:
-        raise ValueError("replacement cut equals the current cut")
     # a valid diagram's first leg lies on the eigenline, so a one-leg cut does too
     if len(old_cut.path) != 2:
         raise ValueError("transfer requires the current cut to be a straight segment")
@@ -624,17 +626,18 @@ def build_pi0(params: ConstructionParams) -> BaseDiagram:
     """The initial base diagram of the chopped-rectangle construction.
 
     Every corner of the five-corner polygon is traded for a node at
-    distance eps/2, all five validated as one diagram, and the node born
-    at the chopped corner is slid up its vertical eigenline to the point
-    at boundary distance c, where the recurrence construction needs it.
+    distance eps/2, and the node born at the chopped corner is slid up its
+    vertical eigenline to the point at boundary distance c, where the
+    recurrence construction needs it.  The moves' own rules build the five
+    trades and the slide, and the diagram is validated once.
     """
     poly = build_blowup_polygon(params)
     traded = (_traded_corner(poly, i, params.eps / 2, i) for i in range(len(poly.vertices)))
-    nodes, cuts, records = zip(*traded)
-    diagram = BaseDiagram(poly, nodes, cuts, records, params)
+    nodes, cuts, records = (list(column) for column in zip(*traded))
     # vertex 1 = (a/2 - c, -b/2) trades along (0, 1), and F = c at (0, c) above it: c < b/2 <= a/2
     vertex = poly.vertices[1]
-    return nodal_slide(diagram, 1, Point(vertex.x1, vertex.x2 + params.c))
+    nodes[1], cuts[1], slide = _slid_node(poly, nodes[1], cuts[1], 1, Point(vertex.x1, vertex.x2 + params.c))
+    return BaseDiagram(poly, tuple(nodes), tuple(cuts), (*records, slide), params)
 
 
 __all__ = [

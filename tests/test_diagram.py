@@ -205,7 +205,7 @@ def test_trade_messages():
         (base, 0, None, "trade needs a distance parameter"),
         (base, 0, 0, "trade parameter must be positive"),
         (base, 1, -1, "trade parameter must be positive"),
-        (base, 0, 5, "trade parameter pushes the node out of the polygon"),
+        (base, 0, 5, "node 0 must lie strictly inside the polygon"),
         (skew, 2, qf("1/8"), "vertex 2 is not a Delzant corner"),
         (skew, -1, qf("1/8"), "vertex 2 is not a Delzant corner"),
     ]
@@ -296,6 +296,46 @@ def test_slide_blocked_by_other_cut():
         nodal_slide(diagram, 0, pt("7/2", "7/2"))
 
 
+def _square_with_a_blocker() -> BaseDiagram:
+    """The traded square and a second node whose vertical cut passes (3, 3)."""
+    square = traded_square(param=1)
+    return BaseDiagram(
+        SQUARE,
+        square.nodes + (Node(pt(3, 2), LatticeVector(0, 1)),),
+        square.cuts + (BranchCut(1, (pt(3, 2), pt(3, 4))),),
+        square.provenance,
+    )
+
+
+@pytest.mark.parametrize(
+    "move_, message",
+    [
+        (lambda: nodal_slide(traded_square(param=1), 0, pt(1, 2)),
+         "cut 0 must leave its node along the eigenline"),
+        (lambda: nodal_slide(traded_square(param=1), 0, pt(4, 4)),
+         "node 0 must lie strictly inside the polygon"),
+        (lambda: nodal_slide(traded_square(param=1), 0, pt(-1, -1)),
+         "slide target passes through the cut anchor"),
+        (lambda: nodal_slide(_square_with_a_blocker(), 0, pt("7/2", "7/2")),
+         "cuts 0 and 1 intersect"),
+        (lambda: nodal_trade(BaseDiagram(polygon=SQUARE), 0, 5),
+         "node 0 must lie strictly inside the polygon"),
+        (lambda: cut_transfer(traded_square(param=1), 0, BranchCut(1, (pt(1, 1), pt(0, 0)))),
+         "cut 0 does not reference its node"),
+        (lambda: cut_transfer(traded_square(param=1), 0, traded_square(param=1).cuts[0]),
+         "cuts enclose a degenerate sweep region"),
+    ],
+    ids=["off-eigenline", "onto-boundary", "past-anchor", "across-a-cut",
+         "trade-outside", "transfer-other-node", "transfer-same-cut"],
+)
+def test_moves_leave_to_validation_what_it_refuses(move_, message):
+    """Each refusal that validation of a move's result makes, with its
+    message; the moves do not make it first."""
+    with pytest.raises(ValueError) as exc:
+        move_()
+    assert str(exc.value) == message
+
+
 def test_slide_blocked_by_other_node():
     diagram = traded_square(param=1)
     blocker = Node(pt(2, 2), LatticeVector(1, 0))
@@ -349,6 +389,23 @@ def test_transfer_moves_region_points_by_the_monodromy():
     assert len(inside) == 1  # exactly one side of the eigenline was swept
     moved = push.apply(inside[0])
     assert push.region_map.apply(inside[0]) == moved
+
+
+def test_transfer_shears_by_the_node_multiplicity():
+    """Kills the mutant ``sweep_sign * node.multiplicity`` ->
+    ``sweep_sign // node.multiplicity`` in ``cut_transfer``: a node of
+    multiplicity 2 shears the swept region by its monodromy twice, in a
+    transfer and in the transfer back (the two signs)."""
+    single = nodal_trade(BaseDiagram(polygon=SQUARE), 0, qf(2))
+    double = replace(single, nodes=(replace(single.nodes[0], multiplicity=2),))
+    there, back = BranchCut(0, (pt(2, 2), pt(4, 4))), single.cuts[0]
+
+    def shears(diagram):
+        moved, push = cut_transfer(diagram, 0, there)
+        return push.region_map, cut_transfer(moved, 0, back)[1].region_map
+
+    for once, twice in zip(shears(single), shears(double)):
+        assert twice == once.compose(once)
 
 
 def test_transfer_validation():
@@ -695,6 +752,7 @@ def _validation_outcomes(cases: list[tuple]) -> list[tuple]:
 def test_validation_and_moves_match_the_qfield_predicates(monkeypatch):
     cases = _predicate_oracle_cases(random.Random(1976), 80)
     ours = _validation_outcomes(cases)
+    slides = [outcome(nodal_slide, diagram, k, target) for diagram, k, _, target in cases]
     monkeypatch.setattr(atfkit.diagram, "direction_of", qfield_direction_of)
     monkeypatch.setattr(atfkit.diagram, "orient", qfield_orient)
     monkeypatch.setattr(atfkit.diagram, "on_segment", qfield_on_segment)
@@ -703,7 +761,8 @@ def test_validation_and_moves_match_the_qfield_predicates(monkeypatch):
     # the crossing tests decided some of them
     messages = [r[2] for r in ours if r[0] == "error"]
     assert sum("intersect" in m for m in messages) >= 20
-    assert sum("sweeps across another cut" in m for m in messages) >= 20
+    # validation of the slid diagram refuses a sweep that meets another cut
+    assert sum(r[0] == "error" and "intersect" in r[2] for r in slides) >= 20
     assert sum(r[0] == "value" for r in ours) >= 100
 
 
@@ -787,7 +846,7 @@ def test_build_pi0_matches_the_stepwise_construction():
         assert ours.to_json() == theirs.to_json()
 
 
-def test_build_pi0_validates_the_traded_and_the_slid_diagram_once(monkeypatch):
+def test_build_pi0_validates_its_diagram_once(monkeypatch):
     calls = {"validate": 0, "trade": 0}
 
     def counted(name, fn):
@@ -801,10 +860,10 @@ def test_build_pi0_validates_the_traded_and_the_slid_diagram_once(monkeypatch):
     monkeypatch.setattr(atfkit.diagram, "_validate_diagram", counted("validate", validate))
     monkeypatch.setattr(atfkit.diagram, "_traded_corner", counted("trade", _traded_corner))
     build_pi0(DEFAULT_PARAMS)
-    assert calls == {"validate": 2, "trade": 5}
+    assert calls == {"validate": 1, "trade": 5}
     # the public move trades by the same rule
     nodal_trade(BaseDiagram(polygon=SQUARE), 0, 1)
-    assert calls == {"validate": 4, "trade": 6}
+    assert calls == {"validate": 3, "trade": 6}
 
 
 def test_build_pi0_frozen_nodes():

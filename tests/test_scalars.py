@@ -87,6 +87,14 @@ def test_radicand_validation():
         assert QField(0, 1, d).d == d
 
 
+def test_a_radicand_of_exactly_two_to_the_32_is_above_the_cap():
+    """Kills the mutant ``d >= RADICAND_BOUND`` -> ``d > RADICAND_BOUND`` in
+    ``_check_radicand``: 2**32 is not square-free, so the mutant refuses it
+    by the wrong rule."""
+    with pytest.raises(ValueError, match=r"^radicand must be below 2\*\*32, got 4294967296$"):
+        QField(0, 1, 2**32)
+
+
 def test_values_are_immutable():
     v = qf("1/2")
     with pytest.raises(AttributeError):
@@ -414,6 +422,14 @@ def test_floor_accepts_plain_rationals():
 )
 def test_canonical_round_trip(text):
     assert format_scalar(parse_scalar(text)) == text
+
+
+def test_parse_puts_each_ratio_in_lowest_terms():
+    """Kills the mutants ``n // g`` -> ``n * g`` and ``m // g`` -> ``m * g``
+    in ``_parse_ratio``: a text whose fractions are not in lowest terms
+    reads as the value it names, in normal form."""
+    assert parse_scalar("2/4")._v == (1, 0, 2, None)
+    assert parse_scalar("-6/4+10/4*sqrt(2)")._v == (-3, 5, 2, 2)
 
 
 def test_parse_shorthand():
