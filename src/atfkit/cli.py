@@ -12,6 +12,7 @@ Exit codes: 0 on success, 1 when a verification produces a counterexample,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
@@ -89,14 +90,17 @@ def _cmd_orbit(args: argparse.Namespace) -> int:
             equidistribution_stats(params, args.h, args.n, args.bins), separators=(",\n    ", ": ")
         )
         text = f'{text[:-2]},\n  "histogram": [\n    {counts[1:-1]}\n  ]\n}}'
-    print(text)
-    if args.dump is not None:
-        # the rows are written as the walk yields them, so the dump's memory
-        # does not grow with --n, and each is formatted from its integers with
-        # no QField; the text is that of json.dumps (a scalar's text needs no
-        # escapes) or of the CSV lines joined, "n,s\n\n" for none
-        positions, as_json = enumerate(_positions(params, args.h, args.n, form=_text)), args.dump_format == "json"
-        with open(args.dump, "w") as out:
+    # the dump is opened after every check and before the report is printed,
+    # so a path that cannot be opened leaves stdout empty
+    with contextlib.nullcontext() if args.dump is None else open(args.dump, "w") as out:
+        print(text)
+        if out is not None:
+            # the rows are written as the walk yields them, so the dump's
+            # memory does not grow with --n, and each is formatted from its
+            # integers with no QField; the text is that of json.dumps (a
+            # scalar's text needs no escapes) or of the CSV lines joined,
+            # "n,s\n\n" for none
+            positions, as_json = enumerate(_positions(params, args.h, args.n, form=_text)), args.dump_format == "json"
             out.write("[" if as_json else "n,s\n" if args.n else "n,s\n\n")
             out.writelines(f'{", " if i else ""}"{s}"' if as_json else f"{i},{s}\n" for i, s in positions)
             out.write("]" if as_json else "")

@@ -26,7 +26,9 @@ no ``QField`` is built per position either, and every comparison is exact:
   coincide exactly when t_n = 0, and the records of t_n (the first indices
   u and v of the smallest t_n and of the smallest ``per - t_n`` over
   1 <= n < N, the nearest returns to the start) are read from the
-  continued fraction of step/per in O(log N) exact floors, without a walk.
+  continued fraction of per/step in O(log N) steps, without a walk; its
+  partial quotients come from ``scalars._quotients``, which takes one
+  integer square root for the whole expansion.
   By the three-gap theorem (Sos 1958) the gap values are ``t_u``,
   ``per - t_v`` and, when ``u + v > N``, their sum; the first N positions
   are distinct when ``t_u`` is not 0;
@@ -39,11 +41,13 @@ no ``QField`` is built per position either, and every comparison is exact:
 * a histogram bin ``floor(bins * s_i / per)`` is ``floor(i*bins*rho) mod
   bins``, and these floors step by ``m = floor(bins * rho)`` plus the
   letters of the characteristic Sturmian word of ``bins*rho - m``, a product
-  of powers of its standard words: one exact floor per partial quotient.
-  Each word is its letter sum and its bin counts packed as ``bins`` fields
-  of one integer, joined by an add and a rotation of the fields mod bins,
-  so the histogram takes O(log n) big-integer steps of ``bins`` fields each
-  and no pass over the positions, for any n < 2**64.
+  of powers of its standard words: m and the partial quotients of the
+  words both come from the continued fraction of ``bins*rho``, read by
+  ``scalars._quotients`` as for the records.  Each word is its letter sum
+  and its bin counts packed as ``bins`` fields of one integer, joined by
+  an add and a rotation of the fields mod bins, so the histogram takes
+  O(log n) big-integer steps of ``bins`` fields each and no pass over the
+  positions, for any n < 2**64.
 
 The rows of a level and its records for the last count asked for are kept
 on the parameters, in the one slot ``ConstructionParams._read`` keyed by h's
@@ -190,29 +194,36 @@ def _records(rows: _Rows, count: int) -> tuple[tuple[int, int, int], tuple[int, 
     1 <= n < count (count >= 1), u and v the first indices to reach them, and
     (X, Y) and (X', Y') the rows of t_u and ``per - t_v``.
 
-    The continued fraction of step/per runs on rows: ``g_-1 = per`` at index
+    The continued fraction of per/step runs on rows: ``g_-1 = per`` at index
     ``q_-1 = 0``, ``g_0 = step`` at ``q_0 = 1``, then ``g_k = g_k-2 - a_k*g_k-1``
-    at ``q_k = q_k-2 + a_k*q_k-1`` with ``a_k = floor(g_k-2 / g_k-1)``.  An even
-    k has ``t_q = g`` and an odd k ``per - t_q = g``, and the records of each
-    side are the intermediate values ``g_k-2 - j*g_k-1`` at ``q_k-2 + j*q_k-1``
-    for 0 <= j <= a_k.  A rational expansion is made to end on an even k, as
+    at ``q_k = q_k-2 + a_k*q_k-1`` with ``a_k = floor(g_k-2 / g_k-1)``, the
+    partial quotients of per/step that ``scalars._quotients`` yields, so the
+    rows are only updated, never divided.  An even k has ``t_q = g`` and an
+    odd k ``per - t_q = g``, and the records of each side are the
+    intermediate values ``g_k-2 - j*g_k-1`` at ``q_k-2 + j*q_k-1`` for
+    0 <= j <= a_k.  A rational expansion is made to end on an even k, as
     [..., a - 1, 1], so that the return to the start is a t_n record.
     """
-    d = rows.d
-    prev, last = (0, rows.a2, rows.b2), (1, rows.a1, rows.b1)
-    odd = True  # prev, g_k-2, is on the per - t_n side
-    while last[1] or last[2]:
-        (q0, x0, y0), (q1, x1, y1) = prev, last
-        a = scalars._floor_ratio(x0, y0, x1, y1, d)
-        if odd and (x0, y0) == (a * x1, a * y1):
-            a -= 1
-        # g_k takes the place of g_k-2 on its side, unless the count cuts it
-        # short at an intermediate value, the last record
-        j = min(a, (count - 1 - q0) // q1)
-        prev = (q0 + j * q1, x0 - j * x1, y0 - j * y1)
+    d, _, a1, b1, a2, b2 = rows
+    q0, x0, y0, q1, x1, y1 = 0, a2, b2, 1, a1, b1
+    odd = True  # (q0, x0, y0), g_k-2, is on the per - t_n side
+    end = count - 1
+    for a in scalars._quotients(a2, b2, a1, b1, d):
+        j = (end - q0) // q1
         if j < a:
+            # the count cuts g_k short at an intermediate value, the last record
+            q0, x0, y0 = q0 + j * q1, x0 - j * x1, y0 - j * y1
             break
-        prev, last, odd = last, prev, not odd
+        # g_k takes the place of g_k-2 on its side
+        q0, x0, y0, q1, x1, y1 = q1, x1, y1, q0 + a * q1, x0 - a * x1, y0 - a * y1
+        odd = not odd
+    else:
+        if not odd:
+            # a rational expansion ended on an odd k, g_k = 0: read it as
+            # [..., a - 1, 1], which leaves g_k-1 at q_k - q_k-1 and puts the
+            # return to the start on the t_n side
+            return (q1, x1, y1), (q1 - q0, x0, y0)
+    prev, last = (q0, x0, y0), (q1, x1, y1)
     return (last, prev) if odd else (prev, last)
 
 
@@ -345,6 +356,11 @@ def gap_values(params: ConstructionParams, h: ScalarLike, count: int) -> list[QF
     return [scalars._reduced(x, y, rows.D, d) for x, y in gaps]
 
 
+# the bytes and memoryview format code of a histogram field, by the bytes
+# of the largest count n: the fewest of 1, 2, 4 or 8 that hold it
+_FIELDS = ((1, "B"),) * 2 + ((2, "H"),) + ((4, "I"),) * 2 + ((8, "Q"),) * 4
+
+
 def equidistribution_stats(
     params: ConstructionParams,
     h: ScalarLike,
@@ -362,15 +378,17 @@ def equidistribution_stats(
     ``s_k = s_k-1^r_k s_k-2`` with r_k = a_k (a_1 - 1 at k = 1) for the
     partial quotients a_k of beta (Lothaire, *Algebraic Combinatorics on
     Words*, ch. 2); the first n - 2 letters are ``s_K^b_K ... s_0^b_0``, the
-    digits b_k taken greedily from the longest word that fits.  Each a_k is
-    one exact floor on rows, as in ``_records``.  A word w is read as the
-    pair (H, S): S the sum of its letters, H the bin counts of its running
-    sums from 0, packed into one integer as ``bins`` fields of 8, 16, 32 or
-    64 bits, the fewest that hold n.  Then ``H(uv) = H(u) + rot(H(v), S(u))``
-    with the fields rotated mod bins, and a power is built by doubling:
-    O(log n) big-integer steps of ``bins`` fields each, and no pass over the
-    n positions.  The rows are the level read shared with ``classify_level``
-    and ``gap_values`` (``_level``).
+    digits b_k taken greedily from the longest word that fits.  m and the
+    a_k are the partial quotients of ``bins*rho = [m; a_1, a_2, ...]``, read
+    by ``scalars._quotients`` from one integer square root.  A word w is read
+    as the pair (H, S): S the sum of its letters, H the bin counts of its
+    running sums from 0, packed into one integer as ``bins`` fields of 8, 16,
+    32 or 64 bits, the fewest that hold n.  Then
+    ``H(uv) = H(u) + rot(H(v), S(u))`` with the fields rotated mod bins (S is
+    kept as that rotation in bits), a power is built by doubling, and a
+    repeat or digit of 1 is the word itself: O(log n) big-integer steps of
+    ``bins`` fields each, and no pass over the n positions.  The rows are the
+    level read shared with ``classify_level`` and ``gap_values`` (``_level``).
     """
     if type(bins) is not int:
         raise ValueError("bin count must be an integer")
@@ -385,51 +403,53 @@ def equidistribution_stats(
     d, _, a1, b1, a2, b2 = _level(params, h)[0]
     if a1 * b2 == a2 * b1:
         raise ValueError("equidistribution statistics need an irrational level")
-    m = scalars._floor_ratio(bins * a1, bins * b1, a2, b2, d)
-    # pass 1, beta's continued fraction on rows from g_-1 = per and
-    # g_0 = bins*step - m*per: the repeats r_k and lengths |s_k|, up to the
-    # first word longer than n - 2 (a_1 = 1 makes |s_1| = |s_0| = 1)
-    g0, g1 = (a2, b2), (bins * a1 - m * a2, bins * b1 - m * b2)
-    reps, lens, skip = [], [1, 1], 1
+    # pass 1: the continued fraction of bins*rho = [m; a_1, a_2, ...], whose
+    # tail is beta's, gives m, the repeats r_k and the lengths |s_k|, up to
+    # the first word longer than n - 2 (a_1 = 1 makes |s_1| = |s_0| = 1);
+    # the repeats start with 0, which builds s_0 = s_-1^0 s_-2 from s_-2 = [m]
+    quotients = scalars._quotients(bins * a1, bins * b1, a2, b2, d)
+    m = next(quotients)
+    reps, lens, skip = [0], [1, 1], 1
     while lens[-1] <= n - 2:
-        a = scalars._floor_ratio(*g0, *g1, d)
-        reps.append(a - skip)
-        lens.append((a - skip) * lens[-1] + lens[-2])
-        g0, g1, skip = g1, (g0[0] - a * g1[0], g0[1] - a * g1[1]), 0
+        r = next(quotients) - skip
+        reps.append(r)
+        lens.append(r * lens[-1] + lens[-2])
+        skip = 0
     digits, rest = [], n - 2
     for size in reversed(lens[1:-1]):
         digits.append(rest // size)
         rest %= size
     # pass 2: each field holds a count up to n in wb bytes, read as the
-    # memoryview format code
-    wb, code = next((b, c) for b, c in ((1, "B"), (2, "H"), (4, "I"), (8, "Q")) if not n >> 8 * b)
-    width, mask = 8 * wb, (1 << 8 * wb * bins) - 1
+    # memoryview format code; a word's letter sum S is kept as the rotation
+    # (S mod bins)*width in bits, mod top, and a rotation of H by s moves
+    # bin i to bin (i + S) mod bins as ``(H << s) & mask | H >> top - s``
+    wb, code = _FIELDS[(n.bit_length() + 7) // 8]
+    width, top = 8 * wb, 8 * wb * bins
+    mask = (1 << top) - 1
 
-    def rot(H: int, s: int) -> int:  # bin i moves to bin (i + s) mod bins
-        s = s % bins * width
-        return (H << s) & mask | H >> bins * width - s
-
-    def power(H: int, S: int, r: int) -> tuple[int, int]:
-        P, T = (H, S) if r else (0, 0)
+    def power(H: int, s: int, r: int) -> tuple[int, int]:
+        P, t = (H, s) if r else (0, 0)
         for bit in bin(r)[3:]:
-            P, T = P + rot(P, T), 2 * T
+            P, t = P + ((P << t) & mask | P >> top - t), 2 * t % top
             if bit == "1":
-                P, T = P + rot(H, T), T + S
-        return P, T
+                P, t = P + ((H << t) & mask | H >> top - t), (t + s) % top
+        return P, t
 
-    # s_k is built from s_k-1 and s_k-2, and its digit's power is folded
-    # into acc, the word s_k^b_k ... s_0^b_0, smallest words first
-    H, S, H2, S2 = rot(1, m), m, rot(1, m + 1), m + 1
+    # s_k is built from s_k-1 and s_k-2 (s_-1 = [m + 1], s_-2 = s_0 = [m]),
+    # and its digit's power is folded into acc, the word s_k^b_k ... s_0^b_0,
+    # smallest words first; a repeat or digit of 1 is the word itself
+    sm = m % bins * width
+    s, s2 = (sm + width) % top, sm
+    H, H2 = 1 << s, 1 << s2
     acc = 0
-    for k, b in enumerate(reversed(digits)):
-        if k:
-            P, R = power(H, S, reps[k - 1])
-            H, S, H2, S2 = P + rot(H2, R), R + S2, H, S
+    for r, b in zip(reps, reversed(digits)):
+        P, t = (H, s) if r == 1 else power(H, s, r)
+        H, s, H2, s2 = P + ((H2 << t) & mask | H2 >> top - t), (t + s2) % top, H, s
         if b:
-            P, R = power(H, S, b)
-            acc = P + rot(acc, R)
+            P, t = (H, s) if b == 1 else power(H, s, b)
+            acc = P + ((acc << t) & mask | acc >> top - t)
     # the floors are 0, m, then m plus the running sums of the n - 2 letters
-    H = (n > 0) + (n > 1) * rot(1, m) + rot(acc, m)
+    H = (n > 0) + ((n > 1) << sm) + ((acc << sm) & mask | acc >> top - sm)
     counts = memoryview(H.to_bytes(wb * bins, sys.byteorder)).cast(code).tolist()
     return counts if sys.byteorder == "little" else counts[::-1]
 

@@ -24,11 +24,12 @@ Those passes and the operators share one rule per operation on integer
 rows ``x + y*sqrt(d)``, with ``d`` None on a rational row: ``_sign``, the
 exact sign; ``_floor``, the floor of a row over a positive denominator;
 ``_divide``, one row over another through the conjugate of the second;
-``_floor_ratio``, the floor of that ratio, for the steps of a continued
-fraction; ``_mod``, one row modulo another, for arcs modulo a
-perimeter and orbit starts; and ``_order``, which builds each of the four
-orderings ``<``, ``<=``, ``>`` and ``>=`` from the ``_sign`` of one
-difference.
+``_floor_ratio``, the floor of that ratio, for a single floor; ``_mod``,
+one row modulo another by that floor, for arcs modulo a perimeter and orbit
+starts; ``_quotients``, every partial quotient of the ratio of two rows, for
+the steps of a continued fraction, from one integer square root; and
+``_order``, which builds each of the four orderings ``<``, ``<=``, ``>`` and
+``>=`` from the ``_sign`` of one difference.
 
 The canonical text form is ``p/q`` for rationals and ``p/q+r/s*sqrt(d)``
 (or ``p/q-r/s*sqrt(d)``) otherwise, with both fractions in lowest terms
@@ -46,7 +47,7 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
-from typing import Callable, Union
+from typing import Callable, Iterator, Union
 
 Rational = Union[int, Fraction]
 
@@ -466,13 +467,41 @@ def _divide(x0: int, y0: int, x1: int, y1: int, d: int | None) -> tuple[int, int
 
 def _floor_ratio(x0: int, y0: int, x1: int, y1: int, d: int | None) -> int:
     """``floor((x0 + y0*sqrt(d)) / (x1 + y1*sqrt(d)))`` for integer rows, the
-    second positive: the rule of ``_divide`` written out, so that a step of a
-    continued fraction is one call, and one ``_floor``."""
+    second positive: the rule of ``_divide`` written out, so that a single
+    floor is one call, and one ``_floor``."""
     if d is None:
         return x0 // x1
     norm = x1 * x1 - d * y1 * y1
     sgn = 1 if norm > 0 else -1
     return _floor(sgn * (x0 * x1 - d * y0 * y1), sgn * (y0 * x1 - x0 * y1), sgn * norm, d)
+
+
+def _quotients(x0: int, y0: int, x1: int, y1: int, d: int | None) -> Iterator[int]:
+    """The partial quotients of ``(x0 + y0*sqrt(d)) / (x1 + y1*sqrt(d))`` for
+    integer rows, the second positive, as a generator that ends when the
+    ratio is rational.  The ratio is ``(A + B*sqrt(d)) / M`` by ``_divide``'s
+    rule.  An irrational one is put once as ``(P + sqrt(N)) / Q`` with
+    ``N = B^2*d`` and Q dividing ``N - P^2 = -(x0^2 - d*y0^2)*M``, and each
+    quotient is read from the one integer square root r of N: sqrt(N) lies
+    strictly between r and r + 1, so ``a = (P + r) // Q``, or
+    ``(P + r + 1) // Q`` when Q < 0, and the next complete quotient is
+    ``(P' + sqrt(N)) / Q'`` with ``P' = a*Q - P`` and ``Q' = (N - P'^2) / Q``,
+    again with Q' dividing ``N - P'^2``.  A rational ratio (d None, or the
+    two rows proportional) takes Euclid's steps on A and M, whose floors hold
+    for either sign of M; a row on d None is rational, with y = 0."""
+    A, B, M = x0 * x1 - (d or 0) * y0 * y1, y0 * x1 - x0 * y1, x1 * x1 - (d or 0) * y1 * y1
+    if B:
+        N = B * B * d
+        P, Q = (A, M) if B > 0 else (-A, -M)
+        r = isqrt(N)
+        while True:
+            a = (P + r) // Q if Q > 0 else (P + r + 1) // Q
+            yield a
+            P = a * Q - P
+            Q = (N - P * P) // Q
+    while M:
+        yield A // M
+        A, M = M, A % M
 
 
 def _mod(a: int, b: int, pa: int, pb: int, d: int | None) -> tuple[int, int]:

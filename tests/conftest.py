@@ -364,6 +364,49 @@ def walk_histogram(params: ConstructionParams, h, n: int, bins: int) -> list[int
     return counts
 
 
+# ``orbits._records`` and pass 1 of ``orbits.equidistribution_stats`` as
+# they were before their partial quotients came from ``scalars._quotients``,
+# kept verbatim (only the names differ, and pass 1 is wrapped as a function
+# of the rows that returns m, the repeats r_k and the lengths |s_k|) as the
+# oracles for that change: each step is one ``scalars._floor_ratio`` on rows,
+# with its own integer square root.
+
+
+def floor_ratio_records(rows, count: int) -> tuple:
+    d = rows.d
+    prev, last = (0, rows.a2, rows.b2), (1, rows.a1, rows.b1)
+    odd = True  # prev, g_k-2, is on the per - t_n side
+    while last[1] or last[2]:
+        (q0, x0, y0), (q1, x1, y1) = prev, last
+        a = scalars._floor_ratio(x0, y0, x1, y1, d)
+        if odd and (x0, y0) == (a * x1, a * y1):
+            a -= 1
+        # g_k takes the place of g_k-2 on its side, unless the count cuts it
+        # short at an intermediate value, the last record
+        j = min(a, (count - 1 - q0) // q1)
+        prev = (q0 + j * q1, x0 - j * x1, y0 - j * y1)
+        if j < a:
+            break
+        prev, last, odd = last, prev, not odd
+    return (last, prev) if odd else (prev, last)
+
+
+def floor_ratio_words(rows, n: int, bins: int) -> tuple[int, list[int], list[int]]:
+    d, _, a1, b1, a2, b2 = rows
+    m = scalars._floor_ratio(bins * a1, bins * b1, a2, b2, d)
+    # pass 1, beta's continued fraction on rows from g_-1 = per and
+    # g_0 = bins*step - m*per: the repeats r_k and lengths |s_k|, up to the
+    # first word longer than n - 2 (a_1 = 1 makes |s_1| = |s_0| = 1)
+    g0, g1 = (a2, b2), (bins * a1 - m * a2, bins * b1 - m * b2)
+    reps, lens, skip = [], [1, 1], 1
+    while lens[-1] <= n - 2:
+        a = scalars._floor_ratio(*g0, *g1, d)
+        reps.append(a - skip)
+        lens.append((a - skip) * lens[-1] + lens[-2])
+        g0, g1, skip = g1, (g0[0] - a * g1[0], g0[1] - a * g1[1]), 0
+    return m, reps, lens
+
+
 # An oracle for histograms at any n, from floor sums rather than words: bin
 # j holds C((j+1)/bins) - C(j/bins) of the first n positions, where
 # C(x) = #{i < n : {i*rho} < x} = S(n, rho, 0) - S(n, rho, 1 - x) + n and

@@ -334,6 +334,16 @@ def test_orbit_refuses_counts_above_the_cap_before_any_work(tmp_path, capsys, mo
     assert stderr == f"error: {flag} {ORBIT_LIMIT + 1} is above the limit {ORBIT_LIMIT}\n"
 
 
+@pytest.mark.parametrize("where", ["missing directory", "directory"])
+def test_orbit_dump_to_a_path_it_cannot_open_prints_nothing(tmp_path, capsys, where):
+    # the dump file is opened before the report is printed, as the limit
+    # refusals above leave stdout empty
+    path = tmp_path / "missing" / "orbit.csv" if where == "missing directory" else tmp_path
+    code, stdout, stderr = run(capsys, "orbit", "--h", "0/1+1/8*sqrt(2)", "--n", "3", "--bins", "10", "--dump", str(path))
+    assert code == 2 and stdout == ""
+    assert stderr.startswith("error: [Errno ") and str(path) in stderr
+
+
 def test_orbit_help_states_the_cap(capsys):
     code, stdout, _ = run(capsys, "orbit", "--help")
     assert code == 0

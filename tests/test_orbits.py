@@ -3,11 +3,21 @@
 import random
 from dataclasses import replace
 from fractions import Fraction
+from itertools import islice
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
-from conftest import floor_sum_histogram, rho_decreases_on_grid, stuck_records, walk_histogram
+from conftest import (
+    floor_ratio_records,
+    floor_ratio_words,
+    floor_sum_histogram,
+    rho_decreases_on_grid,
+    stuck_records,
+    walk_histogram,
+)
 
 from atfkit import cli, orbits, scalars
 from atfkit.diagram import build_pi0
@@ -828,6 +838,98 @@ def test_histogram_far_past_the_cap_matches_the_floor_sums(n):
 def test_histogram_of_a_trillion_positions_counts_them_all():
     counts = equidistribution_stats(PARAMS, SQRT2_OVER_8, 10**12, 1000)
     assert len(counts) == 1000 and sum(counts) == 10**12 and min(counts) > 0
+
+
+# -- partial quotients from one integer square root ----------------------------------
+
+# 17/32 - sqrt(2)/8 on PARAMS: the step c - h = -1/32 + sqrt(2)/8 has a
+# negative norm, 1/1024 - 2/64
+NEGATIVE_NORM_LEVEL = QField(Fraction(17, 32), Fraction(-1, 8), 2)
+
+
+@st.composite
+def records_rows(draw):
+    """Rows with 0 < step < per, over d None or a radicand, some of them in a
+    rational ratio, with a count up to 5000 or of 2**64 - 1."""
+    d = draw(st.sampled_from((None, 2, 3, 5, 13)))
+    ints = st.integers(-10**4, 10**4)
+    if d is None or draw(st.booleans()):
+        x, y = draw(ints), draw(ints) if d else 0
+        p = draw(st.integers(1, 10**4))
+        q = p + draw(st.integers(1, 10**4))
+        if scalars._sign(x, y, d) < 0:
+            x, y = -x, -y
+        a1, b1, a2, b2 = p * x, p * y, q * x, q * y
+    else:
+        rows = []
+        for _ in range(2):
+            x, y = draw(ints), draw(ints)
+            rows.append((x, y) if scalars._sign(x, y, d) >= 0 else (-x, -y))
+        if scalars._sign(rows[1][0] - rows[0][0], rows[1][1] - rows[0][1], d) < 0:
+            rows.reverse()
+        (a1, b1), (a2, b2) = rows
+    count = draw(st.one_of(st.integers(1, 5000), st.just(2**64 - 1)))
+    return orbits._Rows(d, 1, a1, b1, a2, b2), count
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(records_rows())
+# 1/3 = [0; 3] ends on an odd k and is read as [0; 2, 1]; 2/5 = [0; 2, 2]
+# ends on an even k
+@example((orbits._Rows(None, 1, 1, 0, 3, 0), 10))
+@example((orbits._Rows(None, 1, 2, 0, 5, 0), 10))
+@example((orbits._Rows(None, 1, 1, 0, 3, 0), 3))
+def test_records_match_the_floor_ratio_oracle(case):
+    rows, count = case
+    d, _, a1, b1, a2, b2 = rows
+    # 0 < step < per, the rows of every level
+    assume(scalars._sign(a1, b1, d) > 0 < scalars._sign(a2 - a1, b2 - b1, d))
+    assert orbits._records(rows, count) == floor_ratio_records(rows, count)
+
+
+def test_records_end_a_rational_expansion_on_the_return_to_the_start():
+    """Kills the mutants ``if not odd`` -> ``if odd`` and ``q1 - q0`` ->
+    ``q1 + q0`` in the rational ending of ``orbits._records``, which the
+    tests of the public functions pass: past the return to the start, the
+    gaps and the period read only the t_n side.
+
+    per/step = 3 is [3], one quotient, on the per - t_n side; the records
+    read it as [2, 1]: the smallest t_n is 0 at n = 3, the smallest
+    per - t_n is step at n = 2."""
+    rows = orbits._Rows(None, 1, 1, 0, 3, 0)
+    assert orbits._records(rows, 10) == ((3, 0, 0), (2, 1, 0)) == floor_ratio_records(rows, 10)
+    # per/step = 5/2 = [2, 2] ends on the t_n side as it is
+    rows = orbits._Rows(None, 1, 2, 0, 5, 0)
+    assert orbits._records(rows, 10) == ((5, 0, 0), (2, 1, 0)) == floor_ratio_records(rows, 10)
+
+
+@pytest.mark.parametrize("h", [SQRT2_OVER_8, NEGATIVE_NORM_LEVEL], ids=str)
+def test_records_and_words_at_two_to_the_64_match_the_floor_ratio_oracles(h):
+    n = 2**64 - 1
+    rows = orbits._rows(PARAMS, h)
+    assert orbits._records(rows, n) == floor_ratio_records(rows, n)
+    for bins in (1, 10, 97):
+        # the histogram's m and repeats are the partial quotients of
+        # bins*rho = [m; a_1, a_2, ...], with r_1 = a_1 - 1
+        m, reps, lens = floor_ratio_words(rows, n, bins)
+        assert lens[-2] <= n - 2 < lens[-1]
+        quotients = scalars._quotients(bins * rows.a1, bins * rows.b1, rows.a2, rows.b2, rows.d)
+        assert list(islice(quotients, len(reps) + 1)) == [m, reps[0] + 1, *reps[1:]]
+        assert equidistribution_stats(PARAMS, h, n, bins) == floor_sum_histogram(PARAMS, h, n, bins)
+
+
+def test_a_level_whose_step_has_a_negative_norm_matches_the_oracles():
+    h = NEGATIVE_NORM_LEVEL
+    rows = orbits._rows(PARAMS, h)
+    assert h.sign() >= 0 and h <= PARAMS.c - PARAMS.eps
+    assert rows.a1 ** 2 - rows.d * rows.b1 ** 2 < 0
+    assert classify_level(PARAMS, h, n_checked=2000) == set_sweep_report(PARAMS, h, 2000)
+    positions = assert_walk_matches_oracles(PARAMS, h)
+    per = perimeter_value(PARAMS, h)
+    for bins in (1, 7, 10, 64, 1000):
+        assert equidistribution_stats(PARAMS, h, 2000, bins) == floor_histogram(positions, per, bins)
+    for count in (1, 2, 3, 50, 2000, 10**6):
+        assert orbits._records(rows, count) == floor_ratio_records(rows, count)
 
 
 # -- monotonicity ---------------------------------------------------------------------

@@ -17,6 +17,8 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from atfkit.scalars import (
     DIGIT_BOUND,
@@ -25,9 +27,12 @@ from atfkit.scalars import (
     QField,
     _check_digits,
     _digits,
+    _floor_ratio,
     _operand,
     _over,
+    _quotients,
     _reduced,
+    _sign,
     floor,
     format_scalar,
     is_rational,
@@ -693,3 +698,93 @@ def test_over_merges_a_given_radicand_and_refuses_two():
     for values, d in (((y, QField.sqrt(3)), None), ((y,), 3), ((x, QField.sqrt(5)), 2)):
         with pytest.raises(ValueError, match="mixed radicands"):
             _over(*values, d=d)
+
+
+# -- partial quotients ------------------------------------------------------------
+
+DETERMINISTIC = settings(derandomize=True, database=None, deadline=None)
+QUOTIENT_RADICANDS = (2, 3, 5, 6, 7, 10, 13, 65521)
+
+
+def floor_ratio_steps(x0, y0, x1, y1, d, count):
+    """The first ``count`` partial quotients of the ratio of two rows, each
+    one ``_floor_ratio`` on the rows, and all of them for a rational ratio."""
+    out = []
+    while (x1 or y1) and len(out) < count:
+        a = _floor_ratio(x0, y0, x1, y1, d)
+        out.append(a)
+        x0, y0, x1, y1 = x1, y1, x0 - a * x1, y0 - a * y1
+    return out
+
+
+@st.composite
+def ratio_rows(draw):
+    """``(x0, y0, x1, y1, d)`` with ``x1 + y1*sqrt(d)`` positive: two
+    irrational rows, a rational denominator (y1 = 0), rows on d None, or
+    two irrational rows in a rational ratio."""
+    kind = draw(st.sampled_from(["irrational", "y1 = 0", "d None", "proportional"]))
+    ints = st.integers(-10**6, 10**6)
+    d = None if kind == "d None" else draw(st.sampled_from(QUOTIENT_RADICANDS))
+    x0, y0, x1, y1 = (draw(ints) for _ in range(4))
+    if kind == "d None":
+        y0 = y1 = 0
+    elif kind == "y1 = 0":
+        y1 = 0
+    elif kind == "proportional":
+        k, q = draw(st.integers(-10**4, 10**4)), draw(st.integers(1, 10**4))
+        x0, y0, x1, y1 = k * x1, k * y1, q * x1, q * y1
+    if _sign(x1, y1, d) < 0:
+        x1, y1 = -x1, -y1
+    return x0, y0, x1, y1, d
+
+
+@DETERMINISTIC
+@given(ratio_rows())
+# (1 + 2*sqrt(2)) / (1 + sqrt(2)): the denominator's norm is -1, so the
+# ratio starts as (P + sqrt(N)) / Q with Q < 0
+@example((1, 2, 1, 1, 2))
+@example((-7, 3, 5, 0, 3))
+@example((12, 0, 5, 0, None))
+@example((6, 4, 3, 2, 2))
+def test_quotients_match_floor_ratio_steps(rows):
+    x0, y0, x1, y1, d = rows
+    assume(x1 or y1)
+    rational = d is None or y0 * x1 == x0 * y1
+    quotients = _quotients(*rows)
+    if rational:
+        # Euclid's steps, to the last one
+        assert list(quotients) == floor_ratio_steps(*rows, 200)
+    else:
+        got = [next(quotients) for _ in range(40)]
+        assert got == floor_ratio_steps(*rows, 40)
+
+
+def test_quotients_from_a_negative_starting_norm():
+    """Kills the mutants ``B > 0`` -> ``B > 1`` and ``Q > 0`` -> ``Q > 1`` in
+    ``scalars._quotients``, which the tests of the orbit functions pass.
+
+    (1 + 2*sqrt(2)) / (1 + sqrt(2)) = 3 - sqrt(2) is (A + B*sqrt(2)) / M with
+    B = 1 > 0 over the norm M = -1, so it starts as (P + sqrt(N)) / Q with
+    Q < 0, where a floor reads (P + r + 1) // Q."""
+    x0, y0, x1, y1, d = 1, 2, 1, 1, 2
+    assert (y0 * x1 - x0 * y1) > 0 > x1 * x1 - d * y1 * y1
+    quotients = _quotients(x0, y0, x1, y1, d)
+    assert [next(quotients) for _ in range(60)] == floor_ratio_steps(x0, y0, x1, y1, d, 60)
+    # 2 + sqrt(2) = sqrt(2) / (-1 + sqrt(2)) = [3; 2, 2, ...], over the norm -1
+    quotients = _quotients(0, 1, -1, 1, 2)
+    assert [next(quotients) for _ in range(6)] == [3, 2, 2, 2, 2, 2]
+
+
+@pytest.mark.parametrize(
+    "rows, expected",
+    [
+        ((7, 0, 3, 0, None), [2, 3]),
+        ((3, 0, 1, 0, None), [3]),
+        ((0, 0, 5, 0, None), [0]),
+        ((14, 6, 7, 3, 2), [2]),
+        ((-9, 0, 4, 0, 5), [-3, 1, 3]),
+    ],
+    ids=["7/3", "3", "0", "proportional", "-9/4 over a rational row"],
+)
+def test_quotients_of_a_rational_ratio_end_with_euclid(rows, expected):
+    assert list(_quotients(*rows)) == expected
